@@ -163,9 +163,6 @@ class MemoryBackend(VectorBackend):
     callers that compact (``take``) must refresh any view they hold,
     which :class:`~repro.index.base.MetricIndex` does by reassigning
     ``_vectors`` on every mutation.
-
-    Also importable as ``repro.index.base.GrowableRows``, its name
-    before the backend protocol existed.
     """
 
     __slots__ = ("_rows", "_n")

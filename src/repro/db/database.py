@@ -13,6 +13,14 @@ Ties every subsystem together into the system the paper describes:
   grow/shrink in place, static trees overlay a pending buffer and
   tombstones — see ``docs/mutability.md``), so ingest never pays a
   from-scratch rebuild per mutation.
+* **one owner per row** — the database keeps no vector table of its
+  own.  A built index's storage backend holds the feature's rows and
+  every by-id read (:meth:`ImageDatabase.vectors_of`,
+  ``feature_matrix``, ``save``, shard views, the multi-feature rerank)
+  goes through ``MetricIndex.vectors_of``; rows added before a
+  feature's first build wait in one growable buffer that the build
+  consumes.  The catalog alone says which ids are live
+  (``docs/storage.md``, "Ownership").
 * **generations** — every mutation bumps a monotonic per-feature
   :meth:`generation` counter.  The serving layer stamps cached results
   with the generation they were computed under and lazily invalidates
@@ -43,7 +51,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.db.backend import BackendFactory, resolve_backend_factory
+from repro.db.backend import BackendFactory, MemoryBackend, resolve_backend_factory
 from repro.db.catalog import Catalog, ImageRecord
 from repro.db.fsutil import REAL_FS, FileSystem, atomic_write_bytes, fsync_file
 from repro.db.query import (
@@ -55,10 +63,9 @@ from repro.db.query import (
 )
 from repro.db.store import FeatureStore
 from repro.errors import CatalogError, QueryError
-from repro.features.base import FeatureExtractor
 from repro.features.pipeline import FeatureSchema, default_schema
 from repro.image.core import Image
-from repro.index.base import MetricIndex, Neighbor
+from repro.index.base import MetricIndex
 from repro.index.vptree import VPTree
 from repro.metrics.base import Metric
 from repro.metrics.minkowski import EuclideanDistance
@@ -70,6 +77,30 @@ IndexFactory = Callable[[Metric], MetricIndex]
 _CONFIG_FILE = "config.json"
 _CATALOG_FILE = "catalog.json"
 _FEATURE_DIR = "features"
+
+
+class _WaitingRows:
+    """Rows added before their feature's first build.
+
+    Whole matrices appended to one growable buffer; the build gathers
+    them, hands them to ``MetricIndex.build`` and drops this object.
+    It answers the two calls the database routes rows through, so
+    callers need not know whether a feature is built.  Removal needs no
+    call: the catalog is the live set, a removed id is simply never
+    asked for again, and when an id is re-added its latest row wins.
+    """
+
+    def __init__(self, dim: int) -> None:
+        self._ids: list[int] = []
+        self._rows = MemoryBackend(np.empty((0, dim)))
+
+    def insert_batch(self, ids: Sequence[int], vectors: np.ndarray) -> None:
+        self._ids.extend(ids)
+        self._rows.append(vectors)
+
+    def vectors_of(self, ids: Sequence[int]) -> np.ndarray:
+        latest = {item_id: row for row, item_id in enumerate(self._ids)}
+        return self._rows.rows([latest[item_id] for item_id in ids])
 
 
 class ImageDatabase:
@@ -129,11 +160,13 @@ class ImageDatabase:
         )
         self._backend_factory: BackendFactory = resolve_backend_factory(backend)
         self._catalog = Catalog()
-        self._vectors: dict[str, dict[int, np.ndarray]] = {
-            name: {} for name in self._schema.names
-        }
+        #: A feature is in exactly one of the two: built (its index owns
+        #: the rows) or still waiting for its first build.
         self._indexes: dict[str, MetricIndex] = {}
-        self._stale: set[str] = set()
+        self._waiting: dict[str, _WaitingRows] = {
+            name: _WaitingRows(self._schema.get(name).dim)
+            for name in self._schema.names
+        }
         self._generations: dict[str, int] = {
             name: 0 for name in self._schema.names
         }
@@ -211,26 +244,31 @@ class ImageDatabase:
     def index_for(self, feature: str) -> MetricIndex:
         """The (built) index for ``feature``, building it if needed."""
         self._check_feature(feature)
-        self._ensure_index(feature)
+        if feature not in self._indexes:
+            self._build_index(feature)
         return self._indexes[feature]
 
     def feature_matrix(self, feature: str) -> tuple[list[int], np.ndarray]:
         """All stored vectors of one feature: ``(ids, (n, d) array)``."""
+        ids = self._catalog.ids
+        return ids, self.vectors_of(feature, ids)
+
+    def vectors_of(self, feature: str, image_ids: Sequence[int]) -> np.ndarray:
+        """The stored signatures of some images for one feature.
+
+        A fresh ``(len(image_ids), d)`` array in the order asked, read
+        from whoever owns the rows: the feature's built index (through
+        its storage backend) or the rows still waiting for a build.
+        """
         self._check_feature(feature)
-        table = self._vectors[feature]
-        ids = list(table)
-        if not ids:
-            extractor = self._schema.get(feature)
-            return [], np.empty((0, extractor.dim))
-        return ids, np.stack([table[i] for i in ids])
+        for image_id in image_ids:
+            if image_id not in self._catalog:
+                raise QueryError(f"no image with id {image_id}")
+        return self._owner(feature).vectors_of(image_ids)
 
     def vector_of(self, feature: str, image_id: int) -> np.ndarray:
         """The stored signature of one image for one feature (a copy)."""
-        self._check_feature(feature)
-        try:
-            return self._vectors[feature][image_id].copy()
-        except KeyError:
-            raise QueryError(f"no image with id {image_id}") from None
+        return self.vectors_of(feature, [image_id])[0]
 
     def extract_query_vector(
         self, query: Image | np.ndarray, feature: str | None = None
@@ -244,7 +282,7 @@ class ImageDatabase:
         """
         feature = feature or self.default_feature
         self._check_feature(feature)
-        return self._query_vector(query, feature)
+        return self._signatures(query, feature)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -279,8 +317,6 @@ class ImageDatabase:
         )
         signatures = self._schema.extract_all(image)
         self._catalog.insert(record)
-        for feature, vector in signatures.items():
-            self._vectors[feature][image_id] = vector
         self._register_insert(
             [image_id],
             {feature: vector[None, :] for feature, vector in signatures.items()},
@@ -352,8 +388,6 @@ class ImageDatabase:
                 label=labels[row] if labels is not None else None,
             )
             self._catalog.insert(record)
-            for feature, matrix in matrices.items():
-                self._vectors[feature][image_id] = matrix[row].copy()
             out_ids.append(image_id)
         self._register_insert(out_ids, matrices)
         return out_ids
@@ -441,16 +475,10 @@ class ImageDatabase:
         if len(set(image_ids)) != len(image_ids):
             raise QueryError(f"duplicate ids in remove input: {image_ids}")
         records = [self._catalog.delete(image_id) for image_id in image_ids]
-        for table in self._vectors.values():
-            for image_id in image_ids:
-                table.pop(image_id, None)
         for feature in self._schema.names:
             self._generations[feature] += 1
-            index = self._live_index(feature)
-            if index is not None:
-                index.delete(image_ids)
-            else:
-                self._stale.add(feature)
+            if feature in self._indexes:
+                self._indexes[feature].delete(image_ids)
         return records
 
     def delete_image(self, image_id: int) -> ImageRecord:
@@ -461,8 +489,7 @@ class ImageDatabase:
         """(Re)build indexes now instead of lazily at first query."""
         for feature in features if features is not None else self._schema.names:
             self._check_feature(feature)
-            self._stale.add(feature)
-            self._ensure_index(feature)
+            self._build_index(feature)
 
     def next_image_id(self) -> int:
         """The id the next insert would allocate (no allocation happens).
@@ -478,11 +505,12 @@ class ImageDatabase:
 
         The view shares this database's schema, metrics, and index
         factory (all stateless configuration) but owns its own catalog,
-        vector tables, indexes, and generation stamps — it is a fully
+        rows, indexes, and generation stamps — it is a fully
         independent database whose item set happens to be a subset of
-        this one's.  Records are reused as-is (they are frozen), vector
-        rows are referenced, not copied (both sides treat stored vectors
-        as immutable).  Indexes build lazily at the view's first query.
+        this one's.  Records are reused as-is (they are frozen); vector
+        rows are gathered from this database's owner into one matrix
+        per feature that waits for the view's first build.  Indexes
+        build lazily at the view's first query.
 
         This is the constructor behind sharded scatter-gather serving
         (``repro.serve.shard``): the item set is partitioned by id hash
@@ -505,12 +533,9 @@ class ImageDatabase:
             backend=self._backend_factory,
         )
         for image_id in image_ids:
-            record = self._catalog.get(image_id)  # raises when unknown
-            view._catalog.insert(record)
-            for feature in self._schema.names:
-                view._vectors[feature][image_id] = self._vectors[feature][image_id]
-        if image_ids:
-            view._stale.update(self._schema.names)
+            view._catalog.insert(self._catalog.get(image_id))  # raises when unknown
+        for feature, waiting in view._waiting.items():
+            waiting.insert_batch(image_ids, self.vectors_of(feature, image_ids))
         return view
 
     @classmethod
@@ -518,8 +543,8 @@ class ImageDatabase:
         """Reassemble one database from disjoint shard views.
 
         The inverse of carving a database into :meth:`shard_view`
-        slices: records and vector rows are taken as-is (both sides
-        treat them as immutable) and inserted in ascending id order, so
+        slices: records are taken as-is, vector rows are gathered from
+        each view's owner, and both are inserted in ascending id order, so
         the merged catalog's iteration order — and therefore the row
         order of a subsequent :meth:`save` — is deterministic regardless
         of how mutations interleaved across shards.  Configuration
@@ -553,15 +578,14 @@ class ImageDatabase:
                     )
                 by_id[image_id] = view
         for image_id in sorted(by_id):
-            view = by_id[image_id]
-            merged._catalog.insert(view._catalog.get(image_id))
-            for feature in merged._schema.names:
-                merged._vectors[feature][image_id] = view._vectors[feature][image_id]
+            merged._catalog.insert(by_id[image_id]._catalog.get(image_id))
+        for view in views:
+            ids = view.catalog.ids
+            for feature, waiting in merged._waiting.items():
+                waiting.insert_batch(ids, view.vectors_of(feature, ids))
         merged._catalog._next_id = max(
             [merged._catalog.next_id] + [view.catalog.next_id for view in views]
         )
-        if by_id:
-            merged._stale.update(merged._schema.names)
         return merged
 
     # ------------------------------------------------------------------
@@ -583,18 +607,7 @@ class ImageDatabase:
         it extracts once at admission, digests the vector for its cache,
         and hands the same floats to the engine.
         """
-        feature = feature or self.default_feature
-        self._check_feature(feature)
-        if len(self._catalog) == 0:
-            raise QueryError("database is empty")
-        vector = (
-            self._precomputed_vector(query, feature)
-            if precomputed
-            else self._query_vector(query, feature)
-        )
-        index = self.index_for(feature)
-        neighbors = index.knn_search(vector, k)
-        return self._to_results(neighbors)
+        return self._search("knn", query, k, feature, precomputed)
 
     def range_query(
         self,
@@ -605,18 +618,7 @@ class ImageDatabase:
         precomputed: bool = False,
     ) -> list[RetrievalResult]:
         """Range query-by-example on one feature."""
-        feature = feature or self.default_feature
-        self._check_feature(feature)
-        if len(self._catalog) == 0:
-            raise QueryError("database is empty")
-        vector = (
-            self._precomputed_vector(query, feature)
-            if precomputed
-            else self._query_vector(query, feature)
-        )
-        index = self.index_for(feature)
-        neighbors = index.range_search(vector, radius)
-        return self._to_results(neighbors)
+        return self._search("range", query, radius, feature, precomputed)
 
     def query_batch(
         self,
@@ -640,16 +642,7 @@ class ImageDatabase:
         is skipped (the micro-batching scheduler stacks vectors it
         validated at admission).
         """
-        feature = feature or self.default_feature
-        self._check_feature(feature)
-        if len(self._catalog) == 0:
-            raise QueryError("database is empty")
-        matrix = self._query_matrix(queries, feature, precomputed=precomputed)
-        index = self.index_for(feature)
-        return [
-            to_retrieval_results(neighbors, self._catalog)
-            for neighbors in index.knn_search_batch(matrix, k)
-        ]
+        return self._search("knn", queries, k, feature, precomputed, batch=True)
 
     def range_query_batch(
         self,
@@ -660,16 +653,9 @@ class ImageDatabase:
         precomputed: bool = False,
     ) -> list[list[RetrievalResult]]:
         """Range query-by-example for a batch of queries on one feature."""
-        feature = feature or self.default_feature
-        self._check_feature(feature)
-        if len(self._catalog) == 0:
-            raise QueryError("database is empty")
-        matrix = self._query_matrix(queries, feature, precomputed=precomputed)
-        index = self.index_for(feature)
-        return [
-            to_retrieval_results(neighbors, self._catalog)
-            for neighbors in index.range_search_batch(matrix, radius)
-        ]
+        return self._search(
+            "range", queries, radius, feature, precomputed, batch=True
+        )
 
     def query_multi(
         self,
@@ -710,7 +696,7 @@ class ImageDatabase:
         query_vectors: dict[str, np.ndarray] = {}
         for feature in active:
             self._check_feature(feature)
-            vector = self._query_vector(query, feature)
+            vector = self._signatures(query, feature)
             query_vectors[feature] = vector
             neighbors = self.index_for(feature).knn_search(vector, pool_size)
             per_feature[feature] = {nb.id: nb.distance for nb in neighbors}
@@ -718,14 +704,14 @@ class ImageDatabase:
 
         # Fill in exact distances for candidates another feature surfaced.
         for feature in active:
-            metric = self._metrics[feature]
-            table = self._vectors[feature]
             distances = per_feature[feature]
-            for candidate in candidate_ids:
-                if candidate not in distances:
-                    distances[candidate] = metric.distance(
-                        query_vectors[feature], table[candidate]
-                    )
+            missing = [c for c in candidate_ids if c not in distances]
+            if not missing:
+                continue
+            exact = self._metrics[feature].distance_batch(
+                query_vectors[feature], self.vectors_of(feature, missing)
+            )
+            distances.update(zip(missing, exact.tolist()))
 
         combined = combine_feature_distances(
             per_feature, {name: weights[name] for name in active}
@@ -764,7 +750,7 @@ class ImageDatabase:
         rankings = []
         for feature in features:
             self._check_feature(feature)
-            vector = self._query_vector(query, feature)
+            vector = self._signatures(query, feature)
             neighbors = self.index_for(feature).knn_search(vector, pool_size)
             rankings.append([nb.id for nb in neighbors])
         fuse = borda_fuse if method == "borda" else reciprocal_rank_fuse
@@ -801,12 +787,11 @@ class ImageDatabase:
         for feature in self._schema.names:
             path = directory / _FEATURE_DIR / f"{feature}.feat"
             staging = path.with_name(path.name + ".new")
-            extractor = self._schema.get(feature)
             with FeatureStore.create(
-                staging, extractor.dim, overwrite=True, fs=fs
+                staging, self._schema.get(feature).dim, overwrite=True, fs=fs
             ) as store:
-                for image_id in ordered_ids:
-                    store.append(self._vectors[feature][image_id])
+                for row in self.vectors_of(feature, ordered_ids):
+                    store.append(row)
             fsync_file(staging, fs=fs)
             fs.replace(staging, path)
         fs.fsync_dir(directory / _FEATURE_DIR)
@@ -869,10 +854,7 @@ class ImageDatabase:
                     f"feature store {feature!r} holds {matrix.shape[0]} records "
                     f"but catalog has {len(ordered_ids)}"
                 )
-            db._vectors[feature] = {
-                image_id: matrix[row] for row, image_id in enumerate(ordered_ids)
-            }
-        db._stale.update(schema.names)
+            db._waiting[feature].insert_batch(ordered_ids, matrix)
         return db
 
     # ------------------------------------------------------------------
@@ -884,98 +866,111 @@ class ImageDatabase:
                 f"unknown feature {feature!r}; schema has {list(self._schema.names)}"
             )
 
-    def _ensure_index(self, feature: str) -> None:
-        if feature in self._stale or feature not in self._indexes:
-            ids, matrix = self.feature_matrix(feature)
-            if not ids:
-                raise QueryError("cannot build an index over an empty database")
-            previous = self._indexes.get(feature)
-            index = self._index_factory(self._metrics[feature])
-            index.backend_factory = self._backend_factory
-            index.build(ids, matrix)
-            self._indexes[feature] = index
-            if previous is not None:
-                previous.close()  # release the superseded core's storage
-            self._stale.discard(feature)
+    def _build_index(self, feature: str) -> None:
+        """Build a fresh index over the live items, in catalog order,
+        from whoever owns the rows now — then it is the owner."""
+        ids = self._catalog.ids
+        if not ids:
+            raise QueryError("cannot build an index over an empty database")
+        index = self._index_factory(self._metrics[feature])
+        index.backend_factory = self._backend_factory
+        index.build(ids, self._owner(feature).vectors_of(ids))
+        previous = self._indexes.get(feature)
+        self._indexes[feature] = index
+        self._waiting.pop(feature, None)
+        if previous is not None:
+            previous.close()  # release the superseded core's storage
 
-    def _live_index(self, feature: str) -> MetricIndex | None:
-        """The feature's index when it can absorb mutations in place."""
+    def _owner(self, feature: str) -> "MetricIndex | _WaitingRows":
+        """Who holds the feature's rows: its built index, else the
+        rows waiting for the first build."""
         index = self._indexes.get(feature)
-        if index is not None and feature not in self._stale and index.is_built:
-            return index
-        return None
+        return index if index is not None else self._waiting[feature]
 
     def _register_insert(
         self, ids: list[int], matrices: Mapping[str, np.ndarray]
     ) -> None:
-        """Route freshly stored signatures into the live indexes.
+        """Hand freshly catalogued signatures to their owner.
 
-        Features whose index is built take the incremental
-        ``insert_batch`` path; the rest just go stale (the lazy build at
-        the next query covers them).  Either way the feature's
-        generation advances.
+        A built index takes them through its incremental
+        ``insert_batch`` path; otherwise they join the rows waiting for
+        the lazy build.  Either way the feature's generation advances.
         """
         for feature in self._schema.names:
             self._generations[feature] += 1
-            index = self._live_index(feature)
-            if index is not None:
-                index.insert_batch(ids, matrices[feature])
-            else:
-                self._stale.add(feature)
+            self._owner(feature).insert_batch(ids, matrices[feature])
 
-    def _query_vector(self, query: Image | np.ndarray, feature: str) -> np.ndarray:
-        extractor: FeatureExtractor = self._schema.get(feature)
-        if isinstance(query, Image):
-            return extractor.extract(query)
-        vector = np.asarray(query, dtype=np.float64).ravel()
+    def _search(
+        self,
+        kind: str,
+        queries: "Image | np.ndarray | Sequence[Image | np.ndarray]",
+        parameter: float,
+        feature: str | None,
+        precomputed: bool,
+        *,
+        batch: bool = False,
+    ) -> list:
+        """The one body behind the four query entry points: a ``kind``
+        (``"knn"`` or ``"range"``) search, scalar or batched, over the
+        validated signature(s)."""
+        feature = feature or self.default_feature
+        self._check_feature(feature)
+        if len(self._catalog) == 0:
+            raise QueryError("database is empty")
+        signatures = self._signatures(
+            queries, feature, precomputed=precomputed, batch=batch
+        )
+        search = f"{kind}_search_batch" if batch else f"{kind}_search"
+        found = getattr(self.index_for(feature), search)(signatures, parameter)
+        if batch:
+            return [to_retrieval_results(hits, self._catalog) for hits in found]
+        return to_retrieval_results(found, self._catalog)
+
+    def _signatures(
+        self,
+        queries: "Image | np.ndarray | Sequence[Image | np.ndarray]",
+        feature: str,
+        *,
+        precomputed: bool = False,
+        batch: bool = False,
+    ) -> np.ndarray:
+        """The one query validator: a query is an Image (extracted
+        here) or a vector of the feature's dimension; a batch is a
+        sequence of queries and comes back as an ``(m, d)`` matrix.
+        ``precomputed`` callers hand over the exact array the index
+        takes, so only its shape is checked."""
+        extractor = self._schema.get(feature)
+        if precomputed:
+            if isinstance(queries, Image):
+                raise QueryError(
+                    "precomputed=True takes a signature vector, not an Image; "
+                    "extract it first with extract_query_vector"
+                )
+            array = np.asarray(queries, dtype=np.float64)
+            if array.ndim != 1 + batch or array.shape[-1] != extractor.dim:
+                if batch:
+                    raise QueryError(
+                        f"precomputed queries must be an (m, {extractor.dim}) "
+                        f"matrix; got shape {array.shape}"
+                    )
+                raise QueryError(
+                    f"precomputed query has shape {array.shape}, feature "
+                    f"{feature!r} expects ({extractor.dim},)"
+                )
+            return array
+        if batch:
+            if len(queries) == 0:
+                return np.empty((0, extractor.dim))
+            return np.stack([self._signatures(query, feature) for query in queries])
+        if isinstance(queries, Image):
+            return extractor.extract(queries)
+        vector = np.asarray(queries, dtype=np.float64).ravel()
         if vector.shape != (extractor.dim,):
             raise QueryError(
                 f"query vector has dim {vector.size}, feature {feature!r} "
                 f"expects {extractor.dim}"
             )
         return vector
-
-    def _precomputed_vector(
-        self, query: Image | np.ndarray, feature: str
-    ) -> np.ndarray:
-        if isinstance(query, Image):
-            raise QueryError(
-                "precomputed=True takes a signature vector, not an Image; "
-                "extract it first with extract_query_vector"
-            )
-        vector = np.asarray(query, dtype=np.float64)
-        dim = self._schema.get(feature).dim
-        if vector.shape != (dim,):
-            raise QueryError(
-                f"precomputed query has shape {vector.shape}, feature "
-                f"{feature!r} expects ({dim},)"
-            )
-        return vector
-
-    def _query_matrix(
-        self,
-        queries: Sequence[Image | np.ndarray] | np.ndarray,
-        feature: str,
-        *,
-        precomputed: bool = False,
-    ) -> np.ndarray:
-        extractor: FeatureExtractor = self._schema.get(feature)
-        if precomputed:
-            matrix = np.asarray(queries, dtype=np.float64)
-            if matrix.ndim != 2 or matrix.shape[1] != extractor.dim:
-                raise QueryError(
-                    f"precomputed queries must be an (m, {extractor.dim}) "
-                    f"matrix; got shape {matrix.shape}"
-                )
-            return matrix
-        if len(queries) == 0:
-            return np.empty((0, extractor.dim))
-        return np.stack(
-            [self._query_vector(query, feature) for query in queries]
-        )
-
-    def _to_results(self, neighbors: list[Neighbor]) -> list[RetrievalResult]:
-        return to_retrieval_results(neighbors, self._catalog)
 
     def __repr__(self) -> str:
         return (

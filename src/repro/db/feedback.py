@@ -153,20 +153,7 @@ class FeedbackSession:
             raise QueryError("cannot start a feedback session on an empty database")
         self._db = db
         self._feature = feature or db.default_feature
-        if self._feature not in db.schema:
-            raise QueryError(
-                f"unknown feature {self._feature!r}; schema has {list(db.schema.names)}"
-            )
-        extractor = db.schema.get(self._feature)
-        if isinstance(query, Image):
-            self._query = extractor.extract(query)
-        else:
-            self._query = np.asarray(query, dtype=np.float64).ravel()
-            if self._query.shape != (extractor.dim,):
-                raise QueryError(
-                    f"query vector has dim {self._query.size}, feature "
-                    f"{self._feature!r} expects {extractor.dim}"
-                )
+        self._query = db.extract_query_vector(query, self._feature)
         self._initial_query = self._query.copy()
         self._rule = rule or Rocchio()
         self._relevant: set[int] = set()
@@ -240,14 +227,10 @@ class FeedbackSession:
     def _apply_pending(self) -> None:
         if not self._pending:
             return
-        relevant = [
-            self._db.vector_of(self._feature, image_id)
-            for image_id in sorted(self._relevant)
-        ]
-        non_relevant = [
-            self._db.vector_of(self._feature, image_id)
-            for image_id in sorted(self._non_relevant)
-        ]
+        relevant, non_relevant = (
+            self._db.vectors_of(self._feature, sorted(ids))
+            for ids in (self._relevant, self._non_relevant)
+        )
         self._query = self._rule.refine(self._initial_query, relevant, non_relevant)
         self._rounds += 1
         self._pending = False

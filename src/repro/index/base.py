@@ -38,6 +38,14 @@ approximate variants — merges the overlay with the structural answer,
 so results over the *live* item set are exact and the per-query
 distance accounting stays measured (pending items cost one counted
 batched evaluation per query, tombstone filtering is free).
+
+Row ownership (see ``docs/storage.md``)
+---------------------------------------
+The index's :class:`~repro.db.backend.VectorBackend` is the only place
+a built feature's rows live.  :meth:`MetricIndex.live_ids` and
+:meth:`MetricIndex.vectors_of` are how everything else — the database's
+``vector_of`` / ``feature_matrix`` / ``save``, shard views, and the
+index's own :meth:`MetricIndex.rebuild` — reads them back.
 """
 
 from __future__ import annotations
@@ -47,17 +55,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.db.backend import (
-    BackendFactory,
-    MemoryBackend,
-    MemoryBackendFactory,
-    VectorBackend,
-)
+from repro.db.backend import BackendFactory, MemoryBackendFactory, VectorBackend
 from repro.errors import IndexingError
 from repro.index.stats import BuildStats, SearchStats
 from repro.metrics.base import Metric
 
-__all__ = ["Neighbor", "MetricIndex", "GrowableRows"]
+__all__ = ["Neighbor", "MetricIndex"]
 
 
 class Neighbor(NamedTuple):
@@ -66,10 +69,6 @@ class Neighbor(NamedTuple):
     id: int
     distance: float
 
-
-#: Backward-compatible name of the in-memory row store, which moved to
-#: :mod:`repro.db.backend` when the storage protocol was extracted.
-GrowableRows = MemoryBackend
 
 #: The default storage for index cores; ``ImageDatabase`` overrides
 #: :attr:`MetricIndex.backend_factory` per index when configured with a
@@ -113,6 +112,10 @@ class MetricIndex(ABC):
             )
         self._metric = metric
         self._ids: list[int] = []
+        #: Core row of every id physically inside the structure
+        #: (tombstoned ones included) — the map every by-id read and
+        #: every mutation check goes through.
+        self._row_of: dict[int, int] = {}
         self._vectors: np.ndarray | None = None
         self._core: VectorBackend | None = None
         self._built = False
@@ -122,8 +125,7 @@ class MetricIndex(ABC):
         # Mutation overlay: items inserted after build that the concrete
         # structure does not hold (scanned per query), and ids deleted
         # from the structure but still physically inside it.
-        self._pending_ids: list[int] = []
-        self._pending_vectors: list[np.ndarray] = []
+        self._pending: dict[int, np.ndarray] = {}
         self._pending_block: np.ndarray | None = None
         self._tombstones: set[int] = set()
 
@@ -139,12 +141,12 @@ class MetricIndex(ABC):
     def size(self) -> int:
         """Number of *live* indexed items (pending inserts included,
         tombstoned deletions excluded)."""
-        return len(self._ids) + len(self._pending_ids) - len(self._tombstones)
+        return len(self._ids) + len(self._pending) - len(self._tombstones)
 
     @property
     def n_pending(self) -> int:
         """Inserted items the structure holds in its pending buffer."""
-        return len(self._pending_ids)
+        return len(self._pending)
 
     @property
     def n_tombstones(self) -> int:
@@ -209,19 +211,20 @@ class MetricIndex(ABC):
             raise IndexingError(
                 f"{len(ids)} ids but {vectors.shape[0]} vectors"
             )
-        if len(set(ids)) != len(ids):
+        row_of = {item_id: row for row, item_id in enumerate(ids)}
+        if len(row_of) != len(ids):
             raise IndexingError("duplicate ids in build input")
         if not np.all(np.isfinite(vectors)):
             raise IndexingError("vectors contain non-finite values")
 
         self._ids = ids
+        self._row_of = row_of
         previous = self._core
         self._core = self.backend_factory(vectors)
         if previous is not None:
             previous.close()
         self._vectors = self._core.view()
-        self._pending_ids = []
-        self._pending_vectors = []
+        self._pending = {}
         self._pending_block = None
         self._tombstones = set()
         self._build_stats = BuildStats()
@@ -277,12 +280,10 @@ class MetricIndex(ABC):
             raise IndexingError("vectors contain non-finite values")
         if len(set(ids)) != len(ids):
             raise IndexingError("duplicate ids in insert input")
-        present = set(self._ids)
-        present.update(self._pending_ids)
-        clashes = present.intersection(ids)
+        clashes = [i for i in ids if i in self._row_of or i in self._pending]
         if clashes:
             raise IndexingError(
-                f"id {sorted(clashes)[0]} is already indexed "
+                f"id {min(clashes)} is already indexed "
                 f"(tombstoned ids cannot be re-inserted before a rebuild)"
             )
         self._insert_batch(ids, vectors.copy())
@@ -308,12 +309,56 @@ class MetricIndex(ABC):
             return
         if len(set(ids)) != len(ids):
             raise IndexingError("duplicate ids in delete input")
-        live = (set(self._ids) - self._tombstones).union(self._pending_ids)
-        missing = set(ids) - live
+        missing = [
+            i
+            for i in ids
+            if i not in self._pending
+            and (i not in self._row_of or i in self._tombstones)
+        ]
         if missing:
-            raise IndexingError(f"id {sorted(missing)[0]} is not indexed")
+            raise IndexingError(f"id {min(missing)} is not indexed")
         self._delete(ids)
         self._maybe_rebuild()
+
+    # ------------------------------------------------------------------
+    # Reading the rows back
+    # ------------------------------------------------------------------
+    def live_ids(self) -> list[int]:
+        """Ids of the live items: core rows in row order (tombstoned
+        ones skipped), then pending inserts in arrival order."""
+        dead = self._tombstones
+        core = [i for i in self._ids if i not in dead] if dead else self._ids
+        return [*core, *self._pending]
+
+    def vectors_of(self, ids: Sequence[int]) -> np.ndarray:
+        """The stored rows of live items, as a fresh ``(len(ids), d)`` array.
+
+        Core rows are gathered with one ``backend.rows()`` call — through
+        the buffer pool, counted and capped, on a bounded backend —
+        and pending rows come from the overlay.
+
+        Raises
+        ------
+        IndexingError
+            If the index is unbuilt or an id is not live.
+        """
+        if self._core is None:
+            raise IndexingError("index has not been built yet")
+        out = np.empty((len(ids), self._core.dim))
+        at: list[int] = []
+        rows: list[int] = []
+        for position, item_id in enumerate(ids):
+            pending = self._pending.get(item_id)
+            if pending is not None:
+                out[position] = pending
+            elif item_id in self._row_of and item_id not in self._tombstones:
+                at.append(position)
+                rows.append(self._row_of[item_id])
+            else:
+                raise IndexingError(f"id {item_id} is not indexed")
+        if rows:
+            out[at] = self._core.rows(rows)
+        return out
 
     def rebuild(self) -> "MetricIndex":
         """Fold the mutation overlay into a fresh structure now.
@@ -325,22 +370,14 @@ class MetricIndex(ABC):
         """
         if not self._built or self._vectors is None:
             raise IndexingError("rebuild() requires a built index; call build() first")
-        if not self._pending_ids and not self._tombstones:
+        if not self._pending and not self._tombstones:
             return self
-        live = [
-            (item_id, self._vectors[row])
-            for row, item_id in enumerate(self._ids)
-            if item_id not in self._tombstones
-        ]
-        live.extend(zip(self._pending_ids, self._pending_vectors))
-        if not live:
+        ids = sorted(self.live_ids())
+        if not ids:
             # Nothing left to build over; keep the overlay (queries
             # filter everything out) rather than produce an empty tree.
             return self
-        live.sort(key=lambda pair: pair[0])
-        ids = [item_id for item_id, _ in live]
-        matrix = np.stack([vector for _, vector in live])
-        return self.build(ids, matrix)
+        return self.build(ids, self.vectors_of(ids))
 
     def _insert_batch(self, ids: list[int], vectors: np.ndarray) -> None:
         """Structure hook for insertion; the default buffers the items.
@@ -348,26 +385,17 @@ class MetricIndex(ABC):
         Overrides that grow the structure in place must also extend the
         core arrays via :meth:`_append_core`.
         """
-        self._pending_ids.extend(ids)
-        self._pending_vectors.extend(vectors)
+        self._pending.update(zip(ids, vectors))
         self._pending_block = None
 
     def _delete(self, ids: list[int]) -> None:
         """Structure hook for deletion; the default tombstones core ids
         (pending ones are simply dropped from the buffer)."""
-        doomed = set(ids)
-        in_pending = doomed.intersection(self._pending_ids)
-        if in_pending:
-            kept = [
-                (item_id, vector)
-                for item_id, vector in zip(self._pending_ids, self._pending_vectors)
-                if item_id not in in_pending
-            ]
-            self._pending_ids = [item_id for item_id, _ in kept]
-            self._pending_vectors = [vector for _, vector in kept]
-            self._pending_block = None
-            doomed -= in_pending
-        self._tombstones.update(doomed)
+        for item_id in ids:
+            if self._pending.pop(item_id, None) is None:
+                self._tombstones.add(item_id)
+            else:
+                self._pending_block = None
 
     def _maybe_rebuild(self) -> None:
         """Rebuild once the overlay outgrows its threshold.
@@ -377,7 +405,7 @@ class MetricIndex(ABC):
         over at least that many mutations, and per-query overlay cost
         (one batched scan of the pending buffer) stays bounded.
         """
-        overlay = len(self._pending_ids) + len(self._tombstones)
+        overlay = len(self._pending) + len(self._tombstones)
         if overlay and overlay >= max(
             self.rebuild_min, self.rebuild_threshold * len(self._ids)
         ):
@@ -387,7 +415,7 @@ class MetricIndex(ABC):
         """Extend the validated core arrays (for in-place growers).
 
         Amortized O(rows appended): the rows land in the spare tail of
-        the :class:`GrowableRows` backing buffer, which only reallocates
+        the backend's buffer, which (in memory) only reallocates
         (capacity-doubled) when full — a stream of ``m`` single-row
         inserts costs O(n + m) row copies, not the O(m·n) a full
         re-stack per append costs.  ``_vectors`` stays a read-only view
@@ -396,6 +424,8 @@ class MetricIndex(ABC):
         """
         assert self._core is not None
         self._vectors = self._core.append(vectors)
+        first = len(self._ids)
+        self._row_of.update(zip(ids, range(first, first + len(ids))))
         self._ids.extend(ids)
 
     def _remove_core(self, ids: list[int]) -> np.ndarray:
@@ -414,6 +444,7 @@ class MetricIndex(ABC):
         )
         self._vectors = self._core.take(keep)
         self._ids = [self._ids[row] for row in keep]
+        self._row_of = {item_id: row for row, item_id in enumerate(self._ids)}
         return keep
 
     # ------------------------------------------------------------------
@@ -501,11 +532,11 @@ class MetricIndex(ABC):
         """
         if self._tombstones:
             result = [nb for nb in result if nb.id not in self._tombstones]
-        if self._pending_ids:
+        if self._pending:
             distances = self._dist_batch(query, self._pending_matrix())
             result.extend(
                 Neighbor(item_id, float(d))
-                for item_id, d in zip(self._pending_ids, distances.tolist())
+                for item_id, d in zip(self._pending, distances.tolist())
                 if d <= radius
             )
         return result
@@ -521,11 +552,11 @@ class MetricIndex(ABC):
         """
         if self._tombstones:
             result = [nb for nb in result if nb.id not in self._tombstones]
-        if self._pending_ids:
+        if self._pending:
             distances = self._dist_batch(query, self._pending_matrix())
             result.extend(
                 Neighbor(item_id, float(d))
-                for item_id, d in zip(self._pending_ids, distances.tolist())
+                for item_id, d in zip(self._pending, distances.tolist())
             )
         return result
 
@@ -536,7 +567,7 @@ class MetricIndex(ABC):
         query's pending-buffer scan is counted into *its* stats entry,
         and the aggregate is recomputed afterwards.
         """
-        if not (self._tombstones or self._pending_ids):
+        if not (self._tombstones or self._pending):
             return results
         per_query = self._batch_stats
         for i in range(queries.shape[0]):
@@ -554,7 +585,7 @@ class MetricIndex(ABC):
         """The pending buffer as one cached contiguous ``(p, d)`` block."""
         if self._pending_block is None:
             self._pending_block = np.ascontiguousarray(
-                np.stack(self._pending_vectors)
+                np.stack(list(self._pending.values()))
             )
         return self._pending_block
 

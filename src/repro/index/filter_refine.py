@@ -107,7 +107,6 @@ class FilterRefineIndex(MetricIndex):
             lambda inner_metric: KDTree(inner_metric)
         )
         self._inner: MetricIndex | None = None
-        self._row_by_id: dict[int, int] = {}
         self._filter_stats = SearchStats()
         self._candidate_count = 0
         self._batch_filter_stats: list[SearchStats] = []
@@ -188,7 +187,6 @@ class FilterRefineIndex(MetricIndex):
         reduced = self._reducer.transform(vectors)
         self._inner = self._inner_factory(EuclideanDistance())
         self._inner.build(ids, reduced)
-        self._row_by_id = {item_id: row for row, item_id in enumerate(ids)}
         self._build_stats.n_nodes = self._inner.build_stats.n_nodes
         self._build_stats.n_leaves = self._inner.build_stats.n_leaves
         self._build_stats.depth = self._inner.build_stats.depth
@@ -255,7 +253,7 @@ class FilterRefineIndex(MetricIndex):
         vectorized kernel; the count is ``len(ids)`` either way.
         """
         assert self._vectors is not None
-        rows = [self._row_by_id[item_id] for item_id in ids]
+        rows = [self._row_of[item_id] for item_id in ids]
         return self._dist_batch(query, self._vectors[rows])
 
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:

@@ -165,9 +165,8 @@ class LAESAIndex(MetricIndex):
         assert self._table_store is not None
         keep = self._remove_core(ids)
         self._pivot_table = self._table_store.take(keep)
-        row_of = {item_id: row for row, item_id in enumerate(self._ids)}
         self._pivot_rows = [
-            row_of.get(pivot_id, -1) for pivot_id in self._pivot_ids
+            self._row_of.get(pivot_id, -1) for pivot_id in self._pivot_ids
         ]
 
     # ------------------------------------------------------------------

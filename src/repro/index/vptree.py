@@ -134,7 +134,9 @@ class VPTree(MetricIndex):
             vectors, self._build_dist, rng, dist_batch=self._build_dist_batch
         )
         pivot_id = ids[pivot_row]
-        pivot_vector = vectors[pivot_row]
+        # An owned row: a view would keep this level's whole ``vectors``
+        # temporary alive for as long as the node exists.
+        pivot_vector = vectors[pivot_row].copy()
 
         rest_ids = [item_id for row, item_id in enumerate(ids) if row != pivot_row]
         rest_vectors = np.ascontiguousarray(

@@ -1,14 +1,22 @@
 """Tests for the ImageDatabase facade."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.db.backend import resolve_backend_factory
 from repro.db.database import ImageDatabase
+from repro.db.feedback import FeedbackSession
 from repro.errors import QueryError
+from repro.features.base import PresetSignature
 from repro.features.histogram import GrayHistogram, RGBJointHistogram
 from repro.features.pipeline import FeatureSchema
 from repro.image import synth
 from repro.index.linear import LinearScanIndex
+from repro.index.mtree import MTree
+from repro.index.vptree import VPTree
 from repro.metrics.minkowski import ManhattanDistance
 
 
@@ -254,3 +262,195 @@ class TestPersistence:
         # Same count, different names/dims -> name check fires first.
         with pytest.raises(QueryError):
             ImageDatabase.load(tmp_path, other)
+
+
+# ----------------------------------------------------------------------
+# Row ownership: the index's storage backend is the only holder of a
+# built feature's rows; before the first build they wait in one buffer.
+# ----------------------------------------------------------------------
+_INDEX_KINDS = {"linear": LinearScanIndex, "vptree": VPTree, "mtree": MTree}
+
+
+@pytest.fixture(params=["memory", "mmap"])
+def backend(request, tmp_path):
+    if request.param == "memory":
+        return "memory"
+    return resolve_backend_factory(f"mmap:{tmp_path / 'cores'}", cache_pages=4)
+
+
+def _pairs(results):
+    return [(r.image_id, r.distance) for r in results]
+
+
+def _assert_reads_match(db, truth, directory):
+    """Every route that reads rows back returns the bits that went in."""
+    live = db.catalog.ids
+    db.save(directory)
+    loaded = ImageDatabase.load(directory, db.schema)
+    merged = ImageDatabase.from_views(
+        [db.shard_view(live[0::2]), db.shard_view(live[1::2])]
+    )
+    for feature in db.schema.names:
+        expected = np.stack([truth[feature][image_id] for image_id in live])
+        for source in (db, loaded, merged):
+            ids, matrix = source.feature_matrix(feature)
+            assert ids == live
+            assert matrix.tobytes() == expected.tobytes()
+        for row, image_id in enumerate(live):
+            assert db.vector_of(feature, image_id).tobytes() == expected[row].tobytes()
+
+
+def _assert_queries_match(db, truth, query):
+    """The multi-feature rerank and a feedback round equal those of a
+    linear-scan database freshly built over the same live items."""
+    live = db.catalog.ids
+    reference = ImageDatabase(
+        db.schema, index_factory=LinearScanIndex, backend="memory"
+    )
+    reference.add_vectors(
+        {
+            feature: np.stack([truth[feature][image_id] for image_id in live])
+            for feature in db.schema.names
+        },
+        ids=live,
+    )
+    # pool_factor=1 keeps the per-feature pools small, so most
+    # candidates need their other feature's distance read back by id.
+    got, want = (d.query_multi(query, k=3, pool_factor=1) for d in (db, reference))
+    assert _pairs(got) == _pairs(want)
+    assert [r.per_feature for r in got] == [r.per_feature for r in want]
+
+    sessions = [FeedbackSession(d, query) for d in (db, reference)]
+    for session in sessions:
+        first = session.search(k=4)
+        session.mark_relevant([first[0].image_id, first[1].image_id])
+        session.mark_non_relevant([first[3].image_id])
+    moved, wanted = (_pairs(session.search(k=4)) for session in sessions)
+    assert moved == wanted
+    assert sessions[0].query_vector.tobytes() == sessions[1].query_vector.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_INDEX_KINDS))
+class TestRowOwnership:
+    def test_reads_are_bit_identical_in_every_state(
+        self, small_schema, backend, kind, rng, tmp_path
+    ):
+        db = ImageDatabase(
+            small_schema, index_factory=_INDEX_KINDS[kind], backend=backend
+        )
+        truth = {feature: {} for feature in small_schema.names}
+
+        def add(count):
+            for _ in range(count):
+                image = synth.compose_scene(32, 32, rng)
+                image_id = db.add_image(image)
+                for feature, vector in small_schema.extract_all(image).items():
+                    truth[feature][image_id] = vector
+
+        def remove(image_ids):
+            db.remove(image_ids)
+            for table in truth.values():
+                for image_id in image_ids:
+                    del table[image_id]
+
+        query = synth.compose_scene(32, 32, rng)
+        add(14)
+        remove([3])
+
+        # Before the first build: rows wait, nothing is indexed.
+        _assert_reads_match(db, truth, tmp_path / "waiting")
+        assert not db._indexes
+        _assert_queries_match(db, truth, query)  # builds lazily
+
+        # After an explicit build: the indexes are the only holders.
+        db.build_indexes()
+        assert not db._waiting
+        _assert_reads_match(db, truth, tmp_path / "built")
+        _assert_queries_match(db, truth, query)
+
+        # After mutations the live indexes absorbed in place.
+        add(3)
+        remove([0, 15])
+        add(2)
+        remove([7])
+        index = db.index_for(db.default_feature)
+        if kind == "vptree":
+            assert index.n_pending and index.n_tombstones
+        if kind == "mtree":
+            assert index.n_tombstones
+        assert not db._waiting
+        _assert_reads_match(db, truth, tmp_path / "mutated")
+        _assert_queries_match(db, truth, query)
+
+    def test_add_remove_add_before_build_equals_fresh_build(
+        self, backend, kind, rng
+    ):
+        schema = FeatureSchema([PresetSignature(6)])
+        rows = rng.random((30, 6))
+        db = ImageDatabase(schema, index_factory=_INDEX_KINDS[kind], backend=backend)
+        db.add_vectors(rows[:20])
+        db.remove([2, 5, 11, 19])
+        db.add_vectors(rows[20:29])
+        db.add_vectors(rows[29:], ids=[5])  # a reused id: the latest row wins
+        survivors = db.catalog.ids
+        assert survivors[-1] == 5 and len(survivors) == 26
+
+        fresh = ImageDatabase(
+            schema, index_factory=_INDEX_KINDS[kind], backend="memory"
+        )
+        by_id = {**dict(enumerate(rows[:29])), 5: rows[29]}
+        fresh.add_vectors(
+            np.stack([by_id[image_id] for image_id in survivors]), ids=survivors
+        )
+
+        probes = rng.random((12, 6))
+        for database in (db, fresh):
+            database.build_indexes()
+        got, want = (d.query_batch(probes, 7, precomputed=True) for d in (db, fresh))
+        assert [_pairs(r) for r in got] == [_pairs(r) for r in want]
+        counts = [
+            d.index_for(d.default_feature).last_stats.distance_computations
+            for d in (db, fresh)
+        ]
+        assert counts[0] == counts[1]
+        if kind == "linear":
+            assert counts[0] == len(probes) * len(survivors)
+
+
+def test_build_retains_one_copy_of_the_rows(backend):
+    """Array bytes retained from empty database to built index.
+
+    Counted in numpy's tracemalloc domain (data buffers only — the
+    catalog's records are Python objects and would swamp the figure):
+    one copy in RAM on the memory backend, a few pool pages on mmap.
+    """
+    n, dim = 5000, 16
+    rows = np.random.default_rng(5).random((n, dim))
+    arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+
+    def array_bytes():
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot().filter_traces(arrays)
+        return sum(stat.size for stat in snapshot.statistics("filename"))
+
+    tracemalloc.start()
+    try:
+        before = array_bytes()
+        db = ImageDatabase(
+            FeatureSchema([PresetSignature(dim)]),
+            index_factory=LinearScanIndex,
+            backend=backend,
+        )
+        db.add_vectors(rows)
+        db.build_indexes()
+        retained = array_bytes() - before
+    finally:
+        tracemalloc.stop()
+    bounded = db.backend_info()["bounded"]
+    assert retained <= (0.5 if bounded else 1.6) * rows.nbytes
+
+    # By-id reads go through the backend: on mmap the pool sees them.
+    pool = db.backend_info()["pool"]
+    assert db.vector_of(db.default_feature, 4321).tobytes() == rows[4321].tobytes()
+    moved = db.backend_info()["pool"]
+    assert (moved["hits"] + moved["misses"] > pool["hits"] + pool["misses"]) == bounded

@@ -104,6 +104,14 @@ class TestMutationParity:
         fresh = _fresh(name, table)
         assert index.size == fresh.size == len(table)
 
+        # The rows read back by id are the live ones, bit for bit.
+        live = index.live_ids()
+        assert sorted(live) == sorted(table)
+        assert (
+            index.vectors_of(live).tobytes()
+            == np.stack([table[item_id] for item_id in live]).tobytes()
+        )
+
         queries = rng.random((4, DIM))
         for query in queries:
             assert _pairs(index.knn_search(query, 7)) == _pairs(
@@ -186,6 +194,8 @@ class TestMutationParity:
         index.delete([4])
         with pytest.raises(IndexingError, match="not indexed"):
             index.delete([4])  # double delete
+        with pytest.raises(IndexingError, match="not indexed"):
+            index.vectors_of([4])  # deleted rows cannot be read back either
         with pytest.raises(IndexingError, match="duplicate"):
             index.delete([5, 5])
         unbuilt = INDEX_FACTORIES[name](EuclideanDistance())
@@ -365,7 +375,7 @@ class TestAmortizedCoreGrowth:
 
     ISSUE 9 tentpole (a): ``_append_core``/``_remove_core`` used to copy
     the whole (n, d) core per mutation (O(m·n) for a stream of m
-    mutations).  The :class:`~repro.index.base.GrowableRows` store must
+    mutations).  The :class:`~repro.db.backend.MemoryBackend` store must
     (1) leave every query bit-identical to a fresh build after long
     randomized add/remove streams, and (2) reallocate only
     O(log(growth)) times — never once per append.
@@ -433,9 +443,9 @@ class TestAmortizedCoreGrowth:
         assert len(bases) <= 5
 
     def test_growable_rows_view_is_readonly_and_amortized(self, rng):
-        from repro.index.base import GrowableRows
+        from repro.db.backend import MemoryBackend
 
-        store = GrowableRows(rng.random((3, DIM)))
+        store = MemoryBackend(rng.random((3, DIM)))
         view = store.view()
         assert view.shape == (3, DIM)
         with pytest.raises(ValueError):
@@ -450,9 +460,9 @@ class TestAmortizedCoreGrowth:
         assert store.capacity >= store.n_rows
 
     def test_growable_rows_take_shrinks_at_quarter_occupancy(self, rng):
-        from repro.index.base import GrowableRows
+        from repro.db.backend import MemoryBackend
 
-        store = GrowableRows(rng.random((256, DIM)))
+        store = MemoryBackend(rng.random((256, DIM)))
         full_capacity = store.capacity
         keep = np.arange(8)
         kept_rows = store.view()[keep].copy()

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import IndexingError
 from repro.index.linear import LinearScanIndex
 from repro.index.pivot import MaxVariancePivot, RandomPivot
-from repro.index.vptree import VPTree, _interval_gap
+from repro.index.vptree import VPTree, _Leaf, _interval_gap
 from repro.metrics.base import CountingMetric
 from repro.metrics.histogram import ChiSquareDistance, HistogramIntersection
 from repro.metrics.minkowski import EuclideanDistance, ManhattanDistance
@@ -231,3 +231,31 @@ class TestIntervalGap:
 
     def test_above_interval(self):
         assert _interval_gap(1.0, 0.4, 0.8) == pytest.approx(0.2)
+
+
+class TestTreeMemory:
+    def test_built_tree_pins_no_build_temporaries(self, rng):
+        """A node array owns its bytes or views the index core.
+
+        ``pivot_vector`` used to be a one-row view of its recursion
+        level's temporary, so the finished tree kept one full copy of
+        the data alive per level.
+        """
+        n, dim = 4000, 16
+        tree = VPTree(EuclideanDistance()).build(list(range(n)), rng.random((n, dim)))
+        core = tree._core.base
+        owners = {}
+        stack = [tree._root]
+        while stack:
+            node = stack.pop()
+            if node is None:
+                continue
+            if isinstance(node, _Leaf):
+                array = node.vectors
+            else:
+                array = node.pivot_vector
+                stack += [node.inside, node.outside]
+            owner = array if array.base is None else array.base
+            assert owner is array or owner is core
+            owners[id(owner)] = owner.nbytes
+        assert sum(owners.values()) <= 2 * n * dim * 8

@@ -259,14 +259,7 @@ class TestInterleavedParity:
 
             # Final state parity: the sharded engine equals a fresh
             # unsharded build over the surviving item set.
-            fresh = ImageDatabase(
-                FeatureSchema([PresetSignature(_DIM, "sig")]),
-                index_factory=lambda metric: LinearScanIndex(metric),
-            )
-            for image_id in sorted(live_ids):
-                fresh._catalog.insert(reference.catalog.get(image_id))
-                fresh._vectors["sig"][image_id] = reference._vectors["sig"][image_id]
-            fresh._stale.add("sig")
+            fresh = reference.shard_view(sorted(live_ids))
             probes = rng.random((8, _DIM))
             final, _ = test.engine.query_batch(probes, 9, "sig")
             direct = fresh.query_batch(probes, 9, feature="sig", precomputed=True)
