@@ -6,10 +6,11 @@ construction and traversal.  This experiment measures what routing the
 tree hot loops through ``distance_batch`` buys: build wall-clock and
 k-NN throughput per tree, **scalar** (the metric's vectorized kernel
 hidden, so every batched call site degrades to the per-row loop — the
-scalar-era cost model) vs **batched** (the kernels on).  For the
-VP-tree it also times the *shared* batched traversal
-(``knn_search_batch``), which evaluates each node's pivot against every
-active query in one kernel call.
+scalar-era cost model) vs **batched** (the kernels on).  The *shared*
+column times ``knn_search_batch`` on the whole query set: a genuinely
+shared traversal where an index has one, and for the VP-tree — one
+flat-array loop behind every entry point — the same code path as
+*batched*, so the two columns agree up to the per-call validation.
 
 Scalar-era baseline, measured on the pre-vectorization implementation
 (commit ``ea6ecbf``, n=2000, d=64, L2, k=10, 50 queries, one warm run):

@@ -595,11 +595,11 @@ class MetricIndex(ABC):
         """Overridable batched hook; the default runs one query at a time.
 
         Indexes with a genuinely shared traversal override this: the
-        VP-tree (both modes) evaluates each node's pivot against every
-        active query in one kernel call, the GNAT (range mode) does the
-        same per split point with its range-table kills applied per
-        query, and the kd-tree (range mode) evaluates each child's box
-        bound for all active queries in one vectorized computation.
+        GNAT (range mode) evaluates each split point against every
+        active query in one kernel call, with its range-table kills
+        applied per query, and the kd-tree (range mode) evaluates each
+        child's box bound for all active queries in one vectorized
+        computation.
         Overrides must fill :attr:`_batch_stats` themselves —
         :meth:`_finish_batch` does the shared ordering/aggregation work.
         """

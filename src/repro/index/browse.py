@@ -10,12 +10,15 @@ doing only the work each next result needs.
 One priority queue holds both unvisited subtrees (keyed by the lower
 bound of anything inside them) and already-measured items (keyed by
 their true distance).  When an *item* surfaces at the front, no subtree
-can contain anything closer, so it is safe to yield immediately.
+can contain anything closer — or equally close with a smaller id — so
+it is safe to yield immediately: the stream is in ``(distance, id)``
+order, exactly ``knn_search(query, size)``.
 
 :func:`browse` works against any :class:`~repro.index.base.MetricIndex`:
-indexes that expose a ``_browse_parts`` hook (the VP-tree) are browsed
-lazily; anything else falls back to a fully-sorted scan (correct, not
-lazy — the docstring of the fallback says so loudly).
+the VP-tree is browsed lazily over its flat node arrays; anything else
+falls back to a fully-sorted scan (correct, not lazy — the docstring of
+the fallback says so loudly).  Either way the mutation overlay applies:
+tombstoned ids never surface and pending inserts do.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import numpy as np
 
 from repro.errors import IndexingError
 from repro.index.base import MetricIndex, Neighbor
-from repro.index.vptree import VPTree, _interval_gap, _Leaf, _Node
+from repro.index.stats import SearchStats
+from repro.index.vptree import VPTree, _interval_gap
 
 __all__ = ["browse"]
 
@@ -69,50 +73,53 @@ def _browse_sorted(index: MetricIndex, query: np.ndarray) -> Iterator[Neighbor]:
 
 def _browse_vptree(tree: VPTree, query: np.ndarray) -> Iterator[Neighbor]:
     query = tree._check_query(query)
-    from repro.index.stats import SearchStats
+    tree._search_stats = stats = SearchStats()
+    tree._batch_stats = []
+    rows, ids = tree._rows, tree._tree_ids
+    dead = tree._tombstones
 
-    tree._search_stats = SearchStats()
-    stats = tree._search_stats
-
-    # Queue entries: (bound, kind, tiebreak, payload); kind 0 = measured
-    # item (payload: Neighbor), kind 1 = pending subtree (payload: node).
-    # Measured items sort before subtrees at an equal bound, so an item
-    # is yielded as soon as nothing strictly closer can exist (ties in
-    # distance may surface in any order).
+    # Queue entries: (bound, kind, tiebreak, payload).  Kind 0 is a
+    # subtree not yet opened (payload: node number, tiebreak: a counter),
+    # kind 1 a measured item (payload: Neighbor, tiebreak: its id).
+    # Subtrees sort before items at an equal bound, so an item surfaces
+    # only when nothing at its distance is still unmeasured and equal
+    # distances come out in id order.
     tiebreak = itertools.count()
-    queue: list[tuple[float, int, int, object]] = []
-    root = tree._root
-    if root is not None:
-        heapq.heappush(queue, (0.0, 1, next(tiebreak), root))
+    queue: list[tuple[float, int, int, object]] = [(0.0, 0, next(tiebreak), 0)]
+
+    def measure(block_ids, block: np.ndarray) -> list[float]:
+        # One counted kernel call; tombstoned rows are measured (they
+        # are inside the structure) but never surface.
+        distances = tree._dist_batch(query, block).tolist()
+        for item_id, d in zip(block_ids, distances):
+            if item_id not in dead:
+                heapq.heappush(queue, (d, 1, item_id, Neighbor(item_id, d)))
+        return distances
+
+    if tree._pending:
+        measure(tree._pending, tree._pending_matrix())
 
     while queue:
         bound, kind, _, payload = heapq.heappop(queue)
-        if kind == 0:
+        if kind == 1:
             yield payload  # type: ignore[misc]
             continue
 
-        node = payload
-        if isinstance(node, _Leaf):
+        node: int = payload  # type: ignore[assignment]
+        start = tree._start[node]
+        inside, outside = tree._inside[node], tree._outside[node]
+        if inside < 0 and outside < 0:
             stats.leaves_visited += 1
-            for item_id, vector in zip(node.ids, node.vectors):
-                stats.distance_computations += 1
-                d = tree.metric.distance(query, vector)
-                heapq.heappush(
-                    queue, (d, 0, next(tiebreak), Neighbor(item_id, d))
-                )
+            stop = tree._stop[node]
+            measure(ids[start:stop], rows[start:stop])
             continue
 
-        assert isinstance(node, _Node)
         stats.nodes_visited += 1
-        stats.distance_computations += 1
-        d = tree.metric.distance(query, node.pivot_vector)
-        heapq.heappush(
-            queue, (d, 0, next(tiebreak), Neighbor(node.pivot_id, d))
-        )
+        (d,) = measure(ids[start : start + 1], rows[start : start + 1])
         for child, low, high in (
-            (node.inside, node.in_low, node.in_high),
-            (node.outside, node.out_low, node.out_high),
+            (inside, tree._in_low[node], tree._in_high[node]),
+            (outside, tree._out_low[node], tree._out_high[node]),
         ):
-            if child is not None:
+            if child >= 0:
                 child_bound = max(bound, _interval_gap(d, low, high))
-                heapq.heappush(queue, (child_bound, 1, next(tiebreak), child))
+                heapq.heappush(queue, (child_bound, 0, next(tiebreak), child))

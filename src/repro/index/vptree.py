@@ -1,12 +1,12 @@
 """The vantage-point tree — the reproduction's headline index.
 
-Construction (recursive):
+Construction:
 
 1. choose a *vantage point* (pivot) from the current item set,
 2. compute the distance from the pivot to every remaining item,
 3. split at the median distance ``mu``: items with ``d <= mu`` form the
    *inside* subtree, the rest the *outside* subtree,
-4. recurse until subsets fit in a leaf bucket.
+4. repeat on each side until subsets fit in a leaf bucket.
 
 Each node also stores the exact distance interval ``[low, high]`` of each
 child subset as seen from the pivot — tighter than ``[0, mu]`` /
@@ -29,25 +29,31 @@ Two bounded approximation modes (experiment F5):
 * ``max_distance_computations`` — hard budget; search stops expanding new
   nodes once spent (already-found candidates are returned).
 
-All hot loops ride ``Metric.distance_batch``: the build evaluates each
-node's pivot against the remaining items in one kernel call, leaves are
-scanned as one batched evaluation over their contiguous vector block
-(truncated to the remaining budget in budgeted mode, so the accounting
-matches the scalar path item for item), and the batched entry points run
-a *shared* traversal — every node visit evaluates its pivot against all
-still-active queries of the batch in a single kernel call instead of one
-per query.  The shared traversal replays each query's scalar visit
-order exactly (per-query child ordering and branch-and-bound pruning),
-so results and per-query cost counters stay bit-identical to the scalar
-path; it also relies on the metric axiom ``d(p, q) == d(q, p)`` holding
-at the bit level, which every shipped kernel satisfies (elementwise
-arithmetic is commutative/sign-symmetric; the parity suite checks it).
+Layout.  The tree is a struct of arrays, not an object graph.  One
+contiguous ``(n, d)`` block holds every row in tree order (depth-first
+pre-order: a node's pivot, then its inside subtree, then its outside
+subtree), so every node — and every leaf bucket — is a ``[start, stop)``
+row range of that block.  Parallel per-node lists, indexed by the node's
+pre-order number, hold the range, the two child numbers (``-1`` = absent;
+a leaf has neither) and the two child intervals.  The build partitions
+the block in place with an explicit stack; there is no recursion
+anywhere, so depth is bounded by memory, not by the interpreter's stack
+(3 000 identical histograms are an ordinary image collection).
+
+Traversal.  There is one iterative k-NN loop and one iterative range
+loop; the scalar, approximate and batched entry points all run them (the
+batched ones through :meth:`MetricIndex._run_batch`, one query at a
+time), so results and cost counters are identical across entry points by
+construction.  Every visited node or leaf costs exactly one
+``Metric.distance_batch`` call on a row slice of the block, and every
+row handed to the metric is a counted distance — a leaf is truncated to
+the remaining budget in budgeted mode, and nothing is evaluated ahead of
+its prune decision.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
+from heapq import heappush, heapreplace
 from typing import Sequence
 
 import numpy as np
@@ -59,24 +65,6 @@ from repro.index.stats import SearchStats
 from repro.metrics.base import Metric
 
 __all__ = ["VPTree"]
-
-
-@dataclass
-class _Leaf:
-    ids: list[int]
-    vectors: np.ndarray
-
-
-@dataclass
-class _Node:
-    pivot_id: int
-    pivot_vector: np.ndarray
-    inside: "_Node | _Leaf | None"
-    outside: "_Node | _Leaf | None"
-    in_low: float
-    in_high: float
-    out_low: float
-    out_high: float
 
 
 class VPTree(MetricIndex):
@@ -110,124 +98,155 @@ class VPTree(MetricIndex):
         self._leaf_size = leaf_size
         self._pivot_strategy = pivot_strategy or MaxSpreadPivot()
         self._seed = seed
-        self._root: _Node | _Leaf | None = None
+        # The flat tree (see the module docstring): rows and their ids in
+        # tree order, then one entry per node in pre-order.
+        self._rows = np.empty((0, 0))
+        self._tree_ids: list[int] = []
+        self._start: list[int] = []
+        self._stop: list[int] = []
+        self._inside: list[int] = []
+        self._outside: list[int] = []
+        self._in_low: list[float] = []
+        self._in_high: list[float] = []
+        self._out_low: list[float] = []
+        self._out_high: list[float] = []
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def _build(self, ids: Sequence[int], vectors: np.ndarray) -> None:
         rng = np.random.default_rng(self._seed)
-        self._root = self._build_node(list(ids), vectors, rng, depth=0)
-
-    def _build_node(
-        self, ids: list[int], vectors: np.ndarray, rng: np.random.Generator, depth: int
-    ) -> "_Node | _Leaf":
         stats = self._build_stats
-        stats.depth = max(stats.depth, depth)
-        if len(ids) <= self._leaf_size:
-            stats.n_leaves += 1
-            # A contiguous block: leaf scans are single kernel passes and
-            # must never hand the metric a strided view.
-            return _Leaf(ids, np.ascontiguousarray(vectors))
+        # Owned copies, permuted in place into tree order below.
+        rows = np.array(vectors, dtype=np.float64, order="C")
+        tree_ids = np.array(ids, dtype=np.int64)
+        start_of: list[int] = []
+        stop_of: list[int] = []
+        inside: list[int] = []
+        outside: list[int] = []
+        in_low: list[float] = []
+        in_high: list[float] = []
+        out_low: list[float] = []
+        out_high: list[float] = []
 
-        pivot_row = self._pivot_strategy.select(
-            vectors, self._build_dist, rng, dist_batch=self._build_dist_batch
-        )
-        pivot_id = ids[pivot_row]
-        # An owned row: a view would keep this level's whole ``vectors``
-        # temporary alive for as long as the node exists.
-        pivot_vector = vectors[pivot_row].copy()
-
-        rest_ids = [item_id for row, item_id in enumerate(ids) if row != pivot_row]
-        rest_vectors = np.ascontiguousarray(
-            np.delete(vectors, pivot_row, axis=0)
-        )
-        distances = self._build_dist_batch(pivot_vector, rest_vectors)
-
-        mu = float(np.median(distances))
-        inside_mask = distances <= mu
-        outside_mask = ~inside_mask
-
-        # Degenerate split (all items at the same distance): bucket them.
-        if not inside_mask.any() or not outside_mask.any():
+        # (start, stop, depth, parent, parent's child list); the inside
+        # child is pushed last so nodes are numbered — and the pivot
+        # strategy consumes the rng — in depth-first pre-order.
+        stack: list[tuple[int, int, int, int, list[int]]] = [
+            (0, rows.shape[0], 0, -1, inside)
+        ]
+        while stack:
+            start, stop, depth, parent, side = stack.pop()
+            node = len(start_of)
+            if parent >= 0:
+                side[parent] = node
+            start_of.append(start)
+            stop_of.append(stop)
+            inside.append(-1)
+            outside.append(-1)
+            in_low.append(0.0)
+            in_high.append(0.0)
+            out_low.append(0.0)
+            out_high.append(0.0)
+            stats.depth = max(stats.depth, depth)
+            if stop - start <= self._leaf_size:
+                stats.n_leaves += 1
+                continue
             stats.n_nodes += 1
-            only_mask = inside_mask if inside_mask.any() else outside_mask
-            child = self._build_node(
-                [i for i, keep in zip(rest_ids, only_mask) if keep],
-                rest_vectors[only_mask],
-                rng,
-                depth + 1,
-            )
-            d_lo = float(distances.min())
-            d_hi = float(distances.max())
-            if inside_mask.any():
-                return _Node(pivot_id, pivot_vector, child, None, d_lo, d_hi, 0.0, 0.0)
-            return _Node(pivot_id, pivot_vector, None, child, 0.0, 0.0, d_lo, d_hi)
 
-        stats.n_nodes += 1
-        inside = self._build_node(
-            [i for i, keep in zip(rest_ids, inside_mask) if keep],
-            rest_vectors[inside_mask],
-            rng,
-            depth + 1,
-        )
-        outside = self._build_node(
-            [i for i, keep in zip(rest_ids, outside_mask) if keep],
-            rest_vectors[outside_mask],
-            rng,
-            depth + 1,
-        )
-        return _Node(
-            pivot_id,
-            pivot_vector,
-            inside,
-            outside,
-            float(distances[inside_mask].min()),
-            float(distances[inside_mask].max()),
-            float(distances[outside_mask].min()),
-            float(distances[outside_mask].max()),
-        )
+            block = rows[start:stop]
+            pivot_row = self._pivot_strategy.select(
+                block, self._build_dist, rng, dist_batch=self._build_dist_batch
+            )
+            # Slice copies, not a gather: the pivot moves to the front of
+            # its range and the rest keep their order.
+            block_ids = tree_ids[start:stop]
+            _rotate_to_front(block, pivot_row)
+            _rotate_to_front(block_ids, pivot_row)
+            distances = self._build_dist_batch(block[0], block[1:])
+
+            # Stable partition at the median: inside rows, then outside
+            # rows.  A degenerate split (every item at the same distance)
+            # leaves one side empty, and that child absent.
+            is_inside = distances <= float(np.median(distances))
+            order = np.concatenate(
+                (np.flatnonzero(is_inside), np.flatnonzero(~is_inside))
+            )
+            block[1:] = block[1:][order]
+            block_ids[1:] = block_ids[1:][order]
+            inside_d, outside_d = distances[is_inside], distances[~is_inside]
+            split = start + 1 + inside_d.size
+            if outside_d.size:
+                out_low[node] = float(outside_d.min())
+                out_high[node] = float(outside_d.max())
+                stack.append((split, stop, depth + 1, node, outside))
+            if inside_d.size:
+                in_low[node] = float(inside_d.min())
+                in_high[node] = float(inside_d.max())
+                stack.append((start + 1, split, depth + 1, node, inside))
+
+        self._rows = rows
+        self._tree_ids = tree_ids.tolist()
+        self._start, self._stop = start_of, stop_of
+        self._inside, self._outside = inside, outside
+        self._in_low, self._in_high = in_low, in_high
+        self._out_low, self._out_high = out_low, out_high
+
+    def _record(self, computed: int, visited: int, pruned: int, leaves: int) -> None:
+        """Add one traversal's locally kept counters to the current stats."""
+        stats = self._search_stats
+        stats.distance_computations += computed
+        stats.nodes_visited += visited
+        stats.nodes_pruned += pruned
+        stats.leaves_visited += leaves
 
     # ------------------------------------------------------------------
     # Range search
     # ------------------------------------------------------------------
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
+        rows, ids = self._rows, self._tree_ids
+        start_of, stop_of = self._start, self._stop
+        inside, outside = self._inside, self._outside
+        in_low, in_high = self._in_low, self._in_high
+        out_low, out_high = self._out_low, self._out_high
+        distance_batch = self._metric.distance_batch
         result: list[Neighbor] = []
-        self._range_visit(self._root, query, radius, result)
+        computed = visited = pruned = leaves = 0
+
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            start = start_of[node]
+            child_in, child_out = inside[node], outside[node]
+            if child_in < 0 and child_out < 0:
+                leaves += 1
+                stop = stop_of[node]
+                computed += stop - start
+                distances = distance_batch(query, rows[start:stop]).tolist()
+                for item_id, d in zip(ids[start:stop], distances):
+                    if d <= radius:
+                        result.append(Neighbor(item_id, d))
+                continue
+
+            visited += 1
+            computed += 1
+            d = float(distance_batch(query, rows[start : start + 1])[0])
+            if d <= radius:
+                result.append(Neighbor(ids[start], d))
+            # Outside is pushed first so inside is walked first.
+            if child_out >= 0:
+                if d - radius <= out_high[node] and d + radius >= out_low[node]:
+                    stack.append(child_out)
+                else:
+                    pruned += 1
+            if child_in >= 0:
+                if d - radius <= in_high[node] and d + radius >= in_low[node]:
+                    stack.append(child_in)
+                else:
+                    pruned += 1
+
+        self._record(computed, visited, pruned, leaves)
         return result
-
-    def _range_visit(
-        self,
-        node: "_Node | _Leaf | None",
-        query: np.ndarray,
-        radius: float,
-        result: list[Neighbor],
-    ) -> None:
-        if node is None:
-            return
-        if isinstance(node, _Leaf):
-            self._search_stats.leaves_visited += 1
-            # One kernel pass over the leaf block + a vectorized filter.
-            distances = self._dist_batch(query, node.vectors)
-            for row in np.flatnonzero(distances <= radius):
-                result.append(Neighbor(node.ids[row], float(distances[row])))
-            return
-
-        self._search_stats.nodes_visited += 1
-        d = self._dist(query, node.pivot_vector)
-        if d <= radius:
-            result.append(Neighbor(node.pivot_id, d))
-
-        if node.inside is not None:
-            if d - radius <= node.in_high and d + radius >= node.in_low:
-                self._range_visit(node.inside, query, radius, result)
-            else:
-                self._search_stats.nodes_pruned += 1
-        if node.outside is not None:
-            if d - radius <= node.out_high and d + radius >= node.out_low:
-                self._range_visit(node.outside, query, radius, result)
-            else:
-                self._search_stats.nodes_pruned += 1
 
     # ------------------------------------------------------------------
     # k-NN search
@@ -249,7 +268,8 @@ class VPTree(MetricIndex):
         ----------
         epsilon:
             Relative slack: children are pruned unless they could contain
-            an item closer than ``tau / (1 + epsilon)``.  ``0`` is exact.
+            an item closer than ``tau / (1 + epsilon)``.  ``0`` is exact;
+            must be finite.
         max_distance_computations:
             Hard cap on *tree-traversal* metric evaluations for this
             query; when reached, unexpanded subtrees are abandoned.
@@ -263,8 +283,11 @@ class VPTree(MetricIndex):
         query = self._check_query(query)
         if k < 1:
             raise IndexingError(f"k must be >= 1; got {k}")
-        if epsilon < 0.0:
-            raise IndexingError(f"epsilon must be non-negative; got {epsilon}")
+        # NaN fails every comparison, so test for the accepted range.
+        if not 0.0 <= epsilon < np.inf:
+            raise IndexingError(
+                f"epsilon must be finite and non-negative; got {epsilon}"
+            )
         if max_distance_computations is not None and max_distance_computations < 1:
             raise IndexingError("max_distance_computations must be >= 1")
         self._search_stats = SearchStats()
@@ -283,210 +306,89 @@ class VPTree(MetricIndex):
     def _knn_impl(
         self, query: np.ndarray, k: int, epsilon: float, budget: int | None
     ) -> list[Neighbor]:
-        # Max-heap of the k best candidates, as (-distance, id).
-        heap: list[tuple[float, int]] = []
+        rows, ids = self._rows, self._tree_ids
+        start_of, stop_of = self._start, self._stop
+        inside, outside = self._inside, self._outside
+        in_low, in_high = self._in_low, self._in_high
+        out_low, out_high = self._out_low, self._out_high
+        distance_batch = self._metric.distance_batch
         shrink = 1.0 / (1.0 + epsilon)
+        limit = np.inf if budget is None else budget
+        # The k best candidates so far and the k-th best distance; an
+        # item farther than tau cannot enter the heap, so it is not offered.
+        heap: list[tuple[float, int]] = []
+        tau = np.inf
+        computed = visited = pruned = leaves = 0
 
-        def tau() -> float:
-            return -heap[0][0] if len(heap) == k else np.inf
+        # (node, lower bound on the distance to anything below it).  The
+        # bound is tested when the node is popped — for the farther child
+        # that is after the nearer subtree has shrunk tau.
+        stack: list[tuple[int, float]] = [(0, 0.0)]
+        while stack:
+            node, gap = stack.pop()
+            if gap > tau * shrink:
+                pruned += 1
+                continue
+            if computed >= limit:
+                continue
+            start = start_of[node]
+            child_in, child_out = inside[node], outside[node]
+            if child_in < 0 and child_out < 0:
+                leaves += 1
+                # Only the affordable prefix of the bucket is evaluated.
+                stop = stop_of[node]
+                if stop - start > limit - computed:
+                    stop = start + limit - computed
+                computed += stop - start
+                distances = distance_batch(query, rows[start:stop]).tolist()
+                for item_id, d in zip(ids[start:stop], distances):
+                    if d <= tau:
+                        tau = _offer(heap, k, d, item_id)
+                continue
 
-        def offer(item_id: int, d: float) -> None:
-            # (-d, -id): the max-heap then evicts the larger id among
-            # equal-distance entries, matching the documented tie-break.
-            entry = (-d, -item_id)
-            if len(heap) < k:
-                heapq.heappush(heap, entry)
-            elif entry > heap[0]:
-                heapq.heapreplace(heap, entry)
+            visited += 1
+            computed += 1
+            d = float(distance_batch(query, rows[start : start + 1])[0])
+            if d <= tau:
+                tau = _offer(heap, k, d, ids[start])
+            # The child whose interval is nearer to d goes on top of the
+            # stack (inside on ties), so tau shrinks before the other
+            # child's bound is tested.
+            gap_in = _interval_gap(d, in_low[node], in_high[node])
+            gap_out = _interval_gap(d, out_low[node], out_high[node])
+            near, far = (child_in, gap_in), (child_out, gap_out)
+            if gap_out < gap_in:
+                near, far = far, near
+            if far[0] >= 0:
+                stack.append(far)
+            if near[0] >= 0:
+                stack.append(near)
 
-        def out_of_budget() -> bool:
-            return (
-                budget is not None
-                and self._search_stats.distance_computations >= budget
-            )
-
-        def visit(node: "_Node | _Leaf | None") -> None:
-            if node is None or out_of_budget():
-                return
-            if isinstance(node, _Leaf):
-                self._search_stats.leaves_visited += 1
-                # One kernel pass over the leaf block.  In budgeted mode
-                # the scalar path stopped mid-leaf once the budget ran
-                # out; evaluating only the affordable prefix keeps the
-                # accounting (and the candidate set) identical to it.
-                count = len(node.ids)
-                if budget is not None:
-                    count = min(
-                        count, budget - self._search_stats.distance_computations
-                    )
-                    if count <= 0:
-                        return
-                distances = self._dist_batch(query, node.vectors[:count]).tolist()
-                for item_id, d in zip(node.ids, distances):
-                    offer(item_id, d)
-                return
-
-            self._search_stats.nodes_visited += 1
-            d = self._dist(query, node.pivot_vector)
-            offer(node.pivot_id, d)
-
-            # Explore the child whose interval is nearer to d first, so tau
-            # shrinks before the other child is tested.
-            children = [
-                (node.inside, node.in_low, node.in_high),
-                (node.outside, node.out_low, node.out_high),
-            ]
-            children.sort(key=lambda c: _interval_gap(d, c[1], c[2]))
-            for child, low, high in children:
-                if child is None:
-                    continue
-                if _interval_gap(d, low, high) <= tau() * shrink:
-                    visit(child)
-                else:
-                    self._search_stats.nodes_pruned += 1
-
-        visit(self._root)
+        self._record(computed, visited, pruned, leaves)
         return [Neighbor(-neg_id, -neg_d) for neg_d, neg_id in heap]
 
-    # ------------------------------------------------------------------
-    # Shared batched traversals
-    # ------------------------------------------------------------------
-    # Both entry points walk the tree once for the whole query batch: a
-    # node's pivot is evaluated against every still-active query in one
-    # ``distance_batch`` call (operand order flipped — the metric axiom
-    # d(p, q) == d(q, p) holds bitwise for all shipped kernels), and each
-    # query keeps its own counters, candidate heap, and prune decisions.
-    # Per query, nodes are visited in exactly the scalar order, so the
-    # branch-and-bound state — and with it every counted distance — is
-    # identical to running the queries one at a time.
 
-    def _range_search_batch(
-        self, queries: np.ndarray, radius: float
-    ) -> list[list[Neighbor]]:
-        m = queries.shape[0]
-        results: list[list[Neighbor]] = [[] for _ in range(m)]
-        stats = [SearchStats() for _ in range(m)]
+def _rotate_to_front(array: np.ndarray, row: int) -> None:
+    """Move ``array[row]`` to index 0 in place; the others keep their order."""
+    if row:
+        moved = array[row].copy()
+        array[1 : row + 1] = array[:row].copy()
+        array[0] = moved
 
-        def visit(node: "_Node | _Leaf | None", rows: list[int]) -> None:
-            if node is None or not rows:
-                return
-            if isinstance(node, _Leaf):
-                for qi in rows:
-                    st = stats[qi]
-                    st.leaves_visited += 1
-                    st.distance_computations += node.vectors.shape[0]
-                    distances = self._metric.distance_batch(
-                        queries[qi], node.vectors
-                    )
-                    for row in np.flatnonzero(distances <= radius):
-                        results[qi].append(
-                            Neighbor(node.ids[row], float(distances[row]))
-                        )
-                return
 
-            pivot_distances = self._metric.distance_batch(
-                node.pivot_vector, queries[rows]
-            ).tolist()
-            inside_rows: list[int] = []
-            outside_rows: list[int] = []
-            for qi, d in zip(rows, pivot_distances):
-                st = stats[qi]
-                st.nodes_visited += 1
-                st.distance_computations += 1
-                if d <= radius:
-                    results[qi].append(Neighbor(node.pivot_id, d))
-                if node.inside is not None:
-                    if d - radius <= node.in_high and d + radius >= node.in_low:
-                        inside_rows.append(qi)
-                    else:
-                        st.nodes_pruned += 1
-                if node.outside is not None:
-                    if d - radius <= node.out_high and d + radius >= node.out_low:
-                        outside_rows.append(qi)
-                    else:
-                        st.nodes_pruned += 1
-            visit(node.inside, inside_rows)
-            visit(node.outside, outside_rows)
+def _offer(heap: list[tuple[float, int]], k: int, d: float, item_id: int) -> float:
+    """Offer a candidate to the k-best max-heap; return the new tau.
 
-        visit(self._root, list(range(m)))
-        return self._finish_batch(results, stats)
-
-    def _knn_search_batch(self, queries: np.ndarray, k: int) -> list[list[Neighbor]]:
-        m = queries.shape[0]
-        stats = [SearchStats() for _ in range(m)]
-        heaps: list[list[tuple[float, int]]] = [[] for _ in range(m)]
-
-        def tau(qi: int) -> float:
-            heap = heaps[qi]
-            return -heap[0][0] if len(heap) == k else np.inf
-
-        def offer(qi: int, item_id: int, d: float) -> None:
-            heap = heaps[qi]
-            entry = (-d, -item_id)
-            if len(heap) < k:
-                heapq.heappush(heap, entry)
-            elif entry > heap[0]:
-                heapq.heapreplace(heap, entry)
-
-        def visit(node: "_Node | _Leaf | None", rows: list[int]) -> None:
-            if node is None or not rows:
-                return
-            if isinstance(node, _Leaf):
-                for qi in rows:
-                    st = stats[qi]
-                    st.leaves_visited += 1
-                    st.distance_computations += node.vectors.shape[0]
-                    distances = self._metric.distance_batch(
-                        queries[qi], node.vectors
-                    ).tolist()
-                    for item_id, d in zip(node.ids, distances):
-                        offer(qi, item_id, d)
-                return
-
-            pivot_distances = self._metric.distance_batch(
-                node.pivot_vector, queries[rows]
-            ).tolist()
-            gaps: dict[int, tuple[float, float]] = {}
-            # Cohorts by preferred first child; the scalar path's stable
-            # sort explores 'inside' first on equal gaps.
-            inside_first: list[int] = []
-            outside_first: list[int] = []
-            for qi, d in zip(rows, pivot_distances):
-                st = stats[qi]
-                st.nodes_visited += 1
-                st.distance_computations += 1
-                offer(qi, node.pivot_id, d)
-                gap_in = _interval_gap(d, node.in_low, node.in_high)
-                gap_out = _interval_gap(d, node.out_low, node.out_high)
-                gaps[qi] = (gap_in, gap_out)
-                (inside_first if gap_in <= gap_out else outside_first).append(qi)
-
-            children = ((node.inside, 0), (node.outside, 1))
-            for cohort, order in (
-                (inside_first, children),
-                (outside_first, children[::-1]),
-            ):
-                if not cohort:
-                    continue
-                # The second child's prune test runs after the first
-                # child's subtree has shrunk tau, exactly as in the
-                # scalar branch-and-bound.
-                for child, gap_index in order:
-                    if child is None:
-                        continue
-                    survivors: list[int] = []
-                    for qi in cohort:
-                        if gaps[qi][gap_index] <= tau(qi):
-                            survivors.append(qi)
-                        else:
-                            stats[qi].nodes_pruned += 1
-                    visit(child, survivors)
-
-        visit(self._root, list(range(m)))
-        results = [
-            [Neighbor(-neg_id, -neg_d) for neg_d, neg_id in heap] for heap in heaps
-        ]
-        return self._finish_batch(results, stats)
+    Entries are ``(-distance, -id)``: among equal distances the larger id
+    is evicted first, matching the documented tie-break.  tau is the k-th
+    best distance so far, infinite until k candidates are held.
+    """
+    entry = (-d, -item_id)
+    if len(heap) < k:
+        heappush(heap, entry)
+    elif entry > heap[0]:
+        heapreplace(heap, entry)
+    return -heap[0][0] if len(heap) == k else np.inf
 
 
 def _interval_gap(d: float, low: float, high: float) -> float:

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import IndexingError
 from repro.index.browse import browse
 from repro.index.linear import LinearScanIndex
+from repro.index.gnat import GNAT
 from repro.index.mtree import MTree
 from repro.index.vptree import VPTree
 from repro.metrics.base import CountingMetric
@@ -54,6 +55,27 @@ class TestOrderingContract:
     def test_single_item_tree(self):
         tree = VPTree(EuclideanDistance()).build([7], np.array([[0.5, 0.5]]))
         assert [nb.id for nb in browse(tree, np.zeros(2))] == [7]
+
+
+class TestMutationOverlay:
+    """Browsing a mutated index: tombstones never surface, pending do."""
+
+    @pytest.mark.parametrize("factory", [VPTree, GNAT], ids=["vptree", "sorted"])
+    def test_browse_equals_full_knn_on_mutated_index(self, rng, factory):
+        counter = CountingMetric(EuclideanDistance())
+        vectors = rng.random((120, 3))
+        index = factory(counter).build(list(range(120)), vectors)
+        query = vectors[5]
+        index.delete([5, 17])
+        index.insert_batch([500, 501], np.vstack([vectors[5] + 1e-3, rng.random(3)]))
+        assert index.n_tombstones or index.n_pending  # no rebuild happened
+
+        expected = index.knn_search(query, index.size)
+        counter.reset()
+        got = list(browse(index, query))
+        assert got == expected
+        assert got[0].id == 500 and 5 not in {nb.id for nb in got}
+        assert counter.count == index.last_stats.distance_computations
 
 
 class TestLaziness:

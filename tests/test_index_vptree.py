@@ -6,7 +6,7 @@ import pytest
 from repro.errors import IndexingError
 from repro.index.linear import LinearScanIndex
 from repro.index.pivot import MaxVariancePivot, RandomPivot
-from repro.index.vptree import VPTree, _Leaf, _interval_gap
+from repro.index.vptree import VPTree, _interval_gap
 from repro.metrics.base import CountingMetric
 from repro.metrics.histogram import ChiSquareDistance, HistogramIntersection
 from repro.metrics.minkowski import EuclideanDistance, ManhattanDistance
@@ -171,6 +171,11 @@ class TestApproximation:
         _, tree, _ = _build_pair(rng)
         with pytest.raises(IndexingError):
             tree.knn_search_approximate(rng.random(3), 5, epsilon=-0.1)
+        # NaN passes an `epsilon < 0` check and then fails every prune
+        # test: one distance, one wrong neighbour, no error.
+        for epsilon in (float("nan"), float("inf")):
+            with pytest.raises(IndexingError, match="finite"):
+                tree.knn_search_approximate(rng.random(3), 5, epsilon=epsilon)
         with pytest.raises(IndexingError):
             tree.knn_search_approximate(rng.random(3), 0)
         with pytest.raises(IndexingError):
@@ -234,28 +239,27 @@ class TestIntervalGap:
 
 
 class TestTreeMemory:
-    def test_built_tree_pins_no_build_temporaries(self, rng):
-        """A node array owns its bytes or views the index core.
+    def test_built_tree_owns_one_copy_of_the_rows(self, rng):
+        """The tree is one row block plus per-node scalars.
 
-        ``pivot_vector`` used to be a one-row view of its recursion
-        level's temporary, so the finished tree kept one full copy of
-        the data alive per level.
+        The object-graph tree once kept a full copy of the data alive
+        per level (``pivot_vector`` viewed its level's temporary); the
+        flat tree must own exactly its tree-ordered block and view
+        nothing a build left behind.
         """
         n, dim = 4000, 16
         tree = VPTree(EuclideanDistance()).build(list(range(n)), rng.random((n, dim)))
-        core = tree._core.base
-        owners = {}
-        stack = [tree._root]
-        while stack:
-            node = stack.pop()
-            if node is None:
-                continue
-            if isinstance(node, _Leaf):
-                array = node.vectors
-            else:
-                array = node.pivot_vector
-                stack += [node.inside, node.outside]
-            owner = array if array.base is None else array.base
-            assert owner is array or owner is core
-            owners[id(owner)] = owner.nbytes
-        assert sum(owners.values()) <= 2 * n * dim * 8
+        # `_vectors` is the base class's read-only view of the index core.
+        arrays = {
+            name: value
+            for name, value in vars(tree).items()
+            if isinstance(value, np.ndarray) and name != "_vectors"
+        }
+        assert set(arrays) == {"_rows"}
+        assert tree._rows.base is None and tree._rows.flags["OWNDATA"]
+        assert tree._rows.nbytes <= 1.1 * n * dim * 8
+        n_entries = tree.build_stats.n_nodes + tree.build_stats.n_leaves
+        assert len(tree._tree_ids) == n
+        for name in ("_start", "_stop", "_inside", "_outside",
+                     "_in_low", "_in_high", "_out_low", "_out_high"):
+            assert len(getattr(tree, name)) == n_entries

@@ -46,7 +46,7 @@ from repro.index.gnat import GNAT, _InnerNode, _LeafNode
 from repro.index.kdtree import KDTree, _KDLeaf, _KDNode
 from repro.index.mtree import MTree
 from repro.index.pivot import MaxVariancePivot, RandomPivot
-from repro.index.vptree import VPTree, _Leaf, _Node
+from repro.index.vptree import VPTree
 from repro.metrics.base import CountingMetric, Metric, hide_batch_kernel
 from repro.metrics.quadratic import QuadraticFormDistance
 from repro.metrics.divergence import CanberraDistance, CosineDistance, JensenShannonDistance
@@ -135,7 +135,7 @@ def _profile_keys():
 # ----------------------------------------------------------------------
 def _structure(index) -> object:
     if isinstance(index, VPTree):
-        return _vp_structure(index._root)
+        return _vp_structure(index)
     if isinstance(index, GNAT):
         return _gnat_structure(index._root)
     if isinstance(index, MTree):
@@ -155,17 +155,23 @@ def _structure(index) -> object:
     raise AssertionError(f"no serializer for {type(index).__name__}")
 
 
-def _vp_structure(node):
-    if node is None:
+def _vp_structure(tree, node=0):
+    # The VP-tree is a struct of arrays (node -> row range, children,
+    # intervals); serialized into the shape the goldens were captured in.
+    if node < 0:
         return None
-    if isinstance(node, _Leaf):
-        return {"leaf": list(node.ids)}
-    assert isinstance(node, _Node)
+    start, stop = tree._start[node], tree._stop[node]
+    inside, outside = tree._inside[node], tree._outside[node]
+    if inside < 0 and outside < 0:
+        return {"leaf": tree._tree_ids[start:stop]}
     return {
-        "pivot": node.pivot_id,
-        "bounds": [node.in_low, node.in_high, node.out_low, node.out_high],
-        "inside": _vp_structure(node.inside),
-        "outside": _vp_structure(node.outside),
+        "pivot": tree._tree_ids[start],
+        "bounds": [
+            tree._in_low[node], tree._in_high[node],
+            tree._out_low[node], tree._out_high[node],
+        ],
+        "inside": _vp_structure(tree, inside),
+        "outside": _vp_structure(tree, outside),
     }
 
 
@@ -501,16 +507,10 @@ def test_hausdorff_operand_symmetry():
 def test_leaf_blocks_contiguous():
     ids, vectors, _ = _dataset()
 
-    def walk_vp(node):
-        if node is None:
-            return
-        if isinstance(node, _Leaf):
-            assert node.vectors.flags["C_CONTIGUOUS"]
-            return
-        walk_vp(node.inside)
-        walk_vp(node.outside)
-
-    walk_vp(VPTree(EuclideanDistance(), leaf_size=4).build(ids, vectors)._root)
+    # The VP-tree's leaves are row ranges of one tree-ordered block.
+    assert VPTree(EuclideanDistance(), leaf_size=4).build(ids, vectors)._rows.flags[
+        "C_CONTIGUOUS"
+    ]
 
     def walk_gnat(node):
         if node is None:
