@@ -109,9 +109,10 @@ def test_f18_mmap_backend_parity_and_residency(benchmark, tmp_path):
         # Contract claim 2: bounded residency, observed from the pool.
         # The factory-reported capacity is cache_pages per open store
         # (LAESA holds two: the core and the pivot table).  Linear and
-        # LAESA page every block through the buffer pool; the trees
-        # read the memmap view directly (OS page cache, still
-        # reclaimable), so only the scan families count pool traffic.
+        # LAESA scan in runs of cache_pages pages, every page read a
+        # counted miss; the trees read the memmap view directly (OS
+        # page cache, still reclaimable), so only the scan families
+        # count pool traffic.
         pool = mmap_factory.pool_stats()
         assert pool["capacity"] <= 2 * _CACHE_PAGES
         assert pool["resident"] <= pool["capacity"], f"{name}: pool overflow"
@@ -189,7 +190,7 @@ def test_f18_mmap_backend_parity_and_residency(benchmark, tmp_path):
         )
 
     # Representative op for pytest-benchmark: one k-NN query against the
-    # pool-bounded linear scan (every block paged through the pool).
+    # pool-bounded linear scan (the core read in runs of _CACHE_PAGES pages).
     factory = MmapBackendFactory(
         tmp_path / "bench-op", cache_pages=_CACHE_PAGES, page_records=_PAGE_RECORDS
     )

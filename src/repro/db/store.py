@@ -28,8 +28,10 @@ boundary.
 from __future__ import annotations
 
 import io
+import os
 import struct
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -81,13 +83,16 @@ class FeatureStore:
         self._page_bytes = page_records * dim * _FLOAT_SIZE
         self._closed = False
         self._pool = BufferPool(buffer_pages, self._read_page)
-        # Tail page under construction, kept out of the pool until full.
-        self._tail: list[np.ndarray] = []
+        self._scanned_pages = 0
+        self._flushed = count  # records the file itself holds
+        # Tail page under construction, kept out of the pool until full:
+        # rows ``[0, count - tail_base)`` of the buffer are live.
         self._tail_base = count - (count % page_records) if page_records else 0
         if count % page_records:
             # Re-open mid-page: load the partial tail into memory.
-            partial = self._read_page(count // page_records)
-            self._tail = [partial[i].copy() for i in range(count % page_records)]
+            self._tail = self._read_page(count // page_records)
+        else:
+            self._tail = np.zeros((page_records, dim))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -186,8 +191,9 @@ class FeatureStore:
 
     @property
     def page_reads(self) -> int:
-        """Physical page reads performed so far (pool misses)."""
-        return self._pool.misses
+        """Physical page reads performed so far: pool misses plus every
+        page a :meth:`scan` read around the pool."""
+        return self._pool.misses + self._scanned_pages
 
     def __len__(self) -> int:
         return self._count
@@ -197,31 +203,50 @@ class FeatureStore:
     # ------------------------------------------------------------------
     def append(self, vector: np.ndarray) -> int:
         """Append a vector; returns its slot number."""
-        self._check_open()
-        vector = np.asarray(vector, dtype=np.float64).ravel()
-        if vector.shape != (self._dim,):
-            raise StoreError(
-                f"vector has dim {vector.size}, store expects {self._dim}"
-            )
-        if not np.all(np.isfinite(vector)):
-            raise StoreError("cannot store non-finite vector")
         slot = self._count
-        self._tail.append(vector.copy())
-        self._count += 1
-        if len(self._tail) == self._page_records:
-            self._write_tail_page()
+        self.extend(np.asarray(vector, dtype=np.float64).reshape(1, -1))
         return slot
+
+    def extend(self, matrix: np.ndarray) -> None:
+        """Append every row of an ``(m, dim)`` matrix, in row order.
+
+        The bytes on disk are those of ``m`` :meth:`append` calls, but
+        the rows are validated once and written in bulk: the started
+        tail page is topped up, all further full pages go out in one
+        write, and the remainder becomes the new tail.
+        """
+        self._check_open()
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[1] != self._dim:
+            raise StoreError(
+                f"rows of shape {matrix.shape} do not fit a store of dim {self._dim}"
+            )
+        if not np.all(np.isfinite(matrix)):
+            raise StoreError("cannot store non-finite vector")
+        per_page = self._page_records
+        fill = self._count - self._tail_base
+        if fill:
+            top = matrix[: per_page - fill]
+            matrix = matrix[len(top) :]
+            self._tail[fill : fill + len(top)] = top
+            self._count += len(top)
+            if fill + len(top) == per_page:
+                self._write_pages(self._tail)
+        whole = len(matrix) - len(matrix) % per_page
+        if whole:
+            self._write_pages(matrix[:whole])
+        self._tail[: len(matrix) - whole] = matrix[whole:]
+        self._count += len(matrix)
 
     def get(self, slot: int) -> np.ndarray:
         """Read the vector at ``slot`` (through the buffer pool)."""
         self._check_open()
         if not 0 <= slot < self._count:
             raise StoreError(f"slot {slot} out of range [0, {self._count})")
-        page_index, offset = divmod(slot, self._page_records)
-        if slot >= self._tail_base and self._tail:
+        if slot >= self._tail_base:
             return self._tail[slot - self._tail_base].copy()
-        page = self._pool.get(page_index)
-        return page[offset].copy()
+        page_index, offset = divmod(slot, self._page_records)
+        return self._pool.get(page_index)[offset].copy()
 
     def get_many(self, slots: list[int]) -> np.ndarray:
         """Read several slots; shape ``(len(slots), dim)``.
@@ -232,6 +257,37 @@ class FeatureStore:
         for position in np.argsort(slots, kind="stable"):
             result[position] = self.get(int(slots[position]))
         return result
+
+    def scan(self, run_pages: int) -> Iterator[tuple[int, np.ndarray]]:
+        """All records in order, as ``(start_slot, block)`` runs of up to
+        ``run_pages`` pages each.
+
+        Each run is one positional read (no file position shared with
+        the pool's fetches) into a buffer this scan owns: a block is
+        read-only and valid until the next one is requested.  Pages
+        read count in :attr:`page_reads`; the pool is neither consulted
+        nor filled — a scan larger than it would only flush it.
+        """
+        self._check_open()
+        if self._flushed != self._count:
+            self.flush()
+        n, per_page = self._count, self._page_records
+        row_bytes = self._dim * _FLOAT_SIZE
+        run_rows = run_pages * per_page
+        buffer = np.empty((min(run_rows, n), self._dim), dtype="<f8")
+        block = buffer.view()
+        block.setflags(write=False)
+        fd = self._file.fileno()
+        for start in range(0, n, run_rows):
+            rows = min(run_rows, n - start)
+            got = os.preadv(fd, [buffer[:rows]], _HEADER.size + start * row_bytes)
+            if got != rows * row_bytes:
+                raise StoreError(
+                    f"store truncated: {got} of {rows * row_bytes} bytes "
+                    f"at slot {start}"
+                )
+            self._scanned_pages += -(-rows // per_page)
+            yield start, block[:rows]
 
     def read_all(self) -> np.ndarray:
         """Materialize the whole store as an ``(n, dim)`` array.
@@ -263,8 +319,8 @@ class FeatureStore:
         reopen path would happily serve as garbage rows.
         """
         self._check_open()
-        if self._tail:
-            self._write_tail_page(partial=True)
+        if self._count > self._tail_base:
+            self._write_pages(self._tail[: self._count - self._tail_base])
         self._fs.fsync(self._file)
         self._file.seek(0)
         self._fs.write(
@@ -272,6 +328,7 @@ class FeatureStore:
             _HEADER.pack(_MAGIC, self._dim, self._count, self._page_records),
         )
         self._fs.fsync(self._file)
+        self._flushed = self._count
 
     # ------------------------------------------------------------------
     # Page I/O
@@ -290,17 +347,22 @@ class FeatureStore:
             .copy()
         )
 
-    def _write_tail_page(self, *, partial: bool = False) -> None:
-        page_index = self._tail_base // self._page_records
-        page = np.zeros((self._page_records, self._dim))
-        page[: len(self._tail)] = self._tail
-        self._file.seek(self._page_offset(page_index))
-        self._fs.write(self._file, page.astype("<f8").tobytes())
-        # Whether full or partial, what is on disk supersedes any cached copy.
-        self._pool.invalidate(page_index)
-        if not partial:
-            self._tail = []
-            self._tail_base += self._page_records
+    def _write_pages(self, rows: np.ndarray) -> None:
+        """Write ``rows`` at the tail position, in one write: whole pages
+        advance the tail, a started page goes out zero-padded and stays
+        it.  (No pool entry goes stale — :meth:`get` serves the tail
+        from memory, so the pool only holds pages below it.)"""
+        self._file.seek(self._page_offset(self._tail_base // self._page_records))
+        pad = -len(rows) % self._page_records
+        if pad:
+            rows = np.concatenate([rows, np.zeros((pad, self._dim))])
+        else:
+            self._tail_base += len(rows)
+        # The rows' own buffer, not ``tobytes()``: a bulk write must not
+        # hold a second copy of the matrix.
+        self._fs.write(
+            self._file, memoryview(np.ascontiguousarray(rows, dtype="<f8"))
+        )
 
     def _check_open(self) -> None:
         if self._closed:

@@ -76,7 +76,6 @@ class LAESAIndex(MetricIndex):
         #: backend as the core rows, so per-insert growth is amortized
         #: O(m) in memory and the table pages to disk under ``mmap``.
         self._table_store: VectorBackend | None = None
-        self._pivot_table: np.ndarray | None = None  # live (n, m) view
         self._pivot_vectors: np.ndarray | None = None  # (m, d) pivot rows
 
     def close(self) -> None:
@@ -130,7 +129,6 @@ class LAESAIndex(MetricIndex):
         self._table_store = self.backend_factory(table)
         if previous is not None:
             previous.close()
-        self._pivot_table = self._table_store.view()
         self._pivot_vectors = vectors[pivot_rows].copy()
         self._build_stats.n_leaves = 1
         self._build_stats.extra["n_pivots"] = len(pivot_rows)
@@ -152,7 +150,7 @@ class LAESAIndex(MetricIndex):
             new_rows[:, column] = self._build_dist_batch(
                 self._pivot_vectors[column], block
             )
-        self._pivot_table = self._table_store.append(new_rows)
+        self._table_store.append(new_rows)
         self._append_core(ids, vectors)
 
     def _delete(self, ids: list[int]) -> None:
@@ -164,7 +162,7 @@ class LAESAIndex(MetricIndex):
         """
         assert self._table_store is not None
         keep = self._remove_core(ids)
-        self._pivot_table = self._table_store.take(keep)
+        self._table_store.take(keep)
         self._pivot_rows = [
             self._row_of.get(pivot_id, -1) for pivot_id in self._pivot_ids
         ]
@@ -188,22 +186,15 @@ class LAESAIndex(MetricIndex):
         (keyed by row), which the searches re-use so pivots never cost a
         second evaluation.
         """
-        assert self._pivot_table is not None and self._pivot_vectors is not None
-        assert self._table_store is not None
+        assert self._table_store is not None and self._pivot_vectors is not None
         pivot_distances = self._dist_batch(query, self._pivot_vectors)
-        if self._table_store.bounded:
-            # One buffer-pool page of the table at a time: the per-row
-            # max is block-independent, so the concatenation is
-            # bit-identical to the whole-table evaluation below.
-            parts = [
-                np.abs(block - pivot_distances[None, :]).max(axis=1)
-                for _start, block in self._table_store.iter_blocks()
-            ]
-            bounds = (
-                np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
-            )
-        else:
-            bounds = np.abs(self._pivot_table - pivot_distances[None, :]).max(axis=1)
+        # Block by block: the per-row max is block-independent, so the
+        # bounds are bit-identical whatever blocks the backend chooses.
+        bounds = np.empty(len(self._ids), dtype=np.float64)
+        for start, block in self._table_store.iter_blocks():
+            bounds[start : start + len(block)] = np.abs(
+                block - pivot_distances[None, :]
+            ).max(axis=1)
         known = {
             row: float(d)
             for row, d in zip(self._pivot_rows, pivot_distances)

@@ -5,12 +5,13 @@ correctness oracle for the tree indexes (property tests compare against
 it) and the cost baseline the evaluation's speedup factors are quoted
 against.  It accepts non-metric distances, since it never prunes.
 
-Scalar and batched queries share one implementation: each query is a
-single ``Metric.distance_batch`` call over the whole vector table, so a
-metric with a vectorized kernel turns the scan's N evaluations into one
-NumPy pass (the old per-item Python loop paid interpreter overhead per
-vector).  The cost accounting is unchanged — exactly N counted distance
-computations per query, batch or not.
+Scalar and batched queries share one implementation, and so do all
+storage backends: each query is one loop of ``Metric.distance_batch``
+calls over the blocks the core's backend hands out (cache-sized slices
+in memory, runs of buffer-pool pages on disk — ``docs/storage.md``),
+followed by a selection of the k smallest that never sorts all N.  The
+cost accounting is exact — N counted distance computations per query,
+batch or not, whatever the block size.
 """
 
 from __future__ import annotations
@@ -47,24 +48,15 @@ class LinearScanIndex(MetricIndex):
     def _scan(self, query: np.ndarray) -> np.ndarray:
         """All N distances, counted exactly once per item.
 
-        On a bounded backend the scan walks one buffer-pool page at a
-        time so resident memory stays at ``cache_pages`` pages; the
-        metric kernels are row-independent, so the concatenated
-        per-block distances are bit-identical to the single
-        whole-matrix evaluation the memory backend performs, and the
-        counted total is the same N either way.
+        The metric kernels are row-independent, so the per-block
+        distances are bit-identical to one whole-matrix evaluation
+        whatever blocks the backend chooses, and the counted total is
+        the same N.
         """
-        assert self._vectors is not None and self._core is not None
-        if self._core.bounded:
-            parts = [
-                self._dist_batch(query, block)
-                for _start, block in self._core.iter_blocks()
-            ]
-            distances = (
-                np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
-            )
-        else:
-            distances = self._dist_batch(query, self._vectors)
+        assert self._core is not None
+        distances = np.empty(len(self._ids), dtype=np.float64)
+        for start, block in self._core.iter_blocks():
+            distances[start : start + len(block)] = self._dist_batch(query, block)
         self._search_stats.leaves_visited = 1
         return distances
 
@@ -77,7 +69,22 @@ class LinearScanIndex(MetricIndex):
 
     def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
         distances = self._scan(query)
-        # The stable sort keeps the earliest-inserted among equal
-        # distances, preserving the documented tie-break.
-        order = np.argsort(distances, kind="stable")[:k]
-        return [Neighbor(self._ids[row], float(distances[row])) for row in order]
+        return [
+            Neighbor(self._ids[row], float(distances[row]))
+            for row in _k_smallest(distances, k)
+        ]
+
+
+def _k_smallest(distances: np.ndarray, k: int) -> np.ndarray:
+    """Exactly ``np.argsort(distances, kind="stable")[:k]`` — nearest
+    first, earliest-inserted first among equals — without sorting n
+    values to return k: a partition finds the k-th smallest value and
+    only the rows not beyond it are sorted.  "Not greater" rather than
+    "less or equal" because a non-metric kernel may yield ``nan``: both
+    sorts put it last, and a ``nan`` k-th value keeps every row.
+    """
+    if k >= distances.shape[0]:
+        return np.argsort(distances, kind="stable")
+    kth = np.partition(distances, k - 1)[k - 1]
+    rows = np.flatnonzero(~(distances > kth))
+    return rows[np.argsort(distances[rows], kind="stable")[:k]]

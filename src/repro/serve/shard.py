@@ -18,8 +18,9 @@ full index set — and answers every formed batch by scatter-gather:
 unique, and per-item distances are bit-identical whichever shard holds
 the item (the metric kernels are row-independent).  The engine's k-NN
 contract — including the boundary tie-break — is "top-k by
-``(distance, id)``" (stable argsort in the linear scan, a
-``(-distance, -id)`` max-heap in the trees), so merging per-shard
+``(distance, id)``" (a k-th-value partition plus a stable sort of the
+rows not beyond it in the linear scan, a ``(-distance, -id)`` max-heap
+in the trees), so merging per-shard
 top-k lists by the same key reproduces the unsharded answer bit for
 bit: ids, distance floats, and order.  Per-query cost counters are
 summed across shards — for the linear scan the shard slices sum to

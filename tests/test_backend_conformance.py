@@ -14,7 +14,8 @@ one ``@register_backend`` factory class, nothing here changes:
 * **edges** — single-row stores, shrink-to-one, growth across the
   capacity boundary, many-page stores;
 * **bounded-pool accounting** — a bounded backend's ``pool_stats()``
-  never reports more resident pages than its capacity.
+  never reports more resident pages than its capacity, and no
+  ``iter_blocks`` block exceeds that many pages.
 
 See ``docs/storage.md`` for the protocol specification.
 """
@@ -32,9 +33,12 @@ from repro.db.backend import (
 _DIM = 5
 
 
+_CACHE_PAGES, _PAGE_RECORDS = 3, 4
+
+
 def _factory(name, tmp_path, **overrides):
     """Instantiate any registered backend the uniform way."""
-    kwargs = {"cache_pages": 3, "page_records": 4}
+    kwargs = {"cache_pages": _CACHE_PAGES, "page_records": _PAGE_RECORDS}
     kwargs.update(overrides)
     return BACKENDS[name](tmp_path / name, **kwargs)
 
@@ -95,6 +99,8 @@ class TestRoundTrips:
         starts, blocks = [], []
         for start, block in backend.iter_blocks():
             assert not block.flags.writeable
+            if factory.bounded:  # a scan holds one run of pool-many pages
+                assert len(block) <= _CACHE_PAGES * _PAGE_RECORDS
             starts.append(start)
             blocks.append(np.array(block))
         assert starts[0] == 0

@@ -130,6 +130,72 @@ class TestAppendGet:
             assert store.read_all().shape == (0, 4)
 
 
+class TestExtendAndScan:
+    """Bulk append and the sequential read path."""
+
+    @pytest.mark.parametrize("started", [0, 3])
+    @pytest.mark.parametrize("m", [0, 1, 4, 5, 14, 16])
+    def test_extend_writes_the_bytes_of_row_appends(self, tmp_path, rng, started, m):
+        head, rows = rng.random((started, 3)), rng.random((m, 3))
+        paths = tmp_path / "bulk.feat", tmp_path / "rows.feat"
+        with FeatureStore.create(paths[0], dim=3, page_records=4) as store:
+            store.extend(head)
+            store.extend(rows)
+            assert len(store) == started + m
+            for slot, row in enumerate(np.vstack([head, rows])):
+                assert np.array_equal(store.get(slot), row)  # before any flush
+        with FeatureStore.create(paths[1], dim=3, page_records=4) as store:
+            for row in np.vstack([head, rows]):
+                store.append(row)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_extend_tops_up_then_writes_full_pages_once(self, store_path, rng):
+        from tests.faults import CountingFS
+
+        fs = CountingFS()
+        store = FeatureStore.create(store_path, dim=2, page_records=4, fs=fs)
+        store.extend(rng.random((2, 2)))
+        start = fs.count
+        store.extend(rng.random((2 + 12 + 1, 2)))  # top-up, 3 pages, 1 over
+        assert fs.calls[start:] == ["write", "write"]
+        start = fs.count
+        store.flush()
+        assert fs.calls[start:] == ["write", "fsync", "write", "fsync"]
+        store.close()
+
+    def test_extend_validates_before_writing(self, store_path):
+        with FeatureStore.create(store_path, dim=3, page_records=2) as store:
+            with pytest.raises(StoreError, match="dim"):
+                store.extend(np.zeros((5, 2)))
+            with pytest.raises(StoreError, match="non-finite"):
+                store.extend(np.array([[0.0, 0.0, 0.0], [0.0, np.inf, 0.0]]))
+            assert len(store) == 0
+
+    def test_scan_reads_runs_around_the_pool(self, store_path, rng):
+        vectors = rng.random((23, 2))  # 5.75 pages
+        with FeatureStore.create(
+            store_path, dim=2, page_records=4, buffer_pages=2
+        ) as store:
+            store.extend(vectors)  # not flushed: the scan must still see it
+            store.get(0)
+            reads, resident = store.page_reads, store.pool.resident
+            starts, blocks = [], []
+            for start, block in store.scan(2):
+                assert not block.flags.writeable
+                assert len(block) <= 2 * 4
+                starts.append(start)
+                blocks.append(block.copy())  # valid only until the next block
+            assert starts == [0, 8, 16]
+            assert np.array_equal(np.concatenate(blocks), vectors)
+            assert store.page_reads - reads == 6
+            assert store.pool.resident == resident and store.pool.evictions == 0
+            assert [start for start, _ in store.scan(1)] == [0, 4, 8, 12, 16, 20]
+
+    def test_scan_of_empty_store(self, store_path):
+        with FeatureStore.create(store_path, dim=2) as store:
+            assert list(store.scan(4)) == []
+
+
 class TestPagingAndCache:
     def test_page_reads_counted(self, store_path, rng):
         vectors = rng.random((16, 2))
