@@ -216,6 +216,7 @@ class MetricIndex(ABC):
             raise IndexingError("duplicate ids in build input")
         if not np.all(np.isfinite(vectors)):
             raise IndexingError("vectors contain non-finite values")
+        self._metric._check_dim(vectors.shape[1])  # kernels run unchecked
 
         self._ids = ids
         self._row_of = row_of
@@ -685,12 +686,13 @@ class MetricIndex(ABC):
     def _dist_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         """Batched metric evaluation: one counted computation per row.
 
-        Goes through ``Metric.distance_batch`` so an externally wrapped
-        :class:`~repro.metrics.base.CountingMetric` sees the same count —
-        batching is never a way around the accounting.
+        Calls the metric's unchecked ``_kernel`` (query and rows were
+        validated on their way into the index), which is also where an
+        externally wrapped :class:`~repro.metrics.base.CountingMetric`
+        counts — batching is never a way around the accounting.
         """
-        distances = self._metric.distance_batch(query, vectors)
-        self._search_stats.distance_computations += int(distances.shape[0])
+        distances = self._metric._kernel(query, vectors)
+        self._search_stats.distance_computations += distances.shape[0]
         return distances
 
     def _build_dist(self, a: np.ndarray, b: np.ndarray) -> float:
@@ -700,8 +702,8 @@ class MetricIndex(ABC):
 
     def _build_dist_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         """Batched metric evaluation, counted in the build stats."""
-        distances = self._metric.distance_batch(query, vectors)
-        self._build_stats.distance_computations += int(distances.shape[0])
+        distances = self._metric._kernel(query, vectors)
+        self._build_stats.distance_computations += distances.shape[0]
         return distances
 
     # ------------------------------------------------------------------

@@ -261,7 +261,7 @@ class GNAT(MetricIndex):
     # evaluated.  The shared traversal keeps that order and shares the
     # kernel call the other way around: split point ``i`` is evaluated
     # against every query that still has ``i`` alive in one
-    # ``distance_batch`` call (operand order flipped — the bitwise
+    # kernel call (operand order flipped — the bitwise
     # symmetry the parity suite pins), then each query applies its own
     # range-table kills.  Per query, the evaluated split points, the
     # prune decisions, and the child visit order are exactly the scalar
@@ -281,9 +281,7 @@ class GNAT(MetricIndex):
                     st = stats[qi]
                     st.leaves_visited += 1
                     st.distance_computations += node.vectors.shape[0]
-                    distances = self._metric.distance_batch(
-                        queries[qi], node.vectors
-                    )
+                    distances = self._metric._kernel(queries[qi], node.vectors)
                     for row in np.flatnonzero(distances <= radius):
                         results[qi].append(
                             Neighbor(node.ids[row], float(distances[row]))
@@ -301,7 +299,7 @@ class GNAT(MetricIndex):
                 active = [qi for qi in rows if alive[qi][i]]
                 if not active:
                     continue
-                split_distances = self._metric.distance_batch(
+                split_distances = self._metric._kernel(
                     node.split_vectors[i], queries[active]
                 ).tolist()
                 for qi, d in zip(active, split_distances):

@@ -254,9 +254,7 @@ class KDTree(MetricIndex):
                     st = stats[qi]
                     st.leaves_visited += 1
                     st.distance_computations += node.vectors.shape[0]
-                    distances = self._metric.distance_batch(
-                        queries[qi], node.vectors
-                    )
+                    distances = self._metric._kernel(queries[qi], node.vectors)
                     for row in np.flatnonzero(distances <= radius):
                         results[qi].append(
                             Neighbor(node.ids[row], float(distances[row]))

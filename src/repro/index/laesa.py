@@ -19,8 +19,8 @@ computations plus O(n·m) cheap arithmetic — the classic trade of memory
 maximum-minimum-distance greedy sweep.
 
 The pivot machinery is batched wherever the evaluation order does not
-matter: the build sweeps and the pivot table go through
-``Metric.distance_batch``, query-time pivot distances are one batch call
+matter: the build sweeps and the pivot table go through the metric's
+batch kernel, query-time pivot distances are one batch call
 (the *batch prefilter* — bounds for all n objects from m evaluations),
 and range queries refine all surviving candidates in a second batch
 call.  Only the k-NN refinement stays sequential: its early-termination

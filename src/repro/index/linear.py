@@ -6,8 +6,8 @@ it) and the cost baseline the evaluation's speedup factors are quoted
 against.  It accepts non-metric distances, since it never prunes.
 
 Scalar and batched queries share one implementation, and so do all
-storage backends: each query is one loop of ``Metric.distance_batch``
-calls over the blocks the core's backend hands out (cache-sized slices
+storage backends: each query is one loop of metric kernel calls
+over the blocks the core's backend hands out (cache-sized slices
 in memory, runs of buffer-pool pages on disk — ``docs/storage.md``),
 followed by a selection of the k smallest that never sorts all N.  The
 cost accounting is exact — N counted distance computations per query,

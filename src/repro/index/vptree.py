@@ -44,15 +44,17 @@ Traversal.  There is one iterative k-NN loop and one iterative range
 loop; the scalar, approximate and batched entry points all run them (the
 batched ones through :meth:`MetricIndex._run_batch`, one query at a
 time), so results and cost counters are identical across entry points by
-construction.  Every visited node or leaf costs exactly one
-``Metric.distance_batch`` call on a row slice of the block, and every
-row handed to the metric is a counted distance — a leaf is truncated to
+construction.  Every visited node or leaf costs exactly one call of the
+metric's unchecked ``_kernel`` on a row slice of the block (the rows were
+validated at build, the query at the entry point), and every row handed
+to the metric is a counted distance — a leaf is truncated to
 the remaining budget in budgeted mode, and nothing is evaluated ahead of
 its prune decision.
 """
 
 from __future__ import annotations
 
+import sys
 from heapq import heappush, heapreplace
 from typing import Sequence
 
@@ -168,10 +170,8 @@ class VPTree(MetricIndex):
             # Stable partition at the median: inside rows, then outside
             # rows.  A degenerate split (every item at the same distance)
             # leaves one side empty, and that child absent.
-            is_inside = distances <= float(np.median(distances))
-            order = np.concatenate(
-                (np.flatnonzero(is_inside), np.flatnonzero(~is_inside))
-            )
+            is_inside = distances <= _median(distances)
+            order = np.argsort(~is_inside, kind="stable")
             block[1:] = block[1:][order]
             block_ids[1:] = block_ids[1:][order]
             inside_d, outside_d = distances[is_inside], distances[~is_inside]
@@ -209,39 +209,42 @@ class VPTree(MetricIndex):
         inside, outside = self._inside, self._outside
         in_low, in_high = self._in_low, self._in_high
         out_low, out_high = self._out_low, self._out_high
-        distance_batch = self._metric.distance_batch
+        kernel = self._metric._kernel
         result: list[Neighbor] = []
         computed = visited = pruned = leaves = 0
 
         stack = [0]
+        pop, push = stack.pop, stack.append
         while stack:
-            node = stack.pop()
+            node = pop()
             start = start_of[node]
             child_in, child_out = inside[node], outside[node]
             if child_in < 0 and child_out < 0:
                 leaves += 1
                 stop = stop_of[node]
                 computed += stop - start
-                distances = distance_batch(query, rows[start:stop]).tolist()
-                for item_id, d in zip(ids[start:stop], distances):
-                    if d <= radius:
-                        result.append(Neighbor(item_id, d))
+                distances = kernel(query, rows[start:stop]).tolist()
+                if min(distances) <= radius:  # most buckets hold no hit
+                    for item_id, d in zip(ids[start:stop], distances):
+                        if d <= radius:
+                            result.append(Neighbor(item_id, d))
                 continue
 
             visited += 1
             computed += 1
-            d = float(distance_batch(query, rows[start : start + 1])[0])
+            d = kernel(query, rows[start : start + 1]).item()
             if d <= radius:
                 result.append(Neighbor(ids[start], d))
             # Outside is pushed first so inside is walked first.
+            low, high = d - radius, d + radius
             if child_out >= 0:
-                if d - radius <= out_high[node] and d + radius >= out_low[node]:
-                    stack.append(child_out)
+                if low <= out_high[node] and high >= out_low[node]:
+                    push(child_out)
                 else:
                     pruned += 1
             if child_in >= 0:
-                if d - radius <= in_high[node] and d + radius >= in_low[node]:
-                    stack.append(child_in)
+                if low <= in_high[node] and high >= in_low[node]:
+                    push(child_in)
                 else:
                     pruned += 1
 
@@ -311,22 +314,27 @@ class VPTree(MetricIndex):
         inside, outside = self._inside, self._outside
         in_low, in_high = self._in_low, self._in_high
         out_low, out_high = self._out_low, self._out_high
-        distance_batch = self._metric.distance_batch
+        kernel = self._metric._kernel
         shrink = 1.0 / (1.0 + epsilon)
-        limit = np.inf if budget is None else budget
-        # The k best candidates so far and the k-th best distance; an
-        # item farther than tau cannot enter the heap, so it is not offered.
+        limit = sys.maxsize if budget is None else budget  # int compares
+        # The k best candidates so far as a max-heap of (-distance, -id):
+        # among equal distances the larger id is evicted first, matching
+        # the documented tie-break.  tau is the k-th best distance,
+        # infinite until k are held; an item farther than tau cannot
+        # enter the heap, so it is not offered.  reach is tau * shrink.
         heap: list[tuple[float, int]] = []
-        tau = np.inf
+        held = 0
+        tau = reach = np.inf
         computed = visited = pruned = leaves = 0
 
         # (node, lower bound on the distance to anything below it).  The
         # bound is tested when the node is popped — for the farther child
         # that is after the nearer subtree has shrunk tau.
         stack: list[tuple[int, float]] = [(0, 0.0)]
+        pop, push = stack.pop, stack.append
         while stack:
-            node, gap = stack.pop()
-            if gap > tau * shrink:
+            node, gap = pop()
+            if gap > reach:
                 pruned += 1
                 continue
             if computed >= limit:
@@ -340,32 +348,72 @@ class VPTree(MetricIndex):
                 if stop - start > limit - computed:
                     stop = start + limit - computed
                 computed += stop - start
-                distances = distance_batch(query, rows[start:stop]).tolist()
+                distances = kernel(query, rows[start:stop]).tolist()
+                if min(distances) > tau:  # most buckets offer nothing
+                    continue
                 for item_id, d in zip(ids[start:stop], distances):
                     if d <= tau:
-                        tau = _offer(heap, k, d, item_id)
+                        entry = (-d, -item_id)
+                        if held < k:
+                            heappush(heap, entry)
+                            held += 1
+                        elif entry > heap[0]:
+                            heapreplace(heap, entry)
+                        if held == k:
+                            tau = -heap[0][0]
+                            reach = tau * shrink
                 continue
 
             visited += 1
             computed += 1
-            d = float(distance_batch(query, rows[start : start + 1])[0])
+            d = kernel(query, rows[start : start + 1]).item()
             if d <= tau:
-                tau = _offer(heap, k, d, ids[start])
+                entry = (-d, -ids[start])
+                if held < k:
+                    heappush(heap, entry)
+                    held += 1
+                elif entry > heap[0]:
+                    heapreplace(heap, entry)
+                if held == k:
+                    tau = -heap[0][0]
+                    reach = tau * shrink
+            # _interval_gap inline: low <= high, so only one side can be > 0.
+            gap_in = in_low[node] - d
+            if gap_in < 0.0:
+                gap_in = d - in_high[node]
+                if gap_in < 0.0:
+                    gap_in = 0.0
+            gap_out = out_low[node] - d
+            if gap_out < 0.0:
+                gap_out = d - out_high[node]
+                if gap_out < 0.0:
+                    gap_out = 0.0
             # The child whose interval is nearer to d goes on top of the
             # stack (inside on ties), so tau shrinks before the other
             # child's bound is tested.
-            gap_in = _interval_gap(d, in_low[node], in_high[node])
-            gap_out = _interval_gap(d, out_low[node], out_high[node])
-            near, far = (child_in, gap_in), (child_out, gap_out)
             if gap_out < gap_in:
-                near, far = far, near
-            if far[0] >= 0:
-                stack.append(far)
-            if near[0] >= 0:
-                stack.append(near)
+                if child_in >= 0:
+                    push((child_in, gap_in))
+                if child_out >= 0:
+                    push((child_out, gap_out))
+            else:
+                if child_out >= 0:
+                    push((child_out, gap_out))
+                if child_in >= 0:
+                    push((child_in, gap_in))
 
         self._record(computed, visited, pruned, leaves)
         return [Neighbor(-neg_id, -neg_d) for neg_d, neg_id in heap]
+
+
+def _median(values: np.ndarray) -> float:
+    """``float(np.median(values))`` of a non-empty 1-D array, bit for bit,
+    without ``np.median``'s axis/NaN machinery (one call per built node)."""
+    half = values.size // 2
+    if values.size % 2:
+        return float(np.partition(values, half)[half])
+    part = np.partition(values, (half - 1, half))
+    return float((part[half - 1] + part[half]) / 2.0)
 
 
 def _rotate_to_front(array: np.ndarray, row: int) -> None:
@@ -374,21 +422,6 @@ def _rotate_to_front(array: np.ndarray, row: int) -> None:
         moved = array[row].copy()
         array[1 : row + 1] = array[:row].copy()
         array[0] = moved
-
-
-def _offer(heap: list[tuple[float, int]], k: int, d: float, item_id: int) -> float:
-    """Offer a candidate to the k-best max-heap; return the new tau.
-
-    Entries are ``(-distance, -id)``: among equal distances the larger id
-    is evicted first, matching the documented tie-break.  tau is the k-th
-    best distance so far, infinite until k candidates are held.
-    """
-    entry = (-d, -item_id)
-    if len(heap) < k:
-        heappush(heap, entry)
-    elif entry > heap[0]:
-        heapreplace(heap, entry)
-    return -heap[0][0] if len(heap) == k else np.inf
 
 
 def _interval_gap(d: float, low: float, high: float) -> float:

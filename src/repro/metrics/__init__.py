@@ -6,8 +6,8 @@ the **triangle inequality**.  Every class here declares via
 non-metrics, the linear scan accepts anything.
 
 Implemented measures (the paper's section 4 set plus the QBIC standards).
-"Batch?" marks measures with a vectorized ``distance_batch`` kernel; the
-rest inherit the correct per-row loop fallback (see
+"Batch?" marks measures with a vectorized ``_kernel`` behind
+``distance_batch``; the rest inherit the correct per-row loop fallback (see
 :mod:`repro.metrics.base` for the batch contract):
 
 =============================  ========  ======  =============================

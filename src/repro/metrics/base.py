@@ -9,9 +9,13 @@ the wrapped metric and are never allowed to sneak vectorized shortcuts
 around it.
 
 Batched evaluation goes through the same accounting.  ``distance_batch``
-evaluates one query against many vectors in a single call; metrics with a
-vectorized kernel override it (and set ``supports_batch``), everything
-else inherits a loop fallback.  The contract either way:
+evaluates one query against many vectors in a single call: it validates
+the operands once, then runs ``_kernel``, the metric's one unchecked
+batch entry.  Metrics with a vectorized kernel override ``_kernel`` (and
+set ``supports_batch``), everything else inherits a loop fallback.
+Indexes validate at ``build`` and at the query entry point and call
+``_kernel`` directly — a tree traversal is thousands of one-to-eight row
+calls.  The contract either way:
 
 * ``distance_batch(q, V)[i]`` is **bit-identical** to ``distance(q, V[i])``
   — a batch kernel may reorganize the arithmetic for SIMD, but not change
@@ -90,8 +94,8 @@ class Metric(ABC):
         identity, triangle inequality).  Tree indexes require it; scans
         do not.
     supports_batch:
-        True when :meth:`distance_batch` runs a vectorized kernel rather
-        than the per-row loop fallback.  Purely informational — the
+        True when :meth:`_kernel` is a vectorized kernel rather than the
+        per-row loop fallback.  Purely informational — the
         fallback is correct, just slower.
     """
 
@@ -110,16 +114,31 @@ class Metric(ABC):
     def distance_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         """Distances from ``query`` to every row of ``vectors``.
 
-        ``result[i]`` equals ``distance(query, vectors[i])`` bit-for-bit;
-        vectorized overrides must preserve that (see the module docstring
-        for the arithmetic rules that make it hold).  This default is the
-        loop fallback: correct for any metric, one interpreted call per
-        row.
+        ``result[i]`` equals ``distance(query, vectors[i])`` bit-for-bit.
+        This is the checked public entry and the same for every metric:
+        coerce and validate the operands, then run :meth:`_kernel`.
         """
         query, vectors = validate_batch_operands(query, vectors, self.name)
+        self._check_dim(query.size)
+        return self._kernel(query, vectors)
+
+    def _kernel(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        """The unchecked batch entry, and the extension point for kernels.
+
+        Operands are already a float64 ``(d,)`` query and ``(n, d)``
+        block, ``n >= 0``, of a dimension the metric accepts; overrides
+        keep ``result[i]`` bit-identical to ``distance(query, vectors[i])``
+        (the module docstring has the arithmetic rules).  This default
+        is the loop fallback: one interpreted call per row.
+        """
         return np.array(
             [self.distance(query, row) for row in vectors], dtype=np.float64
         )
+
+    def _check_dim(self, dim: int) -> None:
+        """Raise if the metric's fixed parameters (weights, a similarity
+        matrix) do not fit ``dim``-dimensional operands.  Checked paths
+        only; an index asks once, at ``build``."""
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> float:
         return self.distance(a, b)
@@ -177,32 +196,38 @@ class CountingMetric(Metric):
         self._count += 1
         return self._inner.distance(a, b)
 
-    def distance_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    def _kernel(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         # Delegate to the inner kernel so batching stays fast, then count
         # one evaluation per row — a batch is n fetches, not one.  (The
         # inner loop fallback calls the *unwrapped* scalar distance, so
         # nothing is double-counted.)
-        distances = self._inner.distance_batch(query, vectors)
-        self._count += int(distances.shape[0])
+        distances = self._inner._kernel(query, vectors)
+        self._count += distances.shape[0]
         return distances
+
+    def _check_dim(self, dim: int) -> None:
+        self._inner._check_dim(dim)
 
 
 def hide_batch_kernel(metric: Metric) -> Metric:
-    """A clone of ``metric`` whose ``distance_batch`` is the loop fallback.
+    """A clone of ``metric`` whose ``_kernel`` is the loop fallback.
 
     Benchmarks and parity tests use this to model the scalar-era cost:
     every batched call site degrades to one interpreted ``distance``
     call per row, while results stay bit-identical by the batch
     contract.  The clone subclasses the metric's own class, so indexes
-    with ``isinstance`` checks (the kd-tree) still accept it.
+    with ``isinstance`` checks (the kd-tree) still accept it.  Rows go
+    to the *original*'s scalar ``distance`` (most scalar paths run their
+    own ``_kernel`` on a one-row block), so count by wrapping the clone.
     """
     import copy
 
+    def per_row(self: Metric, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        return Metric._kernel(metric, query, vectors)
+
     cls = type(metric)
     hidden = type(
-        f"Scalar{cls.__name__}",
-        (cls,),
-        {"distance_batch": Metric.distance_batch, "supports_batch": False},
+        f"Scalar{cls.__name__}", (cls,), {"_kernel": per_row, "supports_batch": False}
     )
     clone = copy.copy(metric)
     clone.__class__ = hidden

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MetricError
-from repro.metrics.base import Metric, validate_batch_operands, validate_same_shape
+from repro.metrics.base import Metric, validate_same_shape
 
 __all__ = ["CosineDistance", "CanberraDistance", "JensenShannonDistance"]
 
@@ -59,10 +59,6 @@ class CosineDistance(Metric):
         a, b = validate_same_shape(a, b, "CosineDistance")
         return float(self._kernel(a, b[None, :])[0])
 
-    def distance_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        query, vectors = validate_batch_operands(query, vectors, "CosineDistance")
-        return self._kernel(query, vectors)
-
 
 class CanberraDistance(Metric):
     """Per-coordinate relative L1: ``sum |a-b| / (|a| + |b|)``.
@@ -87,10 +83,6 @@ class CanberraDistance(Metric):
         a, b = validate_same_shape(a, b, "CanberraDistance")
         return float(self._kernel(a, b[None, :])[0])
 
-    def distance_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        query, vectors = validate_batch_operands(query, vectors, "CanberraDistance")
-        return self._kernel(query, vectors)
-
 
 class JensenShannonDistance(Metric):
     """Square root of the Jensen-Shannon divergence (base 2), a metric.
@@ -105,6 +97,9 @@ class JensenShannonDistance(Metric):
 
     @staticmethod
     def _kernel(query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        # A value check, so it lives in the kernel (no index performs it).
+        if np.any(query < 0.0) or np.any(vectors < 0.0):
+            raise MetricError("JensenShannonDistance: operands must be non-negative")
         mass_q = query.sum()
         masses = vectors.sum(axis=1)
         valid = (masses > 0.0) & (mass_q > 0.0)
@@ -131,19 +126,6 @@ class JensenShannonDistance(Metric):
         # another empty one and maximally far from any non-empty one.
         return np.where(valid, distances, np.where(masses == mass_q, 0.0, 1.0))
 
-    @staticmethod
-    def _check_nonnegative(a: np.ndarray) -> None:
-        if np.any(a < 0.0):
-            raise MetricError("JensenShannonDistance: operands must be non-negative")
-
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
         a, b = validate_same_shape(a, b, "JensenShannonDistance")
-        self._check_nonnegative(a)
-        self._check_nonnegative(b)
         return float(self._kernel(a, b[None, :])[0])
-
-    def distance_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        query, vectors = validate_batch_operands(query, vectors, "JensenShannonDistance")
-        self._check_nonnegative(query)
-        self._check_nonnegative(vectors)
-        return self._kernel(query, vectors)

@@ -148,7 +148,7 @@ class MatchDistance(Metric):
             return circular_match_distance(a, b)
         return match_distance(a, b)
 
-    def distance_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    def _kernel(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         """Vectorized kernel: one stacked cumsum per candidate matrix.
 
         Normalization divides each row by its own mass (the same
@@ -157,7 +157,6 @@ class MatchDistance(Metric):
         and the surviving block goes through the stacked kernel — row
         ``i`` equals ``distance(query, vectors[i])`` bit for bit.
         """
-        query, vectors = validate_batch_operands(query, vectors, self.name)
         n = vectors.shape[0]
         if n == 0:
             return np.empty(0, dtype=np.float64)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MetricError
-from repro.metrics.base import Metric, validate_batch_operands
+from repro.metrics.base import Metric
 
 __all__ = ["directed_hausdorff", "hausdorff", "HausdorffDistance"]
 
@@ -101,9 +101,8 @@ class HausdorffDistance(Metric):
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
         return hausdorff(self._unpack(a), self._unpack(b))
 
-    def distance_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    def _kernel(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         """Vectorized kernel over padded/masked ragged point sets."""
-        query, vectors = validate_batch_operands(query, vectors, self.name)
         n = vectors.shape[0]
         if n == 0:
             return np.empty(0, dtype=np.float64)

@@ -24,13 +24,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MetricError
-from repro.metrics.base import Metric, validate_batch_operands, validate_same_shape
+from repro.metrics.base import Metric, validate_same_shape
 
 __all__ = ["HistogramIntersection", "ChiSquareDistance", "BhattacharyyaDistance"]
 
 
-def _check_nonnegative(a: np.ndarray, name: str) -> None:
-    if np.any(a < -1e-12):
+def _check_nonnegative(query: np.ndarray, vectors: np.ndarray, name: str) -> None:
+    # A check on values, not on operand shape: it defines the measure's
+    # domain and no index performs it, so it stays inside the kernels.
+    if np.any(query < -1e-12) or np.any(vectors < -1e-12):
         raise MetricError(f"{name}: histograms must be non-negative")
 
 
@@ -47,6 +49,7 @@ class HistogramIntersection(Metric):
 
     @staticmethod
     def _kernel(query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        _check_nonnegative(query, vectors, "intersection")
         mass_q = query.sum()
         masses = vectors.sum(axis=1)
         smaller = np.minimum(masses, mass_q)
@@ -63,15 +66,7 @@ class HistogramIntersection(Metric):
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
         a, b = validate_same_shape(a, b, "intersection")
-        _check_nonnegative(a, "intersection")
-        _check_nonnegative(b, "intersection")
         return float(self._kernel(a, b[None, :])[0])
-
-    def distance_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        query, vectors = validate_batch_operands(query, vectors, "intersection")
-        _check_nonnegative(query, "intersection")
-        _check_nonnegative(vectors, "intersection")
-        return self._kernel(query, vectors)
 
 
 class ChiSquareDistance(Metric):
@@ -85,6 +80,7 @@ class ChiSquareDistance(Metric):
 
     @staticmethod
     def _kernel(query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        _check_nonnegative(query, vectors, "chi2")
         total = query + vectors
         diff = query - vectors
         safe = np.where(total > 0.0, total, 1.0)
@@ -93,15 +89,7 @@ class ChiSquareDistance(Metric):
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
         a, b = validate_same_shape(a, b, "chi2")
-        _check_nonnegative(a, "chi2")
-        _check_nonnegative(b, "chi2")
         return float(self._kernel(a, b[None, :])[0])
-
-    def distance_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        query, vectors = validate_batch_operands(query, vectors, "chi2")
-        _check_nonnegative(query, "chi2")
-        _check_nonnegative(vectors, "chi2")
-        return self._kernel(query, vectors)
 
 
 class BhattacharyyaDistance(Metric):
@@ -116,6 +104,7 @@ class BhattacharyyaDistance(Metric):
 
     @staticmethod
     def _kernel(query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        _check_nonnegative(query, vectors, "bhattacharyya")
         mass_q = query.sum()
         masses = vectors.sum(axis=1)
         valid = (masses > 0.0) & (mass_q > 0.0)
@@ -129,12 +118,4 @@ class BhattacharyyaDistance(Metric):
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
         a, b = validate_same_shape(a, b, "bhattacharyya")
-        _check_nonnegative(a, "bhattacharyya")
-        _check_nonnegative(b, "bhattacharyya")
         return float(self._kernel(a, b[None, :])[0])
-
-    def distance_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        query, vectors = validate_batch_operands(query, vectors, "bhattacharyya")
-        _check_nonnegative(query, "bhattacharyya")
-        _check_nonnegative(vectors, "bhattacharyya")
-        return self._kernel(query, vectors)

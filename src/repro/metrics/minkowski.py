@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MetricError
-from repro.metrics.base import Metric, validate_batch_operands, validate_same_shape
+from repro.metrics.base import Metric, validate_same_shape
 
 __all__ = [
     "ManhattanDistance",
@@ -40,10 +40,6 @@ class ManhattanDistance(Metric):
         a, b = validate_same_shape(a, b, "L1")
         return float(self._kernel(a, b[None, :])[0])
 
-    def distance_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        query, vectors = validate_batch_operands(query, vectors, "L1")
-        return self._kernel(query, vectors)
-
 
 class EuclideanDistance(Metric):
     """L2 distance — the paper's histogram comparison measure."""
@@ -59,10 +55,6 @@ class EuclideanDistance(Metric):
         a, b = validate_same_shape(a, b, "L2")
         return float(self._kernel(a, b[None, :])[0])
 
-    def distance_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        query, vectors = validate_batch_operands(query, vectors, "L2")
-        return self._kernel(query, vectors)
-
 
 class ChebyshevDistance(Metric):
     """L-infinity distance: the largest single-coordinate difference."""
@@ -76,10 +68,6 @@ class ChebyshevDistance(Metric):
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
         a, b = validate_same_shape(a, b, "Linf")
         return float(self._kernel(a, b[None, :])[0])
-
-    def distance_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        query, vectors = validate_batch_operands(query, vectors, "Linf")
-        return self._kernel(query, vectors)
 
 
 class MinkowskiDistance(Metric):
@@ -108,10 +96,6 @@ class MinkowskiDistance(Metric):
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
         a, b = validate_same_shape(a, b, self.name)
         return float(self._kernel(a, b[None, :])[0])
-
-    def distance_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        query, vectors = validate_batch_operands(query, vectors, self.name)
-        return self._kernel(query, vectors)
 
 
 class WeightedEuclideanDistance(Metric):
@@ -152,8 +136,3 @@ class WeightedEuclideanDistance(Metric):
         a, b = validate_same_shape(a, b, "weightedL2")
         self._check_dim(a.size)
         return float(self._kernel(a, b[None, :])[0])
-
-    def distance_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        query, vectors = validate_batch_operands(query, vectors, "weightedL2")
-        self._check_dim(query.size)
-        return self._kernel(query, vectors)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MetricError
-from repro.metrics.base import Metric, validate_batch_operands, validate_same_shape
+from repro.metrics.base import Metric, validate_same_shape
 
 __all__ = ["QuadraticFormDistance", "color_similarity_matrix", "rgb_bin_centers"]
 
@@ -89,11 +89,6 @@ class QuadraticFormDistance(Metric):
         a, b = validate_same_shape(a, b, "quadratic")
         self._check_dim(a.size)
         return float(self._kernel(a, b[None, :])[0])
-
-    def distance_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        query, vectors = validate_batch_operands(query, vectors, "quadratic")
-        self._check_dim(query.size)
-        return self._kernel(query, vectors)
 
 
 def rgb_bin_centers(levels_per_channel: int) -> np.ndarray:

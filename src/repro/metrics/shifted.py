@@ -11,7 +11,7 @@ Taking a minimum over shifts breaks the triangle inequality in general,
 so this measure is flagged non-metric and belongs in linear scans or in
 the re-ranking stage after an index narrowed the candidates.
 
-``distance_batch`` runs a **stacked-shift kernel**: for each candidate
+``_kernel`` is a **stacked-shift kernel**: for each candidate
 shift the whole ``(n, d)`` vector block is rolled along its bin axis in
 one ``np.roll`` call and handed to the base metric's batch kernel, and
 the per-row minimum accumulates through ``np.minimum``.  Row ``i`` of
@@ -30,11 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MetricError
-from repro.metrics.base import (
-    Metric,
-    validate_batch_operands,
-    validate_same_shape,
-)
+from repro.metrics.base import Metric, validate_same_shape
 from repro.metrics.minkowski import EuclideanDistance
 
 __all__ = ["CircularShiftDistance"]
@@ -87,15 +83,13 @@ class CircularShiftDistance(Metric):
                     break
         return float(best)
 
-    def distance_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        query, vectors = validate_batch_operands(query, vectors, self.name)
-        if vectors.shape[0] == 0:
-            return np.empty(0, dtype=np.float64)
+    def _check_dim(self, dim: int) -> None:
+        self._base._check_dim(dim)
+
+    def _kernel(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         best: np.ndarray | None = None
         for shift in self._shifts(query.size):
-            candidate = self._base.distance_batch(
-                query, np.roll(vectors, shift, axis=1)
-            )
+            candidate = self._base._kernel(query, np.roll(vectors, shift, axis=1))
             best = candidate if best is None else np.minimum(best, candidate)
         assert best is not None  # _shifts is never empty (dim >= 1)
         return best

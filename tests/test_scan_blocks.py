@@ -59,9 +59,9 @@ class _FirstCoordinate(Metric):
     is_metric = False
 
     def distance(self, a, b):
-        return float(self.distance_batch(a, np.asarray(b)[None, :])[0])
+        return float(self._kernel(a, np.asarray(b)[None, :])[0])
 
-    def distance_batch(self, query, vectors):
+    def _kernel(self, query, vectors):
         distances = np.array(vectors[:, 0], dtype=np.float64)
         distances[vectors[:, 0] == 7.0] = np.inf
         distances[vectors[:, 0] == 8.0] = np.nan
@@ -157,9 +157,9 @@ class _CallCounting(CountingMetric):
 
     calls = 0
 
-    def distance_batch(self, query, vectors):
+    def _kernel(self, query, vectors):
         self.calls += 1
-        return super().distance_batch(query, vectors)
+        return super()._kernel(query, vectors)
 
 
 def test_scan_counts_every_page_once_and_leaves_the_pool_alone(tmp_path):

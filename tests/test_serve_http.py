@@ -6,12 +6,14 @@ startup banner, client round trip, SIGTERM, clean shutdown — mirroring
 the CI smoke step.
 """
 
+import http.client
 import json
 import os
 import signal
 import subprocess
 import sys
 import threading
+import time
 import urllib.request
 from pathlib import Path
 
@@ -126,6 +128,33 @@ class TestEndpoints:
             assert [(r["image_id"], r["distance"]) for r in response["results"]] == [
                 (r.image_id, r.distance) for r in direct
             ]
+
+    def test_keep_alive_requests_do_not_stall(self, served):
+        """Headers and body leave in one write.
+
+        Sent as two, every request after the first on a connection sat
+        out the client's delayed ACK — ~44 ms each.  The same cached
+        query over one ``http.client`` connection takes about a
+        millisecond; the median keeps a scheduling hiccup from failing
+        the test.
+        """
+        _, server, _ = served
+        conn = http.client.HTTPConnection(*server.address, timeout=10)
+        body = json.dumps({"vector": [0.5] * _DIM, "k": 3})
+        took = []
+        for _ in range(8):
+            start = time.perf_counter()
+            conn.request("POST", "/query", body, {"Content-Type": "application/json"})
+            reply = conn.getresponse()
+            payload = json.loads(reply.read())
+            took.append(time.perf_counter() - start)
+            assert reply.status == 200 and len(payload["results"]) == 3
+        conn.request("GET", "/metrics")  # the one non-JSON response
+        start = time.perf_counter()
+        assert conn.getresponse().read().startswith(b"# HELP")
+        took.append(time.perf_counter() - start)
+        conn.close()
+        assert sorted(took[1:])[len(took) // 2] < 0.020, took
 
 
 class TestErrorHandling:

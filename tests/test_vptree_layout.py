@@ -122,9 +122,9 @@ class _CallCounter(Metric):
         self.calls += 1
         return self.inner.distance(a, b)
 
-    def distance_batch(self, query, vectors):
+    def _kernel(self, query, vectors):
         self.calls += 1
-        return self.inner.distance_batch(query, vectors)
+        return self.inner._kernel(query, vectors)
 
 
 def test_one_kernel_call_per_visit(rng):
