@@ -22,6 +22,7 @@ __all__ = [
     "ServeError",
     "RateLimitError",
     "ShuttingDownError",
+    "QueueFullError",
 ]
 
 
@@ -90,8 +91,8 @@ class ServeError(ReproError):
 class RateLimitError(ServeError):
     """The service's token bucket is empty; retry after a backoff.
 
-    Distinct from the plain queue-full :class:`ServeError` so clients can
-    tell *throttled* (slow down) from *overloaded* (shed load); the HTTP
+    Distinct from :class:`QueueFullError` so clients can tell
+    *throttled* (slow down) from *overloaded* (shed load); the HTTP
     front end maps it to status 429 instead of 503.
     """
 
@@ -105,4 +106,13 @@ class ShuttingDownError(ServeError):
     Distinct from queue-full so clients know a retry against *this*
     process is pointless; the HTTP front end maps it to 503 with a
     ``"shutting_down": true`` body.
+    """
+
+
+class QueueFullError(ServeError):
+    """The bounded admission queue is full; the service is overloaded.
+
+    Backpressure instead of unbounded memory: shed load or retry later.
+    The HTTP front end maps it to a plain 503 (no ``shutting_down``
+    flag — this process will serve again once the queue drains).
     """

@@ -47,15 +47,17 @@ Component                          Role
                                    by a quantized signature digest and
                                    stamped with the generation each entry
                                    was computed under
-:class:`ServiceStats`              snapshot: throughput, p50/p95 latency,
-                                   formed-batch sizes, cache hit rate,
-                                   mutations, lazy cache invalidations,
-                                   shard sizes and request balance
 :class:`MetricsRegistry`           Prometheus metric families: per-route
                                    latency histograms (log-spaced
                                    buckets), admission counters, queue
                                    depth and shard balance gauges, plus
-                                   a text-exposition parser/validator
+                                   a text-exposition parser/validator —
+                                   the one store every serving event is
+                                   counted in (``repro.serve.ledger``)
+:class:`ServiceStats`              snapshot *view* over those families:
+                                   throughput, formed-batch sizes, cache
+                                   hit rate, mutations, shard balance,
+                                   plus windowed p50/p95 latency
 :class:`Trace` / :class:`Span`     one request's journey: a trace id
                                    (W3C ``traceparent`` in,
                                    ``X-Repro-Trace-Id`` out) and one
@@ -88,9 +90,10 @@ acknowledged write survives kill -9; startup replays the log onto the
 last atomic snapshot and ``POST /save`` compacts online.  See
 ``docs/durability.md``.
 
-**Observability.**  Three surfaces, three audiences: ``GET /stats`` is
-the human snapshot, ``GET /metrics`` the Prometheus scrape (now with
-per-stage ``repro_stage_seconds`` histograms and process gauges), and
+**Observability.**  Three surfaces, three audiences, one set of books:
+``GET /stats`` is the human snapshot and ``GET /metrics`` the
+Prometheus scrape (per-stage ``repro_stage_seconds`` histograms and
+process gauges included) of the same ledger, and
 ``GET /debug/traces`` / ``/debug/trace?id=`` / ``/debug/slow`` the
 forensic layer — per-request traces with one span per pipeline stage,
 pretty-printed by ``repro trace``.  See ``docs/observability.md``.
@@ -130,7 +133,7 @@ from repro.serve.shard import (
     merge_range_results,
     shard_of,
 )
-from repro.serve.stats import ServiceStats, StatsCollector
+from repro.serve.stats import ServiceStats
 from repro.serve.trace import (
     FlightRecorder,
     SlowQueryLog,
@@ -153,7 +156,6 @@ __all__ = [
     "merge_range_results",
     "ResultCache",
     "ServiceStats",
-    "StatsCollector",
     "MetricsRegistry",
     "LatencyHistogram",
     "CounterFamily",

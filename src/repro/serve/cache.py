@@ -55,12 +55,12 @@ out for inspection instead of evicting it, and a confirmed entry is
 re-stamped at the current generation and served as a hit — counted in
 :attr:`ResultCache.revalidations`, separately from
 :attr:`ResultCache.invalidations` (entries that genuinely changed).
-The proof obligations live with the caller: the scheduler feeds the
-callback from :class:`MutationDeltaLog`, a bounded per-generation
-record of exactly which vectors each mutation inserted and which ids
-it removed.  A delta outside the retained window (or recorded before
-the log was attached) makes the callback return False — revalidation
-degrades to plain invalidation, never to a stale answer.
+The proof is :func:`entry_still_valid`, which admission feeds from
+:class:`MutationDeltaLog`, a bounded per-generation record of exactly
+which vectors each mutation inserted and which ids it removed.  A
+delta outside the retained window (or recorded before the log was
+attached) makes it return False — revalidation degrades to plain
+invalidation, never to a stale answer.
 
 Hit/miss/invalidation/revalidation counters are monotonic and
 thread-safe; read them together via :meth:`ResultCache.counters` (one
@@ -80,8 +80,9 @@ import numpy as np
 
 from repro.db.query import RetrievalResult
 from repro.errors import ServeError
+from repro.metrics.base import Metric
 
-__all__ = ["CacheCounters", "MutationDeltaLog", "ResultCache"]
+__all__ = ["CacheCounters", "MutationDeltaLog", "ResultCache", "entry_still_valid"]
 
 #: Cache keys: (kind, feature, parameter, digest).
 CacheKey = tuple[str, str, Hashable, str]
@@ -199,6 +200,71 @@ class MutationDeltaLog:
                     return None
                 deltas.append(delta)
             return deltas
+
+
+def entry_still_valid(
+    deltas: list[MutationDelta] | None,
+    metric: Metric,
+    kind: str,
+    parameter: int | float,
+    vector: np.ndarray,
+    results: list[RetrievalResult],
+) -> bool:
+    """Prove a stale-stamped cache entry still equals a fresh query.
+
+    ``deltas`` is the engine's mutation delta log from the entry's
+    stamp to the current one (``None``: part of the range left the
+    bounded window).  A k-NN entry survives iff no cached result id was
+    removed and every inserted item orders *strictly after* the kth
+    result under the engine's total ``(distance, id)`` ranking — an
+    insert tying the kth distance with a larger id stays outside the
+    top-k, exactly as a fresh query would place it.  A range entry
+    survives iff no result id was removed and no insert landed inside
+    the closed ball (``distance <= radius`` would be reported).
+    Removals of items *outside* the cached result never matter: they
+    ranked after the kth (or outside the ball), so dropping them cannot
+    change it.  Anything unprovable — deltas past the bounded window, a
+    short k-NN list that an insert could extend — returns False and the
+    entry is invalidated; revalidation can only ever upgrade a miss to
+    a hit that matches a fresh query bit for bit.
+
+    Distances are computed with the feature's own ``metric`` over the
+    same float64 rows the engine indexed, so the comparison floats are
+    the ones a fresh query would rank by.  Runs on the caller's thread
+    against the (locked) delta log; the engine itself is never touched.
+    """
+    if deltas is None:
+        return False
+    removed: set[int] = set()
+    inserted: list[tuple[tuple[int, ...], np.ndarray]] = []
+    for delta_kind, ids, vectors in deltas:
+        if delta_kind == "remove":
+            removed.update(ids)
+        elif vectors is not None and len(ids):
+            inserted.append((ids, vectors))
+    if removed and any(result.image_id in removed for result in results):
+        return False
+    if not inserted:
+        return True
+    if kind == "knn":
+        if len(results) < int(parameter):
+            # Fewer hits than k means the corpus was smaller than k:
+            # any insert could extend the list.  (An empty corpus
+            # cannot be queried, so results is never empty here.)
+            return False
+        kth = results[-1]
+        kth_key = (kth.distance, kth.image_id)
+        for ids, vectors in inserted:
+            distances = metric.distance_batch(vector, vectors)
+            for image_id, distance in zip(ids, distances):
+                if (float(distance), image_id) < kth_key:
+                    return False
+        return True
+    radius = float(parameter)
+    for _ids, vectors in inserted:
+        if np.any(metric.distance_batch(vector, vectors) <= radius):
+            return False
+    return True
 
 
 class ResultCache:

@@ -81,6 +81,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from concurrent.futures import Future
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
@@ -88,6 +89,7 @@ import numpy as np
 
 from repro.db.database import ImageDatabase
 from repro.errors import (
+    QueueFullError,
     RateLimitError,
     ReproError,
     ServeError,
@@ -102,6 +104,15 @@ __all__ = ["QueryServer"]
 
 #: Longest accepted request body (a signature vector is a few KiB).
 _MAX_BODY_BYTES = 1 << 20
+
+#: Refusals: exception type → (HTTP status, body flags beside ``error``,
+#: trace status).  Any other :class:`~repro.errors.ReproError` is the
+#: client's fault: 400, trace status ``error``.
+_REFUSALS: dict[type, tuple[int, dict, str]] = {
+    RateLimitError: (429, {}, "rate_limited"),
+    ShuttingDownError: (503, {"shutting_down": True}, "shutting_down"),
+    QueueFullError: (503, {}, "rejected"),
+}
 
 
 def _result_payload(served: ServedResult) -> dict:
@@ -227,15 +238,39 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
         self._log_access(status, trace.trace_id if trace is not None else None)
 
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", "0"))
+    def _send_error(self, error: ReproError, trace: Trace | None) -> None:
+        """Map a refused or failed request onto its status + JSON body."""
+        status, flags, trace_status = next(
+            (reply for kind, reply in _REFUSALS.items() if isinstance(error, kind)),
+            (400, {}, "error"),
+        )
+        self._send_json(
+            status, {"error": str(error), **flags}, trace=trace, trace_status=trace_status
+        )
+
+    def _read_json(self, *, optional: bool = False) -> dict:
+        """The request body as a JSON object; any defect is a ServeError.
+
+        ``optional`` accepts an absent body as ``{}`` (``POST /save``
+        takes no arguments, but a body that *is* sent is still read so
+        a keep-alive connection stays in sync).
+        """
+        header = self.headers.get("Content-Length", "0")
+        try:
+            length = int(header)
+        except ValueError:
+            raise ServeError(f"Content-Length is not an integer: {header!r}") from None
         if length <= 0:
+            if optional and length == 0:
+                return {}
             raise ServeError("request body is empty")
         if length > _MAX_BODY_BYTES:
             raise ServeError(f"request body exceeds {_MAX_BODY_BYTES} bytes")
         try:
+            # JSONDecodeError and (for a non-UTF-8 body) UnicodeDecodeError
+            # are both ValueErrors.
             payload = json.loads(self.rfile.read(length))
-        except json.JSONDecodeError as error:
+        except ValueError as error:
             raise ServeError(f"request body is not valid JSON: {error}") from None
         if not isinstance(payload, dict):
             raise ServeError("request body must be a JSON object")
@@ -315,7 +350,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "features": list(self.server.db.schema.names),
                     "generations": generations,
                     "shards": scheduler.n_shards,
-                    "uptime_s": scheduler.stats().uptime_s,
+                    "uptime_s": scheduler.uptime_s,
                     "durable": info is not None,
                     "journal": info,
                     "backend": self.server.db.backend_info()["name"],
@@ -398,100 +433,59 @@ class _Handler(BaseHTTPRequestHandler):
         # traceparent donates the id (None when tracing is off).
         trace = scheduler.new_trace(route, self.headers.get("traceparent"))
         try:
-            if self.path == "/save":
-                # The barrier takes no arguments; an (optional) body is
-                # still read so keep-alive connections stay in sync.
-                if int(self.headers.get("Content-Length", "0")) > 0:
-                    self._read_json()
-                future = scheduler.submit_save(trace=trace)
-            elif self.path == "/add":
-                payload = self._read_json()
-                signatures, labels, names = self._add_arguments(payload)
-                future = scheduler.submit_add(
-                    signatures,  # type: ignore[arg-type]
-                    labels=labels,
-                    names=names,
-                    trace=trace,
-                )
-            elif self.path == "/remove":
-                payload = self._read_json()
-                ids = payload.get("ids")
-                if (
-                    not isinstance(ids, list)
-                    or not ids
-                    or not all(
-                        isinstance(i, int) and not isinstance(i, bool) for i in ids
-                    )
-                ):
-                    raise ServeError('"ids" must be a non-empty array of integers')
-                future = scheduler.submit_remove(ids, trace=trace)
-            else:
-                payload = self._read_json()
-                vector = self._vector_of(payload)
-                feature = payload.get("feature")
-                if feature is not None and not isinstance(feature, str):
-                    raise ServeError('"feature" must be a string')
-                if self.path == "/query":
-                    k = payload.get("k", 10)
-                    if not isinstance(k, int) or isinstance(k, bool):
-                        raise ServeError('"k" must be an integer')
-                    future = scheduler.submit_query(
-                        vector, k, feature=feature, trace=trace
-                    )
-                else:
-                    radius = payload.get("radius")
-                    if not isinstance(radius, (int, float)) or isinstance(
-                        radius, bool
-                    ):
-                        raise ServeError('"radius" must be a number')
-                    future = scheduler.submit_range(
-                        vector, float(radius), feature=feature, trace=trace
-                    )
-        except RateLimitError as error:
-            self._send_json(
-                429, {"error": str(error)}, trace=trace, trace_status="rate_limited"
-            )
-            return
-        except ShuttingDownError as error:
-            self._send_json(
-                503,
-                {"error": str(error), "shutting_down": True},
-                trace=trace,
-                trace_status="shutting_down",
-            )
-            return
-        except ServeError as error:
-            rejected = "queue full" in str(error)
-            self._send_json(
-                503 if rejected else 400,
-                {"error": str(error)},
-                trace=trace,
-                trace_status="rejected" if rejected else "error",
-            )
-            return
+            served = self._submit(trace).result()
         except ReproError as error:
-            self._send_json(400, {"error": str(error)}, trace=trace)
-            return
-        try:
-            served = future.result()
-        except ShuttingDownError as error:
-            # The request was admitted but the scheduler abandoned it
-            # mid-shutdown (drain=False close) — same 503 + flag as a
-            # refused submission, the client should fail over.
-            self._send_json(
-                503,
-                {"error": str(error), "shutting_down": True},
-                trace=trace,
-                trace_status="shutting_down",
-            )
-            return
-        except ReproError as error:
-            self._send_json(400, {"error": str(error)}, trace=trace)
+            # Refused at admission, malformed, or failed on the worker
+            # (including abandoned mid-shutdown by a drain=False close):
+            # one mapping decides the status.
+            self._send_error(error, trace)
             return
         if isinstance(served, MutationResult):
             self._send_json(200, _mutation_payload(served), trace=trace)
         else:
             self._send_json(200, _result_payload(served), trace=trace)
+
+    def _submit(self, trace: Trace | None) -> Future:
+        """Parse this request's body and hand it to the scheduler."""
+        scheduler = self.server.scheduler
+        if self.path == "/save":
+            self._read_json(optional=True)
+            return scheduler.submit_save(trace=trace)
+        payload = self._read_json()
+        if self.path == "/add":
+            signatures, labels, names = self._add_arguments(payload)
+            return scheduler.submit_add(
+                signatures,  # type: ignore[arg-type]
+                labels=labels,
+                names=names,
+                trace=trace,
+            )
+        if self.path == "/remove":
+            ids = payload.get("ids")
+            if (
+                not isinstance(ids, list)
+                or not ids
+                or not all(
+                    isinstance(i, int) and not isinstance(i, bool) for i in ids
+                )
+            ):
+                raise ServeError('"ids" must be a non-empty array of integers')
+            return scheduler.submit_remove(ids, trace=trace)
+        vector = self._vector_of(payload)
+        feature = payload.get("feature")
+        if feature is not None and not isinstance(feature, str):
+            raise ServeError('"feature" must be a string')
+        if self.path == "/query":
+            k = payload.get("k", 10)
+            if not isinstance(k, int) or isinstance(k, bool):
+                raise ServeError('"k" must be an integer')
+            return scheduler.submit_query(vector, k, feature=feature, trace=trace)
+        radius = payload.get("radius")
+        if not isinstance(radius, (int, float)) or isinstance(radius, bool):
+            raise ServeError('"radius" must be a number')
+        return scheduler.submit_range(
+            vector, float(radius), feature=feature, trace=trace
+        )
 
 
 class _Server(ThreadingHTTPServer):

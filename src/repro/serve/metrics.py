@@ -3,7 +3,9 @@
 The :class:`~repro.serve.stats.ServiceStats` snapshot answers "how is
 the service doing right now" for a human; this module is the machine
 counterpart — the fixed-cost, scrape-oriented surface a fleet monitor
-watches.  Everything is plain stdlib + O(1) per observation:
+watches — and the store both are read from (``/stats`` is a view over
+these families; see ``repro.serve.ledger``).  Everything is plain
+stdlib + O(1) per observation:
 
 * :class:`LatencyHistogram` — fixed **log-spaced** buckets (each bound
   double the last), so one array of integers covers 100 µs to ~3 s with
@@ -18,10 +20,11 @@ watches.  Everything is plain stdlib + O(1) per observation:
   <https://prometheus.io/docs/instrumenting/exposition_formats/>`_, the
   body of the HTTP front end's ``GET /metrics``.
 
-The scheduler owns one registry and feeds it on the hot path (one lock
-plus one integer increment per observation); scrape-time values that
-already live elsewhere (queue depth, shard sizes, cache counters) are
-set as gauges immediately before rendering rather than double-counted.
+The service's ledger owns one registry and feeds it on the hot path
+(one lock plus one integer increment per observation); scrape-time
+values that already live elsewhere (queue depth, shard sizes, cache
+counters) are set as gauges immediately before rendering rather than
+double-counted.
 """
 
 from __future__ import annotations
@@ -143,24 +146,6 @@ class LatencyHistogram:
                 out.append(running)
             return out
 
-    def quantile(self, q: float) -> float:
-        """Bucket-resolution quantile estimate (upper bound of the
-        bucket containing the ``q``-th observation; 0.0 when empty)."""
-        with self._lock:
-            if self._count == 0:
-                return 0.0
-            rank = max(1, int(q * self._count + 0.999999))
-            running = 0
-            for slot, count in enumerate(self._counts):
-                running += count
-                if running >= rank:
-                    return (
-                        self._bounds[slot]
-                        if slot < len(self._bounds)
-                        else float("inf")
-                    )
-            return float("inf")  # pragma: no cover - unreachable
-
 
 class _Family:
     """Shared shape of one named metric family with fixed label names."""
@@ -191,60 +176,59 @@ class _Family:
         raise NotImplementedError
 
 
-class CounterFamily(_Family):
-    """Monotonic counters, one per label combination."""
-
-    kind = "counter"
+class _ScalarFamily(_Family):
+    """One number per label combination (what counters and gauges share)."""
 
     def __init__(self, name: str, help_text: str, label_names: Sequence[str] = ()) -> None:
         super().__init__(name, help_text, label_names)
-        self._values: dict[tuple[str, ...], int] = {}
+        self._values: dict[tuple[str, ...], float] = {}
+
+    def value(self, **labels: str) -> float:
+        """Current value for one label combination (0 if never touched)."""
+        return self._values.get(self._key(labels), 0)
+
+    def render(self) -> list[str]:
+        lines = self.header()
+        with self._lock:
+            for key in sorted(self._values):
+                lines.append(
+                    f"{self.name}{_format_labels(self.label_names, key)} "
+                    f"{_format_value(self._values[key])}"
+                )
+        return lines
+
+
+class CounterFamily(_ScalarFamily):
+    """Monotonic counters, one per label combination."""
+
+    kind = "counter"
 
     def inc(self, amount: int = 1, **labels: str) -> None:
         key = self._key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0) + amount
 
-    def value(self, **labels: str) -> int:
-        """Current count for one label combination (0 if never touched)."""
-        return self._values.get(self._key(labels), 0)
+    def total(self) -> int:
+        """Sum over every label combination."""
+        with self._lock:
+            return sum(self._values.values())
 
     def render(self) -> list[str]:
-        lines = self.header()
-        with self._lock:
-            if not self._values and not self.label_names:
-                lines.append(f"{self.name} 0")
-            for key in sorted(self._values):
-                lines.append(
-                    f"{self.name}{_format_labels(self.label_names, key)} "
-                    f"{_format_value(self._values[key])}"
-                )
+        lines = super().render()
+        if not self._values and not self.label_names:
+            lines.append(f"{self.name} 0")  # an untouched bare counter reads 0
         return lines
 
 
-class GaugeFamily(_Family):
+class GaugeFamily(_ScalarFamily):
     """Point-in-time values, one per label combination."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help_text: str, label_names: Sequence[str] = ()) -> None:
-        super().__init__(name, help_text, label_names)
-        self._values: dict[tuple[str, ...], float] = {}
 
     def set(self, value: float, **labels: str) -> None:
         key = self._key(labels)
         with self._lock:
             self._values[key] = value
-
-    def render(self) -> list[str]:
-        lines = self.header()
-        with self._lock:
-            for key in sorted(self._values):
-                lines.append(
-                    f"{self.name}{_format_labels(self.label_names, key)} "
-                    f"{_format_value(self._values[key])}"
-                )
-        return lines
 
 
 class HistogramFamily(_Family):
@@ -271,9 +255,10 @@ class HistogramFamily(_Family):
                 histogram = self._histograms[key] = LatencyHistogram(self._buckets)
         histogram.observe(value)
 
-    def histogram(self, **labels: str) -> LatencyHistogram | None:
-        """The per-label histogram, or ``None`` if never observed."""
-        return self._histograms.get(self._key(labels))
+    def totals(self, **labels: str) -> tuple[int, float]:
+        """``(count, sum)`` for one label combination; zeros if never observed."""
+        histogram = self._histograms.get(self._key(labels))
+        return (histogram.count, histogram.sum) if histogram else (0, 0.0)
 
     def render(self) -> list[str]:
         lines = self.header()

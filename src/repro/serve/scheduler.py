@@ -30,7 +30,7 @@ Request lifecycle::
       │  checked against the mutation delta log (a provably unchanged
       │  entry is re-stamped and served — a *revalidation*), otherwise
       │  evicted (counted) and the request proceeds
-      └─ enqueue (bounded; ServeError when full) ──► worker
+      └─ enqueue (bounded; QueueFullError if full) ► worker
     submit_add/submit_remove                          ├─ collect ≤ max_batch
       └─ enqueue (same queue, same                    │  for ≤ max_wait_ms
          bound) ─────────────────────────────────────►├─ replay arrival order:
@@ -79,22 +79,23 @@ before the next query segment runs.  Cached results are stamped with
 the **tuple** of per-shard generations, so a mutation on any one shard
 invalidates exactly the entries that depended on it.
 
-**Admission control.**  Beyond the bounded queue (503-style
-``ServeError`` when full), an optional token bucket
-(``rate_limit_qps`` / ``rate_limit_burst``) throttles sustained
-request rates: an empty bucket fails the submission fast with
-:class:`~repro.errors.RateLimitError` (HTTP 429) — *throttled* and
-*overloaded* are distinct signals to a client deciding between backoff
-and failover.
+**Admission control.**  Beyond the bounded queue
+(:class:`~repro.errors.QueueFullError`, HTTP 503, when full), an
+optional token bucket (``rate_limit_qps`` / ``rate_limit_burst``)
+throttles sustained request rates: an empty bucket fails the submission
+fast with :class:`~repro.errors.RateLimitError` (HTTP 429) —
+*throttled* and *overloaded* are distinct signals to a client deciding
+between backoff and failover.
 
-**Observability.**  The scheduler feeds a
-:class:`~repro.serve.metrics.MetricsRegistry` on the hot path:
+**Observability.**  Every event is counted once, in the
+:class:`~repro.serve.ledger.ServiceLedger`'s metric families:
 per-route latency histograms (fixed log-spaced buckets), admission
-counters by outcome, formed-batch-size histograms, and scrape-time
-gauges for queue depth, per-shard item counts and request balance, and
-cache counters — rendered in Prometheus text format by
-:meth:`QueryScheduler.render_metrics` (the HTTP ``GET /metrics``
-body).
+counters by outcome, formed-batch- and group-size histograms, dedup and
+coalescing counters.  :meth:`QueryScheduler.render_metrics` (the HTTP
+``GET /metrics`` body) renders them with scrape-time gauges for queue
+depth, shard balance, cache, journal and buffer pool;
+:meth:`QueryScheduler.stats` (``GET /stats``) is a view over the same
+families plus a bounded latency window.
 
 **Tracing.**  With ``trace_depth > 0`` (the default) every request also
 carries a :class:`~repro.serve.trace.Trace`: one span per pipeline
@@ -108,6 +109,15 @@ Completed traces land in a bounded flight recorder and — past
 ``repro_stage_seconds`` histogram.  ``trace_depth=0`` turns the whole
 machinery off (no per-request allocation).  See
 ``docs/observability.md``.
+
+**Where the code lives.**  This module is the constructor, the
+lifecycle and the worker thread's two loops (``_run`` forms a batch,
+``_execute`` replays it in arrival order).  The caller-thread half —
+validate, rate-limit, cache lookup, enqueue — is
+``repro.serve.admission``; what the worker does with a query segment
+or a mutation run — the write barrier included — is
+``repro.serve.worker``; the tickets that travel between them are
+``repro.serve.ticket``.
 """
 
 from __future__ import annotations
@@ -117,230 +127,25 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import Future
-from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
 from repro.db.database import ImageDatabase
 from repro.db.journal import JournalSet
-from repro.db.recovery import compact
-from repro.db.query import RetrievalResult
-from repro.errors import (
-    QueryError,
-    RateLimitError,
-    ServeError,
-    ShuttingDownError,
-)
+from repro.errors import QueryError, ServeError, ShuttingDownError
 from repro.image.core import Image
-from repro.index.stats import SearchStats
-from repro.serve.cache import CacheKey, ResultCache
-from repro.serve.metrics import (
-    DEFAULT_SIZE_BUCKETS,
-    MetricsRegistry,
-    read_process_stats,
-)
+from repro.serve.admission import Admission, TokenBucket
+from repro.serve.cache import ResultCache
+from repro.serve.ledger import LiveState, ServiceLedger
+from repro.serve.metrics import MetricsRegistry
 from repro.serve.shard import ShardedEngine
-from repro.serve.stats import ServiceStats, StatsCollector
+from repro.serve.stats import ServiceStats
+from repro.serve.ticket import Mutation, MutationResult, Request, ServedResult, Ticket
 from repro.serve.trace import FlightRecorder, SlowQueryLog, Trace
+from repro.serve.worker import BatchWorker
 
 __all__ = ["ServedResult", "MutationResult", "TokenBucket", "QueryScheduler"]
-
-
-class TokenBucket:
-    """Non-blocking token-bucket rate limiter.
-
-    ``rate`` tokens accrue per second up to ``burst``;
-    :meth:`try_acquire` takes one token or reports failure immediately
-    (the scheduler turns failure into
-    :class:`~repro.errors.RateLimitError` at admission — callers back
-    off, they never queue behind the limiter).
-    """
-
-    def __init__(self, rate: float, burst: float | None = None) -> None:
-        if rate <= 0.0:
-            raise ServeError(f"rate must be > 0 tokens/s; got {rate}")
-        burst = float(burst) if burst is not None else max(1.0, float(rate))
-        if burst < 1.0:
-            raise ServeError(f"burst must be >= 1 token; got {burst}")
-        self._rate = float(rate)
-        self._burst = burst
-        self._tokens = burst
-        self._updated = time.monotonic()
-        self._lock = threading.Lock()
-
-    @property
-    def rate(self) -> float:
-        """Sustained tokens per second."""
-        return self._rate
-
-    @property
-    def burst(self) -> float:
-        """Bucket capacity (largest tolerated burst)."""
-        return self._burst
-
-    def try_acquire(self) -> bool:
-        """Take one token if available; never blocks."""
-        now = time.monotonic()
-        with self._lock:
-            self._tokens = min(
-                self._burst, self._tokens + (now - self._updated) * self._rate
-            )
-            self._updated = now
-            if self._tokens >= 1.0:
-                self._tokens -= 1.0
-                return True
-            return False
-
-
-@dataclass(frozen=True)
-class ServedResult:
-    """What a request's future resolves to.
-
-    Attributes
-    ----------
-    results:
-        The ranked answers — identical to the matching direct
-        ``ImageDatabase.query`` / ``range_query`` call.
-    stats:
-        This request's exact engine cost counters, attributed from the
-        executing group's ``last_batch_stats`` (``None`` on a cache hit:
-        no engine work happened).
-    batch_size:
-        Size of the engine group that answered the request, after
-        in-flight dedup — how much company the query had in its kernel
-        call (1 on a cache hit).
-    cache_hit:
-        True when the result came from the LRU cache.
-    latency_s:
-        Submit-to-resolution wall time.
-    trace_id:
-        Id of the trace that followed this request through the pipeline
-        (the key into ``GET /debug/trace?id=`` and ``repro trace
-        --id``); ``None`` when tracing is off (``trace_depth=0``).
-    """
-
-    results: list[RetrievalResult]
-    stats: SearchStats | None
-    batch_size: int
-    cache_hit: bool
-    latency_s: float
-    trace_id: str | None = None
-
-
-@dataclass(frozen=True)
-class MutationResult:
-    """What an add/remove request's future resolves to.
-
-    Attributes
-    ----------
-    kind:
-        ``'add'``, ``'remove'``, or ``'save'`` (compaction barrier).
-    ids:
-        The image ids allocated (add) or removed (remove), in order
-        (empty for ``'save'``).
-    generations:
-        Every feature's generation stamp *after* the mutation applied —
-        what subsequent cached results will be validated against.
-        Scalars on an unsharded scheduler, per-shard tuples on a
-        sharded one.
-    latency_s:
-        Submit-to-application wall time.
-    trace_id:
-        Id of the mutation's trace (``None`` when tracing is off).
-    """
-
-    kind: str
-    ids: list[int]
-    generations: dict[str, Hashable]
-    latency_s: float
-    trace_id: str | None = None
-
-
-class _Request:
-    """One admitted query riding the queue to the worker.
-
-    ``trace`` (when tracing is on) travels with the request; the queue
-    hand-off is the happens-before edge that lets the worker append
-    spans to it without a lock.  ``enqueued``/``dequeued`` bound the
-    ``queue-wait`` span.
-    """
-
-    __slots__ = (
-        "kind",
-        "feature",
-        "parameter",
-        "vector",
-        "key",
-        "future",
-        "submitted",
-        "trace",
-        "enqueued",
-        "dequeued",
-    )
-
-    def __init__(
-        self,
-        kind: str,
-        feature: str,
-        parameter: int | float,
-        vector: np.ndarray,
-        key: CacheKey | None,
-        trace: Trace | None = None,
-    ) -> None:
-        self.kind = kind
-        self.feature = feature
-        self.parameter = parameter
-        self.vector = vector
-        self.key = key
-        self.trace = trace
-        self.future: Future[ServedResult] = Future()
-        self.submitted = time.monotonic()
-        self.enqueued: float | None = None
-        self.dequeued: float | None = None
-
-
-class _Mutation:
-    """One admitted add/remove riding the same queue as the queries.
-
-    Its position in the queue *is* its serialization point: the worker
-    applies it between the query segments that arrived around it.
-    """
-
-    __slots__ = (
-        "kind",
-        "payload",
-        "labels",
-        "names",
-        "staged",
-        "future",
-        "submitted",
-        "trace",
-        "enqueued",
-        "dequeued",
-    )
-
-    def __init__(
-        self,
-        kind: str,
-        payload: object,
-        labels: Sequence[str | None] | None = None,
-        names: Sequence[str] | None = None,
-        trace: Trace | None = None,
-    ) -> None:
-        self.kind = kind
-        self.payload = payload
-        self.labels = labels
-        self.names = names
-        #: Pre-validated add payload ``(matrices, n_rows)``, filled by
-        #: the worker when this mutation joins a coalesced run.
-        self.staged: tuple[dict[str, np.ndarray], int] | None = None
-        self.trace = trace
-        self.future: Future[MutationResult] = Future()
-        self.submitted = time.monotonic()
-        self.enqueued: float | None = None
-        self.dequeued: float | None = None
-
 
 #: Queue sentinel: drain what is already admitted, then stop.
 _SHUTDOWN = None
@@ -445,110 +250,23 @@ class QueryScheduler:
         self._db = db
         self._journal = journal
         self._engine = ShardedEngine(db, shards, journal=journal)
-        self._limiter = (
-            TokenBucket(rate_limit_qps, rate_limit_burst)
-            if rate_limit_qps is not None
-            else None
-        )
         self._max_batch = int(max_batch)
         self._max_wait_s = float(max_wait_ms) / 1e3
-        self._queue: queue.Queue[_Request | _Mutation | None] = queue.Queue(
-            maxsize=max_queue
-        )
+        self._queue: queue.Queue[Ticket | None] = queue.Queue(maxsize=max_queue)
         self._cache = ResultCache(cache_size, quantize_decimals=quantize_decimals)
-        self._stats = StatsCollector()
-        self._recorder = FlightRecorder(trace_depth)
-        self._slow_log = SlowQueryLog(
-            threshold_s=None if slow_query_ms is None else slow_query_ms / 1e3
-        )
-        self._metrics = MetricsRegistry()
-        self._m_requests = self._metrics.counter(
-            "repro_requests_total",
-            "Requests admitted, by route (knn/range/add/remove).",
-            ("route",),
-        )
-        self._m_refused = self._metrics.counter(
-            "repro_refused_total",
-            "Submissions refused at admission, by reason "
-            "(queue_full/rate_limited).",
-            ("reason",),
-        )
-        self._m_latency = self._metrics.histogram(
-            "repro_request_latency_seconds",
-            "Submit-to-result latency, by route.",
-            ("route",),
-        )
-        self._m_batch_size = self._metrics.histogram(
-            "repro_batch_size",
-            "Requests per formed micro-batch (queries only).",
-            buckets=DEFAULT_SIZE_BUCKETS,
-        )
-        self._g_queue_depth = self._metrics.gauge(
-            "repro_queue_depth", "Requests waiting in the admission queue."
-        )
-        self._g_items = self._metrics.gauge(
-            "repro_items", "Live items served (all shards)."
-        )
-        self._g_shards = self._metrics.gauge(
-            "repro_shards", "Number of shards behind the scheduler."
-        )
-        self._g_shard_items = self._metrics.gauge(
-            "repro_shard_items", "Live items per shard.", ("shard",)
-        )
-        self._g_shard_requests = self._metrics.gauge(
-            "repro_shard_requests",
-            "Engine calls served per shard since startup (monotonic).",
-            ("shard",),
-        )
-        self._g_cache = self._metrics.gauge(
-            "repro_cache_lookups",
-            "Result-cache counters by outcome "
-            "(hit/miss/invalidated/revalidated).",
-            ("outcome",),
-        )
-        self._g_journal = self._metrics.gauge(
-            "repro_journal",
-            "Write-ahead journal state (records/bytes/syncs since the "
-            "last compaction; replayed = records applied at startup "
-            "recovery).  Absent families read 0 when journaling is off.",
-            ("figure",),
-        )
-        self._g_backend_pool = self._metrics.gauge(
-            "repro_backend_pool",
-            "Vector-backend buffer-pool state "
-            "(hits/misses/evictions/resident/capacity pages).  All 0 on "
-            "the unbounded in-memory backend — see docs/storage.md.",
-            ("figure",),
-        )
-        self._m_journal_fsync = self._metrics.histogram(
-            "repro_journal_fsync_seconds",
-            "Wall time of journal group-commit fsyncs.",
-        )
-        self._m_stage = self._metrics.histogram(
-            "repro_stage_seconds",
-            "Wall time per traced pipeline stage (admit, cache-lookup, "
-            "queue-wait, batch-form, engine, merge, journal-append, "
-            "journal-fsync, apply, respond, compact).  Populated only "
-            "while tracing is on (trace_depth > 0).",
-            ("stage",),
-        )
-        self._g_process = self._metrics.gauge(
-            "repro_process",
-            "Process-level health at scrape time "
-            "(rss_bytes / open_fds / threads).",
-            ("figure",),
-        )
-        self._g_gc = self._metrics.gauge(
-            "repro_process_gc_collections",
-            "Cumulative CPython garbage collections, per GC generation.",
-            ("generation",),
-        )
+        self._ledger = ServiceLedger(trace_depth, slow_query_ms)
         if journal is not None:
-            journal.on_fsync = self._m_journal_fsync.observe
-        self._closed = False
+            journal.on_fsync = self._ledger.journal_fsync.observe
+        limiter = None
+        if rate_limit_qps is not None:
+            limiter = TokenBucket(rate_limit_qps, rate_limit_burst)
+        self._admission = Admission(
+            db, self._engine, self._cache, self._ledger, self._queue, limiter
+        )
+        self._worker = BatchWorker(self._engine, self._cache, journal, self._ledger)
         self._abandon = False
         self._lock = threading.Lock()
-        self._worker = threading.Thread(
+        self._thread = threading.Thread(
             target=self._run, name="repro-serve-worker", daemon=True
         )
         self._started = False
@@ -561,10 +279,10 @@ class QueryScheduler:
     def start(self) -> "QueryScheduler":
         """Launch the batch-forming worker (idempotent)."""
         with self._lock:
-            if self._closed:
+            if self._admission.closed:
                 raise ServeError("scheduler is closed")
             if not self._started:
-                self._worker.start()
+                self._thread.start()
                 self._started = True
         return self
 
@@ -586,31 +304,23 @@ class QueryScheduler:
         no consumer).
         """
         with self._lock:
-            if self._closed:
+            if not self._admission.close():
                 return
-            self._closed = True
             self._abandon = not drain
             started = self._started
         if started:
             self._queue.put(_SHUTDOWN)
-            self._worker.join(timeout)
-            self._engine.close()
-            return
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is not _SHUTDOWN:
-                self._fail_shutting_down(item, "scheduler closed before starting")
+            self._thread.join(timeout)
+        else:
+            while not self._queue.empty():
+                self._fail_shutting_down(
+                    self._queue.get_nowait(), "scheduler closed before starting"
+                )
         self._engine.close()
 
-    @staticmethod
-    def _fail_shutting_down(
-        item: "_Request | _Mutation", message: str
-    ) -> None:
+    def _fail_shutting_down(self, item: Ticket, message: str) -> None:
         if item.future.set_running_or_notify_cancel():
-            item.future.set_exception(ShuttingDownError(message))
+            item.fail(self._ledger, ShuttingDownError(message))
 
     def __enter__(self) -> "QueryScheduler":
         return self.start()
@@ -634,22 +344,22 @@ class QueryScheduler:
     @property
     def metrics(self) -> MetricsRegistry:
         """The Prometheus metric families (see :meth:`render_metrics`)."""
-        return self._metrics
+        return self._ledger.registry
 
     @property
     def flight_recorder(self) -> FlightRecorder:
         """Ring buffer of the newest completed traces (``/debug/traces``)."""
-        return self._recorder
+        return self._ledger.recorder
 
     @property
     def slow_log(self) -> SlowQueryLog:
         """Threshold-triggered slow-trace keep (``/debug/slow``)."""
-        return self._slow_log
+        return self._ledger.slow_log
 
     @property
     def tracing_enabled(self) -> bool:
         """True unless constructed with ``trace_depth=0``."""
-        return self._recorder.enabled
+        return self._ledger.recorder.enabled
 
     def new_trace(
         self,
@@ -668,32 +378,18 @@ class QueryScheduler:
         handed in.  A parseable W3C ``traceparent`` donates the trace
         id; anything else gets a fresh one.
         """
-        if not self._recorder.enabled:
-            return None
-        return Trace(route, traceparent=traceparent, owned=owned)
+        return self._ledger.new_trace(route, traceparent, owned=owned)
 
     def finish_trace(self, trace: Trace, status: str = "ok") -> None:
         """Seal a trace and publish it to the recorder + slow log.
 
-        Idempotent (the underlying :meth:`Trace.finish` is): only the
-        first call records; span durations feed the
-        ``repro_stage_seconds`` histogram then.
+        Idempotent; the first call feeds the span durations to the
+        ``repro_stage_seconds`` histogram.  The scheduler itself only
+        ever finishes traces it *owns*: the HTTP handler still appends
+        its ``respond`` span after the future resolves, and a published
+        trace is visible to ``/debug`` readers.
         """
-        if trace.finish(status):
-            for span in trace.spans:
-                self._m_stage.observe(span.duration_s, stage=span.stage)
-            self._recorder.record(trace)
-            self._slow_log.offer(trace)
-
-    def _resolve_trace(self, trace: Trace | None, status: str = "ok") -> None:
-        """Finish an *owned* trace (no-op for handler-owned ones).
-
-        The scheduler must never finish a trace the HTTP handler owns:
-        the handler still appends its ``respond`` span after the future
-        resolves, and a published trace is visible to ``/debug`` readers.
-        """
-        if trace is not None and trace.owned:
-            self.finish_trace(trace, status)
+        self._ledger.finish_trace(trace, status)
 
     @property
     def n_shards(self) -> int:
@@ -712,7 +408,12 @@ class QueryScheduler:
     @property
     def is_closed(self) -> bool:
         """True after :meth:`close` began."""
-        return self._closed
+        return self._admission.closed
+
+    @property
+    def uptime_s(self) -> float:
+        """Seconds since construction (what ``GET /healthz`` reports)."""
+        return self._ledger.uptime_s
 
     @property
     def journal(self) -> JournalSet | None:
@@ -735,38 +436,32 @@ class QueryScheduler:
             "replayed": self._journal.replayed_records,
         }
 
-    def stats(self) -> ServiceStats:
-        """A point-in-time :class:`~repro.serve.stats.ServiceStats`.
+    def _live_state(self) -> LiveState:
+        """What ``/stats`` and ``/metrics`` read from other components.
 
         Cache figures come from one locked
         :meth:`~repro.serve.cache.ResultCache.counters` snapshot, so
-        ``/stats`` can never report hits and misses that disagree
+        neither view can report hits and misses that disagree
         mid-update.
         """
-        info = self.journal_info()
-        cache = self._cache.counters()
         backend = self._db.backend_info()
-        pool = backend["pool"]
-        return self._stats.snapshot(
+        return LiveState(
             queue_depth=self._queue.qsize(),
-            cache_hits=cache.hits,
-            cache_misses=cache.misses,
-            cache_invalidations=cache.invalidations,
-            cache_revalidations=cache.revalidations,
-            n_shards=self._engine.n_shards,
             shard_sizes=tuple(self._engine.shard_sizes()),
             shard_requests=tuple(self._engine.shard_requests()),
-            journaled=info is not None,
-            journal_records=info["records"] if info else 0,
-            journal_syncs=info["syncs"] if info else 0,
-            journal_replayed=info["replayed"] if info else 0,
+            cache=self._cache.counters(),
+            journal=self.journal_info(),
             backend=backend["name"],
-            pool_hits=pool["hits"],
-            pool_misses=pool["misses"],
-            pool_evictions=pool["evictions"],
-            pool_resident=pool["resident"],
-            pool_capacity=pool["capacity"],
+            pool=backend["pool"],
         )
+
+    def stats(self) -> ServiceStats:
+        """A point-in-time :class:`~repro.serve.stats.ServiceStats`.
+
+        A view, not a second set of books: every counter is read from
+        the metric families :meth:`render_metrics` renders.
+        """
+        return self._ledger.stats(self._live_state())
 
     def render_metrics(self) -> str:
         """The Prometheus text exposition body (``GET /metrics``).
@@ -774,36 +469,12 @@ class QueryScheduler:
         Hot-path families (request counters, latency and batch-size
         histograms) accumulate as requests flow; values that already
         live elsewhere — queue depth, shard sizes and balance, cache
-        counters — are set as gauges here, at scrape time.
+        counters — are set as gauges at scrape time.
         """
-        self._g_queue_depth.set(self._queue.qsize())
-        self._g_items.set(self._engine.size)
-        self._g_shards.set(self._engine.n_shards)
-        for shard, size in enumerate(self._engine.shard_sizes()):
-            self._g_shard_items.set(size, shard=str(shard))
-        for shard, count in enumerate(self._engine.shard_requests()):
-            self._g_shard_requests.set(count, shard=str(shard))
-        cache = self._cache.counters()
-        self._g_cache.set(cache.hits, outcome="hit")
-        self._g_cache.set(cache.misses, outcome="miss")
-        self._g_cache.set(cache.invalidations, outcome="invalidated")
-        self._g_cache.set(cache.revalidations, outcome="revalidated")
-        info = self.journal_info()
-        if info is not None:
-            for figure, value in info.items():
-                self._g_journal.set(value, figure=figure)
-        for figure, value in self._db.backend_info()["pool"].items():
-            self._g_backend_pool.set(value, figure=figure)
-        process = read_process_stats()
-        self._g_process.set(process["rss_bytes"], figure="rss_bytes")
-        self._g_process.set(process["open_fds"], figure="open_fds")
-        self._g_process.set(process["threads"], figure="threads")
-        for generation, count in enumerate(process["gc_collections"]):
-            self._g_gc.set(count, generation=str(generation))
-        return self._metrics.render()
+        return self._ledger.render(self._live_state())
 
     # ------------------------------------------------------------------
-    # Submission
+    # Submission (the work happens in repro.serve.admission)
     # ------------------------------------------------------------------
     def submit_query(
         self,
@@ -821,7 +492,7 @@ class QueryScheduler:
         """
         if k < 1:
             raise QueryError(f"k must be >= 1; got {k}")
-        return self._submit("knn", query, int(k), feature, trace)
+        return self._admission.query("knn", query, int(k), feature, trace)
 
     def submit_range(
         self,
@@ -834,169 +505,7 @@ class QueryScheduler:
         """Admit a range request; returns a future of :class:`ServedResult`."""
         if radius < 0.0:
             raise QueryError(f"radius must be non-negative; got {radius}")
-        return self._submit("range", query, float(radius), feature, trace)
-
-    def _submit(
-        self,
-        kind: str,
-        query: Image | np.ndarray,
-        parameter: int | float,
-        feature: str | None,
-        trace: Trace | None = None,
-    ) -> Future[ServedResult]:
-        if self._closed:
-            raise ShuttingDownError("scheduler is closed (shutting down)")
-        self._check_rate_limit()
-        if self._engine.size == 0:
-            raise QueryError("database is empty")
-        feature = feature or self._db.default_feature
-        if trace is None and self._recorder.enabled:
-            # A validation failure below just discards the trace — an
-            # admitted request is the unit the recorder tracks.
-            trace = Trace(kind, owned=True)
-        admit_start = time.monotonic()
-        # Extraction/validation happens on the caller's thread: a bad
-        # request fails here, loudly, instead of poisoning a batch.
-        vector = self._db.extract_query_vector(query, feature)
-        started = time.monotonic()
-        if trace is not None:
-            trace.annotate(feature=feature, parameter=parameter)
-            trace.add_span("admit", admit_start, started - admit_start)
-        self._stats.record_submitted()
-        self._m_requests.inc(route=kind)
-
-        key = None
-        if self._cache.enabled:
-            key = self._cache.key(kind, feature, parameter, vector)
-            # The generation check makes the hit safe under mutation: a
-            # result computed under an older item set is evicted here
-            # (counted as an invalidation) instead of being served.
-            # Sharded stamps are per-shard tuples, so any one shard's
-            # movement invalidates every entry that gathered from it.
-            # Before evicting, the revalidator gets a chance to prove
-            # the entry unchanged from the mutation delta log — a
-            # confirmed entry is re-stamped and served (counted as a
-            # revalidation, never as a stale serve).
-            lookup_start = time.monotonic()
-            generation = self._engine.generation(feature)
-
-            def revalidate(stored: Hashable, results: list) -> bool:
-                return self._entry_still_valid(
-                    kind, feature, parameter, vector, stored, generation, results
-                )
-
-            cached = self._cache.get(key, generation, revalidator=revalidate)
-            if trace is not None:
-                trace.add_span(
-                    "cache-lookup",
-                    lookup_start,
-                    time.monotonic() - lookup_start,
-                    hit=cached is not None,
-                )
-            if cached is not None:
-                future: Future[ServedResult] = Future()
-                latency = time.monotonic() - started
-                if trace is not None:
-                    trace.annotate(cache_hit=True)
-                    self._resolve_trace(trace)
-                future.set_result(
-                    ServedResult(
-                        cached,
-                        None,
-                        1,
-                        True,
-                        latency,
-                        trace.trace_id if trace is not None else None,
-                    )
-                )
-                self._stats.record_completed(latency)
-                self._m_latency.observe(latency, route=kind)
-                return future
-
-        request = _Request(kind, feature, parameter, vector, key, trace)
-        request.submitted = started
-        request.enqueued = time.monotonic()
-        self._enqueue(request)
-        return request.future
-
-    def _entry_still_valid(
-        self,
-        kind: str,
-        feature: str,
-        parameter: int | float,
-        vector: np.ndarray,
-        old: Hashable,
-        new: Hashable,
-        results: list[RetrievalResult],
-    ) -> bool:
-        """Prove a stale-stamped cache entry still equals a fresh query.
-
-        The proof walks the engine's mutation delta log from the
-        entry's stamp to the current one.  A k-NN entry survives iff no
-        cached result id was removed and every inserted item orders
-        *strictly after* the kth result under the engine's total
-        ``(distance, id)`` ranking — an insert tying the kth distance
-        with a larger id stays outside the top-k, exactly as a fresh
-        query would place it.  A range entry survives iff no result id
-        was removed and no insert landed inside the closed ball
-        (``distance <= radius`` would be reported).  Removals of items
-        *outside* the cached result never matter: they ranked after the
-        kth (or outside the ball), so dropping them cannot change it.
-        Anything unprovable — deltas past the bounded window, a short
-        k-NN list that an insert could extend — returns False and the
-        entry is invalidated; revalidation can only ever upgrade a miss
-        to a hit that matches a fresh query bit for bit.
-
-        Distances are computed with the feature's own metric over the
-        same float64 rows the engine indexed, so the comparison floats
-        are the ones a fresh query would rank by.  Runs on the caller's
-        thread against the locked delta log; the engine itself is never
-        touched.
-        """
-        deltas = self._engine.deltas_between(feature, old, new)
-        if deltas is None:
-            return False
-        removed: set[int] = set()
-        inserted: list[tuple[tuple[int, ...], np.ndarray]] = []
-        for delta_kind, ids, vectors in deltas:
-            if delta_kind == "remove":
-                removed.update(ids)
-            elif vectors is not None and len(ids):
-                inserted.append((ids, vectors))
-        if removed and any(result.image_id in removed for result in results):
-            return False
-        if not inserted:
-            return True
-        metric = self._db.metric_for(feature)
-        if kind == "knn":
-            if len(results) < int(parameter):
-                # Fewer hits than k means the corpus was smaller than k:
-                # any insert could extend the list.  (An empty corpus
-                # cannot be queried, so results is never empty here.)
-                return False
-            kth = results[-1]
-            kth_key = (kth.distance, kth.image_id)
-            for ids, vectors in inserted:
-                distances = metric.distance_batch(vector, vectors)
-                for image_id, distance in zip(ids, distances):
-                    if (float(distance), image_id) < kth_key:
-                        return False
-            return True
-        radius = float(parameter)
-        for _ids, vectors in inserted:
-            distances = metric.distance_batch(vector, vectors)
-            if np.any(distances <= radius):
-                return False
-        return True
-
-    def _check_rate_limit(self) -> None:
-        if self._limiter is not None and not self._limiter.try_acquire():
-            self._stats.record_rate_limited()
-            self._m_refused.inc(reason="rate_limited")
-            raise RateLimitError(
-                f"rate limit exceeded ({self._limiter.rate:g} requests/s, "
-                f"burst {self._limiter.burst:g}); back off and retry"
-            )
+        return self._admission.query("range", query, float(radius), feature, trace)
 
     def submit_add(
         self,
@@ -1015,8 +524,8 @@ class QueryScheduler:
         query batches; validation errors resolve the returned future
         exceptionally and never poison queued queries.
         """
-        return self._submit_mutation(
-            _Mutation("add", signatures, labels, names, trace)
+        return self._admission.mutation(
+            Mutation("add", signatures, labels, names, trace)
         )
 
     def submit_remove(
@@ -1045,7 +554,7 @@ class QueryScheduler:
                 f"duplicate image ids in one remove batch: {duplicates}; "
                 f"each id may be named once per batch"
             )
-        return self._submit_mutation(_Mutation("remove", ids, trace=trace))
+        return self._admission.mutation(Mutation("remove", ids, trace=trace))
 
     def submit_save(
         self, *, trace: Trace | None = None
@@ -1061,50 +570,10 @@ class QueryScheduler:
         journal the future fails with :class:`~repro.errors.ServeError`.
         Not rate-limited: compaction is an operator action, not traffic.
         """
-        if self._closed:
-            raise ShuttingDownError("scheduler is closed (shutting down)")
-        mutation = _Mutation("save", None, trace=trace)
-        self._stats.record_submitted()
-        self._m_requests.inc(route="save")
-        self._trace_mutation(mutation)
-        self._enqueue(mutation)
-        return mutation.future
-
-    def _submit_mutation(self, mutation: _Mutation) -> Future[MutationResult]:
-        if self._closed:
-            raise ShuttingDownError("scheduler is closed (shutting down)")
-        self._check_rate_limit()
-        self._stats.record_submitted()
-        self._m_requests.inc(route=mutation.kind)
-        self._trace_mutation(mutation)
-        self._enqueue(mutation)
-        return mutation.future
-
-    def _trace_mutation(self, mutation: _Mutation) -> None:
-        """Open a scheduler-owned trace for an untraced mutation."""
-        if mutation.trace is None and self._recorder.enabled:
-            mutation.trace = Trace(mutation.kind, owned=True)
-        mutation.enqueued = time.monotonic()
-
-    def _enqueue(self, item: "_Request | _Mutation") -> None:
-        # The closed-check and the enqueue share the lock close() takes
-        # before posting the shutdown sentinel, so a request can never
-        # land *behind* the sentinel and strand its future.
-        with self._lock:
-            if self._closed:
-                raise ShuttingDownError("scheduler is closed (shutting down)")
-            try:
-                self._queue.put_nowait(item)
-            except queue.Full:
-                self._stats.record_rejected()
-                self._m_refused.inc(reason="queue_full")
-                raise ServeError(
-                    f"admission queue full ({self._queue.maxsize} requests); "
-                    f"retry later or raise max_queue"
-                ) from None
+        return self._admission.mutation(Mutation("save", None, trace=trace))
 
     # ------------------------------------------------------------------
-    # Worker: batch forming + execution
+    # Worker thread: batch forming + replay
     # ------------------------------------------------------------------
     def _run(self) -> None:
         stop = False
@@ -1142,7 +611,7 @@ class QueryScheduler:
                 batch.append(more)
             self._execute(batch)
 
-    def _execute(self, batch: list["_Request | _Mutation"]) -> None:
+    def _execute(self, batch: list[Ticket]) -> None:
         """Replay one formed batch in arrival order.
 
         Queries coalesce into segments; each mutation *run* is a
@@ -1150,524 +619,40 @@ class QueryScheduler:
         against the pre-mutation database, queries after it against the
         post-mutation one.  Adjacent same-kind mutations coalesce into
         one engine call (one journal record set, one generation bump)
-        the way queries coalesce into groups; see :meth:`_collect_run`
-        for when a neighbour may join a run.  One formed batch still
-        records one ``record_batch`` (queries only), so the coalescing
+        the way queries coalesce into groups; see
+        :meth:`BatchWorker.collect_run` for when a neighbour may join a
+        run.  Mutation futures resolve only after one *group fsync* at
+        the end of the batch (a save flushes them early: its snapshot
+        already makes them durable).  One formed batch is one
+        ``repro_batch_size`` sample (queries only), so the coalescing
         figures keep their meaning under mixed traffic.
         """
+        worker = self._worker
+        segment: list[Request] = []
         n_queries = 0
-        group_sizes: list[int] = []
-        segment: list[_Request] = []
-        # Mutations applied in-memory but not yet acknowledged: their
-        # futures resolve only after one *group fsync* at the end of the
-        # formed batch (log-before-ack — see docs/durability.md).  A
-        # save barrier flushes the pending list early, because the
-        # snapshot it writes already makes those mutations durable.
-        pending: list[tuple[_Mutation, list[int]]] = []
         position = 0
         while position < len(batch):
             item = batch[position]
-            if isinstance(item, _Request):
+            if isinstance(item, Request):
                 segment.append(item)
+                n_queries += 1
                 position += 1
                 continue
-            if segment:
-                group_sizes.extend(self._execute_queries(segment))
-                n_queries += len(segment)
-                segment = []
-            if item.kind == "save":
-                self._apply_save(item, pending)
-                position += 1
-                continue
-            run, position = self._collect_run(batch, position)
-            if len(run) == 1:
-                self._apply_mutation(run[0], pending)
-            else:
-                self._apply_coalesced(run, pending)
-        if segment:
-            group_sizes.extend(self._execute_queries(segment))
-            n_queries += len(segment)
-        self._ack_pending(pending)
+            worker.run_queries(segment)
+            segment = []
+            run, position = worker.collect_run(batch, position)
+            worker.apply_run(run)
+        worker.run_queries(segment)
+        worker.ack()
         if n_queries:
-            self._stats.record_batch(n_queries, group_sizes)
-            self._m_batch_size.observe(n_queries)
-
-    def _collect_run(
-        self, batch: list["_Request | _Mutation"], position: int
-    ) -> tuple[list[_Mutation], int]:
-        """Gather the longest coalescible mutation run starting at ``position``.
-
-        A neighbour joins the run only when applying the merged engine
-        call is observably identical to applying the members one by one:
-
-        * same kind (adjacent adds, or adjacent removes — never mixed,
-          and a ``save`` barrier always stands alone);
-        * adds: every member validates on its own (a malformed payload
-          must fail only its future, so it breaks the run and applies —
-          and fails — alone) and explicit/default naming is uniform
-          (default names derive from allocated ids and cannot be mixed
-          into one engine call with explicit ones);
-        * removes: every member's ids are live and disjoint from the
-          ids already claimed by the run (an overlap or unknown id must
-          fail exactly the member that would have failed serially, so
-          that member starts its own run and gets the engine's own
-          error).
-
-        Returns the run and the position just past it.  The run is
-        never empty; an unstageable head is returned alone and takes
-        the single-apply path.
-        """
-        head = batch[position]
-        run = [head]
-        position += 1
-        if head.kind == "add":
-            extendable = self._stage_add(head)
-            while extendable and position < len(batch):
-                nxt = batch[position]
-                if (
-                    not isinstance(nxt, _Mutation)
-                    or nxt.kind != "add"
-                    or (nxt.names is None) != (head.names is None)
-                    or not self._stage_add(nxt)
-                ):
-                    break
-                run.append(nxt)
-                position += 1
-        else:
-            claimed: set[int] = set()
-            extendable = self._stage_remove(head, claimed)
-            while extendable and position < len(batch):
-                nxt = batch[position]
-                if (
-                    not isinstance(nxt, _Mutation)
-                    or nxt.kind != "remove"
-                    or not self._stage_remove(nxt, claimed)
-                ):
-                    break
-                run.append(nxt)
-                position += 1
-        return run, position
-
-    def _stage_add(self, mutation: _Mutation) -> bool:
-        """Pre-validate an add for coalescing; False keeps it solitary."""
-        if mutation.staged is not None:
-            return True
-        try:
-            mutation.staged = self._engine.validate_add(
-                mutation.payload,  # type: ignore[arg-type]
-                labels=mutation.labels,
-                names=mutation.names,
-            )
-        except Exception:
-            return False
-        return True
-
-    def _stage_remove(self, mutation: _Mutation, claimed: set[int]) -> bool:
-        """Check a remove's ids are live and unclaimed by the run."""
-        ids = mutation.payload
-        assert isinstance(ids, list)
-        if any(image_id in claimed for image_id in ids):
-            return False
-        if not all(self._engine.has_id(image_id) for image_id in ids):
-            return False
-        claimed.update(ids)
-        return True
-
-    def _apply_coalesced(
-        self, run: list[_Mutation], pending: list[tuple[_Mutation, list[int]]]
-    ) -> None:
-        """Apply one coalesced same-kind mutation run as a single barrier.
-
-        One engine call covers every live member — one journal record
-        set, one group-fsync share, one generation bump — and the
-        result ids are attributed back per future in arrival order
-        (adds slice the allocated id range by each member's row count;
-        removes keep their own id lists).  An engine failure fails
-        every live member: by construction (see :meth:`_collect_run`)
-        the merged call only contains members that would each have
-        succeeded serially, so a failure here is environmental (e.g. a
-        journal write error) and would have hit the serial path too.
-        """
-        live = [
-            mutation
-            for mutation in run
-            if mutation.future.set_running_or_notify_cancel()
-        ]
-        if not live:
-            return
-        kind = live[0].kind
-        apply_start = time.monotonic()
-        for mutation in live:
-            trace = mutation.trace
-            if trace is not None and mutation.dequeued is not None:
-                if mutation.enqueued is not None:
-                    trace.add_span(
-                        "queue-wait",
-                        mutation.enqueued,
-                        mutation.dequeued - mutation.enqueued,
-                    )
-                trace.add_span(
-                    "batch-form",
-                    mutation.dequeued,
-                    apply_start - mutation.dequeued,
-                    coalesced=len(live),
-                )
-        try:
-            if kind == "add":
-                staged = [mutation.staged for mutation in live]
-                assert all(entry is not None for entry in staged)
-                counts = [n_rows for _matrices, n_rows in staged]  # type: ignore[misc]
-                merged = {
-                    feature: np.vstack(
-                        [matrices[feature] for matrices, _n in staged]  # type: ignore[misc]
-                    )
-                    for feature in staged[0][0]  # type: ignore[index]
-                }
-                if live[0].names is None:
-                    merged_names = None
-                else:
-                    merged_names = [
-                        name for mutation in live for name in mutation.names  # type: ignore[union-attr]
-                    ]
-                if all(mutation.labels is None for mutation in live):
-                    merged_labels = None
-                else:
-                    merged_labels = []
-                    for mutation, n_rows in zip(live, counts):
-                        if mutation.labels is None:
-                            merged_labels.extend([None] * n_rows)
-                        else:
-                            merged_labels.extend(mutation.labels)
-                ids = self._engine.add_vectors(
-                    merged, labels=merged_labels, names=merged_names, sync=False
-                )
-                id_slices: list[list[int]] = []
-                offset = 0
-                for n_rows in counts:
-                    id_slices.append(ids[offset : offset + n_rows])
-                    offset += n_rows
-            else:
-                all_ids = [
-                    image_id for mutation in live for image_id in mutation.payload  # type: ignore[union-attr]
-                ]
-                self._engine.remove(all_ids, sync=False)
-                id_slices = [list(mutation.payload) for mutation in live]  # type: ignore[arg-type]
-        except Exception as error:
-            for mutation in live:
-                if mutation.trace is not None:
-                    mutation.trace.annotate(error=str(error))
-                    self._resolve_trace(mutation.trace, "error")
-                mutation.future.set_exception(error)
-            return
-        append = self._engine.last_journal_append
-        apply_end = time.monotonic()
-        for mutation in live:
-            trace = mutation.trace
-            if trace is None:
-                continue
-            span_start = apply_start
-            if append is not None:
-                append_start, append_duration = append
-                trace.add_span("journal-append", append_start, append_duration)
-                span_start = append_start + append_duration
-            trace.add_span("apply", span_start, apply_end - span_start)
-        self._stats.record_coalesced(len(live) - 1)
-        for mutation, mutation_ids in zip(live, id_slices):
-            pending.append((mutation, mutation_ids))
-
-    def _apply_mutation(
-        self, mutation: _Mutation, pending: list[tuple[_Mutation, list[int]]]
-    ) -> None:
-        """Journal + apply one mutation; acknowledgement is deferred.
-
-        ``sync=False`` leaves the journal record buffered: one group
-        fsync at the end of the formed batch covers every mutation in
-        it (:meth:`_ack_pending`), amortising the durability cost the
-        same way coalescing amortises query cost.  Validation errors
-        resolve the future exceptionally right here — nothing was
-        journaled or applied for a rejected mutation (the engine writes
-        the record only after validation, and aborts it if the apply
-        itself fails).
-        """
-        if not mutation.future.set_running_or_notify_cancel():
-            return
-        trace = mutation.trace
-        apply_start = time.monotonic()
-        if trace is not None and mutation.dequeued is not None:
-            if mutation.enqueued is not None:
-                trace.add_span(
-                    "queue-wait",
-                    mutation.enqueued,
-                    mutation.dequeued - mutation.enqueued,
-                )
-            trace.add_span(
-                "batch-form", mutation.dequeued, apply_start - mutation.dequeued
-            )
-        try:
-            if mutation.kind == "add":
-                ids = self._engine.add_vectors(
-                    mutation.payload,  # type: ignore[arg-type]
-                    labels=mutation.labels,
-                    names=mutation.names,
-                    sync=False,
-                )
-            else:
-                ids = self._engine.remove(
-                    mutation.payload, sync=False  # type: ignore[arg-type]
-                )
-        except Exception as error:
-            if trace is not None:
-                trace.annotate(error=str(error))
-                self._resolve_trace(trace, "error")
-            mutation.future.set_exception(error)
-            return
-        if trace is not None:
-            # The append happened inside the engine call; splitting it
-            # out keeps the spans non-overlapping (apply = what remains
-            # of the engine call after the journal write).
-            append = self._engine.last_journal_append
-            apply_end = time.monotonic()
-            if append is not None:
-                append_start, append_duration = append
-                trace.add_span("journal-append", append_start, append_duration)
-                apply_start = append_start + append_duration
-            trace.add_span("apply", apply_start, apply_end - apply_start)
-        pending.append((mutation, ids))
-
-    def _ack_pending(
-        self,
-        pending: list[tuple[_Mutation, list[int]]],
-        *,
-        sync: bool = True,
-    ) -> None:
-        """Resolve deferred mutation futures after a group fsync.
-
-        With ``sync=False`` (the post-compaction path) the fsync is
-        skipped: the snapshot just written already holds the pending
-        mutations, which is a *stronger* durability guarantee than a
-        journal record.  A failed fsync fails every pending future —
-        the in-memory state is ahead of disk at that point, and
-        acknowledging would break the acked-implies-durable contract
-        (the process keeps serving; the operator decides whether the
-        volume is trustworthy).
-        """
-        if not pending:
-            return
-        fsync_start = fsync_duration = 0.0
-        if sync:
-            fsync_start = time.monotonic()
-            try:
-                self._engine.sync_journal()
-            except Exception as error:
-                for mutation, _ids in pending:
-                    self._resolve_trace(mutation.trace, "error")
-                    mutation.future.set_exception(error)
-                pending.clear()
-                return
-            fsync_duration = time.monotonic() - fsync_start
-        generations = self._engine.generations()
-        for mutation, ids in pending:
-            self._stats.record_mutation()
-            trace = mutation.trace
-            if trace is not None and sync and self._journal is not None:
-                # One group fsync covered every pending mutation; each
-                # trace carries the same span — that sharing *is* the
-                # group-commit story, visible in the waterfall.
-                trace.add_span("journal-fsync", fsync_start, fsync_duration)
-            respond_start = time.monotonic()
-            latency = time.monotonic() - mutation.submitted
-            self._m_latency.observe(latency, route=mutation.kind)
-            result = MutationResult(
-                kind=mutation.kind,
-                ids=ids,
-                generations=generations,
-                latency_s=latency,
-                trace_id=trace.trace_id if trace is not None else None,
-            )
-            if trace is not None and trace.owned:
-                trace.add_span(
-                    "respond", respond_start, time.monotonic() - respond_start
-                )
-                self.finish_trace(trace)
-            mutation.future.set_result(result)
-        pending.clear()
-
-    def _apply_save(
-        self, save: _Mutation, pending: list[tuple[_Mutation, list[int]]]
-    ) -> None:
-        """Run the snapshot-compaction barrier (``submit_save``).
-
-        On success the fresh snapshot *is* the durability of every
-        pending mutation, so they are acknowledged without an extra
-        fsync.  On failure the pending mutations still get their normal
-        group fsync (the journals are untouched until the manifest
-        flip) and only the save future carries the error.
-        """
-        if not save.future.set_running_or_notify_cancel():
-            return
-        trace = save.trace
-        if trace is not None and save.dequeued is not None:
-            if save.enqueued is not None:
-                trace.add_span(
-                    "queue-wait", save.enqueued, save.dequeued - save.enqueued
-                )
-        if self._journal is None:
-            self._ack_pending(pending)
-            self._resolve_trace(trace, "error")
-            save.future.set_exception(
-                ServeError(
-                    "no journal configured; construct the scheduler with "
-                    "journal= (repro serve --journal DIR) to enable snapshots"
-                )
-            )
-            return
-        compact_start = time.monotonic()
-        try:
-            compact(self._journal, self._engine.merged_database())
-        except Exception as error:
-            self._ack_pending(pending)
-            if trace is not None:
-                trace.annotate(error=str(error))
-                self._resolve_trace(trace, "error")
-            save.future.set_exception(error)
-            return
-        if trace is not None:
-            trace.add_span(
-                "compact", compact_start, time.monotonic() - compact_start
-            )
-        self._ack_pending(pending, sync=False)
-        self._stats.record_save()
-        respond_start = time.monotonic()
-        latency = time.monotonic() - save.submitted
-        self._m_latency.observe(latency, route="save")
-        result = MutationResult(
-            kind="save",
-            ids=[],
-            generations=self._engine.generations(),
-            latency_s=latency,
-            trace_id=trace.trace_id if trace is not None else None,
-        )
-        if trace is not None and trace.owned:
-            trace.add_span(
-                "respond", respond_start, time.monotonic() - respond_start
-            )
-            self.finish_trace(trace)
-        save.future.set_result(result)
-
-    def _execute_queries(self, segment: list[_Request]) -> list[int]:
-        """Run one mutation-free query segment; returns its group sizes."""
-        groups: dict[tuple[str, str, int | float], list[_Request]] = {}
-        for request in segment:
-            groups.setdefault(
-                (request.kind, request.feature, request.parameter), []
-            ).append(request)
-        for (kind, feature, parameter), members in groups.items():
-            live = [
-                request
-                for request in members
-                if request.future.set_running_or_notify_cancel()
-            ]
-            if not live:
-                continue
-            # In-flight dedup: identical queries inside one formed group
-            # (same kind/feature/parameter by grouping, byte-identical
-            # vector here) are evaluated once; every duplicate's future
-            # is fanned the same results.  Byte equality implies the same
-            # floats, so the engine answer — and the per-request stats
-            # attribution — is bit-identical to evaluating each copy.
-            slots: dict[bytes, int] = {}
-            unique: list[_Request] = []
-            assignment: list[int] = []
-            for request in live:
-                digest = request.vector.tobytes()
-                slot = slots.get(digest)
-                if slot is None:
-                    slot = len(unique)
-                    slots[digest] = slot
-                    unique.append(request)
-                assignment.append(slot)
-            if len(unique) < len(live):
-                self._stats.record_dedup(len(live) - len(unique))
-            vectors = np.stack([request.vector for request in unique])
-            group_start = time.monotonic()
-            for request in live:
-                if request.trace is not None and request.dequeued is not None:
-                    if request.enqueued is not None:
-                        request.trace.add_span(
-                            "queue-wait",
-                            request.enqueued,
-                            request.dequeued - request.enqueued,
-                        )
-                    request.trace.add_span(
-                        "batch-form",
-                        request.dequeued,
-                        group_start - request.dequeued,
-                        group_size=len(unique),
-                    )
-            try:
-                if kind == "knn":
-                    result_lists, per_slot_stats = self._engine.query_batch(
-                        vectors, int(parameter), feature
-                    )
-                else:
-                    result_lists, per_slot_stats = self._engine.range_query_batch(
-                        vectors, float(parameter), feature
-                    )
-            except Exception as error:  # pragma: no cover - defensive
-                for request in live:
-                    self._resolve_trace(request.trace, "error")
-                    request.future.set_exception(error)
-                continue
-            # Per-shard call timing + per-row cost from the engine's
-            # scatter report (single-caller: the worker thread is the
-            # only reader, and the report is from *this* call).
-            scatter = self._engine.last_scatter
-            # Stamp cached entries with the generation the engine call
-            # ran under — the worker serializes mutations, so this read
-            # cannot race a concurrent add/remove.  Sharded schedulers
-            # stamp the per-shard generation tuple.
-            generation = self._engine.generation(feature)
-            for request, slot in zip(live, assignment):
-                trace = request.trace
-                if trace is not None and scatter is not None:
-                    for call in scatter.shard_calls:
-                        trace.add_span(
-                            "engine",
-                            call.start,
-                            call.duration_s,
-                            shard=call.shard,
-                            distance_computations=call.stats[
-                                slot
-                            ].distance_computations,
-                        )
-                    trace.add_span(
-                        "merge", scatter.merge_start, scatter.merge_duration_s
-                    )
-                respond_start = time.monotonic()
-                results = result_lists[slot]
-                if request.key is not None:
-                    self._cache.put(request.key, results, generation)
-                latency = time.monotonic() - request.submitted
-                served = ServedResult(
-                    list(results),
-                    per_slot_stats[slot],
-                    len(unique),
-                    False,
-                    latency,
-                    trace.trace_id if trace is not None else None,
-                )
-                if trace is not None and trace.owned:
-                    trace.add_span(
-                        "respond", respond_start, time.monotonic() - respond_start
-                    )
-                    self.finish_trace(trace)
-                request.future.set_result(served)
-                self._stats.record_completed(latency)
-                self._m_latency.observe(latency, route=kind)
-        return [len(members) for members in groups.values()]
+            self._ledger.batch_size.observe(n_queries)
 
     def __repr__(self) -> str:
-        state = "closed" if self._closed else ("running" if self._started else "staged")
+        state = (
+            "closed"
+            if self._admission.closed
+            else ("running" if self._started else "staged")
+        )
         return (
             f"QueryScheduler({state}, max_batch={self._max_batch}, "
             f"max_wait_ms={self._max_wait_s * 1e3:g}, "

@@ -6,12 +6,16 @@ axes a production operator watches: request throughput, end-to-end
 latency percentiles, how large the coalesced batches actually form, and
 how often the result cache short-circuits the engine.
 
-:class:`StatsCollector` is the thread-safe accumulator the scheduler
-feeds; :class:`ServiceStats` is the immutable snapshot handed to
-callers (and serialized by the HTTP front end's ``GET /stats``).
-Latency percentiles are nearest-rank over a bounded window of the most
-recent completions, so a long-running service reports current — not
-lifetime-averaged — behaviour.
+:class:`ServiceStats` is the immutable snapshot handed to callers (and
+serialized by the HTTP front end's ``GET /stats``).  It is a *view*:
+every counter in it is read from the
+:class:`~repro.serve.ledger.ServiceLedger`'s metric families — the same
+numbers ``GET /metrics`` renders — and nothing is counted twice.  The
+one thing a Prometheus family cannot express lives here as
+:class:`LatencyWindow`: nearest-rank latency percentiles and a current
+QPS over a bounded window of the most recent query completions, so a
+long-running service reports current — not lifetime-averaged —
+behaviour.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
-__all__ = ["ServiceStats", "StatsCollector"]
+__all__ = ["ServiceStats", "LatencyWindow"]
 
 
 def _nearest_rank(sorted_values: list[float], quantile: float) -> float:
@@ -186,156 +191,51 @@ class ServiceStats:
         return payload
 
 
-class StatsCollector:
-    """Thread-safe accumulator behind :class:`ServiceStats` snapshots."""
+class WindowFigures(NamedTuple):
+    """What :meth:`LatencyWindow.figures` reports (milliseconds, 1/s)."""
+
+    mean_ms: float
+    p50_ms: float
+    p95_ms: float
+    recent_qps: float
+
+
+class LatencyWindow:
+    """The newest ``window`` query completions: latency and finish time.
+
+    Bounded memory whatever the uptime; thread-safe (cache hits complete
+    on caller threads, everything else on the worker).
+    """
 
     def __init__(self, window: int = 2048) -> None:
         if window < 1:
             raise ValueError(f"latency window must be >= 1; got {window}")
         self._lock = threading.Lock()
-        self._started = time.monotonic()
-        self._submitted = 0
-        self._completed = 0
-        self._rejected = 0
-        self._batches = 0
-        self._batch_size_total = 0
-        self._groups = 0
-        self._group_size_total = 0
-        self._dedup_hits = 0
-        self._mutations = 0
-        self._coalesced = 0
-        self._saves = 0
-        self._rate_limited = 0
         self._latencies: deque[float] = deque(maxlen=window)
         self._completion_times: deque[float] = deque(maxlen=window)
 
-    def record_submitted(self) -> None:
+    def observe(self, latency_s: float) -> None:
+        """Record one completion that finished now."""
         with self._lock:
-            self._submitted += 1
-
-    def record_rejected(self) -> None:
-        with self._lock:
-            self._rejected += 1
-
-    def record_rate_limited(self) -> None:
-        """Admission refused a request because the token bucket was empty."""
-        with self._lock:
-            self._rate_limited += 1
-
-    def record_completed(self, latency_s: float) -> None:
-        with self._lock:
-            self._completed += 1
             self._latencies.append(latency_s)
             self._completion_times.append(time.monotonic())
 
-    def record_batch(self, formed_size: int, group_sizes: list[int]) -> None:
-        with self._lock:
-            self._batches += 1
-            self._batch_size_total += formed_size
-            self._groups += len(group_sizes)
-            self._group_size_total += sum(group_sizes)
+    def figures(self) -> WindowFigures:
+        """Mean and nearest-rank p50/p95 latency plus windowed QPS.
 
-    def record_dedup(self, count: int) -> None:
-        """``count`` requests in a formed batch rode another's engine row."""
+        QPS is the window's completions divided by the span from its
+        oldest completion to *now* — idle time since the last completion
+        decays the figure, the way an operator expects a "current QPS"
+        to behave.  All zeros before the first completion.
+        """
         with self._lock:
-            self._dedup_hits += count
-
-    def record_mutation(self) -> None:
-        """The worker applied one add/remove request."""
-        with self._lock:
-            self._mutations += 1
-
-    def record_coalesced(self, count: int) -> None:
-        """``count`` mutations rode another mutation's engine barrier."""
-        with self._lock:
-            self._coalesced += count
-
-    def record_save(self) -> None:
-        """The worker completed one snapshot compaction."""
-        with self._lock:
-            self._saves += 1
-
-    def snapshot(
-        self,
-        *,
-        queue_depth: int,
-        cache_hits: int,
-        cache_misses: int,
-        cache_invalidations: int = 0,
-        cache_revalidations: int = 0,
-        n_shards: int = 1,
-        shard_sizes: tuple[int, ...] = (),
-        shard_requests: tuple[int, ...] = (),
-        journaled: bool = False,
-        journal_records: int = 0,
-        journal_syncs: int = 0,
-        journal_replayed: int = 0,
-        backend: str = "memory",
-        pool_hits: int = 0,
-        pool_misses: int = 0,
-        pool_evictions: int = 0,
-        pool_resident: int = 0,
-        pool_capacity: int = 0,
-    ) -> ServiceStats:
-        """Assemble a :class:`ServiceStats` from the current counters."""
-        with self._lock:
-            now = time.monotonic()
-            uptime = now - self._started
-            window = sorted(self._latencies)
-            mean_ms = (
-                1e3 * sum(window) / len(window) if window else 0.0
+            ordered = sorted(self._latencies)
+            span = (
+                time.monotonic() - self._completion_times[0] if ordered else 0.0
             )
-            # Windowed throughput: completions in the bounded window
-            # divided by the span from its oldest completion to *now* —
-            # idle time since the last completion decays the figure, the
-            # way an operator expects a "current QPS" to behave.
-            if self._completion_times:
-                span = now - self._completion_times[0]
-                recent_qps = (
-                    len(self._completion_times) / span if span > 0.0 else 0.0
-                )
-            else:
-                recent_qps = 0.0
-            lookups = cache_hits + cache_misses
-            return ServiceStats(
-                uptime_s=uptime,
-                submitted=self._submitted,
-                completed=self._completed,
-                rejected=self._rejected,
-                queue_depth=queue_depth,
-                batches_formed=self._batches,
-                mean_batch_size=(
-                    self._batch_size_total / self._batches if self._batches else 0.0
-                ),
-                mean_group_size=(
-                    self._group_size_total / self._groups if self._groups else 0.0
-                ),
-                dedup_hits=self._dedup_hits,
-                mutations=self._mutations,
-                cache_hits=cache_hits,
-                cache_misses=cache_misses,
-                cache_hit_rate=cache_hits / lookups if lookups else 0.0,
-                cache_invalidations=cache_invalidations,
-                throughput_qps=self._completed / uptime if uptime > 0.0 else 0.0,
-                recent_qps=recent_qps,
-                latency_mean_ms=mean_ms,
-                latency_p50_ms=1e3 * _nearest_rank(window, 0.50),
-                latency_p95_ms=1e3 * _nearest_rank(window, 0.95),
-                rate_limited=self._rate_limited,
-                n_shards=n_shards,
-                shard_sizes=tuple(shard_sizes),
-                shard_requests=tuple(shard_requests),
-                saves=self._saves,
-                journaled=journaled,
-                journal_records=journal_records,
-                journal_syncs=journal_syncs,
-                journal_replayed=journal_replayed,
-                cache_revalidations=cache_revalidations,
-                coalesced_mutations=self._coalesced,
-                backend=backend,
-                pool_hits=pool_hits,
-                pool_misses=pool_misses,
-                pool_evictions=pool_evictions,
-                pool_resident=pool_resident,
-                pool_capacity=pool_capacity,
-            )
+        return WindowFigures(
+            mean_ms=1e3 * sum(ordered) / len(ordered) if ordered else 0.0,
+            p50_ms=1e3 * _nearest_rank(ordered, 0.50),
+            p95_ms=1e3 * _nearest_rank(ordered, 0.95),
+            recent_qps=len(ordered) / span if span > 0.0 else 0.0,
+        )

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.db.database import ImageDatabase
-from repro.errors import ServeError
+from repro.db.recovery import open_serving_root
+from repro.errors import CatalogError, QueueFullError, RateLimitError, ServeError
 from repro.features.base import PresetSignature
 from repro.features.pipeline import FeatureSchema
 from repro.serve.metrics import (
@@ -22,6 +23,8 @@ from repro.serve.metrics import (
     read_process_stats,
     validate_exposition,
 )
+from repro.serve.client import ServiceClient
+from repro.serve.http import QueryServer
 from repro.serve.scheduler import QueryScheduler
 
 
@@ -89,6 +92,123 @@ class TestRoundtrip:
         assert "repro_stage_seconds" in families
         assert "repro_process" in families
         assert "repro_process_gc_collections" in families
+
+
+class TestOneLedger:
+    """``GET /stats`` is a view over the families ``GET /metrics`` renders."""
+
+    @staticmethod
+    def _stats_from_exposition(text: str) -> dict:
+        """Every ``/stats`` counter, re-derived from the exposition alone."""
+        flat: dict[str, float] = {}
+        for family in parse_exposition(text).values():
+            for name, labels, value in family["samples"]:
+                if not name.endswith("_bucket"):
+                    key = ",".join(labels[k] for k in sorted(labels))
+                    flat[f"{name}{{{key}}}"] = value
+
+        def total(prefix: str, *keys: str) -> float:
+            return sum(flat.get(f"{prefix}{{{key}}}", 0.0) for key in keys)
+
+        def series(prefix: str) -> list[float]:
+            n = sum(name.startswith(prefix + "{") for name in flat)
+            return [flat[f"{prefix}{{{shard}}}"] for shard in range(n)]
+
+        def mean(prefix: str) -> float:
+            count = flat.get(prefix + "_count{}", 0.0)
+            return flat.get(prefix + "_sum{}", 0.0) / count if count else 0.0
+
+        latency = "repro_request_latency_seconds_count"
+        derived = {
+            "submitted": sum(
+                value for name, value in flat.items()
+                if name.startswith("repro_requests_total{")
+            ),
+            "completed": total(latency, "knn", "range"),
+            "mutations": total(latency, "add", "remove"),
+            "saves": total(latency, "save"),
+            "rejected": total("repro_refused_total", "queue_full"),
+            "rate_limited": total("repro_refused_total", "rate_limited"),
+            "queue_depth": flat["repro_queue_depth{}"],
+            "batches_formed": flat.get("repro_batch_size_count{}", 0.0),
+            "mean_batch_size": mean("repro_batch_size"),
+            "mean_group_size": mean("repro_group_size"),
+            "dedup_hits": flat["repro_dedup_hits_total{}"],
+            "coalesced_mutations": flat["repro_coalesced_mutations_total{}"],
+            "n_shards": flat["repro_shards{}"],
+            "shard_sizes": series("repro_shard_items"),
+            "shard_requests": series("repro_shard_requests"),
+        }
+        for field, outcome in [
+            ("cache_hits", "hit"),
+            ("cache_misses", "miss"),
+            ("cache_invalidations", "invalidated"),
+            ("cache_revalidations", "revalidated"),
+        ]:
+            derived[field] = total("repro_cache_lookups", outcome)
+        for figure in ("records", "syncs", "replayed"):
+            derived[f"journal_{figure}"] = total("repro_journal", figure)
+        for figure in ("hits", "misses", "evictions", "resident", "capacity"):
+            derived[f"pool_{figure}"] = total("repro_backend_pool", figure)
+        return derived
+
+    @pytest.mark.parametrize("trace_depth", [256, 0])
+    def test_stats_equal_the_figures_derived_from_metrics(
+        self, tmp_path, rng, trace_depth
+    ):
+        seed = ImageDatabase(FeatureSchema([PresetSignature(8, "sig")]))
+        seed.add_vectors(rng.random((48, 8)))
+        seed.build_indexes()
+        db, journal, _ = open_serving_root(tmp_path / "root", seed)
+        q1, q2, q3 = rng.random((3, 8))
+        # Parked worker + a queue of exactly the staged script: the
+        # whole mix forms one batch, and the bucket holds one token per
+        # throttled submission below (a save is not throttled).
+        scheduler = QueryScheduler(
+            db, journal=journal, max_queue=9, max_batch=32, max_wait_ms=0.0,
+            rate_limit_qps=1e-6, rate_limit_burst=11, trace_depth=trace_depth,
+            autostart=False,
+        )
+        server = QueryServer(db, port=0, scheduler=scheduler).start()
+        try:
+            staged = [
+                scheduler.submit_query(q1, 3),
+                scheduler.submit_query(q2, 3),
+                scheduler.submit_query(q1, 3),  # deduped against the first
+                scheduler.submit_range(q3, 0.6),
+                scheduler.submit_add(rng.random((2, 8))),
+                scheduler.submit_add(rng.random((1, 8))),  # coalesced
+                scheduler.submit_remove([0]),
+                scheduler.submit_save(),
+            ]
+            failed = scheduler.submit_remove([999_999])
+            with pytest.raises(QueueFullError):
+                scheduler.submit_query(q2, 3)
+            scheduler.start()
+            for future in staged:
+                future.result(timeout=10)
+            with pytest.raises(CatalogError):
+                failed.result(timeout=10)
+            # Repeats after the writes: revalidated or recomputed, then hit.
+            scheduler.submit_query(q1, 3).result(timeout=10)
+            assert scheduler.submit_query(q1, 3).result(timeout=10).cache_hit
+            with pytest.raises(RateLimitError):
+                scheduler.submit_query(q2, 3)
+
+            client = ServiceClient(*server.address)
+            stats = client.stats()
+            derived = self._stats_from_exposition(client.metrics())
+        finally:
+            server.stop()
+        assert {field: stats[field] for field in derived} == derived
+        # ...and the figures are the script's, not merely self-consistent.
+        # (submitted counts the queue-full refusal: it passed validation
+        # and the limiter, and was turned away at the queue itself.)
+        assert stats["submitted"] == 12 and stats["completed"] == 6
+        assert stats["mutations"] == 3 and stats["saves"] == 1
+        assert stats["rejected"] == 1 and stats["rate_limited"] == 1
+        assert stats["dedup_hits"] == 1 and stats["coalesced_mutations"] == 1
+        assert stats["batches_formed"] >= 1 and stats["cache_hits"] >= 1
 
 
 class TestNegativeCases:

@@ -29,7 +29,7 @@ from repro.features.pipeline import FeatureSchema
 from repro.image import synth
 from repro.serve.cache import ResultCache
 from repro.serve.scheduler import QueryScheduler, ServedResult
-from repro.serve.stats import ServiceStats, StatsCollector
+from repro.serve.stats import LatencyWindow, ServiceStats
 
 _DIM = 8
 _N = 140
@@ -547,22 +547,21 @@ class TestServiceStats:
         payload = stats.to_dict()
         assert json.loads(json.dumps(payload)) == payload
 
-    def test_collector_percentiles_nearest_rank(self):
-        collector = StatsCollector(window=16)
+    def test_window_percentiles_nearest_rank(self):
+        window = LatencyWindow(window=16)
         for value in [0.010, 0.020, 0.030, 0.040]:
-            collector.record_completed(value)
-        snapshot = collector.snapshot(queue_depth=0, cache_hits=0, cache_misses=0)
-        assert snapshot.latency_p50_ms == pytest.approx(20.0)
-        assert snapshot.latency_p95_ms == pytest.approx(40.0)
-        assert snapshot.latency_mean_ms == pytest.approx(25.0)
+            window.observe(value)
+        figures = window.figures()
+        assert figures.p50_ms == pytest.approx(20.0)
+        assert figures.p95_ms == pytest.approx(40.0)
+        assert figures.mean_ms == pytest.approx(25.0)
 
-    def test_collector_window_bounds_memory(self):
-        collector = StatsCollector(window=4)
+    def test_window_bounds_memory(self):
+        window = LatencyWindow(window=4)
         for value in range(100):
-            collector.record_completed(float(value))
-        snapshot = collector.snapshot(queue_depth=0, cache_hits=0, cache_misses=0)
+            window.observe(float(value))
         # Only the last 4 samples (96..99 s) remain in the window.
-        assert snapshot.latency_p50_ms >= 96_000.0
+        assert window.figures().p50_ms >= 96_000.0
 
     def test_future_type(self, vector_db, rng):
         with QueryScheduler(vector_db) as scheduler:

@@ -213,6 +213,77 @@ class TestErrorHandling:
             client.healthz()
 
 
+def _raw_post(address, path, body, content_length):
+    """POST with a hand-written Content-Length (http.client would fix it)."""
+    conn = http.client.HTTPConnection(*address, timeout=5)
+    try:
+        conn.putrequest("POST", path)
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", content_length)
+        conn.endheaders(body)
+        reply = conn.getresponse()
+        return reply.status, reply.read()
+    finally:
+        conn.close()
+
+
+class TestHostileRequests:
+    """Malformed framing answers 400 with a finished trace — never an
+    empty reply, a traceback on stderr, or a trace left open."""
+
+    _GOOD = json.dumps({"vector": [0.0] * _DIM, "k": 3}).encode()
+
+    @pytest.mark.parametrize(
+        "path, body, content_length, needle",
+        [
+            ("/query", _GOOD, "abc", "Content-Length"),
+            ("/save", b"", "abc", "Content-Length"),
+            ("/query", b'{"vector": "\xff\xfe"}', None, "JSON"),
+            # Lying-short: the server reads a truncated document.
+            ("/query", _GOOD, str(len(_GOOD) // 2), "JSON"),
+        ],
+        ids=["non-numeric-length", "non-numeric-length-save", "non-utf8", "short-length"],
+    )
+    def test_bad_framing_is_a_400_with_a_finished_trace(
+        self, served, capfd, path, body, content_length, needle
+    ):
+        _, server, client = served
+        recorder = server.scheduler.flight_recorder
+        before = recorder.recorded
+        status, reply = _raw_post(
+            server.address, path, body, content_length or str(len(body))
+        )
+        assert status == 400
+        assert needle in json.loads(reply)["error"]
+        assert recorder.recorded == before + 1
+        assert recorder.traces()[0].status == "error"
+        assert capfd.readouterr().err == ""
+        # The handler thread survived: the next request is served.
+        assert len(client.query(np.zeros(_DIM), 3)["results"]) == 3
+
+    def test_queue_full_is_503_by_type_not_by_message(self):
+        from repro.serve.scheduler import QueryScheduler
+
+        db = ImageDatabase(FeatureSchema([PresetSignature(_DIM, "sig")]))
+        db.add_vectors(np.random.default_rng(0).random((10, _DIM)))
+        scheduler = QueryScheduler(db, max_queue=1, cache_size=0, autostart=False)
+        staged = scheduler.submit_query(np.zeros(_DIM), 3)
+        server = QueryServer(db, port=0, scheduler=scheduler).start()
+        try:
+            status, reply = _raw_post(
+                server.address, "/query", self._GOOD, str(len(self._GOOD))
+            )
+            assert status == 503
+            payload = json.loads(reply)
+            assert "shutting_down" not in payload
+            assert scheduler.flight_recorder.find(payload["trace_id"]).status == "rejected"
+            assert scheduler.stats().rejected == 1
+            scheduler.start()
+            assert len(staged.result(timeout=10).results) == 3
+        finally:
+            server.stop()
+
+
 class TestServerLifecycle:
     def test_start_stop_idempotent(self):
         db = ImageDatabase(FeatureSchema([PresetSignature(_DIM, "sig")]))
