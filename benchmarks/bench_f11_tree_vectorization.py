@@ -6,11 +6,10 @@ construction and traversal.  This experiment measures what routing the
 tree hot loops through ``distance_batch`` buys: build wall-clock and
 k-NN throughput per tree, **scalar** (the metric's vectorized kernel
 hidden, so every batched call site degrades to the per-row loop — the
-scalar-era cost model) vs **batched** (the kernels on).  The *shared*
-column times ``knn_search_batch`` on the whole query set: a genuinely
-shared traversal where an index has one, and for the VP-tree — one
-flat-array loop behind every entry point — the same code path as
-*batched*, so the two columns agree up to the per-call validation.
+scalar-era cost model) vs **batched** (the kernels on).  Every tree has
+one traversal behind ``knn_search`` and ``knn_search_batch``, so the
+batch entry point is checked for identical answers but not timed as a
+column of its own.
 
 Scalar-era baseline, measured on the pre-vectorization implementation
 (commit ``ea6ecbf``, n=2000, d=64, L2, k=10, 50 queries, one warm run):
@@ -131,20 +130,15 @@ def test_f11_tree_vectorization(benchmark):
             lambda: run_queries(batch_index)
         )
 
-        shared_results, shared_seconds = _timed(
-            lambda: batch_index.knn_search_batch(queries, _K)
-        )
-        shared_stats = batch_index.last_batch_stats
-
-        # Bit-identity across all three paths: ids, distance floats, and
-        # per-query cost counters.
+        # Bit-identity across both cost models and both entry points:
+        # ids, distance floats, and per-query cost counters.
         assert batch_results == scalar_results
         assert batch_stats == scalar_stats
-        assert shared_results == scalar_results
-        assert shared_stats == scalar_stats
+        assert batch_index.knn_search_batch(queries, _K) == scalar_results
+        assert batch_index.last_batch_stats == scalar_stats
 
         build_speedup = scalar_build / batch_build
-        knn_speedup = scalar_seconds / shared_seconds
+        knn_speedup = scalar_seconds / batch_seconds
         rows.append(
             [
                 name,
@@ -153,7 +147,6 @@ def test_f11_tree_vectorization(benchmark):
                 build_speedup,
                 _N_QUERIES / scalar_seconds,
                 _N_QUERIES / batch_seconds,
-                _N_QUERIES / shared_seconds,
                 knn_speedup,
             ]
         )
@@ -164,10 +157,9 @@ def test_f11_tree_vectorization(benchmark):
             "build_distance_computations": batch_index.build_stats.distance_computations,
             "knn_qps_scalar": _N_QUERIES / scalar_seconds,
             "knn_qps_batched": _N_QUERIES / batch_seconds,
-            "knn_qps_shared_batch": _N_QUERIES / shared_seconds,
             "knn_speedup": knn_speedup,
             "query_distance_computations": sum(
-                stats.distance_computations for stats in shared_stats
+                stats.distance_computations for stats in batch_stats
             ),
         }
 
@@ -180,7 +172,6 @@ def test_f11_tree_vectorization(benchmark):
                 "build x",
                 "q/s scalar",
                 "q/s batched",
-                "q/s shared",
                 "knn x",
             ],
             rows,

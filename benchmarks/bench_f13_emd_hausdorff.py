@@ -9,9 +9,11 @@ enjoy.  This experiment measures what their new vectorized kernels buy:
 * **metric sweeps** — ``distance_batch`` over the full table, kernel vs
   loop fallback (``hide_batch_kernel``), for EMD, circular EMD, and
   Hausdorff over ragged NaN-padded point buffers;
-* **shared tree traversals** — GNAT and kd-tree batched range queries
-  (the shared traversals this PR added) and GNAT k-NN batches over EMD,
-  against the scalar-era cost model (kernel hidden, per-query loops).
+* **batched tree queries** — GNAT and kd-tree batched range queries
+  (separate shared traversals when this experiment was added; since the
+  flat-layout PR the one loop per tree behind every entry point) and
+  GNAT k-NN batches over EMD, against the scalar-era cost model (kernel
+  hidden, per-query loops).
 
 Reproduction checks (full size only): the EMD kernel sweep is >= 3x the
 loop fallback at n=2000 d=64 and the Hausdorff kernel >= 2x; every path

@@ -26,58 +26,47 @@ fresh distance computation when ``dist(q, centroid) + cached <= t``
 (exploited by :meth:`AntipoleTree.range_search_ids`; the exact variant
 still evaluates the metric so it can report true distances, and records
 how many evaluations the inclusion rule would have saved).
+
+Layout.  A struct of arrays, as in :mod:`repro.index.vptree`.  One
+contiguous ``(n, d)`` block holds every row in depth-first pre-order: a
+split node's endpoints ``A`` and ``B`` (adjacent, so both are one kernel
+call), then the A-side subtree, then the B-side subtree; a cluster's
+centroid, then its members.  Every node is a ``[start, stop)`` row range
+of that block, and ``_cached[row]`` is a member's distance to its
+cluster's centroid, aligned to the rows.  Per-node lists indexed by the
+node's pre-order number hold the range, the cluster flag and radius, and
+a split's two child numbers (``-1`` = the endpoint attracted no other
+point) and subtree radii.  The build partitions the block in place with
+an explicit stack.
+
+Traversal.  One iterative best-first k-NN loop and one iterative range
+loop serve every entry point (the batched ones through
+:meth:`MetricIndex._run_batch`; :meth:`AntipoleTree.range_search_ids` is
+a flag on the range loop).  Every distance is a call of the metric's
+unchecked ``_kernel`` on rows of the block and is counted; nothing is
+evaluated ahead of its prune decision.  A range cluster scan knows its
+survivors up front (the bounds are arithmetic on ``_cached``) and
+evaluates them in one call; a k-NN cluster scan evaluates member by
+member, because the k-th best distance shrinks as members of the same
+cluster are offered and the cached-distance exclusion can then spare
+later members entirely.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.errors import IndexingError
-from repro.index.base import MetricIndex, Neighbor
+from repro.index.base import MetricIndex, Neighbor, offer_candidates
 from repro.index.stats import SearchStats
 from repro.metrics.base import Metric
 
 __all__ = ["AntipoleTree"]
 
-DistanceFn = Callable[[np.ndarray, np.ndarray], float]
 DistanceBatchFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-@dataclass
-class _Cluster:
-    """Leaf: a bounded-radius cluster around an approximate 1-median."""
-
-    centroid_id: int
-    centroid_vector: np.ndarray
-    member_ids: list[int]  # excludes the centroid
-    member_vectors: np.ndarray
-    member_centroid_distances: np.ndarray  # cached dist(centroid, member)
-    radius: float
-
-
-@dataclass
-class _Split:
-    """Internal node: antipole endpoints and their subtree radii.
-
-    The endpoints ``A`` and ``B`` live *at the node* (they are removed from
-    the recursion, as in the paper), so search must consider them as
-    candidates here; ``a_child``/``b_child`` may be ``None`` when an
-    endpoint attracted no other points.
-    """
-
-    a_id: int
-    a_vector: np.ndarray
-    b_id: int
-    b_vector: np.ndarray
-    a_radius: float  # max dist(A, x) over the A-side subtree items
-    b_radius: float
-    a_child: "_Split | _Cluster | None"
-    b_child: "_Split | _Cluster | None"
 
 
 def _exact_1_median_row(
@@ -158,8 +147,23 @@ class AntipoleTree(MetricIndex):
         self._tau = tournament_size
         self._final_round = final_round_size
         self._seed = seed
-        self._root: _Split | _Cluster | None = None
         self._effective_threshold: float | None = None
+        # The flat tree (see the module docstring): rows, their ids and
+        # cached centroid distances in tree order, then one entry per
+        # node in pre-order.
+        self._rows = np.empty((0, 0))
+        self._tree_ids: list[int] = []
+        self._cached = np.empty(0)
+        self._start: list[int] = []
+        self._stop: list[int] = []
+        self._is_cluster: list[bool] = []
+        self._radius: list[float] = []  # cluster radius around its centroid
+        self._a_child: list[int] = []
+        self._b_child: list[int] = []
+        #: max dist(A, x) over the A-side subtree's items (likewise B);
+        #: the endpoints themselves live at the node.
+        self._a_radius: list[float] = []
+        self._b_radius: list[float] = []
 
     @property
     def effective_diameter_threshold(self) -> float:
@@ -169,13 +173,11 @@ class AntipoleTree(MetricIndex):
         return self._effective_threshold
 
     # ------------------------------------------------------------------
-    # Tournaments
+    # Tournaments (over all rows of ``vectors``; they return row numbers)
     # ------------------------------------------------------------------
-    def _approx_1_median(
-        self, vectors: np.ndarray, rows: list[int], rng: np.random.Generator
-    ) -> int:
+    def _approx_1_median(self, vectors: np.ndarray, rng: np.random.Generator) -> int:
         """APPROX_1_MEDIAN: tournament of exact group medians."""
-        current = list(rows)
+        current = list(range(vectors.shape[0]))
         while len(current) > self._final_round:
             rng.shuffle(current)
             winners: list[int] = []
@@ -194,12 +196,12 @@ class AntipoleTree(MetricIndex):
         return _exact_1_median_row(vectors, current, self._build_dist_batch)
 
     def _approx_antipole(
-        self, vectors: np.ndarray, rows: list[int], rng: np.random.Generator
+        self, vectors: np.ndarray, rng: np.random.Generator
     ) -> tuple[int, int, float]:
         """APPROX_ANTIPOLE: discard group medians, then exact farthest pair."""
-        if len(rows) < 2:
+        if vectors.shape[0] < 2:
             raise IndexingError("antipole needs at least two items")
-        current = list(rows)
+        current = list(range(vectors.shape[0]))
         while len(current) > self._final_round:
             rng.shuffle(current)
             survivors: list[int] = []
@@ -238,106 +240,105 @@ class AntipoleTree(MetricIndex):
     # ------------------------------------------------------------------
     def _build(self, ids: Sequence[int], vectors: np.ndarray) -> None:
         rng = np.random.default_rng(self._seed)
-        rows = list(range(len(ids)))
-        self._id_list = list(ids)
+        stats = self._build_stats
+        # Owned copies, permuted in place into tree order below.
+        rows = np.array(vectors, dtype=np.float64, order="C")
+        tree_ids = np.array(ids, dtype=np.int64)
+        cached = np.zeros(rows.shape[0])
 
         if self._diameter_threshold is not None:
-            self._effective_threshold = self._diameter_threshold
-            self._root = self._build_node(vectors, rows, rng, depth=0)
-            return
-
-        # Derive the threshold from the root set's approximate diameter.
-        if len(rows) >= 2:
-            _, _, diameter = self._approx_antipole(vectors, rows, rng)
-            self._effective_threshold = self._diameter_fraction * diameter
+            threshold = self._diameter_threshold
+        elif rows.shape[0] >= 2:
+            # Derive the threshold from the root set's approximate diameter.
+            threshold = self._diameter_fraction * self._approx_antipole(rows, rng)[2]
         else:
-            self._effective_threshold = 0.0
-        self._root = self._build_node(vectors, rows, rng, depth=0)
+            threshold = 0.0
+        self._effective_threshold = threshold
 
-    def _build_node(
-        self,
-        vectors: np.ndarray,
-        rows: list[int],
-        rng: np.random.Generator,
-        depth: int,
-    ) -> "_Split | _Cluster":
-        stats = self._build_stats
-        stats.depth = max(stats.depth, depth)
-        assert self._effective_threshold is not None
+        start_of: list[int] = []
+        stop_of: list[int] = []
+        is_cluster: list[bool] = []
+        radius: list[float] = []
+        a_child: list[int] = []
+        b_child: list[int] = []
+        a_radius: list[float] = []
+        b_radius: list[float] = []
 
-        if len(rows) >= 2:
-            row_a, row_b, diameter = self._approx_antipole(vectors, rows, rng)
-        else:
-            diameter = 0.0
+        # (start, stop, depth, parent, parent's child list); the A side
+        # is pushed last so nodes are numbered — and the tournaments
+        # consume the rng — in depth-first pre-order.
+        stack = [(0, rows.shape[0], 0, -1, a_child)]
+        while stack:
+            start, stop, depth, parent, side = stack.pop()
+            node = len(start_of)
+            if parent >= 0:
+                side[parent] = node
+            start_of.append(start)
+            stop_of.append(stop)
+            is_cluster.append(False)
+            radius.append(0.0)
+            a_child.append(-1)
+            b_child.append(-1)
+            a_radius.append(0.0)
+            b_radius.append(0.0)
+            stats.depth = max(stats.depth, depth)
 
-        if len(rows) < 2 or diameter <= self._effective_threshold:
-            return self._make_cluster(vectors, rows, rng)
+            block, block_ids = rows[start:stop], tree_ids[start:stop]
+            size = stop - start
+            if size >= 2:
+                at_a, at_b, diameter = self._approx_antipole(block, rng)
+            if size < 2 or diameter <= threshold:
+                # A leaf cluster: the centroid moves to the front, the
+                # members keep their order; one sweep caches their
+                # centroid distances.
+                stats.n_leaves += 1
+                is_cluster[node] = True
+                centroid = self._approx_1_median(block, rng) if size > 1 else 0
+                order = np.concatenate(
+                    ([centroid], np.delete(np.arange(size), centroid))
+                )
+                block[:] = block[order]
+                block_ids[:] = block_ids[order]
+                distances = self._build_dist_batch(block[0], block[1:])
+                cached[start + 1 : stop] = distances
+                if size > 1:
+                    radius[node] = float(distances.max())
+                continue
 
-        # The endpoints stay at this node; everything else joins the side
-        # of the closer endpoint.  Both endpoint sweeps are batched (the
-        # metric's bitwise symmetry makes the flipped operand order safe).
-        rest = [row for row in rows if row not in (row_a, row_b)]
-        rest_block = vectors[rest]
-        distances_a = self._build_dist_batch(vectors[row_a], rest_block).tolist()
-        distances_b = self._build_dist_batch(vectors[row_b], rest_block).tolist()
-        side_a: list[int] = []
-        side_b: list[int] = []
-        a_radius = 0.0
-        b_radius = 0.0
-        for row, d_a, d_b in zip(rest, distances_a, distances_b):
-            if d_a <= d_b:
-                side_a.append(row)
-                a_radius = max(a_radius, d_a)
-            else:
-                side_b.append(row)
-                b_radius = max(b_radius, d_b)
+            # The endpoints stay at this node; everything else joins the
+            # side of the closer endpoint.  Both endpoint sweeps are
+            # batched (the metric's bitwise symmetry makes the flipped
+            # operand order safe).
+            stats.n_nodes += 1
+            rest = np.delete(np.arange(size), (at_a, at_b))
+            rest_block = block[rest]
+            d_a = self._build_dist_batch(block[at_a], rest_block)
+            d_b = self._build_dist_batch(block[at_b], rest_block)
+            to_a = d_a <= d_b
+            order = np.concatenate(((at_a, at_b), rest[to_a], rest[~to_a]))
+            block[:] = block[order]
+            block_ids[:] = block_ids[order]
+            split = start + 2 + int(np.count_nonzero(to_a))
+            if split < stop:
+                b_radius[node] = float(d_b[~to_a].max())
+                stack.append((split, stop, depth + 1, node, b_child))
+            if split > start + 2:
+                a_radius[node] = float(d_a[to_a].max())
+                stack.append((start + 2, split, depth + 1, node, a_child))
 
-        stats.n_nodes += 1
-        return _Split(
-            a_id=self._id_list[row_a],
-            a_vector=vectors[row_a],
-            b_id=self._id_list[row_b],
-            b_vector=vectors[row_b],
-            a_radius=a_radius,
-            b_radius=b_radius,
-            a_child=(
-                self._build_node(vectors, side_a, rng, depth + 1) if side_a else None
-            ),
-            b_child=(
-                self._build_node(vectors, side_b, rng, depth + 1) if side_b else None
-            ),
-        )
-
-    def _make_cluster(
-        self, vectors: np.ndarray, rows: list[int], rng: np.random.Generator
-    ) -> _Cluster:
-        self._build_stats.n_leaves += 1
-        centroid_row = (
-            self._approx_1_median(vectors, rows, rng) if len(rows) > 1 else rows[0]
-        )
-        members = [row for row in rows if row != centroid_row]
-        # Contiguous member block (single-kernel cluster scans) and one
-        # batched sweep for the cached centroid distances.
-        member_vectors = np.ascontiguousarray(
-            vectors[members] if members else vectors[:0]
-        )
-        distances = self._build_dist_batch(vectors[centroid_row], member_vectors)
-        return _Cluster(
-            centroid_id=self._id_list[centroid_row],
-            centroid_vector=vectors[centroid_row],
-            member_ids=[self._id_list[row] for row in members],
-            member_vectors=member_vectors,
-            member_centroid_distances=distances,
-            radius=float(distances.max()) if members else 0.0,
-        )
+        self._rows = rows
+        self._tree_ids = tree_ids.tolist()
+        self._cached = cached
+        self._start, self._stop = start_of, stop_of
+        self._is_cluster, self._radius = is_cluster, radius
+        self._a_child, self._b_child = a_child, b_child
+        self._a_radius, self._b_radius = a_radius, b_radius
 
     # ------------------------------------------------------------------
     # Range search
     # ------------------------------------------------------------------
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
-        result: list[Neighbor] = []
-        self._range_visit(self._root, query, radius, result, ids_only=False)
-        return result
+        return self._range_impl(query, radius, ids_only=False)
 
     def range_search_ids(self, query: np.ndarray, radius: float) -> list[int]:
         """Range search returning ids only.
@@ -353,145 +354,147 @@ class AntipoleTree(MetricIndex):
             raise IndexingError(f"radius must be non-negative; got {radius}")
         self._search_stats = SearchStats()
         self._batch_stats = []
-        result: list[Neighbor] = []
-        self._range_visit(self._root, query, float(radius), result, ids_only=True)
+        result = self._range_impl(query, float(radius), ids_only=True)
         # Mutation overlay: tombstoned ids drop out; pending items have
         # no cached centroid distance, so they are evaluated (counted).
         result = self._overlay_range(query, float(radius), result)
         return [neighbor.id for neighbor in result]
 
-    def _range_visit(
-        self,
-        node: "_Split | _Cluster | None",
-        query: np.ndarray,
-        radius: float,
-        result: list[Neighbor],
-        *,
-        ids_only: bool,
-    ) -> None:
-        if node is None:
-            return
-        stats = self._search_stats
-        if isinstance(node, _Cluster):
-            stats.leaves_visited += 1
-            d_centroid = self._dist(query, node.centroid_vector)
-            if d_centroid <= radius:
-                result.append(Neighbor(node.centroid_id, d_centroid))
-            if d_centroid - node.radius > radius:
-                return  # whole cluster provably outside
-            # Exclusion and wholesale inclusion are arithmetic on the
-            # cached centroid distances, so the members that need a real
-            # evaluation are known up front: one batched kernel pass.
-            cached = node.member_centroid_distances
-            candidates = np.flatnonzero(np.abs(d_centroid - cached) <= radius)
-            wholesale = d_centroid + cached <= radius
-            if ids_only:
-                compute_rows = [int(r) for r in candidates if not wholesale[r]]
-            else:
-                compute_rows = [int(r) for r in candidates]
-            computed = iter(
-                self._dist_batch(query, node.member_vectors[compute_rows]).tolist()
-            )
-            cached_list = cached.tolist()
-            for row in candidates:
-                if wholesale[row]:
-                    stats.items_included_wholesale += 1
-                    if ids_only:
-                        # Provably inside: report without evaluating.  The
-                        # recorded distance is the upper bound.
-                        result.append(
-                            Neighbor(
-                                node.member_ids[row],
-                                d_centroid + cached_list[row],
-                            )
-                        )
-                        continue
-                d = next(computed)
-                if d <= radius:
-                    result.append(Neighbor(node.member_ids[row], d))
-            return
+    def _range_impl(
+        self, query: np.ndarray, radius: float, *, ids_only: bool
+    ) -> list[Neighbor]:
+        rows, ids, cached_of = self._rows, self._tree_ids, self._cached
+        start_of, stop_of = self._start, self._stop
+        is_cluster, cluster_radius = self._is_cluster, self._radius
+        a_child, b_child = self._a_child, self._b_child
+        a_radius, b_radius = self._a_radius, self._b_radius
+        kernel = self._metric._kernel
+        result: list[Neighbor] = []
+        computed = visited = pruned = leaves = included = 0
 
-        stats.nodes_visited += 1
-        d_a = self._dist(query, node.a_vector)
-        d_b = self._dist(query, node.b_vector)
-        if d_a <= radius:
-            result.append(Neighbor(node.a_id, d_a))
-        if d_b <= radius:
-            result.append(Neighbor(node.b_id, d_b))
+        stack = [0]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node = pop()
+            start = start_of[node]
+            if is_cluster[node]:
+                leaves += 1
+                computed += 1
+                d_centroid = kernel(query, rows[start : start + 1]).item()
+                if d_centroid <= radius:
+                    result.append(Neighbor(ids[start], d_centroid))
+                if d_centroid - cluster_radius[node] > radius:
+                    continue  # whole cluster provably outside
+                # Exclusion and wholesale inclusion are arithmetic on the
+                # cached centroid distances, so the members that need a
+                # real evaluation are known up front: one kernel call.
+                first, stop = start + 1, stop_of[node]
+                cached = cached_of[first:stop]
+                picks = np.flatnonzero(np.abs(d_centroid - cached) <= radius)
+                if not picks.size:
+                    continue
+                reported = d_centroid + cached[picks]  # upper bounds
+                sure = reported <= radius
+                included += int(np.count_nonzero(sure))
+                # Provably inside: ids-only mode reports those at the
+                # bound without evaluating; everything else is evaluated.
+                unsure = ~sure if ids_only else slice(None)
+                evaluate = picks[unsure]
+                if evaluate.size:
+                    computed += evaluate.size
+                    reported[unsure] = kernel(query, rows[first:stop][evaluate])
+                hits = reported <= radius
+                for pick, d in zip(picks[hits].tolist(), reported[hits].tolist()):
+                    result.append(Neighbor(ids[first + pick], d))
+                continue
 
-        if node.a_child is not None:
-            if d_a - node.a_radius <= radius:
-                self._range_visit(node.a_child, query, radius, result, ids_only=ids_only)
-            else:
-                stats.nodes_pruned += 1
-        if node.b_child is not None:
-            if d_b - node.b_radius <= radius:
-                self._range_visit(node.b_child, query, radius, result, ids_only=ids_only)
-            else:
-                stats.nodes_pruned += 1
+            visited += 1
+            computed += 2
+            d_a, d_b = kernel(query, rows[start : start + 2]).tolist()
+            if d_a <= radius:
+                result.append(Neighbor(ids[start], d_a))
+            if d_b <= radius:
+                result.append(Neighbor(ids[start + 1], d_b))
+            # B is pushed first so the A side is walked first.
+            kid = b_child[node]
+            if kid >= 0:
+                if d_b - b_radius[node] <= radius:
+                    push(kid)
+                else:
+                    pruned += 1
+            kid = a_child[node]
+            if kid >= 0:
+                if d_a - a_radius[node] <= radius:
+                    push(kid)
+                else:
+                    pruned += 1
+
+        self._record(computed, visited, pruned, leaves)
+        self._search_stats.items_included_wholesale += included
+        return result
 
     # ------------------------------------------------------------------
     # k-NN search (best-first branch and bound)
     # ------------------------------------------------------------------
     def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
-        best: list[tuple[float, int]] = []  # max-heap via negated distance
+        rows, ids, cached_of = self._rows, self._tree_ids, self._cached
+        start_of, stop_of, is_cluster = self._start, self._stop, self._is_cluster
+        a_child, b_child = self._a_child, self._b_child
+        a_radius, b_radius = self._a_radius, self._b_radius
+        kernel = self._metric._kernel
+        heap: list[tuple[float, int]] = []  # see offer_candidates
+        tau = np.inf
+        computed = visited = pruned = leaves = 0
 
-        def tau() -> float:
-            return -best[0][0] if len(best) == k else np.inf
-
-        def offer(item_id: int, d: float) -> None:
-            # (-d, -id): the max-heap then evicts the larger id among
-            # equal-distance entries, matching the documented tie-break.
-            entry = (-d, -item_id)
-            if len(best) < k:
-                heapq.heappush(best, entry)
-            elif entry > best[0]:
-                heapq.heapreplace(best, entry)
-
-        # Frontier of (lower_bound, tiebreak, node).
-        counter = itertools.count()
-        frontier: list[tuple[float, int, "_Split | _Cluster"]] = []
-        if self._root is not None:
-            heapq.heappush(frontier, (0.0, next(counter), self._root))
-
-        stats = self._search_stats
+        # Best-first frontier of (lower bound, push number, node): equal
+        # bounds pop in push order.  A bound is tested against tau when
+        # pushed and again, after tau has shrunk, when popped.
+        frontier = [(0.0, 0, 0)]
+        pushed = 1
         while frontier:
-            lower_bound, _, node = heapq.heappop(frontier)
-            if lower_bound > tau():
-                stats.nodes_pruned += 1
+            bound, _, node = heappop(frontier)
+            if bound > tau:
+                pruned += 1
                 continue
-            if isinstance(node, _Cluster):
-                stats.leaves_visited += 1
-                d_centroid = self._dist(query, node.centroid_vector)
-                offer(node.centroid_id, d_centroid)
-                # Stays scalar on purpose: tau shrinks as members of this
-                # same cluster are offered, so the cached-distance
-                # exclusion can spare later members entirely — batching
-                # up front would pay for evaluations the scalar path
-                # skips, breaking the exact distance accounting.
-                for member_id, vector, cached in zip(
-                    node.member_ids, node.member_vectors, node.member_centroid_distances
-                ):
-                    if abs(d_centroid - cached) > tau():
+            start = start_of[node]
+            if is_cluster[node]:
+                leaves += 1
+                computed += 1
+                d_centroid = kernel(query, rows[start : start + 1]).item()
+                if d_centroid <= tau:
+                    tau = offer_candidates(heap, k, (ids[start],), (d_centroid,))
+                # Member by member on purpose: tau shrinks as members of
+                # this same cluster are offered, so the cached-distance
+                # exclusion can spare later members entirely — one call
+                # up front would pay for evaluations this loop skips.
+                first, stop = start + 1, stop_of[node]
+                gaps = np.abs(d_centroid - cached_of[first:stop]).tolist()
+                for row, gap in zip(range(first, stop), gaps):
+                    if gap > tau:
                         continue  # cached-distance exclusion
-                    offer(member_id, self._dist(query, vector))
+                    computed += 1
+                    d = kernel(query, rows[row : row + 1]).item()
+                    if d <= tau:
+                        tau = offer_candidates(heap, k, (ids[row],), (d,))
                 continue
 
-            stats.nodes_visited += 1
-            d_a = self._dist(query, node.a_vector)
-            d_b = self._dist(query, node.b_vector)
-            offer(node.a_id, d_a)
-            offer(node.b_id, d_b)
-            for d, child_radius, child in (
-                (d_a, node.a_radius, node.a_child),
-                (d_b, node.b_radius, node.b_child),
+            visited += 1
+            computed += 2
+            d_a, d_b = kernel(query, rows[start : start + 2]).tolist()
+            if d_a <= tau or d_b <= tau:
+                tau = offer_candidates(heap, k, ids[start : start + 2], (d_a, d_b))
+            for d, reach, kid in (
+                (d_a, a_radius[node], a_child[node]),
+                (d_b, b_radius[node], b_child[node]),
             ):
-                if child is None:
+                if kid < 0:
                     continue
-                bound = max(d - child_radius, 0.0)
-                if bound <= tau():
-                    heapq.heappush(frontier, (bound, next(counter), child))
+                kid_bound = max(d - reach, 0.0)
+                if kid_bound <= tau:
+                    heappush(frontier, (kid_bound, pushed, kid))
+                    pushed += 1
                 else:
-                    stats.nodes_pruned += 1
+                    pruned += 1
 
-        return [Neighbor(-neg_id, -neg_d) for neg_d, neg_id in best]
+        self._record(computed, visited, pruned, leaves)
+        return [Neighbor(-neg_id, -neg_d) for neg_d, neg_id in heap]

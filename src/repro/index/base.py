@@ -51,6 +51,7 @@ index's own :meth:`MetricIndex.rebuild` — reads them back.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from heapq import heappush, heapreplace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -60,7 +61,7 @@ from repro.errors import IndexingError
 from repro.index.stats import BuildStats, SearchStats
 from repro.metrics.base import Metric
 
-__all__ = ["Neighbor", "MetricIndex"]
+__all__ = ["Neighbor", "MetricIndex", "offer_candidates"]
 
 
 class Neighbor(NamedTuple):
@@ -68,6 +69,26 @@ class Neighbor(NamedTuple):
 
     id: int
     distance: float
+
+
+def offer_candidates(
+    heap: list[tuple[float, int]], k: int, item_ids, distances
+) -> float:
+    """Offer ``(id, distance)`` pairs to a k-NN loop's ``k``-best heap.
+
+    The heap is a max-heap of ``(-distance, -id)``: among equal
+    distances the larger id is evicted first, matching the documented
+    tie-break.  Returns tau, the k-th best distance — infinite until
+    ``k`` candidates are held.  An item farther than tau cannot enter,
+    so the flat tree loops only call this for distances ``<= tau``.
+    """
+    for item_id, d in zip(item_ids, distances):
+        entry = (-d, -item_id)
+        if len(heap) < k:
+            heappush(heap, entry)
+        elif entry > heap[0]:
+            heapreplace(heap, entry)
+    return -heap[0][0] if len(heap) == k else np.inf
 
 
 #: The default storage for index cores; ``ImageDatabase`` overrides
@@ -595,13 +616,11 @@ class MetricIndex(ABC):
     ) -> list[list[Neighbor]]:
         """Overridable batched hook; the default runs one query at a time.
 
-        Indexes with a genuinely shared traversal override this: the
-        GNAT (range mode) evaluates each split point against every
-        active query in one kernel call, with its range-table kills
-        applied per query, and the kd-tree (range mode) evaluates each
-        child's box bound for all active queries in one vectorized
-        computation.
-        Overrides must fill :attr:`_batch_stats` themselves —
+        Every tree uses the default, so its scalar and batched entry
+        points are one traversal.  The one override is
+        :class:`~repro.index.filter_refine.FilterRefineIndex`, which
+        filters the whole batch with a single reduced-space call; an
+        override must fill :attr:`_batch_stats` itself —
         :meth:`_finish_batch` does the shared ordering/aggregation work.
         """
         return self._run_batch(
@@ -694,6 +713,18 @@ class MetricIndex(ABC):
         distances = self._metric._kernel(query, vectors)
         self._search_stats.distance_computations += distances.shape[0]
         return distances
+
+    def _record(self, computed: int, visited: int, pruned: int, leaves: int) -> None:
+        """Add one traversal's locally kept counters to the current stats.
+
+        The flat tree loops call the metric's ``_kernel`` directly and
+        count in locals; this is their single write-back per query.
+        """
+        stats = self._search_stats
+        stats.distance_computations += computed
+        stats.nodes_visited += visited
+        stats.nodes_pruned += pruned
+        stats.leaves_visited += leaves
 
     def _build_dist(self, a: np.ndarray, b: np.ndarray) -> float:
         """Metric evaluation, counted in the build stats."""

@@ -278,8 +278,7 @@ class FilterRefineIndex(MetricIndex):
 
         Range mode filters every query at the same radius, so the whole
         batch goes through the inner index in a single batched call
-        (riding its shared traversal where it has one) before the
-        per-query refine pass.  Each query is still reduced through the
+        before the per-query refine pass.  Each query is still reduced through the
         1-D ``transform`` path — stacking the projections, not the
         projection inputs — so its reduced coordinates, and hence its
         candidate set, per-query counters, and results, stay bit-identical

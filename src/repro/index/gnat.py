@@ -20,21 +20,40 @@ Range search follows the paper; k-NN search (which the paper left open)
 is the natural best-first extension: children are visited in order of
 the strongest available lower bound, with the bound re-checked against
 the shrinking candidate radius before each expansion.
+
+Layout.  A struct of arrays, as in :mod:`repro.index.vptree`.  One
+contiguous ``(n, d)`` block holds every row in depth-first pre-order: a
+node's *m* split points (in selection order), then child subtree 0,
+child subtree 1, ... — so every node, and every leaf bucket, is a
+``[start, stop)`` row range of that block and a node's split points are
+its first *m* rows.  Per-node lists indexed by the node's pre-order
+number hold the range, the child numbers (``-1`` = empty bucket; a leaf
+has ``None``) and the two ``(m, m)`` range tables.  The build partitions
+the block in place with an explicit stack, so a collection of identical
+rows — every item in split point 0's bucket, depth n/m — is an ordinary
+input.
+
+Traversal.  One iterative best-first k-NN loop and one iterative range
+loop serve every entry point (the batched ones through
+:meth:`MetricIndex._run_batch`).  Every distance is a call of the
+metric's unchecked ``_kernel`` on a row slice of the block and is
+counted: a leaf is one call; a k-NN node visit is one call for all *m*
+split points (all are needed — each seeds candidates and sharpens every
+child's bound); a range node visit evaluates its split points one call
+at a time in index order, because an early distance can kill a later
+split point before it is evaluated.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import IndexingError
-from repro.index.base import MetricIndex, Neighbor
+from repro.index.base import MetricIndex, Neighbor, offer_candidates
 from repro.index.pivot import anchor_distances
-from repro.index.stats import SearchStats
 from repro.metrics.base import Metric
 
 __all__ = ["GNAT", "greedy_maxmin_rows"]
@@ -70,28 +89,10 @@ def greedy_maxmin_rows(
         if min_dist[candidate] == 0.0 and n > len(chosen):
             # All remaining points coincide with chosen ones; any row not
             # yet chosen keeps the selection well-defined.
-            remaining = [row for row in range(n) if row not in chosen]
-            candidate = remaining[0]
+            candidate = next(row for row in range(n) if row not in chosen)
         chosen.append(candidate)
         min_dist = np.minimum(min_dist, sweep(candidate))
     return chosen
-
-
-@dataclass
-class _LeafNode:
-    ids: list[int]
-    vectors: np.ndarray
-
-
-@dataclass
-class _InnerNode:
-    split_ids: list[int]
-    split_vectors: np.ndarray
-    children: list["_InnerNode | _LeafNode | None"]
-    #: ``low[i, j]`` / ``high[i, j]``: distance interval from split point
-    #: i to everything stored under child j (including split point j).
-    low: np.ndarray = field(default_factory=lambda: np.empty(0))
-    high: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 class GNAT(MetricIndex):
@@ -129,7 +130,18 @@ class GNAT(MetricIndex):
         self._degree = degree
         self._leaf_size = leaf_size
         self._seed = seed
-        self._root: _InnerNode | _LeafNode | None = None
+        # The flat tree (see the module docstring): rows and their ids in
+        # tree order, then one entry per node in pre-order.
+        self._rows = np.empty((0, 0))
+        self._tree_ids: list[int] = []
+        self._start: list[int] = []
+        self._stop: list[int] = []
+        self._children: list[list[int] | None] = []
+        #: ``low[i, j]`` / ``high[i, j]``: distance interval from split
+        #: point i to everything stored under child j (split point j
+        #: included); ``None`` for a leaf.
+        self._low: list[np.ndarray | None] = []
+        self._high: list[np.ndarray | None] = []
 
     @property
     def degree(self) -> int:
@@ -141,245 +153,195 @@ class GNAT(MetricIndex):
     # ------------------------------------------------------------------
     def _build(self, ids: Sequence[int], vectors: np.ndarray) -> None:
         rng = np.random.default_rng(self._seed)
-        self._root = self._build_node(list(ids), vectors, rng, depth=0)
-
-    def _build_node(
-        self, ids: list[int], vectors: np.ndarray, rng: np.random.Generator, depth: int
-    ) -> "_InnerNode | _LeafNode":
         stats = self._build_stats
-        stats.depth = max(stats.depth, depth)
-        if len(ids) <= self._leaf_size:
-            stats.n_leaves += 1
-            # Contiguous block: leaf scans are single kernel passes.
-            return _LeafNode(ids, np.ascontiguousarray(vectors))
-        stats.n_nodes += 1
+        m = self._degree  # leaf_size >= degree: every inner node has m splits
+        # Owned copies, permuted in place into tree order below.
+        rows = np.array(vectors, dtype=np.float64, order="C")
+        tree_ids = np.array(ids, dtype=np.int64)
+        start_of: list[int] = []
+        stop_of: list[int] = []
+        children: list[list[int] | None] = []
+        low_of: list[np.ndarray | None] = []
+        high_of: list[np.ndarray | None] = []
 
-        m = min(self._degree, len(ids))
-        split_rows = greedy_maxmin_rows(
-            vectors, m, self._build_dist, rng, dist_batch=self._build_dist_batch
-        )
-        split_ids = [ids[row] for row in split_rows]
-        split_vectors = np.ascontiguousarray(vectors[split_rows])
-
-        # Assign every non-split item to its nearest split point, keeping
-        # the distances: they seed the range tables for free.  The whole
-        # (m, rest) distance matrix is m batched sweeps instead of one
-        # interpreted call per (split point, item) pair.
-        rest_rows = [row for row in range(len(ids)) if row not in set(split_rows)]
-        rest_block = np.ascontiguousarray(vectors[rest_rows])
-        distance_matrix = np.empty((m, len(rest_rows)))
-        for i in range(m):
-            distance_matrix[i] = self._build_dist_batch(split_vectors[i], rest_block)
-
-        low = np.full((m, m), np.inf)
-        high = np.zeros((m, m))
-        buckets: list[list[int]] = [[] for _ in range(m)]
-        owners = (
-            np.argmin(distance_matrix, axis=0)
-            if rest_rows
-            else np.empty(0, dtype=int)
-        )
-        for owner in range(m):
-            columns = np.flatnonzero(owners == owner)
-            if columns.size:
-                low[:, owner] = distance_matrix[:, columns].min(axis=1)
-                high[:, owner] = distance_matrix[:, columns].max(axis=1)
-            buckets[owner] = [rest_rows[column] for column in columns]
-
-        # Each child's interval must also cover its own split point.
-        for i in range(m):
-            pair_distances = self._build_dist_batch(split_vectors[i], split_vectors)
-            low[i] = np.minimum(low[i], pair_distances)
-            high[i] = np.maximum(high[i], pair_distances)
-
-        children: list[_InnerNode | _LeafNode | None] = []
-        for owner, bucket in enumerate(buckets):
-            if not bucket:
-                children.append(None)
+        # (start, stop, depth, parent, slot in the parent's child list);
+        # child 0 is pushed last so nodes are numbered — and the rng is
+        # consumed — in depth-first pre-order.
+        stack = [(0, rows.shape[0], 0, -1, 0)]
+        while stack:
+            start, stop, depth, parent, slot = stack.pop()
+            node = len(start_of)
+            if parent >= 0:
+                children[parent][slot] = node
+            start_of.append(start)
+            stop_of.append(stop)
+            children.append(None)
+            low_of.append(None)
+            high_of.append(None)
+            stats.depth = max(stats.depth, depth)
+            if stop - start <= self._leaf_size:
+                stats.n_leaves += 1
                 continue
-            children.append(
-                self._build_node(
-                    [ids[row] for row in bucket], vectors[bucket], rng, depth + 1
-                )
+            stats.n_nodes += 1
+
+            block, block_ids = rows[start:stop], tree_ids[start:stop]
+            split_rows = greedy_maxmin_rows(
+                block, m, self._build_dist, rng, dist_batch=self._build_dist_batch
             )
-        return _InnerNode(split_ids, split_vectors, children, low, high)
+            # Split points to the front in selection order; the rest keep
+            # their order.
+            order = np.concatenate(
+                (split_rows, np.delete(np.arange(stop - start), split_rows))
+            )
+            block[:] = block[order]
+            block_ids[:] = block_ids[order]
+            splits, rest, rest_ids = block[:m], block[m:], block_ids[m:]
+
+            # Assign every non-split item to its nearest split point,
+            # keeping the distances: they seed the range tables for free.
+            matrix = np.empty((m, rest.shape[0]))
+            for i in range(m):
+                matrix[i] = self._build_dist_batch(splits[i], rest)
+            owners = np.argmin(matrix, axis=0)
+            low = np.full((m, m), np.inf)
+            high = np.zeros((m, m))
+            for owner in range(m):
+                columns = np.flatnonzero(owners == owner)
+                if columns.size:
+                    low[:, owner] = matrix[:, columns].min(axis=1)
+                    high[:, owner] = matrix[:, columns].max(axis=1)
+            # Each child's interval must also cover its own split point.
+            for i in range(m):
+                pair_distances = self._build_dist_batch(splits[i], splits)
+                low[i] = np.minimum(low[i], pair_distances)
+                high[i] = np.maximum(high[i], pair_distances)
+            low_of[node], high_of[node] = low, high
+
+            # Stable partition of the rest into the m buckets.
+            by_owner = np.argsort(owners, kind="stable")
+            rest[:] = rest[by_owner]
+            rest_ids[:] = rest_ids[by_owner]
+            edges = start + m + np.concatenate(
+                ([0], np.cumsum(np.bincount(owners, minlength=m)))
+            )
+            children[node] = [-1] * m
+            for owner in reversed(range(m)):
+                lo, hi = int(edges[owner]), int(edges[owner + 1])
+                if hi > lo:
+                    stack.append((lo, hi, depth + 1, node, owner))
+
+        self._rows = rows
+        self._tree_ids = tree_ids.tolist()
+        self._start, self._stop, self._children = start_of, stop_of, children
+        self._low, self._high = low_of, high_of
 
     # ------------------------------------------------------------------
     # Range search
     # ------------------------------------------------------------------
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
+        rows, ids = self._rows, self._tree_ids
+        start_of, stop_of, children = self._start, self._stop, self._children
+        low_of, high_of = self._low, self._high
+        kernel = self._metric._kernel
         result: list[Neighbor] = []
-        self._range_visit(self._root, query, radius, result)
-        return result
+        computed = visited = pruned = leaves = 0
 
-    def _range_visit(
-        self,
-        node: "_InnerNode | _LeafNode | None",
-        query: np.ndarray,
-        radius: float,
-        result: list[Neighbor],
-    ) -> None:
-        if node is None:
-            return
-        if isinstance(node, _LeafNode):
-            self._search_stats.leaves_visited += 1
-            # One kernel pass over the leaf block + a vectorized filter.
-            distances = self._dist_batch(query, node.vectors)
-            for row in np.flatnonzero(distances <= radius):
-                result.append(Neighbor(node.ids[row], float(distances[row])))
-            return
-
-        self._search_stats.nodes_visited += 1
-        m = len(node.split_ids)
-        alive = np.ones(m, dtype=bool)
-        for i in range(m):
-            if not alive[i]:
+        stack = [0]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node = pop()
+            start = start_of[node]
+            kids = children[node]
+            if kids is None:
+                leaves += 1
+                stop = stop_of[node]
+                computed += stop - start
+                distances = kernel(query, rows[start:stop]).tolist()
+                if min(distances) <= radius:  # most buckets hold no hit
+                    for item_id, d in zip(ids[start:stop], distances):
+                        if d <= radius:
+                            result.append(Neighbor(item_id, d))
                 continue
-            d = self._dist(query, node.split_vectors[i])
-            if d <= radius:
-                result.append(Neighbor(node.split_ids[i], d))
-            # One computed distance kills every child whose interval from
-            # split point i misses the query annulus.
-            for j in range(m):
-                if j == i or not alive[j]:
+
+            visited += 1
+            low, high = low_of[node], high_of[node]
+            alive = [True] * len(kids)
+            for i, row in enumerate(range(start, start + len(kids))):
+                if not alive[i]:
                     continue
-                if d - radius > node.high[i, j] or d + radius < node.low[i, j]:
-                    alive[j] = False
-                    if node.children[j] is not None:
-                        self._search_stats.nodes_pruned += 1
-        for j in range(m):
-            if alive[j]:
-                self._range_visit(node.children[j], query, radius, result)
+                computed += 1
+                d = kernel(query, rows[row : row + 1]).item()
+                if d <= radius:
+                    result.append(Neighbor(ids[row], d))
+                # One computed distance kills every child whose interval
+                # from split point i misses the query annulus.
+                inner, outer = d - radius, d + radius
+                for j, (live, lo, hi) in enumerate(
+                    zip(alive, low[i].tolist(), high[i].tolist())
+                ):
+                    if live and j != i and (inner > hi or outer < lo):
+                        alive[j] = False
+                        if kids[j] >= 0:
+                            pruned += 1
+            # Child 0 is pushed last so children are walked in order.
+            for kid, live in zip(reversed(kids), reversed(alive)):
+                if live and kid >= 0:
+                    push(kid)
 
-    # ------------------------------------------------------------------
-    # Shared batched range traversal
-    # ------------------------------------------------------------------
-    # One walk of the tree serves the whole query batch.  Range search is
-    # order-independent *across* queries but not across split points: the
-    # scalar loop examines split points in index order precisely so an
-    # early distance can kill later split points before they are
-    # evaluated.  The shared traversal keeps that order and shares the
-    # kernel call the other way around: split point ``i`` is evaluated
-    # against every query that still has ``i`` alive in one
-    # kernel call (operand order flipped — the bitwise
-    # symmetry the parity suite pins), then each query applies its own
-    # range-table kills.  Per query, the evaluated split points, the
-    # prune decisions, and the child visit order are exactly the scalar
-    # path's, so results and per-query counters are bit-identical.
-    def _range_search_batch(
-        self, queries: np.ndarray, radius: float
-    ) -> list[list[Neighbor]]:
-        n_queries = queries.shape[0]
-        results: list[list[Neighbor]] = [[] for _ in range(n_queries)]
-        stats = [SearchStats() for _ in range(n_queries)]
-
-        def visit(node: "_InnerNode | _LeafNode | None", rows: list[int]) -> None:
-            if node is None or not rows:
-                return
-            if isinstance(node, _LeafNode):
-                for qi in rows:
-                    st = stats[qi]
-                    st.leaves_visited += 1
-                    st.distance_computations += node.vectors.shape[0]
-                    distances = self._metric._kernel(queries[qi], node.vectors)
-                    for row in np.flatnonzero(distances <= radius):
-                        results[qi].append(
-                            Neighbor(node.ids[row], float(distances[row]))
-                        )
-                return
-
-            m = len(node.split_ids)
-            has_child = np.array(
-                [child is not None for child in node.children], dtype=bool
-            )
-            alive = {qi: np.ones(m, dtype=bool) for qi in rows}
-            for qi in rows:
-                stats[qi].nodes_visited += 1
-            for i in range(m):
-                active = [qi for qi in rows if alive[qi][i]]
-                if not active:
-                    continue
-                split_distances = self._metric._kernel(
-                    node.split_vectors[i], queries[active]
-                ).tolist()
-                for qi, d in zip(active, split_distances):
-                    st = stats[qi]
-                    st.distance_computations += 1
-                    if d <= radius:
-                        results[qi].append(Neighbor(node.split_ids[i], d))
-                    row_alive = alive[qi]
-                    killed = (d - radius > node.high[i]) | (
-                        d + radius < node.low[i]
-                    )
-                    killed[i] = False
-                    killed &= row_alive
-                    if killed.any():
-                        row_alive[killed] = False
-                        st.nodes_pruned += int(has_child[killed].sum())
-            for j in range(m):
-                visit(
-                    node.children[j], [qi for qi in rows if alive[qi][j]]
-                )
-
-        visit(self._root, list(range(n_queries)))
-        return self._finish_batch(results, stats)
+        self._record(computed, visited, pruned, leaves)
+        return result
 
     # ------------------------------------------------------------------
     # k-NN search
     # ------------------------------------------------------------------
     def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
-        best: list[tuple[float, int]] = []  # max-heap as (-distance, id)
-        tiebreak = itertools.count()
-        queue: list[tuple[float, int, object]] = [(0.0, next(tiebreak), self._root)]
+        rows, ids = self._rows, self._tree_ids
+        start_of, stop_of, children = self._start, self._stop, self._children
+        low_of, high_of = self._low, self._high
+        kernel = self._metric._kernel
+        heap: list[tuple[float, int]] = []  # see offer_candidates
+        tau = np.inf
+        computed = visited = pruned = leaves = 0
 
-        def tau() -> float:
-            return -best[0][0] if len(best) == k else np.inf
-
-        def offer(item_id: int, d: float) -> None:
-            # (-d, -id): the max-heap then evicts the larger id among
-            # equal-distance entries, matching the documented tie-break.
-            entry = (-d, -item_id)
-            if len(best) < k:
-                heapq.heappush(best, entry)
-            elif entry > best[0]:
-                heapq.heapreplace(best, entry)
-
-        while queue:
-            bound, _, node = heapq.heappop(queue)
-            if node is None:
+        # Best-first frontier of (lower bound, push number, node): equal
+        # bounds pop in push order.  A bound is tested against tau when
+        # pushed and again, after tau has shrunk, when popped.
+        frontier = [(0.0, 0, 0)]
+        pushed = 1
+        while frontier:
+            bound, _, node = heappop(frontier)
+            if bound > tau:
+                pruned += 1
                 continue
-            if bound > tau():
-                self._search_stats.nodes_pruned += 1
-                continue
-            if isinstance(node, _LeafNode):
-                self._search_stats.leaves_visited += 1
-                # One kernel pass over the leaf block.
-                for item_id, d in zip(
-                    node.ids, self._dist_batch(query, node.vectors).tolist()
-                ):
-                    offer(item_id, d)
+            start = start_of[node]
+            kids = children[node]
+            stop = stop_of[node] if kids is None else start + len(kids)
+            computed += stop - start
+            distances = kernel(query, rows[start:stop])
+            if kids is None:
+                leaves += 1
+                distances = distances.tolist()
+                if min(distances) <= tau:  # most buckets offer nothing
+                    tau = offer_candidates(heap, k, ids[start:stop], distances)
                 continue
 
-            self._search_stats.nodes_visited += 1
-            m = len(node.split_ids)
-            lower = np.zeros(m)
-            # Every split point's distance is needed (the scalar loop had
-            # no short-circuit), so all m are one batched evaluation.
-            split_distances = self._dist_batch(query, node.split_vectors).tolist()
-            for i, d in enumerate(split_distances):
-                offer(node.split_ids[i], d)
-                lower = np.maximum(
-                    lower, np.maximum(node.low[i] - d, d - node.high[i])
-                )
-            for j in range(m):
-                if node.children[j] is None:
+            visited += 1
+            if distances.min() <= tau:
+                tau = offer_candidates(heap, k, ids[start:stop], distances.tolist())
+            # Child j lies no closer than any split point's interval
+            # allows: max over i of (low[i, j] - d_i, d_i - high[i, j], 0).
+            d = distances[:, None]
+            bounds = np.maximum(
+                np.maximum(low_of[node] - d, d - high_of[node]).max(axis=0), 0.0
+            )
+            for kid, kid_bound in zip(kids, bounds.tolist()):
+                if kid < 0:
                     continue
-                child_bound = max(float(lower[j]), 0.0)
-                if child_bound <= tau():
-                    heapq.heappush(
-                        queue, (child_bound, next(tiebreak), node.children[j])
-                    )
+                if kid_bound <= tau:
+                    heappush(frontier, (kid_bound, pushed, kid))
+                    pushed += 1
                 else:
-                    self._search_stats.nodes_pruned += 1
+                    pruned += 1
 
-        return [Neighbor(-neg_id, -neg_d) for neg_d, neg_id in best]
+        self._record(computed, visited, pruned, leaves)
+        return [Neighbor(-neg_id, -neg_d) for neg_d, neg_id in heap]

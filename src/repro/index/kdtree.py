@@ -12,20 +12,36 @@ Box lower bounds are coordinate arithmetic, not metric evaluations, so
 they are *not* counted as distance computations; this mirrors the cost
 model of the era (a distance computation = fetching a feature vector),
 and is exactly why the k-d tree looks strong at low dimensionality.
+
+Layout.  A struct of arrays, as in :mod:`repro.index.vptree`.  One
+contiguous ``(n, d)`` block holds every row in depth-first order (a
+node's left subtree, then its right subtree), so every node — and every
+leaf bucket — is a ``[start, stop)`` row range of that block.  Nodes are
+numbered so that siblings are adjacent: ``_child[node]`` is the left
+child, the right child is the next number, and a leaf has ``-1``.  The
+per-node arrays hold the range, the split dimension and value, and the
+bounding box of *every* node, leaves included, as two ``(n_nodes, d)``
+arrays — both children's boxes are one two-row slice.  The build
+partitions the block in place with an explicit stack.
+
+Traversal.  One iterative best-first k-NN loop and one iterative range
+loop serve every entry point (the batched ones through
+:meth:`MetricIndex._run_batch`).  A visited node evaluates both
+children's box bounds in one vectorized computation — elementwise
+arithmetic plus a last-axis reduction, so the two-row result equals two
+one-row evaluations to the last ulp — and a visited leaf is exactly one
+call of the metric's unchecked ``_kernel`` on its row range.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from heapq import heappop, heappush
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.errors import IndexingError
-from repro.index.base import MetricIndex, Neighbor
-from repro.index.stats import SearchStats
+from repro.index.base import MetricIndex, Neighbor, offer_candidates
 from repro.metrics.base import Metric
 from repro.metrics.minkowski import (
     ChebyshevDistance,
@@ -38,20 +54,27 @@ from repro.metrics.minkowski import (
 __all__ = ["KDTree"]
 
 
-@dataclass
-class _KDLeaf:
-    ids: list[int]
-    vectors: np.ndarray
+def _box_norm(metric: Metric) -> Callable[[np.ndarray], np.ndarray] | None:
+    """``metric``'s norm of each row of a box-excess matrix, or ``None``.
 
-
-@dataclass
-class _KDNode:
-    split_dim: int
-    split_value: float
-    left: "_KDNode | _KDLeaf"
-    right: "_KDNode | _KDLeaf"
-    box_low: np.ndarray
-    box_high: np.ndarray
+    Elementwise arithmetic plus last-axis reductions only (the rules the
+    metric kernels follow; BLAS-backed ``linalg.norm`` accumulates
+    differently for one vector than for a matrix of them), so a row's
+    bound does not depend on which rows are evaluated beside it.
+    """
+    if isinstance(metric, ManhattanDistance):
+        return lambda excess: excess.sum(axis=-1)
+    if isinstance(metric, EuclideanDistance):
+        return lambda excess: np.sqrt((excess * excess).sum(axis=-1))
+    if isinstance(metric, ChebyshevDistance):
+        return lambda excess: excess.max(axis=-1)
+    if isinstance(metric, WeightedEuclideanDistance):
+        weights = metric.weights
+        return lambda excess: np.sqrt(np.sum(weights * excess * excess, axis=-1))
+    if isinstance(metric, MinkowskiDistance):
+        p = metric.p
+        return lambda excess: np.sum(excess**p, axis=-1) ** (1.0 / p)
+    return None
 
 
 class KDTree(MetricIndex):
@@ -69,253 +92,168 @@ class KDTree(MetricIndex):
 
     def __init__(self, metric: Metric, *, leaf_size: int = 8) -> None:
         super().__init__(metric)
-        if not isinstance(
-            metric,
-            (
-                ManhattanDistance,
-                EuclideanDistance,
-                ChebyshevDistance,
-                MinkowskiDistance,
-                WeightedEuclideanDistance,
-            ),
-        ):
+        norm = _box_norm(metric)
+        if norm is None:
             raise IndexingError(
                 f"KDTree requires a Minkowski-family metric; got {metric.name}"
             )
         if leaf_size < 1:
             raise IndexingError(f"leaf_size must be >= 1; got {leaf_size}")
         self._leaf_size = leaf_size
-        self._root: _KDNode | _KDLeaf | None = None
-
-    # ------------------------------------------------------------------
-    # Box lower bound under the configured metric
-    # ------------------------------------------------------------------
-    # The scalar and batched bounds must agree to the last ulp — a prune
-    # decision may not depend on which entry point evaluated it — so both
-    # stick to elementwise arithmetic plus last-axis reductions (the same
-    # rules the metric kernels follow; BLAS-backed ``linalg.norm``
-    # accumulates differently for one vector than for a matrix of them).
-    def _box_lower_bound(
-        self, query: np.ndarray, low: np.ndarray, high: np.ndarray
-    ) -> float:
-        excess = np.maximum(np.maximum(low - query, query - high), 0.0)
-        metric = self._metric
-        if isinstance(metric, ManhattanDistance):
-            return float(excess.sum())
-        if isinstance(metric, EuclideanDistance):
-            return float(np.sqrt((excess * excess).sum()))
-        if isinstance(metric, ChebyshevDistance):
-            return float(excess.max())
-        if isinstance(metric, WeightedEuclideanDistance):
-            return float(np.sqrt(np.sum(metric.weights * excess * excess)))
-        assert isinstance(metric, MinkowskiDistance)
-        return float(np.sum(excess**metric.p) ** (1.0 / metric.p))
-
-    def _box_lower_bound_batch(
-        self, queries: np.ndarray, low: np.ndarray, high: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`_box_lower_bound` for a query matrix, row-identical."""
-        excess = np.maximum(np.maximum(low[None, :] - queries, queries - high[None, :]), 0.0)
-        metric = self._metric
-        if isinstance(metric, ManhattanDistance):
-            return excess.sum(axis=1)
-        if isinstance(metric, EuclideanDistance):
-            return np.sqrt((excess * excess).sum(axis=1))
-        if isinstance(metric, ChebyshevDistance):
-            return excess.max(axis=1)
-        if isinstance(metric, WeightedEuclideanDistance):
-            return np.sqrt(np.sum(metric.weights * excess * excess, axis=1))
-        assert isinstance(metric, MinkowskiDistance)
-        return np.sum(excess**metric.p, axis=1) ** (1.0 / metric.p)
+        self._box_norm = norm
+        # The flat tree (see the module docstring): rows and their ids in
+        # tree order, then one entry per node.
+        self._rows = np.empty((0, 0))
+        self._tree_ids: list[int] = []
+        self._start: list[int] = []
+        self._stop: list[int] = []
+        self._child: list[int] = []
+        self._split_dim: list[int] = []
+        self._split_value: list[float] = []
+        self._box_low = np.empty((0, 0))
+        self._box_high = np.empty((0, 0))
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def _build(self, ids: Sequence[int], vectors: np.ndarray) -> None:
-        self._root = self._build_node(list(ids), vectors, depth=0)
-
-    def _build_node(
-        self, ids: list[int], vectors: np.ndarray, depth: int
-    ) -> "_KDNode | _KDLeaf":
         stats = self._build_stats
-        stats.depth = max(stats.depth, depth)
-        if len(ids) <= self._leaf_size:
-            stats.n_leaves += 1
-            # Contiguous block: leaf scans are single kernel passes.
-            return _KDLeaf(ids, np.ascontiguousarray(vectors))
+        # Owned copies, permuted in place into tree order below.
+        rows = np.array(vectors, dtype=np.float64, order="C")
+        tree_ids = np.array(ids, dtype=np.int64)
+        start_of, stop_of = [0], [rows.shape[0]]
+        child, split_dim, split_value = [-1], [-1], [0.0]
+        box_low, box_high = [rows.min(axis=0)], [rows.max(axis=0)]
 
-        box_low = vectors.min(axis=0)
-        box_high = vectors.max(axis=0)
-        spreads = box_high - box_low
-        split_dim = int(np.argmax(spreads))
-        if spreads[split_dim] <= 0.0:
-            # All points identical: no split possible.
-            stats.n_leaves += 1
-            return _KDLeaf(ids, np.ascontiguousarray(vectors))
-
-        column = vectors[:, split_dim]
-        split_value = float(np.median(column))
-        left_mask = column <= split_value
-        if left_mask.all() or not left_mask.any():
-            # Median equals the maximum (heavy ties): split strictly below.
-            left_mask = column < split_value
-            if not left_mask.any():
+        stack = [(0, 0)]  # (node, depth)
+        while stack:
+            node, depth = stack.pop()
+            stats.depth = max(stats.depth, depth)
+            start, stop = start_of[node], stop_of[node]
+            block = rows[start:stop]
+            left = None
+            if stop - start > self._leaf_size:
+                spreads = box_high[node] - box_low[node]
+                dim = int(np.argmax(spreads))
+                if spreads[dim] > 0.0:  # else all points identical
+                    column = block[:, dim]
+                    value = float(np.median(column))
+                    left = column <= value
+                    if left.all():
+                        # Median equals the maximum (heavy ties): split
+                        # strictly below.
+                        left = column < value
+            if left is None or not left.any():
                 stats.n_leaves += 1
-                return _KDLeaf(ids, np.ascontiguousarray(vectors))
+                continue
+            stats.n_nodes += 1
 
-        stats.n_nodes += 1
-        right_mask = ~left_mask
-        return _KDNode(
-            split_dim=split_dim,
-            split_value=split_value,
-            left=self._build_node(
-                [i for i, keep in zip(ids, left_mask) if keep],
-                vectors[left_mask],
-                depth + 1,
-            ),
-            right=self._build_node(
-                [i for i, keep in zip(ids, right_mask) if keep],
-                vectors[right_mask],
-                depth + 1,
-            ),
-            box_low=box_low,
-            box_high=box_high,
+            # Stable partition: left rows, then right rows.
+            order = np.argsort(~left, kind="stable")
+            block[:] = block[order]
+            tree_ids[start:stop] = tree_ids[start:stop][order]
+            middle = start + int(np.count_nonzero(left))
+            first = len(start_of)
+            child[node], split_dim[node], split_value[node] = first, dim, value
+            for lo, hi in ((start, middle), (middle, stop)):
+                start_of.append(lo)
+                stop_of.append(hi)
+                child.append(-1)
+                split_dim.append(-1)
+                split_value.append(0.0)
+                box_low.append(rows[lo:hi].min(axis=0))
+                box_high.append(rows[lo:hi].max(axis=0))
+            stack.append((first + 1, depth + 1))
+            stack.append((first, depth + 1))
+
+        self._rows = rows
+        self._tree_ids = tree_ids.tolist()
+        self._start, self._stop, self._child = start_of, stop_of, child
+        self._split_dim, self._split_value = split_dim, split_value
+        self._box_low, self._box_high = np.array(box_low), np.array(box_high)
+
+    def _child_bounds(self, query: np.ndarray, first: int) -> list[float]:
+        """Box lower bounds of nodes ``first`` and ``first + 1`` (siblings)."""
+        pair = slice(first, first + 2)
+        excess = np.maximum(
+            np.maximum(self._box_low[pair] - query, query - self._box_high[pair]), 0.0
         )
+        return self._box_norm(excess).tolist()
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
+        rows, ids = self._rows, self._tree_ids
+        start_of, stop_of, child = self._start, self._stop, self._child
+        kernel, bounds_of = self._metric._kernel, self._child_bounds
         result: list[Neighbor] = []
+        computed = visited = pruned = leaves = 0
 
-        def visit(node: "_KDNode | _KDLeaf") -> None:
-            if isinstance(node, _KDLeaf):
-                self._search_stats.leaves_visited += 1
-                # One kernel pass over the leaf block + vectorized filter.
-                distances = self._dist_batch(query, node.vectors)
-                for row in np.flatnonzero(distances <= radius):
-                    result.append(Neighbor(node.ids[row], float(distances[row])))
-                return
-            self._search_stats.nodes_visited += 1
-            for child in (node.left, node.right):
-                bound = self._child_bound(child, query)
-                if bound <= radius:
-                    visit(child)
-                else:
-                    self._search_stats.nodes_pruned += 1
+        stack = [0]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node = pop()
+            first = child[node]
+            if first < 0:
+                leaves += 1
+                start, stop = start_of[node], stop_of[node]
+                computed += stop - start
+                distances = kernel(query, rows[start:stop]).tolist()
+                if min(distances) <= radius:  # most buckets hold no hit
+                    for item_id, d in zip(ids[start:stop], distances):
+                        if d <= radius:
+                            result.append(Neighbor(item_id, d))
+                continue
+            visited += 1
+            bound_left, bound_right = bounds_of(query, first)
+            # Right is pushed first so left is walked first.
+            if bound_right <= radius:
+                push(first + 1)
+            else:
+                pruned += 1
+            if bound_left <= radius:
+                push(first)
+            else:
+                pruned += 1
 
-        if self._root is not None:
-            visit(self._root)
+        self._record(computed, visited, pruned, leaves)
         return result
 
-    def _child_bound(self, child: "_KDNode | _KDLeaf", query: np.ndarray) -> float:
-        if isinstance(child, _KDNode):
-            return self._box_lower_bound(query, child.box_low, child.box_high)
-        if child.vectors.shape[0] == 0:
-            return np.inf
-        return self._box_lower_bound(
-            query, child.vectors.min(axis=0), child.vectors.max(axis=0)
-        )
-
-    def _child_bound_batch(
-        self, child: "_KDNode | _KDLeaf", queries: np.ndarray
-    ) -> np.ndarray:
-        if isinstance(child, _KDNode):
-            return self._box_lower_bound_batch(queries, child.box_low, child.box_high)
-        if child.vectors.shape[0] == 0:
-            return np.full(queries.shape[0], np.inf)
-        return self._box_lower_bound_batch(
-            queries, child.vectors.min(axis=0), child.vectors.max(axis=0)
-        )
-
-    # ------------------------------------------------------------------
-    # Shared batched range traversal
-    # ------------------------------------------------------------------
-    # Range mode is order-independent, so one walk serves the whole query
-    # batch: each child's box lower bound is evaluated for every active
-    # query in one vectorized computation (box bounds are coordinate
-    # arithmetic, not counted distance computations), and each leaf block
-    # is one kernel pass per surviving query.  Per query the visited
-    # nodes, prune decisions, and counters are exactly the scalar path's.
-    # k-NN keeps the per-query loop: its best-first pop order and prune
-    # tests depend on the query's own shrinking tau.
-    def _range_search_batch(
-        self, queries: np.ndarray, radius: float
-    ) -> list[list[Neighbor]]:
-        n_queries = queries.shape[0]
-        results: list[list[Neighbor]] = [[] for _ in range(n_queries)]
-        stats = [SearchStats() for _ in range(n_queries)]
-
-        def visit(node: "_KDNode | _KDLeaf", rows: list[int]) -> None:
-            if not rows:
-                return
-            if isinstance(node, _KDLeaf):
-                for qi in rows:
-                    st = stats[qi]
-                    st.leaves_visited += 1
-                    st.distance_computations += node.vectors.shape[0]
-                    distances = self._metric._kernel(queries[qi], node.vectors)
-                    for row in np.flatnonzero(distances <= radius):
-                        results[qi].append(
-                            Neighbor(node.ids[row], float(distances[row]))
-                        )
-                return
-            for qi in rows:
-                stats[qi].nodes_visited += 1
-            active = queries[rows]
-            for child in (node.left, node.right):
-                bounds = self._child_bound_batch(child, active).tolist()
-                survivors: list[int] = []
-                for qi, bound in zip(rows, bounds):
-                    if bound <= radius:
-                        survivors.append(qi)
-                    else:
-                        stats[qi].nodes_pruned += 1
-                visit(child, survivors)
-
-        if self._root is not None:
-            visit(self._root, list(range(n_queries)))
-        return self._finish_batch(results, stats)
-
     def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
-        best: list[tuple[float, int]] = []
+        rows, ids = self._rows, self._tree_ids
+        start_of, stop_of, child = self._start, self._stop, self._child
+        kernel, bounds_of = self._metric._kernel, self._child_bounds
+        heap: list[tuple[float, int]] = []  # see offer_candidates
+        tau = np.inf
+        computed = visited = pruned = leaves = 0
 
-        def tau() -> float:
-            return -best[0][0] if len(best) == k else np.inf
-
-        def offer(item_id: int, d: float) -> None:
-            # (-d, -id): the max-heap then evicts the larger id among
-            # equal-distance entries, matching the documented tie-break.
-            entry = (-d, -item_id)
-            if len(best) < k:
-                heapq.heappush(best, entry)
-            elif entry > best[0]:
-                heapq.heapreplace(best, entry)
-
-        counter = itertools.count()
-        frontier: list[tuple[float, int, "_KDNode | _KDLeaf"]] = []
-        if self._root is not None:
-            heapq.heappush(frontier, (0.0, next(counter), self._root))
-
+        # Best-first frontier of (box bound, push number, node): equal
+        # bounds pop in push order.  A bound is tested against tau when
+        # pushed and again, after tau has shrunk, when popped.
+        frontier = [(0.0, 0, 0)]
+        pushed = 1
         while frontier:
-            bound, _, node = heapq.heappop(frontier)
-            if bound > tau():
-                self._search_stats.nodes_pruned += 1
+            bound, _, node = heappop(frontier)
+            if bound > tau:
+                pruned += 1
                 continue
-            if isinstance(node, _KDLeaf):
-                self._search_stats.leaves_visited += 1
-                # One kernel pass over the leaf block.
-                for item_id, d in zip(
-                    node.ids, self._dist_batch(query, node.vectors).tolist()
-                ):
-                    offer(item_id, d)
+            first = child[node]
+            if first < 0:
+                leaves += 1
+                start, stop = start_of[node], stop_of[node]
+                computed += stop - start
+                distances = kernel(query, rows[start:stop]).tolist()
+                if min(distances) <= tau:  # most buckets offer nothing
+                    tau = offer_candidates(heap, k, ids[start:stop], distances)
                 continue
-            self._search_stats.nodes_visited += 1
-            for child in (node.left, node.right):
-                child_bound = self._child_bound(child, query)
-                if child_bound <= tau():
-                    heapq.heappush(frontier, (child_bound, next(counter), child))
+            visited += 1
+            for kid, kid_bound in zip((first, first + 1), bounds_of(query, first)):
+                if kid_bound <= tau:
+                    heappush(frontier, (kid_bound, pushed, kid))
+                    pushed += 1
                 else:
-                    self._search_stats.nodes_pruned += 1
+                    pruned += 1
 
-        return [Neighbor(-neg_id, -neg_d) for neg_d, neg_id in best]
+        self._record(computed, visited, pruned, leaves)
+        return [Neighbor(-neg_id, -neg_d) for neg_d, neg_id in heap]

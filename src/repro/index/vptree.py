@@ -55,13 +55,12 @@ its prune decision.
 from __future__ import annotations
 
 import sys
-from heapq import heappush, heapreplace
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import IndexingError
-from repro.index.base import MetricIndex, Neighbor
+from repro.index.base import MetricIndex, Neighbor, offer_candidates
 from repro.index.pivot import MaxSpreadPivot, PivotStrategy
 from repro.index.stats import SearchStats
 from repro.metrics.base import Metric
@@ -192,14 +191,6 @@ class VPTree(MetricIndex):
         self._in_low, self._in_high = in_low, in_high
         self._out_low, self._out_high = out_low, out_high
 
-    def _record(self, computed: int, visited: int, pruned: int, leaves: int) -> None:
-        """Add one traversal's locally kept counters to the current stats."""
-        stats = self._search_stats
-        stats.distance_computations += computed
-        stats.nodes_visited += visited
-        stats.nodes_pruned += pruned
-        stats.leaves_visited += leaves
-
     # ------------------------------------------------------------------
     # Range search
     # ------------------------------------------------------------------
@@ -317,13 +308,10 @@ class VPTree(MetricIndex):
         kernel = self._metric._kernel
         shrink = 1.0 / (1.0 + epsilon)
         limit = sys.maxsize if budget is None else budget  # int compares
-        # The k best candidates so far as a max-heap of (-distance, -id):
-        # among equal distances the larger id is evicted first, matching
-        # the documented tie-break.  tau is the k-th best distance,
-        # infinite until k are held; an item farther than tau cannot
-        # enter the heap, so it is not offered.  reach is tau * shrink.
+        # The k best candidates so far (see offer_candidates); tau is the
+        # k-th best distance and an item farther than tau cannot enter
+        # the heap, so it is not offered.  reach is tau * shrink.
         heap: list[tuple[float, int]] = []
-        held = 0
         tau = reach = np.inf
         computed = visited = pruned = leaves = 0
 
@@ -349,34 +337,17 @@ class VPTree(MetricIndex):
                     stop = start + limit - computed
                 computed += stop - start
                 distances = kernel(query, rows[start:stop]).tolist()
-                if min(distances) > tau:  # most buckets offer nothing
-                    continue
-                for item_id, d in zip(ids[start:stop], distances):
-                    if d <= tau:
-                        entry = (-d, -item_id)
-                        if held < k:
-                            heappush(heap, entry)
-                            held += 1
-                        elif entry > heap[0]:
-                            heapreplace(heap, entry)
-                        if held == k:
-                            tau = -heap[0][0]
-                            reach = tau * shrink
+                if min(distances) <= tau:  # most buckets offer nothing
+                    tau = offer_candidates(heap, k, ids[start:stop], distances)
+                    reach = tau * shrink
                 continue
 
             visited += 1
             computed += 1
             d = kernel(query, rows[start : start + 1]).item()
             if d <= tau:
-                entry = (-d, -ids[start])
-                if held < k:
-                    heappush(heap, entry)
-                    held += 1
-                elif entry > heap[0]:
-                    heapreplace(heap, entry)
-                if held == k:
-                    tau = -heap[0][0]
-                    reach = tau * shrink
+                tau = offer_candidates(heap, k, (ids[start],), (d,))
+                reach = tau * shrink
             # _interval_gap inline: low <= high, so only one side can be > 0.
             gap_in = in_low[node] - d
             if gap_in < 0.0:

@@ -1,0 +1,434 @@
+"""The four static trees' flat layout and single traversal, pinned from outside.
+
+``VPTree``, ``GNAT``, ``AntipoleTree`` and ``KDTree`` share one design —
+a tree-ordered row block, per-node parallel arrays, one iterative loop
+per query type — and one module checks it for all of them:
+
+* **layout** — after ``build`` and after ``rebuild`` the block is a
+  permutation of the input held exactly once, every subtree is a
+  contiguous row range that its node's own rows and its children tile,
+  and the stored payload (intervals, range tables, radii, cached
+  centroid distances, boxes) is the recomputed value bit for bit;
+* **call pattern** — a wrapper that counts metric *calls* and the rows
+  each hands over proves one kernel call per visited node, evaluated
+  split point, leaf or cluster on every entry point, so per-item scalar
+  calls cannot creep back unnoticed, and rows handed over ==
+  ``distance_computations``;
+* **entry-point parity** — on generated data full of ties and
+  duplicates, the scalar entry, a one-row batch and a row of an m-row
+  batch agree on ids, distance floats and the whole ``SearchStats``, and
+  with the linear scan; the VP-tree's approximate modes also agree with
+  the recursive reference kept below;
+* **depth** — a collection of identical rows builds a chain (one node
+  per item in the VP-tree, per ``degree`` items in the GNAT); nothing
+  may recurse.
+"""
+
+import dataclasses
+import heapq
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from repro.index.antipole import AntipoleTree
+from repro.index.browse import browse
+from repro.index.gnat import GNAT
+from repro.index.kdtree import KDTree
+from repro.index.linear import LinearScanIndex
+from repro.index.stats import SearchStats
+from repro.index.vptree import VPTree, _interval_gap
+from repro.metrics.minkowski import EuclideanDistance, ManhattanDistance
+
+_GNAT_DEGREE = 3
+
+#: name -> factory(metric, leaf_size).  The Antipole tree has no leaf
+#: size; its clusters are bounded by diameter.
+TREES = {
+    "vptree": lambda metric, leaf: VPTree(metric, leaf_size=leaf, seed=2),
+    "gnat": lambda metric, leaf: GNAT(
+        metric, degree=_GNAT_DEGREE, leaf_size=max(leaf, _GNAT_DEGREE), seed=2
+    ),
+    "antipole": lambda metric, leaf: AntipoleTree(metric, seed=2),
+    "kdtree": lambda metric, leaf: KDTree(metric, leaf_size=leaf),
+}
+each_tree = pytest.mark.parametrize("kind", list(TREES))
+
+
+def _is_leaf(tree, node):
+    return tree._inside[node] < 0 and tree._outside[node] < 0
+
+
+def _shape(tree, node):
+    """``(rows held at the node itself, child node numbers in row order)``."""
+    size = tree._stop[node] - tree._start[node]
+    if isinstance(tree, VPTree):
+        kids = [tree._inside[node], tree._outside[node]]
+        own = size if _is_leaf(tree, node) else 1
+    elif isinstance(tree, GNAT):
+        kids = tree._children[node] or []
+        own = size if tree._children[node] is None else len(kids)
+    elif isinstance(tree, AntipoleTree):
+        kids = [tree._a_child[node], tree._b_child[node]]
+        own = size if tree._is_cluster[node] else 2
+    else:
+        first = tree._child[node]
+        kids = [] if first < 0 else [first, first + 1]
+        own = size if first < 0 else 0
+    return own, [kid for kid in kids if kid >= 0]
+
+
+# ----------------------------------------------------------------------
+# (a) Layout invariants
+# ----------------------------------------------------------------------
+def _check_payload(tree, node, kids):
+    """The node's stored numbers are the recomputed ones, bit for bit."""
+    kernel = tree.metric.distance_batch
+    start, stop = tree._start[node], tree._stop[node]
+    span = lambda kid: tree._rows[tree._start[kid] : tree._stop[kid]]  # noqa: E731
+    if isinstance(tree, VPTree):
+        if _is_leaf(tree, node):
+            assert 0 < stop - start <= tree._leaf_size
+            return
+        assert stop - start > tree._leaf_size
+        for child, low, high in (
+            (tree._inside[node], tree._in_low[node], tree._in_high[node]),
+            (tree._outside[node], tree._out_low[node], tree._out_high[node]),
+        ):
+            if child < 0:
+                assert (low, high) == (0.0, 0.0)
+                continue
+            distances = kernel(tree._rows[start], span(child))
+            assert low == float(distances.min()) and high == float(distances.max())
+    elif isinstance(tree, GNAT):
+        children = tree._children[node]
+        if children is None:
+            assert tree._low[node] is None and 0 < stop - start <= tree._leaf_size
+            return
+        splits = tree._rows[start : start + len(children)]
+        for j, child in enumerate(children):
+            under = splits[j : j + 1]
+            if child >= 0:
+                under = np.vstack([under, span(child)])
+            for i, split in enumerate(splits):
+                distances = kernel(split, under)
+                assert tree._low[node][i, j] == distances.min()
+                assert tree._high[node][i, j] == distances.max()
+    elif isinstance(tree, AntipoleTree):
+        if tree._is_cluster[node]:
+            cached = kernel(tree._rows[start], tree._rows[start + 1 : stop])
+            assert np.array_equal(tree._cached[start + 1 : stop], cached)
+            assert tree._radius[node] == (cached.max() if cached.size else 0.0)
+            return
+        for row, child, radius in (
+            (start, tree._a_child[node], tree._a_radius[node]),
+            (start + 1, tree._b_child[node], tree._b_radius[node]),
+        ):
+            reach = kernel(tree._rows[row], span(child)).max() if child >= 0 else 0.0
+            assert radius == reach
+    else:
+        block = tree._rows[start:stop]
+        assert np.array_equal(tree._box_low[node], block.min(axis=0))
+        assert np.array_equal(tree._box_high[node], block.max(axis=0))
+        if kids:
+            dim, value = tree._split_dim[node], tree._split_value[node]
+            left, right = span(kids[0])[:, dim], span(kids[1])[:, dim]
+            assert left.max() <= value <= right.min() and left.max() < right.min()
+
+
+def _check_layout(tree, ids, vectors):
+    n, dim = vectors.shape
+    assert tree._rows.shape == vectors.shape and tree._rows.flags["C_CONTIGUOUS"]
+    assert sorted(tree._tree_ids) == sorted(ids)
+    row_of = {item_id: row for row, item_id in enumerate(ids)}
+    for row, item_id in enumerate(tree._tree_ids):
+        assert np.array_equal(tree._rows[row], vectors[row_of[item_id]])
+
+    # The rows live once beside the backend core: no per-node array of
+    # rows (leaf block, pivot copy) survives the build.
+    state = vars(tree)
+    assert sorted(
+        name for name, value in state.items()
+        if isinstance(value, np.ndarray) and value.shape == vectors.shape
+    ) == ["_rows", "_vectors"]
+    for value in state.values():
+        if isinstance(value, list):
+            assert not any(
+                isinstance(entry, np.ndarray) and entry.shape[-1:] == (dim,)
+                for entry in value
+            )
+
+    # Every other list is a per-node array, one entry per node.
+    n_nodes = len(tree._start)
+    for name, value in state.items():
+        if isinstance(value, list) and name not in ("_ids", "_tree_ids", "_batch_stats"):
+            assert len(value) == n_nodes, name
+    assert (tree._start[0], tree._stop[0]) == (0, n)
+    held = 0
+    for node in range(n_nodes):
+        own, kids = _shape(tree, node)
+        held += own
+        # The node's own rows, then its children's ranges, tile its range.
+        at = tree._start[node] + own
+        for kid in kids:
+            assert kid > node and tree._start[kid] == at
+            at = tree._stop[kid]
+        assert at == tree._stop[node]
+        if kids and not isinstance(tree, KDTree):
+            assert kids[0] == node + 1  # depth-first pre-order numbering
+        _check_payload(tree, node, kids)
+    assert held == n
+    stats = tree.build_stats
+    assert stats.n_nodes + stats.n_leaves == n_nodes
+
+
+@each_tree
+@pytest.mark.parametrize("leaf_size", [1, 4, 8])
+@pytest.mark.parametrize("metric", [EuclideanDistance(), ManhattanDistance()],
+                         ids=lambda m: m.name)
+def test_layout_after_build_and_rebuild(rng, kind, leaf_size, metric):
+    n, dim = 300, 5
+    vectors = rng.random((n, dim))
+    vectors[40:60] = vectors[40]  # a run of duplicates: degenerate splits
+    ids = list(range(100, 100 + n))
+    tree = TREES[kind](metric, leaf_size).build(ids, vectors)
+    _check_layout(tree, ids, vectors)
+
+    extra = rng.random((10, dim))
+    tree.delete(ids[:15])
+    tree.insert_batch(list(range(900, 910)), extra)
+    tree.rebuild()
+    assert tree.n_pending == tree.n_tombstones == 0
+    live_ids = ids[15:] + list(range(900, 910))
+    _check_layout(tree, live_ids, np.vstack([vectors[15:], extra]))
+
+
+# ----------------------------------------------------------------------
+# (b) One kernel call per visited node, split point, leaf or cluster
+# ----------------------------------------------------------------------
+class _CallCounter(EuclideanDistance):
+    """Records the row count of every metric call — a batch is one call,
+    and so is a scalar ``distance`` (it runs the kernel on one row).  A
+    subclass, not a wrapper: the kd-tree only accepts Minkowski metrics."""
+
+    def __init__(self) -> None:
+        self.calls: list[int] = []
+
+    def _kernel(self, query, vectors):
+        self.calls.append(vectors.shape[0])
+        return EuclideanDistance._kernel(query, vectors)
+
+
+def _expected_calls(kind, mode, stats, calls):
+    """Bounds ``(fewest, most)`` on the kernel calls of one traversal."""
+    nodes, leaves = stats.nodes_visited, stats.leaves_visited
+    assert nodes and leaves
+    if kind == "kdtree":  # box bounds are not metric calls
+        return leaves, leaves
+    if kind == "gnat" and mode == "range":
+        # Split points are evaluated one call each, in index order, until
+        # killed; every call beyond the leaves' is therefore one row.
+        assert calls.count(1) >= len(calls) - leaves
+        return nodes + leaves, _GNAT_DEGREE * nodes + leaves
+    if kind == "antipole" and mode == "range":
+        # A and B are one call; a cluster is its centroid plus at most
+        # one call for the members that survive the cached bounds.
+        return nodes + leaves, nodes + 2 * leaves
+    if kind == "antipole":
+        # k-NN evaluates cluster members one at a time (tau-dependent).
+        members = stats.distance_computations - 2 * nodes - leaves
+        return (nodes + leaves + members,) * 2
+    return nodes + leaves, nodes + leaves
+
+
+@each_tree
+def test_one_kernel_call_per_visit(rng, kind):
+    counter = _CallCounter()
+    vectors = rng.random((600, 4))
+    tree = TREES[kind](counter, 4).build(list(range(600)), vectors)
+    queries = rng.random((5, 4))
+
+    searches = [
+        ("knn", lambda: tree.knn_search(queries[0], 7)),
+        ("range", lambda: tree.range_search(queries[1], 0.25)),
+        ("knn", lambda: tree.knn_search_batch(queries, 7)),
+        ("range", lambda: tree.range_search_batch(queries, 0.25)),
+    ]
+    if kind == "vptree":
+        searches += [
+            ("knn", lambda: tree.knn_search_approximate(queries[2], 7, epsilon=0.5)),
+            ("knn", lambda: tree.knn_search_approximate(
+                queries[3], 7, max_distance_computations=45)),
+        ]
+    if kind == "antipole":
+        searches.append(("range", lambda: tree.range_search_ids(queries[4], 0.25)))
+    for mode, search in searches:
+        counter.calls = []
+        search()
+        fewest, most = _expected_calls(kind, mode, tree.last_stats, counter.calls)
+        assert fewest <= len(counter.calls) <= most
+        assert 0 not in counter.calls
+        assert sum(counter.calls) == tree.last_stats.distance_computations
+
+
+# ----------------------------------------------------------------------
+# (c) Entry-point parity; the VP-tree also against a recursive reference
+# ----------------------------------------------------------------------
+def _reference_knn(tree, query, k, epsilon=0.0, budget=None):
+    """The recursive, one-distance-at-a-time VP-tree branch-and-bound."""
+    metric = tree.metric
+    stats = SearchStats()
+    heap = []
+    shrink = 1.0 / (1.0 + epsilon)
+
+    def offer(row):
+        stats.distance_computations += 1
+        d = metric.distance(query, tree._rows[row])
+        entry = (-d, -tree._tree_ids[row])
+        if len(heap) < k:
+            heapq.heappush(heap, entry)
+        elif entry > heap[0]:
+            heapq.heapreplace(heap, entry)
+        return d
+
+    def spent():
+        return budget is not None and stats.distance_computations >= budget
+
+    def visit(node):
+        if spent():
+            return
+        start, stop = tree._start[node], tree._stop[node]
+        if _is_leaf(tree, node):
+            stats.leaves_visited += 1
+            for row in range(start, stop):
+                if spent():
+                    return
+                offer(row)
+            return
+        stats.nodes_visited += 1
+        d = offer(start)
+        children = [
+            (tree._inside[node], tree._in_low[node], tree._in_high[node]),
+            (tree._outside[node], tree._out_low[node], tree._out_high[node]),
+        ]
+        children.sort(key=lambda c: _interval_gap(d, c[1], c[2]))
+        for child, low, high in children:
+            if child < 0:
+                continue
+            tau = -heap[0][0] if len(heap) == k else np.inf
+            if _interval_gap(d, low, high) <= tau * shrink:
+                visit(child)
+            else:
+                stats.nodes_pruned += 1
+
+    visit(0)
+    result = sorted((-neg_d, -neg_id) for neg_d, neg_id in heap)
+    return [(item_id, d) for d, item_id in result], stats
+
+
+def _pairs(result):
+    return [(nb.id, nb.distance) for nb in result]
+
+
+#: Coordinates from a coarse grid: ties and exact duplicates everywhere.
+_grid = st.integers(0, 3).map(lambda v: v / 4.0)
+
+
+@st.composite
+def _cases(draw):
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 3))
+    vectors = draw(hnp.arrays(np.float64, (n, dim), elements=_grid))
+    queries = draw(hnp.arrays(np.float64, (3, dim), elements=_grid))
+    return (
+        vectors,
+        queries,
+        draw(st.sampled_from([1, 2, 8])),  # leaf_size
+        draw(st.integers(1, n + 3)),  # k, past n included
+        draw(st.sampled_from([0.0, 0.25, 0.5])),  # radius
+        draw(st.sampled_from([0.0, 0.5, 2.0])),  # epsilon
+        draw(st.sampled_from([None, 1, 3, 10, 25])),  # budget
+    )
+
+
+@each_tree
+@settings(max_examples=120, deadline=None)
+@given(_cases())
+def test_every_entry_point_agrees(kind, case):
+    vectors, queries, leaf_size, k, radius, epsilon, budget = case
+    ids = list(range(len(vectors)))
+    tree = TREES[kind](EuclideanDistance(), leaf_size).build(ids, vectors)
+    oracle = LinearScanIndex(EuclideanDistance()).build(ids, vectors)
+
+    knn_rows = tree.knn_search_batch(queries, k)
+    knn_row_stats = tree.last_batch_stats
+    range_rows = tree.range_search_batch(queries, radius)
+    range_row_stats = tree.last_batch_stats
+    for i, query in enumerate(queries):
+        scalar = tree.knn_search(query, k)
+        scalar_stats = tree.last_stats
+        one_row = tree.knn_search_batch(query[None, :], k)
+        assert scalar == one_row[0] == knn_rows[i] == oracle.knn_search(query, k)
+        assert scalar_stats == tree.last_batch_stats[0] == knn_row_stats[i]
+
+        hits = tree.range_search(query, radius)
+        hits_stats = tree.last_stats
+        one_row = tree.range_search_batch(query[None, :], radius)
+        assert hits == one_row[0] == range_rows[i]
+        assert hits == oracle.range_search(query, radius)
+        assert hits_stats == tree.last_batch_stats[0] == range_row_stats[i]
+
+        if kind == "antipole":
+            assert sorted(tree.range_search_ids(query, radius)) == sorted(
+                nb.id for nb in hits
+            )
+            assert (
+                tree.last_stats.distance_computations
+                <= hits_stats.distance_computations
+            )
+        if kind != "vptree":
+            continue
+        reference, reference_stats = _reference_knn(tree, query, k)
+        assert _pairs(scalar) == reference and scalar_stats == reference_stats
+        approximate = tree.knn_search_approximate(
+            query, k, epsilon=epsilon, max_distance_computations=budget
+        )
+        reference, reference_stats = _reference_knn(tree, query, k, epsilon, budget)
+        assert _pairs(approximate) == reference
+        assert dataclasses.asdict(tree.last_stats) == dataclasses.asdict(
+            reference_stats
+        )
+
+
+# ----------------------------------------------------------------------
+# Depth: identical rows build a chain; nothing may recurse
+# ----------------------------------------------------------------------
+#: Fewest levels the 9 000 identical rows must produce (none in the two
+#: trees that put them all in one bucket).
+_N_SAME = 9000
+_CHAIN_DEPTH = {"vptree": _N_SAME - 8, "gnat": _N_SAME // 8 - 1}
+
+
+@each_tree
+def test_duplicate_heavy_collection_needs_no_recursion(kind):
+    vectors = np.zeros((_N_SAME + 3, 4))
+    vectors[-3:] = [[0.5, 0, 0, 0], [0, 0.25, 0, 0], [1, 1, 1, 1]]
+    ids = list(range(len(vectors)))
+    if kind == "gnat":
+        tree = GNAT(EuclideanDistance())  # the default degree: depth ~n/8
+    else:
+        tree = TREES[kind](EuclideanDistance(), 8)
+    tree.build(ids, vectors)
+    oracle = LinearScanIndex(EuclideanDistance()).build(ids, vectors)
+    assert tree.build_stats.depth >= _CHAIN_DEPTH.get(kind, 0)
+
+    queries = np.array([[0.0, 0, 0, 0], [0.4, 0.1, 0, 0]])
+    for query in queries:
+        assert tree.knn_search(query, 12) == oracle.knn_search(query, 12)
+        assert tree.range_search(query, 0.3) == oracle.range_search(query, 0.3)
+    assert tree.knn_search_batch(queries, 12) == oracle.knn_search_batch(queries, 12)
+    assert tree.range_search_batch(queries, 0.3) == oracle.range_search_batch(
+        queries, 0.3
+    )
+    assert list(browse(tree, queries[1])) == oracle.knn_search(queries[1], len(ids))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import IndexingError
-from repro.index.gnat import GNAT, greedy_maxmin_rows, _InnerNode, _LeafNode
+from repro.index.gnat import GNAT, greedy_maxmin_rows
 from repro.index.linear import LinearScanIndex
 from repro.metrics.base import CountingMetric
 from repro.metrics.histogram import ChiSquareDistance, HistogramIntersection
@@ -123,30 +123,22 @@ class TestRangeTables:
         vectors = rng.random((200, 3))
         tree = GNAT(metric, degree=4).build(list(range(200)), vectors)
 
-        def subtree_vectors(node):
-            if node is None:
-                return []
-            if isinstance(node, _LeafNode):
-                return list(node.vectors)
-            out = list(node.split_vectors)
-            for child in node.children:
-                out.extend(subtree_vectors(child))
-            return out
-
-        def check(node):
-            if node is None or isinstance(node, _LeafNode):
-                return
-            m = len(node.split_ids)
-            for j in range(m):
-                members = [node.split_vectors[j]] + subtree_vectors(node.children[j])
-                for i in range(m):
+        # A child's subtree is a contiguous row range of the tree-ordered
+        # block, so "everything under child j" is one slice.
+        for node, children in enumerate(tree._children):
+            if children is None:
+                continue
+            start = tree._start[node]
+            splits = tree._rows[start : start + len(children)]
+            for j, child in enumerate(children):
+                members = [splits[j]]
+                if child >= 0:
+                    members.extend(tree._rows[tree._start[child] : tree._stop[child]])
+                for i, split in enumerate(splits):
                     for vector in members:
-                        d = metric.distance(node.split_vectors[i], vector)
-                        assert node.low[i, j] - 1e-9 <= d <= node.high[i, j] + 1e-9
-            for child in node.children:
-                check(child)
-
-        check(tree._root)
+                        d = metric.distance(split, vector)
+                        low, high = tree._low[node][i, j], tree._high[node][i, j]
+                        assert low - 1e-9 <= d <= high + 1e-9
 
     def test_prunes_on_clustered_data(self, rng):
         from repro.eval.datasets import gaussian_clusters
