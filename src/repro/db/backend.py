@@ -8,7 +8,7 @@ engine actually needs:
 
 ``view()``
     The live rows as a read-only ``(n, d)`` array.  Zero-copy for the
-    memory backend, an OS-paged ``np.memmap`` for the mmap backend —
+    memory backend, an OS-paged memory map for the mmap backend —
     either way safe to hand to query code, and a view taken before an
     ``append`` remains valid (appends never change the bytes of live
     rows).  Callers must refresh any held view after ``take``.
@@ -195,6 +195,20 @@ class MemoryBackend(VectorBackend):
         self._rows = np.empty((capacity, rows.shape[1]), dtype=np.float64)
         self._rows[: self._n] = rows
 
+    @classmethod
+    def adopt(cls, block: np.ndarray) -> "MemoryBackend":
+        """A backend whose storage *is* ``block`` — no copy.
+
+        ``block`` must be a C-contiguous float64 ``(n, d)`` array the
+        caller gives up: :meth:`take` compacts inside it.  This is how
+        an index build hands over the block it arranged
+        (:meth:`BackendFactory.adopt`).
+        """
+        self = cls.__new__(cls)
+        self._rows = block
+        self._n = int(block.shape[0])
+        return self
+
     @property
     def n_rows(self) -> int:
         return self._n
@@ -220,7 +234,9 @@ class MemoryBackend(VectorBackend):
         return view
 
     def rows(self, indices: Iterable[int]) -> np.ndarray:
-        index = np.asarray(list(indices), dtype=np.intp)
+        if not isinstance(indices, np.ndarray):
+            indices = list(indices)
+        index = np.asarray(indices, dtype=np.intp)
         return self._rows[: self._n][index]  # fancy indexing copies
 
     def iter_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
@@ -271,7 +287,7 @@ class MmapBackend(VectorBackend):
     """Core rows in a paged :class:`~repro.db.store.FeatureStore` file,
     served with bounded resident memory.
 
-    :meth:`view` is a read-only ``np.memmap`` over the record region —
+    :meth:`view` is a read-only array over the memory-mapped record region —
     the OS pages rows in on demand and evicts them under pressure, so a
     core larger than RAM is queryable.  :meth:`rows` gathers through
     the store's LRU :class:`~repro.db.bufferpool.BufferPool` and
@@ -365,17 +381,24 @@ class MmapBackend(VectorBackend):
                 empty.setflags(write=False)
                 self._mm = empty
             else:
-                self._mm = np.memmap(
-                    self._path,
-                    dtype="<f8",
-                    mode="r",
-                    offset=_HEADER_BYTES,
-                    shape=(n, self._store.dim),
+                # A plain-ndarray view of the mapping, taken once: tree
+                # traversals slice it per visited node, and slicing an
+                # ``np.memmap`` pays its subclass machinery every time.
+                self._mm = np.asarray(
+                    np.memmap(
+                        self._path,
+                        dtype="<f8",
+                        mode="r",
+                        offset=_HEADER_BYTES,
+                        shape=(n, self._store.dim),
+                    )
                 )
             self._mm_rows = n
         return self._mm
 
     def rows(self, indices: Iterable[int]) -> np.ndarray:
+        if isinstance(indices, np.ndarray):
+            indices = indices.tolist()
         return self._store.get_many([int(i) for i in indices])
 
     def iter_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
@@ -462,6 +485,12 @@ class BackendFactory:
     def __call__(self, rows: np.ndarray) -> VectorBackend:
         raise NotImplementedError
 
+    def adopt(self, block: np.ndarray) -> VectorBackend:
+        """A backend over a block the caller gives up (an index build's
+        arranged rows).  A RAM backend keeps the block itself; the
+        default writes it out like any other rows."""
+        return self(block)
+
     def pool_stats(self) -> dict:
         return {
             "hits": 0,
@@ -514,6 +543,9 @@ class MemoryBackendFactory(BackendFactory):
 
     def __call__(self, rows: np.ndarray) -> MemoryBackend:
         return MemoryBackend(rows)
+
+    def adopt(self, block: np.ndarray) -> MemoryBackend:
+        return MemoryBackend.adopt(block)
 
 
 @register_backend("mmap")

@@ -54,6 +54,7 @@ import numpy as np
 from repro.db.backend import BackendFactory, MemoryBackend, resolve_backend_factory
 from repro.db.catalog import Catalog, ImageRecord
 from repro.db.fsutil import REAL_FS, FileSystem, atomic_write_bytes, fsync_file
+from repro.db.idmap import IdMap
 from repro.db.query import (
     RetrievalResult,
     borda_fuse,
@@ -82,7 +83,7 @@ _FEATURE_DIR = "features"
 class _WaitingRows:
     """Rows added before their feature's first build.
 
-    Whole matrices appended to one growable buffer; the build gathers
+    Whole matrices appended to one growable buffer; the build reads
     them, hands them to ``MetricIndex.build`` and drops this object.
     It answers the two calls the database routes rows through, so
     callers need not know whether a feature is built.  Removal needs no
@@ -91,16 +92,27 @@ class _WaitingRows:
     """
 
     def __init__(self, dim: int) -> None:
-        self._ids: list[int] = []
+        self._row_of = IdMap()
         self._rows = MemoryBackend(np.empty((0, dim)))
 
     def insert_batch(self, ids: Sequence[int], vectors: np.ndarray) -> None:
-        self._ids.extend(ids)
+        self._row_of.extend(ids)
         self._rows.append(vectors)
 
     def vectors_of(self, ids: Sequence[int]) -> np.ndarray:
-        latest = {item_id: row for row, item_id in enumerate(self._ids)}
-        return self._rows.rows([latest[item_id] for item_id in ids])
+        """Rows by id, O(ids asked).  Asked for every held id in order
+        — what a first build or a ``save`` does — the answer is a
+        read-only view of the buffer itself: no gather, no copy."""
+        held = self._row_of.ids
+        if len(ids) == len(held) and np.array_equal(ids, held):
+            return self._rows.view()
+        return self._rows.rows(self._row_of.rows(ids))
+
+
+def _fresh(rows: np.ndarray) -> np.ndarray:
+    """``rows`` as an array the caller may keep and write to: waiting
+    rows asked for wholesale come back as a borrowed read-only view."""
+    return rows if rows.flags.writeable else rows.copy()
 
 
 class ImageDatabase:
@@ -250,8 +262,9 @@ class ImageDatabase:
 
     def feature_matrix(self, feature: str) -> tuple[list[int], np.ndarray]:
         """All stored vectors of one feature: ``(ids, (n, d) array)``."""
+        self._check_feature(feature)
         ids = self._catalog.ids
-        return ids, self.vectors_of(feature, ids)
+        return ids, _fresh(self._owner(feature).vectors_of(ids))
 
     def vectors_of(self, feature: str, image_ids: Sequence[int]) -> np.ndarray:
         """The stored signatures of some images for one feature.
@@ -264,7 +277,7 @@ class ImageDatabase:
         for image_id in image_ids:
             if image_id not in self._catalog:
                 raise QueryError(f"no image with id {image_id}")
-        return self._owner(feature).vectors_of(image_ids)
+        return _fresh(self._owner(feature).vectors_of(image_ids))
 
     def vector_of(self, feature: str, image_id: int) -> np.ndarray:
         """The stored signature of one image for one feature (a copy)."""
@@ -376,21 +389,12 @@ class ImageDatabase:
             if taken:
                 raise QueryError(f"image id {taken[0]} is already in use")
 
-        out_ids: list[int] = []
-        for row in range(n_rows):
-            image_id = ids[row] if ids is not None else self._catalog.allocate_id()
-            record = ImageRecord(
-                image_id=image_id,
-                name=names[row] if names is not None else f"vector_{image_id}",
-                width=0,
-                height=0,
-                mode="vector",
-                label=labels[row] if labels is not None else None,
-            )
-            self._catalog.insert(record)
-            out_ids.append(image_id)
-        self._register_insert(out_ids, matrices)
-        return out_ids
+        if ids is None:
+            first = self._catalog.next_id
+            ids = list(range(first, first + n_rows))
+        self._catalog.insert_rows(ids, labels=labels, names=names)
+        self._register_insert(ids, matrices)
+        return ids
 
     def validate_signatures(
         self,
@@ -507,9 +511,9 @@ class ImageDatabase:
         factory (all stateless configuration) but owns its own catalog,
         rows, indexes, and generation stamps — it is a fully
         independent database whose item set happens to be a subset of
-        this one's.  Records are reused as-is (they are frozen); vector
-        rows are gathered from this database's owner into one matrix
-        per feature that waits for the view's first build.  Indexes
+        this one's.  Records are copied into the view's own catalog;
+        vector rows are gathered from this database's owner into one
+        matrix per feature that waits for the view's first build.  Indexes
         build lazily at the view's first query.
 
         This is the constructor behind sharded scatter-gather serving
@@ -532,10 +536,11 @@ class ImageDatabase:
             index_factory=self._index_factory,
             backend=self._backend_factory,
         )
-        for image_id in image_ids:
-            view._catalog.insert(self._catalog.get(image_id))  # raises when unknown
+        view._catalog.insert_many(
+            self._catalog.get(image_id) for image_id in image_ids  # raises when unknown
+        )
         for feature, waiting in view._waiting.items():
-            waiting.insert_batch(image_ids, self.vectors_of(feature, image_ids))
+            waiting.insert_batch(image_ids, self._owner(feature).vectors_of(image_ids))
         return view
 
     @classmethod
@@ -577,12 +582,13 @@ class ImageDatabase:
                         f"image id {image_id} appears in two views"
                     )
                 by_id[image_id] = view
-        for image_id in sorted(by_id):
-            merged._catalog.insert(by_id[image_id]._catalog.get(image_id))
+        merged._catalog.insert_many(
+            by_id[image_id]._catalog.get(image_id) for image_id in sorted(by_id)
+        )
         for view in views:
             ids = view.catalog.ids
             for feature, waiting in merged._waiting.items():
-                waiting.insert_batch(ids, view.vectors_of(feature, ids))
+                waiting.insert_batch(ids, view._owner(feature).vectors_of(ids))
         merged._catalog._next_id = max(
             [merged._catalog.next_id] + [view.catalog.next_id for view in views]
         )
@@ -783,15 +789,14 @@ class ImageDatabase:
         """
         directory = Path(directory)
         (directory / _FEATURE_DIR).mkdir(parents=True, exist_ok=True)
-        ordered_ids = self._catalog.ids
+        ordered_ids = self._catalog.id_array
         for feature in self._schema.names:
             path = directory / _FEATURE_DIR / f"{feature}.feat"
             staging = path.with_name(path.name + ".new")
             with FeatureStore.create(
                 staging, self._schema.get(feature).dim, overwrite=True, fs=fs
             ) as store:
-                for row in self.vectors_of(feature, ordered_ids):
-                    store.append(row)
+                store.extend(self._owner(feature).vectors_of(ordered_ids))
             fsync_file(staging, fs=fs)
             fs.replace(staging, path)
         fs.fsync_dir(directory / _FEATURE_DIR)
@@ -844,7 +849,7 @@ class ImageDatabase:
             schema, metrics=metrics, index_factory=index_factory, backend=backend
         )
         db._catalog = Catalog.load(directory / _CATALOG_FILE)
-        ordered_ids = db._catalog.ids
+        ordered_ids = db._catalog.id_array
         for feature in schema.names:
             path = directory / _FEATURE_DIR / f"{feature}.feat"
             with FeatureStore.open(path) as store:
@@ -869,8 +874,8 @@ class ImageDatabase:
     def _build_index(self, feature: str) -> None:
         """Build a fresh index over the live items, in catalog order,
         from whoever owns the rows now — then it is the owner."""
-        ids = self._catalog.ids
-        if not ids:
+        ids = self._catalog.id_array
+        if not ids.shape[0]:
             raise QueryError("cannot build an index over an empty database")
         index = self._index_factory(self._metrics[feature])
         index.backend_factory = self._backend_factory

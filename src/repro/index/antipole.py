@@ -55,12 +55,12 @@ later members entirely.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from repro.errors import IndexingError
-from repro.index.base import MetricIndex, Neighbor, offer_candidates
+from repro.index.base import MetricIndex, Neighbor, offer_candidates, reorder_rows
 from repro.index.stats import SearchStats
 from repro.metrics.base import Metric
 
@@ -148,11 +148,9 @@ class AntipoleTree(MetricIndex):
         self._final_round = final_round_size
         self._seed = seed
         self._effective_threshold: float | None = None
-        # The flat tree (see the module docstring): rows, their ids and
-        # cached centroid distances in tree order, then one entry per
-        # node in pre-order.
-        self._rows = np.empty((0, 0))
-        self._tree_ids: list[int] = []
+        # The flat tree (see the module docstring): cached centroid
+        # distances aligned to the base class's rows and ids in tree
+        # order, then one entry per node in pre-order.
         self._cached = np.empty(0)
         self._start: list[int] = []
         self._stop: list[int] = []
@@ -238,12 +236,11 @@ class AntipoleTree(MetricIndex):
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build(self, ids: Sequence[int], vectors: np.ndarray) -> None:
+    def _build(self, ids: np.ndarray, vectors: np.ndarray) -> None:
         rng = np.random.default_rng(self._seed)
         stats = self._build_stats
-        # Owned copies, permuted in place into tree order below.
-        rows = np.array(vectors, dtype=np.float64, order="C")
-        tree_ids = np.array(ids, dtype=np.int64)
+        # Permuted in place into tree order below.
+        rows, tree_ids = vectors, ids
         cached = np.zeros(rows.shape[0])
 
         if self._diameter_threshold is not None:
@@ -297,7 +294,7 @@ class AntipoleTree(MetricIndex):
                 order = np.concatenate(
                     ([centroid], np.delete(np.arange(size), centroid))
                 )
-                block[:] = block[order]
+                reorder_rows(block, order)
                 block_ids[:] = block_ids[order]
                 distances = self._build_dist_batch(block[0], block[1:])
                 cached[start + 1 : stop] = distances
@@ -316,7 +313,7 @@ class AntipoleTree(MetricIndex):
             d_b = self._build_dist_batch(block[at_b], rest_block)
             to_a = d_a <= d_b
             order = np.concatenate(((at_a, at_b), rest[to_a], rest[~to_a]))
-            block[:] = block[order]
+            reorder_rows(block, order)
             block_ids[:] = block_ids[order]
             split = start + 2 + int(np.count_nonzero(to_a))
             if split < stop:
@@ -326,8 +323,6 @@ class AntipoleTree(MetricIndex):
                 a_radius[node] = float(d_a[to_a].max())
                 stack.append((start + 2, split, depth + 1, node, a_child))
 
-        self._rows = rows
-        self._tree_ids = tree_ids.tolist()
         self._cached = cached
         self._start, self._stop = start_of, stop_of
         self._is_cluster, self._radius = is_cluster, radius
@@ -363,7 +358,7 @@ class AntipoleTree(MetricIndex):
     def _range_impl(
         self, query: np.ndarray, radius: float, *, ids_only: bool
     ) -> list[Neighbor]:
-        rows, ids, cached_of = self._rows, self._tree_ids, self._cached
+        rows, ids, cached_of = self._vectors, self._ids, self._cached
         start_of, stop_of = self._start, self._stop
         is_cluster, cluster_radius = self._is_cluster, self._radius
         a_child, b_child = self._a_child, self._b_child
@@ -382,7 +377,7 @@ class AntipoleTree(MetricIndex):
                 computed += 1
                 d_centroid = kernel(query, rows[start : start + 1]).item()
                 if d_centroid <= radius:
-                    result.append(Neighbor(ids[start], d_centroid))
+                    result.append(Neighbor(int(ids[start]), d_centroid))
                 if d_centroid - cluster_radius[node] > radius:
                     continue  # whole cluster provably outside
                 # Exclusion and wholesale inclusion are arithmetic on the
@@ -405,16 +400,16 @@ class AntipoleTree(MetricIndex):
                     reported[unsure] = kernel(query, rows[first:stop][evaluate])
                 hits = reported <= radius
                 for pick, d in zip(picks[hits].tolist(), reported[hits].tolist()):
-                    result.append(Neighbor(ids[first + pick], d))
+                    result.append(Neighbor(int(ids[first + pick]), d))
                 continue
 
             visited += 1
             computed += 2
             d_a, d_b = kernel(query, rows[start : start + 2]).tolist()
             if d_a <= radius:
-                result.append(Neighbor(ids[start], d_a))
+                result.append(Neighbor(int(ids[start]), d_a))
             if d_b <= radius:
-                result.append(Neighbor(ids[start + 1], d_b))
+                result.append(Neighbor(int(ids[start + 1]), d_b))
             # B is pushed first so the A side is walked first.
             kid = b_child[node]
             if kid >= 0:
@@ -437,7 +432,7 @@ class AntipoleTree(MetricIndex):
     # k-NN search (best-first branch and bound)
     # ------------------------------------------------------------------
     def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
-        rows, ids, cached_of = self._rows, self._tree_ids, self._cached
+        rows, ids, cached_of = self._vectors, self._ids, self._cached
         start_of, stop_of, is_cluster = self._start, self._stop, self._is_cluster
         a_child, b_child = self._a_child, self._b_child
         a_radius, b_radius = self._a_radius, self._b_radius
@@ -462,7 +457,7 @@ class AntipoleTree(MetricIndex):
                 computed += 1
                 d_centroid = kernel(query, rows[start : start + 1]).item()
                 if d_centroid <= tau:
-                    tau = offer_candidates(heap, k, (ids[start],), (d_centroid,))
+                    tau = offer_candidates(heap, k, (int(ids[start]),), (d_centroid,))
                 # Member by member on purpose: tau shrinks as members of
                 # this same cluster are offered, so the cached-distance
                 # exclusion can spare later members entirely — one call
@@ -475,14 +470,16 @@ class AntipoleTree(MetricIndex):
                     computed += 1
                     d = kernel(query, rows[row : row + 1]).item()
                     if d <= tau:
-                        tau = offer_candidates(heap, k, (ids[row],), (d,))
+                        tau = offer_candidates(heap, k, (int(ids[row]),), (d,))
                 continue
 
             visited += 1
             computed += 2
             d_a, d_b = kernel(query, rows[start : start + 2]).tolist()
             if d_a <= tau or d_b <= tau:
-                tau = offer_candidates(heap, k, ids[start : start + 2], (d_a, d_b))
+                tau = offer_candidates(
+                    heap, k, ids[start : start + 2].tolist(), (d_a, d_b)
+                )
             for d, reach, kid in (
                 (d_a, a_radius[node], a_child[node]),
                 (d_b, b_radius[node], b_child[node]),

@@ -42,10 +42,16 @@ batched evaluation per query, tombstone filtering is free).
 Row ownership (see ``docs/storage.md``)
 ---------------------------------------
 The index's :class:`~repro.db.backend.VectorBackend` is the only place
-a built feature's rows live.  :meth:`MetricIndex.live_ids` and
-:meth:`MetricIndex.vectors_of` are how everything else — the database's
-``vector_of`` / ``feature_matrix`` / ``save``, shard views, and the
-index's own :meth:`MetricIndex.rebuild` — reads them back.
+a built feature's rows live, and the order they are stored in is the
+index's choice: :meth:`MetricIndex.build` copies the input once into a
+working block, ``_build`` may permute that block (and the ids beside
+it) in place — the static trees arrange it in tree order — and the
+backend then *takes* the block.  ``_vectors`` is the backend's view of
+it, ``_ids`` the id of every row, ``_row_of`` the id → row map.
+:meth:`MetricIndex.live_ids` and :meth:`MetricIndex.vectors_of` are how
+everything else — the database's ``vector_of`` / ``feature_matrix`` /
+``save``, shard views, and the index's own :meth:`MetricIndex.rebuild`
+— reads the rows back.
 """
 
 from __future__ import annotations
@@ -57,11 +63,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from repro.db.backend import BackendFactory, MemoryBackendFactory, VectorBackend
+from repro.db.idmap import IdMap
 from repro.errors import IndexingError
 from repro.index.stats import BuildStats, SearchStats
 from repro.metrics.base import Metric
 
-__all__ = ["Neighbor", "MetricIndex", "offer_candidates"]
+__all__ = ["Neighbor", "MetricIndex", "offer_candidates", "reorder_rows"]
 
 
 class Neighbor(NamedTuple):
@@ -89,6 +96,25 @@ def offer_candidates(
         elif entry > heap[0]:
             heapreplace(heap, entry)
     return -heap[0][0] if len(heap) == k else np.inf
+
+
+#: Largest temporary a build step allocates over a node's rows: the
+#: partition gather (:func:`reorder_rows`) and the distance sweeps
+#: (:meth:`MetricIndex._build_dist_batch`) work through bigger nodes in
+#: pieces, so a build's peak is its working block, not a multiple of it.
+_BUILD_TEMP_BYTES = 1 << 23
+
+
+def reorder_rows(rows: np.ndarray, order: np.ndarray) -> None:
+    """``rows[:] = rows[order]`` in place for a C-contiguous ``(n, d)``
+    block, as many columns at a time as :data:`_BUILD_TEMP_BYTES` allows
+    — all of them for an ordinary node, a few for a huge one (at n=200k,
+    d=16 that is also 3x faster: the 24 MiB temporary costs more in
+    page faults than the strided passes do)."""
+    width = max(1, _BUILD_TEMP_BYTES // max(8 * rows.shape[0], 1))
+    for start in range(0, rows.shape[1], width):
+        columns = slice(start, start + width)
+        rows[:, columns] = rows[order, columns]
 
 
 #: The default storage for index cores; ``ImageDatabase`` overrides
@@ -132,11 +158,11 @@ class MetricIndex(ABC):
                 f"{metric.name} is not a metric; use LinearScanIndex instead"
             )
         self._metric = metric
-        self._ids: list[int] = []
         #: Core row of every id physically inside the structure
         #: (tombstoned ones included) — the map every by-id read and
-        #: every mutation check goes through.
-        self._row_of: dict[int, int] = {}
+        #: every mutation check goes through.  Its id column is
+        #: :attr:`_ids`.
+        self._row_of = IdMap()
         self._vectors: np.ndarray | None = None
         self._core: VectorBackend | None = None
         self._built = False
@@ -154,6 +180,12 @@ class MetricIndex(ABC):
     # Introspection
     # ------------------------------------------------------------------
     @property
+    def _ids(self) -> np.ndarray:
+        """Id of every core row, in row order (int64; the traversals
+        convert the few they report with ``.tolist()``)."""
+        return self._row_of.ids
+
+    @property
     def metric(self) -> Metric:
         """The distance function the index was built with."""
         return self._metric
@@ -162,7 +194,7 @@ class MetricIndex(ABC):
     def size(self) -> int:
         """Number of *live* indexed items (pending inserts included,
         tombstoned deletions excluded)."""
-        return len(self._ids) + len(self._pending) - len(self._tombstones)
+        return len(self._row_of) + len(self._pending) - len(self._tombstones)
 
     @property
     def n_pending(self) -> int:
@@ -227,30 +259,36 @@ class MetricIndex(ABC):
             raise IndexingError(
                 f"vectors must be a non-empty (n, d) array; got shape {vectors.shape}"
             )
-        ids = [int(i) for i in ids]
-        if len(ids) != vectors.shape[0]:
+        try:
+            ids = np.array(
+                ids if isinstance(ids, np.ndarray) else list(ids), dtype=np.int64
+            ).reshape(-1)
+        except (TypeError, ValueError, OverflowError):
+            raise IndexingError("ids must be 64-bit integers") from None
+        if ids.shape[0] != vectors.shape[0]:
             raise IndexingError(
-                f"{len(ids)} ids but {vectors.shape[0]} vectors"
+                f"{ids.shape[0]} ids but {vectors.shape[0]} vectors"
             )
-        row_of = {item_id: row for row, item_id in enumerate(ids)}
-        if len(row_of) != len(ids):
+        if np.unique(ids).shape[0] != ids.shape[0]:
             raise IndexingError("duplicate ids in build input")
         if not np.all(np.isfinite(vectors)):
             raise IndexingError("vectors contain non-finite values")
         self._metric._check_dim(vectors.shape[1])  # kernels run unchecked
 
-        self._ids = ids
-        self._row_of = row_of
-        previous = self._core
-        self._core = self.backend_factory(vectors)
-        if previous is not None:
-            previous.close()
-        self._vectors = self._core.view()
+        # The one owned working block: ``_build`` arranges it (and the
+        # ids) in place, then the backend takes it — no second copy.
+        rows = np.array(vectors, dtype=np.float64, order="C")
         self._pending = {}
         self._pending_block = None
         self._tombstones = set()
         self._build_stats = BuildStats()
-        self._build(ids, self._vectors)
+        self._build(ids, rows)
+        previous = self._core
+        self._core = self.backend_factory.adopt(rows)
+        if previous is not None:
+            previous.close()
+        self._vectors = self._core.view()
+        self._row_of = IdMap(ids)
         self._built = True
         return self
 
@@ -302,7 +340,8 @@ class MetricIndex(ABC):
             raise IndexingError("vectors contain non-finite values")
         if len(set(ids)) != len(ids):
             raise IndexingError("duplicate ids in insert input")
-        clashes = [i for i in ids if i in self._row_of or i in self._pending]
+        held = self._row_of.rows(ids) >= 0
+        clashes = [i for i, core in zip(ids, held) if core or i in self._pending]
         if clashes:
             raise IndexingError(
                 f"id {min(clashes)} is already indexed "
@@ -331,11 +370,11 @@ class MetricIndex(ABC):
             return
         if len(set(ids)) != len(ids):
             raise IndexingError("duplicate ids in delete input")
+        held = self._row_of.rows(ids) >= 0
         missing = [
             i
-            for i in ids
-            if i not in self._pending
-            and (i not in self._row_of or i in self._tombstones)
+            for i, core in zip(ids, held)
+            if i not in self._pending and (not core or i in self._tombstones)
         ]
         if missing:
             raise IndexingError(f"id {min(missing)} is not indexed")
@@ -349,7 +388,9 @@ class MetricIndex(ABC):
         """Ids of the live items: core rows in row order (tombstoned
         ones skipped), then pending inserts in arrival order."""
         dead = self._tombstones
-        core = [i for i in self._ids if i not in dead] if dead else self._ids
+        core = self._ids.tolist()
+        if dead:
+            core = [i for i in core if i not in dead]
         return [*core, *self._pending]
 
     def vectors_of(self, ids: Sequence[int]) -> np.ndarray:
@@ -366,20 +407,19 @@ class MetricIndex(ABC):
         """
         if self._core is None:
             raise IndexingError("index has not been built yet")
+        rows = self._row_of.rows(ids)
+        if self._tombstones:  # physically in the core, but not live
+            rows[[item_id in self._tombstones for item_id in ids]] = -1
+        core = rows >= 0
+        if core.all():
+            return self._core.rows(rows)
         out = np.empty((len(ids), self._core.dim))
-        at: list[int] = []
-        rows: list[int] = []
-        for position, item_id in enumerate(ids):
-            pending = self._pending.get(item_id)
-            if pending is not None:
-                out[position] = pending
-            elif item_id in self._row_of and item_id not in self._tombstones:
-                at.append(position)
-                rows.append(self._row_of[item_id])
-            else:
-                raise IndexingError(f"id {item_id} is not indexed")
-        if rows:
-            out[at] = self._core.rows(rows)
+        out[core] = self._core.rows(rows[core])
+        for position in np.flatnonzero(~core).tolist():
+            pending = self._pending.get(int(ids[position]))
+            if pending is None:
+                raise IndexingError(f"id {ids[position]} is not indexed")
+            out[position] = pending
         return out
 
     def rebuild(self) -> "MetricIndex":
@@ -429,7 +469,7 @@ class MetricIndex(ABC):
         """
         overlay = len(self._pending) + len(self._tombstones)
         if overlay and overlay >= max(
-            self.rebuild_min, self.rebuild_threshold * len(self._ids)
+            self.rebuild_min, self.rebuild_threshold * len(self._row_of)
         ):
             self.rebuild()
 
@@ -446,9 +486,7 @@ class MetricIndex(ABC):
         """
         assert self._core is not None
         self._vectors = self._core.append(vectors)
-        first = len(self._ids)
-        self._row_of.update(zip(ids, range(first, first + len(ids))))
-        self._ids.extend(ids)
+        self._row_of.extend(ids)
 
     def _remove_core(self, ids: list[int]) -> np.ndarray:
         """Drop rows by id from the core arrays.
@@ -459,14 +497,9 @@ class MetricIndex(ABC):
         kept rows, capacity retained for future appends).
         """
         assert self._core is not None
-        doomed = set(ids)
-        keep = np.array(
-            [row for row, item_id in enumerate(self._ids) if item_id not in doomed],
-            dtype=np.intp,
-        )
+        keep = np.delete(np.arange(len(self._row_of)), self._row_of.rows(ids))
         self._vectors = self._core.take(keep)
-        self._ids = [self._ids[row] for row in keep]
-        self._row_of = {item_id: row for row, item_id in enumerate(self._ids)}
+        self._row_of = IdMap(self._ids[keep])
         return keep
 
     # ------------------------------------------------------------------
@@ -732,17 +765,38 @@ class MetricIndex(ABC):
         return self._metric.distance(a, b)
 
     def _build_dist_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        """Batched metric evaluation, counted in the build stats."""
-        distances = self._metric._kernel(query, vectors)
-        self._build_stats.distance_computations += distances.shape[0]
-        return distances
+        """Batched metric evaluation, counted in the build stats.
+
+        A sweep over more rows than :data:`_BUILD_TEMP_BYTES` holds runs
+        the kernel piecewise — the kernels are row-independent, so the
+        distances are the bits of one call, without its input-sized
+        temporaries.
+        """
+        n = vectors.shape[0]
+        self._build_stats.distance_computations += n
+        kernel = self._metric._kernel
+        step = max(1, _BUILD_TEMP_BYTES // max(vectors[:1].nbytes, 1))
+        if n <= step:
+            return kernel(query, vectors)
+        return np.concatenate(
+            [kernel(query, vectors[start : start + step]) for start in range(0, n, step)]
+        )
 
     # ------------------------------------------------------------------
     # Subclass hooks
     # ------------------------------------------------------------------
     @abstractmethod
-    def _build(self, ids: Sequence[int], vectors: np.ndarray) -> None:
-        """Construct internal structure (vectors are already validated)."""
+    def _build(self, ids: np.ndarray, vectors: np.ndarray) -> None:
+        """Construct internal structure over validated int64 ``ids`` and
+        their ``(n, d)`` ``vectors``.
+
+        Both arrays are the index's own and writable: a structure that
+        wants its rows stored in its own order permutes the two together,
+        in place.  Afterwards the storage backend takes ``vectors`` —
+        a bounded backend writes the block out and drops it — so keep
+        row *numbers*, and read rows through ``self._vectors`` at query
+        time; ``self._ids`` / ``self._row_of`` are set from ``ids``.
+        """
 
     @abstractmethod
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:

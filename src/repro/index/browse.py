@@ -75,7 +75,7 @@ def _browse_vptree(tree: VPTree, query: np.ndarray) -> Iterator[Neighbor]:
     query = tree._check_query(query)
     tree._search_stats = stats = SearchStats()
     tree._batch_stats = []
-    rows, ids = tree._rows, tree._tree_ids
+    rows, ids = tree._vectors, tree._ids
     dead = tree._tombstones
 
     # Queue entries: (bound, kind, tiebreak, payload).  Kind 0 is a
@@ -111,11 +111,11 @@ def _browse_vptree(tree: VPTree, query: np.ndarray) -> Iterator[Neighbor]:
         if inside < 0 and outside < 0:
             stats.leaves_visited += 1
             stop = tree._stop[node]
-            measure(ids[start:stop], rows[start:stop])
+            measure(ids[start:stop].tolist(), rows[start:stop])
             continue
 
         stats.nodes_visited += 1
-        (d,) = measure(ids[start : start + 1], rows[start : start + 1])
+        (d,) = measure(ids[start : start + 1].tolist(), rows[start : start + 1])
         for child, low, high in (
             (inside, tree._in_low[node], tree._in_high[node]),
             (outside, tree._out_low[node], tree._out_high[node]),

@@ -176,7 +176,7 @@ class FilterRefineIndex(MetricIndex):
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build(self, ids: Sequence[int], vectors: np.ndarray) -> None:
+    def _build(self, ids: np.ndarray, vectors: np.ndarray) -> None:
         if not self._reducer.is_fitted:
             self._reducer.fit(vectors)
         elif self._reducer.in_dim != vectors.shape[1]:
@@ -253,8 +253,7 @@ class FilterRefineIndex(MetricIndex):
         vectorized kernel; the count is ``len(ids)`` either way.
         """
         assert self._vectors is not None
-        rows = [self._row_of[item_id] for item_id in ids]
-        return self._dist_batch(query, self._vectors[rows])
+        return self._dist_batch(query, self._vectors[self._row_of.rows(ids)])
 
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
         assert self._inner is not None and self._vectors is not None

@@ -47,12 +47,11 @@ split point before it is evaluated.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Sequence
 
 import numpy as np
 
 from repro.errors import IndexingError
-from repro.index.base import MetricIndex, Neighbor, offer_candidates
+from repro.index.base import MetricIndex, Neighbor, offer_candidates, reorder_rows
 from repro.index.pivot import anchor_distances
 from repro.metrics.base import Metric
 
@@ -130,10 +129,8 @@ class GNAT(MetricIndex):
         self._degree = degree
         self._leaf_size = leaf_size
         self._seed = seed
-        # The flat tree (see the module docstring): rows and their ids in
-        # tree order, then one entry per node in pre-order.
-        self._rows = np.empty((0, 0))
-        self._tree_ids: list[int] = []
+        # The flat tree (see the module docstring): one entry per node
+        # in pre-order, over the base class's rows and ids in tree order.
         self._start: list[int] = []
         self._stop: list[int] = []
         self._children: list[list[int] | None] = []
@@ -151,13 +148,12 @@ class GNAT(MetricIndex):
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build(self, ids: Sequence[int], vectors: np.ndarray) -> None:
+    def _build(self, ids: np.ndarray, vectors: np.ndarray) -> None:
         rng = np.random.default_rng(self._seed)
         stats = self._build_stats
         m = self._degree  # leaf_size >= degree: every inner node has m splits
-        # Owned copies, permuted in place into tree order below.
-        rows = np.array(vectors, dtype=np.float64, order="C")
-        tree_ids = np.array(ids, dtype=np.int64)
+        # Permuted in place into tree order below.
+        rows, tree_ids = vectors, ids
         start_of: list[int] = []
         stop_of: list[int] = []
         children: list[list[int] | None] = []
@@ -193,7 +189,7 @@ class GNAT(MetricIndex):
             order = np.concatenate(
                 (split_rows, np.delete(np.arange(stop - start), split_rows))
             )
-            block[:] = block[order]
+            reorder_rows(block, order)
             block_ids[:] = block_ids[order]
             splits, rest, rest_ids = block[:m], block[m:], block_ids[m:]
 
@@ -219,7 +215,7 @@ class GNAT(MetricIndex):
 
             # Stable partition of the rest into the m buckets.
             by_owner = np.argsort(owners, kind="stable")
-            rest[:] = rest[by_owner]
+            reorder_rows(rest, by_owner)
             rest_ids[:] = rest_ids[by_owner]
             edges = start + m + np.concatenate(
                 ([0], np.cumsum(np.bincount(owners, minlength=m)))
@@ -230,8 +226,6 @@ class GNAT(MetricIndex):
                 if hi > lo:
                     stack.append((lo, hi, depth + 1, node, owner))
 
-        self._rows = rows
-        self._tree_ids = tree_ids.tolist()
         self._start, self._stop, self._children = start_of, stop_of, children
         self._low, self._high = low_of, high_of
 
@@ -239,7 +233,7 @@ class GNAT(MetricIndex):
     # Range search
     # ------------------------------------------------------------------
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
-        rows, ids = self._rows, self._tree_ids
+        rows, ids = self._vectors, self._ids
         start_of, stop_of, children = self._start, self._stop, self._children
         low_of, high_of = self._low, self._high
         kernel = self._metric._kernel
@@ -258,7 +252,7 @@ class GNAT(MetricIndex):
                 computed += stop - start
                 distances = kernel(query, rows[start:stop]).tolist()
                 if min(distances) <= radius:  # most buckets hold no hit
-                    for item_id, d in zip(ids[start:stop], distances):
+                    for item_id, d in zip(ids[start:stop].tolist(), distances):
                         if d <= radius:
                             result.append(Neighbor(item_id, d))
                 continue
@@ -272,7 +266,7 @@ class GNAT(MetricIndex):
                 computed += 1
                 d = kernel(query, rows[row : row + 1]).item()
                 if d <= radius:
-                    result.append(Neighbor(ids[row], d))
+                    result.append(Neighbor(int(ids[row]), d))
                 # One computed distance kills every child whose interval
                 # from split point i misses the query annulus.
                 inner, outer = d - radius, d + radius
@@ -295,7 +289,7 @@ class GNAT(MetricIndex):
     # k-NN search
     # ------------------------------------------------------------------
     def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
-        rows, ids = self._rows, self._tree_ids
+        rows, ids = self._vectors, self._ids
         start_of, stop_of, children = self._start, self._stop, self._children
         low_of, high_of = self._low, self._high
         kernel = self._metric._kernel
@@ -322,12 +316,14 @@ class GNAT(MetricIndex):
                 leaves += 1
                 distances = distances.tolist()
                 if min(distances) <= tau:  # most buckets offer nothing
-                    tau = offer_candidates(heap, k, ids[start:stop], distances)
+                    tau = offer_candidates(heap, k, ids[start:stop].tolist(), distances)
                 continue
 
             visited += 1
             if distances.min() <= tau:
-                tau = offer_candidates(heap, k, ids[start:stop], distances.tolist())
+                tau = offer_candidates(
+                    heap, k, ids[start:stop].tolist(), distances.tolist()
+                )
             # Child j lies no closer than any split point's interval
             # allows: max over i of (low[i, j] - d_i, d_i - high[i, j], 0).
             d = distances[:, None]

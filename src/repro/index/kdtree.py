@@ -36,12 +36,12 @@ call of the metric's unchecked ``_kernel`` on its row range.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from repro.errors import IndexingError
-from repro.index.base import MetricIndex, Neighbor, offer_candidates
+from repro.index.base import MetricIndex, Neighbor, offer_candidates, reorder_rows
 from repro.metrics.base import Metric
 from repro.metrics.minkowski import (
     ChebyshevDistance,
@@ -101,10 +101,8 @@ class KDTree(MetricIndex):
             raise IndexingError(f"leaf_size must be >= 1; got {leaf_size}")
         self._leaf_size = leaf_size
         self._box_norm = norm
-        # The flat tree (see the module docstring): rows and their ids in
-        # tree order, then one entry per node.
-        self._rows = np.empty((0, 0))
-        self._tree_ids: list[int] = []
+        # The flat tree (see the module docstring): one entry per node,
+        # over the base class's rows and ids in tree order.
         self._start: list[int] = []
         self._stop: list[int] = []
         self._child: list[int] = []
@@ -116,11 +114,10 @@ class KDTree(MetricIndex):
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build(self, ids: Sequence[int], vectors: np.ndarray) -> None:
+    def _build(self, ids: np.ndarray, vectors: np.ndarray) -> None:
         stats = self._build_stats
-        # Owned copies, permuted in place into tree order below.
-        rows = np.array(vectors, dtype=np.float64, order="C")
-        tree_ids = np.array(ids, dtype=np.int64)
+        # Permuted in place into tree order below.
+        rows, tree_ids = vectors, ids
         start_of, stop_of = [0], [rows.shape[0]]
         child, split_dim, split_value = [-1], [-1], [0.0]
         box_low, box_high = [rows.min(axis=0)], [rows.max(axis=0)]
@@ -150,7 +147,7 @@ class KDTree(MetricIndex):
 
             # Stable partition: left rows, then right rows.
             order = np.argsort(~left, kind="stable")
-            block[:] = block[order]
+            reorder_rows(block, order)
             tree_ids[start:stop] = tree_ids[start:stop][order]
             middle = start + int(np.count_nonzero(left))
             first = len(start_of)
@@ -166,8 +163,6 @@ class KDTree(MetricIndex):
             stack.append((first + 1, depth + 1))
             stack.append((first, depth + 1))
 
-        self._rows = rows
-        self._tree_ids = tree_ids.tolist()
         self._start, self._stop, self._child = start_of, stop_of, child
         self._split_dim, self._split_value = split_dim, split_value
         self._box_low, self._box_high = np.array(box_low), np.array(box_high)
@@ -184,7 +179,7 @@ class KDTree(MetricIndex):
     # Queries
     # ------------------------------------------------------------------
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
-        rows, ids = self._rows, self._tree_ids
+        rows, ids = self._vectors, self._ids
         start_of, stop_of, child = self._start, self._stop, self._child
         kernel, bounds_of = self._metric._kernel, self._child_bounds
         result: list[Neighbor] = []
@@ -201,7 +196,7 @@ class KDTree(MetricIndex):
                 computed += stop - start
                 distances = kernel(query, rows[start:stop]).tolist()
                 if min(distances) <= radius:  # most buckets hold no hit
-                    for item_id, d in zip(ids[start:stop], distances):
+                    for item_id, d in zip(ids[start:stop].tolist(), distances):
                         if d <= radius:
                             result.append(Neighbor(item_id, d))
                 continue
@@ -221,7 +216,7 @@ class KDTree(MetricIndex):
         return result
 
     def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
-        rows, ids = self._rows, self._tree_ids
+        rows, ids = self._vectors, self._ids
         start_of, stop_of, child = self._start, self._stop, self._child
         kernel, bounds_of = self._metric._kernel, self._child_bounds
         heap: list[tuple[float, int]] = []  # see offer_candidates
@@ -245,7 +240,7 @@ class KDTree(MetricIndex):
                 computed += stop - start
                 distances = kernel(query, rows[start:stop]).tolist()
                 if min(distances) <= tau:  # most buckets offer nothing
-                    tau = offer_candidates(heap, k, ids[start:stop], distances)
+                    tau = offer_candidates(heap, k, ids[start:stop].tolist(), distances)
                 continue
             visited += 1
             for kid, kid_bound in zip((first, first + 1), bounds_of(query, first)):

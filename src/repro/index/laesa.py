@@ -33,7 +33,6 @@ identical to the scalar path throughout.
 from __future__ import annotations
 
 import heapq
-from typing import Sequence
 
 import numpy as np
 
@@ -97,7 +96,7 @@ class LAESAIndex(MetricIndex):
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build(self, ids: Sequence[int], vectors: np.ndarray) -> None:
+    def _build(self, ids: np.ndarray, vectors: np.ndarray) -> None:
         n = vectors.shape[0]
         m = min(self._n_pivots, n)
         rng = np.random.default_rng(self._seed)
@@ -124,9 +123,9 @@ class LAESAIndex(MetricIndex):
             table[:, column] = self._build_dist_batch(vectors[row], vectors)
 
         self._pivot_rows = pivot_rows
-        self._pivot_ids = [ids[row] for row in pivot_rows]
+        self._pivot_ids = ids[pivot_rows].tolist()
         previous = self._table_store
-        self._table_store = self.backend_factory(table)
+        self._table_store = self.backend_factory.adopt(table)
         if previous is not None:
             previous.close()
         self._pivot_vectors = vectors[pivot_rows].copy()
@@ -163,9 +162,7 @@ class LAESAIndex(MetricIndex):
         assert self._table_store is not None
         keep = self._remove_core(ids)
         self._table_store.take(keep)
-        self._pivot_rows = [
-            self._row_of.get(pivot_id, -1) for pivot_id in self._pivot_ids
-        ]
+        self._pivot_rows = self._row_of.rows(self._pivot_ids).tolist()
 
     # ------------------------------------------------------------------
     # Shared query machinery
@@ -190,7 +187,7 @@ class LAESAIndex(MetricIndex):
         pivot_distances = self._dist_batch(query, self._pivot_vectors)
         # Block by block: the per-row max is block-independent, so the
         # bounds are bit-identical whatever blocks the backend chooses.
-        bounds = np.empty(len(self._ids), dtype=np.float64)
+        bounds = np.empty(len(self._row_of), dtype=np.float64)
         for start, block in self._table_store.iter_blocks():
             bounds[start : start + len(block)] = np.abs(
                 block - pivot_distances[None, :]
@@ -217,12 +214,12 @@ class LAESAIndex(MetricIndex):
         )
         refined = dict(zip(unknown, self._dist_batch(query, survivors)))
         result: list[Neighbor] = []
-        for row in candidates:
+        for row, item_id in zip(candidates, self._ids[candidates].tolist()):
             d = known.get(row)
             if d is None:
                 d = float(refined[row])
             if d <= radius:
-                result.append(Neighbor(self._ids[row], d))
+                result.append(Neighbor(item_id, d))
         self._search_stats.leaves_visited = 1
         self._search_stats.nodes_pruned = int(np.sum(bounds > radius))
         return result
@@ -231,6 +228,7 @@ class LAESAIndex(MetricIndex):
         assert self._vectors is not None
         bounds, known = self._lower_bounds(query)
         order = np.argsort(bounds, kind="stable")
+        ids = self._ids
 
         best: list[tuple[float, int]] = []
 
@@ -248,7 +246,7 @@ class LAESAIndex(MetricIndex):
             examined += 1
             # (-d, -id): evict the larger id among equal-distance entries,
             # matching the documented tie-break.
-            entry = (-d, -self._ids[row])
+            entry = (-d, -int(ids[row]))
             if len(best) < k:
                 heapq.heappush(best, entry)
             elif entry > best[0]:

@@ -16,8 +16,6 @@ batch or not, whatever the block size.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.index.base import MetricIndex, Neighbor
@@ -30,7 +28,7 @@ class LinearScanIndex(MetricIndex):
 
     requires_metric = False
 
-    def _build(self, ids: Sequence[int], vectors: np.ndarray) -> None:
+    def _build(self, ids: np.ndarray, vectors: np.ndarray) -> None:
         # Nothing to construct: the validated arrays on the base class are
         # the whole data structure.
         self._build_stats.n_leaves = 1
@@ -54,7 +52,7 @@ class LinearScanIndex(MetricIndex):
         the same N.
         """
         assert self._core is not None
-        distances = np.empty(len(self._ids), dtype=np.float64)
+        distances = np.empty(len(self._row_of), dtype=np.float64)
         for start, block in self._core.iter_blocks():
             distances[start : start + len(block)] = self._dist_batch(query, block)
         self._search_stats.leaves_visited = 1
@@ -62,16 +60,16 @@ class LinearScanIndex(MetricIndex):
 
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
         distances = self._scan(query)
-        return [
-            Neighbor(self._ids[row], float(distances[row]))
-            for row in np.flatnonzero(distances <= radius)
-        ]
+        return self._neighbors(np.flatnonzero(distances <= radius), distances)
 
     def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
         distances = self._scan(query)
+        return self._neighbors(_k_smallest(distances, k), distances)
+
+    def _neighbors(self, rows: np.ndarray, distances: np.ndarray) -> list[Neighbor]:
         return [
-            Neighbor(self._ids[row], float(distances[row]))
-            for row in _k_smallest(distances, k)
+            Neighbor(item_id, d)
+            for item_id, d in zip(self._ids[rows].tolist(), distances[rows].tolist())
         ]
 
 

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Sequence
 
 import numpy as np
 
@@ -93,8 +92,8 @@ class _Node:
     mutation of the entry list — :meth:`adopt`, :meth:`discard` — drops
     the cache; entry *vectors* are immutable, so nothing else can
     invalidate it.  On a bounded storage backend the tree disables the
-    cache (``cache_vectors=False``): entry vectors are rows of a
-    memmap, and pinning a RAM copy per page would defeat the resident-
+    cache (``cache_vectors=False``): entry vectors are rows of the
+    memory-mapped core, and pinning a RAM copy per page would defeat the resident-
     memory bound, so each visit re-gathers the block through OS paging.
     """
 
@@ -244,10 +243,22 @@ class MTree(MetricIndex):
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build(self, ids: Sequence[int], vectors: np.ndarray) -> None:
+    def build(self, ids, vectors: np.ndarray) -> "MTree":
+        super().build(ids, vectors)
+        if self._core.bounded:
+            # The pages hold views of the working block, which a bounded
+            # backend has written out: point every entry at its stored
+            # row, or the whole block stays pinned in RAM.
+            for node in self._iter_nodes():
+                rows = self._row_of.rows([entry.item_id for entry in node.entries])
+                for entry, row in zip(node.entries, rows.tolist()):
+                    entry.vector = self._vectors[row]
+        return self
+
+    def _build(self, ids: np.ndarray, vectors: np.ndarray) -> None:
         self._root = None
         self._n_splits = 0
-        for item_id, vector in zip(ids, vectors):
+        for item_id, vector in zip(ids.tolist(), vectors):
             self._insert(item_id, vector)
         self._build_stats.n_leaves = sum(
             1 for node in self._iter_nodes() if node.is_leaf
@@ -289,7 +300,7 @@ class MTree(MetricIndex):
         """A page configured for the active storage backend (no RAM
         block cache when the backend bounds resident memory)."""
         node = _Node(is_leaf=is_leaf)
-        node.cache_vectors = self._core is None or not self._core.bounded
+        node.cache_vectors = not self.backend_factory.bounded
         return node
 
     def _insert(self, item_id: int, vector: np.ndarray) -> None:

@@ -29,11 +29,12 @@ Two bounded approximation modes (experiment F5):
 * ``max_distance_computations`` — hard budget; search stops expanding new
   nodes once spent (already-found candidates are returned).
 
-Layout.  The tree is a struct of arrays, not an object graph.  One
-contiguous ``(n, d)`` block holds every row in tree order (depth-first
-pre-order: a node's pivot, then its inside subtree, then its outside
-subtree), so every node — and every leaf bucket — is a ``[start, stop)``
-row range of that block.  Parallel per-node lists, indexed by the node's
+Layout.  The tree is a struct of arrays, not an object graph.  The
+index's one ``(n, d)`` row block — the storage backend's, there is no
+second copy — holds every row in tree order (depth-first pre-order: a
+node's pivot, then its inside subtree, then its outside subtree), so
+every node — and every leaf bucket — is a ``[start, stop)`` row range
+of that block.  Parallel per-node lists, indexed by the node's
 pre-order number, hold the range, the two child numbers (``-1`` = absent;
 a leaf has neither) and the two child intervals.  The build partitions
 the block in place with an explicit stack; there is no recursion
@@ -55,12 +56,11 @@ its prune decision.
 from __future__ import annotations
 
 import sys
-from typing import Sequence
 
 import numpy as np
 
 from repro.errors import IndexingError
-from repro.index.base import MetricIndex, Neighbor, offer_candidates
+from repro.index.base import MetricIndex, Neighbor, offer_candidates, reorder_rows
 from repro.index.pivot import MaxSpreadPivot, PivotStrategy
 from repro.index.stats import SearchStats
 from repro.metrics.base import Metric
@@ -99,10 +99,8 @@ class VPTree(MetricIndex):
         self._leaf_size = leaf_size
         self._pivot_strategy = pivot_strategy or MaxSpreadPivot()
         self._seed = seed
-        # The flat tree (see the module docstring): rows and their ids in
-        # tree order, then one entry per node in pre-order.
-        self._rows = np.empty((0, 0))
-        self._tree_ids: list[int] = []
+        # The flat tree (see the module docstring): one entry per node
+        # in pre-order, over the base class's rows and ids in tree order.
         self._start: list[int] = []
         self._stop: list[int] = []
         self._inside: list[int] = []
@@ -115,12 +113,11 @@ class VPTree(MetricIndex):
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build(self, ids: Sequence[int], vectors: np.ndarray) -> None:
+    def _build(self, ids: np.ndarray, vectors: np.ndarray) -> None:
         rng = np.random.default_rng(self._seed)
         stats = self._build_stats
-        # Owned copies, permuted in place into tree order below.
-        rows = np.array(vectors, dtype=np.float64, order="C")
-        tree_ids = np.array(ids, dtype=np.int64)
+        # Permuted in place into tree order below.
+        rows, tree_ids = vectors, ids
         start_of: list[int] = []
         stop_of: list[int] = []
         inside: list[int] = []
@@ -171,7 +168,7 @@ class VPTree(MetricIndex):
             # leaves one side empty, and that child absent.
             is_inside = distances <= _median(distances)
             order = np.argsort(~is_inside, kind="stable")
-            block[1:] = block[1:][order]
+            reorder_rows(block[1:], order)
             block_ids[1:] = block_ids[1:][order]
             inside_d, outside_d = distances[is_inside], distances[~is_inside]
             split = start + 1 + inside_d.size
@@ -184,8 +181,6 @@ class VPTree(MetricIndex):
                 in_high[node] = float(inside_d.max())
                 stack.append((start + 1, split, depth + 1, node, inside))
 
-        self._rows = rows
-        self._tree_ids = tree_ids.tolist()
         self._start, self._stop = start_of, stop_of
         self._inside, self._outside = inside, outside
         self._in_low, self._in_high = in_low, in_high
@@ -195,7 +190,7 @@ class VPTree(MetricIndex):
     # Range search
     # ------------------------------------------------------------------
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
-        rows, ids = self._rows, self._tree_ids
+        rows, ids = self._vectors, self._ids
         start_of, stop_of = self._start, self._stop
         inside, outside = self._inside, self._outside
         in_low, in_high = self._in_low, self._in_high
@@ -216,7 +211,7 @@ class VPTree(MetricIndex):
                 computed += stop - start
                 distances = kernel(query, rows[start:stop]).tolist()
                 if min(distances) <= radius:  # most buckets hold no hit
-                    for item_id, d in zip(ids[start:stop], distances):
+                    for item_id, d in zip(ids[start:stop].tolist(), distances):
                         if d <= radius:
                             result.append(Neighbor(item_id, d))
                 continue
@@ -225,7 +220,7 @@ class VPTree(MetricIndex):
             computed += 1
             d = kernel(query, rows[start : start + 1]).item()
             if d <= radius:
-                result.append(Neighbor(ids[start], d))
+                result.append(Neighbor(int(ids[start]), d))
             # Outside is pushed first so inside is walked first.
             low, high = d - radius, d + radius
             if child_out >= 0:
@@ -300,7 +295,7 @@ class VPTree(MetricIndex):
     def _knn_impl(
         self, query: np.ndarray, k: int, epsilon: float, budget: int | None
     ) -> list[Neighbor]:
-        rows, ids = self._rows, self._tree_ids
+        rows, ids = self._vectors, self._ids
         start_of, stop_of = self._start, self._stop
         inside, outside = self._inside, self._outside
         in_low, in_high = self._in_low, self._in_high
@@ -338,7 +333,7 @@ class VPTree(MetricIndex):
                 computed += stop - start
                 distances = kernel(query, rows[start:stop]).tolist()
                 if min(distances) <= tau:  # most buckets offer nothing
-                    tau = offer_candidates(heap, k, ids[start:stop], distances)
+                    tau = offer_candidates(heap, k, ids[start:stop].tolist(), distances)
                     reach = tau * shrink
                 continue
 
@@ -346,7 +341,7 @@ class VPTree(MetricIndex):
             computed += 1
             d = kernel(query, rows[start : start + 1]).item()
             if d <= tau:
-                tau = offer_candidates(heap, k, (ids[start],), (d,))
+                tau = offer_candidates(heap, k, (int(ids[start]),), (d,))
                 reach = tau * shrink
             # _interval_gap inline: low <= high, so only one side can be > 0.
             gap_in = in_low[node] - d

@@ -8,12 +8,18 @@ import pytest
 
 from repro.db.backend import resolve_backend_factory
 from repro.db.database import ImageDatabase
+from repro.db.idmap import IdMap
+from repro.db.store import FeatureStore
 from repro.db.feedback import FeedbackSession
 from repro.errors import QueryError
 from repro.features.base import PresetSignature
 from repro.features.histogram import GrayHistogram, RGBJointHistogram
 from repro.features.pipeline import FeatureSchema
 from repro.image import synth
+from repro.index.antipole import AntipoleTree
+from repro.index.gnat import GNAT
+from repro.index.kdtree import KDTree
+from repro.index.laesa import LAESAIndex
 from repro.index.linear import LinearScanIndex
 from repro.index.mtree import MTree
 from repro.index.vptree import VPTree
@@ -264,6 +270,32 @@ class TestPersistence:
             ImageDatabase.load(tmp_path, other)
 
 
+    @pytest.mark.parametrize("built", [False, True], ids=["waiting", "built"])
+    def test_save_writes_the_bytes_of_per_row_appends(self, tmp_path, rng, built):
+        """``save`` hands each feature to the store in one ``extend``; the
+        ``.feat`` files are byte for byte what one ``append`` per row —
+        the path it replaces — writes, partial tail page included."""
+        dims = {"a": 5, "b": 3}
+        schema = FeatureSchema([PresetSignature(d, name=f) for f, d in dims.items()])
+        db = ImageDatabase(schema)
+        n = 3 * 64 + 17  # three full pages and a tail
+        matrices = {f: rng.random((n, d)) for f, d in dims.items()}
+        db.add_vectors(matrices)
+        db.remove([4, 70, n - 1])
+        if built:
+            db.build_indexes()
+        db.save(tmp_path / "db")
+
+        live = db.catalog.ids
+        for feature, dim in dims.items():
+            reference = tmp_path / f"{feature}.ref"
+            with FeatureStore.create(reference, dim) as store:
+                for image_id in live:
+                    store.append(matrices[feature][image_id])
+            saved = tmp_path / "db" / "features" / f"{feature}.feat"
+            assert saved.read_bytes() == reference.read_bytes()
+
+
 # ----------------------------------------------------------------------
 # Row ownership: the index's storage backend is the only holder of a
 # built feature's rows; before the first build they wait in one buffer.
@@ -417,40 +449,148 @@ class TestRowOwnership:
             assert counts[0] == len(probes) * len(survivors)
 
 
-def test_build_retains_one_copy_of_the_rows(backend):
-    """Array bytes retained from empty database to built index.
+def test_by_id_reads_before_the_first_build_do_not_rescan_the_ids(monkeypatch):
+    """``vector_of`` / ``shard_view`` on a feature still waiting for its
+    build used to rebuild a dict over *all* waiting ids per call.  The
+    waiting rows now keep one id -> row map: reading by id never sorts
+    or scans the id column again, however many reads there are, and a
+    wholesale in-order read borrows the buffer instead of gathering."""
+    n, dim = 3000, 4
+    rows = np.random.default_rng(8).random((n, dim))
+    db = ImageDatabase(FeatureSchema([PresetSignature(dim)]))
+    # Descending ids: the worst case, the map needs its sorter.
+    db.add_vectors(rows, ids=list(range(n - 1, -1, -1)))
+    feature = db.default_feature
 
-    Counted in numpy's tracemalloc domain (data buffers only — the
-    catalog's records are Python objects and would swamp the figure):
-    one copy in RAM on the memory backend, a few pool pages on mmap.
-    """
-    n, dim = 5000, 16
-    rows = np.random.default_rng(5).random((n, dim))
-    arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    waiting = db._waiting[feature]
+    held = waiting._row_of
+    sorts = []  # True for each call that had to sort the waiting ids
+    real_sorted = IdMap._sorted
+    monkeypatch.setattr(
+        IdMap,
+        "_sorted",
+        lambda self: sorts.append(self is held and self._sorter is None)
+        or real_sorted(self),
+    )
+    for image_id in range(0, n, 7):
+        assert db.vector_of(feature, image_id).tobytes() == rows[n - 1 - image_id].tobytes()
+    view = db.shard_view([5, 1, 2000])
+    assert view.vector_of(feature, 2000).tobytes() == rows[n - 1 - 2000].tobytes()
+    assert waiting._row_of is held  # one map, kept
+    assert sum(sorts) <= 1  # ... whose sorter was built at most once
 
-    def array_bytes():
+    wholesale = waiting.vectors_of(db.catalog.id_array)
+    assert not wholesale.flags.writeable
+    assert np.shares_memory(wholesale, waiting._rows.view())
+    # The public read is still a fresh array the caller may keep.
+    ids, matrix = db.feature_matrix(feature)
+    assert matrix.flags.writeable and not np.shares_memory(matrix, wholesale)
+    assert matrix.tobytes() == rows.tobytes() and ids == list(range(n - 1, -1, -1))
+
+
+def _retained(build, domain=None):
+    """Bytes still allocated after ``build()`` returned (and its result
+    is alive) that were not before — numpy data buffers only when
+    ``domain`` is numpy's tracemalloc domain, everything otherwise."""
+    filters = [] if domain is None else [tracemalloc.DomainFilter(True, domain)]
+
+    def allocated():
         gc.collect()
-        snapshot = tracemalloc.take_snapshot().filter_traces(arrays)
+        snapshot = tracemalloc.take_snapshot().filter_traces(filters)
         return sum(stat.size for stat in snapshot.statistics("filename"))
 
     tracemalloc.start()
     try:
-        before = array_bytes()
+        before = allocated()
+        built = build()
+        return built, allocated() - before
+    finally:
+        tracemalloc.stop()
+
+
+#: kind -> (factory, rows built over).  Node payloads are not what this
+#: is about, so the trees get roomy leaves (the kd-tree's per-node boxes
+#: at its default leaf size are as big as the rows themselves) and LAESA
+#: a narrow pivot table; the two slow builders — tracemalloc makes them
+#: 8x slower still — get fewer rows.
+_ALL_KINDS = {
+    "linear": (LinearScanIndex, 4000),
+    "laesa": (lambda metric: LAESAIndex(metric, n_pivots=4), 4000),
+    "vptree": (VPTree, 4000),
+    "gnat": (lambda metric: GNAT(metric, leaf_size=32), 4000),
+    "kdtree": (lambda metric: KDTree(metric, leaf_size=32), 4000),
+    "antipole": (AntipoleTree, 1200),
+    "mtree": (lambda metric: MTree(metric, capacity=16, promotion="maxdist"), 2000),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ALL_KINDS))
+def test_build_retains_one_copy_of_the_rows(backend, kind):
+    """Array bytes retained from empty database to built index.
+
+    Counted in numpy's tracemalloc domain (data buffers only): one copy
+    of the rows in RAM on the memory backend whatever the index kind —
+    the static trees store the core itself in tree order instead of a
+    second block beside it — and on mmap the buffer pool plus per-row
+    side columns, never the rows: even the M-tree's entries view the
+    mapped core.  The slack covers those side columns (ids, the
+    catalog's columns, LAESA's pivot table, cached centroid distances,
+    node boxes and range tables).
+    """
+    factory, n = _ALL_KINDS[kind]
+    dim = 32
+    rows = np.random.default_rng(5).random((n, dim))
+
+    def build():
         db = ImageDatabase(
-            FeatureSchema([PresetSignature(dim)]),
-            index_factory=LinearScanIndex,
-            backend=backend,
+            FeatureSchema([PresetSignature(dim)]), index_factory=factory, backend=backend
         )
         db.add_vectors(rows)
         db.build_indexes()
-        retained = array_bytes() - before
-    finally:
-        tracemalloc.stop()
-    bounded = db.backend_info()["bounded"]
-    assert retained <= (0.5 if bounded else 1.6) * rows.nbytes
+        return db
+
+    db, retained = _retained(build, np.lib.tracemalloc_domain)
+    info = db.backend_info()
+    if info["bounded"]:
+        pool_bytes = info["cache_pages"] * info["page_records"] * dim * 8
+        assert retained <= pool_bytes + 0.4 * rows.nbytes
+    else:
+        assert retained <= 1.6 * rows.nbytes
 
     # By-id reads go through the backend: on mmap the pool sees them.
     pool = db.backend_info()["pool"]
-    assert db.vector_of(db.default_feature, 4321).tobytes() == rows[4321].tobytes()
+    probe = n // 2 + 3  # not on the store's in-memory tail page
+    assert db.vector_of(db.default_feature, probe).tobytes() == rows[probe].tobytes()
     moved = db.backend_info()["pool"]
-    assert (moved["hits"] + moved["misses"] > pool["hits"] + pool["misses"]) == bounded
+    assert (moved["hits"] + moved["misses"] > pool["hits"] + pool["misses"]) == (
+        info["bounded"]
+    )
+
+
+def test_catalog_and_waiting_rows_cost_bytes_not_objects():
+    """Everything ``add_vectors`` retains besides the vectors, per row.
+
+    All tracemalloc domains, so Python objects count: the columnar
+    catalog (id, width, height, mode and label columns) plus the waiting
+    rows' id column come to ~30 B/row.  One ``ImageRecord`` per row
+    (with its ``__dict__``, ``extra`` dict and name ``str``) was ~330 B,
+    a dict of ``int`` keys another ~80 B.
+    """
+    n, dim = 50_000, 4
+    rows = np.random.default_rng(6).random((n, dim))
+
+    def ingest():
+        db = ImageDatabase(FeatureSchema([PresetSignature(dim)]))
+        db.add_vectors(rows, labels=["even", "odd"] * (n // 2))
+        assert 17 in db.catalog and db.catalog.get(n - 1).label == "odd"
+        return db
+
+    db, retained = _retained(ingest)
+    assert (retained - rows.nbytes) / n <= 48
+    # ... and nothing per-row hides in a Python container.
+    catalog = db.catalog
+    assert not any(
+        isinstance(value, (list, dict, set)) and len(value) >= n
+        for value in vars(catalog).values()
+    )
+    assert catalog.get(123).name == "vector_123" and not catalog._names

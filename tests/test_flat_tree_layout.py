@@ -4,8 +4,11 @@
 a tree-ordered row block, per-node parallel arrays, one iterative loop
 per query type — and one module checks it for all of them:
 
-* **layout** — after ``build`` and after ``rebuild`` the block is a
-  permutation of the input held exactly once, every subtree is a
+* **layout** — after ``build`` and after ``rebuild`` the index core
+  *is* the tree-ordered block: a permutation of the input held exactly
+  once (the tree owns no ``(n, d)`` array besides the core's view and
+  no second id list), ``_row_of`` maps an id to its position in tree
+  order, every subtree is a
   contiguous row range that its node's own rows and its children tile,
   and the stored payload (intervals, range tables, radii, cached
   centroid distances, boxes) is the recomputed value bit for bit;
@@ -86,7 +89,7 @@ def _check_payload(tree, node, kids):
     """The node's stored numbers are the recomputed ones, bit for bit."""
     kernel = tree.metric.distance_batch
     start, stop = tree._start[node], tree._stop[node]
-    span = lambda kid: tree._rows[tree._start[kid] : tree._stop[kid]]  # noqa: E731
+    span = lambda kid: tree._vectors[tree._start[kid] : tree._stop[kid]]  # noqa: E731
     if isinstance(tree, VPTree):
         if _is_leaf(tree, node):
             assert 0 < stop - start <= tree._leaf_size
@@ -99,14 +102,14 @@ def _check_payload(tree, node, kids):
             if child < 0:
                 assert (low, high) == (0.0, 0.0)
                 continue
-            distances = kernel(tree._rows[start], span(child))
+            distances = kernel(tree._vectors[start], span(child))
             assert low == float(distances.min()) and high == float(distances.max())
     elif isinstance(tree, GNAT):
         children = tree._children[node]
         if children is None:
             assert tree._low[node] is None and 0 < stop - start <= tree._leaf_size
             return
-        splits = tree._rows[start : start + len(children)]
+        splits = tree._vectors[start : start + len(children)]
         for j, child in enumerate(children):
             under = splits[j : j + 1]
             if child >= 0:
@@ -117,7 +120,7 @@ def _check_payload(tree, node, kids):
                 assert tree._high[node][i, j] == distances.max()
     elif isinstance(tree, AntipoleTree):
         if tree._is_cluster[node]:
-            cached = kernel(tree._rows[start], tree._rows[start + 1 : stop])
+            cached = kernel(tree._vectors[start], tree._vectors[start + 1 : stop])
             assert np.array_equal(tree._cached[start + 1 : stop], cached)
             assert tree._radius[node] == (cached.max() if cached.size else 0.0)
             return
@@ -125,10 +128,10 @@ def _check_payload(tree, node, kids):
             (start, tree._a_child[node], tree._a_radius[node]),
             (start + 1, tree._b_child[node], tree._b_radius[node]),
         ):
-            reach = kernel(tree._rows[row], span(child)).max() if child >= 0 else 0.0
+            reach = kernel(tree._vectors[row], span(child)).max() if child >= 0 else 0.0
             assert radius == reach
     else:
-        block = tree._rows[start:stop]
+        block = tree._vectors[start:stop]
         assert np.array_equal(tree._box_low[node], block.min(axis=0))
         assert np.array_equal(tree._box_high[node], block.max(axis=0))
         if kids:
@@ -139,19 +142,26 @@ def _check_payload(tree, node, kids):
 
 def _check_layout(tree, ids, vectors):
     n, dim = vectors.shape
-    assert tree._rows.shape == vectors.shape and tree._rows.flags["C_CONTIGUOUS"]
-    assert sorted(tree._tree_ids) == sorted(ids)
-    row_of = {item_id: row for row, item_id in enumerate(ids)}
-    for row, item_id in enumerate(tree._tree_ids):
-        assert np.array_equal(tree._rows[row], vectors[row_of[item_id]])
+    rows, tree_ids = tree._vectors, tree._ids
+    assert rows.shape == vectors.shape and rows.flags["C_CONTIGUOUS"]
+    assert sorted(tree_ids.tolist()) == sorted(ids)
+    input_row = {item_id: row for row, item_id in enumerate(ids)}
+    for row, item_id in enumerate(tree_ids.tolist()):
+        assert np.array_equal(rows[row], vectors[input_row[item_id]])
+    # Tree order is storage order: the block is the backend core itself
+    # and the id -> row map answers with positions in tree order.
+    assert np.shares_memory(rows, tree._core.view())
+    assert tree._row_of.rows(tree_ids).tolist() == list(range(n))
+    assert tree.vectors_of(ids).tobytes() == vectors.tobytes()
 
-    # The rows live once beside the backend core: no per-node array of
-    # rows (leaf block, pivot copy) survives the build.
+    # The rows live once: the tree holds no (n, d) array besides the
+    # core's view, no per-node array of rows (leaf block, pivot copy)
+    # and no id sequence of its own (``_ids`` is the map's column).
     state = vars(tree)
-    assert sorted(
+    assert [
         name for name, value in state.items()
         if isinstance(value, np.ndarray) and value.shape == vectors.shape
-    ) == ["_rows", "_vectors"]
+    ] == ["_vectors"]
     for value in state.values():
         if isinstance(value, list):
             assert not any(
@@ -159,10 +169,10 @@ def _check_layout(tree, ids, vectors):
                 for entry in value
             )
 
-    # Every other list is a per-node array, one entry per node.
+    # Every list is a per-node array, one entry per node.
     n_nodes = len(tree._start)
     for name, value in state.items():
-        if isinstance(value, list) and name not in ("_ids", "_tree_ids", "_batch_stats"):
+        if isinstance(value, list) and name != "_batch_stats":
             assert len(value) == n_nodes, name
     assert (tree._start[0], tree._stop[0]) == (0, n)
     held = 0
@@ -202,6 +212,35 @@ def test_layout_after_build_and_rebuild(rng, kind, leaf_size, metric):
     assert tree.n_pending == tree.n_tombstones == 0
     live_ids = ids[15:] + list(range(900, 910))
     _check_layout(tree, live_ids, np.vstack([vectors[15:], extra]))
+
+
+@each_tree
+def test_big_nodes_are_built_piecewise_to_the_same_tree(rng, kind, monkeypatch):
+    """A node bigger than the build's temporary budget is partitioned a
+    few columns at a time and swept in row blocks.  Shrinking the budget
+    until every node takes that path must change nothing: same storage
+    order, same nodes, same payload, same counted build distances."""
+    import repro.index.base as base
+
+    n, dim = 400, 6
+    vectors = rng.random((n, dim))
+    vectors[100:130] = vectors[100]
+    ids = list(range(n))
+    whole = TREES[kind](EuclideanDistance(), 4).build(ids, vectors)
+    monkeypatch.setattr(base, "_BUILD_TEMP_BYTES", 8 * 7)  # 7 rows, or one column
+    pieces = TREES[kind](EuclideanDistance(), 4).build(ids, vectors)
+    _check_layout(pieces, ids, vectors)
+
+    assert pieces.build_stats == whole.build_stats
+    for name, value in vars(whole).items():
+        other = getattr(pieces, name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, other), name
+        elif isinstance(value, list) and name != "_batch_stats":
+            assert len(value) == len(other), name
+            for mine, theirs in zip(value, other):
+                assert np.array_equal(mine, theirs), name  # scalars, lists or tables
+    assert np.array_equal(pieces._ids, whole._ids)
 
 
 # ----------------------------------------------------------------------
@@ -284,8 +323,8 @@ def _reference_knn(tree, query, k, epsilon=0.0, budget=None):
 
     def offer(row):
         stats.distance_computations += 1
-        d = metric.distance(query, tree._rows[row])
-        entry = (-d, -tree._tree_ids[row])
+        d = metric.distance(query, tree._vectors[row])
+        entry = (-d, -int(tree._ids[row]))
         if len(heap) < k:
             heapq.heappush(heap, entry)
         elif entry > heap[0]:

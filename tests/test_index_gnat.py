@@ -129,11 +129,11 @@ class TestRangeTables:
             if children is None:
                 continue
             start = tree._start[node]
-            splits = tree._rows[start : start + len(children)]
+            splits = tree._vectors[start : start + len(children)]
             for j, child in enumerate(children):
                 members = [splits[j]]
                 if child >= 0:
-                    members.extend(tree._rows[tree._start[child] : tree._stop[child]])
+                    members.extend(tree._vectors[tree._start[child] : tree._stop[child]])
                 for i, split in enumerate(splits):
                     for vector in members:
                         d = metric.distance(split, vector)

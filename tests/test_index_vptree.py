@@ -240,26 +240,28 @@ class TestIntervalGap:
 
 class TestTreeMemory:
     def test_built_tree_owns_one_copy_of_the_rows(self, rng):
-        """The tree is one row block plus per-node scalars.
+        """The tree is the index core's row block plus per-node scalars.
 
         The object-graph tree once kept a full copy of the data alive
-        per level (``pivot_vector`` viewed its level's temporary); the
-        flat tree must own exactly its tree-ordered block and view
-        nothing a build left behind.
+        per level (``pivot_vector`` viewed its level's temporary) and
+        the first flat tree a tree-ordered block *beside* the id-ordered
+        core; now the core itself is in tree order and the tree owns no
+        array of its own, nor an id list.
         """
         n, dim = 4000, 16
         tree = VPTree(EuclideanDistance()).build(list(range(n)), rng.random((n, dim)))
-        # `_vectors` is the base class's read-only view of the index core.
         arrays = {
-            name: value
-            for name, value in vars(tree).items()
-            if isinstance(value, np.ndarray) and name != "_vectors"
+            name for name, value in vars(tree).items() if isinstance(value, np.ndarray)
         }
-        assert set(arrays) == {"_rows"}
-        assert tree._rows.base is None and tree._rows.flags["OWNDATA"]
-        assert tree._rows.nbytes <= 1.1 * n * dim * 8
+        # `_vectors` is the base class's read-only view of the index core.
+        assert arrays == {"_vectors"}
+        assert np.shares_memory(tree._vectors, tree._core.view())
+        assert tree._core.capacity == n  # the adopted block, not a grown copy
         n_entries = tree.build_stats.n_nodes + tree.build_stats.n_leaves
-        assert len(tree._tree_ids) == n
+        assert tree._ids.shape == (n,)  # the id -> row map's column, no list
+        assert not any(
+            isinstance(value, list) and len(value) == n for value in vars(tree).values()
+        )
         for name in ("_start", "_stop", "_inside", "_outside",
                      "_in_low", "_in_high", "_out_low", "_out_high"):
             assert len(getattr(tree, name)) == n_entries

@@ -164,9 +164,9 @@ def _vp_structure(tree, node=0):
     start, stop = tree._start[node], tree._stop[node]
     inside, outside = tree._inside[node], tree._outside[node]
     if inside < 0 and outside < 0:
-        return {"leaf": tree._tree_ids[start:stop]}
+        return {"leaf": tree._ids[start:stop].tolist()}
     return {
-        "pivot": tree._tree_ids[start],
+        "pivot": int(tree._ids[start]),
         "bounds": [
             tree._in_low[node], tree._in_high[node],
             tree._out_low[node], tree._out_high[node],
@@ -182,9 +182,9 @@ def _gnat_structure(tree, node=0):
     start, stop = tree._start[node], tree._stop[node]
     children = tree._children[node]
     if children is None:
-        return {"leaf": tree._tree_ids[start:stop]}
+        return {"leaf": tree._ids[start:stop].tolist()}
     return {
-        "splits": tree._tree_ids[start : start + len(children)],
+        "splits": tree._ids[start : start + len(children)].tolist(),
         "low": tree._low[node].tolist(),
         "high": tree._high[node].tolist(),
         "children": [_gnat_structure(tree, child) for child in children],
@@ -214,14 +214,14 @@ def _antipole_structure(tree, node=0):
     start, stop = tree._start[node], tree._stop[node]
     if tree._is_cluster[node]:
         return {
-            "centroid": tree._tree_ids[start],
-            "members": tree._tree_ids[start + 1 : stop],
+            "centroid": int(tree._ids[start]),
+            "members": tree._ids[start + 1 : stop].tolist(),
             "cached": tree._cached[start + 1 : stop].tolist(),
             "radius": tree._radius[node],
         }
     return {
-        "a": tree._tree_ids[start],
-        "b": tree._tree_ids[start + 1],
+        "a": int(tree._ids[start]),
+        "b": int(tree._ids[start + 1]),
         "a_radius": tree._a_radius[node],
         "b_radius": tree._b_radius[node],
         "a_child": _antipole_structure(tree, tree._a_child[node]),
@@ -233,7 +233,7 @@ def _kd_structure(tree, node=0):
     start, stop = tree._start[node], tree._stop[node]
     left = tree._child[node]
     if left < 0:
-        return {"leaf": tree._tree_ids[start:stop]}
+        return {"leaf": tree._ids[start:stop].tolist()}
     return {
         "dim": tree._split_dim[node],
         "value": tree._split_value[node],
