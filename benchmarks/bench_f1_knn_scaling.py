@@ -14,7 +14,6 @@ coordinates; F2 shows where that comparison breaks down.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import print_experiment
 from repro.eval.harness import ascii_table, run_knn_workload
@@ -43,7 +42,7 @@ def _queries(dim: int) -> np.ndarray:
     return vectors
 
 
-def test_f1_scaling_table(clustered_vectors, benchmark):
+def test_f1_scaling_table(clustered_vectors):
     queries = _queries(clustered_vectors.shape[1])
     rows = []
     speedups = {}
@@ -74,19 +73,3 @@ def test_f1_scaling_table(clustered_vectors, benchmark):
     assert speedups[("vptree", 4096)] > speedups[("vptree", 256)]
     assert speedups[("antipole", 4096)] > 3.0
     assert speedups[("antipole", 4096)] > speedups[("antipole", 256)]
-
-    index = _FACTORIES["vptree"]().build(list(range(4096)), clustered_vectors)
-    benchmark(lambda: index.knn_search(queries[0], _K))
-
-
-@pytest.mark.parametrize("name", list(_FACTORIES), ids=list(_FACTORIES))
-def test_f1_query_time_at_4096(benchmark, name, clustered_vectors):
-    index = _FACTORIES[name]().build(list(range(4096)), clustered_vectors)
-    queries = _queries(clustered_vectors.shape[1])
-    state = {"i": 0}
-
-    def run_one():
-        state["i"] = (state["i"] + 1) % len(queries)
-        return index.knn_search(queries[state["i"]], _K)
-
-    benchmark(run_one)

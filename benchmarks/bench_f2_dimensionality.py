@@ -38,7 +38,7 @@ def _dataset(kind: str, dim: int, seed: int) -> np.ndarray:
     return vectors
 
 
-def test_f2_dimensionality_table(benchmark):
+def test_f2_dimensionality_table():
     metric = EuclideanDistance()
     rows = []
     fractions = {}
@@ -65,7 +65,3 @@ def test_f2_dimensionality_table(benchmark):
     assert fractions[("uniform", 32)] > 0.9  # the curse
     assert fractions[("clustered", 32)] < 0.8  # clusters save you
     assert fractions[("clustered", 32)] < fractions[("uniform", 32)]
-
-    tree = VPTree(metric).build(list(range(_N)), _dataset("uniform", 16, seed=5))
-    query = _dataset("uniform", 16, seed=55)[0]
-    benchmark(lambda: tree.knn_search(query, _K))

@@ -28,7 +28,7 @@ _N = 2048
 _N_QUERIES = 15
 
 
-def test_f3_range_cost_table(clustered_vectors, benchmark):
+def test_f3_range_cost_table(clustered_vectors):
     metric = EuclideanDistance()
     vectors = clustered_vectors[:_N]
     ids = list(range(_N))
@@ -71,6 +71,3 @@ def test_f3_range_cost_table(clustered_vectors, benchmark):
     for name in ("vptree", "antipole"):
         assert costs[(name, 0.01)] <= costs[(name, 0.50)]
         assert costs[(name, 0.01)] < 0.6 * _N
-
-    radius = estimate_radius_for_selectivity(metric, vectors, 0.05, seed=0)
-    benchmark(lambda: indexes["vptree"].range_search(queries[0], radius))

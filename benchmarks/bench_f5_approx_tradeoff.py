@@ -39,7 +39,7 @@ def _recall(approx, exact) -> float:
     return len([n for n in approx if n.id in exact_ids]) / len(exact_ids)
 
 
-def test_f5_tradeoff_table(benchmark):
+def test_f5_tradeoff_table():
     vectors = uniform_vectors(_N, _DIM, seed=9)
     queries = uniform_vectors(_N_QUERIES, _DIM, seed=99)
     ids = list(range(_N))
@@ -93,5 +93,3 @@ def test_f5_tradeoff_table(benchmark):
     assert costs["eps=2.0"] < costs["eps=0.0"]            # slack saves work
     assert recalls["eps=0.25"] > 0.8                      # small slack, high recall
     assert recalls["budget=512"] >= recalls["budget=64"] - 1e-9  # more budget, no worse
-
-    benchmark(lambda: tree.knn_search_approximate(queries[0], _K, epsilon=0.5))

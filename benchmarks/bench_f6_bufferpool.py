@@ -73,7 +73,7 @@ def _access_trace(cluster_ordered, skewed: bool, seed: int) -> list[int]:
     return trace
 
 
-def test_f6_hit_ratio_table(store_path, cluster_ordered, benchmark):
+def test_f6_hit_ratio_table(store_path, cluster_ordered):
     rows = []
     ratios = {}
     for workload in ("uniform", "skewed"):
@@ -111,12 +111,3 @@ def test_f6_hit_ratio_table(store_path, cluster_ordered, benchmark):
     assert ratios[("skewed", 4)] > ratios[("uniform", 4)] + 0.1
     assert ratios[("uniform", 32)] > 0.9  # everything resident after warmup
     assert ratios[("skewed", 4)] > 0.5    # hot working set fits in 4 pages
-
-    trace = _access_trace(cluster_ordered, True, seed=12)
-
-    def replay():
-        with FeatureStore.open(store_path, buffer_pages=8) as store:
-            for slot in trace[:200]:
-                store.get(slot)
-
-    benchmark(replay)

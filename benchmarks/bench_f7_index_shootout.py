@@ -2,7 +2,7 @@
 
 All seven index structures answer the same k=10 workload over the same
 2048 x 16-D clustered vectors.  Reported per index: build cost, query
-cost in distance computations, speedup over the scan, and query latency.
+cost in distance computations and speedup over the scan.
 This is the summary figure the individual experiments (F1, F2, T4, T6,
 T8, T9) drill into.
 
@@ -15,9 +15,6 @@ it only refines filter survivors.
 """
 
 from __future__ import annotations
-
-import numpy as np
-import pytest
 
 from benchmarks.conftest import print_experiment
 from repro.eval.datasets import gaussian_clusters
@@ -59,7 +56,7 @@ def _data():
     return vectors, queries
 
 
-def test_f7_shootout_table(benchmark):
+def test_f7_shootout_table():
     vectors, queries = _data()
     ids = list(range(_N))
 
@@ -77,12 +74,11 @@ def test_f7_shootout_table(benchmark):
                 dists_per_query["linear"] / result.mean_distance_computations
                 if result.mean_distance_computations
                 else float("inf"),
-                result.mean_latency_seconds * 1e3,
             ]
         )
     print_experiment(
         ascii_table(
-            ["index", "build dists", "dists/query", "speedup", "latency (ms)"],
+            ["index", "build dists", "dists/query", "speedup"],
             rows,
             title=f"F7: index shootout - N={_N}, 16-D clustered, k={_K} "
             "(kl-filter counts full-metric refines only)",
@@ -97,19 +93,3 @@ def test_f7_shootout_table(benchmark):
     # The new structures must be in the same league as the established ones.
     assert dists_per_query["mtree"] < 0.5 * _N
     assert dists_per_query["gnat"] < 0.5 * _N
-
-    index = _FACTORIES["gnat"]().build(ids, vectors)
-    benchmark(lambda: index.knn_search(queries[0], _K))
-
-
-@pytest.mark.parametrize("name", ["mtree", "gnat", "kl-filter"])
-def test_f7_new_index_query_time(benchmark, name):
-    vectors, queries = _data()
-    index = _FACTORIES[name]().build(list(range(_N)), vectors)
-    state = {"i": 0}
-
-    def run_one():
-        state["i"] = (state["i"] + 1) % len(queries)
-        return index.knn_search(queries[state["i"]], _K)
-
-    benchmark(run_one)

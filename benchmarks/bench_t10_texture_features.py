@@ -61,7 +61,7 @@ def _leave_one_out_rankings(ids, matrix, k):
     return rankings
 
 
-def test_t10_texture_quality_table(benchmark):
+def test_t10_texture_quality_table():
     images, labels = make_corpus_images(_PER_CLASS, size=32, seed=300)
     keep = [row for row, label in enumerate(labels) if label in _TEXTURE_CLASSES]
     images = [images[row] for row in keep]
@@ -97,6 +97,3 @@ def test_t10_texture_quality_table(benchmark):
     pooled = precision_by_feature["glcm_16l_4o_mean"]
     assert precision_by_feature["gabor_2s_4o"] > pooled
     assert precision_by_feature["glcm_16l_4o_concat"] >= pooled
-
-    extractor = GaborFeatures(2, 4, working_size=32)
-    benchmark(lambda: extractor.extract(images[0]))

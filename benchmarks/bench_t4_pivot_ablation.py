@@ -16,7 +16,6 @@ poorly.  Variance, not distance, is what makes a good vantage point.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import print_experiment
 from repro.eval.datasets import gaussian_clusters
@@ -36,7 +35,7 @@ _STRATEGIES = {
 }
 
 
-def test_t4_pivot_table(clustered_vectors, benchmark):
+def test_t4_pivot_table(clustered_vectors):
     vectors = clustered_vectors[:_N]
     ids = list(range(_N))
     queries, _ = gaussian_clusters(
@@ -70,17 +69,3 @@ def test_t4_pivot_table(clustered_vectors, benchmark):
     # Shape check: the variance criterion should not lose to random
     # pivots.  (max_spread legitimately can - see the module docstring.)
     assert query_cost["max_variance"] <= query_cost["random"] * 1.1
-
-    tree = VPTree(EuclideanDistance(), pivot_strategy=MaxSpreadPivot()).build(ids, vectors)
-    benchmark(lambda: tree.knn_search(queries[0], _K))
-
-
-@pytest.mark.parametrize("name", list(_STRATEGIES), ids=list(_STRATEGIES))
-def test_t4_build_time(benchmark, name, clustered_vectors):
-    vectors = clustered_vectors[:512]
-    ids = list(range(512))
-    benchmark(
-        lambda: VPTree(
-            EuclideanDistance(), pivot_strategy=_STRATEGIES[name]()
-        ).build(ids, vectors)
-    )

@@ -43,7 +43,7 @@ def _distance_table(matrix, metric):
     return table
 
 
-def test_t5_fusion_table(corpus_features, benchmark):
+def test_t5_fusion_table(corpus_features):
     ids, labels, matrices = corpus_features
     judgments = RelevanceJudgments.from_labels(ids, labels)
     metric = EuclideanDistance()
@@ -114,6 +114,3 @@ def test_t5_fusion_table(corpus_features, benchmark):
         scores["rrf fusion"],
     )
     assert best_fused >= best_single  # fusion covers both class families
-
-    weights = {_COLOR: 2.0, _TEXTURE: 1.0, _EDGES: 1.0}
-    benchmark(lambda: weighted_rankings(weights))

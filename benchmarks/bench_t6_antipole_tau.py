@@ -26,7 +26,7 @@ _N_QUERIES = 20
 _FRACTIONS = (0.1, 0.2, 0.3, 0.5, 0.7)
 
 
-def test_t6_threshold_ablation(clustered_vectors, benchmark):
+def test_t6_threshold_ablation(clustered_vectors):
     vectors = clustered_vectors[:_N]
     ids = list(range(_N))
     queries, _ = gaussian_clusters(
@@ -75,6 +75,3 @@ def test_t6_threshold_ablation(clustered_vectors, benchmark):
     assert build_costs[0.7] < build_costs[0.1]
     for fraction in _FRACTIONS:
         assert query_costs[fraction] < _N
-
-    tree = AntipoleTree(EuclideanDistance(), diameter_fraction=0.3).build(ids, vectors)
-    benchmark(lambda: tree.knn_search(queries[0], _K))

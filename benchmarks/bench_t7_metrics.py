@@ -1,25 +1,19 @@
-"""T7 — Similarity-measure comparison: retrieval quality and cost.
+"""T7 — Similarity-measure comparison: retrieval quality and indexability.
 
 Every similarity measure from the paper's section 4 (and the QBIC
 standards) is evaluated on the same HSV-histogram features:
 
 * leave-one-out precision@5 against class ground truth,
-* time per distance evaluation,
 * whether the measure admits tree indexing (metric or not).
 
 Expected shape: on L1-normalized histograms the ranking quality of L1,
 intersection and match distance cluster together (intersection *is*
 half-L1 there); chi-square and Bhattacharyya reweight rare bins and may
 edge ahead; the quadratic form tolerates cross-bin color shifts; L2 and
-L-infinity trail slightly.  Cost varies by an order of magnitude, which
-is what made cheap measures attractive at scale.
+L-infinity trail slightly.
 """
 
 from __future__ import annotations
-
-import time
-
-import numpy as np
 
 from benchmarks.conftest import print_experiment
 from repro.eval.groundtruth import RelevanceJudgments
@@ -55,7 +49,7 @@ def _metrics_under_test(dim: int):
     return measures
 
 
-def test_t7_metric_comparison(corpus_features, benchmark):
+def test_t7_metric_comparison(corpus_features):
     ids, labels, matrices = corpus_features
     judgments = RelevanceJudgments.from_labels(ids, labels)
 
@@ -73,26 +67,22 @@ def test_t7_metric_comparison(corpus_features, benchmark):
         matrix = rgb if name.startswith("quadratic") else hsv
         index = LinearScanIndex(metric).build(ids, matrix)
         rankings = {}
-        started = time.perf_counter()
         for row, query_id in enumerate(ids):
             neighbors = index.knn_search(matrix[row], _K + 1)
             rankings[query_id] = [n.id for n in neighbors if n.id != query_id][:_K]
-        elapsed = time.perf_counter() - started
-        n_dists = len(ids) * len(ids)
         p5 = mean_precision_at_k(rankings, judgments, _K)
         quality[name] = p5
         rows.append(
             [
                 name,
                 p5,
-                elapsed / n_dists * 1e6,
                 "yes" if metric.is_metric else "no (scan only)",
             ]
         )
     rows.sort(key=lambda r: -r[1])
     print_experiment(
         ascii_table(
-            ["measure", f"precision@{_K}", "us / distance", "tree-indexable"],
+            ["measure", f"precision@{_K}", "tree-indexable"],
             rows,
             title="T7: similarity measures on color histograms (leave-one-out)",
         )
@@ -104,6 +94,3 @@ def test_t7_metric_comparison(corpus_features, benchmark):
         assert p5 > chance, name
     # Intersection == half L1 on normalized histograms: identical rankings.
     assert quality["intersection"] == quality["L1"]
-
-    metric = EuclideanDistance()
-    benchmark(lambda: metric.distance(hsv[0], hsv[1]))

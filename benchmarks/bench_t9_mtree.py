@@ -16,7 +16,6 @@ visited page — the classic B-tree-style fan-out tradeoff.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import print_experiment
 from repro.eval.datasets import gaussian_clusters
@@ -38,7 +37,7 @@ def _data():
     return vectors, queries
 
 
-def test_t9_mtree_ablation_table(benchmark):
+def test_t9_mtree_ablation_table():
     vectors, queries = _data()
     ids = list(range(_N))
 
@@ -92,29 +91,3 @@ def test_t9_mtree_ablation_table(benchmark):
         assert cost < _N, key
     assert query_cost[("mmrad", 8)] <= 1.1 * query_cost[("random", 8)]
     assert build_cost[("mmrad", 8)] > build_cost[("random", 8)]
-
-    tree = MTree(EuclideanDistance(), capacity=8).build(ids, vectors)
-    benchmark(lambda: tree.knn_search(queries[0], _K))
-
-
-@pytest.mark.parametrize("capacity", _CAPACITIES)
-def test_t9_insert_throughput(benchmark, capacity):
-    """Timed incremental insertion — the M-tree's unique capability.
-
-    Each round starts from a fresh 1024-item tree and inserts a 64-item
-    batch, so the timed work is pure insertion at a realistic tree size.
-    """
-    vectors, _ = _data()
-    base_ids = list(range(1024))
-
-    def fresh_tree():
-        tree = MTree(EuclideanDistance(), capacity=capacity).build(
-            base_ids, vectors[:1024]
-        )
-        return (tree,), {}
-
-    def insert_batch(tree):
-        for item in range(1024, 1024 + 64):
-            tree.insert(item, vectors[item])
-
-    benchmark.pedantic(insert_batch, setup=fresh_tree, rounds=5, iterations=1)

@@ -1,13 +1,15 @@
-"""Shared fixtures for the experiment benchmarks.
+"""Shared fixtures for the paper-figure experiments.
 
-Each ``bench_*.py`` file regenerates one table/figure from DESIGN.md's
-reconstructed evaluation.  Everything expensive (corpus generation,
-feature extraction) is session-scoped and seeded, so the full suite is
-deterministic and runs in minutes.
+Each ``bench_*.py`` file regenerates one table/figure of the evaluation
+reconstructed from PAPER.md (catalogue in ``docs/benchmarks.md``) and
+asserts its shape in the paper's own cost units: distance computations,
+page touches, retrieval quality.  Nothing here reads a clock; wall-clock
+numbers come from ``benchmarks/e2e/`` only.  Everything expensive
+(corpus generation, feature extraction) is session-scoped and seeded,
+so the full suite is deterministic and runs in well under a minute.
 
 Every experiment prints its result table to stdout (run with ``-s`` or
-check the captured output); pytest-benchmark additionally times one
-representative operation per experiment.
+check the captured output).
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Setup shim for legacy editable installs (offline environment: no wheel).
 
-All real metadata lives in pyproject.toml; this file only enables
-``pip install -e .`` on toolchains without the ``wheel`` package.
+There is no other packaging metadata: setuptools finds the ``repro``
+package by src-layout auto-discovery, and the one runtime dependency,
+``numpy``, is not declared (install it yourself).  This file only
+enables ``pip install -e .`` on toolchains without the ``wheel`` package.
 """
 
 from setuptools import setup

@@ -296,7 +296,8 @@ class MmapBackend(VectorBackend):
     hit/miss/eviction counters make the resident bound *observable* —
     every physical page read is a miss, whichever path made it, and
     the pool never holds more than ``cache_pages`` pages by
-    construction, which ``bench_f18`` asserts from the counters.
+    construction, which ``tests/test_backend_conformance.py`` asserts
+    from the counters.
 
     Mutations keep the view contract of :class:`MemoryBackend`:
     ``append`` rewrites the tail page with byte-identical data for live

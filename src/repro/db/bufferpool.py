@@ -3,9 +3,10 @@
 The 1994 cost model prices a query by how many feature-vector *pages* it
 touches; the buffer pool decides how many of those touches reach the disk.
 This implementation is deliberately classical: fixed capacity in pages,
-least-recently-used eviction, write-back of dirty pages through a caller
-supplied callback, and counters (:attr:`hits`, :attr:`misses`,
-:attr:`evictions`) that experiment F6 sweeps against capacity.
+least-recently-used eviction, and counters (:attr:`hits`, :attr:`misses`,
+:attr:`evictions`) that experiment F6 sweeps against capacity.  It is a
+read cache only: the feature store writes its tail page around it and
+never caches a page that can still change.
 
 The pool is generic: pages are opaque objects fetched by a callback, so
 the same class backs the feature store and any future page consumer.
@@ -21,7 +22,6 @@ from repro.errors import StoreError
 __all__ = ["BufferPool"]
 
 FetchFn = Callable[[int], Any]
-WriteBackFn = Callable[[int, Any], None]
 
 
 class BufferPool:
@@ -33,25 +33,14 @@ class BufferPool:
         Maximum number of resident pages (>= 1).
     fetch:
         Callback loading a page by id on a miss.
-    write_back:
-        Optional callback invoked with (page_id, page) when a *dirty* page
-        is evicted or flushed.  Required if :meth:`mark_dirty` is used.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        fetch: FetchFn,
-        *,
-        write_back: WriteBackFn | None = None,
-    ) -> None:
+    def __init__(self, capacity: int, fetch: FetchFn) -> None:
         if capacity < 1:
             raise StoreError(f"buffer pool capacity must be >= 1; got {capacity}")
         self._capacity = capacity
         self._fetch = fetch
-        self._write_back = write_back
         self._pages: "OrderedDict[int, Any]" = OrderedDict()
-        self._dirty: set[int] = set()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -107,60 +96,11 @@ class BufferPool:
 
         self._misses += 1
         page = self._fetch(page_id)
-        self._insert(page_id, page)
-        return page
-
-    def put(self, page_id: int, page: Any, *, dirty: bool = False) -> None:
-        """Install (or replace) a page directly, optionally marking it dirty."""
-        if page_id in self._pages:
-            self._pages.move_to_end(page_id)
-            self._pages[page_id] = page
-        else:
-            self._insert(page_id, page)
-        if dirty:
-            self.mark_dirty(page_id)
-
-    def mark_dirty(self, page_id: int) -> None:
-        """Flag a resident page as modified (it will be written back)."""
-        if page_id not in self._pages:
-            raise StoreError(f"cannot mark non-resident page {page_id} dirty")
-        if self._write_back is None:
-            raise StoreError("buffer pool has no write_back callback")
-        self._dirty.add(page_id)
-
-    def contains(self, page_id: int) -> bool:
-        """True if the page is resident (does not touch LRU order)."""
-        return page_id in self._pages
-
-    def invalidate(self, page_id: int) -> None:
-        """Drop a page without writing it back (caller handles durability)."""
-        self._pages.pop(page_id, None)
-        self._dirty.discard(page_id)
-
-    def flush(self) -> None:
-        """Write back every dirty page; contents stay resident."""
-        for page_id in sorted(self._dirty):
-            assert self._write_back is not None  # guarded by mark_dirty
-            self._write_back(page_id, self._pages[page_id])
-        self._dirty.clear()
-
-    def clear(self) -> None:
-        """Flush, then drop all resident pages."""
-        self.flush()
-        self._pages.clear()
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _insert(self, page_id: int, page: Any) -> None:
         while len(self._pages) >= self._capacity:
-            victim_id, victim = self._pages.popitem(last=False)
+            self._pages.popitem(last=False)
             self._evictions += 1
-            if victim_id in self._dirty:
-                self._dirty.discard(victim_id)
-                assert self._write_back is not None
-                self._write_back(victim_id, victim)
         self._pages[page_id] = page
+        return page
 
     def __repr__(self) -> str:
         return (

@@ -1,9 +1,11 @@
-"""Workload runners and report formatting shared by the benchmarks.
+"""Workload runners and report formatting shared by the paper figures.
 
-Each benchmark answers one experiment from DESIGN.md; the harness keeps
-them uniform: run a batch of queries against an index, average the cost
-counters, and print rows through one ASCII table formatter so
-``pytest benchmarks/`` output reads like the paper's tables.
+Each ``benchmarks/bench_*.py`` script answers one experiment of the
+evaluation reconstructed from PAPER.md (catalogue in
+``docs/benchmarks.md``); the harness keeps them uniform: run a batch of
+queries against an index, average the cost counters, and print rows
+through one ASCII table formatter so ``pytest -s benchmarks/bench_*.py``
+output reads like the paper's tables.
 """
 
 from __future__ import annotations

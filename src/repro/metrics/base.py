@@ -212,7 +212,7 @@ class CountingMetric(Metric):
 def hide_batch_kernel(metric: Metric) -> Metric:
     """A clone of ``metric`` whose ``_kernel`` is the loop fallback.
 
-    Benchmarks and parity tests use this to model the scalar-era cost:
+    Parity tests use this to model the scalar-era cost:
     every batched call site degrades to one interpreted ``distance``
     call per row, while results stay bit-identical by the batch
     contract.  The clone subclasses the metric's own class, so indexes

@@ -364,26 +364,53 @@ class TestJournaledScheduler:
             fs=fs or FileSystem(),
         )
 
+    @pytest.mark.parametrize("staged_adds", [1, 3], ids=["serial", "coalesced"])
     @pytest.mark.parametrize("n_shards", [1, 2])
-    def test_acked_mutations_survive_restart(self, tmp_path, rng, n_shards):
+    def test_acked_mutations_survive_restart(
+        self, tmp_path, rng, n_shards, staged_adds
+    ):
         db, journal_set, _ = self._open(tmp_path, n_shards)
-        with QueryScheduler(
-            db, shards=n_shards, journal=journal_set, max_wait_ms=0.0
-        ) as scheduler:
-            added = scheduler.submit_add(
-                rng.random((3, 6)), labels=["a", "b", "c"]
-            ).result(timeout=10)
+        # Entering a scheduler as a context manager starts it; staging
+        # needs the worker parked until every add is queued.
+        scheduler = QueryScheduler(
+            db,
+            shards=n_shards,
+            journal=journal_set,
+            max_wait_ms=0.0,
+            autostart=False,
+        )
+        try:
+            # Adds staged while the worker is parked drain as one formed
+            # batch and coalesce into one engine call and one record
+            # group; each is still acknowledged, and owed, on its own.
+            blocks = rng.random((staged_adds, 3, 6))
+            futures = [
+                scheduler.submit_add(block, labels=["a", "b", "c"])
+                for block in blocks
+            ]
+            scheduler.start()
+            acked = [future.result(timeout=10) for future in futures]
+            added = acked[0]
             scheduler.submit_remove([added.ids[1]]).result(timeout=10)
+            assert scheduler.stats().coalesced_mutations == staged_adds - 1
             info = scheduler.journal_info()
-            # One add + one remove; the add fans out to one record per
+            # One add group + one remove, however many mutations were
+            # acknowledged; the add group fans out to one record per
             # home shard, so the record count grows with n_shards.
             n_records = info["records"]
-            assert n_records >= 2 and info["syncs"] >= 2
+            assert 2 <= n_records <= n_shards + 1
+            assert 2 <= info["syncs"] <= n_records
+        finally:
+            scheduler.close()
         recovered, report = recover(tmp_path / "root", faults.make_schema())
         assert report.records_applied == n_records
-        assert added.ids[0] in recovered.catalog.ids
         assert added.ids[1] not in recovered.catalog.ids
         assert recovered.catalog.get(added.ids[0]).label == "a"
+        for result, block in zip(acked, blocks):
+            for image_id, row in zip(result.ids, block):
+                if image_id != added.ids[1]:
+                    stored = recovered.vector_of("signature", image_id)
+                    assert stored.tobytes() == row.tobytes()
 
     def test_save_compacts_and_resets_journal(self, tmp_path, rng):
         db, journal_set, _ = self._open(tmp_path)

@@ -58,10 +58,12 @@ class TestLRUEviction:
         pool.get(2)
         pool.get(1)       # 1 is now most recent
         pool.get(3)       # evicts 2
-        assert pool.contains(1)
-        assert not pool.contains(2)
-        assert pool.contains(3)
         assert pool.evictions == 1
+        pool.get(1)       # still resident
+        pool.get(3)       # still resident
+        assert fetch.fetched == [1, 2, 3]
+        pool.get(2)       # gone: fetched again
+        assert fetch.fetched == [1, 2, 3, 2]
 
     def test_eviction_count_under_thrash(self):
         pool = BufferPool(2, _FetchRecorder())
@@ -84,59 +86,3 @@ class TestLRUEviction:
                 pool.get(page)
         assert pool.misses == 5
         assert pool.hits == 15
-
-
-class TestDirtyPages:
-    def test_flush_writes_back(self):
-        written = []
-        pool = BufferPool(4, lambda p: [p], write_back=lambda p, page: written.append(p))
-        pool.get(1)
-        pool.mark_dirty(1)
-        pool.flush()
-        assert written == [1]
-        pool.flush()  # idempotent: already clean
-        assert written == [1]
-
-    def test_eviction_writes_back_dirty_page(self):
-        written = []
-        pool = BufferPool(1, lambda p: [p], write_back=lambda p, page: written.append(p))
-        pool.get(1)
-        pool.mark_dirty(1)
-        pool.get(2)  # evicts dirty 1
-        assert written == [1]
-
-    def test_clean_eviction_does_not_write(self):
-        written = []
-        pool = BufferPool(1, lambda p: [p], write_back=lambda p, page: written.append(p))
-        pool.get(1)
-        pool.get(2)
-        assert written == []
-
-    def test_mark_dirty_requires_write_back(self):
-        pool = BufferPool(2, lambda p: [p])
-        pool.get(1)
-        with pytest.raises(StoreError, match="write_back"):
-            pool.mark_dirty(1)
-
-    def test_mark_dirty_requires_residency(self):
-        pool = BufferPool(2, lambda p: [p], write_back=lambda p, page: None)
-        with pytest.raises(StoreError, match="non-resident"):
-            pool.mark_dirty(9)
-
-    def test_invalidate_drops_without_write(self):
-        written = []
-        pool = BufferPool(2, lambda p: [p], write_back=lambda p, page: written.append(p))
-        pool.get(1)
-        pool.mark_dirty(1)
-        pool.invalidate(1)
-        pool.flush()
-        assert written == []
-        assert not pool.contains(1)
-
-    def test_put_and_clear(self):
-        pool = BufferPool(2, lambda p: [p], write_back=lambda p, page: None)
-        pool.put(5, "direct")
-        assert pool.get(5) == "direct"
-        assert pool.misses == 0
-        pool.clear()
-        assert pool.resident == 0

@@ -1,5 +1,8 @@
 """Tests for workload runners and table formatting."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -99,3 +102,23 @@ class TestFormatting:
     def test_ascii_table_empty_rows(self):
         table = ascii_table(["a", "b"], [])
         assert "a" in table
+
+
+def test_paper_figures_count_and_never_time():
+    """The figure scripts this harness serves assert counts and quality;
+    the clock belongs to ``benchmarks/e2e/`` alone.  A ``benchmark``
+    fixture, a ``time`` import or a ``BENCH_*.json`` beside them means a
+    timing loop has drifted back in."""
+    benchmarks = Path(__file__).resolve().parent.parent / "benchmarks"
+    scripts = sorted(benchmarks.glob("bench_*.py"))
+    assert len(scripts) >= 19
+    assert not list(benchmarks.glob("BENCH_*.json"))
+    for script in scripts:
+        for node in ast.walk(ast.parse(script.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test"):
+                arguments = [arg.arg for arg in node.args.args]
+                assert "benchmark" not in arguments, f"{script.name}::{node.name}"
+            elif isinstance(node, ast.Import):
+                assert "time" not in [alias.name for alias in node.names], script.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "time", script.name

@@ -10,7 +10,8 @@ k-NN selects its k rows without sorting all n.  Pinned here:
 * **backend parity** — ids, floats and full ``SearchStats`` of every
   query entry point agree between ``memory`` and ``mmap`` at several
   run sizes, with n a multiple of neither the page nor the run, before
-  and after mutations;
+  and after mutations (a VP-tree and an M-tree ride along: they read
+  the core's view rather than the block loop, with the same contract);
 * **page-touch accounting** — a scan costs exactly ⌈n / page_records⌉
   physical page reads, evicts nothing and leaves the LRU's residents
   (and therefore a later gather's hits) alone.
@@ -23,6 +24,8 @@ from hypothesis import given, settings, strategies as st
 from repro.db.backend import MemoryBackendFactory, MmapBackendFactory
 from repro.index.laesa import LAESAIndex
 from repro.index.linear import LinearScanIndex, _k_smallest
+from repro.index.mtree import MTree
+from repro.index.vptree import VPTree
 from repro.metrics.base import CountingMetric, Metric
 from repro.metrics.minkowski import EuclideanDistance
 
@@ -110,8 +113,12 @@ def _answers(index, queries, k, radius):
     [
         lambda: LinearScanIndex(EuclideanDistance()),
         lambda: LAESAIndex(EuclideanDistance(), n_pivots=5),
+        # The trees read the core's view, not the block loop: the same
+        # answers and the same counted cost on either backend.
+        lambda: VPTree(EuclideanDistance()),
+        lambda: MTree(EuclideanDistance(), capacity=8),
     ],
-    ids=["linear", "laesa"],
+    ids=["linear", "laesa", "vptree", "mtree"],
 )
 def test_memory_and_mmap_agree_bit_for_bit(tmp_path, cache_pages, make_index):
     rng = np.random.default_rng(99)
