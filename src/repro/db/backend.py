@@ -16,14 +16,17 @@ engine actually needs:
     A copied ``(len(indices), d)`` gather.  On a bounded backend this
     routes through the LRU :class:`~repro.db.bufferpool.BufferPool`, so
     random refinement reads are counted and capped.
-``iter_blocks()``
-    The live rows in contiguous ``(start, block)`` chunks, sized for
-    the hardware rather than the page format — how every linear scan
-    walks a core.  The memory backend yields cache-sized slices of its
+``iter_blocks(start, stop)`` / ``run_rows``
+    The live rows of ``[start, stop)`` in contiguous ``(start, block)``
+    runs of ``run_rows`` rows, sized for the hardware rather than the
+    page format.  The memory backend yields cache-sized slices of its
     view (a kernel's temporaries stay in L2); the mmap backend reads
     runs of ``cache_pages`` pages around the pool into a buffer the
     scan owns, so a scan over a larger-than-RAM core holds one run at
     a time and leaves the LRU to the random gathers it is good at.
+    Every linear scan walks a core through :func:`sweep`, which cuts
+    ``[0, n)`` into run-aligned parts and reads and scores them on all
+    usable cores at once.
 ``append(rows)`` / ``take(keep)``
     The two mutations :class:`~repro.index.base.MetricIndex` performs.
     Both return the fresh live view.
@@ -53,6 +56,7 @@ import os
 import struct
 import tempfile
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -72,6 +76,7 @@ __all__ = [
     "BACKENDS",
     "register_backend",
     "resolve_backend_factory",
+    "sweep",
 ]
 
 #: Smallest capacity :class:`MemoryBackend` ever allocates (keeps tiny
@@ -120,12 +125,25 @@ class VectorBackend:
         """A copied ``(len(indices), d)`` gather of the given rows."""
         raise NotImplementedError
 
-    def iter_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """The live rows in contiguous ``(start_row, block)`` chunks.
+    @property
+    def run_rows(self) -> int:
+        """Rows per :meth:`iter_blocks` run — the unit a scan reads and
+        scores at once, and the alignment of :func:`sweep`'s parts."""
+        raise NotImplementedError
 
-        Each block is read-only and valid until the next block is
-        requested; copy to keep.  On a bounded backend no block exceeds
-        ``cache_pages * page_records`` rows.
+    def iter_blocks(
+        self, start: int = 0, stop: int | None = None
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """The live rows ``[start, stop)`` (default: all of them) as
+        contiguous ``(start_row, block)`` runs of at most
+        :attr:`run_rows` rows, cut every :attr:`run_rows` rows from
+        ``start``.
+
+        Each block is read-only and valid until the next block *of the
+        same iterator* is requested; copy to keep.  Iterators are
+        independent — each reads into its own buffer — so several may
+        be read at once from different threads.  On a bounded backend
+        no block exceeds ``cache_pages * page_records`` rows.
         """
         raise NotImplementedError
 
@@ -239,11 +257,16 @@ class MemoryBackend(VectorBackend):
         index = np.asarray(indices, dtype=np.intp)
         return self._rows[: self._n][index]  # fancy indexing copies
 
-    def iter_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        view = self.view()
-        step = max(1, _BLOCK_BYTES // max(8 * self.dim, 1))
-        for start in range(0, self._n, step):
-            yield start, view[start : start + step]
+    @property
+    def run_rows(self) -> int:
+        return max(1, _BLOCK_BYTES // max(8 * self.dim, 1))
+
+    def iter_blocks(
+        self, start: int = 0, stop: int | None = None
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        view = self.view()[:stop]
+        step = self.run_rows
+        return ((row, view[row : row + step]) for row in range(start, len(view), step))
 
     def append(self, rows: np.ndarray) -> np.ndarray:
         """Append validated rows; returns the fresh live view.
@@ -402,8 +425,14 @@ class MmapBackend(VectorBackend):
             indices = indices.tolist()
         return self._store.get_many([int(i) for i in indices])
 
-    def iter_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        return self._store.scan(self._cache_pages)
+    @property
+    def run_rows(self) -> int:
+        return self._cache_pages * self._page_records
+
+    def iter_blocks(
+        self, start: int = 0, stop: int | None = None
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        return self._store.scan(self._cache_pages, start, stop)
 
     def append(self, rows: np.ndarray) -> np.ndarray:
         self._store.extend(rows)
@@ -462,6 +491,79 @@ class MmapBackend(VectorBackend):
                 pass
         if self._on_close is not None:
             self._on_close(self)
+
+
+# ---------------------------------------------------------------------------
+# The scan: one block sweep on every usable core
+# ---------------------------------------------------------------------------
+#: The threads behind :func:`sweep`'s parts other than the first; started
+#: by the first sweep that has more than one part, never at import.
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on: its affinity mask, not the host's
+    core count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+def _sweep_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                max_workers=max(1, _usable_cores() - 1),
+                thread_name_prefix="repro-sweep",
+            )
+        return _pool
+
+
+def _fill(blocks, fn, out: np.ndarray) -> None:
+    for start, block in blocks:
+        out[start : start + len(block)] = fn(block)
+
+
+def sweep(
+    core: VectorBackend,
+    fn: Callable[[np.ndarray], np.ndarray],
+    out: np.ndarray,
+) -> None:
+    """``out[start:start + len(block)] = fn(block)`` for every block of
+    ``core``, reading and scoring on every usable core at once.
+
+    ``[0, n)`` is cut into at most one contiguous part per usable core,
+    and never more parts than the core has runs; every part starts on a
+    run boundary, so parts share no page and read exactly the runs one
+    sequential :meth:`~VectorBackend.iter_blocks` pass would.  Each part
+    reads through its own iterator (its own run buffer).  Part 0 runs on
+    the calling thread, the others on a process-wide pool of
+    ``cores - 1`` threads: NumPy releases the interpreter lock inside
+    its kernels on blocks this size, and ``os.preadv`` does for the
+    read, so the parts overlap.  ``fn`` must be row-independent and safe
+    to call from several threads (the metric kernels are); ``out`` then
+    holds the bits of one sequential pass, whatever the part count.
+
+    Returns once no part is still writing into ``out``; the first
+    part's error, if any, is raised only then.
+    """
+    n, run = core.n_rows, core.run_rows
+    runs = -(-n // run)
+    parts = max(1, min(_usable_cores(), runs))
+    cuts = [min(n, runs * part // parts * run) for part in range(parts + 1)]
+    # Made here, on the calling thread: a bounded backend checks and
+    # flushes its store when an iterator is created, not when it is read.
+    blocks = [core.iter_blocks(cuts[part], cuts[part + 1]) for part in range(parts)]
+    futures = [_sweep_pool().submit(_fill, rest, fn, out) for rest in blocks[1:]]
+    try:
+        _fill(blocks[0], fn, out)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 # ---------------------------------------------------------------------------

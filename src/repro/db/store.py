@@ -30,6 +30,7 @@ from __future__ import annotations
 import io
 import os
 import struct
+import threading
 from pathlib import Path
 from typing import Iterator
 
@@ -84,6 +85,7 @@ class FeatureStore:
         self._closed = False
         self._pool = BufferPool(buffer_pages, self._read_page)
         self._scanned_pages = 0
+        self._scan_lock = threading.Lock()  # a sweep's parts count at once
         self._flushed = count  # records the file itself holds
         # Tail page under construction, kept out of the pool until full:
         # rows ``[0, count - tail_base)`` of the buffer are live.
@@ -258,36 +260,49 @@ class FeatureStore:
             result[position] = self.get(int(slots[position]))
         return result
 
-    def scan(self, run_pages: int) -> Iterator[tuple[int, np.ndarray]]:
-        """All records in order, as ``(start_slot, block)`` runs of up to
-        ``run_pages`` pages each.
+    def scan(
+        self, run_pages: int, start: int = 0, stop: int | None = None
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """Records ``[start, stop)`` (default: all) in order, as
+        ``(start_slot, block)`` runs of up to ``run_pages`` pages each.
 
-        Each run is one positional read (no file position shared with
-        the pool's fetches) into a buffer this scan owns: a block is
-        read-only and valid until the next one is requested.  Pages
-        read count in :attr:`page_reads`; the pool is neither consulted
-        nor filled — a scan larger than it would only flush it.
+        The store is checked and flushed when the scan is asked for, not
+        when its first run is read, so several scans can be created on
+        one thread and read on others.  Each run is one positional read
+        (no file position shared with the pool's fetches or another
+        scan) into a buffer this scan owns: a block is read-only and
+        valid until the scan's next one is requested.  Pages read count
+        in :attr:`page_reads` (a page a run covers in part counts whole);
+        the pool is neither consulted nor filled — a scan larger than it
+        would only flush it.
         """
         self._check_open()
         if self._flushed != self._count:
             self.flush()
-        n, per_page = self._count, self._page_records
+        stop = self._count if stop is None else stop
+        return self._read_runs(run_pages * self._page_records, start, stop)
+
+    def _read_runs(
+        self, run_rows: int, start: int, stop: int
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        per_page = self._page_records
         row_bytes = self._dim * _FLOAT_SIZE
-        run_rows = run_pages * per_page
-        buffer = np.empty((min(run_rows, n), self._dim), dtype="<f8")
+        buffer = np.empty((min(run_rows, stop - start), self._dim), dtype="<f8")
         block = buffer.view()
         block.setflags(write=False)
         fd = self._file.fileno()
-        for start in range(0, n, run_rows):
-            rows = min(run_rows, n - start)
-            got = os.preadv(fd, [buffer[:rows]], _HEADER.size + start * row_bytes)
+        for first in range(start, stop, run_rows):
+            rows = min(run_rows, stop - first)
+            got = os.preadv(fd, [buffer[:rows]], _HEADER.size + first * row_bytes)
             if got != rows * row_bytes:
                 raise StoreError(
                     f"store truncated: {got} of {rows * row_bytes} bytes "
-                    f"at slot {start}"
+                    f"at slot {first}"
                 )
-            self._scanned_pages += -(-rows // per_page)
-            yield start, block[:rows]
+            pages = (first + rows - 1) // per_page - first // per_page + 1
+            with self._scan_lock:
+                self._scanned_pages += pages
+            yield first, block[:rows]
 
     def read_all(self) -> np.ndarray:
         """Materialize the whole store as an ``(n, dim)`` array.

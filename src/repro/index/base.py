@@ -68,7 +68,7 @@ from repro.errors import IndexingError
 from repro.index.stats import BuildStats, SearchStats
 from repro.metrics.base import Metric
 
-__all__ = ["Neighbor", "MetricIndex", "offer_candidates", "reorder_rows"]
+__all__ = ["Neighbor", "MetricIndex", "neighbors_at", "offer_candidates", "reorder_rows"]
 
 
 class Neighbor(NamedTuple):
@@ -96,6 +96,14 @@ def offer_candidates(
         elif entry > heap[0]:
             heapreplace(heap, entry)
     return -heap[0][0] if len(heap) == k else np.inf
+
+
+def neighbors_at(
+    ids: np.ndarray, rows: np.ndarray, distances: np.ndarray
+) -> list[Neighbor]:
+    """A :class:`Neighbor` for each selected row only — the scans and
+    the pending overlay select with array operations first."""
+    return [Neighbor(i, d) for i, d in zip(ids[rows].tolist(), distances[rows].tolist())]
 
 
 #: Largest temporary a build step allocates over a node's rows: the
@@ -174,6 +182,7 @@ class MetricIndex(ABC):
         # from the structure but still physically inside it.
         self._pending: dict[int, np.ndarray] = {}
         self._pending_block: np.ndarray | None = None
+        self._pending_ids: np.ndarray | None = None  # int64, the block's order
         self._tombstones: set[int] = set()
 
     # ------------------------------------------------------------------
@@ -279,7 +288,7 @@ class MetricIndex(ABC):
         # ids) in place, then the backend takes it — no second copy.
         rows = np.array(vectors, dtype=np.float64, order="C")
         self._pending = {}
-        self._pending_block = None
+        self._pending_block = self._pending_ids = None
         self._tombstones = set()
         self._build_stats = BuildStats()
         self._build(ids, rows)
@@ -448,7 +457,7 @@ class MetricIndex(ABC):
         core arrays via :meth:`_append_core`.
         """
         self._pending.update(zip(ids, vectors))
-        self._pending_block = None
+        self._pending_block = self._pending_ids = None
 
     def _delete(self, ids: list[int]) -> None:
         """Structure hook for deletion; the default tombstones core ids
@@ -457,7 +466,7 @@ class MetricIndex(ABC):
             if self._pending.pop(item_id, None) is None:
                 self._tombstones.add(item_id)
             else:
-                self._pending_block = None
+                self._pending_block = self._pending_ids = None
 
     def _maybe_rebuild(self) -> None:
         """Rebuild once the overlay outgrows its threshold.
@@ -525,7 +534,7 @@ class MetricIndex(ABC):
         self._search_stats = SearchStats()
         self._batch_stats = []
         result = self._knn_search(query, self._structural_k(int(k)))
-        result = self._overlay_knn(query, result)
+        result = self._overlay_knn(query, result, int(k))
         result.sort(key=lambda nb: (nb.distance, nb.id))
         return result[: int(k)]
 
@@ -558,9 +567,11 @@ class MetricIndex(ABC):
         queries = self._check_query_batch(queries)
         if k < 1:
             raise IndexingError(f"k must be >= 1; got {k}")
-        results = self._knn_search_batch(queries, self._structural_k(int(k)))
+        k = int(k)
+        results = self._knn_search_batch(queries, self._structural_k(k))
         return self._overlay_batch(
-            queries, results, self._overlay_knn, truncate=int(k)
+            queries, results, lambda query, result: self._overlay_knn(query, result, k),
+            truncate=k,
         )
 
     # ------------------------------------------------------------------
@@ -589,30 +600,29 @@ class MetricIndex(ABC):
             result = [nb for nb in result if nb.id not in self._tombstones]
         if self._pending:
             distances = self._dist_batch(query, self._pending_matrix())
-            result.extend(
-                Neighbor(item_id, float(d))
-                for item_id, d in zip(self._pending, distances.tolist())
-                if d <= radius
-            )
+            rows = np.flatnonzero(distances <= radius)
+            result.extend(neighbors_at(self._pending_ids, rows, distances))
         return result
 
     def _overlay_knn(
-        self, query: np.ndarray, result: list[Neighbor]
+        self, query: np.ndarray, result: list[Neighbor], k: int
     ) -> list[Neighbor]:
-        """Drop tombstoned hits; merge the whole pending buffer.
+        """Drop tombstoned hits; merge the pending rows that can still
+        be among the ``k`` nearest.
 
-        Callers sort the merged candidates by ``(distance, id)`` and
-        truncate to the requested ``k`` — the same tie-break a fresh
-        build over the live set produces.
+        Every pending row is scanned (and counted), but only those not
+        beyond the k-th smallest pending distance become result objects
+        — every tie at that place included, so callers sorting the
+        merged candidates by ``(distance, id)`` and truncating to ``k``
+        get the same tie-break a fresh build over the live set produces.
         """
         if self._tombstones:
             result = [nb for nb in result if nb.id not in self._tombstones]
         if self._pending:
             distances = self._dist_batch(query, self._pending_matrix())
-            result.extend(
-                Neighbor(item_id, float(d))
-                for item_id, d in zip(self._pending, distances.tolist())
-            )
+            kth = np.partition(distances, k - 1)[k - 1] if k < len(distances) else np.inf
+            rows = np.flatnonzero(~(distances > kth))  # keeps ties (and nan)
+            result.extend(neighbors_at(self._pending_ids, rows, distances))
         return result
 
     def _overlay_batch(self, queries, results, merge_one, truncate: int | None = None):
@@ -637,11 +647,13 @@ class MetricIndex(ABC):
         return results
 
     def _pending_matrix(self) -> np.ndarray:
-        """The pending buffer as one cached contiguous ``(p, d)`` block."""
+        """The pending buffer as one cached contiguous ``(p, d)`` block;
+        :attr:`_pending_ids` holds its ids, in the same order."""
         if self._pending_block is None:
             self._pending_block = np.ascontiguousarray(
                 np.stack(list(self._pending.values()))
             )
+            self._pending_ids = np.fromiter(self._pending, np.int64, len(self._pending))
         return self._pending_block
 
     def _range_search_batch(

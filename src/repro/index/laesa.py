@@ -36,7 +36,7 @@ import heapq
 
 import numpy as np
 
-from repro.db.backend import VectorBackend
+from repro.db.backend import VectorBackend, sweep
 from repro.errors import IndexingError
 from repro.index.base import MetricIndex, Neighbor
 from repro.metrics.base import Metric
@@ -185,13 +185,14 @@ class LAESAIndex(MetricIndex):
         """
         assert self._table_store is not None and self._pivot_vectors is not None
         pivot_distances = self._dist_batch(query, self._pivot_vectors)
-        # Block by block: the per-row max is block-independent, so the
-        # bounds are bit-identical whatever blocks the backend chooses.
+
+        # One sweep of the table: the per-row max is block-independent,
+        # so the bounds are bit-identical whatever blocks and parts.
+        def bound(block: np.ndarray) -> np.ndarray:
+            return np.abs(block - pivot_distances).max(axis=1)
+
         bounds = np.empty(len(self._row_of), dtype=np.float64)
-        for start, block in self._table_store.iter_blocks():
-            bounds[start : start + len(block)] = np.abs(
-                block - pivot_distances[None, :]
-            ).max(axis=1)
+        sweep(self._table_store, bound, bounds)
         known = {
             row: float(d)
             for row, d in zip(self._pivot_rows, pivot_distances)

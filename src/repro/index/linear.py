@@ -6,19 +6,22 @@ it) and the cost baseline the evaluation's speedup factors are quoted
 against.  It accepts non-metric distances, since it never prunes.
 
 Scalar and batched queries share one implementation, and so do all
-storage backends: each query is one loop of metric kernel calls
+storage backends: each query is one sweep of metric kernel calls
 over the blocks the core's backend hands out (cache-sized slices
 in memory, runs of buffer-pool pages on disk — ``docs/storage.md``),
-followed by a selection of the k smallest that never sorts all N.  The
-cost accounting is exact — N counted distance computations per query,
-batch or not, whatever the block size.
+run-aligned parts of it on every usable core at once, followed by a
+selection of the k smallest that never sorts all N.  The cost
+accounting is exact — N counted distance computations and the same
+page reads per query, batch or not, whatever the block size or part
+count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.index.base import MetricIndex, Neighbor
+from repro.db.backend import sweep
+from repro.index.base import MetricIndex, Neighbor, neighbors_at
 
 __all__ = ["LinearScanIndex"]
 
@@ -46,31 +49,27 @@ class LinearScanIndex(MetricIndex):
     def _scan(self, query: np.ndarray) -> np.ndarray:
         """All N distances, counted exactly once per item.
 
-        The metric kernels are row-independent, so the per-block
-        distances are bit-identical to one whole-matrix evaluation
-        whatever blocks the backend chooses, and the counted total is
-        the same N.
+        One :func:`~repro.db.backend.sweep` of the metric kernel over the
+        core, its parts on every usable core at once.  The kernels are
+        row-independent, so the distances are bit-identical to one
+        whole-matrix evaluation whatever the blocks and parts, and the
+        counted total is the same N.
         """
         assert self._core is not None
         distances = np.empty(len(self._row_of), dtype=np.float64)
-        for start, block in self._core.iter_blocks():
-            distances[start : start + len(block)] = self._dist_batch(query, block)
+        kernel = self._metric._kernel
+        sweep(self._core, lambda block: kernel(query, block), distances)
+        self._search_stats.distance_computations += distances.shape[0]
         self._search_stats.leaves_visited = 1
         return distances
 
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
         distances = self._scan(query)
-        return self._neighbors(np.flatnonzero(distances <= radius), distances)
+        return neighbors_at(self._ids, np.flatnonzero(distances <= radius), distances)
 
     def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
         distances = self._scan(query)
-        return self._neighbors(_k_smallest(distances, k), distances)
-
-    def _neighbors(self, rows: np.ndarray, distances: np.ndarray) -> list[Neighbor]:
-        return [
-            Neighbor(item_id, d)
-            for item_id, d in zip(self._ids[rows].tolist(), distances[rows].tolist())
-        ]
+        return neighbors_at(self._ids, _k_smallest(distances, k), distances)
 
 
 def _k_smallest(distances: np.ndarray, k: int) -> np.ndarray:

@@ -288,7 +288,7 @@ class VPTree(MetricIndex):
         # tombstoned hits drop out and the pending buffer is always
         # scanned in full (its evaluations are counted but not charged
         # against the traversal budget, which bounds tree work only).
-        result = self._overlay_knn(query, result)
+        result = self._overlay_knn(query, result, int(k))
         result.sort(key=lambda nb: (nb.distance, nb.id))
         return result[: int(k)]
 

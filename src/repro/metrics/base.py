@@ -33,6 +33,7 @@ accumulation order differs between the vector and matrix code paths.
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -151,7 +152,9 @@ class CountingMetric(Metric):
     """Wrapper that counts every distance evaluation.
 
     The count is cumulative; use :meth:`reset` between measurements or
-    :meth:`snapshot` for differential counting.
+    :meth:`snapshot` for differential counting.  It stays exact when
+    several threads evaluate at once — a scan's parts call
+    :meth:`_kernel` from every core (``repro.db.backend.sweep``).
 
     Examples
     --------
@@ -167,6 +170,7 @@ class CountingMetric(Metric):
             raise MetricError(f"CountingMetric wraps a Metric; got {type(inner).__name__}")
         self._inner = inner
         self._count = 0
+        self._lock = threading.Lock()
         self.is_metric = inner.is_metric
         self.supports_batch = inner.supports_batch
 
@@ -186,14 +190,16 @@ class CountingMetric(Metric):
 
     def reset(self) -> None:
         """Zero the counter."""
-        self._count = 0
+        with self._lock:
+            self._count = 0
 
     def snapshot(self) -> int:
         """Current count, for differential measurement."""
         return self._count
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        self._count += 1
+        with self._lock:
+            self._count += 1
         return self._inner.distance(a, b)
 
     def _kernel(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -202,7 +208,8 @@ class CountingMetric(Metric):
         # inner loop fallback calls the *unwrapped* scalar distance, so
         # nothing is double-counted.)
         distances = self._inner._kernel(query, vectors)
-        self._count += distances.shape[0]
+        with self._lock:
+            self._count += distances.shape[0]
         return distances
 
     def _check_dim(self, dim: int) -> None:

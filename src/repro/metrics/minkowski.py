@@ -49,7 +49,9 @@ class EuclideanDistance(Metric):
     @staticmethod
     def _kernel(query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         diff = query - vectors
-        return np.sqrt((diff * diff).sum(axis=1))
+        diff *= diff  # squared in place: one block-sized temporary, not two
+        distances = diff.sum(axis=1)
+        return np.sqrt(distances, out=distances)
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
         a, b = validate_same_shape(a, b, "L2")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import IndexingError
 from repro.index import (
@@ -33,6 +34,7 @@ from repro.index import (
     MTree,
     VPTree,
 )
+from repro.index.base import Neighbor
 from repro.metrics.base import CountingMetric
 from repro.metrics.minkowski import EuclideanDistance, ManhattanDistance
 from repro.reduce import KLTransform
@@ -306,6 +308,72 @@ class TestOverlayMechanics:
             assert _pairs(structure.knn_search(query, 3)) == _pairs(
                 fresh.knn_search(query, 3)
             )
+
+
+class _EveryPendingRow(VPTree):
+    """The overlay before it selected rows: a ``Neighbor`` for every
+    pending row, then the caller's sort — the reference expression."""
+
+    def _overlay_range(self, query, radius, result):
+        if self._tombstones:
+            result = [nb for nb in result if nb.id not in self._tombstones]
+        if self._pending:
+            distances = self._dist_batch(query, self._pending_matrix())
+            result.extend(
+                Neighbor(item_id, float(d))
+                for item_id, d in zip(self._pending, distances.tolist())
+                if d <= radius
+            )
+        return result
+
+    def _overlay_knn(self, query, result, k):
+        if self._tombstones:
+            result = [nb for nb in result if nb.id not in self._tombstones]
+        if self._pending:
+            distances = self._dist_batch(query, self._pending_matrix())
+            result.extend(
+                Neighbor(item_id, float(d))
+                for item_id, d in zip(self._pending, distances.tolist())
+            )
+        return result
+
+
+_GRID = st.integers(0, 2).map(float)  # few values: duplicates and ties
+
+
+@st.composite
+def _overlay_case(draw):
+    n_core = draw(st.integers(1, 12))
+    n_pending = draw(st.integers(0, 12))
+    ids = draw(st.permutations(range(n_core + n_pending)))  # sources interleave by id
+    rows = draw(st.lists(st.lists(_GRID, min_size=2, max_size=2),
+                         min_size=n_core + n_pending, max_size=n_core + n_pending))
+    dead = draw(st.lists(st.sampled_from(ids), unique=True, max_size=n_core + n_pending))
+    queries = draw(st.lists(st.lists(_GRID, min_size=2, max_size=2), min_size=1, max_size=3))
+    k = draw(st.integers(1, 15))  # often more than the pending rows
+    radius = draw(st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0]))
+    return n_core, list(ids), np.array(rows), dead, np.array(queries), k, radius
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_overlay_case())
+def test_selecting_overlay_equals_every_pending_row(case):
+    n_core, ids, rows, dead, queries, k, radius = case
+    answers = []
+    for cls in (VPTree, _EveryPendingRow):
+        index = cls(EuclideanDistance(), leaf_size=2).build(ids[:n_core], rows[:n_core])
+        index.rebuild_min = 10**9  # keep the overlay: no threshold rebuild
+        index.insert_batch(ids[n_core:], rows[n_core:])
+        index.delete(dead)  # core ids become tombstones, pending ones leave
+        seen = []
+        for query in queries:
+            seen.append((index.knn_search(query, k), index.last_stats))
+            seen.append((index.knn_search_approximate(query, k), index.last_stats))
+            seen.append((index.range_search(query, radius), index.last_stats))
+        seen.append((index.knn_search_batch(queries, k), index.last_batch_stats))
+        seen.append((index.range_search_batch(queries, radius), index.last_batch_stats))
+        answers.append(seen)
+    assert answers[0] == answers[1]
 
 
 class TestApproximateAndVariantEntryPoints:
