@@ -640,10 +640,7 @@ class MetricIndex(ABC):
             merged = merge_one(queries[i], results[i])
             merged.sort(key=lambda nb: (nb.distance, nb.id))
             results[i] = merged if truncate is None else merged[:truncate]
-        total = SearchStats()
-        for stats in per_query:
-            total.merge(stats)
-        self._search_stats = total
+        self._publish_batch(per_query)
         return results
 
     def _pending_matrix(self) -> np.ndarray:
@@ -682,12 +679,17 @@ class MetricIndex(ABC):
         """Order results and publish per-query + aggregate batch stats."""
         for result in results:
             result.sort(key=lambda nb: (nb.distance, nb.id))
+        self._publish_batch(per_query)
+        return results
+
+    def _publish_batch(self, per_query: list[SearchStats]) -> None:
+        """Make ``per_query`` the :attr:`last_batch_stats` and their sum
+        the :attr:`last_stats` — the one place a batch's stats are summed."""
         self._batch_stats = per_query
         total = SearchStats()
         for stats in per_query:
             total.merge(stats)
         self._search_stats = total
-        return results
 
     def _run_batch(self, queries, run_one) -> list[list[Neighbor]]:
         """Run one search per query row, tracking per-query stats.
@@ -698,19 +700,12 @@ class MetricIndex(ABC):
         points one code path and the per-query counters identical by
         construction.
         """
-        self._batch_stats = []
-        results = []
+        results, per_query = [], []
         for query in queries:
             self._search_stats = SearchStats()
-            result = run_one(query)
-            result.sort(key=lambda nb: (nb.distance, nb.id))
-            results.append(result)
-            self._batch_stats.append(self._search_stats)
-        total = SearchStats()
-        for stats in self._batch_stats:
-            total.merge(stats)
-        self._search_stats = total
-        return results
+            results.append(run_one(query))
+            per_query.append(self._search_stats)
+        return self._finish_batch(results, per_query)
 
     def _check_query_batch(self, queries: np.ndarray) -> np.ndarray:
         if not self._built or self._vectors is None:

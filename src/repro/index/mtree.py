@@ -12,8 +12,8 @@ Structure
 ---------
 Every node is one fixed-capacity *page* of entries.
 
-* A **leaf entry** stores an object ``(id, vector)`` plus its distance to
-  the routing object of the parent node (``d_parent``).
+* A **leaf entry** stores an object plus its distance to the routing
+  object of the parent node (``d_parent``).
 * A **routing entry** stores a routing object, a *covering radius* ``r``
   such that every object in its subtree is within ``r`` of it, its
   ``d_parent``, and a child-page pointer.
@@ -35,6 +35,27 @@ k-NN search is best-first over a priority queue of subtrees keyed by
 their distance lower bound, shrinking the candidate radius as results
 surface.
 
+Layout.  The tree is a struct of lists, not an object graph, like the
+four static trees — but because it grows in place its pages cannot be
+row ranges of a tree-ordered block.  Instead every entry, routing
+entries included, *is* a row of the index's one ``(n, d)`` core (the
+storage backend's; a routing object is always a promoted copy of a
+stored object, so there is nothing else to keep): rows are appended to
+the core in arrival order and never move.  Per page, indexed by page
+number, the tree keeps a leaf flag, its parent page and one list per
+entry field — core row, covering radius, ``d_parent`` and child page
+(``-1`` for a leaf entry).  A page's rows are gathered from the core
+when the page is visited, so on a bounded backend they come through OS
+paging and nothing is pinned in RAM.
+
+Traversal.  Range search evaluates each visited page's parent-filter
+survivors in one kernel call over the gathered rows.  k-NN search makes
+one one-row kernel call per counted distance: its parent filter tests
+against tau, which shrinks as entries of the same page are offered, so
+evaluating a page up front would pay for entries the search never needs.
+Insertion pays one batched call per level of its descent, and a split
+one call per anchor row of the pairwise matrix.
+
 ``SearchStats.nodes_visited`` counts internal pages read and
 ``leaves_visited`` leaf pages read — together they are the index's page
 I/O per query, the second cost axis (after distance computations) that
@@ -49,93 +70,13 @@ import itertools
 import numpy as np
 
 from repro.errors import IndexingError
-from repro.index.base import MetricIndex, Neighbor
+from repro.index.base import MetricIndex, Neighbor, offer_candidates
 from repro.metrics.base import Metric
 
 __all__ = ["MTree", "PROMOTION_POLICIES"]
 
 #: Promotion policies accepted by :class:`MTree`.
 PROMOTION_POLICIES = ("mmrad", "maxdist", "random")
-
-
-class _Entry:
-    """One slot of a node page.
-
-    Leaf entries have ``child is None`` and ``radius == 0``; routing
-    entries carry the covering radius of — and the pointer to — a subtree.
-    """
-
-    __slots__ = ("item_id", "vector", "radius", "d_parent", "child")
-
-    def __init__(
-        self,
-        item_id: int,
-        vector: np.ndarray,
-        *,
-        radius: float = 0.0,
-        d_parent: float = 0.0,
-        child: "_Node | None" = None,
-    ) -> None:
-        self.item_id = item_id
-        self.vector = vector
-        self.radius = radius
-        self.d_parent = d_parent
-        self.child = child
-
-
-class _Node:
-    """One page: a list of entries plus the back-pointer used by splits.
-
-    The page caches a contiguous ``(len(entries), d)`` block of its entry
-    vectors so every visit (insert descent, split matrix, range scan)
-    reuses one array instead of re-stacking ``np.array([...])``.  Any
-    mutation of the entry list — :meth:`adopt`, :meth:`discard` — drops
-    the cache; entry *vectors* are immutable, so nothing else can
-    invalidate it.  On a bounded storage backend the tree disables the
-    cache (``cache_vectors=False``): entry vectors are rows of the
-    memory-mapped core, and pinning a RAM copy per page would defeat the resident-
-    memory bound, so each visit re-gathers the block through OS paging.
-    """
-
-    __slots__ = (
-        "entries",
-        "is_leaf",
-        "parent_node",
-        "parent_entry",
-        "_matrix",
-        "cache_vectors",
-    )
-
-    def __init__(self, is_leaf: bool) -> None:
-        self.entries: list[_Entry] = []
-        self.is_leaf = is_leaf
-        self.parent_node: _Node | None = None
-        self.parent_entry: _Entry | None = None
-        self._matrix: np.ndarray | None = None
-        self.cache_vectors = True
-
-    def adopt(self, entry: _Entry) -> None:
-        """Add ``entry`` and, for routing entries, fix the child's back-pointers."""
-        self.entries.append(entry)
-        self._matrix = None
-        if entry.child is not None:
-            entry.child.parent_node = self
-            entry.child.parent_entry = entry
-
-    def discard(self, entry: _Entry) -> None:
-        """Remove ``entry`` (used when a split replaces a child page)."""
-        self.entries.remove(entry)
-        self._matrix = None
-
-    def matrix(self) -> np.ndarray:
-        """The page's entry vectors as one contiguous block (cached
-        unless the tree's backend bounds resident memory)."""
-        if self._matrix is not None:
-            return self._matrix
-        block = np.array([entry.vector for entry in self.entries])
-        if self.cache_vectors:
-            self._matrix = block
-        return block
 
 
 class MTree(MetricIndex):
@@ -194,8 +135,19 @@ class MTree(MetricIndex):
         self._capacity = capacity
         self._promotion = promotion
         self._rng = np.random.default_rng(seed)
-        self._root: _Node | None = None
-        self._n_splits = 0
+        self._clear()
+
+    def _clear(self) -> None:
+        # The paged tree (see the module docstring): the root page number
+        # (-1 = empty) and, per page, its leaf flag, its parent page and
+        # one list per entry field.
+        self._root, self._n_splits = -1, 0
+        self._leaf: list[bool] = []
+        self._parent: list[int] = []
+        self._entry_rows: list[list[int]] = []
+        self._radius: list[list[float]] = []
+        self._d_parent: list[list[float]] = []
+        self._child: list[list[int]] = []
 
     # ------------------------------------------------------------------
     # Introspection
@@ -218,54 +170,33 @@ class MTree(MetricIndex):
     @property
     def height(self) -> int:
         """Number of levels (1 for a single leaf root)."""
-        if self._root is None:
+        if self._root < 0:
             return 0
-        levels = 1
-        node = self._root
-        while not node.is_leaf:
-            node = node.entries[0].child  # type: ignore[assignment]
+        levels, page = 1, self._root
+        while not self._leaf[page]:
+            page = self._child[page][0]
             levels += 1
         return levels
 
     @property
     def n_pages(self) -> int:
         """Total pages (internal + leaf) currently allocated."""
-
-        def count(node: _Node | None) -> int:
-            if node is None:
-                return 0
-            if node.is_leaf:
-                return 1
-            return 1 + sum(count(entry.child) for entry in node.entries)
-
-        return count(self._root)
+        return len(self._leaf)
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def build(self, ids, vectors: np.ndarray) -> "MTree":
-        super().build(ids, vectors)
-        if self._core.bounded:
-            # The pages hold views of the working block, which a bounded
-            # backend has written out: point every entry at its stored
-            # row, or the whole block stays pinned in RAM.
-            for node in self._iter_nodes():
-                rows = self._row_of.rows([entry.item_id for entry in node.entries])
-                for entry, row in zip(node.entries, rows.tolist()):
-                    entry.vector = self._vectors[row]
-        return self
-
     def _build(self, ids: np.ndarray, vectors: np.ndarray) -> None:
-        self._root = None
-        self._n_splits = 0
-        for item_id, vector in zip(ids.tolist(), vectors):
-            self._insert(item_id, vector)
-        self._build_stats.n_leaves = sum(
-            1 for node in self._iter_nodes() if node.is_leaf
-        )
-        self._build_stats.n_nodes = self.n_pages - self._build_stats.n_leaves
-        self._build_stats.depth = self.height - 1
-        self._build_stats.extra["n_splits"] = self._n_splits
+        self._clear()
+        # Row i of the working block is the i-th item; the backend takes
+        # the block unchanged, so the rows stay valid as core rows.
+        for row in range(vectors.shape[0]):
+            self._insert(row, vectors)
+        stats = self._build_stats
+        stats.n_leaves = sum(self._leaf)
+        stats.n_nodes = self.n_pages - stats.n_leaves
+        stats.depth = self.height - 1
+        stats.extra["n_splits"] = self._n_splits
 
     def insert(self, item_id: int, vector: np.ndarray) -> None:
         """Insert one object into an already-built tree.
@@ -281,116 +212,138 @@ class MTree(MetricIndex):
         """
         if not self.is_built or self._vectors is None:
             raise IndexingError("insert() requires a built index; call build() first")
-        vector = np.asarray(vector, dtype=np.float64).ravel()
-        self.insert_batch([item_id], vector[None, :])
+        self.insert_batch([item_id], np.reshape(vector, (1, -1)))
 
     def _insert_batch(self, ids: list[int], vectors: np.ndarray) -> None:
-        """True dynamic insertion: descend to the best leaf, split upward.
+        """True dynamic insertion: the rows join the core, then each
+        descends to its best leaf, splitting upward.
 
         Each object pays the paper's insertion cost (one batched routing
         evaluation per level plus any split matrices), counted in
         :attr:`build_stats` — the structure absorbs the items
         immediately, no pending buffer.
         """
-        for item_id, vector in zip(ids, vectors):
-            self._insert(item_id, vector)
+        first = len(self._row_of)
         self._append_core(ids, vectors)
+        for row in range(first, first + len(ids)):
+            self._insert(row, self._vectors)
 
-    def _new_node(self, is_leaf: bool) -> _Node:
-        """A page configured for the active storage backend (no RAM
-        block cache when the backend bounds resident memory)."""
-        node = _Node(is_leaf=is_leaf)
-        node.cache_vectors = not self.backend_factory.bounded
-        return node
+    def _add_page(self, leaf, parent, rows, radius, d_parent, child) -> int:
+        """Allocate a page from its fields; returns its number."""
+        page = len(self._leaf)
+        self._leaf.append(leaf)
+        self._parent.append(parent)
+        self._entry_rows.append(rows)
+        self._radius.append(radius)
+        self._d_parent.append(d_parent)
+        self._child.append(child)
+        return page
 
-    def _insert(self, item_id: int, vector: np.ndarray) -> None:
-        if self._root is None:
-            self._root = self._new_node(is_leaf=True)
-            self._root.adopt(_Entry(item_id, vector))
+    def _insert(self, row: int, block: np.ndarray) -> None:
+        if self._root < 0:
+            self._root = self._add_page(True, -1, [row], [0.0], [0.0], [-1])
             return
 
         # Descend to the best leaf, remembering the distance to each
         # chosen routing object so d_parent needs no recomputation.
         # Every routing entry's distance is needed (no short-circuit in
         # the choice rule), so each level is one batched evaluation.
-        node = self._root
-        d_to_parent = 0.0
-        while not node.is_leaf:
-            distances = self._build_dist_batch(vector, node.matrix()).tolist()
-            best_entry: _Entry | None = None
-            best_d = np.inf
-            best_enlargement = np.inf
-            for entry, d in zip(node.entries, distances):
-                enlargement = max(0.0, d - entry.radius)
+        vector = block[row]
+        page, d_to_parent = self._root, 0.0
+        while not self._leaf[page]:
+            radii = self._radius[page]
+            distances = self._build_dist_batch(
+                vector, block.take(self._entry_rows[page], axis=0)
+            ).tolist()
+            best, best_d, best_enlargement = 0, np.inf, np.inf
+            for i, (d, r) in enumerate(zip(distances, radii)):
+                enlargement = max(0.0, d - r)
                 if (enlargement, d) < (best_enlargement, best_d):
-                    best_entry, best_d, best_enlargement = entry, d, enlargement
-            assert best_entry is not None and best_entry.child is not None
-            best_entry.radius = max(best_entry.radius, best_d)
-            node = best_entry.child
-            d_to_parent = best_d
+                    best, best_d, best_enlargement = i, d, enlargement
+            radii[best] = max(radii[best], best_d)
+            page, d_to_parent = self._child[page][best], best_d
 
-        node.adopt(_Entry(item_id, vector, d_parent=d_to_parent))
-        if len(node.entries) > self._capacity:
-            self._split(node)
+        self._entry_rows[page].append(row)
+        self._radius[page].append(0.0)
+        self._d_parent[page].append(d_to_parent)
+        self._child[page].append(-1)
+        self._split(page, block)
 
     # ------------------------------------------------------------------
     # Splitting
     # ------------------------------------------------------------------
-    def _split(self, node: _Node) -> None:
-        self._n_splits += 1
-        entries = node.entries
-        n = len(entries)
-        # Upper-triangle pairwise matrix: one batched sweep per anchor
-        # (same n(n-1)/2 counted evaluations as the scalar double loop).
-        entry_matrix = node.matrix()
-        pairwise = np.zeros((n, n))
-        for i in range(n - 1):
-            row = self._build_dist_batch(entry_matrix[i], entry_matrix[i + 1 :])
-            pairwise[i, i + 1 :] = row
-            pairwise[i + 1 :, i] = row
+    def _split(self, page: int, block: np.ndarray) -> None:
+        """Split ``page`` while it overflows, then its parent, upward."""
+        while len(self._entry_rows[page]) > self._capacity:
+            self._n_splits += 1
+            rows, radii = self._entry_rows[page], self._radius[page]
+            children = self._child[page]
+            n = len(rows)
+            # Upper-triangle pairwise matrix: one batched sweep per anchor
+            # (same n(n-1)/2 counted evaluations as the scalar double loop).
+            entries = block.take(rows, axis=0)
+            matrix = np.zeros((n, n))
+            for i in range(n - 1):
+                distances = self._build_dist_batch(entries[i], entries[i + 1 :])
+                matrix[i, i + 1 :] = distances
+                matrix[i + 1 :, i] = distances
+            pairwise = matrix.tolist()  # read one entry at a time below
 
-        i1, i2 = self._promote(entries, pairwise)
-        group1, group2 = self._partition(entries, pairwise, i1, i2)
+            i1, i2 = self._promote(radii, pairwise)
+            group1, group2 = self._partition(n, pairwise, i1, i2)
+            # The page keeps the first group, a new page takes the second;
+            # each entry's d_parent becomes its distance to the promoted
+            # object, and each half yields one routing entry.
+            leaf, parent = self._leaf[page], self._parent[page]
+            left, right = page, self._add_page(leaf, parent, [], [], [], [])
+            routing = []
+            for half, promoted, group in ((left, i1, group1), (right, i2, group2)):
+                d_parent = [pairwise[promoted][j] for j in group]
+                self._entry_rows[half] = [rows[j] for j in group]
+                self._radius[half] = [radii[j] for j in group]
+                self._d_parent[half] = d_parent
+                self._child[half] = [children[j] for j in group]
+                if not leaf:
+                    for child in self._child[half]:
+                        self._parent[child] = half
+                radius = max(d + radii[j] for d, j in zip(d_parent, group))
+                routing.append((rows[promoted], radius, half))
 
-        left = self._new_node(is_leaf=node.is_leaf)
-        right = self._new_node(is_leaf=node.is_leaf)
-        r_left = self._fill(left, entries, group1, pairwise, i1)
-        r_right = self._fill(right, entries, group2, pairwise, i2)
+            if parent < 0:
+                # The root split: the tree grows one level.
+                rows, radii, children = map(list, zip(*routing))
+                self._root = self._add_page(False, -1, rows, radii, [0.0] * 2, children)
+                self._parent[left] = self._parent[right] = self._root
+                return
 
-        entry_left = _Entry(
-            entries[i1].item_id, entries[i1].vector, radius=r_left, child=left
-        )
-        entry_right = _Entry(
-            entries[i2].item_id, entries[i2].vector, radius=r_right, child=right
-        )
-
-        parent = node.parent_node
-        if parent is None:
-            # The root split: the tree grows one level.
-            new_root = self._new_node(is_leaf=False)
-            new_root.adopt(entry_left)
-            new_root.adopt(entry_right)
-            self._root = new_root
-            return
-
-        parent.discard(node.parent_entry)
-        parent_routing = parent.parent_entry
-        for entry in (entry_left, entry_right):
-            if parent_routing is not None:
-                entry.d_parent = self._build_dist(entry.vector, parent_routing.vector)
-                # A promoted object may lie farther from the grandparent
-                # routing object than anything seen before.
-                parent_routing.radius = max(
-                    parent_routing.radius, entry.d_parent + entry.radius
-                )
-            parent.adopt(entry)
-        if len(parent.entries) > self._capacity:
-            self._split(parent)
+            # The two new routing entries replace the page's old one, at
+            # the end of the parent page.
+            slot = self._child[parent].index(page)
+            for column in (self._entry_rows, self._radius, self._d_parent, self._child):
+                del column[parent][slot]
+            grandparent = self._parent[parent]
+            if grandparent >= 0:
+                up = self._child[grandparent].index(parent)
+                up_vector = block[self._entry_rows[grandparent][up]]
+            for row, radius, child in routing:
+                d_parent = 0.0
+                if grandparent >= 0:
+                    d_parent = self._build_dist(block[row], up_vector)
+                    # A promoted object may lie farther from the grandparent
+                    # routing object than anything seen before.
+                    self._radius[grandparent][up] = max(
+                        self._radius[grandparent][up], d_parent + radius
+                    )
+                self._entry_rows[parent].append(row)
+                self._radius[parent].append(radius)
+                self._d_parent[parent].append(d_parent)
+                self._child[parent].append(child)
+            page = parent
 
     def _promote(
-        self, entries: list[_Entry], pairwise: np.ndarray
+        self, radii: list[float], pairwise: list[list[float]]
     ) -> tuple[int, int]:
-        n = len(entries)
+        n = len(radii)
         if self._promotion == "random":
             i1, i2 = self._rng.choice(n, size=2, replace=False)
             return int(i1), int(i2)
@@ -402,22 +355,18 @@ class MTree(MetricIndex):
         best_pair = (0, 1)
         best_score = np.inf
         for i1, i2 in itertools.combinations(range(n), 2):
-            group1, group2 = self._partition(entries, pairwise, i1, i2)
-            r1 = max(
-                (pairwise[i1, j] + entries[j].radius for j in group1), default=0.0
-            )
-            r2 = max(
-                (pairwise[i2, j] + entries[j].radius for j in group2), default=0.0
-            )
+            group1, group2 = self._partition(n, pairwise, i1, i2)
+            row1, row2 = pairwise[i1], pairwise[i2]
+            r1 = max([row1[j] + radii[j] for j in group1])
+            r2 = max([row2[j] + radii[j] for j in group2])
             score = max(r1, r2)
             if score < best_score:
-                best_score = score
-                best_pair = (i1, i2)
+                best_score, best_pair = score, (i1, i2)
         return best_pair
 
     @staticmethod
     def _partition(
-        entries: list[_Entry], pairwise: np.ndarray, i1: int, i2: int
+        n: int, pairwise: list[list[float]], i1: int, i2: int
     ) -> tuple[list[int], list[int]]:
         """Generalized hyperplane: each entry joins its nearer promoted object.
 
@@ -427,150 +376,122 @@ class MTree(MetricIndex):
         """
         group1: list[int] = [i1]
         group2: list[int] = [i2]
-        for j in range(len(entries)):
-            if j in (i1, i2):
+        row1, row2 = pairwise[i1], pairwise[i2]
+        for j in range(n):
+            if j == i1 or j == i2:
                 continue
-            d1 = pairwise[i1, j]
-            d2 = pairwise[i2, j]
+            d1, d2 = row1[j], row2[j]
             if d1 < d2 or (d1 == d2 and len(group1) <= len(group2)):
                 group1.append(j)
             else:
                 group2.append(j)
         return group1, group2
 
-    @staticmethod
-    def _fill(
-        node: _Node,
-        entries: list[_Entry],
-        member_rows: list[int],
-        pairwise: np.ndarray,
-        promoted_row: int,
-    ) -> float:
-        """Move entries into ``node``; return the covering radius."""
-        radius = 0.0
-        for row in member_rows:
-            entry = entries[row]
-            entry.d_parent = float(pairwise[promoted_row, row])
-            node.adopt(entry)
-            radius = max(radius, entry.d_parent + entry.radius)
-        return radius
-
-    def _iter_nodes(self):
-        stack = [self._root] if self._root is not None else []
-        while stack:
-            node = stack.pop()
-            yield node
-            if not node.is_leaf:
-                stack.extend(entry.child for entry in node.entries)
-
     # ------------------------------------------------------------------
     # Range search
     # ------------------------------------------------------------------
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
+        vectors, ids = self._vectors, self._ids
+        leaf, entry_rows, radius_of = self._leaf, self._entry_rows, self._radius
+        d_parent_of, child_of = self._d_parent, self._child
+        kernel = self._metric._kernel
         result: list[Neighbor] = []
-        if self._root is not None:
-            self._range_visit(self._root, query, radius, None, result)
-        return result
+        computed = visited = pruned = leaves = 0
 
-    def _range_visit(
-        self,
-        node: _Node,
-        query: np.ndarray,
-        radius: float,
-        d_q_parent: float | None,
-        result: list[Neighbor],
-    ) -> None:
-        if node.is_leaf:
-            self._search_stats.leaves_visited += 1
-        else:
-            self._search_stats.nodes_visited += 1
-        # Parent filtering prunes without a new distance computation and
-        # depends only on the parent distance, so the survivors are known
-        # up front and their distances are one batched evaluation over
-        # the page's cached vector block (or a row subset of it).
-        if d_q_parent is None:
-            survivors = list(node.entries)
-            block = node.matrix()
-        else:
-            survivors = []
-            rows = []
-            for row, entry in enumerate(node.entries):
-                if abs(d_q_parent - entry.d_parent) > radius + entry.radius:
-                    self._search_stats.nodes_pruned += 1
-                else:
-                    survivors.append(entry)
-                    rows.append(row)
-            if not survivors:
-                return
-            block = node.matrix()[rows]
-        if not survivors:
-            return
-        distances = self._dist_batch(query, block).tolist()
-        for entry, d in zip(survivors, distances):
-            if entry.child is None:
-                if d <= radius:
-                    result.append(Neighbor(entry.item_id, d))
-            elif d <= radius + entry.radius:
-                self._range_visit(entry.child, query, radius, d, result)
+        # (page, distance from the query to the page's routing object).
+        stack: list[tuple[int, float | None]] = [(self._root, None)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            page, d_q_parent = pop()
+            is_leaf = leaf[page]
+            if is_leaf:
+                leaves += 1
             else:
-                self._search_stats.nodes_pruned += 1
+                visited += 1
+            rows, radii = entry_rows[page], radius_of[page]
+            # Parent filtering prunes without a new distance computation and
+            # depends only on the parent distance, so the survivors are known
+            # up front and their distances are one gathered evaluation.
+            if d_q_parent is None:
+                keep = range(len(rows))
+                block = vectors.take(rows, axis=0)
+            else:
+                d_parents = d_parent_of[page]
+                keep = [
+                    i for i, r in enumerate(radii)
+                    if abs(d_q_parent - d_parents[i]) <= radius + r
+                ]
+                pruned += len(rows) - len(keep)
+                if not keep:
+                    continue
+                block = vectors.take([rows[i] for i in keep], axis=0)
+            computed += len(keep)
+            distances = kernel(query, block).tolist()
+            if is_leaf:
+                for i, d in zip(keep, distances):
+                    if d <= radius:
+                        result.append(Neighbor(ids.item(rows[i]), d))
+                continue
+            children = child_of[page]
+            for i, d in zip(keep, distances):
+                if d <= radius + radii[i]:
+                    push((children[i], d))
+                else:
+                    pruned += 1
+
+        self._record(computed, visited, pruned, leaves)
+        return result
 
     # ------------------------------------------------------------------
     # k-NN search
     # ------------------------------------------------------------------
     def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
-        if self._root is None:
-            return []
+        vectors, ids = self._vectors, self._ids
+        leaf, entry_rows, radius_of = self._leaf, self._entry_rows, self._radius
+        d_parent_of, child_of = self._d_parent, self._child
+        kernel = self._metric._kernel
         # Best-first search: subtrees keyed by the lower bound of any
-        # object they can contain; candidates kept in a k-bounded max-heap.
-        # This loop stays on scalar evaluations on purpose: the parent
-        # filter re-checks against tau, which shrinks as entries of the
-        # same page are offered, so later entries can be skipped entirely.
-        # Batching a page up front would evaluate entries the scalar path
-        # never pays for, breaking the exact distance accounting.
-        best: list[tuple[float, int]] = []  # (-distance, id)
+        # object they can contain; candidates kept in the k-best heap of
+        # offer_candidates, whose k-th distance is tau.  Entries are
+        # evaluated one kernel call each: the parent filter re-checks
+        # against tau, which shrinks as entries of the same page are
+        # offered, so later entries can be skipped entirely.
+        heap: list[tuple[float, int]] = []
+        tau = np.inf
+        computed = visited = pruned = leaves = 0
         tiebreak = itertools.count()
-        queue: list[tuple[float, int, _Node, float | None]] = [
+        queue: list[tuple[float, int, int, float | None]] = [
             (0.0, next(tiebreak), self._root, None)
         ]
-
-        def tau() -> float:
-            return -best[0][0] if len(best) == k else np.inf
-
-        def offer(item_id: int, d: float) -> None:
-            # (-d, -id): the max-heap then evicts the larger id among
-            # equal-distance entries, matching the documented tie-break.
-            entry = (-d, -item_id)
-            if len(best) < k:
-                heapq.heappush(best, entry)
-            elif entry > best[0]:
-                heapq.heapreplace(best, entry)
-
+        pop, push = heapq.heappop, heapq.heappush
         while queue:
-            bound, _, node, d_q_parent = heapq.heappop(queue)
-            if bound > tau():
-                self._search_stats.nodes_pruned += 1
+            bound, _, page, d_q_parent = pop(queue)
+            if bound > tau:
+                pruned += 1
                 continue
-            if node.is_leaf:
-                self._search_stats.leaves_visited += 1
+            is_leaf = leaf[page]
+            if is_leaf:
+                leaves += 1
             else:
-                self._search_stats.nodes_visited += 1
-            for entry in node.entries:
-                if d_q_parent is not None:
-                    lower = abs(d_q_parent - entry.d_parent) - entry.radius
-                    if lower > tau():
-                        self._search_stats.nodes_pruned += 1
-                        continue
-                d = self._dist(query, entry.vector)
-                if entry.child is None:
-                    offer(entry.item_id, d)
+                visited += 1
+            radii, d_parents = radius_of[page], d_parent_of[page]
+            children = child_of[page]
+            for i, row in enumerate(entry_rows[page]):
+                if (d_q_parent is not None
+                        and abs(d_q_parent - d_parents[i]) - radii[i] > tau):
+                    pruned += 1
+                    continue
+                computed += 1
+                d = kernel(query, vectors[row : row + 1]).item()
+                if is_leaf:
+                    if d <= tau:
+                        tau = offer_candidates(heap, k, (ids.item(row),), (d,))
                 else:
-                    child_bound = max(d - entry.radius, 0.0)
-                    if child_bound <= tau():
-                        heapq.heappush(
-                            queue, (child_bound, next(tiebreak), entry.child, d)
-                        )
+                    child_bound = max(d - radii[i], 0.0)
+                    if child_bound <= tau:
+                        push(queue, (child_bound, next(tiebreak), children[i], d))
                     else:
-                        self._search_stats.nodes_pruned += 1
+                        pruned += 1
 
-        return [Neighbor(-neg_id, -neg_d) for neg_d, neg_id in best]
+        self._record(computed, visited, pruned, leaves)
+        return [Neighbor(-neg_id, -neg_d) for neg_d, neg_id in heap]

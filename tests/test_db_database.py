@@ -532,8 +532,8 @@ def test_build_retains_one_copy_of_the_rows(backend, kind):
     of the rows in RAM on the memory backend whatever the index kind —
     the static trees store the core itself in tree order instead of a
     second block beside it — and on mmap the buffer pool plus per-row
-    side columns, never the rows: even the M-tree's entries view the
-    mapped core.  The slack covers those side columns (ids, the
+    side columns, never the rows: the M-tree's pages hold core row
+    numbers, not vectors.  The slack covers those side columns (ids, the
     catalog's columns, LAESA's pivot table, cached centroid distances,
     node boxes and range tables).
     """
@@ -565,6 +565,43 @@ def test_build_retains_one_copy_of_the_rows(backend, kind):
     assert (moved["hits"] + moved["misses"] > pool["hits"] + pool["misses"]) == (
         info["bounded"]
     )
+
+
+@pytest.mark.parametrize("kind", ["laesa", "linear", "mtree"])
+def test_inserts_retain_one_copy_of_the_rows(backend, kind):
+    """Array bytes retained from empty database through a build and an
+    ``add_vectors`` that makes the core grow, for the indexes that grow
+    in place.
+
+    The new rows join the backend's core (in memory: a reallocation to
+    twice the capacity) and nothing else keeps them, or the block the
+    core grew out of: no structure views a stale block or holds its own
+    copy of an inserted row.  Same slack as the build-only test above.
+    """
+    factory, n = _ALL_KINDS[kind]
+    dim = 32
+    rows = np.random.default_rng(7).random((2 * n, dim))
+
+    def build_and_grow():
+        db = ImageDatabase(
+            FeatureSchema([PresetSignature(dim)]), index_factory=factory, backend=backend
+        )
+        db.add_vectors(rows[:n])
+        db.build_indexes()
+        db.add_vectors(rows[n:])
+        return db
+
+    db, retained = _retained(build_and_grow, np.lib.tracemalloc_domain)
+    index = db.index_for(db.default_feature)
+    assert index.size == 2 * n and index.n_pending == 0  # grown in place
+    info = db.backend_info()
+    if info["bounded"]:
+        pool_bytes = info["cache_pages"] * info["page_records"] * dim * 8
+        assert retained <= pool_bytes + 0.4 * rows.nbytes
+    else:
+        assert retained <= index._core.capacity * dim * 8 + 0.6 * rows.nbytes
+    probe = n + n // 2 + 3
+    assert db.vector_of(db.default_feature, probe).tobytes() == rows[probe].tobytes()
 
 
 def test_catalog_and_waiting_rows_cost_bytes_not_objects():

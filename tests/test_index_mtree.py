@@ -149,6 +149,23 @@ class TestDynamicInsertion:
             tree.insert(0, rng.random(3))
 
 
+    def test_queries_identical_after_incremental_inserts(self, rng):
+        # Splits move entries across pages and the rows join the core
+        # before they descend; no page may point at a stale row.
+        vectors = rng.random((80, 4))
+        tree = MTree(EuclideanDistance(), capacity=4).build(
+            list(range(40)), vectors[:40]
+        )
+        for i in range(40, 80):
+            tree.insert(i, vectors[i])
+        oracle = LinearScanIndex(EuclideanDistance()).build(
+            list(range(80)), vectors
+        )
+        for query in rng.random((6, 4)):
+            assert tree.knn_search(query, 5) == oracle.knn_search(query, 5)
+            assert tree.range_search(query, 0.6) == oracle.range_search(query, 0.6)
+
+
 class TestStructure:
     def test_tree_grows_in_height(self, rng):
         vectors = rng.random((300, 2))
@@ -172,9 +189,7 @@ class TestStructure:
         tree = MTree(EuclideanDistance(), capacity=capacity).build(
             list(range(250)), rng.random((250, 3))
         )
-        assert all(
-            len(node.entries) <= capacity for node in tree._iter_nodes()
-        )
+        assert all(len(rows) <= capacity for rows in tree._entry_rows)
 
     def test_covering_radii_are_upper_bounds(self, rng):
         """Every routing entry's radius must cover all objects below it."""
@@ -183,33 +198,40 @@ class TestStructure:
             list(range(150)), rng.random((150, 3))
         )
 
-        def leaf_vectors(node):
-            if node.is_leaf:
-                return [e.vector for e in node.entries]
-            out = []
-            for entry in node.entries:
-                out.extend(leaf_vectors(entry.child))
-            return out
+        def leaf_rows(page):
+            if tree._leaf[page]:
+                return list(tree._entry_rows[page])
+            return [row for child in tree._child[page] for row in leaf_rows(child)]
 
-        for node in tree._iter_nodes():
-            if node.is_leaf:
+        for page in range(tree.n_pages):
+            if tree._leaf[page]:
                 continue
-            for entry in node.entries:
-                for vector in leaf_vectors(entry.child):
-                    assert metric.distance(entry.vector, vector) <= entry.radius + 1e-9
+            for row, radius, child in zip(
+                tree._entry_rows[page], tree._radius[page], tree._child[page]
+            ):
+                for below in leaf_rows(child):
+                    assert (
+                        metric.distance(tree._vectors[row], tree._vectors[below])
+                        <= radius + 1e-9
+                    )
 
     def test_d_parent_values_are_exact(self, rng):
         metric = EuclideanDistance()
         tree = MTree(metric, capacity=5).build(
             list(range(100)), rng.random((100, 3))
         )
-        for node in tree._iter_nodes():
-            if node.parent_entry is None:
+        tree.insert_batch(list(range(100, 140)), rng.random((40, 3)))
+        for page in range(tree.n_pages):
+            parent = tree._parent[page]
+            if parent < 0:
+                assert page == tree._root
                 continue
-            routing = node.parent_entry.vector
-            for entry in node.entries:
-                assert entry.d_parent == pytest.approx(
-                    metric.distance(routing, entry.vector)
+            # Each page hangs under exactly one routing entry of its parent.
+            assert tree._child[parent].count(page) == 1
+            routing = tree._entry_rows[parent][tree._child[parent].index(page)]
+            for row, d_parent in zip(tree._entry_rows[page], tree._d_parent[page]):
+                assert d_parent == pytest.approx(
+                    metric.distance(tree._vectors[routing], tree._vectors[row])
                 )
 
     def test_build_stats_populated(self, rng):
@@ -299,44 +321,68 @@ class TestConfiguration:
         assert "size=2" in repr(tree)
 
 
-class TestPageVectorCache:
-    def test_matrix_cached_until_mutation(self, rng):
-        tree = MTree(EuclideanDistance(), capacity=4).build(
-            list(range(30)), rng.random((30, 3))
-        )
-        node = tree._root
-        first = node.matrix()
-        assert node.matrix() is first  # cached, not re-stacked
-        assert np.array_equal(
-            first, np.array([entry.vector for entry in node.entries])
-        )
+class _CallCounter(EuclideanDistance):
+    """Records the row count of every metric kernel call."""
 
-    def test_adopt_invalidates_cache(self, rng):
-        tree = MTree(EuclideanDistance(), capacity=8).build(
-            list(range(5)), rng.random((5, 3))
-        )
-        node = tree._root
-        before = node.matrix()
-        tree.insert(99, rng.random(3))
-        after = node.matrix()
-        assert after.shape[0] == len(node.entries)
-        assert after.shape[0] == before.shape[0] + 1
+    def __init__(self) -> None:
+        self.calls: list[int] = []
 
-    def test_queries_identical_after_incremental_inserts(self, rng):
-        # Splits discard/adopt entries across pages; the caches must
-        # never serve a stale block.
-        vectors = rng.random((80, 4))
+    def _kernel(self, query, vectors):
+        self.calls.append(vectors.shape[0])
+        return EuclideanDistance._kernel(query, vectors)
+
+
+def _float_arrays(value, seen):
+    """Every float ndarray reachable from ``value`` through containers
+    and object attributes."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f":
+            yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _float_arrays(item, seen)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _float_arrays(item, seen)
+    elif hasattr(value, "__dict__") or hasattr(value, "__slots__"):
+        for name in getattr(value, "__slots__", ()):
+            yield from _float_arrays(getattr(value, name, None), seen)
+        for item in getattr(value, "__dict__", {}).values():
+            yield from _float_arrays(item, seen)
+
+
+class TestKernelCalls:
+    def test_knn_one_row_per_call_range_one_call_per_page(self, rng):
+        counter = _CallCounter()
+        tree = MTree(counter, capacity=5).build(list(range(400)), rng.random((400, 3)))
+        for query in rng.random((4, 3)):
+            counter.calls = []
+            tree.knn_search(query, 7)
+            # The parent filter tests tau before each evaluation.
+            assert counter.calls == [1] * tree.last_stats.distance_computations
+
+            for radius, exact in ((0.15, False), (10.0, True)):
+                counter.calls = []
+                tree.range_search(query, radius)
+                stats = tree.last_stats
+                pages = stats.nodes_visited + stats.leaves_visited
+                # One gathered call per visited page with parent-filter
+                # survivors: every visited page when nothing is filtered.
+                calls = len(counter.calls)
+                assert calls == pages if exact else calls <= pages
+                assert 0 not in counter.calls
+                assert sum(counter.calls) == stats.distance_computations
+
+    def test_the_core_is_the_only_float_array(self, rng):
         tree = MTree(EuclideanDistance(), capacity=4).build(
-            list(range(40)), vectors[:40]
+            list(range(200)), rng.random((200, 3))
         )
-        oracle = LinearScanIndex(EuclideanDistance()).build(
-            list(range(40)), vectors[:40]
-        )
-        for i in range(40, 80):
-            tree.insert(i, vectors[i])
-        oracle = LinearScanIndex(EuclideanDistance()).build(
-            list(range(80)), vectors
-        )
-        for query in rng.random((6, 4)):
-            assert tree.knn_search(query, 5) == oracle.knn_search(query, 5)
-            assert tree.range_search(query, 0.6) == oracle.range_search(query, 0.6)
+        tree.insert_batch(list(range(200, 260)), rng.random((60, 3)))
+        tree.range_search(rng.random(3), 0.3)
+        held = vars(tree).copy()
+        del held["_core"], held["_metric"]  # the backend owns the core block
+        found = list(_float_arrays(held, set()))
+        assert len(found) == 1 and found[0] is tree._vectors

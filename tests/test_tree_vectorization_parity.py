@@ -143,7 +143,7 @@ def _structure(index) -> object:
             "height": index.height,
             "n_pages": index.n_pages,
             "n_splits": index.n_splits,
-            "root": _mtree_structure(index._root),
+            "root": _mtree_structure(index, index._root),
         }
     if isinstance(index, AntipoleTree):
         return {
@@ -191,19 +191,23 @@ def _gnat_structure(tree, node=0):
     }
 
 
-def _mtree_structure(node):
-    if node is None:
+def _mtree_structure(tree, page):
+    # The M-tree's pages are parallel entry lists over core rows.
+    if page < 0:
         return None
     return {
-        "leaf": node.is_leaf,
+        "leaf": tree._leaf[page],
         "entries": [
             {
-                "id": entry.item_id,
-                "radius": entry.radius,
-                "d_parent": entry.d_parent,
-                "child": _mtree_structure(entry.child),
+                "id": int(tree._ids[row]),
+                "radius": radius,
+                "d_parent": d_parent,
+                "child": _mtree_structure(tree, child),
             }
-            for entry in node.entries
+            for row, radius, d_parent, child in zip(
+                tree._entry_rows[page], tree._radius[page],
+                tree._d_parent[page], tree._child[page],
+            )
         ],
     }
 
