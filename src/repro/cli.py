@@ -216,7 +216,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.http import QueryServer
 
     db = _load(args)
-    journal_set = None
+    journal = None
     if args.journal:
         from repro.db.recovery import open_serving_root
 
@@ -224,13 +224,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # journal onto the last snapshot (or seed from --db on an empty
         # root), then compact so the service starts with a fresh
         # snapshot and empty logs.  See docs/durability.md.
-        db, journal_set, report = open_serving_root(
-            Path(args.journal), db, n_shards=args.shards
-        )
+        db, journal, report = open_serving_root(Path(args.journal), db)
         if report is not None:
             print(report.summary(), flush=True)
-    if args.shards == 1:
-        db.build_indexes()  # pay the lazy builds before the first request
+    db.build_indexes()  # pay the lazy builds before the first request
     access_log = None
     if args.access_log:
         from repro.serve.logsys import StructuredLog
@@ -244,16 +241,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,
         cache_size=args.cache_size,
-        shards=args.shards,
         rate_limit_qps=args.rate_limit,
-        journal=journal_set,
+        journal=journal,
         trace_depth=args.trace_depth,
         slow_query_ms=args.slow_ms,
     )
     host, port = server.address
     print(
         f"serving {len(db)} images on http://{host}:{port} "
-        f"(features: {', '.join(db.schema.names)}; shards={args.shards}, "
+        f"(features: {', '.join(db.schema.names)}; "
         f"max_batch={args.max_batch}, max_wait_ms={args.max_wait_ms:g}, "
         f"cache_size={args.cache_size}, "
         f"backend={db.backend_info()['name']}"
@@ -358,18 +354,17 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         db.save(args.export)
         print(f"exported {len(db)} images to {args.export}")
     if args.compact:
-        from repro.db.journal import JournalSet
+        from repro.db.journal import JOURNAL_FILE, Journal
         from repro.db.recovery import compact, database_fingerprint
 
-        n_shards = max(1, len(JournalSet.existing_paths(Path(args.journal))))
-        journals = JournalSet(
-            Path(args.journal), database_fingerprint(db), n_shards=n_shards
+        journal = Journal(
+            Path(args.journal) / JOURNAL_FILE, database_fingerprint(db)
         )
         try:
-            snapshot = compact(journals, db)
+            snapshot = compact(journal, db)
         finally:
-            journals.close()
-        print(f"compacted into {snapshot} (journals reset)")
+            journal.close()
+        print(f"compacted into {snapshot} (journal reset)")
     return 0
 
 
@@ -383,8 +378,7 @@ def _load(args: argparse.Namespace) -> ImageDatabase:
     if backend is not None or cache_pages is not None:
         from repro.db.backend import resolve_backend_factory
 
-        # Resolve here so --cache-pages reaches the factory; shard views
-        # share the resolved object (and its pool counters).
+        # Resolve here so --cache-pages reaches the factory.
         backend = resolve_backend_factory(backend, cache_pages=cache_pages)
     return ImageDatabase.load(
         args.db, _make_schema(args.working_size), backend=backend
@@ -463,9 +457,6 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="The service mutates in place: POST /add and POST /remove "
         "serialize with query batches and cached results are "
         "generation-stamped, so a stale answer is never served. "
-        "With --shards N the item set is partitioned by id hash into N "
-        "independent shard views queried in parallel and merged exactly "
-        "— results stay bit-identical to --shards 1. "
         "With --journal DIR every acknowledged mutation is durable: "
         "mutations are written to a checksummed write-ahead log before "
         "their futures resolve, startup replays the log onto the last "
@@ -502,13 +493,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1024,
         help="LRU result-cache entries; 0 disables (default 1024)",
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="partition the item set into N scatter-gather shards "
-        "queried in parallel; results stay bit-identical (default 1)",
     )
     serve.add_argument(
         "--rate-limit",
@@ -584,7 +568,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(GET /debug/traces, /debug/trace?id=, /debug/slow)",
         epilog="With no flags, lists the flight recorder's newest traces. "
         "--id renders one trace as a per-stage waterfall (offsets, "
-        "durations, per-shard distance computations). --slow renders "
+        "durations, distance computations). --slow renders "
         "the slow-query log. The trace id is returned by every query "
         "response (X-Repro-Trace-Id header and trace_id field). "
         "See docs/observability.md.",

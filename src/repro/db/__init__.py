@@ -24,8 +24,8 @@ into an image *database*:
     interactive :class:`~repro.db.feedback.FeedbackSession` loop.
 :mod:`~repro.db.journal` / :mod:`~repro.db.recovery`
     Crash-safe durability: a checksummed write-ahead journal
-    (:class:`~repro.db.journal.Journal` / :class:`JournalSet`) replayed
-    onto atomic snapshots at startup
+    (:class:`~repro.db.journal.Journal`, one file per serving root)
+    replayed onto atomic snapshots at startup
     (:func:`~repro.db.recovery.recover` /
     :func:`~repro.db.recovery.open_serving_root`), with online
     compaction (:func:`~repro.db.recovery.compact`) — see
@@ -35,7 +35,7 @@ into an image *database*:
 from repro.db.bufferpool import BufferPool
 from repro.db.catalog import Catalog, ImageRecord
 from repro.db.fsutil import REAL_FS, FileSystem, atomic_write_bytes
-from repro.db.journal import Journal, JournalRecord, JournalSet, fingerprint_of
+from repro.db.journal import Journal, JournalRecord, fingerprint_of
 from repro.db.store import FeatureStore
 from repro.db.backend import (
     BACKENDS,
@@ -77,7 +77,6 @@ __all__ = [
     "atomic_write_bytes",
     "Journal",
     "JournalRecord",
-    "JournalSet",
     "fingerprint_of",
     "RecoveryReport",
     "recover",

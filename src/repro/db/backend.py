@@ -573,8 +573,8 @@ class BackendFactory:
     """Creates backends for a database's indexes and aggregates their
     pool counters for ``/stats`` and ``/metrics``.
 
-    One factory instance is shared by a database and all its shard
-    views, so ``describe()`` reports service-wide figures.  The
+    One factory instance serves every index of a database, so
+    ``describe()`` reports service-wide figures.  The
     constructor signature is uniform across backend families —
     ``Factory(root, *, cache_pages, page_records, fs)`` — which is what
     lets the conformance suite (and :func:`resolve_backend_factory`)
@@ -655,8 +655,8 @@ class MemoryBackendFactory(BackendFactory):
 class MmapBackendFactory(BackendFactory):
     """Factory for on-disk cores under one root directory.
 
-    Allocates a unique file per backend (indexes rebuild, shards each
-    hold their own core), keeps cumulative pool counters across closed
+    Allocates a unique file per backend (indexes rebuild, each feature
+    holds its own core), keeps cumulative pool counters across closed
     backends, and reports the live resident total — the figures behind
     the ``repro_backend_pool`` metric family.
     """
@@ -735,10 +735,9 @@ def resolve_backend_factory(
 ) -> BackendFactory:
     """Turn a backend spec into a factory object.
 
-    ``backend`` may be an existing factory (shared across shard views —
-    returned as-is), a spec string (``"memory"``, ``"mmap"``,
-    ``"mmap:ROOT"``), or ``None`` for the environment default:
-    ``$REPRO_BACKEND`` (or ``"memory"``).  ``cache_pages`` defaults to
+    ``backend`` may be an existing factory (returned as-is), a spec
+    string (``"memory"``, ``"mmap"``, ``"mmap:ROOT"``), or ``None`` for
+    the environment default: ``$REPRO_BACKEND`` (or ``"memory"``).  ``cache_pages`` defaults to
     ``$REPRO_CACHE_PAGES`` (or 8) for backends that page.
     """
     if backend is not None and not isinstance(backend, str):

@@ -158,9 +158,8 @@ class Catalog:
     def next_id(self) -> int:
         """The id :meth:`allocate_id` would hand out next (no allocation).
 
-        Lets an external allocator — the sharded serving layer assigns
-        globally sequential ids before routing rows to per-shard
-        catalogs — start exactly where this catalog would have.
+        The serving worker journals an add under the ids starting here
+        before it applies the add.
         """
         return self._next_id
 

@@ -16,7 +16,7 @@ Ties every subsystem together into the system the paper describes:
 * **one owner per row** — the database keeps no vector table of its
   own.  A built index's storage backend holds the feature's rows and
   every by-id read (:meth:`ImageDatabase.vectors_of`,
-  ``feature_matrix``, ``save``, shard views, the multi-feature rerank)
+  ``feature_matrix``, ``save``, the multi-feature rerank)
   goes through ``MetricIndex.vectors_of``; rows added before a
   feature's first build wait in one growable buffer that the build
   consumes.  The catalog alone says which ids are live
@@ -63,7 +63,7 @@ from repro.db.query import (
     to_retrieval_results,
 )
 from repro.db.store import FeatureStore
-from repro.errors import CatalogError, QueryError
+from repro.errors import QueryError
 from repro.features.pipeline import FeatureSchema, default_schema
 from repro.image.core import Image
 from repro.index.base import MetricIndex
@@ -132,9 +132,8 @@ class ImageDatabase:
     backend:
         Storage for index core rows (``docs/storage.md``): a spec
         string (``"memory"``, ``"mmap"``, ``"mmap:ROOT"``), an existing
-        :class:`~repro.db.backend.BackendFactory` (shared across shard
-        views), or ``None`` for the ``$REPRO_BACKEND`` environment
-        default (memory).
+        :class:`~repro.db.backend.BackendFactory`, or ``None`` for the
+        ``$REPRO_BACKEND`` environment default (memory).
 
     Examples
     --------
@@ -213,8 +212,7 @@ class ImageDatabase:
 
     @property
     def backend_factory(self) -> BackendFactory:
-        """The storage factory behind every index core (shared with
-        shard views, so its counters are service-wide)."""
+        """The storage factory behind every index core."""
         return self._backend_factory
 
     def backend_info(self) -> dict:
@@ -367,9 +365,8 @@ class ImageDatabase:
             Optional per-row metadata, each of length ``n``.
         ids:
             Explicit image ids, one per row, each currently unused.  By
-            default ids are allocated sequentially; the sharded serving
-            layer allocates globally and passes the assignment down so a
-            row keeps the same id it would have had unsharded.
+            default ids are allocated sequentially; journal replay passes
+            the ids the journaled mutation was given.
 
         Returns
         -------
@@ -406,9 +403,8 @@ class ImageDatabase:
         """Validate an :meth:`add_vectors` payload without inserting it.
 
         Returns the normalized ``{feature: (n, d) float64 matrix}``
-        mapping and the row count.  The sharded serving layer calls this
-        before splitting rows across shard views, so a malformed payload
-        fails atomically instead of partially mutating some shards.
+        mapping and the row count.  The serving worker calls this before
+        journaling an add, so a malformed payload leaves no record.
         """
         if not isinstance(signatures, Mapping):
             if len(self._schema) != 1:
@@ -498,101 +494,10 @@ class ImageDatabase:
     def next_image_id(self) -> int:
         """The id the next insert would allocate (no allocation happens).
 
-        The sharded serving layer seeds its global id allocator from
-        this, so ids assigned through shards match the sequence an
-        unsharded database would have produced.
+        The serving worker journals an add under these ids before it
+        applies the add.
         """
         return self._catalog.next_id
-
-    def shard_view(self, image_ids: Sequence[int]) -> "ImageDatabase":
-        """A new database over a subset of this one's items, ids preserved.
-
-        The view shares this database's schema, metrics, and index
-        factory (all stateless configuration) but owns its own catalog,
-        rows, indexes, and generation stamps — it is a fully
-        independent database whose item set happens to be a subset of
-        this one's.  Records are copied into the view's own catalog;
-        vector rows are gathered from this database's owner into one
-        matrix per feature that waits for the view's first build.  Indexes
-        build lazily at the view's first query.
-
-        This is the constructor behind sharded scatter-gather serving
-        (``repro.serve.shard``): the item set is partitioned by id hash
-        into N views, each serving its slice with its own index set.
-
-        Raises
-        ------
-        CatalogError
-            If an id is unknown.
-        QueryError
-            If an id is repeated in ``image_ids``.
-        """
-        image_ids = [int(image_id) for image_id in image_ids]
-        if len(set(image_ids)) != len(image_ids):
-            raise QueryError(f"duplicate ids in shard_view input: {image_ids}")
-        view = ImageDatabase(
-            self._schema,
-            metrics=self._metrics,
-            index_factory=self._index_factory,
-            backend=self._backend_factory,
-        )
-        view._catalog.insert_many(
-            self._catalog.get(image_id) for image_id in image_ids  # raises when unknown
-        )
-        for feature, waiting in view._waiting.items():
-            waiting.insert_batch(image_ids, self._owner(feature).vectors_of(image_ids))
-        return view
-
-    @classmethod
-    def from_views(cls, views: Sequence["ImageDatabase"]) -> "ImageDatabase":
-        """Reassemble one database from disjoint shard views.
-
-        The inverse of carving a database into :meth:`shard_view`
-        slices: records are taken as-is, vector rows are gathered from
-        each view's owner, and both are inserted in ascending id order, so
-        the merged catalog's iteration order — and therefore the row
-        order of a subsequent :meth:`save` — is deterministic regardless
-        of how mutations interleaved across shards.  Configuration
-        (schema, metrics, index factory) comes from the first view;
-        indexes build lazily.  Compaction under the sharded serving
-        layer merges the live shard views through this before writing a
-        snapshot.
-
-        Raises
-        ------
-        CatalogError
-            If two views share an image id.
-        QueryError
-            If ``views`` is empty.
-        """
-        if not views:
-            raise QueryError("from_views needs at least one view")
-        template = views[0]
-        merged = cls(
-            template._schema,
-            metrics=template._metrics,
-            index_factory=template._index_factory,
-            backend=template._backend_factory,
-        )
-        by_id: dict[int, "ImageDatabase"] = {}
-        for view in views:
-            for image_id in view.catalog.ids:
-                if image_id in by_id:
-                    raise CatalogError(
-                        f"image id {image_id} appears in two views"
-                    )
-                by_id[image_id] = view
-        merged._catalog.insert_many(
-            by_id[image_id]._catalog.get(image_id) for image_id in sorted(by_id)
-        )
-        for view in views:
-            ids = view.catalog.ids
-            for feature, waiting in merged._waiting.items():
-                waiting.insert_batch(ids, view._owner(feature).vectors_of(ids))
-        merged._catalog._next_id = max(
-            [merged._catalog.next_id] + [view.catalog.next_id for view in views]
-        )
-        return merged
 
     # ------------------------------------------------------------------
     # Queries

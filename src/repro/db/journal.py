@@ -43,10 +43,9 @@ batch and pays one fsync for the group before resolving any of their
 futures — batching the dominant cost of journaling without weakening
 the per-acknowledgement guarantee.
 
-:class:`JournalSet` manages one journal file per shard under a serving
-root, assigning a single monotonically increasing sequence number per
-mutation (shared by all of a mutation's per-shard records, which is how
-recovery reassembles a scattered add in original row order).
+A serving root holds exactly one journal, :data:`JOURNAL_FILE`; the
+handle also hands out the mutation sequence numbers abort marks refer
+to.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Mapping
+from typing import BinaryIO, Callable, Mapping
 
 import numpy as np
 
@@ -66,9 +65,9 @@ from repro.errors import JournalError
 
 __all__ = [
     "FORMAT_VERSION",
+    "JOURNAL_FILE",
     "JournalRecord",
     "Journal",
-    "JournalSet",
     "fingerprint_of",
 ]
 
@@ -78,6 +77,9 @@ _HEADER_LEN = struct.Struct("<I")
 
 #: Journal/snapshot format version, part of the fingerprint.
 FORMAT_VERSION = 1
+
+#: The journal file of a serving root.
+JOURNAL_FILE = "wal-000.log"
 
 #: Largest accepted record payload (a defensive bound against reading a
 #: garbage length prefix as a multi-GiB allocation).
@@ -115,16 +117,6 @@ class JournalRecord:
     ``ids``; abort records mark a sequence number whose mutation failed
     after journaling and must be skipped at replay; the fingerprint
     record (always first in a file) carries the config fingerprint.
-
-    ``total`` is the id count of the *whole* mutation, across every
-    shard it was routed to.  A multi-shard mutation writes one record
-    per home shard (same ``seq``), and the per-file fsyncs are not
-    atomic as a group — a crash between them durably strands a strict
-    subset of the parts.  Replay sums the surviving parts' ids against
-    ``total`` and skips an incomplete sequence outright: such a
-    mutation cannot have been acknowledged (acknowledgement follows the
-    *last* fsync), and applying half of it would surface a state no
-    client ever observed.
     """
 
     op: str
@@ -134,7 +126,6 @@ class JournalRecord:
     names: tuple[str, ...] | None = None
     matrices: Mapping[str, np.ndarray] = field(default_factory=dict)
     fingerprint: dict | None = None
-    total: int | None = None
 
     @classmethod
     def add(
@@ -144,8 +135,6 @@ class JournalRecord:
         matrices: Mapping[str, np.ndarray],
         labels: list[str | None] | None,
         names: list[str] | None,
-        *,
-        total: int | None = None,
     ) -> "JournalRecord":
         return cls(
             op="add",
@@ -157,19 +146,11 @@ class JournalRecord:
                 name: np.ascontiguousarray(matrix, dtype=np.float64)
                 for name, matrix in matrices.items()
             },
-            total=int(total) if total is not None else len(ids),
         )
 
     @classmethod
-    def remove(
-        cls, seq: int, ids: list[int], *, total: int | None = None
-    ) -> "JournalRecord":
-        return cls(
-            op="remove",
-            seq=seq,
-            ids=tuple(int(i) for i in ids),
-            total=int(total) if total is not None else len(ids),
-        )
+    def remove(cls, seq: int, ids: list[int]) -> "JournalRecord":
+        return cls(op="remove", seq=seq, ids=tuple(int(i) for i in ids))
 
     @classmethod
     def abort(cls, seq: int) -> "JournalRecord":
@@ -184,7 +165,6 @@ def encode_record(record: JournalRecord) -> bytes:
         header["fingerprint"] = record.fingerprint
     elif record.op == "add":
         header["ids"] = list(record.ids)
-        header["total"] = record.total
         header["labels"] = list(record.labels) if record.labels is not None else None
         header["names"] = list(record.names) if record.names is not None else None
         header["features"] = []
@@ -194,7 +174,6 @@ def encode_record(record: JournalRecord) -> bytes:
             blocks.append(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
     elif record.op == "remove":
         header["ids"] = list(record.ids)
-        header["total"] = record.total
     elif record.op != "abort":
         raise JournalError(f"unknown journal op {record.op!r}")
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -203,7 +182,11 @@ def encode_record(record: JournalRecord) -> bytes:
 
 
 def decode_payload(payload: bytes) -> JournalRecord:
-    """Inverse of :func:`encode_record` for one CRC-verified payload."""
+    """Inverse of :func:`encode_record` for one CRC-verified payload.
+
+    Unknown header keys are ignored: files written before this version
+    carry a ``total`` id count on add and remove records.
+    """
     if len(payload) < _HEADER_LEN.size:
         raise JournalError("record payload shorter than its header length")
     (header_len,) = _HEADER_LEN.unpack_from(payload)
@@ -218,12 +201,8 @@ def decode_payload(payload: bytes) -> JournalRecord:
     seq = int(header.get("seq", 0))
     if op == "fingerprint":
         return JournalRecord(op="fingerprint", fingerprint=header.get("fingerprint"))
-    total = header.get("total")
-    total = int(total) if total is not None else None
     if op == "remove":
-        return JournalRecord.remove(
-            seq, [int(i) for i in header.get("ids", [])], total=total
-        )
+        return JournalRecord.remove(seq, [int(i) for i in header.get("ids", [])])
     if op == "abort":
         return JournalRecord.abort(seq)
     if op != "add":
@@ -251,7 +230,6 @@ def decode_payload(payload: bytes) -> JournalRecord:
         matrices,
         list(labels) if labels is not None else None,
         list(names) if names is not None else None,
-        total=total,
     )
 
 
@@ -268,33 +246,38 @@ class ScanResult:
 class Journal:
     """One append-only journal file with checksummed records.
 
-    Use :meth:`create` for a fresh file (atomic: the magic and
+    The constructor opens no file: :meth:`reset` (or :meth:`create`,
+    which calls it) atomically writes a fresh one — the magic and
     fingerprint record land via write-temp → fsync → rename, so a crash
-    during creation leaves either no journal or a complete empty one)
-    and :meth:`open` to continue an existing file (the torn tail, if
-    any, is truncated first).
+    leaves either the old file or a complete empty one — and
+    :meth:`open` continues an existing file (the torn tail, if any, is
+    truncated first).  A serving root's journal is constructed bare and
+    first written by compaction's reset, after the manifest flip, so
+    the records it replaces are already in the snapshot.
+
+    The handle is also the serving root's durability bookkeeping: the
+    mutation sequence counter (:meth:`next_seq`), ``on_fsync`` (when
+    set, observes each fsync's wall time — the scheduler wires it to
+    the ``repro_journal_fsync_seconds`` histogram) and
+    ``replayed_records`` (what startup recovery applied).
     """
 
     def __init__(
-        self,
-        path: Path,
-        file: BinaryIO,
-        fingerprint: dict,
-        *,
-        fs: FileSystem,
-        size_bytes: int,
-        n_records: int,
+        self, path: str | Path, fingerprint: dict, *, fs: FileSystem = REAL_FS
     ) -> None:
-        self._path = path
-        self._file = file
+        self._path = Path(path)
         self._fingerprint = fingerprint
         self._fs = fs
-        self._size = size_bytes
-        self._n_records = n_records
+        self._file: BinaryIO | None = None
+        self._size = 0
+        self._n_records = 0
         self._dirty = False
         self._closed = False
         self._n_syncs = 0
         self._fsync_seconds = 0.0
+        self._seq = 0
+        self.on_fsync: Callable[[float], None] | None = None
+        self.replayed_records = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -304,39 +287,22 @@ class Journal:
         cls, path: str | Path, fingerprint: dict, *, fs: FileSystem = REAL_FS
     ) -> "Journal":
         """Atomically create a fresh journal holding only the fingerprint."""
-        path = Path(path)
-        seed = _MAGIC + encode_record(
-            JournalRecord(op="fingerprint", fingerprint=fingerprint)
-        )
-        atomic_write_bytes(path, seed, fs=fs)
-        file = open(path, "r+b")
-        file.seek(0, 2)
-        return cls(
-            path,
-            file,
-            fingerprint,
-            fs=fs,
-            size_bytes=len(seed),
-            n_records=0,
-        )
+        journal = cls(path, fingerprint, fs=fs)
+        journal.reset()
+        return journal
 
     @classmethod
     def open(cls, path: str | Path, *, fs: FileSystem = REAL_FS) -> "Journal":
         """Open an existing journal for appending, truncating a torn tail."""
-        path = Path(path)
         scan = cls.scan(path)
-        file = open(path, "r+b")
+        journal = cls(path, scan.fingerprint, fs=fs)
+        journal._file = open(journal._path, "r+b")
         if scan.torn_bytes:
-            file.truncate(scan.valid_bytes)
-        file.seek(scan.valid_bytes)
-        return cls(
-            path,
-            file,
-            scan.fingerprint,
-            fs=fs,
-            size_bytes=scan.valid_bytes,
-            n_records=len(scan.records),
-        )
+            journal._file.truncate(scan.valid_bytes)
+        journal._file.seek(scan.valid_bytes)
+        journal._size = scan.valid_bytes
+        journal._n_records = len(scan.records)
+        return journal
 
     @staticmethod
     def scan(path: str | Path) -> ScanResult:
@@ -391,13 +357,37 @@ class Journal:
             torn_bytes=len(raw) - valid,
         )
 
+    def reset(self) -> None:
+        """Atomically replace the file with a fresh, empty journal.
+
+        Used after compaction: the records are in the snapshot now.  A
+        plain truncate is not crash-atomic (a crash mid-truncate could
+        leave a half-record at the new tail that still checksums), so
+        the fresh journal is built as a temp file and renamed over —
+        the same commit point every other atomic write uses.
+        """
+        if self._closed:
+            raise JournalError(f"journal is closed: {self._path}")
+        if self._file is not None:
+            self._file.close()
+        seed = _MAGIC + encode_record(
+            JournalRecord(op="fingerprint", fingerprint=self._fingerprint)
+        )
+        self._path.parent.mkdir(parents=True, exist_ok=True)
+        atomic_write_bytes(self._path, seed, fs=self._fs)
+        self._file = open(self._path, "r+b")
+        self._file.seek(0, 2)
+        self._size = len(seed)
+        self._n_records = 0
+        self._dirty = False
+
     def close(self) -> None:
         """Sync pending appends and close the file (idempotent)."""
         if self._closed:
             return
-        if self._dirty:
-            self.sync()
-        self._file.close()
+        self.sync()
+        if self._file is not None:
+            self._file.close()
         self._closed = True
 
     def __enter__(self) -> "Journal":
@@ -412,6 +402,16 @@ class Journal:
     @property
     def path(self) -> Path:
         return self._path
+
+    @property
+    def root(self) -> Path:
+        """The directory holding the journal (a serving root)."""
+        return self._path.parent
+
+    @property
+    def fs(self) -> FileSystem:
+        """The (injectable) filesystem this journal writes through."""
+        return self._fs
 
     @property
     def fingerprint(self) -> dict:
@@ -429,7 +429,7 @@ class Journal:
 
     @property
     def n_syncs(self) -> int:
-        """Completed :meth:`sync` calls."""
+        """Completed fsyncs."""
         return self._n_syncs
 
     @property
@@ -443,8 +443,13 @@ class Journal:
         return self._dirty
 
     # ------------------------------------------------------------------
-    # Appending
+    # Appending (scheduler worker thread only)
     # ------------------------------------------------------------------
+    def next_seq(self) -> int:
+        """Allocate the next mutation sequence number."""
+        self._seq += 1
+        return self._seq
+
     def append(self, record: JournalRecord, *, sync: bool = False) -> int:
         """Append one record; returns its encoded size in bytes.
 
@@ -454,6 +459,8 @@ class Journal:
         """
         if self._closed:
             raise JournalError(f"journal is closed: {self._path}")
+        if self._file is None:
+            raise JournalError(f"journal has no file yet; call reset(): {self._path}")
         encoded = encode_record(record)
         self._fs.write(self._file, encoded)
         self._size += len(encoded)
@@ -464,230 +471,24 @@ class Journal:
         return len(encoded)
 
     def sync(self) -> float:
-        """Fsync buffered appends; returns the fsync wall time in seconds."""
-        if self._closed:
-            raise JournalError(f"journal is closed: {self._path}")
+        """Fsync buffered appends; returns the fsync wall time in seconds.
+
+        This is the group-commit durability point: after it returns,
+        every record appended since the previous sync may be
+        acknowledged.  Nothing buffered, nothing to do: returns 0.0.
+        """
+        if not self._dirty:
+            return 0.0
         started = time.perf_counter()
         self._fs.fsync(self._file)
         elapsed = time.perf_counter() - started
         self._dirty = False
         self._n_syncs += 1
         self._fsync_seconds += elapsed
+        if self.on_fsync is not None:
+            self.on_fsync(elapsed)
         return elapsed
-
-    def reset(self, fingerprint: dict) -> None:
-        """Atomically replace the file with a fresh, empty journal.
-
-        Used after compaction: the records are in the snapshot now.  A
-        plain truncate is not crash-atomic (a crash mid-truncate could
-        leave a half-record at the new tail that still checksums), so
-        the fresh journal is built as a temp file and renamed over —
-        the same commit point every other atomic write uses.
-        """
-        if self._closed:
-            raise JournalError(f"journal is closed: {self._path}")
-        self._file.close()
-        seed = _MAGIC + encode_record(
-            JournalRecord(op="fingerprint", fingerprint=fingerprint)
-        )
-        atomic_write_bytes(self._path, seed, fs=self._fs)
-        self._file = open(self._path, "r+b")
-        self._file.seek(0, 2)
-        self._fingerprint = fingerprint
-        self._size = len(seed)
-        self._n_records = 0
-        self._dirty = False
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else f"records={self._n_records}"
         return f"Journal(path={str(self._path)!r}, {state})"
-
-
-class JournalSet:
-    """The per-shard journal files of one serving root.
-
-    One file per shard (``wal-000.log`` …), a single global sequence
-    counter, and group-commit bookkeeping: ``append_*`` methods buffer,
-    :meth:`sync` fsyncs every dirty file (the scheduler's once-per-batch
-    durability point), and ``on_fsync`` (when set) observes each fsync's
-    wall time — the scheduler wires it to the
-    ``repro_journal_fsync_seconds`` histogram.
-    """
-
-    def __init__(
-        self,
-        root: str | Path,
-        fingerprint: dict,
-        n_shards: int = 1,
-        *,
-        fs: FileSystem = REAL_FS,
-    ) -> None:
-        if n_shards < 1:
-            raise JournalError(f"n_shards must be >= 1; got {n_shards}")
-        self._root = Path(root)
-        self._fingerprint = fingerprint
-        self._n = int(n_shards)
-        self._fs = fs
-        self._journals: list[Journal] = []
-        self._seq = 0
-        self._last_touched: list[int] = []
-        self.on_fsync: Callable[[float], None] | None = None
-        self.replayed_records = 0
-
-    @staticmethod
-    def shard_path(root: str | Path, shard: int) -> Path:
-        return Path(root) / f"wal-{shard:03d}.log"
-
-    @staticmethod
-    def existing_paths(root: str | Path) -> list[Path]:
-        """The journal files currently present under ``root``, in order."""
-        return sorted(Path(root).glob("wal-[0-9][0-9][0-9].log"))
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """(Re)create every shard journal fresh, removing stale extras.
-
-        Called at startup after compaction and by online compaction: the
-        live records just became part of the snapshot, so each file is
-        atomically replaced with an empty one.  Leftover higher-numbered
-        files from a previous run with more shards are deleted — their
-        records are in the snapshot too, and replaying them against a
-        smaller shard count would be refused anyway.
-        """
-        self._root.mkdir(parents=True, exist_ok=True)
-        if self._journals:
-            for journal in self._journals:
-                journal.reset(self._fingerprint)
-        else:
-            self._journals = [
-                Journal.create(
-                    self.shard_path(self._root, shard),
-                    self._fingerprint,
-                    fs=self._fs,
-                )
-                for shard in range(self._n)
-            ]
-        for stale in self.existing_paths(self._root)[self._n :]:
-            stale.unlink(missing_ok=True)
-        self._last_touched = []
-
-    def close(self) -> None:
-        """Sync and close every journal (idempotent)."""
-        for journal in self._journals:
-            journal.close()
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def root(self) -> Path:
-        return self._root
-
-    @property
-    def fs(self) -> FileSystem:
-        """The (injectable) filesystem this set writes through."""
-        return self._fs
-
-    @property
-    def n_shards(self) -> int:
-        return self._n
-
-    @property
-    def fingerprint(self) -> dict:
-        return self._fingerprint
-
-    @property
-    def journals(self) -> tuple[Journal, ...]:
-        return tuple(self._journals)
-
-    @property
-    def n_records(self) -> int:
-        """Mutation records across all shard files since the last reset."""
-        return sum(journal.n_records for journal in self._journals)
-
-    @property
-    def size_bytes(self) -> int:
-        return sum(journal.size_bytes for journal in self._journals)
-
-    @property
-    def n_syncs(self) -> int:
-        return sum(journal.n_syncs for journal in self._journals)
-
-    @property
-    def fsync_seconds(self) -> float:
-        return sum(journal.fsync_seconds for journal in self._journals)
-
-    # ------------------------------------------------------------------
-    # Appending (scheduler worker thread only)
-    # ------------------------------------------------------------------
-    def next_seq(self) -> int:
-        """Allocate the next mutation sequence number."""
-        self._seq += 1
-        return self._seq
-
-    def append_records(
-        self, records_by_shard: Mapping[int, JournalRecord], *, sync: bool = False
-    ) -> None:
-        """Append one mutation's records to their home shard journals.
-
-        All records of one mutation share a sequence number; recovery
-        merges them back by it.  Buffered unless ``sync`` — the
-        scheduler defers to one group :meth:`sync` per formed batch.
-        """
-        if not self._journals:
-            raise JournalError("journal set has no files; call reset() first")
-        touched = []
-        for shard, record in records_by_shard.items():
-            if not 0 <= shard < self._n:
-                raise JournalError(
-                    f"record routed to shard {shard} of {self._n}"
-                )
-            self._journals[shard].append(record)
-            touched.append(shard)
-        self._last_touched = touched
-        if sync:
-            self.sync()
-
-    def append_abort(self, seq: int) -> None:
-        """Mark ``seq`` aborted on every journal its records touched.
-
-        Defensive: written when a mutation fails *after* journaling
-        (apply raised).  Replay collects abort marks first and skips the
-        matching records, so the failed mutation never resurfaces.
-        """
-        for shard in self._last_touched or range(len(self._journals)):
-            self._journals[shard].append(JournalRecord.abort(seq))
-
-    def sync(self) -> float:
-        """Fsync every dirty journal; returns total fsync seconds.
-
-        This is the group-commit durability point: after it returns,
-        every record appended since the previous sync may be
-        acknowledged.
-        """
-        total = 0.0
-        for journal in self._journals:
-            if journal.dirty:
-                total += journal.sync()
-        if self.on_fsync is not None and total > 0.0:
-            self.on_fsync(total)
-        return total
-
-    # ------------------------------------------------------------------
-    # Reading (recovery)
-    # ------------------------------------------------------------------
-    @classmethod
-    def scan_root(
-        cls, root: str | Path
-    ) -> Iterator[tuple[Path, ScanResult]]:
-        """Scan every journal file under ``root`` (shard order)."""
-        for path in cls.existing_paths(root):
-            yield path, Journal.scan(path)
-
-    def __repr__(self) -> str:
-        return (
-            f"JournalSet(root={str(self._root)!r}, shards={self._n}, "
-            f"records={self.n_records if self._journals else 0})"
-        )

@@ -5,13 +5,13 @@ A serving root directory is the unit of durability::
     root/
       MANIFEST.json        -> {"snapshot": "snap-000007", "fingerprint": ...}
       snap-000007/         the last compacted snapshot (ImageDatabase.save)
-      wal-000.log ...      per-shard write-ahead journals since that snapshot
+      wal-000.log          the write-ahead journal since that snapshot
 
 The manifest is the single commit point: it is only ever replaced
 atomically (temp + fsync + rename), and it names the one snapshot
 directory that is current.  Compaction writes a *fresh* ``snap-NNNNNN``
 directory, fsyncs it, flips the manifest, and only then resets the
-journals — a crash at any point leaves either the old
+journal — a crash at any point leaves either the old
 (manifest, snapshot, journal) triple or the new one, never a mix that
 replays into a different state.
 
@@ -21,27 +21,28 @@ replays into a different state.
    records but no manifest (or a manifest naming a missing snapshot) is
    a hard :class:`~repro.errors.RecoveryError` — replaying onto the
    wrong base would corrupt silently.
-2. Scan every journal file.  Torn tail records (failed CRC) are counted
-   and truncated, never applied; they are by construction
-   unacknowledged (the scheduler fsyncs before resolving futures).
+2. Scan the journal.  Torn tail records (failed CRC) are counted and
+   truncated, never applied; they are by construction unacknowledged
+   (the scheduler fsyncs before resolving futures).
 3. Demand fingerprint equality (format version + feature config)
-   between the manifest, every journal, and the serving schema.
-4. Merge records across shard files by sequence number, collect abort
-   marks, and replay in sequence order.  Replay is idempotent: an add
-   whose ids already exist is skipped whole, a remove is filtered to
-   ids actually present — so a crash *between* the manifest flip and
-   the journal reset (records already baked into the snapshot) replays
-   to the same state, and replaying a journal twice equals once.
+   between the manifest, the journal, and the serving schema.
+4. Collect abort marks, then replay the other records in file order
+   (which is sequence order: one writer appends them).  Replay is
+   idempotent: an add whose ids already exist is skipped whole, a
+   remove is filtered to ids actually present — so a crash *between*
+   the manifest flip and the journal reset (records already baked into
+   the snapshot) replays to the same state, and replaying a journal
+   twice equals once.
 
-**Why sorting merged add-rows by id is correct:** a sharded mutation's
-records share one ``seq`` and split the original row list by home
-shard; ids were allocated sequentially over the original rows, so
-ascending id order *is* the original row order.
+A root with a ``wal-001.log`` or higher was written by a multi-shard
+server of an earlier version; its mutations may be split across files.
+Recovery refuses it (:class:`~repro.errors.RecoveryError` naming the
+files) before truncating, compacting or deleting anything.
 
 :func:`open_serving_root` is the serve-boot flow: recover if the root
 has history, otherwise seed from the ``--db`` database; then compact
-immediately so serving always starts from a fresh snapshot and empty
-journals.
+immediately so serving always starts from a fresh snapshot and an empty
+journal.
 """
 
 from __future__ import annotations
@@ -53,16 +54,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
 
-import numpy as np
-
 from repro.db.database import ImageDatabase
 from repro.db.fsutil import REAL_FS, FileSystem, atomic_write_bytes
-from repro.db.journal import (
-    FORMAT_VERSION,
-    JournalRecord,
-    JournalSet,
-    fingerprint_of,
-)
+from repro.db.journal import JOURNAL_FILE, Journal, JournalRecord, fingerprint_of
 from repro.errors import JournalError, RecoveryError
 from repro.features.pipeline import FeatureSchema
 from repro.metrics.base import Metric
@@ -80,6 +74,9 @@ __all__ = [
 
 MANIFEST_FILE = "MANIFEST.json"
 _SNAP_PREFIX = "snap-"
+#: Every journal file name any version wrote (multi-shard servers wrote
+#: ``wal-001.log`` and up beside :data:`JOURNAL_FILE`).
+_WAL_GLOB = "wal-[0-9][0-9][0-9].log"
 
 
 def database_fingerprint(db: ImageDatabase) -> dict:
@@ -121,7 +118,7 @@ class RecoveryReport:
 
     snapshot: str | None  #: snapshot directory name replay started from
     journal_files: int
-    records_scanned: int  #: intact mutation records across all journals
+    records_scanned: int  #: intact mutation records in the journal
     adds_applied: int
     removes_applied: int
     records_skipped: int  #: already-in-snapshot or empty-after-filter
@@ -158,6 +155,26 @@ def _check_fingerprint(expected: dict, found: dict, source: str) -> None:
         )
 
 
+def _refuse_multi_shard_root(root: Path) -> None:
+    """Fail closed on a root an earlier multi-shard server wrote.
+
+    Its mutations may be split across ``wal-NNN.log`` files, and no
+    single file tells whether a split mutation is complete, so nothing
+    is replayed, truncated, compacted or deleted.
+    """
+    extra = sorted(
+        path.name
+        for path in root.glob(_WAL_GLOB)
+        if path.name != JOURNAL_FILE
+    )
+    if extra:
+        raise RecoveryError(
+            f"{root} holds journal files {extra} beside {JOURNAL_FILE}: it "
+            f"was written by a multi-shard server, which this version does "
+            f"not read; refusing to recover (nothing was changed)"
+        )
+
+
 def recover(
     root: str | Path,
     schema: FeatureSchema,
@@ -175,34 +192,37 @@ def recover(
     rebuilt database exactly as :meth:`ImageDatabase.load` would; the
     stored fingerprint must match that configuration.  (The backend is
     not part of the fingerprint — it changes where index cores live,
-    never what any query returns.)  With ``repair`` (the default) torn
-    journal tails are truncated on disk; pass ``False`` for a
-    read-only inspection replay.
+    never what any query returns.)  With ``repair`` (the default) a torn
+    journal tail is truncated on disk; pass ``False`` for a read-only
+    inspection replay.
 
     Raises
     ------
     RecoveryError
-        Manifest/snapshot/journal inconsistency or fingerprint mismatch.
+        Manifest/snapshot/journal inconsistency, fingerprint mismatch,
+        or a root written by a multi-shard server.
     """
     root = Path(root)
     started = time.perf_counter()
+    _refuse_multi_shard_root(root)
     probe = ImageDatabase(
         schema, metrics=metrics, index_factory=index_factory, backend=backend
     )
     expected = database_fingerprint(probe)
 
-    scans = []
-    try:
-        for path, scan in JournalSet.scan_root(root):
-            scans.append((path, scan))
-    except JournalError as exc:
-        raise RecoveryError(f"unreadable journal under {root}: {exc}") from exc
-    for path, scan in scans:
+    path = root / JOURNAL_FILE
+    scan = None
+    if path.exists():
+        try:
+            scan = Journal.scan(path)
+        except JournalError as exc:
+            raise RecoveryError(f"unreadable journal under {root}: {exc}") from exc
         _check_fingerprint(expected, scan.fingerprint, str(path))
+    records = scan.records if scan is not None else []
 
     manifest = read_manifest(root)
     if manifest is None:
-        if any(scan.records for _path, scan in scans):
+        if records:
             raise RecoveryError(
                 f"{root} has journal records but no manifest; the snapshot "
                 f"they apply to is unknown — refusing to replay"
@@ -228,49 +248,35 @@ def recover(
             backend=backend,
         )
 
-    if repair:
-        for path, scan in scans:
-            if scan.torn_bytes:
-                with open(path, "r+b") as file:
-                    file.truncate(scan.valid_bytes)
+    if repair and scan is not None and scan.torn_bytes:
+        with open(path, "r+b") as file:
+            file.truncate(scan.valid_bytes)
 
-    # Merge records across shard files by sequence number; abort marks
-    # (written when apply failed after journaling) veto their sequence.
-    by_seq: dict[int, list[JournalRecord]] = {}
-    aborted: set[int] = set()
-    for _path, scan in scans:
-        for record in scan.records:
-            if record.op == "abort":
-                aborted.add(record.seq)
-            else:
-                by_seq.setdefault(record.seq, []).append(record)
-
+    # Abort marks (written when apply failed after journaling) veto
+    # their sequence number.
+    aborted = {record.seq for record in records if record.op == "abort"}
     adds = removes = skipped = n_aborted = 0
-    for seq in sorted(by_seq):
-        if seq in aborted:
-            n_aborted += len(by_seq[seq])
+    for record in records:
+        if record.op == "abort":
             continue
-        parts = by_seq[seq]
-        op = parts[0].op
-        if op == "add":
-            applied = _replay_add(db, parts)
+        if record.seq in aborted:
+            n_aborted += 1
+        elif record.op == "add" and _replay_add(db, record):
+            adds += 1
+        elif record.op == "remove" and _replay_remove(db, record):
+            removes += 1
         else:
-            applied = _replay_remove(db, parts)
-        if applied:
-            adds += applied if op == "add" else 0
-            removes += applied if op == "remove" else 0
-        else:
-            skipped += len(parts)
+            skipped += 1
 
     report = RecoveryReport(
         snapshot=snapshot_name,
-        journal_files=len(scans),
-        records_scanned=sum(len(scan.records) for _path, scan in scans),
+        journal_files=int(scan is not None),
+        records_scanned=len(records),
         adds_applied=adds,
         removes_applied=removes,
         records_skipped=skipped,
         records_aborted=n_aborted,
-        torn_bytes_truncated=sum(scan.torn_bytes for _path, scan in scans),
+        torn_bytes_truncated=scan.torn_bytes if scan is not None else 0,
         replay_s=time.perf_counter() - started,
         items=len(db),
         generations=db.generations(),
@@ -278,76 +284,32 @@ def recover(
     return db, report
 
 
-def _replay_add(db: ImageDatabase, parts: list[JournalRecord]) -> int:
-    """Apply one (possibly sharded) add; returns records applied (0 = skip).
+def _replay_add(db: ImageDatabase, record: JournalRecord) -> bool:
+    """Apply one add; False (skipped) when it is already in the snapshot.
 
-    Idempotence rule: if *any* of the mutation's ids is already present,
+    Idempotence rule: if *any* of the record's ids is already present,
     the whole mutation is in the snapshot (mutations apply atomically)
-    and the record is skipped.  Ascending id order across the merged
-    parts reconstructs the original row order (ids were allocated
-    sequentially over rows).
-
-    Completeness rule: a sharded mutation writes one record per home
-    shard, and per-file fsyncs are not atomic as a group — a crash
-    between them strands a strict subset on disk.  Each part carries
-    the whole mutation's row count (``total``); when the surviving
-    parts do not add up, the mutation was never acknowledged (the ack
-    follows the *last* fsync) and must be skipped, not half-applied.
+    and the record is skipped.
     """
-    rows: list[tuple[int, JournalRecord, int]] = []
-    for part in parts:
-        for row, image_id in enumerate(part.ids):
-            rows.append((image_id, part, row))
-    if not rows:
-        return 0
-    expected = parts[0].total
-    if expected is not None and len(rows) != expected:
-        return 0
-    if any(image_id in db.catalog for image_id, _part, _row in rows):
-        return 0
-    rows.sort(key=lambda item: item[0])
-    ids = [image_id for image_id, _part, _row in rows]
-    matrices = {
-        feature: np.stack(
-            [part.matrices[feature][row] for _id, part, row in rows]
-        )
-        for feature in parts[0].matrices
-    }
-    labels = (
-        [part.labels[row] for _id, part, row in rows]
-        if parts[0].labels is not None
-        else None
+    ids = list(record.ids)
+    if not ids or any(image_id in db.catalog for image_id in ids):
+        return False
+    db.add_vectors(
+        dict(record.matrices),
+        labels=list(record.labels) if record.labels is not None else None,
+        names=list(record.names) if record.names is not None else None,
+        ids=ids,
     )
-    names = (
-        [part.names[row] for _id, part, row in rows]
-        if parts[0].names is not None
-        else None
-    )
-    db.add_vectors(matrices, labels=labels, names=names, ids=ids)
-    return len(parts)
+    return True
 
 
-def _replay_remove(db: ImageDatabase, parts: list[JournalRecord]) -> int:
-    """Apply one (possibly sharded) remove, filtered to present ids.
-
-    The same completeness rule as :func:`_replay_add` applies: when the
-    surviving parts cover fewer ids than the mutation's ``total``, the
-    crash landed between per-shard fsyncs and the mutation was never
-    acknowledged — skip it whole rather than remove a subset.
-    """
-    expected = parts[0].total
-    if expected is not None and sum(len(part.ids) for part in parts) != expected:
-        return 0
-    present = [
-        image_id
-        for part in parts
-        for image_id in part.ids
-        if image_id in db.catalog
-    ]
+def _replay_remove(db: ImageDatabase, record: JournalRecord) -> bool:
+    """Apply one remove, filtered to present ids; False when none is."""
+    present = [image_id for image_id in record.ids if image_id in db.catalog]
     if not present:
-        return 0
+        return False
     db.remove(present)
-    return len(parts)
+    return True
 
 
 def _next_snapshot_name(root: Path) -> str:
@@ -361,30 +323,31 @@ def _next_snapshot_name(root: Path) -> str:
 
 
 def compact(
-    journal_set: JournalSet,
+    journal: Journal,
     db: ImageDatabase,
     *,
     keep_snapshots: int = 1,
 ) -> str:
-    """Fold the journaled history into a fresh snapshot; reset journals.
+    """Fold the journaled history into a fresh snapshot; reset the journal.
 
-    The crash-safe sequence, in order:
+    The journal's directory is the serving root.  The crash-safe
+    sequence, in order:
 
     1. save ``db`` into a new ``snap-NNNNNN`` directory (every file
        fsync'd — the directory is unreferenced until step 2, so partial
        writes there are garbage, not corruption);
     2. atomically flip ``MANIFEST.json`` to name it — **the commit
        point**;
-    3. atomically reset every journal file (their records are now part
-       of the snapshot; replay's already-present rule makes a crash
+    3. atomically reset the journal file (its records are now part of
+       the snapshot; replay's already-present rule makes a crash
        between 2 and 3 harmless);
     4. best-effort delete superseded snapshot directories beyond
        ``keep_snapshots``.
 
     Returns the new snapshot's directory name.
     """
-    fs = journal_set.fs
-    root = journal_set.root
+    fs = journal.fs
+    root = journal.root
     root.mkdir(parents=True, exist_ok=True)
     name = _next_snapshot_name(root)
     snapshot_dir = root / name
@@ -395,12 +358,12 @@ def compact(
         root,
         {
             "snapshot": name,
-            "fingerprint": journal_set.fingerprint,
+            "fingerprint": journal.fingerprint,
             "items": len(db),
         },
         fs=fs,
     )
-    journal_set.reset()
+    journal.reset()
     survivors = sorted(
         (entry for entry in root.glob(f"{_SNAP_PREFIX}*") if entry.is_dir()),
         key=lambda entry: entry.name,
@@ -414,23 +377,23 @@ def open_serving_root(
     root: str | Path,
     seed_db: ImageDatabase,
     *,
-    n_shards: int = 1,
     fs: FileSystem = REAL_FS,
-) -> tuple[ImageDatabase, JournalSet, RecoveryReport | None]:
+) -> tuple[ImageDatabase, Journal, RecoveryReport | None]:
     """Open (or initialize) a journaled serving root — the serve-boot flow.
 
     A root with history (a manifest or journal files) is recovered:
-    the snapshot is loaded and journals replayed — ``seed_db`` then only
-    supplies the configuration (schema/metrics/index factory), its
+    the snapshot is loaded and the journal replayed — ``seed_db`` then
+    only supplies the configuration (schema/metrics/index factory), its
     items are ignored in favour of the recovered state.  A fresh root is
     seeded from ``seed_db``'s items.  Either way the state is compacted
-    immediately, so the returned :class:`JournalSet` starts empty over a
-    current snapshot, and the returned database is the one to serve.
+    immediately, so the returned :class:`~repro.db.journal.Journal`
+    starts empty over a current snapshot, and the returned database is
+    the one to serve.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    has_history = (
-        (root / MANIFEST_FILE).exists() or bool(JournalSet.existing_paths(root))
+    has_history = (root / MANIFEST_FILE).exists() or any(
+        root.glob(_WAL_GLOB)
     )
     report: RecoveryReport | None = None
     if has_history:
@@ -444,10 +407,8 @@ def open_serving_root(
         )
     else:
         db = seed_db
-    journal_set = JournalSet(
-        root, database_fingerprint(db), n_shards, fs=fs
-    )
-    compact(journal_set, db)
+    journal = Journal(root / JOURNAL_FILE, database_fingerprint(db), fs=fs)
+    compact(journal, db)
     if report is not None:
-        journal_set.replayed_records = report.records_applied
-    return db, journal_set, report
+        journal.replayed_records = report.records_applied
+    return db, journal, report

@@ -50,8 +50,8 @@ backend then *takes* the block.  ``_vectors`` is the backend's view of
 it, ``_ids`` the id of every row, ``_row_of`` the id → row map.
 :meth:`MetricIndex.live_ids` and :meth:`MetricIndex.vectors_of` are how
 everything else — the database's ``vector_of`` / ``feature_matrix`` /
-``save``, shard views, and the index's own :meth:`MetricIndex.rebuild`
-— reads the rows back.
+``save`` and the index's own :meth:`MetricIndex.rebuild` — reads the
+rows back.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Concurrent query serving with micro-batch coalescing and sharding.
+"""Concurrent query serving with micro-batch coalescing.
 
 The paper's system is an *online* image database — many users querying
 at interactive rates — while the library's batched engine (PR 1/2) only
@@ -12,16 +12,7 @@ same admission queue as queries and apply on the worker thread as
 barriers between query segments, and cached results are stamped with
 per-feature generations so a mutation invalidates exactly the entries
 it staled — lazily, never a global flush (``docs/mutability.md``).
-
-With ``shards > 1`` the scheduler fronts a scatter-gather
-:class:`ShardedEngine`: the item set is partitioned by id hash into N
-independent shard views (each with its own full index set), every
-formed batch fans out to per-shard worker threads, and per-shard
-answers are gathered with an exact k-way merge on ``(distance, id)`` —
-**bit-identical** to the unsharded engine, ids and floats and
-tie-breaks.  Mutations route rows to their home shards and remain
-barriers; cache stamps become per-shard generation tuples so one
-shard's mutation can never hide behind another's older stamp.
+One :class:`~repro.db.database.ImageDatabase` answers every request.
 
 ================================  =======================================
 Component                          Role
@@ -34,9 +25,6 @@ Component                          Role
                                    ``ImageDatabase`` queries; mutations
                                    serialize with query batches; optional
                                    token-bucket rate limiting at admission
-:class:`ShardedEngine`             scatter-gather over N shard views with
-                                   exact (distance, id) k-way merge and
-                                   per-shard generation stamps
 :class:`TokenBucket`               non-blocking rate limiter behind
                                    ``rate_limit_qps`` (empty bucket →
                                    :class:`~repro.errors.RateLimitError`,
@@ -50,20 +38,20 @@ Component                          Role
 :class:`MetricsRegistry`           Prometheus metric families: per-route
                                    latency histograms (log-spaced
                                    buckets), admission counters, queue
-                                   depth and shard balance gauges, plus
+                                   depth and item-count gauges, plus
                                    a text-exposition parser/validator —
                                    the one store every serving event is
                                    counted in (``repro.serve.ledger``)
 :class:`ServiceStats`              snapshot *view* over those families:
                                    throughput, formed-batch sizes, cache
-                                   hit rate, mutations, shard balance,
+                                   hit rate, mutations, item count,
                                    plus windowed p50/p95 latency
 :class:`Trace` / :class:`Span`     one request's journey: a trace id
                                    (W3C ``traceparent`` in,
                                    ``X-Repro-Trace-Id`` out) and one
                                    span per pipeline stage, the engine
-                                   spans carrying exact per-shard
-                                   distance-computation counts
+                                   span carrying the request's exact
+                                   distance-computation count
 :class:`FlightRecorder`            bounded ring of the newest completed
                                    traces (``GET /debug/traces``,
                                    ``GET /debug/trace?id=``)
@@ -83,7 +71,7 @@ Component                          Role
 ================================  =======================================
 
 **Durability.**  Constructed with a
-:class:`~repro.db.journal.JournalSet` (CLI: ``serve --journal DIR``),
+:class:`~repro.db.journal.Journal` (CLI: ``serve --journal DIR``),
 the scheduler writes every mutation to a checksummed write-ahead log
 before its future resolves — one group fsync per formed batch — so an
 acknowledged write survives kill -9; startup replays the log onto the
@@ -98,7 +86,7 @@ process gauges included) of the same ledger, and
 forensic layer — per-request traces with one span per pipeline stage,
 pretty-printed by ``repro trace``.  See ``docs/observability.md``.
 
-``python -m repro serve --db my.db --shards 4`` starts the HTTP service
+``python -m repro serve --db my.db`` starts the HTTP service
 over a saved database; ``examples/serve_demo.py`` drives the whole
 stack — including a live add/remove round trip — in-process.  Design
 notes and knob semantics: ``docs/serving.md``; mutation protocol:
@@ -125,14 +113,6 @@ from repro.serve.scheduler import (
     ServedResult,
     TokenBucket,
 )
-from repro.serve.shard import (
-    ScatterReport,
-    ShardCall,
-    ShardedEngine,
-    merge_knn_results,
-    merge_range_results,
-    shard_of,
-)
 from repro.serve.stats import ServiceStats
 from repro.serve.trace import (
     FlightRecorder,
@@ -148,12 +128,6 @@ __all__ = [
     "ServedResult",
     "MutationResult",
     "TokenBucket",
-    "ShardedEngine",
-    "ShardCall",
-    "ScatterReport",
-    "shard_of",
-    "merge_knn_results",
-    "merge_range_results",
     "ResultCache",
     "ServiceStats",
     "MetricsRegistry",

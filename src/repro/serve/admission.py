@@ -20,7 +20,6 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from typing import Hashable
 
 import numpy as np
 
@@ -33,9 +32,8 @@ from repro.errors import (
     ShuttingDownError,
 )
 from repro.image.core import Image
-from repro.serve.cache import ResultCache, entry_still_valid
+from repro.serve.cache import MutationDeltaLog, ResultCache, entry_still_valid
 from repro.serve.ledger import ServiceLedger
-from repro.serve.shard import ShardedEngine
 from repro.serve.ticket import Mutation, MutationResult, Request, ServedResult
 from repro.serve.trace import Trace
 
@@ -92,15 +90,15 @@ class Admission:
     def __init__(
         self,
         db: ImageDatabase,
-        engine: ShardedEngine,
         cache: ResultCache,
+        deltas: MutationDeltaLog,
         ledger: ServiceLedger,
         tickets: "queue.Queue",
         limiter: TokenBucket | None,
     ) -> None:
         self._db = db
-        self._engine = engine
         self._cache = cache
+        self._deltas = deltas
         self._ledger = ledger
         self._tickets = tickets
         self._limiter = limiter
@@ -138,7 +136,7 @@ class Admission:
         """Admit one k-NN (``parameter`` = k) or range (= radius) query."""
         self._check_open()
         self._check_rate_limit()
-        if self._engine.size == 0:
+        if len(self._db) == 0:
             raise QueryError("database is empty")
         feature = feature or self._db.default_feature
         if trace is None:
@@ -168,20 +166,18 @@ class Admission:
 
         The generation check makes the hit safe under mutation: a
         result computed under an older item set is evicted (counted as
-        an invalidation) instead of being served.  Sharded stamps are
-        per-shard tuples, so any one shard's movement invalidates every
-        entry that gathered from it.  Before evicting, the revalidator
-        gets a chance to prove the entry unchanged from the mutation
-        delta log — a confirmed entry is re-stamped and served (counted
-        as a revalidation, never as a stale serve).
+        an invalidation) instead of being served.  Before evicting, the
+        revalidator gets a chance to prove the entry unchanged from the
+        mutation delta log — a confirmed entry is re-stamped and served
+        (counted as a revalidation, never as a stale serve).
         """
         lookup_start = time.monotonic()
         kind, feature, parameter = request.kind, request.feature, request.parameter
-        generation = self._engine.generation(feature)
+        generation = self._db.generation(feature)
 
-        def revalidate(stored: Hashable, results: list) -> bool:
+        def revalidate(stored: int, results: list) -> bool:
             return entry_still_valid(
-                self._engine.deltas_between(feature, stored, generation),
+                self._deltas.between(feature, stored, generation),
                 self._db.metric_for(feature),
                 kind,
                 parameter,

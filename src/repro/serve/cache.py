@@ -33,15 +33,6 @@ their feature stops changing.  Entries stored without a stamp
 still available to callers that close the scheduler around mutations
 and :meth:`ResultCache.clear` by hand.
 
-Stamps are opaque hashables compared with ``!=``, not ordered ints.
-The unsharded scheduler stamps with the database's scalar generation;
-the sharded engine stamps with the **tuple of per-shard generations**,
-because a merged result depends on every shard it gathered from.
-Collapsing the tuple to a scalar (say, the max) would let a mutation on
-one shard hide behind another shard's older stamp and revalidate a
-stale entry — the regression pinned in ``tests/test_serve.py`` and
-``tests/test_sharded_serving.py``.
-
 Check-on-hit revalidation
 -------------------------
 A generation mismatch does not always mean the cached answer changed:
@@ -74,7 +65,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Callable, Hashable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,12 +76,12 @@ from repro.metrics.base import Metric
 __all__ = ["CacheCounters", "MutationDeltaLog", "ResultCache", "entry_still_valid"]
 
 #: Cache keys: (kind, feature, parameter, digest).
-CacheKey = tuple[str, str, Hashable, str]
+CacheKey = tuple[str, str, int | float, str]
 
 #: Revalidation callback: (stale entry's stamp, its results) -> still valid?
-Revalidator = Callable[[Hashable, list[RetrievalResult]], bool]
+Revalidator = Callable[[int, list[RetrievalResult]], bool]
 
-#: One mutation's effect on one (feature, shard) slice:
+#: One mutation's effect on one feature:
 #: ``("add", inserted ids, (m, d) vectors)`` or
 #: ``("remove", removed ids, None)``.
 MutationDelta = tuple[str, tuple[int, ...], "np.ndarray | None"]
@@ -120,77 +111,77 @@ class CacheCounters(NamedTuple):
 class MutationDeltaLog:
     """Bounded per-generation record of what each mutation changed.
 
-    Keyed by an opaque hashable — the sharded engine uses
-    ``(feature, shard_index)`` — each key maps **generation after the
-    mutation applied** to the :data:`MutationDelta` that produced it.
-    Only the newest ``window`` generations per key are retained;
+    Keyed by feature, each key maps **generation after the mutation
+    applied** to the :data:`MutationDelta` that produced it.  Only the
+    newest ``window`` generations per feature are retained;
     :meth:`between` returns ``None`` as soon as any generation in the
     requested range has been dropped (or was never recorded), which
     callers must treat as "cannot prove validity".
 
-    Thread-safe: the engine's worker records while caller threads read
-    during cache lookups.
+    Thread-safe: the scheduler's worker records while caller threads
+    read during cache lookups.
     """
 
     def __init__(self, window: int = 64) -> None:
         if window < 1:
             raise ServeError(f"delta window must be >= 1; got {window}")
         self._window = int(window)
-        self._logs: dict[Hashable, OrderedDict[int, MutationDelta]] = {}
+        self._logs: dict[str, OrderedDict[int, MutationDelta]] = {}
         self._lock = threading.Lock()
 
     @property
     def window(self) -> int:
-        """Generations retained per key."""
+        """Generations retained per feature."""
         return self._window
 
     def record_add(
         self,
-        key: Hashable,
+        feature: str,
         generation: int,
         ids: Sequence[int],
         vectors: np.ndarray,
     ) -> None:
-        """Record an insert that produced ``generation`` under ``key``.
+        """Record an insert that produced ``generation`` of ``feature``.
 
         ``vectors`` is copied: the log must outlive the caller's batch
         buffers, and revalidation reads it from other threads.
         """
         rows = np.array(vectors, dtype=np.float64, copy=True)
         self._record(
-            key, int(generation), ("add", tuple(int(i) for i in ids), rows)
+            feature, int(generation), ("add", tuple(int(i) for i in ids), rows)
         )
 
     def record_remove(
-        self, key: Hashable, generation: int, ids: Sequence[int]
+        self, feature: str, generation: int, ids: Sequence[int]
     ) -> None:
-        """Record a removal that produced ``generation`` under ``key``."""
+        """Record a removal that produced ``generation`` of ``feature``."""
         self._record(
-            key, int(generation), ("remove", tuple(int(i) for i in ids), None)
+            feature, int(generation), ("remove", tuple(int(i) for i in ids), None)
         )
 
-    def _record(self, key: Hashable, generation: int, delta: MutationDelta) -> None:
+    def _record(self, feature: str, generation: int, delta: MutationDelta) -> None:
         with self._lock:
-            log = self._logs.setdefault(key, OrderedDict())
+            log = self._logs.setdefault(feature, OrderedDict())
             log[generation] = delta
             log.move_to_end(generation)
             while len(log) > self._window:
                 log.popitem(last=False)
 
     def between(
-        self, key: Hashable, old: Hashable, new: Hashable
+        self, feature: str, old: int, new: int
     ) -> list[MutationDelta] | None:
-        """Every delta from ``old`` (exclusive) to ``new`` (inclusive).
+        """Every delta of ``feature`` from ``old`` (exclusive) to ``new``
+        (inclusive).
 
-        ``None`` when the range cannot be reconstructed — non-integer
-        stamps, a non-advancing range, or any generation missing from
-        the retained window.  The caller must then fall back to
+        ``None`` when the range cannot be reconstructed — a
+        non-advancing range, or any generation missing from the
+        retained window.  The caller must then fall back to
         invalidation.
         """
-        if not isinstance(old, int) or not isinstance(new, int) or old >= new:
+        if old >= new:
             return None
         with self._lock:
-            log = self._logs.get(key)
+            log = self._logs.get(feature)
             if log is None:
                 return None
             deltas: list[MutationDelta] = []
@@ -212,8 +203,8 @@ def entry_still_valid(
 ) -> bool:
     """Prove a stale-stamped cache entry still equals a fresh query.
 
-    ``deltas`` is the engine's mutation delta log from the entry's
-    stamp to the current one (``None``: part of the range left the
+    ``deltas`` is the mutation delta log from the entry's stamp to the
+    current one (``None``: part of the range left the
     bounded window).  A k-NN entry survives iff no cached result id was
     removed and every inserted item orders *strictly after* the kth
     result under the engine's total ``(distance, id)`` ranking — an
@@ -292,7 +283,7 @@ class ResultCache:
         self._capacity = int(capacity)
         self._decimals = quantize_decimals
         self._entries: OrderedDict[
-            CacheKey, tuple[Hashable | None, list[RetrievalResult]]
+            CacheKey, tuple[int | None, list[RetrievalResult]]
         ] = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
@@ -368,7 +359,7 @@ class ResultCache:
     # Keying
     # ------------------------------------------------------------------
     def key(
-        self, kind: str, feature: str, parameter: Hashable, vector: np.ndarray
+        self, kind: str, feature: str, parameter: int | float, vector: np.ndarray
     ) -> CacheKey:
         """The cache key identifying one query.
 
@@ -391,14 +382,13 @@ class ResultCache:
     def get(
         self,
         key: CacheKey,
-        generation: Hashable | None = None,
+        generation: int | None = None,
         revalidator: Revalidator | None = None,
     ) -> list[RetrievalResult] | None:
         """The cached results for ``key`` (a fresh list), or ``None``.
 
         ``generation`` is the caller's *current* data version for the
-        key's feature — a scalar from an unsharded database, a tuple of
-        per-shard generations from the sharded engine.  A stamped entry
+        key's feature (the database's generation).  A stamped entry
         computed under a different (``!=``) generation is stale: it is
         evicted, counted in :attr:`invalidations`, and the lookup
         misses.  Passing ``None`` skips the check (static-snapshot
@@ -457,12 +447,12 @@ class ResultCache:
         self,
         key: CacheKey,
         results: Sequence[RetrievalResult],
-        generation: Hashable | None = None,
+        generation: int | None = None,
     ) -> None:
         """Store ``results`` under ``key``, evicting the LRU tail.
 
         ``generation`` stamps the entry with the data version it was
-        computed under (scalar or per-shard tuple); ``None`` stores an
+        computed under; ``None`` stores an
         unstamped (never-invalidated) entry.
         """
         if not self.enabled:

@@ -26,21 +26,20 @@ Endpoints
     into a fresh atomic snapshot and resets the logs (400 with an
     explanatory error when the service runs without a journal).
 ``GET /stats``
-    The :class:`~repro.serve.stats.ServiceStats` snapshot as JSON
-    (shard count, per-shard sizes and request balance included).
+    The :class:`~repro.serve.stats.ServiceStats` snapshot as JSON.
 ``GET /metrics``
     Prometheus text exposition: per-route latency histograms,
-    admission counters, batch-size histograms, queue depth, per-shard
-    balance gauges (see ``repro.serve.metrics``).
+    admission counters, batch-size histograms, queue depth and item
+    gauges (see ``repro.serve.metrics``).
 ``GET /healthz``
-    Liveness: item count, feature list, generations, shard count,
-    uptime, storage backend.
+    Liveness: item count, feature list, generations, uptime, storage
+    backend.
 ``GET /debug/traces``
     Compact summaries of the flight recorder's retained traces (newest
     first) — the forensic ring buffer behind ``repro trace``.
 ``GET /debug/trace?id=<trace_id>``
     One full trace: per-stage spans with offsets, durations, and the
-    engine spans' exact per-shard distance-computation counts.
+    engine span's exact distance-computation count.
 ``GET /debug/slow``
     Full traces whose end-to-end latency crossed the scheduler's
     ``slow_query_ms`` threshold.
@@ -332,15 +331,6 @@ class _Handler(BaseHTTPRequestHandler):
         parsed = urlsplit(self.path)
         path = parsed.path
         if path == "/healthz":
-            # Liveness reads go through the scheduler, not the source
-            # database object: with shards > 1 the engine owns the live
-            # item set and the construction-time database goes stale.
-            generations = {
-                feature: (
-                    list(stamp) if isinstance(stamp, tuple) else stamp
-                )
-                for feature, stamp in scheduler.generations().items()
-            }
             info = scheduler.journal_info()
             self._send_json(
                 200,
@@ -348,8 +338,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "status": "ok",
                     "images": scheduler.n_items,
                     "features": list(self.server.db.schema.names),
-                    "generations": generations,
-                    "shards": scheduler.n_shards,
+                    "generations": scheduler.generations(),
                     "uptime_s": scheduler.uptime_s,
                     "durable": info is not None,
                     "journal": info,
@@ -516,7 +505,7 @@ class QueryServer:
     scheduler:
         A preconfigured :class:`QueryScheduler`; when omitted one is
         built from the remaining keyword arguments (``max_batch``,
-        ``max_wait_ms``, ``max_queue``, ``cache_size``, ``shards``,
+        ``max_wait_ms``, ``max_queue``, ``cache_size``,
         ``rate_limit_qps``, ``trace_depth``, ``slow_query_ms``, ...).
     access_log:
         Optional :class:`~repro.serve.logsys.StructuredLog`: one

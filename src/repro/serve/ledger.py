@@ -8,7 +8,7 @@ from the same families (:meth:`ServiceLedger.stats`), so the two
 surfaces cannot disagree.  Which family backs which ``/stats`` field is
 tabulated in ``docs/serving.md``.
 
-State that already lives elsewhere — queue depth, shard sizes, cache
+State that already lives elsewhere — queue depth, item count, cache
 counters, journal and buffer-pool figures — is never copied on the hot
 path: the scheduler reads it once into a :class:`LiveState` and both
 views take it from there.
@@ -40,8 +40,7 @@ class LiveState(NamedTuple):
     """Point-in-time state owned by other components, read once per view."""
 
     queue_depth: int
-    shard_sizes: tuple[int, ...]
-    shard_requests: tuple[int, ...]
+    items: int
     cache: CacheCounters
     #: ``QueryScheduler.journal_info()`` (``None`` when journaling is off).
     journal: dict[str, int] | None
@@ -107,20 +106,7 @@ class ServiceLedger:
         self._g_queue_depth = registry.gauge(
             "repro_queue_depth", "Requests waiting in the admission queue."
         )
-        self._g_items = registry.gauge(
-            "repro_items", "Live items served (all shards)."
-        )
-        self._g_shards = registry.gauge(
-            "repro_shards", "Number of shards behind the scheduler."
-        )
-        self._g_shard_items = registry.gauge(
-            "repro_shard_items", "Live items per shard.", ("shard",)
-        )
-        self._g_shard_requests = registry.gauge(
-            "repro_shard_requests",
-            "Engine calls served per shard since startup (monotonic).",
-            ("shard",),
-        )
+        self._g_items = registry.gauge("repro_items", "Live items served.")
         self._g_cache = registry.gauge(
             "repro_cache_lookups",
             "Result-cache counters by outcome "
@@ -235,9 +221,6 @@ class ServiceLedger:
             latency_p50_ms=window.p50_ms,
             latency_p95_ms=window.p95_ms,
             rate_limited=self.refused.value(reason="rate_limited"),
-            n_shards=len(live.shard_sizes),
-            shard_sizes=live.shard_sizes,
-            shard_requests=live.shard_requests,
             saves=self._finished(("save",)),
             journaled=live.journal is not None,
             journal_records=journal.get("records", 0),
@@ -261,12 +244,7 @@ class ServiceLedger:
         scrape time.
         """
         self._g_queue_depth.set(live.queue_depth)
-        self._g_items.set(sum(live.shard_sizes))
-        self._g_shards.set(len(live.shard_sizes))
-        for shard, size in enumerate(live.shard_sizes):
-            self._g_shard_items.set(size, shard=str(shard))
-        for shard, count in enumerate(live.shard_requests):
-            self._g_shard_requests.set(count, shard=str(shard))
+        self._g_items.set(live.items)
         outcomes = ("hit", "miss", "invalidated", "revalidated")
         for outcome, count in zip(outcomes, live.cache):
             self._g_cache.set(count, outcome=outcome)

@@ -14,7 +14,7 @@ stdlib + O(1) per observation:
   bounds, ``+Inf`` implicit in ``count``).
 * :class:`CounterFamily`, :class:`GaugeFamily`,
   :class:`HistogramFamily` — labelled metric families with one fixed
-  label schema each (``route=...``, ``shard=...``).
+  label schema each (``route=...``, ``outcome=...``).
 * :class:`MetricsRegistry` — owns the families and renders the standard
   `Prometheus text exposition format
   <https://prometheus.io/docs/instrumenting/exposition_formats/>`_, the
@@ -22,7 +22,7 @@ stdlib + O(1) per observation:
 
 The service's ledger owns one registry and feeds it on the hot path
 (one lock plus one integer increment per observation); scrape-time
-values that already live elsewhere (queue depth, shard sizes, cache
+values that already live elsewhere (queue depth, item count, cache
 counters) are set as gauges immediately before rendering rather than
 double-counted.
 """

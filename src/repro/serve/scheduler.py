@@ -66,19 +66,6 @@ The worker is a single thread, so the underlying ``ImageDatabase`` and
 its indexes are only ever touched serially — no locks reach the engine,
 and ``last_batch_stats`` attribution is race-free by construction.
 
-**Sharding.**  With ``shards > 1`` the scheduler fronts a
-:class:`~repro.serve.shard.ShardedEngine` instead of the database
-directly: the item set is partitioned by id hash into N independent
-shard views, every formed query group scatters to all shards in
-parallel (one dedicated thread each) and the per-shard answers are
-gathered with an exact k-way merge on ``(distance, id)`` —
-bit-identical to the unsharded answer, ids and floats and tie-breaks
-(see ``repro.serve.shard``).  Mutations route rows to their home
-shards and still act as barriers: the worker waits for every shard
-before the next query segment runs.  Cached results are stamped with
-the **tuple** of per-shard generations, so a mutation on any one shard
-invalidates exactly the entries that depended on it.
-
 **Admission control.**  Beyond the bounded queue
 (:class:`~repro.errors.QueueFullError`, HTTP 503, when full), an
 optional token bucket (``rate_limit_qps`` / ``rate_limit_burst``)
@@ -93,15 +80,14 @@ per-route latency histograms (fixed log-spaced buckets), admission
 counters by outcome, formed-batch- and group-size histograms, dedup and
 coalescing counters.  :meth:`QueryScheduler.render_metrics` (the HTTP
 ``GET /metrics`` body) renders them with scrape-time gauges for queue
-depth, shard balance, cache, journal and buffer pool;
+depth, item count, cache, journal and buffer pool;
 :meth:`QueryScheduler.stats` (``GET /stats``) is a view over the same
 families plus a bounded latency window.
 
 **Tracing.**  With ``trace_depth > 0`` (the default) every request also
 carries a :class:`~repro.serve.trace.Trace`: one span per pipeline
-stage (``admit``, ``cache-lookup``, ``queue-wait``, ``batch-form``, one
-``engine`` span per shard call with that shard's exact
-``distance_computations`` for the request, ``merge``,
+stage (``admit``, ``cache-lookup``, ``queue-wait``, ``batch-form``,
+``engine`` with the request's exact ``distance_computations``,
 ``journal-append`` / ``journal-fsync`` on the write path, ``respond``).
 Completed traces land in a bounded flight recorder and — past
 ``slow_query_ms`` — a slow-query log, both served by the HTTP
@@ -127,19 +113,18 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import Future
-from typing import Hashable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.db.database import ImageDatabase
-from repro.db.journal import JournalSet
+from repro.db.journal import Journal
 from repro.errors import QueryError, ServeError, ShuttingDownError
 from repro.image.core import Image
 from repro.serve.admission import Admission, TokenBucket
-from repro.serve.cache import ResultCache
+from repro.serve.cache import MutationDeltaLog, ResultCache
 from repro.serve.ledger import LiveState, ServiceLedger
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.shard import ShardedEngine
 from repro.serve.stats import ServiceStats
 from repro.serve.ticket import Mutation, MutationResult, Request, ServedResult, Ticket
 from repro.serve.trace import FlightRecorder, SlowQueryLog, Trace
@@ -178,13 +163,11 @@ class QueryScheduler:
         :class:`~repro.serve.cache.ResultCache` configuration
         (``cache_size=0`` disables caching).
     shards:
-        Partition the item set into this many shard views served by a
-        scatter-gather :class:`~repro.serve.shard.ShardedEngine`
-        (default 1 = unsharded pass-through).  Results stay
-        bit-identical; only where the work runs changes.  With
-        ``shards > 1`` the engine owns the live item set from
-        construction on — don't query or mutate ``db`` directly
-        afterwards.
+        Accepts only 1 (anything else raises
+        :class:`~repro.errors.ServeError`): one database answers every
+        request.  Kept only because the end-to-end benchmark harness
+        still passes ``shards=1``; it is removed once the harness stops
+        passing it.
     rate_limit_qps / rate_limit_burst:
         Optional token-bucket admission throttle: sustained requests
         per second and bucket capacity (default burst = max(1, qps)).
@@ -192,14 +175,14 @@ class QueryScheduler:
         :class:`~repro.errors.RateLimitError` (HTTP 429); ``None``
         disables throttling.
     journal:
-        Optional :class:`~repro.db.journal.JournalSet` for crash-safe
+        Optional :class:`~repro.db.journal.Journal` for crash-safe
         durability (see ``docs/durability.md``).  Mutations are
         journaled on the worker before they apply, and their futures
         only resolve after one *group fsync* at the end of the formed
         batch — an acknowledged mutation is always durable.
         :meth:`submit_save` compacts the journal into a fresh snapshot
-        as a barrier between batches.  The scheduler owns the set and
-        closes it on :meth:`close`.
+        as a barrier between batches.  The scheduler owns the journal
+        and closes it on :meth:`close`.
     trace_depth:
         Flight-recorder capacity: the newest ``trace_depth`` completed
         request traces are retained for ``GET /debug/traces`` /
@@ -230,11 +213,13 @@ class QueryScheduler:
         shards: int = 1,
         rate_limit_qps: float | None = None,
         rate_limit_burst: float | None = None,
-        journal: JournalSet | None = None,
+        journal: Journal | None = None,
         trace_depth: int = 256,
         slow_query_ms: float | None = 100.0,
         autostart: bool = True,
     ) -> None:
+        if shards != 1:
+            raise ServeError(f"shards must be 1; got {shards}")
         if max_batch < 1:
             raise ServeError(f"max_batch must be >= 1; got {max_batch}")
         if max_wait_ms < 0.0:
@@ -249,11 +234,13 @@ class QueryScheduler:
             )
         self._db = db
         self._journal = journal
-        self._engine = ShardedEngine(db, shards, journal=journal)
         self._max_batch = int(max_batch)
         self._max_wait_s = float(max_wait_ms) / 1e3
         self._queue: queue.Queue[Ticket | None] = queue.Queue(maxsize=max_queue)
         self._cache = ResultCache(cache_size, quantize_decimals=quantize_decimals)
+        #: What each generation's mutation inserted/removed, per feature
+        #: — what cache revalidation reads (see ``repro.serve.cache``).
+        self._deltas = MutationDeltaLog()
         self._ledger = ServiceLedger(trace_depth, slow_query_ms)
         if journal is not None:
             journal.on_fsync = self._ledger.journal_fsync.observe
@@ -261,9 +248,11 @@ class QueryScheduler:
         if rate_limit_qps is not None:
             limiter = TokenBucket(rate_limit_qps, rate_limit_burst)
         self._admission = Admission(
-            db, self._engine, self._cache, self._ledger, self._queue, limiter
+            db, self._cache, self._deltas, self._ledger, self._queue, limiter
         )
-        self._worker = BatchWorker(self._engine, self._cache, journal, self._ledger)
+        self._worker = BatchWorker(
+            db, self._cache, self._deltas, journal, self._ledger
+        )
         self._abandon = False
         self._lock = threading.Lock()
         self._thread = threading.Thread(
@@ -297,9 +286,9 @@ class QueryScheduler:
         the journal (an acknowledged write is never abandoned), but
         everything still *queued* fails fast with ``ShuttingDownError``
         instead of hanging a terminating process on a backlog.  Either
-        way the engine (and its journal, when configured) is synced and
-        closed.  On a scheduler that never started, staged requests fail
-        with ``ShuttingDownError`` instead of stranding their futures (a
+        way the journal, when configured, is synced and closed.  On a
+        scheduler that never started, staged requests fail with
+        ``ShuttingDownError`` instead of stranding their futures (a
         blocking sentinel put could also deadlock on a full queue with
         no consumer).
         """
@@ -316,7 +305,8 @@ class QueryScheduler:
                 self._fail_shutting_down(
                     self._queue.get_nowait(), "scheduler closed before starting"
                 )
-        self._engine.close()
+        if self._journal is not None:
+            self._journal.close()
 
     def _fail_shutting_down(self, item: Ticket, message: str) -> None:
         if item.future.set_running_or_notify_cancel():
@@ -337,9 +327,9 @@ class QueryScheduler:
         return self._cache
 
     @property
-    def engine(self) -> ShardedEngine:
-        """The scatter-gather engine (shard views, balance counters)."""
-        return self._engine
+    def delta_log(self) -> MutationDeltaLog:
+        """The bounded per-generation mutation record (revalidation feed)."""
+        return self._deltas
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -392,18 +382,13 @@ class QueryScheduler:
         self._ledger.finish_trace(trace, status)
 
     @property
-    def n_shards(self) -> int:
-        """Shards behind this scheduler (1 = unsharded)."""
-        return self._engine.n_shards
-
-    @property
     def n_items(self) -> int:
-        """Live items served, summed across shards."""
-        return self._engine.size
+        """Live items served."""
+        return len(self._db)
 
-    def generations(self) -> dict[str, Hashable]:
-        """Current per-feature data-version stamps (see the engine)."""
-        return self._engine.generations()
+    def generations(self) -> dict[str, int]:
+        """Current per-feature data-version stamps."""
+        return self._db.generations()
 
     @property
     def is_closed(self) -> bool:
@@ -416,8 +401,8 @@ class QueryScheduler:
         return self._ledger.uptime_s
 
     @property
-    def journal(self) -> JournalSet | None:
-        """The write-ahead journal set (``None`` when journaling is off)."""
+    def journal(self) -> Journal | None:
+        """The write-ahead journal (``None`` when journaling is off)."""
         return self._journal
 
     def journal_info(self) -> dict[str, int] | None:
@@ -447,8 +432,7 @@ class QueryScheduler:
         backend = self._db.backend_info()
         return LiveState(
             queue_depth=self._queue.qsize(),
-            shard_sizes=tuple(self._engine.shard_sizes()),
-            shard_requests=tuple(self._engine.shard_requests()),
+            items=len(self._db),
             cache=self._cache.counters(),
             journal=self.journal_info(),
             backend=backend["name"],
@@ -468,8 +452,8 @@ class QueryScheduler:
 
         Hot-path families (request counters, latency and batch-size
         histograms) accumulate as requests flow; values that already
-        live elsewhere — queue depth, shard sizes and balance, cache
-        counters — are set as gauges at scrape time.
+        live elsewhere — queue depth, item count, cache counters — are
+        set as gauges at scrape time.
         """
         return self._ledger.render(self._live_state())
 
@@ -563,7 +547,7 @@ class QueryScheduler:
 
         Requires a configured journal.  The save rides the queue like a
         mutation: the worker folds everything applied so far into a
-        fresh snapshot, flips the manifest, and resets the journals
+        fresh snapshot, flips the manifest, and resets the journal
         (``repro.db.recovery.compact``) — strictly ordered between query
         segments, so the snapshot is a point-in-time image.  Resolves to
         a :class:`MutationResult` with ``kind='save'``; without a
@@ -618,7 +602,7 @@ class QueryScheduler:
         barrier between them — queries admitted before it are answered
         against the pre-mutation database, queries after it against the
         post-mutation one.  Adjacent same-kind mutations coalesce into
-        one engine call (one journal record set, one generation bump)
+        one engine call (one journal record, one generation bump)
         the way queries coalesce into groups; see
         :meth:`BatchWorker.collect_run` for when a neighbour may join a
         run.  Mutation futures resolve only after one *group fsync* at
@@ -656,5 +640,5 @@ class QueryScheduler:
         return (
             f"QueryScheduler({state}, max_batch={self._max_batch}, "
             f"max_wait_ms={self._max_wait_s * 1e3:g}, "
-            f"shards={self._engine.n_shards}, items={self._engine.size})"
+            f"items={len(self._db)})"
         )

@@ -124,14 +124,6 @@ class ServiceStats:
         empty (a subset of neither :attr:`submitted` nor
         :attr:`rejected` — throttling is its own refusal class, HTTP
         429 instead of 503).
-    n_shards:
-        Shards behind the scheduler (1 = unsharded pass-through).
-    shard_sizes:
-        Live item count per shard at snapshot time — the balance
-        figure.
-    shard_requests:
-        Engine calls (scattered query groups + routed mutations) each
-        shard has served since startup.
     backend:
         Name of the vector storage backend the database serves from
         (``"memory"`` or ``"mmap"`` — see ``docs/storage.md``).
@@ -163,9 +155,6 @@ class ServiceStats:
     latency_p50_ms: float
     latency_p95_ms: float
     rate_limited: int = 0
-    n_shards: int = 1
-    shard_sizes: tuple[int, ...] = ()
-    shard_requests: tuple[int, ...] = ()
     saves: int = 0
     journaled: bool = False
     journal_records: int = 0
@@ -181,14 +170,8 @@ class ServiceStats:
     pool_capacity: int = 0
 
     def to_dict(self) -> dict:
-        """Plain-dict form (JSON round-trippable) for the HTTP front end.
-
-        Tuple fields become lists so ``json.loads(json.dumps(d)) == d``.
-        """
-        payload = asdict(self)
-        payload["shard_sizes"] = list(self.shard_sizes)
-        payload["shard_requests"] = list(self.shard_requests)
-        return payload
+        """Plain-dict form (JSON round-trippable) for the HTTP front end."""
+        return asdict(self)
 
 
 class WindowFigures(NamedTuple):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -85,8 +85,6 @@ class MutationResult:
     generations:
         Every feature's generation stamp *after* the mutation applied —
         what subsequent cached results will be validated against.
-        Scalars on an unsharded scheduler, per-shard tuples on a
-        sharded one.
     latency_s:
         Submit-to-application wall time.
     trace_id:
@@ -95,7 +93,7 @@ class MutationResult:
 
     kind: str
     ids: list[int]
-    generations: dict[str, Hashable]
+    generations: dict[str, int]
     latency_s: float
     trace_id: str | None = None
 

@@ -6,10 +6,9 @@ answer the forensic question *"why was THIS request slow?"*.  This
 module gives every request a **trace**: an id (accepted from an inbound
 W3C ``traceparent`` header or generated fresh, echoed back as
 ``X-Repro-Trace-Id``) plus one :class:`Span` per pipeline stage —
-``admit``, ``cache-lookup``, ``queue-wait``, ``batch-form``, one
-``engine`` span per shard call (carrying that shard's exact
-``SearchStats.distance_computations`` for this query), ``merge``,
-``journal-append`` / ``journal-fsync`` on the write path, and
+``admit``, ``cache-lookup``, ``queue-wait``, ``batch-form``, ``engine``
+(carrying the exact ``SearchStats.distance_computations`` for this
+query), ``journal-append`` / ``journal-fsync`` on the write path, and
 ``respond``.
 
 Hot-path cost is O(1) per stage: a span is one ``time.monotonic()``
@@ -35,10 +34,8 @@ Both sinks store plain :class:`Trace` objects; :meth:`Trace.to_dict`
 is the wire form and :func:`format_trace` renders a human waterfall
 (the ``repro trace`` CLI subcommand).
 
-Span-sum sanity: stages are recorded back-to-back on a single worker
-(engine shard calls being the exception — they run concurrently on the
-shard threads), so for an unsharded service the span durations sum to
-within the trace's end-to-end latency; the gap that remains *is* the
+Span-sum sanity: stages are recorded back-to-back on a single worker,
+so the span durations sum to within the trace's end-to-end latency; the gap that remains *is* the
 untraced residue (queue hand-off, future wake-up), and the acceptance
 test pins it.  See ``docs/observability.md``.
 """
@@ -95,9 +92,9 @@ class Span:
 
     ``start`` is an absolute ``time.monotonic()`` timestamp — the trace
     knows its own start, so offsets fall out at render time, and spans
-    recorded on different threads (shard calls) stay on one clock.
-    ``annotations`` carries stage-specific facts: the engine spans carry
-    ``shard`` and ``distance_computations``.
+    recorded on different threads stay on one clock.  ``annotations``
+    carries stage-specific facts: the engine span carries
+    ``distance_computations``.
     """
 
     __slots__ = ("stage", "start", "duration_s", "annotations")
@@ -400,7 +397,7 @@ def format_trace(trace: dict, *, width: int = 28) -> str:
         trace 4bf92f35…  route=knn  status=ok  latency=3.21 ms
           admit          0.00ms  0.05ms |#          |
           queue-wait     0.05ms  1.40ms | ####      |
-          engine         1.50ms  1.50ms |     ##### | shard=0 dist=123
+          engine         1.50ms  1.50ms |     ##### | dist=123
     """
     latency_ms = float(trace.get("latency_ms", 0.0))
     header = (

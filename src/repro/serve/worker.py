@@ -8,14 +8,16 @@ for the three things a batch is made of:
 
 * **query segments** (:meth:`BatchWorker.run_queries`): group by
   ``(kind, feature, parameter)``, dedup byte-identical vectors, one
-  engine call per group, per-request stats attributed from the engine's
-  scatter report, cache filled stamped with the generation the call ran
-  under;
+  batched database call per group, per-request stats attributed from
+  the index's ``last_batch_stats``, cache filled stamped with the
+  generation the call ran under;
 * **the write barrier** (:meth:`collect_run` → :meth:`apply_run` →
   :meth:`ack`): stage adjacent same-kind mutations into a run, journal
-  + apply the run as one engine call, and acknowledge every applied
-  mutation only after one group fsync at the end of the batch
-  (log-before-ack — see ``docs/durability.md``);
+  the run as one record and apply it as one database call (an abort
+  mark follows when the apply fails), record what it changed in the
+  mutation delta log, and acknowledge every applied mutation only
+  after one group fsync at the end of the batch (log-before-ack — see
+  ``docs/durability.md``);
 * **save** — a run of its own: compact the journal into a snapshot,
   which is itself the durability of everything still unacknowledged.
 """
@@ -23,16 +25,16 @@ for the three things a batch is made of:
 from __future__ import annotations
 
 import time
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.db.journal import JournalSet
+from repro.db.database import ImageDatabase
+from repro.db.journal import Journal, JournalRecord
 from repro.db.recovery import compact
 from repro.errors import ServeError
-from repro.serve.cache import ResultCache
+from repro.serve.cache import MutationDeltaLog, ResultCache
 from repro.serve.ledger import ServiceLedger
-from repro.serve.shard import ShardedEngine
 from repro.serve.ticket import Mutation, Request, Ticket
 
 __all__ = ["BatchWorker"]
@@ -43,18 +45,23 @@ class BatchWorker:
 
     def __init__(
         self,
-        engine: ShardedEngine,
+        db: ImageDatabase,
         cache: ResultCache,
-        journal: JournalSet | None,
+        deltas: MutationDeltaLog,
+        journal: Journal | None,
         ledger: ServiceLedger,
     ) -> None:
-        self._engine = engine
+        self._db = db
         self._cache = cache
+        self._deltas = deltas
         self._journal = journal
         self._ledger = ledger
         #: Mutations applied in memory but not yet acknowledged, with
         #: the ids each resolves to — see :meth:`ack`.
         self._pending: list[tuple[Mutation, list[int]]] = []
+        #: ``(start, duration_s)`` of the current run's journal append;
+        #: ``None`` when journaling is off or nothing was appended.
+        self._append_span: tuple[float, float] | None = None
 
     # ------------------------------------------------------------------
     # Query segments
@@ -95,42 +102,36 @@ class BatchWorker:
             group_start = time.monotonic()
             for request in live:
                 request.dispatch(group_start, group_size=len(unique))
+            engine_start = time.monotonic()
             try:
                 if kind == "knn":
-                    result_lists, per_slot_stats = self._engine.query_batch(
-                        vectors, int(parameter), feature
+                    result_lists = self._db.query_batch(
+                        vectors, int(parameter), feature=feature, precomputed=True
                     )
                 else:
-                    result_lists, per_slot_stats = self._engine.range_query_batch(
-                        vectors, float(parameter), feature
+                    result_lists = self._db.range_query_batch(
+                        vectors, float(parameter), feature=feature, precomputed=True
                     )
             except Exception as error:  # pragma: no cover - defensive
                 self._fail(live, error)
                 continue
-            # Per-shard call timing + per-row cost from the engine's
-            # scatter report (single-caller: the worker thread is the
-            # only reader, and the report is from *this* call).
-            scatter = self._engine.last_scatter
-            # Stamp cached entries with the generation the engine call
-            # ran under — the worker serializes mutations, so this read
-            # cannot race a concurrent add/remove.  Sharded schedulers
-            # stamp the per-shard generation tuple.
-            generation = self._engine.generation(feature)
+            engine_s = time.monotonic() - engine_start
+            # Per-row cost of *this* call: the worker is the only thread
+            # that queries the database, so nothing overwrote it.
+            per_slot_stats = self._db.index_for(feature).last_batch_stats
+            # Stamp cached entries with the generation the call ran
+            # under — the worker serializes mutations, so this read
+            # cannot race a concurrent add/remove.
+            generation = self._db.generation(feature)
             for request, slot in zip(live, assignment):
-                trace = request.trace
-                if trace is not None and scatter is not None:
-                    for call in scatter.shard_calls:
-                        trace.add_span(
-                            "engine",
-                            call.start,
-                            call.duration_s,
-                            shard=call.shard,
-                            distance_computations=call.stats[
-                                slot
-                            ].distance_computations,
-                        )
-                    trace.add_span(
-                        "merge", scatter.merge_start, scatter.merge_duration_s
+                if request.trace is not None:
+                    request.trace.add_span(
+                        "engine",
+                        engine_start,
+                        engine_s,
+                        distance_computations=per_slot_stats[
+                            slot
+                        ].distance_computations,
                     )
                 respond_start = time.monotonic()
                 results = result_lists[slot]
@@ -157,7 +158,7 @@ class BatchWorker:
     ) -> tuple[list[Mutation], int]:
         """Gather the longest coalescible mutation run starting at ``position``.
 
-        A neighbour joins the run only when applying the merged engine
+        A neighbour joins the run only when applying the merged database
         call is observably identical to applying the members one by one:
 
         * same kind (adjacent adds, or adjacent removes — never mixed,
@@ -166,16 +167,16 @@ class BatchWorker:
           must fail only its future, so it breaks the run and applies —
           and fails — alone) and explicit/default naming is uniform
           (default names derive from allocated ids and cannot be mixed
-          into one engine call with explicit ones);
+          into one database call with explicit ones);
         * removes: every member's ids are live and disjoint from the
           ids already claimed by the run (an overlap or unknown id must
           fail exactly the member that would have failed serially, so
-          that member starts its own run and gets the engine's own
-          error).
+          that member starts its own run and gets the database's
+          own error).
 
         Returns the run and the position just past it.  The run is
         never empty; an unstageable head is returned alone, and
-        :meth:`apply_run` hands a run of one to the engine as the raw
+        :meth:`apply_run` hands a run of one to the database as the raw
         payload it arrived as.
         """
         head = batch[position]
@@ -193,7 +194,7 @@ class BatchWorker:
         return run, position
 
     def _stage(self, mutation: Mutation, head: Mutation, claimed: set[int]) -> bool:
-        """True when ``mutation`` may share ``head``'s engine call.
+        """True when ``mutation`` may share ``head``'s database call.
 
         Adds are pre-validated (the normalized matrices are kept on the
         ticket); removes must name only live ids the run has not
@@ -206,7 +207,7 @@ class BatchWorker:
                 return False
             if mutation.staged is None:
                 try:
-                    mutation.staged = self._engine.validate_add(
+                    mutation.staged = self._db.validate_signatures(
                         mutation.payload,  # type: ignore[arg-type]
                         labels=mutation.labels,
                         names=mutation.names,
@@ -218,7 +219,7 @@ class BatchWorker:
         assert isinstance(ids, list)
         if any(image_id in claimed for image_id in ids):
             return False
-        if not all(self._engine.has_id(image_id) for image_id in ids):
+        if not all(image_id in self._db.catalog for image_id in ids):
             return False
         claimed.update(ids)
         return True
@@ -226,23 +227,22 @@ class BatchWorker:
     def apply_run(self, run: list[Mutation]) -> None:
         """Journal + apply one mutation run as a single barrier.
 
-        One engine call covers every live member — one journal record
-        set, one group-fsync share, one generation bump — and the
+        One database call covers every live member — one journal
+        record, one group-fsync share, one generation bump — and the
         result ids are attributed back per future in arrival order
         (adds slice the allocated id range by each member's row count;
-        removes keep their own id lists).  ``sync=False`` leaves the
-        journal records buffered: acknowledgement is deferred to
-        :meth:`ack`'s group fsync.
+        removes keep their own id lists).  The record stays buffered:
+        acknowledgement is deferred to :meth:`ack`'s group fsync.
 
-        A run of one goes to the engine as the raw payload it arrived
-        as, so a malformed add or an unknown id gets the engine's own
+        A run of one goes to the database as the raw payload it arrived
+        as, so a malformed add or an unknown id gets the database's own
         validation error and fails only that future — nothing was
-        journaled or applied for it (the engine writes the record only
-        after validation, and aborts it if the apply itself fails).  A
-        longer run only contains members that would each have succeeded
-        serially (see :meth:`collect_run`), so a failure there is
-        environmental (e.g. a journal write error), would have hit the
-        serial path too, and fails every member.
+        journaled or applied for it (the record is written only after
+        validation, and an abort mark follows it if the apply itself
+        fails).  A longer run only contains members that would each
+        have succeeded serially (see :meth:`collect_run`), so a failure
+        there is environmental (e.g. a journal write error), would have
+        hit the serial path too, and fails every member.
         """
         live = [
             mutation
@@ -258,21 +258,19 @@ class BatchWorker:
         if head.kind == "save":
             self._save(head)
             return
+        self._append_span = None
         try:
             if head.kind == "add":
                 id_slices = self._add(live)
             else:
                 id_slices = [list(mutation.payload) for mutation in live]  # type: ignore[call-overload]
-                self._engine.remove(
-                    [image_id for ids in id_slices for image_id in ids], sync=False
-                )
+                self._remove([image_id for ids in id_slices for image_id in ids])
         except Exception as error:
             self._fail(live, error)
             return
-        # The append happened inside the engine call; splitting it out
-        # keeps the spans non-overlapping (apply = what remains of the
-        # engine call after the journal write).
-        append = self._engine.last_journal_append
+        # Splitting the journal append out keeps the spans
+        # non-overlapping (apply = what remains after the append).
+        append = self._append_span
         apply_end = time.monotonic()
         for mutation in live:
             trace = mutation.trace
@@ -291,13 +289,7 @@ class BatchWorker:
         """One ``add_vectors`` call for the run; allocated ids per member."""
         head = live[0]
         if len(live) == 1:
-            ids = self._engine.add_vectors(
-                head.payload,  # type: ignore[arg-type]
-                labels=head.labels,
-                names=head.names,
-                sync=False,
-            )
-            return [ids]
+            return [self._apply_add(head.payload, head.labels, head.names)]  # type: ignore[arg-type]
         staged = [mutation.staged for mutation in live]
         assert all(entry is not None for entry in staged)
         counts = [n_rows for _matrices, n_rows in staged]  # type: ignore[misc]
@@ -315,9 +307,79 @@ class BatchWorker:
             labels = []
             for mutation, n_rows in zip(live, counts):
                 labels.extend(mutation.labels or [None] * n_rows)
-        ids = self._engine.add_vectors(merged, labels=labels, names=names, sync=False)
+        ids = self._apply_add(merged, labels, names)
         bounds = np.cumsum([0] + counts)
         return [ids[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+    def _apply_add(
+        self,
+        signatures: Mapping[str, np.ndarray] | np.ndarray,
+        labels: Sequence[str | None] | None,
+        names: Sequence[str] | None,
+    ) -> list[int]:
+        """Validate → journal → apply one add; record its delta per feature.
+
+        The ids are allocated before the journal write, so the record
+        names exactly the ids the apply then inserts.
+        """
+        matrices, n_rows = self._db.validate_signatures(
+            signatures, labels=labels, names=names
+        )
+        first = self._db.next_image_id()
+        ids = list(range(first, first + n_rows))
+        seq = None
+        if self._journal is not None and ids:
+            seq = self._journal.next_seq()
+            self._log(JournalRecord.add(seq, ids, matrices, labels, names))
+        try:
+            self._db.add_vectors(matrices, labels=labels, names=names, ids=ids)
+        except Exception:
+            self._abort(seq)
+            raise
+        # Record *after* applying: a lookup racing this window sees the
+        # new generation without its delta and safely invalidates.
+        for feature, matrix in matrices.items():
+            self._deltas.record_add(
+                feature, self._db.generation(feature), ids, matrix
+            )
+        return ids
+
+    def _remove(self, image_ids: list[int]) -> None:
+        """Validate → journal → apply one remove; record its delta."""
+        if not image_ids:
+            return
+        for image_id in image_ids:
+            self._db.catalog.get(image_id)  # raises CatalogError when unknown
+        seq = None
+        if self._journal is not None:
+            seq = self._journal.next_seq()
+            self._log(JournalRecord.remove(seq, image_ids))
+        try:
+            self._db.remove(image_ids)
+        except Exception:
+            self._abort(seq)
+            raise
+        for feature in self._db.schema.names:
+            self._deltas.record_remove(
+                feature, self._db.generation(feature), image_ids
+            )
+
+    def _log(self, record: JournalRecord) -> None:
+        """Append ``record`` (buffered) and time the append."""
+        assert self._journal is not None
+        started = time.monotonic()
+        self._journal.append(record)
+        self._append_span = (started, time.monotonic() - started)
+
+    def _abort(self, seq: int | None) -> None:
+        """Mark a journaled-but-unapplied mutation aborted (best effort)."""
+        if seq is None:
+            return
+        assert self._journal is not None
+        try:
+            self._journal.append(JournalRecord.abort(seq))
+        except Exception:  # pragma: no cover - the original error matters more
+            pass
 
     def ack(self, *, sync: bool = True) -> None:
         """Resolve the applied-but-unacknowledged mutations' futures.
@@ -337,16 +399,15 @@ class BatchWorker:
         if not pending:
             return
         fsync = None
-        if sync:
+        if sync and self._journal is not None:
             fsync_start = time.monotonic()
             try:
-                self._engine.sync_journal()
+                self._journal.sync()
             except Exception as error:
                 self._fail((mutation for mutation, _ids in pending), error)
                 return
-            if self._journal is not None:
-                fsync = (fsync_start, time.monotonic() - fsync_start)
-        generations = self._engine.generations()
+            fsync = (fsync_start, time.monotonic() - fsync_start)
+        generations = self._db.generations()
         for mutation, ids in pending:
             if mutation.trace is not None and fsync is not None:
                 # One group fsync covered every pending mutation; each
@@ -367,8 +428,8 @@ class BatchWorker:
         On success the fresh snapshot *is* the durability of every
         pending mutation, so they are acknowledged without an extra
         fsync.  On failure the pending mutations still get their normal
-        group fsync (the journals are untouched until the manifest
-        flip) and only the save future carries the error.
+        group fsync (the journal is untouched until the manifest flip)
+        and only the save future carries the error.
         """
         compact_start = time.monotonic()
         try:
@@ -377,7 +438,7 @@ class BatchWorker:
                     "no journal configured; construct the scheduler with "
                     "journal= (repro serve --journal DIR) to enable snapshots"
                 )
-            compact(self._journal, self._engine.merged_database())
+            compact(self._journal, self._db)
         except Exception as error:
             self.ack()
             save.fail(self._ledger, error)
@@ -391,6 +452,6 @@ class BatchWorker:
             self._ledger,
             "save",
             [],
-            self._engine.generations(),
+            self._db.generations(),
             respond_start=time.monotonic(),
         )

@@ -212,9 +212,9 @@ def assert_states_match(recovered, oracle, dim: int = 6, seed: int = 99) -> None
 
 
 # ---------------------------------------------------------------------------
-# Subprocess child mode (python -m tests.faults ROOT CRASH_AT N_SHARDS [BACKEND])
+# Subprocess child mode (python -m tests.faults ROOT CRASH_AT [BACKEND])
 # ---------------------------------------------------------------------------
-def _child(root: str, crash_at: int, n_shards: int, backend: str | None = None) -> int:
+def _child(root: str, crash_at: int, backend: str | None = None) -> int:
     """Run the scripted workload against ``root``, dying at ``crash_at``.
 
     Prints one flushed ``ACK <step-index>`` line per acknowledged
@@ -246,21 +246,18 @@ def _child(root: str, crash_at: int, n_shards: int, backend: str | None = None) 
         # journal, so its page/header/flush calls join the boundary count.
         backend_factory = resolve_backend_factory(backend, fs=fs)
         index_factory = LinearScanIndex
-    db, journal_set, _report = open_serving_root(
+    db, journal, _report = open_serving_root(
         Path(root),
         seed_database(backend=backend_factory, index_factory=index_factory),
-        n_shards=n_shards,
         fs=fs,
     )
-    scheduler = QueryScheduler(
-        db, shards=n_shards, journal=journal_set, max_wait_ms=0.0, cache_size=0
-    )
     if backend is not None:
-        # Build the cores up front (per shard view — the engine's live
-        # item set): the scripted mutations must hit the backend's
-        # append/take path, not a lazy rebuild at query time.
-        for shard in scheduler.engine.shards:
-            shard.build_indexes()
+        # Build the cores up front: the scripted mutations must hit the
+        # backend's append/take path, not a lazy rebuild at query time.
+        db.build_indexes()
+    scheduler = QueryScheduler(
+        db, journal=journal, max_wait_ms=0.0, cache_size=0
+    )
     for index, (kind, payload) in enumerate(workload_steps()):
         if kind == "add":
             future = scheduler.submit_add(payload)
@@ -276,14 +273,14 @@ def _child(root: str, crash_at: int, n_shards: int, backend: str | None = None) 
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) not in (3, 4):
+    if len(argv) not in (2, 3):
         print(
-            "usage: python -m tests.faults ROOT CRASH_AT N_SHARDS [BACKEND]",
+            "usage: python -m tests.faults ROOT CRASH_AT [BACKEND]",
             file=sys.stderr,
         )
         return 2
-    backend = argv[3] if len(argv) == 4 else None
-    return _child(argv[0], int(argv[1]), int(argv[2]), backend)
+    backend = argv[2] if len(argv) == 3 else None
+    return _child(argv[0], int(argv[1]), backend)
 
 
 if __name__ == "__main__":

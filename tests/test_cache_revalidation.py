@@ -2,7 +2,7 @@
 
 ISSUE 9 tentpole (c): a generation-mismatched cache entry is no longer
 evicted unconditionally — the scheduler first tries to *prove* it
-unchanged from the engine's bounded mutation delta log (every inserted
+unchanged from the scheduler's bounded mutation delta log (every inserted
 item strictly after the kth result under ``(distance, id)``, no cached
 result id removed; range: no insert inside the closed ball).  These
 tests drive the adversarial boundaries:
@@ -15,7 +15,6 @@ tests drive the adversarial boundaries:
   removed — revalidates;
 * range inserts exactly on the closed ball boundary — must invalidate
   (``distance <= radius`` is reported);
-* sharded tuple stamps — per-shard generation movement, same proofs;
 * delta-window overflow / unknown ranges — must refuse to prove
   (``None`` → invalidate), never guess;
 * a randomized end-to-end stream where **every** served result is
@@ -187,69 +186,6 @@ class TestRangeRevalidationBoundaries:
         assert _pairs(served.results) == _pairs(db.range_query(query, 3.0))
 
 
-class TestShardedTupleStamps:
-    def test_single_shard_mutation_revalidates_under_tuple_stamps(self, rng):
-        db = _make_db([_axis_vector(0, float(i)) for i in range(1, 6)])
-        scheduler = QueryScheduler(db, max_batch=4, shards=2)
-        try:
-            query = np.zeros(DIM)
-            first = scheduler.submit_query(query, 3).result(timeout=10)
-            before = scheduler.generations()["sig"]
-            assert isinstance(before, tuple) and len(before) == 2
-
-            # One far insert routes to exactly one shard: the tuple stamp
-            # moves in one slot, and the proof must still succeed.
-            scheduler.submit_add(_axis_vector(1, 50.0)[None, :]).result(
-                timeout=10
-            )
-            after = scheduler.generations()["sig"]
-            assert sum(a != b for a, b in zip(before, after)) == 1
-
-            served = scheduler.submit_query(query, 3).result(timeout=10)
-            assert served.cache_hit
-            assert scheduler.cache.revalidations == 1
-            assert _pairs(served.results) == _pairs(first.results)
-        finally:
-            scheduler.close()
-
-    def test_near_insert_invalidates_under_tuple_stamps(self):
-        db = _make_db([_axis_vector(0, float(i)) for i in range(1, 6)])
-        scheduler = QueryScheduler(db, max_batch=4, shards=2)
-        try:
-            query = np.zeros(DIM)
-            scheduler.submit_query(query, 3).result(timeout=10)
-            added = scheduler.submit_add(
-                _axis_vector(1, 0.5)[None, :]
-            ).result(timeout=10)
-            served = scheduler.submit_query(query, 3).result(timeout=10)
-            assert not served.cache_hit
-            assert scheduler.cache.invalidations == 1
-            assert _pairs(served.results)[0] == (added.ids[0], 0.5)
-        finally:
-            scheduler.close()
-
-    def test_mutations_on_both_shards_still_prove(self):
-        db = _make_db([_axis_vector(0, float(i)) for i in range(1, 6)])
-        scheduler = QueryScheduler(db, max_batch=4, shards=2)
-        try:
-            query = np.zeros(DIM)
-            first = scheduler.submit_query(query, 3).result(timeout=10)
-            # Two single-row adds land on different shards (sequential
-            # ids, modulo routing): both tuple slots move.
-            scheduler.submit_add(_axis_vector(1, 40.0)[None, :]).result(
-                timeout=10
-            )
-            scheduler.submit_add(_axis_vector(2, 41.0)[None, :]).result(
-                timeout=10
-            )
-            served = scheduler.submit_query(query, 3).result(timeout=10)
-            assert served.cache_hit
-            assert scheduler.cache.revalidations == 1
-            assert _pairs(served.results) == _pairs(first.results)
-        finally:
-            scheduler.close()
-
-
 class TestDeltaLogBounds:
     def test_between_refuses_ranges_outside_window(self):
         log = MutationDeltaLog(window=3)
@@ -262,13 +198,12 @@ class TestDeltaLogBounds:
         assert log.between("key", 7, 7) is None  # non-advancing
         assert log.between("key", 7, 5) is None
         assert log.between("missing", 4, 5) is None
-        assert log.between("key", (1,), (2,)) is None  # non-int stamps
 
     def test_window_overflow_degrades_to_invalidation(self):
         db = _make_db([_axis_vector(0, float(i)) for i in range(1, 6)])
         scheduler = QueryScheduler(db, max_batch=4)
         try:
-            window = scheduler.engine.delta_log.window
+            window = scheduler.delta_log.window
             query = np.zeros(DIM)
             scheduler.submit_query(query, 3).result(timeout=10)
             # Push the entry's generation past the retained window with

@@ -192,14 +192,11 @@ class TestRecoverCommand:
 
         db = ImageDatabase.load(built_db, _make_schema(32))
         root = tmp_path / "root"
-        db, journals, _ = open_serving_root(root, db)
+        db, journal, _ = open_serving_root(root, db)
         victim = sorted(db.catalog.ids)[0]
         db.remove([victim])
-        seq = journals.next_seq()
-        journals.append_records(
-            {0: JournalRecord.remove(seq, [victim])}, sync=True
-        )
-        journals.close()
+        journal.append(JournalRecord.remove(journal.next_seq(), [victim]), sync=True)
+        journal.close()
         return root, victim, len(db)
 
     def test_recover_prints_replay_summary(self, durable_root, capsys):
@@ -234,7 +231,7 @@ class TestRecoverCommand:
         assert victim not in loaded.catalog.ids
 
     def test_recover_compact_folds_and_resets(self, durable_root, capsys):
-        from repro.db.journal import Journal, JournalSet
+        from repro.db.journal import JOURNAL_FILE, Journal
 
         root, _victim, _n_items = durable_root
         code = main(
@@ -242,8 +239,7 @@ class TestRecoverCommand:
         )
         assert code == 0
         assert "compacted into snap-" in capsys.readouterr().out
-        for path in JournalSet.existing_paths(root):
-            assert not Journal.scan(path).records
+        assert not Journal.scan(root / JOURNAL_FILE).records
         # A second recover replays nothing: the remove is in the snapshot.
         code = main(["--working-size", "32", "recover", "--journal", str(root)])
         assert code == 0
@@ -260,11 +256,24 @@ class TestRecoverCommand:
         db = ImageDatabase(FeatureSchema([PresetSignature(6)]))
         db.add_vectors(rng.random((4, 6)))
         root = tmp_path / "alien-root"
-        _db, journals, _ = open_serving_root(root, db)
-        journals.close()
+        _db, journal, _ = open_serving_root(root, db)
+        journal.close()
         code = main(["--working-size", "32", "recover", "--journal", str(root)])
         assert code == 1
         assert "fingerprint" in capsys.readouterr().err
+
+    def test_recover_compact_refuses_multi_shard_root(self, durable_root, capsys):
+        # wal-001.log marks a root an earlier multi-shard server wrote:
+        # refused, and nothing under the root is compacted or deleted.
+        root, _victim, _n_items = durable_root
+        (root / "wal-001.log").write_bytes(b"")
+        before = sorted(path.name for path in root.rglob("*"))
+        code = main(
+            ["--working-size", "32", "recover", "--journal", str(root), "--compact"]
+        )
+        assert code == 1
+        assert "wal-001.log" in capsys.readouterr().err
+        assert sorted(path.name for path in root.rglob("*")) == before
 
     def test_recover_help_points_at_docs(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

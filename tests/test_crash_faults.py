@@ -40,8 +40,11 @@ import pytest
 from repro.db.fsutil import FileSystem
 from repro.db.recovery import open_serving_root, recover
 from repro.errors import ServeError, ShuttingDownError
+from repro.serve.cache import MutationDeltaLog, ResultCache
+from repro.serve.ledger import ServiceLedger
 from repro.serve.scheduler import QueryScheduler
-from repro.serve.shard import ShardedEngine
+from repro.serve.ticket import Mutation
+from repro.serve.worker import BatchWorker
 
 from tests import faults
 from tests.faults import CountingFS, FaultFS, InjectedCrash
@@ -96,13 +99,13 @@ def _assert_acked_prefix_survived(root, acked: int) -> None:
     )
 
 
-def _run_workload(
-    root: Path, fs: FileSystem, n_shards: int, backend: str | None = None
-) -> int:
-    """Drive the scripted workload through a journaled engine.
+def _run_workload(root: Path, fs: FileSystem, backend: str | None = None) -> int:
+    """Drive the scripted workload through the serving write path.
 
-    Returns how many steps were *acknowledged* (the engine call —
-    journal append + apply + fsync — returned).  An
+    Each step is one mutation run of the scheduler's
+    :class:`~repro.serve.worker.BatchWorker` — journal append + apply —
+    followed by its group fsync, called on this thread.  Returns how
+    many steps were *acknowledged* (the future resolved).  An
     :class:`InjectedCrash` propagates to the caller, exactly like a
     power cut would end the process.
 
@@ -119,32 +122,30 @@ def _run_workload(
 
         backend_factory = resolve_backend_factory(backend, fs=fs)
         index_factory = LinearScanIndex
-    db, journal_set, _ = open_serving_root(
+    db, journal, _ = open_serving_root(
         root,
         faults.seed_database(backend=backend_factory, index_factory=index_factory),
-        n_shards=n_shards,
         fs=fs,
     )
-    engine = ShardedEngine(db, n_shards, journal=journal_set)
     if backend is not None:
-        for shard in engine.shards:
-            shard.build_indexes()
+        db.build_indexes()
+    worker = BatchWorker(
+        db, ResultCache(0), MutationDeltaLog(), journal, ServiceLedger(0, None)
+    )
     acked = 0
     for kind, payload in faults.workload_steps():
-        if kind == "add":
-            engine.add_vectors(payload)
-        else:
-            engine.remove(payload)
+        mutation = Mutation(kind, payload)
+        worker.apply_run([mutation])
+        worker.ack()
+        mutation.future.result(timeout=0)  # re-raises a failed step
         acked += 1
-    engine.close()
+    journal.close()
     return acked
 
 
-def _count_boundaries(
-    tmp_path: Path, n_shards: int, backend: str | None = None
-) -> int:
+def _count_boundaries(tmp_path: Path, backend: str | None = None) -> int:
     fs = CountingFS()
-    acked = _run_workload(tmp_path / "calibrate", fs, n_shards, backend)
+    acked = _run_workload(tmp_path / "calibrate", fs, backend)
     assert acked == len(faults.workload_steps())
     return fs.count
 
@@ -152,15 +153,14 @@ def _count_boundaries(
 class TestInProcessSweep:
     """Exhaustive: crash before every single boundary, in-process."""
 
-    @pytest.mark.parametrize("n_shards", [1, 2])
-    def test_every_boundary_preserves_acked_writes(self, tmp_path, n_shards):
-        total = _count_boundaries(tmp_path, n_shards)
+    def test_every_boundary_preserves_acked_writes(self, tmp_path):
+        total = _count_boundaries(tmp_path)
         assert total > 20  # the workload crosses plenty of boundaries
         for crash_at in range(total):
-            root = tmp_path / f"crash-{n_shards}-{crash_at}"
+            root = tmp_path / f"crash-{crash_at}"
             acked = 0
             try:
-                acked = _run_workload(root, FaultFS(crash_at), n_shards)
+                acked = _run_workload(root, FaultFS(crash_at))
             except InjectedCrash:
                 pass
             else:
@@ -168,7 +168,7 @@ class TestInProcessSweep:
             _assert_acked_prefix_survived(root, acked)
 
     def test_crash_free_run_acks_everything(self, tmp_path):
-        acked = _run_workload(tmp_path / "clean", FileSystem(), 1)
+        acked = _run_workload(tmp_path / "clean", FileSystem())
         assert acked == len(faults.workload_steps())
         _assert_acked_prefix_survived(tmp_path / "clean", acked)
 
@@ -186,11 +186,10 @@ class TestMmapBackendSweep:
     window.)
     """
 
-    @pytest.mark.parametrize("n_shards", [1, 2])
-    def test_boundaries_preserve_acked_writes(self, tmp_path, n_shards):
+    def test_boundaries_preserve_acked_writes(self, tmp_path):
         spec = f"mmap:{tmp_path / 'cal-cores'}"
-        total = _count_boundaries(tmp_path, n_shards, spec)
-        baseline = _count_boundaries(tmp_path / "mem", n_shards)
+        total = _count_boundaries(tmp_path, spec)
+        baseline = _count_boundaries(tmp_path / "mem")
         assert total > baseline  # the backend write path joined the count
         if EXHAUSTIVE:
             points = list(range(total))
@@ -200,11 +199,11 @@ class TestMmapBackendSweep:
                  (5 * total) // 6, total - 2, total - 1}
             )
         for crash_at in points:
-            root = tmp_path / f"crash-{n_shards}-{crash_at}"
-            backend = f"mmap:{tmp_path / f'cores-{n_shards}-{crash_at}'}"
+            root = tmp_path / f"crash-{crash_at}"
+            backend = f"mmap:{tmp_path / f'cores-{crash_at}'}"
             acked = 0
             try:
-                acked = _run_workload(root, FaultFS(crash_at), n_shards, backend)
+                acked = _run_workload(root, FaultFS(crash_at), backend)
             except InjectedCrash:
                 pass
             else:
@@ -218,12 +217,12 @@ class TestMmapBackendSweep:
         from repro.index.linear import LinearScanIndex
 
         spec = f"mmap:{tmp_path / 'cal-cores'}"
-        total = _count_boundaries(tmp_path, 1, spec)
+        total = _count_boundaries(tmp_path, spec)
         root = tmp_path / "root"
         backend = f"mmap:{tmp_path / 'crash-cores'}"
         acked = 0
         try:
-            acked = _run_workload(root, FaultFS(total // 2), 1, backend)
+            acked = _run_workload(root, FaultFS(total // 2), backend)
         except InjectedCrash:
             pass
         recovered, _report = recover(
@@ -243,13 +242,13 @@ class TestSubprocessKill9:
     """The honest crash: ``os._exit(137)`` in a child process."""
 
     @staticmethod
-    def _spawn(root: Path, crash_at: int, n_shards: int, backend: str | None = None):
+    def _spawn(root: Path, crash_at: int, backend: str | None = None):
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parent.parent / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         argv = [
             sys.executable, "-m", "tests.faults",
-            str(root), str(crash_at), str(n_shards),
+            str(root), str(crash_at),
         ]
         if backend is not None:
             argv.append(backend)
@@ -267,9 +266,8 @@ class TestSubprocessKill9:
         acks = [line for line in stdout.splitlines() if line.startswith("ACK ")]
         return len(acks)
 
-    @pytest.mark.parametrize("n_shards", [1, 2])
-    def test_kill9_at_injected_boundaries(self, tmp_path, n_shards):
-        calibration = self._spawn(tmp_path / "cal", -1, n_shards)
+    def test_kill9_at_injected_boundaries(self, tmp_path):
+        calibration = self._spawn(tmp_path / "cal", -1)
         assert calibration.returncode == 0, calibration.stderr
         total = int(calibration.stdout.split("DONE ")[1])
         if EXHAUSTIVE:
@@ -282,7 +280,7 @@ class TestSubprocessKill9:
             )
         for crash_at in points:
             root = tmp_path / f"kill-{crash_at}"
-            child = self._spawn(root, crash_at, n_shards)
+            child = self._spawn(root, crash_at)
             assert child.returncode == 137, (
                 f"boundary {crash_at}/{total}: expected kill-style exit, got "
                 f"{child.returncode}\n{child.stderr}"
@@ -294,7 +292,7 @@ class TestSubprocessKill9:
         """kill -9 with index cores on the mmap backend: zero
         acknowledged writes lost, recovery replays to oracle state."""
         calibration = self._spawn(
-            tmp_path / "cal", -1, 1, backend=f"mmap:{tmp_path / 'cal-cores'}"
+            tmp_path / "cal", -1, backend=f"mmap:{tmp_path / 'cal-cores'}"
         )
         assert calibration.returncode == 0, calibration.stderr
         total = int(calibration.stdout.split("DONE ")[1])
@@ -302,7 +300,7 @@ class TestSubprocessKill9:
         for crash_at in points:
             root = tmp_path / f"kill-{crash_at}"
             child = self._spawn(
-                root, crash_at, 1, backend=f"mmap:{tmp_path / f'cores-{crash_at}'}"
+                root, crash_at, backend=f"mmap:{tmp_path / f'cores-{crash_at}'}"
             )
             assert child.returncode == 137, (
                 f"boundary {crash_at}/{total}: expected kill-style exit, got "
@@ -313,17 +311,15 @@ class TestSubprocessKill9:
 
     def test_restart_after_kill9_serves_identically(self, tmp_path):
         """Kill mid-workload, restart, and compare live query answers."""
-        calibration = self._spawn(tmp_path / "cal", -1, 1)
+        calibration = self._spawn(tmp_path / "cal", -1)
         total = int(calibration.stdout.split("DONE ")[1])
         root = tmp_path / "root"
-        child = self._spawn(root, (3 * total) // 4, 1)
+        child = self._spawn(root, (3 * total) // 4)
         assert child.returncode == 137
         acked = self._acked_steps(child.stdout)
-        db, journal_set, report = open_serving_root(
-            root, faults.seed_database(), n_shards=1
-        )
+        db, journal, report = open_serving_root(root, faults.seed_database())
         assert report is not None
-        with QueryScheduler(db, journal=journal_set, max_wait_ms=0.0) as scheduler:
+        with QueryScheduler(db, journal=journal, max_wait_ms=0.0) as scheduler:
             n_steps = len(faults.workload_steps())
             oracles = [_oracle(m) for m in range(acked, n_steps + 1)]
             matches = [o for o in oracles if _states_match(db, o)]
@@ -356,33 +352,23 @@ class _FailingFsyncFS(FileSystem):
 class TestJournaledScheduler:
     """The serving stack end-to-end against a durable root."""
 
-    def _open(self, tmp_path, n_shards: int = 1, fs: FileSystem | None = None):
+    def _open(self, tmp_path, fs: FileSystem | None = None):
         return open_serving_root(
-            tmp_path / "root",
-            faults.seed_database(),
-            n_shards=n_shards,
-            fs=fs or FileSystem(),
+            tmp_path / "root", faults.seed_database(), fs=fs or FileSystem()
         )
 
     @pytest.mark.parametrize("staged_adds", [1, 3], ids=["serial", "coalesced"])
-    @pytest.mark.parametrize("n_shards", [1, 2])
-    def test_acked_mutations_survive_restart(
-        self, tmp_path, rng, n_shards, staged_adds
-    ):
-        db, journal_set, _ = self._open(tmp_path, n_shards)
+    def test_acked_mutations_survive_restart(self, tmp_path, rng, staged_adds):
+        db, journal, _ = self._open(tmp_path)
         # Entering a scheduler as a context manager starts it; staging
         # needs the worker parked until every add is queued.
         scheduler = QueryScheduler(
-            db,
-            shards=n_shards,
-            journal=journal_set,
-            max_wait_ms=0.0,
-            autostart=False,
+            db, journal=journal, max_wait_ms=0.0, autostart=False
         )
         try:
             # Adds staged while the worker is parked drain as one formed
-            # batch and coalesce into one engine call and one record
-            # group; each is still acknowledged, and owed, on its own.
+            # batch and coalesce into one database call and one record;
+            # each is still acknowledged, and owed, on its own.
             blocks = rng.random((staged_adds, 3, 6))
             futures = [
                 scheduler.submit_add(block, labels=["a", "b", "c"])
@@ -394,12 +380,11 @@ class TestJournaledScheduler:
             scheduler.submit_remove([added.ids[1]]).result(timeout=10)
             assert scheduler.stats().coalesced_mutations == staged_adds - 1
             info = scheduler.journal_info()
-            # One add group + one remove, however many mutations were
-            # acknowledged; the add group fans out to one record per
-            # home shard, so the record count grows with n_shards.
+            # One add record + one remove, however many mutations were
+            # acknowledged.
             n_records = info["records"]
-            assert 2 <= n_records <= n_shards + 1
-            assert 2 <= info["syncs"] <= n_records
+            assert n_records == 2
+            assert info["syncs"] == 2
         finally:
             scheduler.close()
         recovered, report = recover(tmp_path / "root", faults.make_schema())
@@ -503,7 +488,7 @@ class TestGracefulShutdown:
         """drain=False: each future resolves *or* fails ShuttingDown —
         and whatever was acknowledged is on disk afterwards."""
         db, journal_set, _ = open_serving_root(
-            tmp_path / "root", faults.seed_database(), n_shards=1
+            tmp_path / "root", faults.seed_database()
         )
         scheduler = QueryScheduler(
             db, journal=journal_set, max_wait_ms=50.0, max_batch=2
@@ -524,7 +509,7 @@ class TestGracefulShutdown:
 
     def test_draining_close_serves_everything(self, tmp_path, rng):
         db, journal_set, _ = open_serving_root(
-            tmp_path / "root", faults.seed_database(), n_shards=1
+            tmp_path / "root", faults.seed_database()
         )
         scheduler = QueryScheduler(
             db, journal=journal_set, max_wait_ms=5.0, max_batch=4
@@ -544,7 +529,7 @@ class TestJournaledHTTP:
         from repro.serve.http import QueryServer
 
         db, journal_set, _ = open_serving_root(
-            tmp_path / "root", faults.seed_database(), n_shards=1
+            tmp_path / "root", faults.seed_database()
         )
         server = QueryServer(
             db, port=0, journal=journal_set, max_wait_ms=0.0

@@ -319,12 +319,9 @@ def _assert_reads_match(db, truth, directory):
     live = db.catalog.ids
     db.save(directory)
     loaded = ImageDatabase.load(directory, db.schema)
-    merged = ImageDatabase.from_views(
-        [db.shard_view(live[0::2]), db.shard_view(live[1::2])]
-    )
     for feature in db.schema.names:
         expected = np.stack([truth[feature][image_id] for image_id in live])
-        for source in (db, loaded, merged):
+        for source in (db, loaded):
             ids, matrix = source.feature_matrix(feature)
             assert ids == live
             assert matrix.tobytes() == expected.tobytes()
@@ -450,8 +447,7 @@ class TestRowOwnership:
 
 
 def test_by_id_reads_before_the_first_build_do_not_rescan_the_ids(monkeypatch):
-    """``vector_of`` / ``shard_view`` on a feature still waiting for its
-    build used to rebuild a dict over *all* waiting ids per call.  The
+    """``vector_of`` on a feature still waiting for its build used to rebuild a dict over *all* waiting ids per call.  The
     waiting rows now keep one id -> row map: reading by id never sorts
     or scans the id column again, however many reads there are, and a
     wholesale in-order read borrows the buffer instead of gathering."""
@@ -474,8 +470,6 @@ def test_by_id_reads_before_the_first_build_do_not_rescan_the_ids(monkeypatch):
     )
     for image_id in range(0, n, 7):
         assert db.vector_of(feature, image_id).tobytes() == rows[n - 1 - image_id].tobytes()
-    view = db.shard_view([5, 1, 2000])
-    assert view.vector_of(feature, 2000).tobytes() == rows[n - 1 - 2000].tobytes()
     assert waiting._row_of is held  # one map, kept
     assert sum(sorts) <= 1  # ... whose sorter was built at most once
 

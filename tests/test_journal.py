@@ -3,8 +3,8 @@
 The codec and file format are the foundation of the durability
 contract: these tests pin the record round trip bit-for-bit, the
 torn-tail semantics (stop at the first bad CRC, truncate on reopen,
-never replay), the fingerprint gate, and the shared-sequence bookkeeping
-of :class:`JournalSet`.
+never replay), the fingerprint gate, and the group-commit bookkeeping
+of :class:`Journal`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.db.journal import (
     FORMAT_VERSION,
     Journal,
     JournalRecord,
-    JournalSet,
     decode_payload,
     encode_record,
     fingerprint_of,
@@ -163,68 +162,40 @@ class TestJournalFile:
         path = tmp_path / "wal.log"
         journal = Journal.create(path, FP)
         journal.append(JournalRecord.remove(0, [1]), sync=True)
-        journal.reset(FP)
+        journal.reset()
         journal.append(JournalRecord.remove(5, [2]), sync=True)
         journal.close()
         scan = Journal.scan(path)
         assert [r.seq for r in scan.records] == [5]  # pre-reset record gone
 
 
-class TestJournalSet:
-    def test_shared_sequence_across_shards(self, tmp_path, rng):
-        journals = JournalSet(tmp_path, FP, n_shards=2)
-        journals.reset()
-        seq0 = journals.next_seq()
-        journals.append_records(
-            {
-                0: JournalRecord.add(
-                    seq0, [0], {"sig": rng.random((1, 4))}, None, None
-                ),
-                1: JournalRecord.add(
-                    seq0, [1], {"sig": rng.random((1, 4))}, None, None
-                ),
-            },
-            sync=True,
-        )
-        seq1 = journals.next_seq()
-        journals.append_records(
-            {1: JournalRecord.remove(seq1, [1])}, sync=True
-        )
-        journals.close()
-        scanned = {
-            path.name: Journal.scan(path).records
-            for path in JournalSet.existing_paths(tmp_path)
-        }
-        assert [r.seq for r in scanned["wal-000.log"]] == [seq0]
-        assert [r.seq for r in scanned["wal-001.log"]] == [seq0, seq1]
-        assert seq1 == seq0 + 1
-
-    def test_sync_only_touches_dirty_files(self, tmp_path):
-        journals = JournalSet(tmp_path, FP, n_shards=3)
-        journals.reset()
-        journals.append_records({1: JournalRecord.remove(0, [1])})
-        journals.sync()
-        n_syncs = [j.n_syncs for j in journals.journals]
-        assert n_syncs == [0, 1, 0]
-        journals.close()
+class TestGroupCommit:
+    def test_sync_without_appends_does_not_fsync(self, tmp_path):
+        journal = Journal.create(tmp_path / "wal.log", FP)
+        assert journal.sync() == 0.0
+        assert journal.n_syncs == 0
+        journal.append(JournalRecord.remove(0, [1]))
+        journal.sync()
+        journal.sync()
+        assert journal.n_syncs == 1
+        journal.close()
 
     def test_on_fsync_observer_fires_per_group_commit(self, tmp_path):
-        journals = JournalSet(tmp_path, FP, n_shards=1)
-        journals.reset()
+        journal = Journal.create(tmp_path / "wal.log", FP)
         observed: list[float] = []
-        journals.on_fsync = observed.append
-        journals.append_records({0: JournalRecord.remove(0, [1])})
-        journals.append_records({0: JournalRecord.remove(1, [2])})
-        journals.sync()
+        journal.on_fsync = observed.append
+        journal.append(JournalRecord.remove(0, [1]))
+        journal.append(JournalRecord.remove(1, [2]))
+        journal.sync()
         assert len(observed) == 1  # one group fsync for two appends
-        journals.close()
+        journal.close()
 
-    def test_reset_removes_stale_extra_shard_files(self, tmp_path):
-        wide = JournalSet(tmp_path, FP, n_shards=3)
-        wide.reset()
-        wide.close()
-        assert len(JournalSet.existing_paths(tmp_path)) == 3
-        narrow = JournalSet(tmp_path, FP, n_shards=2)
-        narrow.reset()
-        narrow.close()
-        assert len(JournalSet.existing_paths(tmp_path)) == 2
+    def test_bare_journal_writes_its_file_at_first_reset(self, tmp_path):
+        journal = Journal(tmp_path / "wal.log", FP)
+        assert not (tmp_path / "wal.log").exists()
+        with pytest.raises(JournalError, match="reset"):
+            journal.append(JournalRecord.remove(0, [1]))
+        journal.reset()
+        journal.append(JournalRecord.remove(0, [1]), sync=True)
+        journal.close()
+        assert [r.op for r in Journal.scan(tmp_path / "wal.log").records] == ["remove"]

@@ -110,10 +110,6 @@ class TestOneLedger:
         def total(prefix: str, *keys: str) -> float:
             return sum(flat.get(f"{prefix}{{{key}}}", 0.0) for key in keys)
 
-        def series(prefix: str) -> list[float]:
-            n = sum(name.startswith(prefix + "{") for name in flat)
-            return [flat[f"{prefix}{{{shard}}}"] for shard in range(n)]
-
         def mean(prefix: str) -> float:
             count = flat.get(prefix + "_count{}", 0.0)
             return flat.get(prefix + "_sum{}", 0.0) / count if count else 0.0
@@ -135,9 +131,6 @@ class TestOneLedger:
             "mean_group_size": mean("repro_group_size"),
             "dedup_hits": flat["repro_dedup_hits_total{}"],
             "coalesced_mutations": flat["repro_coalesced_mutations_total{}"],
-            "n_shards": flat["repro_shards{}"],
-            "shard_sizes": series("repro_shard_items"),
-            "shard_requests": series("repro_shard_requests"),
         }
         for field, outcome in [
             ("cache_hits", "hit"),

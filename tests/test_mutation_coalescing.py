@@ -2,8 +2,8 @@
 
 ISSUE 9 tentpole (b): the scheduler worker collapses adjacent
 ``submit_add`` runs (and adjacent ``submit_remove`` runs) in a formed
-batch into *one* engine call — one generation bump per feature, one
-journal record group, one fsync — while keeping per-future semantics
+batch into *one* database call — one generation bump per feature, one
+journal record, one fsync — while keeping per-future semantics
 bit-identical to serial application:
 
 * every future still resolves with exactly its own allocated /
@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.db.database import ImageDatabase
-from repro.db.journal import JournalSet
+from repro.db.journal import JOURNAL_FILE, Journal
 from repro.db.recovery import database_fingerprint
 from repro.errors import ServeError
 from repro.features.base import PresetSignature
@@ -89,8 +89,7 @@ class TestAdjacentAddsCoalesce:
 
     def test_coalesced_run_writes_one_journal_group(self, rng, tmp_path):
         db = _make_db(rng)
-        journal = JournalSet(tmp_path, database_fingerprint(db))
-        journal.reset()
+        journal = Journal.create(tmp_path / JOURNAL_FILE, database_fingerprint(db))
         scheduler = _staged_scheduler(db, journal=journal)
         try:
             futures = [
@@ -112,8 +111,7 @@ class TestAdjacentAddsCoalesce:
         # Control for the journal-group test: the same three adds
         # applied in separate formed batches cost three records.
         db = _make_db(rng)
-        journal = JournalSet(tmp_path, database_fingerprint(db))
-        journal.reset()
+        journal = Journal.create(tmp_path / JOURNAL_FILE, database_fingerprint(db))
         scheduler = QueryScheduler(db, journal=journal, max_wait_ms=0.5)
         try:
             for _ in range(3):
@@ -265,33 +263,11 @@ class TestRunBoundaries:
         finally:
             scheduler.close()
 
-
-class TestShardedCoalescing:
-    def test_coalesced_add_bumps_each_touched_shard_once(self, rng):
-        db = _make_db(rng)
-        scheduler = _staged_scheduler(db, shards=2)
-        try:
-            before = scheduler.generations()["sig"]
-            assert isinstance(before, tuple) and len(before) == 2
-            # Two 2-row adds: sequential ids split every block across
-            # both shards, so serially each shard would bump twice.
-            # Coalesced, the merged 4-row call bumps each shard once.
-            futures = [scheduler.submit_add(rng.random((2, DIM))) for _ in range(2)]
-            scheduler.start()
-            results = [f.result(timeout=10) for f in futures]
-            after = scheduler.generations()["sig"]
-            assert [a - b for a, b in zip(after, before)] == [1, 1]
-            assert scheduler.stats().coalesced_mutations == 1
-            all_ids = [i for r in results for i in r.ids]
-            assert len(set(all_ids)) == 4
-        finally:
-            scheduler.close()
-
     def test_final_state_parity_with_fresh_build(self, rng):
         # End-to-end oracle: a coalesced mutation stream must leave the
-        # engine bit-identical to a fresh build over the surviving rows.
+        # database bit-identical to a fresh build over the surviving rows.
         db = _make_db(rng)
-        scheduler = _staged_scheduler(db, shards=2)
+        scheduler = _staged_scheduler(db)
         seed_ids, seed_rows = db.feature_matrix("sig")
         table = {i: seed_rows[pos] for pos, i in enumerate(seed_ids)}
         try:

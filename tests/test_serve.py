@@ -12,23 +12,33 @@ The pinned guarantees (see ``repro/serve/scheduler.py``):
   the LRU, hit/miss counters are exact, and hits return the same
   results the engine produced;
 * **backpressure and lifecycle** — the bounded admission queue rejects
-  loudly, close() drains, submissions after close fail.
+  loudly, close() drains, submissions after close fail;
+* **liveness under pressure** — 16 clients against a deliberately slow
+  engine never deadlock, the admission queue stays bounded, and the
+  token-bucket limiter fails fast with
+  :class:`~repro.errors.RateLimitError` (HTTP 429), distinct from
+  queue-full.
 """
 
 import threading
+import time
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from repro.db.backend import MmapBackendFactory
 from repro.db.database import ImageDatabase
-from repro.errors import QueryError, ServeError
+from repro.errors import QueryError, RateLimitError, ServeError
 from repro.features.base import PresetSignature
 from repro.features.moments import ColorMoments
 from repro.features.pipeline import FeatureSchema
 from repro.image import synth
+from repro.index.linear import LinearScanIndex
 from repro.serve.cache import ResultCache
-from repro.serve.scheduler import QueryScheduler, ServedResult
+from repro.serve.client import ServiceClient
+from repro.serve.http import QueryServer
+from repro.serve.scheduler import QueryScheduler, ServedResult, TokenBucket
 from repro.serve.stats import LatencyWindow, ServiceStats
 
 _DIM = 8
@@ -42,6 +52,26 @@ def vector_db(rng):
     db.add_vectors(rng.random((_N, _DIM)))
     db.build_indexes()
     return db
+
+
+def _make_db(vectors, *, linear=False, backend=None):
+    factory = (lambda metric: LinearScanIndex(metric)) if linear else None
+    db = ImageDatabase(
+        FeatureSchema([PresetSignature(_DIM, "sig")]),
+        index_factory=factory,
+        backend=backend,
+    )
+    db.add_vectors(vectors)
+    return db
+
+
+def _run_threads(n_threads, target):
+    """Run ``target(i)`` on ``n_threads`` threads at once; join them all."""
+    threads = [threading.Thread(target=target, args=(i,)) for i in range(n_threads)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
 
 
 def _results_equal(served, direct):
@@ -141,21 +171,6 @@ class TestResultCache:
         # Re-putting the same key is an update, not an eviction.
         cache.put(second, [])
         assert len(cache) == 1 and cache.get(second) == []
-
-    def test_tuple_stamp_single_shard_movement_invalidates(self, rng):
-        # Regression: sharded serving stamps entries with the *tuple* of
-        # per-shard generations.  A mutation that touches only one shard
-        # moves one tuple slot — (1, 0) -> (1, 1) — and must invalidate,
-        # even though a scalar collapse (max, say) would be unchanged at
-        # 1 and falsely revalidate the entry.
-        cache = ResultCache(4)
-        key = cache.key("knn", "sig", 5, rng.random(_DIM))
-        cache.put(key, [], generation=(1, 0))
-        assert cache.get(key, (1, 0)) == []
-        assert max((1, 0)) == max((1, 1))  # the trap a scalar stamp falls into
-        assert cache.get(key, (1, 1)) is None
-        assert cache.invalidations == 1
-        assert len(cache) == 0  # stale entry evicted, not retained
 
     def test_tuple_stamp_equal_tuples_hit(self, rng):
         cache = ResultCache(4)
@@ -260,14 +275,7 @@ class TestSchedulerParityUnderLoad:
                 with lock:
                     outcomes[(thread_id, step)] = served
 
-        threads = [
-            threading.Thread(target=worker, args=(i,))
-            for i in range(self.N_THREADS)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        _run_threads(self.N_THREADS, worker)
         scheduler.close()
 
         # No dropped or duplicated requests: exactly one outcome per plan
@@ -387,13 +395,7 @@ class TestSchedulerDedup:
                 with lock:
                     outcomes[(thread_id, step)] = served
 
-        threads = [
-            threading.Thread(target=worker, args=(i,)) for i in range(n_threads)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        _run_threads(n_threads, worker)
         scheduler.close()
 
         assert len(outcomes) == n_threads * per_thread
@@ -511,6 +513,17 @@ class TestSchedulerLifecycle:
         with pytest.raises(ServeError, match="max_queue"):
             QueryScheduler(vector_db, max_queue=0)
 
+    def test_only_one_shard_accepted(self, vector_db):
+        # ``shards`` survives as a keyword that accepts only 1.
+        with QueryScheduler(vector_db, shards=1) as scheduler:
+            assert scheduler.n_items == _N
+        with pytest.raises(ServeError, match="shards"):
+            QueryScheduler(vector_db, shards=2)
+        with QueryServer(vector_db, port=0, shards=1) as server:
+            assert server.scheduler.n_items == _N
+        with pytest.raises(ServeError, match="shards"):
+            QueryServer(vector_db, port=0, shards=2)
+
     def test_image_queries_ride_the_scheduler(self, rng):
         # An image-backed schema: submission extracts on the caller's
         # thread and the served answer matches the direct image query.
@@ -568,3 +581,158 @@ class TestServiceStats:
             future = scheduler.submit_query(rng.random(_DIM), 2)
             assert isinstance(future, Future)
             assert isinstance(future.result(timeout=10), ServedResult)
+
+
+# ---------------------------------------------------------------------------
+# Static parity against the direct API, memory and mmap backends
+# ---------------------------------------------------------------------------
+class TestStaticParity:
+    @pytest.mark.parametrize("linear", [False, True], ids=["vptree", "linear"])
+    @pytest.mark.parametrize("backend", ["default", "mmap"])
+    def test_knn_and_range_bit_identical(self, rng, tmp_path, backend, linear):
+        """Served answers — ids, distance floats, tie-breaks and counted
+        distances — equal the in-memory direct API's, also when the
+        served database pages its cores through a tiny mmap pool."""
+        mmap = backend == "mmap"
+        if mmap:
+            backend = MmapBackendFactory(
+                tmp_path / "cores", cache_pages=2, page_records=16
+            )
+        else:
+            backend = None  # the environment default
+        base = rng.random((_N, _DIM))
+        direct = _make_db(base, linear=linear, backend="memory")
+        served_db = _make_db(base, linear=linear, backend=backend)
+        with QueryScheduler(served_db, cache_size=0) as test:
+            for q in rng.random((12, _DIM)):
+                for submit, search, parameter in (
+                    (test.submit_query, direct.query, 7),
+                    (test.submit_range, direct.range_query, 1.1),
+                ):
+                    served = submit(q, parameter).result(timeout=10)
+                    assert _results_equal(served.results, search(q, parameter))
+                    assert (
+                        served.stats.distance_computations
+                        == direct.index_for("sig").last_stats.distance_computations
+                    )
+            stats = test.stats()
+        assert stats.pool_resident <= stats.pool_capacity
+        if mmap:
+            assert stats.backend == "mmap"
+            # The linear scan pages every block through the buffer pool
+            # (tree indexes read the memmap view directly).
+            assert stats.pool_misses > 0 or not linear
+
+
+# ---------------------------------------------------------------------------
+# Stress: concurrent clients, slow engine, bounded queue, rate limiting
+# ---------------------------------------------------------------------------
+class TestStressAndAdmission:
+    def test_concurrent_clients_match_direct_queries(self, rng):
+        base = rng.random((_N, _DIM))
+        direct = _make_db(base)
+        pool = rng.random((10, _DIM))
+        outcomes = []  # list.append is atomic
+
+        with QueryScheduler(_make_db(base), cache_size=0) as scheduler:
+            def client(thread_id: int) -> None:
+                thread_rng = np.random.default_rng(thread_id)
+                for _ in range(12):
+                    pick = int(thread_rng.integers(0, len(pool)))
+                    k = int(thread_rng.integers(1, 9))
+                    served = scheduler.submit_query(pool[pick], k).result(timeout=30)
+                    outcomes.append((pick, k, served))
+
+            _run_threads(8, client)
+
+        assert len(outcomes) == 8 * 12
+        for pick, k, served in outcomes:
+            assert _results_equal(served.results, direct.query(pool[pick], k))
+
+    def test_sixteen_clients_slow_engine_no_deadlock(self, rng):
+        base = rng.random((_N, _DIM))
+        db = _make_db(base)
+        # Make every engine call pathologically slow: the queue fills
+        # behind it, which is exactly where a deadlock would surface.
+        original = db.query_batch
+
+        def dawdle(*args, **kwargs):
+            time.sleep(0.01)
+            return original(*args, **kwargs)
+
+        db.query_batch = dawdle  # instance attribute shadows the method
+        scheduler = QueryScheduler(db, cache_size=0, max_queue=64, max_wait_ms=0.5)
+        pool = rng.random((6, _DIM))
+        errors, resolved, depths = [], [], []  # list.append is atomic
+
+        def client(thread_id: int) -> None:
+            thread_rng = np.random.default_rng(100 + thread_id)
+            for _ in range(8):
+                pick = int(thread_rng.integers(0, len(pool)))
+                try:
+                    served = scheduler.submit_query(pool[pick], 4).result(timeout=60)
+                except ServeError as error:
+                    errors.append(error)
+                    continue
+                resolved.append(served)
+                depths.append(scheduler.stats().queue_depth)
+
+        _run_threads(16, client)
+        scheduler.close(timeout=60)
+
+        # Every submission resolved one way or the other — no deadlock,
+        # no stranded future — and the queue never exceeded its bound.
+        assert len(resolved) + len(errors) == 16 * 8
+        assert max(depths) <= 64
+        assert all("queue full" in str(e) for e in errors)
+        direct = _make_db(base)
+        # Spot-check parity survived the slow engine.
+        for served in resolved[:10]:
+            assert any(
+                _results_equal(served.results, direct.query(q, 4)) for q in pool
+            )
+        assert resolved[0].stats is not None
+
+    def test_rate_limit_fails_fast_with_distinct_error(self, vector_db, rng):
+        with QueryScheduler(
+            vector_db, rate_limit_qps=1.0, rate_limit_burst=2.0, cache_size=0
+        ) as scheduler:
+            q = rng.random(_DIM)
+            scheduler.submit_query(q, 3).result(timeout=10)
+            scheduler.submit_query(q, 3).result(timeout=10)
+            started = time.monotonic()
+            with pytest.raises(RateLimitError):
+                scheduler.submit_query(q, 3)
+            elapsed = time.monotonic() - started
+            assert elapsed < 0.5  # fail fast, never queue behind the bucket
+            assert scheduler.stats().rate_limited >= 1
+            # Throttled is not rejected-at-queue: distinct counters.
+            assert scheduler.stats().rejected == 0
+            # The bucket refills: a later request is admitted again.
+            time.sleep(1.1)
+            served = scheduler.submit_query(q, 3).result(timeout=10)
+            assert len(served.results) == 3
+
+    def test_token_bucket_refill_and_burst(self):
+        bucket = TokenBucket(rate=1000.0, burst=3.0)
+        assert bucket.try_acquire()
+        assert bucket.try_acquire()
+        assert bucket.try_acquire()
+        time.sleep(0.01)  # 1000/s refills ~10 tokens, capped at burst
+        assert bucket.try_acquire()
+        with pytest.raises(ServeError):
+            TokenBucket(rate=0.0)
+        with pytest.raises(ServeError):
+            TokenBucket(rate=1.0, burst=0.5)
+
+    def test_rate_limited_request_gets_429(self, vector_db, rng):
+        with QueryServer(
+            vector_db, port=0, rate_limit_qps=0.5, rate_limit_burst=1.0
+        ) as server:
+            host, port = server.address
+            client = ServiceClient(host, port)
+            client.wait_until_ready()
+            q = rng.random(_DIM)
+            client.query(q, k=3)
+            with pytest.raises(ServeError, match="rate limit"):
+                client.query(q, k=3)

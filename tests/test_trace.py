@@ -6,11 +6,10 @@ trace plumbing):
 * **traceparent handling** — a valid W3C header donates its trace id;
   anything malformed yields a fresh id (a bad header never fails a
   request);
-* **exact cost attribution** — the engine spans' per-shard
-  ``distance_computations`` sum to precisely the request's reported
-  ``SearchStats``, sharded or not;
-* **span-sum sanity** — on an unsharded scheduler the span durations
-  sum to within the trace's end-to-end latency (stages are recorded
+* **exact cost attribution** — the engine span's
+  ``distance_computations`` is precisely the request's reported
+  ``SearchStats``;
+* **span-sum sanity** — the span durations sum to within the trace's end-to-end latency (stages are recorded
   back-to-back on one worker);
 * **bounded sinks** — the flight recorder is a true ring (old traces
   fall off), the slow log captures by threshold and survives fast
@@ -172,7 +171,6 @@ class TestSchedulerTracing:
                 "queue-wait",
                 "batch-form",
                 "engine",
-                "merge",
                 "respond",
             ]
             engine_spans = [s for s in trace.spans if s.stage == "engine"]
@@ -181,8 +179,8 @@ class TestSchedulerTracing:
             ) == served.stats.distance_computations
 
     def test_span_durations_sum_within_latency(self, vector_db, rng):
-        # Unsharded: every stage runs back-to-back on one worker, so the
-        # spans partition (a subset of) the request's wall time.
+        # Every stage runs back-to-back on one worker, so the spans
+        # partition (a subset of) the request's wall time.
         with QueryScheduler(vector_db, max_wait_ms=0.5) as scheduler:
             served = scheduler.submit_query(rng.random(_DIM), 5).result(5)
             trace = scheduler.flight_recorder.find(served.trace_id)
@@ -202,11 +200,12 @@ class TestSchedulerTracing:
             assert trace.annotations.get("cache_hit") is True
 
     def test_mutation_trace_includes_journal_spans(self, vector_db, rng, tmp_path):
-        from repro.db.journal import JournalSet
+        from repro.db.journal import JOURNAL_FILE, Journal
         from repro.db.recovery import database_fingerprint
 
-        journal = JournalSet(tmp_path, database_fingerprint(vector_db))
-        journal.reset()
+        journal = Journal.create(
+            tmp_path / JOURNAL_FILE, database_fingerprint(vector_db)
+        )
         with QueryScheduler(
             vector_db, journal=journal, max_wait_ms=0.5
         ) as scheduler:
@@ -229,18 +228,6 @@ class TestSchedulerTracing:
                 "respond",
             ]
 
-    def test_sharded_per_shard_engine_spans(self, vector_db, rng):
-        with QueryScheduler(vector_db, shards=3, max_wait_ms=0.5) as scheduler:
-            served = scheduler.submit_query(rng.random(_DIM), 5).result(5)
-            trace = scheduler.flight_recorder.find(served.trace_id)
-            engine_spans = [s for s in trace.spans if s.stage == "engine"]
-            assert len(engine_spans) == 3
-            assert sorted(s.annotations["shard"] for s in engine_spans) == [0, 1, 2]
-            assert sum(
-                s.annotations["distance_computations"] for s in engine_spans
-            ) == served.stats.distance_computations
-            assert "merge" in trace.stage_names()
-
     def test_trace_depth_zero_disables_everything(self, vector_db, rng):
         with QueryScheduler(vector_db, trace_depth=0) as scheduler:
             assert not scheduler.tracing_enabled
@@ -261,8 +248,7 @@ class TestSchedulerTracing:
         with QueryScheduler(
             vector_db, max_wait_ms=0.5, slow_query_ms=5.0
         ) as scheduler:
-            engine = scheduler.engine
-            original = engine.query_batch
+            original = vector_db.query_batch
 
             def stalled(*args, **kwargs):
                 import time as _time
@@ -270,11 +256,11 @@ class TestSchedulerTracing:
                 _time.sleep(0.02)
                 return original(*args, **kwargs)
 
-            engine.query_batch = stalled
+            vector_db.query_batch = stalled
             try:
                 served = scheduler.submit_query(rng.random(_DIM), 5).result(5)
             finally:
-                engine.query_batch = original
+                del vector_db.query_batch
             slow = scheduler.slow_log.traces()
             assert any(t.trace_id == served.trace_id for t in slow)
             assert scheduler.slow_log.captured >= 1

@@ -93,7 +93,7 @@ class TestDebugEndpoints:
         response = client.query(np.random.default_rng(4).random(_DIM), 3)
         trace = client.debug_trace(response["trace_id"])
         stages = [span["stage"] for span in trace["spans"]]
-        for stage in ("queue-wait", "engine", "merge", "respond"):
+        for stage in ("queue-wait", "engine", "respond"):
             assert stage in stages, stages
         assert trace["status"] == "ok"
         assert trace["route"] == "knn"
