@@ -152,7 +152,11 @@ class FeatureStore:
                 f"corrupt store header in {path}: dim={dim}, count={count}, "
                 f"page_records={page_records}"
             )
-        return cls(path, file, dim, count, page_records, buffer_pages, fs=fs)
+        try:
+            return cls(path, file, dim, count, page_records, buffer_pages, fs=fs)
+        except StoreError:
+            file.close()  # a truncated partial tail page
+            raise
 
     def close(self) -> None:
         """Flush and close the underlying file (idempotent)."""
@@ -355,7 +359,12 @@ class FeatureStore:
         self._file.seek(self._page_offset(page_index))
         raw = self._file.read(self._page_bytes)
         if len(raw) < self._page_bytes:
-            raw = raw + b"\x00" * (self._page_bytes - len(raw))
+            # Every page the header counts was written whole (the tail
+            # page padded), so a short read is a truncated file.
+            raise StoreError(
+                f"store truncated: {len(raw)} of {self._page_bytes} bytes "
+                f"in page {page_index}"
+            )
         return (
             np.frombuffer(raw, dtype="<f8")
             .reshape(self._page_records, self._dim)

@@ -8,14 +8,12 @@ result list.
 A cache key is ``(kind, feature, parameter, digest)`` where ``kind`` is
 ``'knn'`` or ``'range'``, the parameter is ``k`` or the radius, and the
 digest hashes the query signature's bytes after rounding to
-``quantize_decimals`` decimals.  Quantization exists to merge float
-noise far below any extractor's precision (the default keeps 12
-decimals, ~1e-12 — two signatures that close produce the same ranking
-in any real corpus); pass ``quantize_decimals=None`` for exact-bytes
-keys when even that is too permissive.  Entries hold fully materialized
-:class:`~repro.db.query.RetrievalResult` lists, which are frozen
-dataclasses over an immutable catalog record — safe to hand to many
-readers.
+:data:`QUANTIZE_DECIMALS` (12) decimals.  Quantization exists to merge
+float noise far below any extractor's precision (~1e-12 — two
+signatures that close produce the same ranking in any real corpus).
+Entries hold fully materialized :class:`~repro.db.query.RetrievalResult`
+lists, which are frozen dataclasses over an immutable catalog record —
+safe to hand to many readers.
 
 Mutable databases: generation stamps
 ------------------------------------
@@ -28,10 +26,7 @@ the *current* generation; a stamped entry from an older generation is
 treated as a miss, evicted on the spot, and counted in
 :attr:`ResultCache.invalidations` — invalidation is lazy and per-entry,
 never a global flush, so untouched hot entries keep serving the moment
-their feature stops changing.  Entries stored without a stamp
-(``generation=None``) never invalidate — the static-snapshot behaviour,
-still available to callers that close the scheduler around mutations
-and :meth:`ResultCache.clear` by hand.
+their feature stops changing.
 
 Check-on-hit revalidation
 -------------------------
@@ -40,10 +35,10 @@ a k-NN entry is provably still correct when every item inserted since
 it was computed lands *strictly after* its kth result under the engine
 ordering ``(distance, id)`` and none of its result ids was removed (a
 range entry: no insert within the closed query ball, no result
-removed).  :meth:`ResultCache.get` therefore accepts an optional
-``revalidator`` callback: on a stale stamp the cache hands the entry
-out for inspection instead of evicting it, and a confirmed entry is
-re-stamped at the current generation and served as a hit — counted in
+removed).  :meth:`ResultCache.get` therefore takes a ``revalidator``
+callback: on a stale stamp the cache hands the entry out for
+inspection instead of evicting it, and a confirmed entry is re-stamped
+at the current generation and served as a hit — counted in
 :attr:`ResultCache.revalidations`, separately from
 :attr:`ResultCache.invalidations` (entries that genuinely changed).
 The proof is :func:`entry_still_valid`, which admission feeds from
@@ -74,6 +69,12 @@ from repro.errors import ServeError
 from repro.metrics.base import Metric
 
 __all__ = ["CacheCounters", "MutationDeltaLog", "ResultCache", "entry_still_valid"]
+
+#: Decimals kept when digesting query vectors into cache keys.
+QUANTIZE_DECIMALS = 12
+
+#: Generations of mutation deltas retained per feature.
+DELTA_WINDOW = 64
 
 #: Cache keys: (kind, feature, parameter, digest).
 CacheKey = tuple[str, str, int | float, str]
@@ -113,7 +114,7 @@ class MutationDeltaLog:
 
     Keyed by feature, each key maps **generation after the mutation
     applied** to the :data:`MutationDelta` that produced it.  Only the
-    newest ``window`` generations per feature are retained;
+    newest :data:`DELTA_WINDOW` generations per feature are retained;
     :meth:`between` returns ``None`` as soon as any generation in the
     requested range has been dropped (or was never recorded), which
     callers must treat as "cannot prove validity".
@@ -122,17 +123,9 @@ class MutationDeltaLog:
     read during cache lookups.
     """
 
-    def __init__(self, window: int = 64) -> None:
-        if window < 1:
-            raise ServeError(f"delta window must be >= 1; got {window}")
-        self._window = int(window)
+    def __init__(self) -> None:
         self._logs: dict[str, OrderedDict[int, MutationDelta]] = {}
         self._lock = threading.Lock()
-
-    @property
-    def window(self) -> int:
-        """Generations retained per feature."""
-        return self._window
 
     def record_add(
         self,
@@ -164,7 +157,7 @@ class MutationDeltaLog:
             log = self._logs.setdefault(feature, OrderedDict())
             log[generation] = delta
             log.move_to_end(generation)
-            while len(log) > self._window:
+            while len(log) > DELTA_WINDOW:
                 log.popitem(last=False)
 
     def between(
@@ -266,24 +259,14 @@ class ResultCache:
     capacity:
         Maximum number of cached result lists; ``0`` disables caching
         (every lookup misses, nothing is stored).
-    quantize_decimals:
-        Decimals kept when digesting query vectors (default 12);
-        ``None`` digests the exact bytes.
     """
 
-    def __init__(
-        self, capacity: int = 1024, *, quantize_decimals: int | None = 12
-    ) -> None:
+    def __init__(self, capacity: int = 1024) -> None:
         if capacity < 0:
             raise ServeError(f"cache capacity must be >= 0; got {capacity}")
-        if quantize_decimals is not None and quantize_decimals < 0:
-            raise ServeError(
-                f"quantize_decimals must be >= 0 or None; got {quantize_decimals}"
-            )
         self._capacity = int(capacity)
-        self._decimals = quantize_decimals
         self._entries: OrderedDict[
-            CacheKey, tuple[int | None, list[RetrievalResult]]
+            CacheKey, tuple[int, list[RetrievalResult]]
         ] = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
@@ -370,9 +353,9 @@ class ResultCache:
         the same vector under k-NN and range (even with ``k == radius``)
         can never collide.
         """
-        vector = np.ascontiguousarray(vector, dtype=np.float64)
-        if self._decimals is not None:
-            vector = np.round(vector, self._decimals) + 0.0
+        vector = np.round(
+            np.ascontiguousarray(vector, dtype=np.float64), QUANTIZE_DECIMALS
+        ) + 0.0
         digest = hashlib.blake2b(vector.tobytes(), digest_size=16).hexdigest()
         return (kind, feature, parameter, digest)
 
@@ -380,30 +363,24 @@ class ResultCache:
     # Lookup / store
     # ------------------------------------------------------------------
     def get(
-        self,
-        key: CacheKey,
-        generation: int | None = None,
-        revalidator: Revalidator | None = None,
+        self, key: CacheKey, generation: int, revalidator: Revalidator
     ) -> list[RetrievalResult] | None:
         """The cached results for ``key`` (a fresh list), or ``None``.
 
         ``generation`` is the caller's *current* data version for the
-        key's feature (the database's generation).  A stamped entry
-        computed under a different (``!=``) generation is stale: it is
-        evicted, counted in :attr:`invalidations`, and the lookup
-        misses.  Passing ``None`` skips the check (static-snapshot
-        callers).
+        key's feature (the database's generation).  An entry computed
+        under a different (``!=``) generation is stale.
 
-        ``revalidator`` (optional) gets a chance to save a stale entry:
-        it is called — outside the cache lock, so it may compute
-        distances — with the entry's stored stamp and its results, and
-        must return True only when the results provably equal a fresh
-        query's.  A confirmed entry is re-stamped at ``generation``,
-        counted in :attr:`revalidations`, and served as a hit; anything
-        else falls through to the eviction path.  If the entry was
-        replaced or evicted while the callback ran, the lookup is a
-        plain miss — the callback's verdict applied to a snapshot that
-        is no longer the entry.
+        ``revalidator`` gets a chance to save a stale entry: it is
+        called — outside the cache lock, so it may compute distances —
+        with the entry's stored stamp and its results, and must return
+        True only when the results provably equal a fresh query's.  A
+        confirmed entry is re-stamped at ``generation``, counted in
+        :attr:`revalidations`, and served as a hit; a rejected one is
+        evicted, counted in :attr:`invalidations`, and the lookup
+        misses.  If the entry was replaced or evicted while the
+        callback ran, the lookup is a plain miss — the callback's
+        verdict applied to a snapshot that is no longer the entry.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -411,20 +388,10 @@ class ResultCache:
                 self._misses += 1
                 return None
             stored_generation, results = entry
-            stale = (
-                generation is not None
-                and stored_generation is not None
-                and stored_generation != generation
-            )
-            if not stale:
+            if stored_generation == generation:
                 self._entries.move_to_end(key)
                 self._hits += 1
                 return list(results)
-            if revalidator is None:
-                del self._entries[key]
-                self._invalidations += 1
-                self._misses += 1
-                return None
             snapshot = list(results)
         valid = revalidator(stored_generation, snapshot)
         with self._lock:
@@ -447,13 +414,12 @@ class ResultCache:
         self,
         key: CacheKey,
         results: Sequence[RetrievalResult],
-        generation: int | None = None,
+        generation: int,
     ) -> None:
         """Store ``results`` under ``key``, evicting the LRU tail.
 
         ``generation`` stamps the entry with the data version it was
-        computed under; ``None`` stores an
-        unstamped (never-invalidated) entry.
+        computed under.
         """
         if not self.enabled:
             return

@@ -95,14 +95,6 @@ class ServiceLedger:
             "batch — one engine call each.",
             buckets=DEFAULT_SIZE_BUCKETS,
         )
-        self.dedup_hits = registry.counter(
-            "repro_dedup_hits_total",
-            "Requests answered by an identical request in the same group.",
-        )
-        self.coalesced = registry.counter(
-            "repro_coalesced_mutations_total",
-            "Mutations that shared another mutation's engine barrier.",
-        )
         self._g_queue_depth = registry.gauge(
             "repro_queue_depth", "Requests waiting in the admission queue."
         )
@@ -209,7 +201,6 @@ class ServiceLedger:
             batches_formed=batches,
             mean_batch_size=batched / batches if batches else 0.0,
             mean_group_size=grouped / groups if groups else 0.0,
-            dedup_hits=self.dedup_hits.value(),
             mutations=self._finished(MUTATION_ROUTES),
             cache_hits=live.cache.hits,
             cache_misses=live.cache.misses,
@@ -227,7 +218,6 @@ class ServiceLedger:
             journal_syncs=journal.get("syncs", 0),
             journal_replayed=journal.get("replayed", 0),
             cache_revalidations=live.cache.revalidations,
-            coalesced_mutations=self.coalesced.value(),
             backend=live.backend,
             pool_hits=live.pool["hits"],
             pool_misses=live.pool["misses"],

@@ -34,15 +34,13 @@ Request lifecycle::
     submit_add/submit_remove                          ├─ collect ≤ max_batch
       └─ enqueue (same queue, same                    │  for ≤ max_wait_ms
          bound) ─────────────────────────────────────►├─ replay arrival order:
-                                                      │  queries coalesce into
-                                                      │  segments, adjacent
-                                                      │  same-kind mutations
-                                                      │  coalesce into one
+                                                      │  queries collect into
+                                                      │  segments, each
+                                                      │  mutation is one
                                                       │  barrier between them
                                                       ├─ per segment: group by
                                                       │  (kind, feature,
-                                                      │  parameter), dedup
-                                                      │  byte-identical vectors
+                                                      │  parameter)
                                                       ├─ one engine call per
                                                       │  group; per-request
                                                       │  stats attributed from
@@ -77,10 +75,10 @@ between backoff and failover.
 **Observability.**  Every event is counted once, in the
 :class:`~repro.serve.ledger.ServiceLedger`'s metric families:
 per-route latency histograms (fixed log-spaced buckets), admission
-counters by outcome, formed-batch- and group-size histograms, dedup and
-coalescing counters.  :meth:`QueryScheduler.render_metrics` (the HTTP
-``GET /metrics`` body) renders them with scrape-time gauges for queue
-depth, item count, cache, journal and buffer pool;
+counters by outcome, formed-batch- and group-size histograms.
+:meth:`QueryScheduler.render_metrics` (the HTTP ``GET /metrics`` body)
+renders them with scrape-time gauges for queue depth, item count,
+cache, journal and buffer pool;
 :meth:`QueryScheduler.stats` (``GET /stats``) is a view over the same
 families plus a bounded latency window.
 
@@ -101,7 +99,7 @@ lifecycle and the worker thread's two loops (``_run`` forms a batch,
 ``_execute`` replays it in arrival order).  The caller-thread half —
 validate, rate-limit, cache lookup, enqueue — is
 ``repro.serve.admission``; what the worker does with a query segment
-or a mutation run — the write barrier included — is
+or a mutation — the write barrier included — is
 ``repro.serve.worker``; the tickets that travel between them are
 ``repro.serve.ticket``.
 """
@@ -159,8 +157,8 @@ class QueryScheduler:
         Admission-queue bound (default 1024).  Submissions beyond it
         fail fast with :class:`~repro.errors.ServeError` — backpressure
         instead of unbounded memory.
-    cache_size / quantize_decimals:
-        :class:`~repro.serve.cache.ResultCache` configuration
+    cache_size:
+        :class:`~repro.serve.cache.ResultCache` capacity
         (``cache_size=0`` disables caching).
     shards:
         Accepts only 1 (anything else raises
@@ -209,7 +207,6 @@ class QueryScheduler:
         max_wait_ms: float = 2.0,
         max_queue: int = 1024,
         cache_size: int = 1024,
-        quantize_decimals: int | None = 12,
         shards: int = 1,
         rate_limit_qps: float | None = None,
         rate_limit_burst: float | None = None,
@@ -237,7 +234,7 @@ class QueryScheduler:
         self._max_batch = int(max_batch)
         self._max_wait_s = float(max_wait_ms) / 1e3
         self._queue: queue.Queue[Ticket | None] = queue.Queue(maxsize=max_queue)
-        self._cache = ResultCache(cache_size, quantize_decimals=quantize_decimals)
+        self._cache = ResultCache(cache_size)
         #: What each generation's mutation inserted/removed, per feature
         #: — what cache revalidation reads (see ``repro.serve.cache``).
         self._deltas = MutationDeltaLog()
@@ -598,34 +595,28 @@ class QueryScheduler:
     def _execute(self, batch: list[Ticket]) -> None:
         """Replay one formed batch in arrival order.
 
-        Queries coalesce into segments; each mutation *run* is a
-        barrier between them — queries admitted before it are answered
-        against the pre-mutation database, queries after it against the
-        post-mutation one.  Adjacent same-kind mutations coalesce into
-        one engine call (one journal record, one generation bump)
-        the way queries coalesce into groups; see
-        :meth:`BatchWorker.collect_run` for when a neighbour may join a
-        run.  Mutation futures resolve only after one *group fsync* at
-        the end of the batch (a save flushes them early: its snapshot
-        already makes them durable).  One formed batch is one
-        ``repro_batch_size`` sample (queries only), so the coalescing
-        figures keep their meaning under mixed traffic.
+        Queries collect into segments; each mutation is a barrier
+        between them — queries admitted before it are answered against
+        the pre-mutation database, queries after it against the
+        post-mutation one.  Every mutation is its own database call,
+        journal record and generation bump; their futures resolve only
+        after one *group fsync* at the end of the batch (a save flushes
+        them early: its snapshot already makes them durable).  One
+        formed batch is one ``repro_batch_size`` sample (queries only),
+        so the batching figures keep their meaning under mixed traffic.
         """
         worker = self._worker
         segment: list[Request] = []
         n_queries = 0
-        position = 0
-        while position < len(batch):
-            item = batch[position]
+        for item in batch:
             if isinstance(item, Request):
                 segment.append(item)
                 n_queries += 1
-                position += 1
                 continue
+            assert isinstance(item, Mutation)
             worker.run_queries(segment)
             segment = []
-            run, position = worker.collect_run(batch, position)
-            worker.apply_run(run)
+            worker.apply(item)
         worker.run_queries(segment)
         worker.ack()
         if n_queries:

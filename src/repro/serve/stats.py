@@ -3,7 +3,7 @@
 The index layer already accounts for the paper's cost unit (distance
 computations, per query, exactly); the serving layer adds the *online*
 axes a production operator watches: request throughput, end-to-end
-latency percentiles, how large the coalesced batches actually form, and
+latency percentiles, how large the formed batches actually are, and
 how often the result cache short-circuits the engine.
 
 :class:`ServiceStats` is the immutable snapshot handed to callers (and
@@ -57,18 +57,11 @@ class ServiceStats:
         Mean size of formed batches (requests per worker wake-up) — the
         coalescing figure of merit.
     mean_group_size:
-        Mean *request* count of the per-(kind, feature, parameter)
+        Mean request count of the per-(kind, feature, parameter)
         groups a formed batch splits into.  Each group is one
-        ``query_batch`` / ``range_query_batch`` call, but the call
-        carries one row per *distinct* vector — group size minus that
-        group's dedup hits (see :attr:`dedup_hits` and
-        ``ServedResult.batch_size``, which reports the deduped
-        engine-call size).
-    dedup_hits:
-        Requests answered by another identical request *in the same
-        formed batch*: the group's engine call evaluated their shared
-        vector once and fanned the (bit-identical) results out to every
-        duplicate's future.
+        ``query_batch`` / ``range_query_batch`` call carrying one row
+        per request (``ServedResult.batch_size`` reports the same
+        figure per request).
     mutations:
         Add/remove requests the worker has applied (failed mutations —
         e.g. removing an unknown id — are not counted; their futures
@@ -97,12 +90,6 @@ class ServiceStats:
         no result id removed) — re-stamped and served as hits instead
         of evicted.  Disjoint from :attr:`cache_invalidations`; every
         revalidation is also a hit.
-    coalesced_mutations:
-        Mutations that shared another mutation's engine barrier: the
-        worker collapses adjacent same-kind add/remove runs into one
-        ``insert_batch``/``remove`` call (one journal group record, one
-        generation bump), and each run of length ``n`` counts ``n - 1``
-        here — the barriers saved.
     throughput_qps:
         Completed requests per second of **uptime** — a *lifetime*
         average.  It converges to the long-run rate and barely moves
@@ -143,7 +130,6 @@ class ServiceStats:
     batches_formed: int
     mean_batch_size: float
     mean_group_size: float
-    dedup_hits: int
     mutations: int
     cache_hits: int
     cache_misses: int
@@ -161,7 +147,6 @@ class ServiceStats:
     journal_syncs: int = 0
     journal_replayed: int = 0
     cache_revalidations: int = 0
-    coalesced_mutations: int = 0
     backend: str = "memory"
     pool_hits: int = 0
     pool_misses: int = 0

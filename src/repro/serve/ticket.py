@@ -50,9 +50,9 @@ class ServedResult:
         executing group's ``last_batch_stats`` (``None`` on a cache hit:
         no engine work happened).
     batch_size:
-        Size of the engine group that answered the request, after
-        in-flight dedup — how much company the query had in its kernel
-        call (1 on a cache hit).
+        Live requests in the engine group that answered the request —
+        how much company the query had in its kernel call (1 on a cache
+        hit).
     cache_hit:
         True when the result came from the LRU cache.
     latency_s:
@@ -210,7 +210,7 @@ class Mutation(Ticket):
     applies it between the query segments that arrived around it.
     """
 
-    __slots__ = ("payload", "labels", "names", "staged")
+    __slots__ = ("payload", "labels", "names")
 
     result_type = MutationResult
 
@@ -226,6 +226,3 @@ class Mutation(Ticket):
         self.payload = payload
         self.labels = labels
         self.names = names
-        #: Pre-validated add payload ``(matrices, n_rows)``, filled by
-        #: the worker when this mutation is staged for a coalesced run.
-        self.staged: tuple[dict[str, np.ndarray], int] | None = None

@@ -7,19 +7,18 @@ attribution is race-free by construction.  The scheduler's
 for the three things a batch is made of:
 
 * **query segments** (:meth:`BatchWorker.run_queries`): group by
-  ``(kind, feature, parameter)``, dedup byte-identical vectors, one
-  batched database call per group, per-request stats attributed from
+  ``(kind, feature, parameter)``, one batched database call per group
+  over every live request's vector, per-request stats attributed from
   the index's ``last_batch_stats``, cache filled stamped with the
   generation the call ran under;
-* **the write barrier** (:meth:`collect_run` → :meth:`apply_run` →
-  :meth:`ack`): stage adjacent same-kind mutations into a run, journal
-  the run as one record and apply it as one database call (an abort
-  mark follows when the apply fails), record what it changed in the
-  mutation delta log, and acknowledge every applied mutation only
-  after one group fsync at the end of the batch (log-before-ack — see
-  ``docs/durability.md``);
-* **save** — a run of its own: compact the journal into a snapshot,
-  which is itself the durability of everything still unacknowledged.
+* **the write barrier** (:meth:`apply` → :meth:`ack`): each mutation
+  on its own — validate, journal one record, apply one database call
+  (an abort mark follows when the apply fails), one generation bump,
+  one entry in the mutation delta log — and acknowledge every applied
+  mutation only after one group fsync at the end of the batch
+  (log-before-ack — see ``docs/durability.md``);
+* **save**: compact the journal into a snapshot, which is itself the
+  durability of everything still unacknowledged.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ __all__ = ["BatchWorker"]
 
 
 class BatchWorker:
-    """Executes query segments and mutation runs for one scheduler."""
+    """Executes query segments and mutations for one scheduler."""
 
     def __init__(
         self,
@@ -59,7 +58,7 @@ class BatchWorker:
         #: Mutations applied in memory but not yet acknowledged, with
         #: the ids each resolves to — see :meth:`ack`.
         self._pending: list[tuple[Mutation, list[int]]] = []
-        #: ``(start, duration_s)`` of the current run's journal append;
+        #: ``(start, duration_s)`` of the current mutation's journal append;
         #: ``None`` when journaling is off or nothing was appended.
         self._append_span: tuple[float, float] | None = None
 
@@ -82,26 +81,10 @@ class BatchWorker:
             ]
             if not live:
                 continue
-            # In-flight dedup: identical queries inside one formed group
-            # (same kind/feature/parameter by grouping, byte-identical
-            # vector here) are evaluated once; every duplicate's future
-            # is fanned the same results.  Byte equality implies the same
-            # floats, so the engine answer — and the per-request stats
-            # attribution — is bit-identical to evaluating each copy.
-            slots: dict[bytes, int] = {}
-            unique: list[Request] = []
-            assignment: list[int] = []
-            for request in live:
-                slot = slots.setdefault(request.vector.tobytes(), len(unique))
-                if slot == len(unique):
-                    unique.append(request)
-                assignment.append(slot)
-            if len(unique) < len(live):
-                self._ledger.dedup_hits.inc(len(live) - len(unique))
-            vectors = np.stack([request.vector for request in unique])
+            vectors = np.stack([request.vector for request in live])
             group_start = time.monotonic()
             for request in live:
-                request.dispatch(group_start, group_size=len(unique))
+                request.dispatch(group_start, group_size=len(live))
             engine_start = time.monotonic()
             try:
                 if kind == "knn":
@@ -118,30 +101,27 @@ class BatchWorker:
             engine_s = time.monotonic() - engine_start
             # Per-row cost of *this* call: the worker is the only thread
             # that queries the database, so nothing overwrote it.
-            per_slot_stats = self._db.index_for(feature).last_batch_stats
+            per_query_stats = self._db.index_for(feature).last_batch_stats
             # Stamp cached entries with the generation the call ran
             # under — the worker serializes mutations, so this read
             # cannot race a concurrent add/remove.
             generation = self._db.generation(feature)
-            for request, slot in zip(live, assignment):
+            for request, results, stats in zip(live, result_lists, per_query_stats):
                 if request.trace is not None:
                     request.trace.add_span(
                         "engine",
                         engine_start,
                         engine_s,
-                        distance_computations=per_slot_stats[
-                            slot
-                        ].distance_computations,
+                        distance_computations=stats.distance_computations,
                     )
                 respond_start = time.monotonic()
-                results = result_lists[slot]
                 if request.key is not None:
                     self._cache.put(request.key, results, generation)
                 request.complete(
                     self._ledger,
                     list(results),
-                    per_slot_stats[slot],
-                    len(unique),
+                    stats,
+                    len(live),
                     False,
                     respond_start=respond_start,
                 )
@@ -151,167 +131,53 @@ class BatchWorker:
             ticket.fail(self._ledger, error)
 
     # ------------------------------------------------------------------
-    # The write barrier: stage → apply → group fsync → ack
+    # The write barrier: apply → group fsync → ack
     # ------------------------------------------------------------------
-    def collect_run(
-        self, batch: list[Ticket], position: int
-    ) -> tuple[list[Mutation], int]:
-        """Gather the longest coalescible mutation run starting at ``position``.
+    def apply(self, mutation: Mutation) -> None:
+        """Journal + apply one mutation as its own barrier.
 
-        A neighbour joins the run only when applying the merged database
-        call is observably identical to applying the members one by one:
-
-        * same kind (adjacent adds, or adjacent removes — never mixed,
-          and a ``save`` barrier always stands alone);
-        * adds: every member validates on its own (a malformed payload
-          must fail only its future, so it breaks the run and applies —
-          and fails — alone) and explicit/default naming is uniform
-          (default names derive from allocated ids and cannot be mixed
-          into one database call with explicit ones);
-        * removes: every member's ids are live and disjoint from the
-          ids already claimed by the run (an overlap or unknown id must
-          fail exactly the member that would have failed serially, so
-          that member starts its own run and gets the database's
-          own error).
-
-        Returns the run and the position just past it.  The run is
-        never empty; an unstageable head is returned alone, and
-        :meth:`apply_run` hands a run of one to the database as the raw
-        payload it arrived as.
+        One database call, one journal record, one generation bump; the
+        record stays buffered and acknowledgement is deferred to
+        :meth:`ack`'s group fsync.  A malformed add or an unknown id
+        gets the database's own validation error and fails only this
+        future — nothing was journaled or applied for it (the record is
+        written only after validation, and an abort mark follows it if
+        the apply itself fails).
         """
-        head = batch[position]
-        assert isinstance(head, Mutation)
-        run = [head]
-        position += 1
-        claimed: set[int] = set()
-        extendable = head.kind != "save" and self._stage(head, head, claimed)
-        while extendable and position < len(batch):
-            nxt = batch[position]
-            if not isinstance(nxt, Mutation) or not self._stage(nxt, head, claimed):
-                break
-            run.append(nxt)
-            position += 1
-        return run, position
-
-    def _stage(self, mutation: Mutation, head: Mutation, claimed: set[int]) -> bool:
-        """True when ``mutation`` may share ``head``'s database call.
-
-        Adds are pre-validated (the normalized matrices are kept on the
-        ticket); removes must name only live ids the run has not
-        already ``claimed``.
-        """
-        if mutation.kind != head.kind:
-            return False
-        if mutation.kind == "add":
-            if (mutation.names is None) != (head.names is None):
-                return False
-            if mutation.staged is None:
-                try:
-                    mutation.staged = self._db.validate_signatures(
-                        mutation.payload,  # type: ignore[arg-type]
-                        labels=mutation.labels,
-                        names=mutation.names,
-                    )
-                except Exception:
-                    return False
-            return True
-        ids = mutation.payload
-        assert isinstance(ids, list)
-        if any(image_id in claimed for image_id in ids):
-            return False
-        if not all(image_id in self._db.catalog for image_id in ids):
-            return False
-        claimed.update(ids)
-        return True
-
-    def apply_run(self, run: list[Mutation]) -> None:
-        """Journal + apply one mutation run as a single barrier.
-
-        One database call covers every live member — one journal
-        record, one group-fsync share, one generation bump — and the
-        result ids are attributed back per future in arrival order
-        (adds slice the allocated id range by each member's row count;
-        removes keep their own id lists).  The record stays buffered:
-        acknowledgement is deferred to :meth:`ack`'s group fsync.
-
-        A run of one goes to the database as the raw payload it arrived
-        as, so a malformed add or an unknown id gets the database's own
-        validation error and fails only that future — nothing was
-        journaled or applied for it (the record is written only after
-        validation, and an abort mark follows it if the apply itself
-        fails).  A longer run only contains members that would each
-        have succeeded serially (see :meth:`collect_run`), so a failure
-        there is environmental (e.g. a journal write error), would have
-        hit the serial path too, and fails every member.
-        """
-        live = [
-            mutation
-            for mutation in run
-            if mutation.future.set_running_or_notify_cancel()
-        ]
-        if not live:
+        if not mutation.future.set_running_or_notify_cancel():
             return
         apply_start = time.monotonic()
-        for mutation in live:
-            mutation.dispatch(apply_start, coalesced=len(live))
-        head = live[0]
-        if head.kind == "save":
-            self._save(head)
+        mutation.dispatch(apply_start)
+        if mutation.kind == "save":
+            self._save(mutation)
             return
         self._append_span = None
         try:
-            if head.kind == "add":
-                id_slices = self._add(live)
+            if mutation.kind == "add":
+                ids = self._add(
+                    mutation.payload,  # type: ignore[arg-type]
+                    mutation.labels,
+                    mutation.names,
+                )
             else:
-                id_slices = [list(mutation.payload) for mutation in live]  # type: ignore[call-overload]
-                self._remove([image_id for ids in id_slices for image_id in ids])
+                ids = list(mutation.payload)  # type: ignore[call-overload]
+                self._remove(ids)
         except Exception as error:
-            self._fail(live, error)
+            mutation.fail(self._ledger, error)
             return
-        # Splitting the journal append out keeps the spans
-        # non-overlapping (apply = what remains after the append).
-        append = self._append_span
-        apply_end = time.monotonic()
-        for mutation in live:
-            trace = mutation.trace
-            if trace is None:
-                continue
+        trace = mutation.trace
+        if trace is not None:
+            # Splitting the journal append out keeps the spans
+            # non-overlapping (apply = what remains after the append).
             span_start = apply_start
-            if append is not None:
-                append_start, append_duration = append
+            if self._append_span is not None:
+                append_start, append_duration = self._append_span
                 trace.add_span("journal-append", append_start, append_duration)
                 span_start = append_start + append_duration
-            trace.add_span("apply", span_start, apply_end - span_start)
-        self._ledger.coalesced.inc(len(live) - 1)
-        self._pending.extend(zip(live, id_slices))
+            trace.add_span("apply", span_start, time.monotonic() - span_start)
+        self._pending.append((mutation, ids))
 
-    def _add(self, live: list[Mutation]) -> list[list[int]]:
-        """One ``add_vectors`` call for the run; allocated ids per member."""
-        head = live[0]
-        if len(live) == 1:
-            return [self._apply_add(head.payload, head.labels, head.names)]  # type: ignore[arg-type]
-        staged = [mutation.staged for mutation in live]
-        assert all(entry is not None for entry in staged)
-        counts = [n_rows for _matrices, n_rows in staged]  # type: ignore[misc]
-        merged = {
-            feature: np.vstack(
-                [matrices[feature] for matrices, _n in staged]  # type: ignore[misc]
-            )
-            for feature in staged[0][0]  # type: ignore[index]
-        }
-        names = None
-        if head.names is not None:
-            names = [name for mutation in live for name in mutation.names]  # type: ignore[union-attr]
-        labels = None
-        if any(mutation.labels is not None for mutation in live):
-            labels = []
-            for mutation, n_rows in zip(live, counts):
-                labels.extend(mutation.labels or [None] * n_rows)
-        ids = self._apply_add(merged, labels, names)
-        bounds = np.cumsum([0] + counts)
-        return [ids[start:stop] for start, stop in zip(bounds, bounds[1:])]
-
-    def _apply_add(
+    def _add(
         self,
         signatures: Mapping[str, np.ndarray] | np.ndarray,
         labels: Sequence[str | None] | None,
@@ -385,7 +251,7 @@ class BatchWorker:
         """Resolve the applied-but-unacknowledged mutations' futures.
 
         One *group fsync* covers every mutation applied since the last
-        ack, amortising the durability cost the same way coalescing
+        ack, amortising the durability cost the same way micro-batching
         amortises query cost.  With ``sync=False`` (the post-compaction
         path) the fsync is skipped: the snapshot just written already
         holds the pending mutations, which is a *stronger* durability

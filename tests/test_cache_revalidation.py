@@ -37,6 +37,7 @@ from repro.features.pipeline import FeatureSchema
 from repro.index import LinearScanIndex, VPTree
 from repro.metrics.minkowski import EuclideanDistance
 from repro.serve import QueryScheduler
+from repro.serve import cache as cache_module
 from repro.serve.cache import CacheCounters, MutationDeltaLog, ResultCache
 
 DIM = 4
@@ -187,8 +188,9 @@ class TestRangeRevalidationBoundaries:
 
 
 class TestDeltaLogBounds:
-    def test_between_refuses_ranges_outside_window(self):
-        log = MutationDeltaLog(window=3)
+    def test_between_refuses_ranges_outside_window(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "DELTA_WINDOW", 3)
+        log = MutationDeltaLog()
         for generation in range(1, 8):
             log.record_remove("key", generation, [generation])
         # Only generations 5..7 survive the window of 3.
@@ -203,7 +205,7 @@ class TestDeltaLogBounds:
         db = _make_db([_axis_vector(0, float(i)) for i in range(1, 6)])
         scheduler = QueryScheduler(db, max_batch=4)
         try:
-            window = scheduler.delta_log.window
+            window = cache_module.DELTA_WINDOW
             query = np.zeros(DIM)
             scheduler.submit_query(query, 3).result(timeout=10)
             # Push the entry's generation past the retained window with
@@ -220,13 +222,18 @@ class TestDeltaLogBounds:
             scheduler.close()
 
 
+def _never(stamp, results):
+    """A revalidator that never saves a stale entry."""
+    return False
+
+
 class TestResultCachePrimitives:
     def test_counters_snapshot_is_single_lock(self):
         cache = ResultCache(8)
         key = cache.key("knn", "sig", 3, np.zeros(DIM))
-        assert cache.get(key, 0) is None
+        assert cache.get(key, 0, _never) is None
         cache.put(key, [], 0)
-        assert cache.get(key, 0) == []
+        assert cache.get(key, 0, _never) == []
         counters = cache.counters()
         assert isinstance(counters, CacheCounters)
         assert counters == CacheCounters(1, 1, 0, 0)
@@ -246,14 +253,14 @@ class TestResultCachePrimitives:
         assert seen == [(1, [])]
         assert cache.counters() == CacheCounters(1, 0, 0, 1)
         # Re-stamped: the next lookup at generation 2 is a plain hit.
-        assert cache.get(key, 2) == []
+        assert cache.get(key, 2, _never) == []
         assert cache.counters() == CacheCounters(2, 0, 0, 1)
 
     def test_revalidator_rejection_evicts(self):
         cache = ResultCache(8)
         key = cache.key("knn", "sig", 3, np.zeros(DIM))
         cache.put(key, [], 1)
-        assert cache.get(key, 2, revalidator=lambda *_: False) is None
+        assert cache.get(key, 2, revalidator=_never) is None
         assert cache.counters() == CacheCounters(0, 1, 1, 0)
         assert len(cache) == 0
 
@@ -280,7 +287,7 @@ class TestResultCachePrimitives:
         counters = cache.counters()
         assert counters.revalidations == 0 and counters.invalidations == 0
         # The replacement entry survives untouched.
-        assert cache.get(key, 5) == []
+        assert cache.get(key, 5, _never) == []
 
 
 class TestZeroStaleServes:

@@ -102,7 +102,7 @@ def _assert_acked_prefix_survived(root, acked: int) -> None:
 def _run_workload(root: Path, fs: FileSystem, backend: str | None = None) -> int:
     """Drive the scripted workload through the serving write path.
 
-    Each step is one mutation run of the scheduler's
+    Each step is one mutation applied by the scheduler's
     :class:`~repro.serve.worker.BatchWorker` — journal append + apply —
     followed by its group fsync, called on this thread.  Returns how
     many steps were *acknowledged* (the future resolved).  An
@@ -135,7 +135,7 @@ def _run_workload(root: Path, fs: FileSystem, backend: str | None = None) -> int
     acked = 0
     for kind, payload in faults.workload_steps():
         mutation = Mutation(kind, payload)
-        worker.apply_run([mutation])
+        worker.apply(mutation)
         worker.ack()
         mutation.future.result(timeout=0)  # re-raises a failed step
         acked += 1
@@ -357,7 +357,7 @@ class TestJournaledScheduler:
             tmp_path / "root", faults.seed_database(), fs=fs or FileSystem()
         )
 
-    @pytest.mark.parametrize("staged_adds", [1, 3], ids=["serial", "coalesced"])
+    @pytest.mark.parametrize("staged_adds", [1, 3], ids=["one", "three"])
     def test_acked_mutations_survive_restart(self, tmp_path, rng, staged_adds):
         db, journal, _ = self._open(tmp_path)
         # Entering a scheduler as a context manager starts it; staging
@@ -367,8 +367,7 @@ class TestJournaledScheduler:
         )
         try:
             # Adds staged while the worker is parked drain as one formed
-            # batch and coalesce into one database call and one record;
-            # each is still acknowledged, and owed, on its own.
+            # batch: one record each, one group fsync for all of them.
             blocks = rng.random((staged_adds, 3, 6))
             futures = [
                 scheduler.submit_add(block, labels=["a", "b", "c"])
@@ -378,12 +377,9 @@ class TestJournaledScheduler:
             acked = [future.result(timeout=10) for future in futures]
             added = acked[0]
             scheduler.submit_remove([added.ids[1]]).result(timeout=10)
-            assert scheduler.stats().coalesced_mutations == staged_adds - 1
             info = scheduler.journal_info()
-            # One add record + one remove, however many mutations were
-            # acknowledged.
             n_records = info["records"]
-            assert n_records == 2
+            assert n_records == staged_adds + 1
             assert info["syncs"] == 2
         finally:
             scheduler.close()

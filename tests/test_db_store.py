@@ -130,6 +130,46 @@ class TestAppendGet:
             assert store.read_all().shape == (0, 4)
 
 
+class TestTruncatedFile:
+    """A file shorter than its header's count fails every read path.
+
+    A 128-row store whose file lost its last 32 rows: point reads used
+    to zero-fill the missing bytes and serve ``[0, 0, 0, 0]`` for slot
+    127 while ``scan`` and ``read_all`` raised.
+    """
+
+    @pytest.fixture
+    def truncated(self, store_path, rng):
+        with FeatureStore.create(store_path, dim=4, page_records=64) as store:
+            store.extend(rng.random((128, 4)) + 1.0)
+        with open(store_path, "r+b") as file:
+            file.truncate(store_path.stat().st_size - 32 * 4 * 8)
+        store = FeatureStore.open(store_path)
+        yield store
+        store._file.close()
+
+    def test_point_reads_raise(self, truncated):
+        assert truncated.get(0)[0] >= 1.0  # the intact first page serves
+        with pytest.raises(StoreError, match="truncated"):
+            truncated.get(127)
+        with pytest.raises(StoreError, match="truncated"):
+            truncated.get_many([3, 127])
+
+    def test_bulk_reads_raise(self, truncated):
+        with pytest.raises(StoreError, match="truncated"):
+            truncated.read_all()
+        with pytest.raises(StoreError, match="truncated"):
+            list(truncated.scan(run_pages=1))
+
+    def test_truncated_partial_tail_fails_open(self, store_path, rng):
+        with FeatureStore.create(store_path, dim=4, page_records=64) as store:
+            store.extend(rng.random((100, 4)))
+        with open(store_path, "r+b") as file:
+            file.truncate(store_path.stat().st_size - 8)
+        with pytest.raises(StoreError, match="truncated"):
+            FeatureStore.open(store_path)
+
+
 class TestExtendAndScan:
     """Bulk append and the sequential read path."""
 

@@ -129,8 +129,6 @@ class TestOneLedger:
             "batches_formed": flat.get("repro_batch_size_count{}", 0.0),
             "mean_batch_size": mean("repro_batch_size"),
             "mean_group_size": mean("repro_group_size"),
-            "dedup_hits": flat["repro_dedup_hits_total{}"],
-            "coalesced_mutations": flat["repro_coalesced_mutations_total{}"],
         }
         for field, outcome in [
             ("cache_hits", "hit"),
@@ -167,10 +165,10 @@ class TestOneLedger:
             staged = [
                 scheduler.submit_query(q1, 3),
                 scheduler.submit_query(q2, 3),
-                scheduler.submit_query(q1, 3),  # deduped against the first
+                scheduler.submit_query(q1, 3),  # same group as the first
                 scheduler.submit_range(q3, 0.6),
                 scheduler.submit_add(rng.random((2, 8))),
-                scheduler.submit_add(rng.random((1, 8))),  # coalesced
+                scheduler.submit_add(rng.random((1, 8))),
                 scheduler.submit_remove([0]),
                 scheduler.submit_save(),
             ]
@@ -200,7 +198,6 @@ class TestOneLedger:
         assert stats["submitted"] == 12 and stats["completed"] == 6
         assert stats["mutations"] == 3 and stats["saves"] == 1
         assert stats["rejected"] == 1 and stats["rate_limited"] == 1
-        assert stats["dedup_hits"] == 1 and stats["coalesced_mutations"] == 1
         assert stats["batches_formed"] >= 1 and stats["cache_hits"] >= 1
 
 

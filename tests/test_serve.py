@@ -83,38 +83,40 @@ def _results_equal(served, direct):
 # ---------------------------------------------------------------------------
 # ResultCache
 # ---------------------------------------------------------------------------
+def _never(stamp, results):
+    """A revalidator that never saves a stale entry."""
+    return False
+
+
 class TestResultCache:
     def test_hit_after_put_and_counters(self, rng):
         cache = ResultCache(4)
         key = cache.key("knn", "sig", 5, rng.random(_DIM))
-        assert cache.get(key) is None
-        cache.put(key, [])
-        assert cache.get(key) == []
+        assert cache.get(key, 0, _never) is None
+        cache.put(key, [], 0)
+        assert cache.get(key, 0, _never) == []
         assert cache.hits == 1 and cache.misses == 1
         assert cache.hit_rate == 0.5
 
     def test_lru_eviction_order(self, rng):
         cache = ResultCache(2)
         keys = [cache.key("knn", "sig", k, rng.random(_DIM)) for k in range(3)]
-        cache.put(keys[0], [])
-        cache.put(keys[1], [])
-        assert cache.get(keys[0]) == []  # refresh 0 -> 1 becomes LRU
-        cache.put(keys[2], [])
-        assert cache.get(keys[1]) is None  # evicted
-        assert cache.get(keys[0]) == []
+        cache.put(keys[0], [], 0)
+        cache.put(keys[1], [], 0)
+        assert cache.get(keys[0], 0, _never) == []  # 0 refreshed, 1 is LRU
+        cache.put(keys[2], [], 0)
+        assert cache.get(keys[1], 0, _never) is None  # evicted
+        assert cache.get(keys[0], 0, _never) == []
         assert len(cache) == 2
 
     def test_quantization_merges_float_noise(self, rng):
-        cache = ResultCache(4, quantize_decimals=6)
-        vector = rng.random(_DIM)
-        jittered = vector + 1e-9
-        assert cache.key("knn", "sig", 5, vector) == cache.key(
-            "knn", "sig", 5, jittered
-        )
-        exact = ResultCache(4, quantize_decimals=None)
-        assert exact.key("knn", "sig", 5, vector) != exact.key(
-            "knn", "sig", 5, jittered
-        )
+        # Keys round to 12 decimals: noise below that merges, noise
+        # above it does not.
+        cache = ResultCache(4)
+        vector = np.round(rng.random(_DIM), 6)
+        key = cache.key("knn", "sig", 5, vector)
+        assert key == cache.key("knn", "sig", 5, vector + 1e-14)
+        assert key != cache.key("knn", "sig", 5, vector + 1e-9)
 
     def test_key_separates_kind_feature_and_parameter(self, rng):
         cache = ResultCache(4)
@@ -138,23 +140,21 @@ class TestResultCache:
         cache = ResultCache(0)
         assert not cache.enabled
         key = cache.key("knn", "sig", 5, rng.random(_DIM))
-        cache.put(key, [])
-        assert cache.get(key) is None
+        cache.put(key, [], 0)
+        assert cache.get(key, 0, _never) is None
         assert len(cache) == 0
 
     def test_rejects_bad_configuration(self):
         with pytest.raises(ServeError, match="capacity"):
             ResultCache(-1)
-        with pytest.raises(ServeError, match="quantize"):
-            ResultCache(4, quantize_decimals=-2)
 
     def test_returned_list_is_a_copy(self, rng):
         cache = ResultCache(4)
         key = cache.key("knn", "sig", 5, rng.random(_DIM))
-        cache.put(key, [])
-        first = cache.get(key)
+        cache.put(key, [], 0)
+        first = cache.get(key, 0, _never)
         first.append("garbage")
-        assert cache.get(key) == []
+        assert cache.get(key, 0, _never) == []
 
     def test_capacity_one_evicts_on_every_new_key(self, rng):
         # The degenerate LRU: each put of a new key displaces the sole
@@ -162,21 +162,21 @@ class TestResultCache:
         cache = ResultCache(1)
         first = cache.key("knn", "sig", 5, rng.random(_DIM))
         second = cache.key("knn", "sig", 6, rng.random(_DIM))
-        cache.put(first, [])
-        assert cache.get(first) == []
-        cache.put(second, [])
+        cache.put(first, [], 0)
+        assert cache.get(first, 0, _never) == []
+        cache.put(second, [], 0)
         assert len(cache) == 1
-        assert cache.get(first) is None  # displaced
-        assert cache.get(second) == []
+        assert cache.get(first, 0, _never) is None  # displaced
+        assert cache.get(second, 0, _never) == []
         # Re-putting the same key is an update, not an eviction.
-        cache.put(second, [])
-        assert len(cache) == 1 and cache.get(second) == []
+        cache.put(second, [], 0)
+        assert len(cache) == 1 and cache.get(second, 0, _never) == []
 
     def test_tuple_stamp_equal_tuples_hit(self, rng):
         cache = ResultCache(4)
         key = cache.key("knn", "sig", 5, rng.random(_DIM))
-        cache.put(key, [], generation=(3, 7, 2))
-        assert cache.get(key, (3, 7, 2)) == []
+        cache.put(key, [], (3, 7, 2))
+        assert cache.get(key, (3, 7, 2), _never) == []
         assert cache.invalidations == 0
 
     def test_same_digest_different_kind_never_collides(self):
@@ -189,18 +189,19 @@ class TestResultCache:
         range_key = cache.key("range", "sig", 5.0, vector)
         assert knn_key[3] == range_key[3]  # identical vector digest
         assert knn_key != range_key
-        cache.put(knn_key, [])
-        assert cache.get(range_key) is None
-        cache.put(range_key, [])
+        cache.put(knn_key, [], 0)
+        assert cache.get(range_key, 0, _never) is None
+        cache.put(range_key, [], 0)
         assert len(cache) == 2
-        assert cache.get(knn_key) == [] and cache.get(range_key) == []
+        assert cache.get(knn_key, 0, _never) == []
+        assert cache.get(range_key, 0, _never) == []
 
     def test_counters_survive_clear(self, rng):
         cache = ResultCache(4)
         key = cache.key("knn", "sig", 5, rng.random(_DIM))
-        cache.put(key, [], generation=1)
-        assert cache.get(key, generation=1) == []
-        cache.get(key, generation=2)  # stale -> invalidation + miss
+        cache.put(key, [], 1)
+        assert cache.get(key, 1, _never) == []
+        cache.get(key, 2, _never)  # stale -> invalidation + miss
         cache.clear()
         assert len(cache) == 0
         # Counters are monotonic service telemetry: clear() drops
@@ -210,31 +211,20 @@ class TestResultCache:
         assert cache.invalidations == 1
         assert cache.hit_rate == 0.5
         # And the cleared cache keeps counting from where it left off.
-        assert cache.get(key) is None
+        assert cache.get(key, 0, _never) is None
         assert cache.misses == 2
 
     def test_generation_mismatch_evicts_and_counts(self, rng):
         cache = ResultCache(4)
         key = cache.key("knn", "sig", 5, rng.random(_DIM))
-        cache.put(key, [], generation=3)
-        assert cache.get(key, generation=3) == []
-        assert cache.get(key, generation=4) is None  # stale: evicted
+        cache.put(key, [], 3)
+        assert cache.get(key, 3, _never) == []
+        assert cache.get(key, 4, _never) is None  # stale: evicted
         assert cache.invalidations == 1
         assert len(cache) == 0
         # Recomputed under the new generation, it serves again.
-        cache.put(key, [], generation=4)
-        assert cache.get(key, generation=4) == []
-
-    def test_unstamped_entries_ignore_generations(self, rng):
-        # Static-snapshot compatibility: entries stored without a stamp
-        # (and lookups without one) behave exactly as before.
-        cache = ResultCache(4)
-        key = cache.key("knn", "sig", 5, rng.random(_DIM))
-        cache.put(key, [])
-        assert cache.get(key, generation=7) == []
-        cache.put(key, [], generation=7)
-        assert cache.get(key) == []  # lookup without a stamp: no check
-        assert cache.invalidations == 0
+        cache.put(key, [], 4)
+        assert cache.get(key, 4, _never) == []
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +313,13 @@ class TestSchedulerParityUnderLoad:
             assert not outcome.cache_hit
 
 
-class TestSchedulerDedup:
-    def test_in_flight_duplicates_evaluated_once_and_fanned_out(
+class TestSchedulerGroups:
+    def test_duplicates_in_one_group_each_get_the_direct_answer(
         self, vector_db, rng
     ):
         # Stage a formed batch by hand (worker parked, cache off so every
         # duplicate actually reaches the engine group): 6 requests over 2
-        # distinct vectors must execute as one engine call of 2 rows.
+        # distinct vectors execute as one engine call of 6 rows.
         scheduler = QueryScheduler(
             vector_db, max_batch=8, cache_size=0, autostart=False
         )
@@ -340,20 +330,16 @@ class TestSchedulerDedup:
         served = [future.result(timeout=10) for future in futures]
         scheduler.close()
 
-        # One engine row per distinct vector: batch_size reflects the
-        # deduped kernel call, and the counter records the riders.
-        assert [outcome.batch_size for outcome in served] == [2] * 6
-        assert scheduler.stats().dedup_hits == 4
+        assert [outcome.batch_size for outcome in served] == [6] * 6
         assert all(not outcome.cache_hit for outcome in served)
 
-        # Bit-identical fan-out: every duplicate equals the direct call.
+        # Every duplicate equals the direct call, stats included.
         for pick, outcome in zip(picks, served):
             direct = vector_db.query(pool[pick], 5)
             assert _results_equal(outcome.results, direct)
-            vector_db.query(pool[pick], 5)
             assert outcome.stats == vector_db.index_for("sig").last_stats
 
-    def test_dedup_respects_parameter_boundaries(self, vector_db, rng):
+    def test_groups_never_merge_across_parameters(self, vector_db, rng):
         # The same vector under different k (or kind) is a different
         # request: groups never merge across parameters.
         scheduler = QueryScheduler(
@@ -366,16 +352,14 @@ class TestSchedulerDedup:
         scheduler.start()
         outcomes = [f.result(timeout=10) for f in (k5, k6, ranged)]
         scheduler.close()
-        assert scheduler.stats().dedup_hits == 0
         assert [outcome.batch_size for outcome in outcomes] == [1, 1, 1]
         assert len(outcomes[0].results) == 5
         assert len(outcomes[1].results) == 6
 
-    def test_dedup_under_concurrent_duplicate_storm(self, vector_db, rng):
+    def test_concurrent_duplicate_storm_matches_direct_calls(self, vector_db, rng):
         # Many threads hammer a tiny query pool with the cache disabled;
         # whatever batches form, every response must be bit-identical to
-        # the direct call and the dedup counter must account exactly for
-        # the requests that shared an engine row.
+        # the direct call.
         pool = rng.random((3, _DIM))
         n_threads, per_thread = 8, 12
         outcomes: dict[tuple[int, int], ServedResult] = {}
@@ -402,12 +386,7 @@ class TestSchedulerDedup:
         direct = {pick: vector_db.query(pool[pick], 4) for pick in range(3)}
         for (thread_id, step), served in outcomes.items():
             assert _results_equal(served.results, direct[plans[thread_id][step]])
-        stats = scheduler.stats()
-        assert stats.completed == len(outcomes)
-        # 96 requests over 3 distinct vectors: unless every batch formed
-        # with a single request, duplicates must have shared rows.
-        if stats.mean_batch_size > 1.0:
-            assert stats.dedup_hits > 0
+        assert scheduler.stats().completed == len(outcomes)
 
 
 class TestSchedulerCache:

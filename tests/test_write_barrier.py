@@ -1,18 +1,16 @@
-"""Mutation coalescing: adjacent same-kind mutations share one barrier.
+"""The write barrier: one mutation, one barrier; one group fsync per batch.
 
-ISSUE 9 tentpole (b): the scheduler worker collapses adjacent
-``submit_add`` runs (and adjacent ``submit_remove`` runs) in a formed
-batch into *one* database call — one generation bump per feature, one
-journal record, one fsync — while keeping per-future semantics
-bit-identical to serial application:
+The scheduler worker applies every ``submit_add`` / ``submit_remove``
+on its own — one database call, one journal record, one generation
+bump per feature — in arrival order between the query segments around
+it, and acknowledges everything a formed batch applied behind one
+group fsync.  Per-future semantics:
 
-* every future still resolves with exactly its own allocated /
-  removed ids;
-* a malformed add fails only its own future and breaks the run;
-* overlapping removes fail exactly the member that would have failed
-  serially (the engine's own unknown-id error);
-* explicit and default naming never mix into one engine call;
-* mixed kinds (add next to remove) never coalesce.
+* every future resolves with exactly its own allocated / removed ids;
+* a malformed add fails only its own future;
+* a remove naming an id an earlier mutation removed fails exactly that
+  remove, with the engine's own unknown-id error;
+* a query between two mutations sees exactly the first one.
 
 These tests stage deterministic batches with ``autostart=False``:
 submit everything while the worker is parked, then ``start()`` so the
@@ -54,8 +52,8 @@ def _staged_scheduler(db, **kwargs):
     return QueryScheduler(db, autostart=False, **kwargs)
 
 
-class TestAdjacentAddsCoalesce:
-    def test_one_generation_bump_and_distinct_ids(self, rng):
+class TestSerialAdds:
+    def test_one_generation_bump_per_add_and_distinct_ids(self, rng):
         db = _make_db(rng)
         scheduler = _staged_scheduler(db)
         try:
@@ -65,20 +63,17 @@ class TestAdjacentAddsCoalesce:
             scheduler.start()
             results = [f.result(timeout=10) for f in futures]
 
-            # One engine barrier for the whole run: the generation moved
-            # by exactly 1 even though three futures were acknowledged.
-            assert scheduler.generations()["sig"] == before + 1
+            # One barrier per mutation: three adds drained as one
+            # formed batch still move the generation by three.
+            assert scheduler.generations()["sig"] == before + 3
 
             all_ids = [i for r in results for i in r.ids]
             assert [len(r.ids) for r in results] == [1, 3, 2]
-            assert len(set(all_ids)) == len(all_ids)
+            assert all_ids == list(range(all_ids[0], all_ids[0] + 6))
+            assert scheduler.stats().mutations == 3
 
-            stats = scheduler.stats()
-            assert stats.mutations == 3
-            assert stats.coalesced_mutations == 2
-
-            # Attribution is positional: each future's ids map to its
-            # own rows, verified by querying each inserted vector.
+            # Attribution: each future's ids map to its own rows,
+            # verified by querying each inserted vector.
             for result, block in zip(results, blocks):
                 for image_id, row in zip(result.ids, block):
                     served = scheduler.submit_query(row, 1).result(timeout=10)
@@ -87,7 +82,9 @@ class TestAdjacentAddsCoalesce:
         finally:
             scheduler.close()
 
-    def test_coalesced_run_writes_one_journal_group(self, rng, tmp_path):
+    def test_staged_adds_write_one_record_each_behind_one_sync(
+        self, rng, tmp_path
+    ):
         db = _make_db(rng)
         journal = Journal.create(tmp_path / JOURNAL_FILE, database_fingerprint(db))
         scheduler = _staged_scheduler(db, journal=journal)
@@ -98,18 +95,16 @@ class TestAdjacentAddsCoalesce:
             scheduler.start()
             for future in futures:
                 future.result(timeout=10)
-            # One merged engine call → one journal record, and the
-            # formed batch acknowledged everything behind one group
-            # fsync (log-before-ack unchanged).
-            assert journal.n_records == 1
+            # Three mutations → three records; the formed batch
+            # acknowledged all of them behind one group fsync.
+            assert journal.n_records == 3
             assert journal.n_syncs == 1
-            assert scheduler.stats().coalesced_mutations == 2
         finally:
             scheduler.close()
 
     def test_serial_adds_write_one_record_each(self, rng, tmp_path):
-        # Control for the journal-group test: the same three adds
-        # applied in separate formed batches cost three records.
+        # The same three adds applied in separate formed batches: three
+        # records and a group fsync each.
         db = _make_db(rng)
         journal = Journal.create(tmp_path / JOURNAL_FILE, database_fingerprint(db))
         scheduler = QueryScheduler(db, journal=journal, max_wait_ms=0.5)
@@ -117,28 +112,7 @@ class TestAdjacentAddsCoalesce:
             for _ in range(3):
                 scheduler.submit_add(rng.random((2, DIM))).result(timeout=10)
             assert journal.n_records == 3
-            assert scheduler.stats().coalesced_mutations == 0
-        finally:
-            scheduler.close()
-
-    def test_names_parity_breaks_the_run(self, rng):
-        # Default names derive from allocated ids, so an explicitly
-        # named add cannot share an engine call with a default-named
-        # one — the run must break between them.
-        db = _make_db(rng)
-        scheduler = _staged_scheduler(db)
-        try:
-            before = scheduler.generations()["sig"]
-            plain = scheduler.submit_add(rng.random((1, DIM)))
-            named = scheduler.submit_add(
-                rng.random((1, DIM)), names=["img-explicit"]
-            )
-            scheduler.start()
-            plain_result = plain.result(timeout=10)
-            named_result = named.result(timeout=10)
-            assert scheduler.generations()["sig"] == before + 2
-            assert scheduler.stats().coalesced_mutations == 0
-            assert len(plain_result.ids) == len(named_result.ids) == 1
+            assert journal.n_syncs == 3
         finally:
             scheduler.close()
 
@@ -146,6 +120,7 @@ class TestAdjacentAddsCoalesce:
         db = _make_db(rng)
         scheduler = _staged_scheduler(db)
         try:
+            before = scheduler.generations()["sig"]
             good = [scheduler.submit_add(rng.random((1, DIM))) for _ in range(2)]
             bad = scheduler.submit_add(rng.random((1, DIM + 1)))  # wrong dim
             tail = scheduler.submit_add(rng.random((1, DIM)))
@@ -154,50 +129,27 @@ class TestAdjacentAddsCoalesce:
             with pytest.raises(Exception):
                 bad.result(timeout=10)
             tail_ids = tail.result(timeout=10).ids
-            # The two leading adds coalesced; the malformed one broke
-            # the run and failed alone; the tail applied on its own.
-            stats = scheduler.stats()
-            assert stats.coalesced_mutations == 1
-            assert stats.mutations == 3  # failed mutations are not counted
+            # The malformed add failed alone and touched nothing: three
+            # bumps, three consecutive ids.
+            assert scheduler.generations()["sig"] == before + 3
+            assert scheduler.stats().mutations == 3  # failures not counted
             all_ids = [i for chunk in ids for i in chunk] + list(tail_ids)
-            assert len(set(all_ids)) == 3
+            assert all_ids == list(range(all_ids[0], all_ids[0] + 3))
         finally:
             scheduler.close()
 
 
-class TestAdjacentRemovesCoalesce:
-    def test_disjoint_removes_share_one_barrier(self, rng):
-        db = _make_db(rng)
-        scheduler = _staged_scheduler(db)
-        try:
-            before = scheduler.generations()["sig"]
-            first = scheduler.submit_remove([0, 1])
-            second = scheduler.submit_remove([2])
-            scheduler.start()
-            assert sorted(first.result(timeout=10).ids) == [0, 1]
-            assert second.result(timeout=10).ids == [2]
-            assert scheduler.generations()["sig"] == before + 1
-            assert scheduler.stats().coalesced_mutations == 1
-            served = scheduler.submit_query(np.zeros(DIM), SEED_N).result(
-                timeout=10
-            )
-            assert {r.image_id for r in served.results} == set(
-                range(3, SEED_N)
-            )
-        finally:
-            scheduler.close()
-
+class TestSerialRemoves:
     def test_overlapping_remove_fails_exactly_the_overlapper(self, rng):
         db = _make_db(rng)
         scheduler = _staged_scheduler(db)
         try:
             first = scheduler.submit_remove([0, 1])
-            overlap = scheduler.submit_remove([1, 2])  # 1 already claimed
+            overlap = scheduler.submit_remove([1, 2])  # 1 already removed
             scheduler.start()
             assert sorted(first.result(timeout=10).ids) == [0, 1]
-            # The overlapper broke the run and applied alone, after the
-            # first remove — so it got the engine's own unknown-id
-            # error, exactly as it would have serially.  Id 2 survives:
+            # Applied after the first remove, the overlapper gets the
+            # engine's own unknown-id error.  Id 2 survives:
             # validate-all-first removes touch nothing on failure.
             with pytest.raises(Exception):
                 overlap.result(timeout=10)
@@ -205,7 +157,6 @@ class TestAdjacentRemovesCoalesce:
                 timeout=10
             )
             assert 2 in {r.image_id for r in served.results}
-            assert scheduler.stats().coalesced_mutations == 0
         finally:
             scheduler.close()
 
@@ -223,28 +174,10 @@ class TestAdjacentRemovesCoalesce:
             scheduler.close()
 
 
-class TestRunBoundaries:
-    def test_mixed_kinds_never_coalesce(self, rng):
-        db = _make_db(rng)
-        scheduler = _staged_scheduler(db)
-        try:
-            before = scheduler.generations()["sig"]
-            add_one = scheduler.submit_add(rng.random((1, DIM)))
-            remove = scheduler.submit_remove([0])
-            add_two = scheduler.submit_add(rng.random((1, DIM)))
-            scheduler.start()
-            add_one.result(timeout=10)
-            remove.result(timeout=10)
-            add_two.result(timeout=10)
-            assert scheduler.generations()["sig"] == before + 3
-            assert scheduler.stats().coalesced_mutations == 0
-        finally:
-            scheduler.close()
-
+class TestBarriers:
     def test_query_between_mutations_is_a_barrier(self, rng):
         # A query admitted between two adds must see exactly the first
-        # add's rows — the adds are on opposite sides of the barrier and
-        # must not coalesce across it.
+        # add's rows.
         db = _make_db(rng)
         scheduler = _staged_scheduler(db)
         try:
@@ -259,18 +192,21 @@ class TestRunBoundaries:
             assert served.results[0].image_id == first_ids[0]
             assert served.results[0].distance == 0.0
             assert second_ids != first_ids
-            assert scheduler.stats().coalesced_mutations == 0
         finally:
             scheduler.close()
 
-    def test_final_state_parity_with_fresh_build(self, rng):
-        # End-to-end oracle: a coalesced mutation stream must leave the
-        # database bit-identical to a fresh build over the surviving rows.
+    def test_final_state_parity_with_fresh_build(self, rng, tmp_path):
+        # End-to-end oracle: a staged mutation stream must leave the
+        # database bit-identical to a fresh build over the surviving
+        # rows, with one journal record and one generation bump per
+        # mutation.
         db = _make_db(rng)
-        scheduler = _staged_scheduler(db)
+        journal = Journal.create(tmp_path / JOURNAL_FILE, database_fingerprint(db))
+        scheduler = _staged_scheduler(db, journal=journal)
         seed_ids, seed_rows = db.feature_matrix("sig")
         table = {i: seed_rows[pos] for pos, i in enumerate(seed_ids)}
         try:
+            before = scheduler.generations()["sig"]
             blocks = [rng.random((2, DIM)) for _ in range(3)]
             add_futures = [scheduler.submit_add(block) for block in blocks]
             remove_future = scheduler.submit_remove([0, 3])
@@ -280,6 +216,9 @@ class TestRunBoundaries:
                     table[image_id] = row
             remove_future.result(timeout=10)
             del table[0], table[3]
+            assert scheduler.generations()["sig"] == before + 4
+            assert journal.n_records == 4
+            assert journal.n_syncs == 1
 
             ids = sorted(table)
             oracle = LinearScanIndex(EuclideanDistance()).build(
