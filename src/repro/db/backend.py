@@ -242,8 +242,8 @@ class MemoryBackend(VectorBackend):
 
     @property
     def base(self) -> np.ndarray:
-        """The backing array (identity only changes on realloc) — lets
-        tests assert appends are not recopying storage."""
+        """The backing array (identity only changes on realloc): a first
+        index build takes it whole when it holds exactly the live rows."""
         return self._rows
 
     def view(self) -> np.ndarray:

@@ -6,21 +6,17 @@ Ties every subsystem together into the system the paper describes:
   :class:`~repro.features.FeatureSchema` extracts all its signatures,
   the catalog records its metadata.  The image itself plays no further
   part; only signatures are kept.
-* **index** — per feature, a metric index (VP-tree by default) is built
-  lazily over the signatures.  Once built, indexes stay live across
-  mutations: inserts ride :meth:`~repro.index.base.MetricIndex.insert_batch`
-  and :meth:`remove` rides ``MetricIndex.delete`` (dynamic structures
-  grow/shrink in place, static trees overlay a pending buffer and
-  tombstones — see ``docs/mutability.md``), so ingest never pays a
-  from-scratch rebuild per mutation.
+* **index** — per feature, one metric index (VP-tree by default), its
+  structure built lazily.  Inserts ride
+  :meth:`~repro.index.base.MetricIndex.insert_batch` and :meth:`remove`
+  rides ``MetricIndex.delete``, built or not (``docs/mutability.md``),
+  so ingest never pays a from-scratch rebuild per mutation.
 * **one owner per row** — the database keeps no vector table of its
-  own.  A built index's storage backend holds the feature's rows and
-  every by-id read (:meth:`ImageDatabase.vectors_of`,
-  ``feature_matrix``, ``save``, the multi-feature rerank)
-  goes through ``MetricIndex.vectors_of``; rows added before a
-  feature's first build wait in one growable buffer that the build
-  consumes.  The catalog alone says which ids are live
-  (``docs/storage.md``, "Ownership").
+  own.  Each feature's index holds its rows and every by-id read
+  (:meth:`ImageDatabase.vectors_of`, ``feature_matrix``, ``save``, the
+  multi-feature rerank) goes through ``MetricIndex.vectors_of``.  The
+  catalog alone says which ids are live (``docs/storage.md``,
+  "Ownership").
 * **generations** — every mutation bumps a monotonic per-feature
   :meth:`generation` counter.  The serving layer stamps cached results
   with the generation they were computed under and lazily invalidates
@@ -51,10 +47,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.db.backend import BackendFactory, MemoryBackend, resolve_backend_factory
+from repro.db.backend import BackendFactory, resolve_backend_factory
 from repro.db.catalog import Catalog, ImageRecord
 from repro.db.fsutil import REAL_FS, FileSystem, atomic_write_bytes, fsync_file
-from repro.db.idmap import IdMap
 from repro.db.query import (
     RetrievalResult,
     borda_fuse,
@@ -80,38 +75,9 @@ _CATALOG_FILE = "catalog.json"
 _FEATURE_DIR = "features"
 
 
-class _WaitingRows:
-    """Rows added before their feature's first build.
-
-    Whole matrices appended to one growable buffer; the build reads
-    them, hands them to ``MetricIndex.build`` and drops this object.
-    It answers the two calls the database routes rows through, so
-    callers need not know whether a feature is built.  Removal needs no
-    call: the catalog is the live set, a removed id is simply never
-    asked for again, and when an id is re-added its latest row wins.
-    """
-
-    def __init__(self, dim: int) -> None:
-        self._row_of = IdMap()
-        self._rows = MemoryBackend(np.empty((0, dim)))
-
-    def insert_batch(self, ids: Sequence[int], vectors: np.ndarray) -> None:
-        self._row_of.extend(ids)
-        self._rows.append(vectors)
-
-    def vectors_of(self, ids: Sequence[int]) -> np.ndarray:
-        """Rows by id, O(ids asked).  Asked for every held id in order
-        — what a first build or a ``save`` does — the answer is a
-        read-only view of the buffer itself: no gather, no copy."""
-        held = self._row_of.ids
-        if len(ids) == len(held) and np.array_equal(ids, held):
-            return self._rows.view()
-        return self._rows.rows(self._row_of.rows(ids))
-
-
 def _fresh(rows: np.ndarray) -> np.ndarray:
-    """``rows`` as an array the caller may keep and write to: waiting
-    rows asked for wholesale come back as a borrowed read-only view."""
+    """``rows`` as an array the caller may keep and write to (an unbuilt
+    index lends its whole block read-only)."""
     return rows if rows.flags.writeable else rows.copy()
 
 
@@ -171,13 +137,12 @@ class ImageDatabase:
         )
         self._backend_factory: BackendFactory = resolve_backend_factory(backend)
         self._catalog = Catalog()
-        #: A feature is in exactly one of the two: built (its index owns
-        #: the rows) or still waiting for its first build.
+        #: One index per feature, the holder of its rows, built or not.
         self._indexes: dict[str, MetricIndex] = {}
-        self._waiting: dict[str, _WaitingRows] = {
-            name: _WaitingRows(self._schema.get(name).dim)
-            for name in self._schema.names
-        }
+        for name in self._schema.names:
+            index = self._index_factory(self._metrics[name])
+            index.backend_factory = self._backend_factory
+            self._indexes[name] = index
         self._generations: dict[str, int] = {
             name: 0 for name in self._schema.names
         }
@@ -254,28 +219,31 @@ class ImageDatabase:
     def index_for(self, feature: str) -> MetricIndex:
         """The (built) index for ``feature``, building it if needed."""
         self._check_feature(feature)
-        if feature not in self._indexes:
-            self._build_index(feature)
-        return self._indexes[feature]
+        index = self._indexes[feature]
+        if not index.is_built:
+            if not len(self._catalog):
+                raise QueryError("cannot build an index over an empty database")
+            index.rebuild()  # the first build, over the index's pending rows
+        return index
 
     def feature_matrix(self, feature: str) -> tuple[list[int], np.ndarray]:
         """All stored vectors of one feature: ``(ids, (n, d) array)``."""
         self._check_feature(feature)
         ids = self._catalog.ids
-        return ids, _fresh(self._owner(feature).vectors_of(ids))
+        return ids, _fresh(self._rows(feature, ids))
 
     def vectors_of(self, feature: str, image_ids: Sequence[int]) -> np.ndarray:
         """The stored signatures of some images for one feature.
 
         A fresh ``(len(image_ids), d)`` array in the order asked, read
-        from whoever owns the rows: the feature's built index (through
-        its storage backend) or the rows still waiting for a build.
+        from the feature's index (its storage backend, or its pending
+        rows before the first build).
         """
         self._check_feature(feature)
         for image_id in image_ids:
             if image_id not in self._catalog:
                 raise QueryError(f"no image with id {image_id}")
-        return _fresh(self._owner(feature).vectors_of(image_ids))
+        return _fresh(self._rows(feature, image_ids))
 
     def vector_of(self, feature: str, image_id: int) -> np.ndarray:
         """The stored signature of one image for one feature (a copy)."""
@@ -477,8 +445,7 @@ class ImageDatabase:
         records = [self._catalog.delete(image_id) for image_id in image_ids]
         for feature in self._schema.names:
             self._generations[feature] += 1
-            if feature in self._indexes:
-                self._indexes[feature].delete(image_ids)
+            self._indexes[feature].delete(image_ids)
         return records
 
     def delete_image(self, image_id: int) -> ImageRecord:
@@ -486,10 +453,14 @@ class ImageDatabase:
         return self.remove([image_id])[0]
 
     def build_indexes(self, features: Sequence[str] | None = None) -> None:
-        """(Re)build indexes now instead of lazily at first query."""
+        """Build indexes now instead of lazily at first query.
+
+        An unbuilt index gets its first build; a built one folds its
+        mutation overlay in (``MetricIndex.rebuild``, a no-op when
+        there is none).
+        """
         for feature in features if features is not None else self._schema.names:
-            self._check_feature(feature)
-            self._build_index(feature)
+            self.index_for(feature).rebuild()
 
     def next_image_id(self) -> int:
         """The id the next insert would allocate (no allocation happens).
@@ -701,7 +672,7 @@ class ImageDatabase:
             with FeatureStore.create(
                 staging, self._schema.get(feature).dim, overwrite=True, fs=fs
             ) as store:
-                store.extend(self._owner(feature).vectors_of(ordered_ids))
+                store.extend(self._rows(feature, ordered_ids))
             fsync_file(staging, fs=fs)
             fs.replace(staging, path)
         fs.fsync_dir(directory / _FEATURE_DIR)
@@ -764,7 +735,7 @@ class ImageDatabase:
                     f"feature store {feature!r} holds {matrix.shape[0]} records "
                     f"but catalog has {len(ordered_ids)}"
                 )
-            db._waiting[feature].insert_batch(ordered_ids, matrix)
+            db._indexes[feature].insert_batch(ordered_ids, matrix)
         return db
 
     # ------------------------------------------------------------------
@@ -776,39 +747,23 @@ class ImageDatabase:
                 f"unknown feature {feature!r}; schema has {list(self._schema.names)}"
             )
 
-    def _build_index(self, feature: str) -> None:
-        """Build a fresh index over the live items, in catalog order,
-        from whoever owns the rows now — then it is the owner."""
-        ids = self._catalog.id_array
-        if not ids.shape[0]:
-            raise QueryError("cannot build an index over an empty database")
-        index = self._index_factory(self._metrics[feature])
-        index.backend_factory = self._backend_factory
-        index.build(ids, self._owner(feature).vectors_of(ids))
-        previous = self._indexes.get(feature)
-        self._indexes[feature] = index
-        self._waiting.pop(feature, None)
-        if previous is not None:
-            previous.close()  # release the superseded core's storage
-
-    def _owner(self, feature: str) -> "MetricIndex | _WaitingRows":
-        """Who holds the feature's rows: its built index, else the
-        rows waiting for the first build."""
-        index = self._indexes.get(feature)
-        return index if index is not None else self._waiting[feature]
+    def _rows(self, feature: str, ids: Sequence[int]) -> np.ndarray:
+        """The feature's rows of live ``ids`` from its index; an empty
+        ask is answered here, where the width is known even before the
+        index holds a row."""
+        if not len(ids):
+            return np.empty((0, self._schema.get(feature).dim))
+        return self._indexes[feature].vectors_of(ids)
 
     def _register_insert(
         self, ids: list[int], matrices: Mapping[str, np.ndarray]
     ) -> None:
-        """Hand freshly catalogued signatures to their owner.
-
-        A built index takes them through its incremental
-        ``insert_batch`` path; otherwise they join the rows waiting for
-        the lazy build.  Either way the feature's generation advances.
-        """
+        """Hand freshly catalogued signatures to each feature's index
+        (built or not, ``insert_batch`` takes them) and advance the
+        feature's generation."""
         for feature in self._schema.names:
             self._generations[feature] += 1
-            self._owner(feature).insert_batch(ids, matrices[feature])
+            self._indexes[feature].insert_batch(ids, matrices[feature])
 
     def _search(
         self,

@@ -6,10 +6,11 @@ A ``dict[int, int]`` over 200 000 ids costs ~28 MB (the table plus one
 *not* in ascending row order, one 8-byte sorter.  Lookups are binary
 searches (``np.searchsorted``), vectorised over the ids asked for.
 
-The row of an id is its position in the column.  When an id occurs more
-than once the **latest** row wins — which is what the rows waiting for
-a feature's first build and the catalog's not-yet-compacted deletions
-both need.
+The row of an id is its position in the column — in an index's core,
+the structure's stored row; in its pending buffer (a subclass), the
+row of the buffer's block.  When an id occurs more than once the
+**latest** row wins, which the catalog's not-yet-compacted deletions
+need.
 """
 
 from __future__ import annotations

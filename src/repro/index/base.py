@@ -23,13 +23,16 @@ the per-query counters and :attr:`MetricIndex.last_stats` their sum.
 
 Mutation protocol (see ``docs/mutability.md``)
 ----------------------------------------------
-A built index accepts :meth:`MetricIndex.insert_batch` and
-:meth:`MetricIndex.delete`.  Structures with a genuinely dynamic shape
-override the ``_insert_batch`` / ``_delete`` hooks (the M-tree grows by
-paper-style page splits, the linear scan and LAESA's pivot table extend
-their arrays row-wise); the static trees fall back to the base class's
-**pending buffer** (inserted items held outside the structure and
-scanned per query) plus **tombstones** (deleted ids filtered out of
+Every index accepts :meth:`MetricIndex.insert_batch` and
+:meth:`MetricIndex.delete`, built or not.  Before the first build both
+go to the **pending buffer** — inserted items held outside the
+structure, one growable block in arrival order — and
+:meth:`MetricIndex.rebuild` is the first build, over that block.  Once
+built, structures with a genuinely dynamic shape override the
+``_insert_batch`` / ``_delete`` hooks (the M-tree grows by paper-style
+page splits, the linear scan and LAESA's pivot table extend their
+arrays row-wise); the static trees keep using the pending buffer
+(scanned per query) plus **tombstones** (deleted ids filtered out of
 structural results), with a threshold-triggered rebuild
 (:attr:`rebuild_threshold` / :attr:`rebuild_min`) that folds the
 overlay back into a fresh structure once it grows past a fraction of
@@ -41,13 +44,14 @@ batched evaluation per query, tombstone filtering is free).
 
 Row ownership (see ``docs/storage.md``)
 ---------------------------------------
-The index's :class:`~repro.db.backend.VectorBackend` is the only place
-a built feature's rows live, and the order they are stored in is the
-index's choice: :meth:`MetricIndex.build` copies the input once into a
-working block, ``_build`` may permute that block (and the ids beside
-it) in place — the static trees arrange it in tree order — and the
-backend then *takes* the block.  ``_vectors`` is the backend's view of
-it, ``_ids`` the id of every row, ``_row_of`` the id → row map.
+An index is the one holder of its rows: its
+:class:`~repro.db.backend.VectorBackend` and its pending buffer.  A
+build works on one block the index owns (:meth:`MetricIndex.build`
+copies its input once, a first :meth:`MetricIndex.rebuild` takes the
+pending block), ``_build`` may permute it and the ids beside it in
+place — the static trees arrange it in tree order — and the backend
+then *takes* the block.  ``_vectors`` is the backend's view of it,
+``_ids`` the id of every row, ``_row_of`` the id → row map.
 :meth:`MetricIndex.live_ids` and :meth:`MetricIndex.vectors_of` are how
 everything else — the database's ``vector_of`` / ``feature_matrix`` /
 ``save`` and the index's own :meth:`MetricIndex.rebuild` — reads the
@@ -62,7 +66,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.db.backend import BackendFactory, MemoryBackendFactory, VectorBackend
+from repro.db.backend import (
+    BackendFactory,
+    MemoryBackend,
+    MemoryBackendFactory,
+    VectorBackend,
+)
 from repro.db.idmap import IdMap
 from repro.errors import IndexingError
 from repro.index.stats import BuildStats, SearchStats
@@ -131,6 +140,87 @@ def reorder_rows(rows: np.ndarray, order: np.ndarray) -> None:
 _DEFAULT_BACKEND_FACTORY = MemoryBackendFactory()
 
 
+def _as_ids(ids: Sequence[int]) -> np.ndarray:
+    """``ids`` as a fresh 1-D int64 array, without a Python int per id."""
+    try:
+        return np.array(
+            ids if isinstance(ids, np.ndarray) else list(ids), dtype=np.int64
+        ).reshape(-1)
+    except (TypeError, ValueError, OverflowError):
+        raise IndexingError("ids must be 64-bit integers") from None
+
+
+def _repeats(ids: np.ndarray) -> bool:
+    """True when an id occurs twice (sorting only ids not already ascending)."""
+    if (ids[1:] > ids[:-1]).all():
+        return False
+    ordered = np.sort(ids)
+    return bool((ordered[1:] == ordered[:-1]).any())
+
+
+class _PendingRows(IdMap):
+    """The rows an index holds outside its structure, in arrival order:
+    an id column whose row ``i`` is row ``i`` of one growable block (a
+    :class:`~repro.db.backend.MemoryBackend`, made by the first append)."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._rows: MemoryBackend | None = None
+
+    @property
+    def block(self) -> np.ndarray:
+        """The held rows as one read-only ``(p, d)`` view."""
+        assert self._rows is not None
+        return self._rows.view()
+
+    @property
+    def dim(self) -> int | None:
+        """Width of the held rows; ``None`` before the first append."""
+        return None if self._rows is None else self._rows.dim
+
+    def append(self, ids: np.ndarray, vectors: np.ndarray) -> None:
+        """Hold validated new rows: the one copy an insert makes."""
+        if self._rows is None:
+            self._rows = MemoryBackend(vectors)
+        else:
+            self._rows.append(vectors)
+        self.extend(ids)
+
+    def discard(self, ids: np.ndarray) -> np.ndarray:
+        """Drop the held ones among ``ids`` (one compacting copy of the
+        survivors) and return which were held."""
+        rows = self.rows(ids)
+        held = rows >= 0
+        if held.any():
+            assert self._rows is not None
+            keep = np.delete(np.arange(len(self)), rows[held])
+            self._rows.take(keep)
+            IdMap.__init__(self, self.ids[keep])
+        return held
+
+    def vectors_of(self, rows: np.ndarray) -> np.ndarray:
+        """Held rows by row number; asked for every row in order (a
+        ``save`` before the first build), the block itself, read-only."""
+        assert self._rows is not None
+        if len(rows) == len(self) and np.array_equal(rows, np.arange(len(self))):
+            return self.block
+        return self._rows.rows(rows)
+
+    def hand_over(self, dead: set[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The ids and rows, less those of ``dead`` ids, as arrays the
+        caller now owns: the block itself when its allocation holds
+        exactly those rows, else one compacting copy.  The buffer must
+        not be used afterwards."""
+        assert self._rows is not None
+        block, n = self._rows.base, len(self)
+        if dead:
+            keep = np.delete(np.arange(n), self.rows(np.fromiter(dead, np.int64)))
+            return self.ids[keep], block[keep]
+        return self.ids.copy(), block if block.shape[0] == n else block[:n].copy()
+
+
 class MetricIndex(ABC):
     """Base class: validation, bookkeeping, and the query protocol.
 
@@ -173,16 +263,14 @@ class MetricIndex(ABC):
         self._row_of = IdMap()
         self._vectors: np.ndarray | None = None
         self._core: VectorBackend | None = None
-        self._built = False
         self._build_stats = BuildStats()
         self._search_stats = SearchStats()
         self._batch_stats: list[SearchStats] = []
-        # Mutation overlay: items inserted after build that the concrete
-        # structure does not hold (scanned per query), and ids deleted
-        # from the structure but still physically inside it.
-        self._pending: dict[int, np.ndarray] = {}
-        self._pending_block: np.ndarray | None = None
-        self._pending_ids: np.ndarray | None = None  # int64, the block's order
+        # Mutation overlay: items the concrete structure does not hold
+        # (all of them before the first build; scanned per query after
+        # it), and ids deleted but still physically held — inside the
+        # structure, or in the pending buffer before the first build.
+        self._pending = _PendingRows()
         self._tombstones: set[int] = set()
 
     # ------------------------------------------------------------------
@@ -218,14 +306,15 @@ class MetricIndex(ABC):
     @property
     def dim(self) -> int:
         """Dimensionality of the indexed vectors."""
-        if self._vectors is None:
+        dim = self._core.dim if self._core is not None else self._pending.dim
+        if dim is None:
             raise IndexingError("index has not been built yet")
-        return self._vectors.shape[1]
+        return dim
 
     @property
     def is_built(self) -> bool:
-        """True once :meth:`build` has succeeded."""
-        return self._built
+        """True once :meth:`build` or a first :meth:`rebuild` succeeded."""
+        return self._core is not None
 
     @property
     def build_stats(self) -> BuildStats:
@@ -268,45 +357,39 @@ class MetricIndex(ABC):
             raise IndexingError(
                 f"vectors must be a non-empty (n, d) array; got shape {vectors.shape}"
             )
-        try:
-            ids = np.array(
-                ids if isinstance(ids, np.ndarray) else list(ids), dtype=np.int64
-            ).reshape(-1)
-        except (TypeError, ValueError, OverflowError):
-            raise IndexingError("ids must be 64-bit integers") from None
+        ids = _as_ids(ids)
         if ids.shape[0] != vectors.shape[0]:
             raise IndexingError(
                 f"{ids.shape[0]} ids but {vectors.shape[0]} vectors"
             )
-        if np.unique(ids).shape[0] != ids.shape[0]:
+        if _repeats(ids):
             raise IndexingError("duplicate ids in build input")
         if not np.all(np.isfinite(vectors)):
             raise IndexingError("vectors contain non-finite values")
         self._metric._check_dim(vectors.shape[1])  # kernels run unchecked
+        return self._build_owned(ids, np.array(vectors, dtype=np.float64, order="C"))
 
-        # The one owned working block: ``_build`` arranges it (and the
-        # ids) in place, then the backend takes it — no second copy.
-        rows = np.array(vectors, dtype=np.float64, order="C")
-        self._pending = {}
-        self._pending_block = self._pending_ids = None
-        self._tombstones = set()
+    def _build_owned(self, ids: np.ndarray, rows: np.ndarray) -> "MetricIndex":
+        """Build over validated int64 ``ids`` and a C-contiguous float64
+        block the index owns, which the backend then takes (no copy).
+        The overlay is cleared only once the new core is in place."""
         self._build_stats = BuildStats()
         self._build(ids, rows)
         previous = self._core
         self._core = self.backend_factory.adopt(rows)
+        self._pending = _PendingRows()
+        self._tombstones = set()
         if previous is not None:
             previous.close()
         self._vectors = self._core.view()
         self._row_of = IdMap(ids)
-        self._built = True
         return self
 
     def close(self) -> None:
         """Release the index's storage backend (idempotent).
 
         Backend files are derived state, so a bounded backend may
-        delete them; the index must not be queried afterwards.  The
-        database calls this when it replaces a feature's index.
+        delete them; the index must not be queried afterwards.
         """
         if self._core is not None:
             self._core.close()
@@ -315,80 +398,85 @@ class MetricIndex(ABC):
     # Mutation
     # ------------------------------------------------------------------
     def insert_batch(self, ids: Sequence[int], vectors: np.ndarray) -> None:
-        """Insert new ``(ids[i], vectors[i])`` items into a built index.
+        """Insert new ``(ids[i], vectors[i])`` items.
 
-        Dynamic structures (:class:`~repro.index.mtree.MTree`,
-        :class:`~repro.index.linear.LinearScanIndex`,
-        :class:`~repro.index.laesa.LAESAIndex`) grow in place; the
-        static trees buffer the items in a pending overlay scanned per
-        query until a threshold rebuild folds them in (see
-        ``docs/mutability.md``).  Either way the next query sees the
-        new items with exact results and exact distance accounting.
+        An unbuilt index holds them in its pending buffer for the first
+        :meth:`rebuild`.  Once built, the M-tree, the linear scan and
+        LAESA grow in place; the static trees buffer the items in the
+        pending overlay, scanned per query until a threshold rebuild
+        folds them in (``docs/mutability.md``).  Either way the next
+        query sees them, with exact results and distance accounting.
 
         Raises
         ------
         IndexingError
-            If the index is unbuilt, an id is already present (live or
-            tombstoned), ids repeat, or vectors have the wrong shape or
-            non-finite values.
+            If an id is already present (live or tombstoned), ids
+            repeat, or vectors have the wrong shape or non-finite
+            values.
         """
-        if not self._built or self._vectors is None:
-            raise IndexingError("insert_batch() requires a built index; call build() first")
         vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2 or vectors.shape[1] != self._vectors.shape[1]:
+        dim = self._core.dim if self._core is not None else self._pending.dim
+        if vectors.ndim != 2 or (dim is not None and vectors.shape[1] != dim):
             raise IndexingError(
-                f"vectors must be a 2-D array of dim {self._vectors.shape[1]}; "
-                f"got shape {vectors.shape}"
+                f"vectors must be a 2-D array of dim {dim}; got shape {vectors.shape}"
             )
-        ids = [int(i) for i in ids]
+        ids = _as_ids(ids)
         if len(ids) != vectors.shape[0]:
             raise IndexingError(f"{len(ids)} ids but {vectors.shape[0]} vectors")
-        if not ids:
+        if not len(ids):
             return
         if not np.all(np.isfinite(vectors)):
             raise IndexingError("vectors contain non-finite values")
-        if len(set(ids)) != len(ids):
+        if _repeats(ids):
             raise IndexingError("duplicate ids in insert input")
-        held = self._row_of.rows(ids) >= 0
-        clashes = [i for i, core in zip(ids, held) if core or i in self._pending]
-        if clashes:
+        if self._core is None and self._tombstones:
+            if not self._tombstones.isdisjoint(ids.tolist()):
+                self._drop_dead_pending()  # a deleted id is back before the build
+        clashes = (self._row_of.rows(ids) >= 0) | (self._pending.rows(ids) >= 0)
+        if clashes.any():
             raise IndexingError(
-                f"id {min(clashes)} is already indexed "
+                f"id {ids[clashes].min()} is already indexed "
                 f"(tombstoned ids cannot be re-inserted before a rebuild)"
             )
-        self._insert_batch(ids, vectors.copy())
-        self._maybe_rebuild()
+        self._metric._check_dim(vectors.shape[1])
+        if self._core is None:
+            self._pending.append(ids, vectors)
+        else:
+            self._insert_batch(ids, vectors)
+            self._maybe_rebuild()
 
     def delete(self, ids: Sequence[int]) -> None:
-        """Delete items by id from a built index.
+        """Delete items by id.
 
-        The linear scan and LAESA drop the rows outright; tree
+        An unbuilt index tombstones them in its pending buffer and
+        squeezes the dead rows out once they outnumber the live ones
+        (or at the first build), so a delete is amortised O(1).  Once
+        built, the linear scan and LAESA drop the rows outright; tree
         structures tombstone the ids (filtered from every result at no
         distance cost) until a threshold rebuild reclaims the space.
 
         Raises
         ------
         IndexingError
-            If the index is unbuilt, an id is unknown or already
-            deleted, or ids repeat.
+            If an id is unknown or already deleted, or ids repeat.
         """
-        if not self._built or self._vectors is None:
-            raise IndexingError("delete() requires a built index; call build() first")
-        ids = [int(i) for i in ids]
-        if not ids:
+        ids = _as_ids(ids)
+        if not len(ids):
             return
-        if len(set(ids)) != len(ids):
+        if _repeats(ids):
             raise IndexingError("duplicate ids in delete input")
-        held = self._row_of.rows(ids) >= 0
-        missing = [
-            i
-            for i, core in zip(ids, held)
-            if i not in self._pending and (not core or i in self._tombstones)
-        ]
-        if missing:
-            raise IndexingError(f"id {min(missing)} is not indexed")
-        self._delete(ids)
-        self._maybe_rebuild()
+        live = (self._row_of.rows(ids) >= 0) | (self._pending.rows(ids) >= 0)
+        if self._tombstones:
+            live &= [item_id not in self._tombstones for item_id in ids.tolist()]
+        if not live.all():
+            raise IndexingError(f"id {ids[~live].min()} is not indexed")
+        if self._core is None:
+            self._tombstones.update(ids.tolist())
+            if 2 * len(self._tombstones) > len(self._pending):
+                self._drop_dead_pending()
+        else:
+            self._delete(ids)
+            self._maybe_rebuild()
 
     # ------------------------------------------------------------------
     # Reading the rows back
@@ -397,76 +485,93 @@ class MetricIndex(ABC):
         """Ids of the live items: core rows in row order (tombstoned
         ones skipped), then pending inserts in arrival order."""
         dead = self._tombstones
-        core = self._ids.tolist()
-        if dead:
-            core = [i for i in core if i not in dead]
-        return [*core, *self._pending]
+        held = [*self._ids.tolist(), *self._pending.ids.tolist()]
+        return [i for i in held if i not in dead] if dead else held
 
     def vectors_of(self, ids: Sequence[int]) -> np.ndarray:
         """The stored rows of live items, as a fresh ``(len(ids), d)`` array.
 
         Core rows are gathered with one ``backend.rows()`` call — through
-        the buffer pool, counted and capped, on a bounded backend —
-        and pending rows come from the overlay.
+        the buffer pool, counted and capped, on a bounded backend — and
+        pending rows from the pending buffer; asked for all of an unbuilt
+        index's rows in held order, the answer is its block, read-only.
 
         Raises
         ------
         IndexingError
-            If the index is unbuilt or an id is not live.
+            If an id is not live.
         """
-        if self._core is None:
-            raise IndexingError("index has not been built yet")
-        rows = self._row_of.rows(ids)
-        if self._tombstones:  # physically in the core, but not live
-            rows[[item_id in self._tombstones for item_id in ids]] = -1
+        rows, pending = self._row_of.rows(ids), self._pending.rows(ids)
+        if self._tombstones:  # physically held, but not live
+            dead = [item_id in self._tombstones for item_id in ids]
+            rows[dead] = pending[dead] = -1
         core = rows >= 0
-        if core.all():
+        if core.all() and self._core is not None:
             return self._core.rows(rows)
+        missing = ~core & (pending < 0)
+        if missing.any():
+            raise IndexingError(f"id {ids[int(np.argmax(missing))]} is not indexed")
+        if not core.any():
+            return self._pending.vectors_of(pending)
+        assert self._core is not None
         out = np.empty((len(ids), self._core.dim))
         out[core] = self._core.rows(rows[core])
-        for position in np.flatnonzero(~core).tolist():
-            pending = self._pending.get(int(ids[position]))
-            if pending is None:
-                raise IndexingError(f"id {ids[position]} is not indexed")
-            out[position] = pending
+        out[~core] = self._pending.vectors_of(pending[~core])
         return out
 
     def rebuild(self) -> "MetricIndex":
         """Fold the mutation overlay into a fresh structure now.
 
-        Rebuilds over the live item set in ascending-id order (the
-        order a fresh build over the same data would use), clearing the
-        pending buffer and tombstones.  A no-op when the overlay is
-        empty; resets :attr:`build_stats` like any :meth:`build`.
+        On an unbuilt index this is the first build, over the live
+        pending items in arrival order, taking the pending block as its
+        working block when it holds exactly those rows (else one
+        compacting copy, deleted rows left out); should the build fail,
+        the rows stay pending.  On a built index it rebuilds over the
+        live items in ascending-id order (the order a fresh build would
+        use), a no-op when the overlay is empty.  Resets
+        :attr:`build_stats`.  An unbuilt index holding no items raises
+        :class:`IndexingError`.
         """
-        if not self._built or self._vectors is None:
-            raise IndexingError("rebuild() requires a built index; call build() first")
+        if self._core is None:
+            if not self.size:
+                raise IndexingError("nothing to build: the index holds no items")
+            ids, rows = self._pending.hand_over(self._tombstones)
+            try:
+                return self._build_owned(ids, rows)
+            except BaseException:  # keep the rows; ``_build`` permutes both alike
+                self._pending, self._tombstones = _PendingRows(), set()
+                self._pending.append(ids, rows)
+                raise
         if not self._pending and not self._tombstones:
             return self
-        ids = sorted(self.live_ids())
-        if not ids:
+        ids = np.sort(np.array(self.live_ids(), dtype=np.int64))
+        if not len(ids):
             # Nothing left to build over; keep the overlay (queries
             # filter everything out) rather than produce an empty tree.
             return self
-        return self.build(ids, self.vectors_of(ids))
+        rows = self.vectors_of(ids)  # the pending block itself comes read-only
+        return self._build_owned(ids, rows if rows.flags.writeable else rows.copy())
 
-    def _insert_batch(self, ids: list[int], vectors: np.ndarray) -> None:
+    def _insert_batch(self, ids: np.ndarray, vectors: np.ndarray) -> None:
         """Structure hook for insertion; the default buffers the items.
 
         Overrides that grow the structure in place must also extend the
         core arrays via :meth:`_append_core`.
         """
-        self._pending.update(zip(ids, vectors))
-        self._pending_block = self._pending_ids = None
+        self._pending.append(ids, vectors)
 
-    def _delete(self, ids: list[int]) -> None:
+    def _delete(self, ids: np.ndarray) -> None:
         """Structure hook for deletion; the default tombstones core ids
         (pending ones are simply dropped from the buffer)."""
-        for item_id in ids:
-            if self._pending.pop(item_id, None) is None:
-                self._tombstones.add(item_id)
-            else:
-                self._pending_block = self._pending_ids = None
+        held = self._pending.discard(ids)
+        self._tombstones.update(ids[~held].tolist())
+
+    def _drop_dead_pending(self) -> None:
+        """Before the first build: squeeze the tombstoned rows out of
+        the pending buffer (one compacting copy of the survivors)."""
+        dead = self._tombstones
+        self._pending.discard(np.fromiter(dead, np.int64, len(dead)))
+        self._tombstones = set()
 
     def _maybe_rebuild(self) -> None:
         """Rebuild once the overlay outgrows its threshold.
@@ -482,22 +587,18 @@ class MetricIndex(ABC):
         ):
             self.rebuild()
 
-    def _append_core(self, ids: list[int], vectors: np.ndarray) -> None:
+    def _append_core(self, ids: np.ndarray, vectors: np.ndarray) -> None:
         """Extend the validated core arrays (for in-place growers).
 
         Amortized O(rows appended): the rows land in the spare tail of
-        the backend's buffer, which (in memory) only reallocates
-        (capacity-doubled) when full — a stream of ``m`` single-row
-        inserts costs O(n + m) row copies, not the O(m·n) a full
-        re-stack per append costs.  ``_vectors`` stays a read-only view
-        of the live rows, so subclasses see the same array contract as
-        before.
+        the backend's capacity-doubled buffer; ``_vectors`` is re-pointed
+        at the live rows.
         """
         assert self._core is not None
         self._vectors = self._core.append(vectors)
         self._row_of.extend(ids)
 
-    def _remove_core(self, ids: list[int]) -> np.ndarray:
+    def _remove_core(self, ids: np.ndarray) -> np.ndarray:
         """Drop rows by id from the core arrays.
 
         Returns the kept row indices (relative to the old layout) so
@@ -521,10 +622,7 @@ class MetricIndex(ABC):
             raise IndexingError(f"radius must be non-negative; got {radius}")
         self._search_stats = SearchStats()
         self._batch_stats = []
-        result = self._range_search(query, float(radius))
-        result = self._overlay_range(query, float(radius), result)
-        result.sort(key=lambda nb: (nb.distance, nb.id))
-        return result
+        return self._range_one(query, float(radius))
 
     def knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
         """The ``k`` nearest live items (or all of them when ``k >= size``)."""
@@ -533,10 +631,7 @@ class MetricIndex(ABC):
             raise IndexingError(f"k must be >= 1; got {k}")
         self._search_stats = SearchStats()
         self._batch_stats = []
-        result = self._knn_search(query, self._structural_k(int(k)))
-        result = self._overlay_knn(query, result, int(k))
-        result.sort(key=lambda nb: (nb.distance, nb.id))
-        return result[: int(k)]
+        return self._knn_one(query, int(k))
 
     def range_search_batch(
         self, queries: np.ndarray, radius: float
@@ -544,35 +639,37 @@ class MetricIndex(ABC):
         """``range_search`` for every row of ``queries``; one list per row.
 
         Equivalent to ``[range_search(q, radius) for q in queries]`` —
-        identical results and per-query counters — but routed through the
-        metric's batch kernel where an index supports it.
+        identical results and per-query counters: each query runs the
+        scalar body through :meth:`_run_batch`.
         """
         queries = self._check_query_batch(queries)
         if radius < 0.0:
             raise IndexingError(f"radius must be non-negative; got {radius}")
-        results = self._range_search_batch(queries, float(radius))
-        return self._overlay_batch(
-            queries,
-            results,
-            lambda query, result: self._overlay_range(query, float(radius), result),
+        return self._run_batch(
+            queries, lambda query: self._range_one(query, float(radius))
         )
 
     def knn_search_batch(self, queries: np.ndarray, k: int) -> list[list[Neighbor]]:
-        """``knn_search`` for every row of ``queries``; one list per row.
-
-        Equivalent to ``[knn_search(q, k) for q in queries]`` — identical
-        results and per-query counters — but routed through the metric's
-        batch kernel where an index supports it.
-        """
+        """``knn_search`` for every row of ``queries``; one list per row,
+        equivalent as for :meth:`range_search_batch`."""
         queries = self._check_query_batch(queries)
         if k < 1:
             raise IndexingError(f"k must be >= 1; got {k}")
-        k = int(k)
-        results = self._knn_search_batch(queries, self._structural_k(k))
-        return self._overlay_batch(
-            queries, results, lambda query, result: self._overlay_knn(query, result, k),
-            truncate=k,
-        )
+        return self._run_batch(queries, lambda query: self._knn_one(query, int(k)))
+
+    def _range_one(self, query: np.ndarray, radius: float) -> list[Neighbor]:
+        """One range query, counted in the current stats: the structure's
+        answer merged with the overlay, in ``(distance, id)`` order."""
+        result = self._overlay_range(query, radius, self._range_search(query, radius))
+        result.sort(key=lambda nb: (nb.distance, nb.id))
+        return result
+
+    def _knn_one(self, query: np.ndarray, k: int) -> list[Neighbor]:
+        """One k-NN query, counted in the current stats (see :meth:`_range_one`)."""
+        result = self._knn_search(query, self._structural_k(k))
+        result = self._overlay_knn(query, result, k)
+        result.sort(key=lambda nb: (nb.distance, nb.id))
+        return result[:k]
 
     # ------------------------------------------------------------------
     # Mutation overlay applied to query results
@@ -599,9 +696,9 @@ class MetricIndex(ABC):
         if self._tombstones:
             result = [nb for nb in result if nb.id not in self._tombstones]
         if self._pending:
-            distances = self._dist_batch(query, self._pending_matrix())
+            distances = self._dist_batch(query, self._pending.block)
             rows = np.flatnonzero(distances <= radius)
-            result.extend(neighbors_at(self._pending_ids, rows, distances))
+            result.extend(neighbors_at(self._pending.ids, rows, distances))
         return result
 
     def _overlay_knn(
@@ -619,80 +716,15 @@ class MetricIndex(ABC):
         if self._tombstones:
             result = [nb for nb in result if nb.id not in self._tombstones]
         if self._pending:
-            distances = self._dist_batch(query, self._pending_matrix())
+            distances = self._dist_batch(query, self._pending.block)
             kth = np.partition(distances, k - 1)[k - 1] if k < len(distances) else np.inf
             rows = np.flatnonzero(~(distances > kth))  # keeps ties (and nan)
-            result.extend(neighbors_at(self._pending_ids, rows, distances))
+            result.extend(neighbors_at(self._pending.ids, rows, distances))
         return result
 
-    def _overlay_batch(self, queries, results, merge_one, truncate: int | None = None):
-        """Apply the mutation overlay per query of a finished batch.
-
-        The subclass hooks have already filled ``_batch_stats``; each
-        query's pending-buffer scan is counted into *its* stats entry,
-        and the aggregate is recomputed afterwards.
-        """
-        if not (self._tombstones or self._pending):
-            return results
-        per_query = self._batch_stats
-        for i in range(queries.shape[0]):
-            self._search_stats = per_query[i]
-            merged = merge_one(queries[i], results[i])
-            merged.sort(key=lambda nb: (nb.distance, nb.id))
-            results[i] = merged if truncate is None else merged[:truncate]
-        self._publish_batch(per_query)
-        return results
-
-    def _pending_matrix(self) -> np.ndarray:
-        """The pending buffer as one cached contiguous ``(p, d)`` block;
-        :attr:`_pending_ids` holds its ids, in the same order."""
-        if self._pending_block is None:
-            self._pending_block = np.ascontiguousarray(
-                np.stack(list(self._pending.values()))
-            )
-            self._pending_ids = np.fromiter(self._pending, np.int64, len(self._pending))
-        return self._pending_block
-
-    def _range_search_batch(
-        self, queries: np.ndarray, radius: float
-    ) -> list[list[Neighbor]]:
-        """Overridable batched hook; the default runs one query at a time.
-
-        Every tree uses the default, so its scalar and batched entry
-        points are one traversal.  The one override is
-        :class:`~repro.index.filter_refine.FilterRefineIndex`, which
-        filters the whole batch with a single reduced-space call; an
-        override must fill :attr:`_batch_stats` itself —
-        :meth:`_finish_batch` does the shared ordering/aggregation work.
-        """
-        return self._run_batch(
-            queries, lambda query: self._range_search(query, radius)
-        )
-
-    def _knn_search_batch(self, queries: np.ndarray, k: int) -> list[list[Neighbor]]:
-        """Overridable batched hook; see :meth:`_range_search_batch`."""
-        return self._run_batch(queries, lambda query: self._knn_search(query, k))
-
-    def _finish_batch(
-        self, results: list[list[Neighbor]], per_query: list[SearchStats]
-    ) -> list[list[Neighbor]]:
-        """Order results and publish per-query + aggregate batch stats."""
-        for result in results:
-            result.sort(key=lambda nb: (nb.distance, nb.id))
-        self._publish_batch(per_query)
-        return results
-
-    def _publish_batch(self, per_query: list[SearchStats]) -> None:
-        """Make ``per_query`` the :attr:`last_batch_stats` and their sum
-        the :attr:`last_stats` — the one place a batch's stats are summed."""
-        self._batch_stats = per_query
-        total = SearchStats()
-        for stats in per_query:
-            total.merge(stats)
-        self._search_stats = total
-
     def _run_batch(self, queries, run_one) -> list[list[Neighbor]]:
-        """Run one search per query row, tracking per-query stats.
+        """Run one search per query row, each on fresh stats; publish
+        them as :attr:`last_batch_stats` and their sum as :attr:`last_stats`.
 
         Subclasses get their batch speedups by vectorizing the per-query
         hooks themselves (``_range_search`` / ``_knn_search`` built on
@@ -700,15 +732,17 @@ class MetricIndex(ABC):
         points one code path and the per-query counters identical by
         construction.
         """
-        results, per_query = [], []
+        results, per_query, total = [], [], SearchStats()
         for query in queries:
             self._search_stats = SearchStats()
             results.append(run_one(query))
             per_query.append(self._search_stats)
-        return self._finish_batch(results, per_query)
+            total.merge(self._search_stats)
+        self._batch_stats, self._search_stats = per_query, total
+        return results
 
     def _check_query_batch(self, queries: np.ndarray) -> np.ndarray:
-        if not self._built or self._vectors is None:
+        if self._core is None:
             raise IndexingError("index has not been built yet")
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2:
@@ -716,26 +750,17 @@ class MetricIndex(ABC):
                 f"queries must be a 2-D (m, d) array; got shape {queries.shape} "
                 f"(wrap a single query in a one-row matrix, or use the scalar API)"
             )
-        if queries.shape[1] != self._vectors.shape[1]:
+        if queries.shape[1] != self._core.dim:
             raise IndexingError(
-                f"queries have dim {queries.shape[1]}, index expects "
-                f"{self._vectors.shape[1]}"
+                f"query has dim {queries.shape[1]}, index expects {self._core.dim}"
             )
         if not np.all(np.isfinite(queries)):
-            raise IndexingError("queries contain non-finite values")
+            raise IndexingError("query contains non-finite values")
         return queries
 
     def _check_query(self, query: np.ndarray) -> np.ndarray:
-        if not self._built or self._vectors is None:
-            raise IndexingError("index has not been built yet")
-        query = np.asarray(query, dtype=np.float64).ravel()
-        if query.shape != (self._vectors.shape[1],):
-            raise IndexingError(
-                f"query has dim {query.size}, index expects {self._vectors.shape[1]}"
-            )
-        if not np.all(np.isfinite(query)):
-            raise IndexingError("query contains non-finite values")
-        return query
+        """One query vector, validated as a one-row batch."""
+        return self._check_query_batch(np.reshape(query, (1, -1)))[0]
 
     def _dist(self, a: np.ndarray, b: np.ndarray) -> float:
         """Metric evaluation, counted in the current query's stats."""
@@ -814,5 +839,5 @@ class MetricIndex(ABC):
         """Unsorted k-NN result; base class sorts."""
 
     def __repr__(self) -> str:
-        state = f"size={self.size}" if self._built else "unbuilt"
+        state = f"size={self.size}" if self.is_built else "unbuilt"
         return f"{type(self).__name__}({state}, metric={self._metric.name})"

@@ -97,7 +97,7 @@ def _browse_vptree(tree: VPTree, query: np.ndarray) -> Iterator[Neighbor]:
         return distances
 
     if tree._pending:
-        measure(tree._pending, tree._pending_matrix())
+        measure(tree._pending.ids.tolist(), tree._pending.block)
 
     while queue:
         bound, kind, _, payload = heapq.heappop(queue)

@@ -227,23 +227,13 @@ class FilterRefineIndex(MetricIndex):
             return result
 
         results = super()._run_batch(queries, tracked)
-        self._publish_filter_views(
-            self._batch_filter_stats, self._batch_candidate_counts
-        )
-        return results
-
-    def _publish_filter_views(
-        self, batch_filter: list[SearchStats], batch_counts: list[int]
-    ) -> None:
-        """Roll per-query filter currencies into the aggregate views."""
-        self._batch_filter_stats = batch_filter
-        self._batch_candidate_counts = batch_counts
         total = SearchStats()
-        for stats in batch_filter:
+        for stats in self._batch_filter_stats:
             total.merge(stats)
         self._filter_stats = total
-        self._candidate_count = sum(batch_counts)
-        self._last_query_count = max(len(batch_counts), 1)
+        self._candidate_count = sum(self._batch_candidate_counts)
+        self._last_query_count = max(len(queries), 1)
+        return results
 
     def _refine(self, query: np.ndarray, ids: Sequence[int]) -> np.ndarray:
         """True distances for the given candidate ids, one batched call.
@@ -269,59 +259,6 @@ class FilterRefineIndex(MetricIndex):
             for candidate, d in zip(candidates, distances)
             if d <= radius
         ]
-
-    def _range_search_batch(
-        self, queries: np.ndarray, radius: float
-    ) -> list[list[Neighbor]]:
-        """Shared filter pass: one reduced-space ``range_search_batch`` call.
-
-        Range mode filters every query at the same radius, so the whole
-        batch goes through the inner index in a single batched call
-        before the per-query refine pass.  Each query is still reduced through the
-        1-D ``transform`` path — stacking the projections, not the
-        projection inputs — so its reduced coordinates, and hence its
-        candidate set, per-query counters, and results, stay bit-identical
-        to the scalar path.  (k-NN keeps the generic per-query loop: its
-        second filter radius is a data-dependent per-query bound.)
-        """
-        assert self._inner is not None
-        filter_radius = radius + _FILTER_SLACK * (1.0 + radius)
-        if queries.shape[0] == 0:
-            reduced = np.empty((0, self._reducer.out_dim))
-        else:
-            reduced = np.stack(
-                [self._reducer.transform(query) for query in queries]
-            )
-        candidate_lists = self._inner.range_search_batch(reduced, filter_radius)
-        per_query_filter = self._inner.last_batch_stats
-
-        results: list[list[Neighbor]] = []
-        per_query: list[SearchStats] = []
-        batch_filter: list[SearchStats] = []
-        batch_counts: list[int] = []
-        for query, candidates, filter_stats in zip(
-            queries, candidate_lists, per_query_filter
-        ):
-            self._search_stats = SearchStats()
-            self._filter_stats = filter_stats
-            self._candidate_count = len(candidates)
-            distances = self._refine(
-                query, [candidate.id for candidate in candidates]
-            )
-            results.append(
-                [
-                    Neighbor(candidate.id, float(d))
-                    for candidate, d in zip(candidates, distances)
-                    if d <= radius
-                ]
-            )
-            per_query.append(self._search_stats)
-            batch_filter.append(filter_stats)
-            batch_counts.append(self._candidate_count)
-
-        out = self._finish_batch(results, per_query)
-        self._publish_filter_views(batch_filter, batch_counts)
-        return out
 
     def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
         assert self._inner is not None and self._vectors is not None

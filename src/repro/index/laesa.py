@@ -132,7 +132,7 @@ class LAESAIndex(MetricIndex):
         self._build_stats.n_leaves = 1
         self._build_stats.extra["n_pivots"] = len(pivot_rows)
 
-    def _insert_batch(self, ids: list[int], vectors: np.ndarray) -> None:
+    def _insert_batch(self, ids: np.ndarray, vectors: np.ndarray) -> None:
         """True dynamic insertion: one new table row per object.
 
         Each inserted object costs exactly ``m`` metric evaluations (its
@@ -152,7 +152,7 @@ class LAESAIndex(MetricIndex):
         self._table_store.append(new_rows)
         self._append_core(ids, vectors)
 
-    def _delete(self, ids: list[int]) -> None:
+    def _delete(self, ids: np.ndarray) -> None:
         """True deletion: the rows leave the table and the scan.
 
         A deleted pivot *object* stays a reference anchor (its column and

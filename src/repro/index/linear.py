@@ -37,12 +37,12 @@ class LinearScanIndex(MetricIndex):
         self._build_stats.n_leaves = 1
         self._build_stats.depth = 0
 
-    def _insert_batch(self, ids: list[int], vectors: np.ndarray) -> None:
+    def _insert_batch(self, ids: np.ndarray, vectors: np.ndarray) -> None:
         # The arrays *are* the structure, so insertion is a row append —
         # no pending buffer, no extra query cost.
         self._append_core(ids, vectors)
 
-    def _delete(self, ids: list[int]) -> None:
+    def _delete(self, ids: np.ndarray) -> None:
         # True deletion: the rows leave the scan entirely.
         self._remove_core(ids)
 

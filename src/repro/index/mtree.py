@@ -134,13 +134,15 @@ class MTree(MetricIndex):
             )
         self._capacity = capacity
         self._promotion = promotion
-        self._rng = np.random.default_rng(seed)
+        self._seed = seed
         self._clear()
 
     def _clear(self) -> None:
         # The paged tree (see the module docstring): the root page number
         # (-1 = empty) and, per page, its leaf flag, its parent page and
-        # one list per entry field.
+        # one list per entry field.  Every build draws its promotions
+        # from a fresh generator, so a rebuild repeats a fresh build.
+        self._rng = np.random.default_rng(self._seed)
         self._root, self._n_splits = -1, 0
         self._leaf: list[bool] = []
         self._parent: list[int] = []
@@ -164,7 +166,7 @@ class MTree(MetricIndex):
 
     @property
     def n_splits(self) -> int:
-        """Page splits performed since construction."""
+        """Page splits performed since the last build."""
         return self._n_splits
 
     @property
@@ -210,11 +212,11 @@ class MTree(MetricIndex):
             If the tree has not been built, the id already exists, or the
             vector dimensionality disagrees with the index.
         """
-        if not self.is_built or self._vectors is None:
+        if not self.is_built:
             raise IndexingError("insert() requires a built index; call build() first")
         self.insert_batch([item_id], np.reshape(vector, (1, -1)))
 
-    def _insert_batch(self, ids: list[int], vectors: np.ndarray) -> None:
+    def _insert_batch(self, ids: np.ndarray, vectors: np.ndarray) -> None:
         """True dynamic insertion: the rows join the core, then each
         descends to its best leaf, splitting upward.
 

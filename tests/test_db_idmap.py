@@ -1,4 +1,4 @@
-"""The id -> row map behind the catalog, the waiting rows and every index."""
+"""The id -> row map behind the catalog, every index core and every pending buffer."""
 
 import numpy as np
 import pytest

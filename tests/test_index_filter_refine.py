@@ -174,13 +174,13 @@ class TestConfiguration:
 
 
 class TestBatchedFilterStage:
-    def test_range_batch_runs_one_inner_batched_call(self, rng):
+    def test_range_batch_runs_the_scalar_filter_per_query(self, rng):
         _, index, vectors = _build_pair(rng)
         queries = rng.random((6, vectors.shape[1]))
         index.range_search_batch(queries, 0.5)
-        # The inner index answered the whole batch in one batched call:
-        # its own batch views hold exactly one entry per outer query.
-        assert len(index.inner.last_batch_stats) == 6
+        # A batch is the scalar path once per query: the inner index saw
+        # scalar calls only, and the outer views hold one entry per query.
+        assert index.inner.last_batch_stats == []
         assert len(index.last_batch_filter_stats) == 6
         assert len(index.last_batch_candidate_counts) == 6
 

@@ -314,6 +314,34 @@ class TestConfiguration:
             a.last_stats.distance_computations == b.last_stats.distance_computations
         )
 
+    def test_rebuild_repeats_a_fresh_build(self, rng):
+        """Every build draws its random promotions from the seed again,
+        so a rebuild of the same object — a threshold ``rebuild()``
+        included — gives the pages, build stats and query counts of a
+        fresh tree over the same items."""
+        vectors = rng.random((300, 8))
+
+        def tree():
+            return MTree(EuclideanDistance(), promotion="random", seed=0)
+
+        def pages(index):
+            return (index._root, index._leaf, index._parent, index._entry_rows,
+                    index._radius, index._d_parent, index._child)
+
+        rebuilt = tree().build(range(300), vectors)
+        rebuilt.delete([5, 77, 210])
+        rebuilt.rebuild()
+        survivors = [i for i in range(300) if i not in (5, 77, 210)]
+        fresh = tree().build(survivors, vectors[survivors])
+        again = tree().build(survivors, vectors[survivors])
+        again.build(survivors, vectors[survivors])
+        for other in (rebuilt, again):
+            assert pages(other) == pages(fresh)
+            assert other.build_stats == fresh.build_stats
+            for query in rng.random((4, 8)):
+                assert other.knn_search(query, 5) == fresh.knn_search(query, 5)
+                assert other.last_stats == fresh.last_stats
+
     def test_repr_shows_state(self, rng):
         tree = MTree(EuclideanDistance())
         assert "unbuilt" in repr(tree)

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.db.backend import MemoryBackendFactory
 from repro.errors import IndexingError
 from repro.index import (
     GNAT,
@@ -183,9 +184,6 @@ class TestMutationParity:
             index.insert_batch([100, 100], rng.random((2, DIM)))
         with pytest.raises(IndexingError, match="ids but"):
             index.insert_batch([100], rng.random((2, DIM)))
-        unbuilt = INDEX_FACTORIES[name](EuclideanDistance())
-        with pytest.raises(IndexingError, match="build"):
-            unbuilt.insert_batch([0], rng.random((1, DIM)))
 
     def test_delete_validation(self, name, rng):
         index = INDEX_FACTORIES[name](EuclideanDistance()).build(
@@ -200,9 +198,126 @@ class TestMutationParity:
             index.vectors_of([4])  # deleted rows cannot be read back either
         with pytest.raises(IndexingError, match="duplicate"):
             index.delete([5, 5])
+
+    def test_unbuilt_index_buffers_then_first_rebuild_equals_fresh(self, name, rng):
+        """Before the first build, inserts and deletes go to the pending
+        buffer (deleted rows stay, tombstoned, until they outnumber the
+        live ones or their id comes back); ``rebuild()`` is then the
+        first build, over the survivors in arrival order — the same
+        index a fresh ``build`` over them gives: ids, distances and
+        counts."""
+        rows = rng.random((40, DIM))
         unbuilt = INDEX_FACTORIES[name](EuclideanDistance())
-        with pytest.raises(IndexingError, match="build"):
-            unbuilt.delete([0])
+        unbuilt.insert_batch(list(range(30)), rows[:30])
+        unbuilt.delete([3, 17, 29])
+        unbuilt.insert_batch([45, 40, 41], rows[30:33])
+        unbuilt.delete([40])
+        with pytest.raises(IndexingError, match="not indexed"):
+            unbuilt.delete([99])
+        with pytest.raises(IndexingError, match="not indexed"):
+            unbuilt.delete([17])  # already deleted
+        with pytest.raises(IndexingError, match="not been built"):
+            unbuilt.knn_search(rows[0], 3)
+        assert (unbuilt.n_pending, unbuilt.n_tombstones) == (33, 4)
+        unbuilt.insert_batch([3], rows[33:34])  # a deleted id comes back
+        assert (unbuilt.n_pending, unbuilt.n_tombstones) == (30, 0)
+        by_id = {
+            **dict(enumerate(rows[:30])), 45: rows[30], 40: rows[31], 41: rows[32], 3: rows[33]
+        }
+        survivors = [i for i in [*range(30), 45, 40, 41] if i not in (3, 17, 29, 40)] + [3]
+        assert unbuilt.size == len(survivors)
+        assert unbuilt.live_ids() == survivors
+        assert unbuilt.vectors_of([45, 3, 0]).tobytes() == np.stack(
+            [by_id[45], by_id[3], by_id[0]]
+        ).tobytes()
+        with pytest.raises(IndexingError, match="not indexed"):
+            unbuilt.vectors_of([17])
+
+        unbuilt.rebuild()
+        fresh = INDEX_FACTORIES[name](EuclideanDistance()).build(
+            survivors, np.stack([by_id[i] for i in survivors])
+        )
+        assert unbuilt.n_pending == 0 and unbuilt.size == fresh.size
+        assert unbuilt.build_stats == fresh.build_stats
+        queries = rng.random((5, DIM))
+        for query in queries:
+            assert _pairs(unbuilt.knn_search(query, 6)) == _pairs(fresh.knn_search(query, 6))
+            assert unbuilt.last_stats == fresh.last_stats
+            assert _pairs(unbuilt.range_search(query, 0.6)) == _pairs(
+                fresh.range_search(query, 0.6)
+            )
+            assert unbuilt.last_stats == fresh.last_stats
+
+    def test_first_build_drops_rows_deleted_before_it(self, name, rng):
+        """Deletes before the first build only tombstone — the block is
+        not copied per delete — and the first build leaves the dead rows
+        out: it equals a fresh build over the survivors."""
+        rows = rng.random((20, DIM))
+        unbuilt = INDEX_FACTORIES[name](EuclideanDistance())
+        unbuilt.insert_batch(list(range(20)), rows)
+        for item_id in (2, 7, 11):
+            unbuilt.delete([item_id])
+        assert (unbuilt.n_pending, unbuilt.n_tombstones) == (20, 3)  # not compacted
+        unbuilt.rebuild()
+        survivors = [i for i in range(20) if i not in (2, 7, 11)]
+        fresh = INDEX_FACTORIES[name](EuclideanDistance()).build(survivors, rows[survivors])
+        assert (unbuilt.n_tombstones, unbuilt.size) == (0, len(survivors))
+        assert unbuilt.build_stats == fresh.build_stats
+        for query in rng.random((3, DIM)):
+            assert _pairs(unbuilt.knn_search(query, 5)) == _pairs(fresh.knn_search(query, 5))
+            assert unbuilt.last_stats == fresh.last_stats
+
+    def test_rebuild_after_deleting_everything_then_inserting(self, name, rng):
+        """Every id deleted (the rebuild keeps the overlay: nothing to
+        build over), then enough new ascending ids to trigger a rebuild
+        over pending rows alone — it equals a fresh build over them."""
+        index = INDEX_FACTORIES[name](EuclideanDistance()).build(
+            list(range(40)), rng.random((40, DIM))
+        )
+        index.delete(list(range(40)))
+        assert index.size == 0
+        new_ids = list(range(100, 150))
+        new_rows = rng.random((50, DIM))
+        index.insert_batch(new_ids, new_rows)
+        index.rebuild()
+        fresh = INDEX_FACTORIES[name](EuclideanDistance()).build(new_ids, new_rows)
+        assert sorted(index.live_ids()) == new_ids and index.size == 50
+        assert index.vectors_of(new_ids).tobytes() == new_rows.tobytes()
+        for query in rng.random((4, DIM)):
+            assert _pairs(index.knn_search(query, 6)) == _pairs(fresh.knn_search(query, 6))
+            assert _pairs(index.range_search(query, 0.6)) == _pairs(
+                fresh.range_search(query, 0.6)
+            )
+
+    def test_failed_first_build_keeps_the_rows(self, name, rng):
+        """A first build whose backend cannot take the block (a full
+        disk, say) leaves every row readable and buildable."""
+
+        class _FailOnce(MemoryBackendFactory):
+            failed = False
+
+            def adopt(self, block):
+                if not self.failed:
+                    self.failed = True
+                    raise OSError("no space left on device")
+                return super().adopt(block)
+
+        rows = rng.random((30, DIM))
+        unbuilt = INDEX_FACTORIES[name](EuclideanDistance())
+        unbuilt.backend_factory = _FailOnce()
+        unbuilt.insert_batch(list(range(30)), rows)
+        unbuilt.delete([4, 9])
+        with pytest.raises(OSError):
+            unbuilt.rebuild()
+        survivors = [i for i in range(30) if i not in (4, 9)]
+        assert not unbuilt.is_built and unbuilt.size == len(survivors)
+        assert sorted(unbuilt.live_ids()) == survivors
+        assert unbuilt.vectors_of(survivors).tobytes() == rows[survivors].tobytes()
+        unbuilt.rebuild()
+        fresh = INDEX_FACTORIES[name](EuclideanDistance()).build(survivors, rows[survivors])
+        assert unbuilt.size == fresh.size
+        for query in rng.random((4, DIM)):
+            assert _pairs(unbuilt.knn_search(query, 6)) == _pairs(fresh.knn_search(query, 6))
 
     def test_empty_insert_and_delete_are_noops(self, name, rng):
         index = INDEX_FACTORIES[name](EuclideanDistance()).build(
@@ -318,10 +433,10 @@ class _EveryPendingRow(VPTree):
         if self._tombstones:
             result = [nb for nb in result if nb.id not in self._tombstones]
         if self._pending:
-            distances = self._dist_batch(query, self._pending_matrix())
+            distances = self._dist_batch(query, self._pending.block)
             result.extend(
                 Neighbor(item_id, float(d))
-                for item_id, d in zip(self._pending, distances.tolist())
+                for item_id, d in zip(self._pending.ids.tolist(), distances.tolist())
                 if d <= radius
             )
         return result
@@ -330,10 +445,10 @@ class _EveryPendingRow(VPTree):
         if self._tombstones:
             result = [nb for nb in result if nb.id not in self._tombstones]
         if self._pending:
-            distances = self._dist_batch(query, self._pending_matrix())
+            distances = self._dist_batch(query, self._pending.block)
             result.extend(
                 Neighbor(item_id, float(d))
-                for item_id, d in zip(self._pending, distances.tolist())
+                for item_id, d in zip(self._pending.ids.tolist(), distances.tolist())
             )
         return result
 
