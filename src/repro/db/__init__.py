@@ -6,9 +6,11 @@ into an image *database*:
 :class:`~repro.db.catalog.Catalog`
     Metadata records (name, size, label, user fields) keyed by image id.
 :class:`~repro.db.store.FeatureStore`
-    Fixed-record binary file holding one feature vector per slot, read
-    through an LRU :class:`~repro.db.bufferpool.BufferPool` with exact
-    hit/miss accounting (experiment F6 sweeps its capacity).
+    Fixed-record paged file, one feature vector per slot: the snapshot
+    format, and (as its subclass :class:`~repro.db.backend.MmapBackend`)
+    an index core on the ``mmap`` backend.  By-id reads go through an
+    LRU :class:`~repro.db.bufferpool.BufferPool` with exact hit/miss
+    accounting (experiment F6 sweeps its capacity).
 :class:`~repro.db.database.ImageDatabase`
     The facade: insert images (features are extracted according to a
     :class:`~repro.features.FeatureSchema`), build per-feature indexes

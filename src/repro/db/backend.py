@@ -1,39 +1,15 @@
 """Pluggable row-storage backends for index core arrays.
 
-The 1994 paper prices every query in disk-page touches, yet until this
-module the core ``(n, d)`` arrays behind every index lived entirely in
-RAM — a database larger than memory could not serve at all.  A
-:class:`VectorBackend` owns the row storage behind the operations the
-engine actually needs:
-
-``view()``
-    The live rows as a read-only ``(n, d)`` array.  Zero-copy for the
-    memory backend, an OS-paged memory map for the mmap backend —
-    either way safe to hand to query code, and a view taken before an
-    ``append`` remains valid (appends never change the bytes of live
-    rows).  Callers must refresh any held view after ``take``.
-``rows(indices)``
-    A copied ``(len(indices), d)`` gather.  On a bounded backend this
-    routes through the LRU :class:`~repro.db.bufferpool.BufferPool`, so
-    random refinement reads are counted and capped.
-``iter_blocks(start, stop)`` / ``run_rows``
-    The live rows of ``[start, stop)`` in contiguous ``(start, block)``
-    runs of ``run_rows`` rows, sized for the hardware rather than the
-    page format.  The memory backend yields cache-sized slices of its
-    view (a kernel's temporaries stay in L2); the mmap backend reads
-    runs of ``cache_pages`` pages around the pool into a buffer the
-    scan owns, so a scan over a larger-than-RAM core holds one run at
-    a time and leaves the LRU to the random gathers it is good at.
-    Every linear scan walks a core through :func:`sweep`, which cuts
-    ``[0, n)`` into run-aligned parts and reads and scores them on all
-    usable cores at once.
-``append(rows)`` / ``take(keep)``
-    The two mutations :class:`~repro.index.base.MetricIndex` performs.
-    Both return the fresh live view.
-``flush()`` / ``close()``
-    Durability point and resource release.  Backend files are derived
-    state (the journal + snapshots of ``docs/durability.md`` are the
-    durability source), so ``close`` may delete them.
+The 1994 paper prices every query in disk-page touches.  A
+:class:`VectorBackend` owns the ``(n, d)`` core rows behind an index and
+serves them through the few operations the engine needs — ``view``,
+``rows``, ``iter_blocks``, ``append``, ``take``, ``flush`` and ``close``,
+each documented on the protocol class — so a core lives in RAM
+(:class:`MemoryBackend`) or in a paged file larger than RAM
+(:class:`MmapBackend`, a :class:`~repro.db.store.FeatureStore`).  Every
+linear scan walks a core through :func:`sweep`, which cuts ``[0, n)``
+into run-aligned parts and reads and scores them on all usable cores at
+once.
 
 Backends register under a spec name with :func:`register_backend`; a
 third backend needs exactly one decorated factory class to join the
@@ -53,7 +29,6 @@ serving-parity suites pin down.
 from __future__ import annotations
 
 import os
-import struct
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -83,12 +58,22 @@ __all__ = [
 #: indexes from reallocating on every one of their first few appends).
 _MIN_CAPACITY = 8
 
-_HEADER_BYTES = struct.calcsize("<8sqqq")  # FeatureStore header size
-
 #: Bytes per :meth:`MemoryBackend.iter_blocks` slice: a distance kernel's
 #: input-sized temporaries stay in L2 instead of streaming through RAM
 #: (n=100k, d=16: 11.4 ms as one whole-matrix call, 5.5 ms blocked).
 _BLOCK_BYTES = 1 << 18
+
+#: :meth:`VectorBackend.pool_stats` of a backend without a buffer pool.
+_NO_POOL = {"hits": 0, "misses": 0, "evictions": 0, "resident": 0, "capacity": 0}
+
+
+def _matrix(backend: "VectorBackend", rows: np.ndarray) -> np.ndarray:
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise IndexingError(
+            f"{type(backend).__name__} needs an (n, d) array; got shape {rows.shape}"
+        )
+    return rows
 
 
 class VectorBackend:
@@ -166,13 +151,7 @@ class VectorBackend:
     def pool_stats(self) -> dict:
         """Buffer-pool counters: hits/misses/evictions/resident/capacity
         (all zero for unbounded backends)."""
-        return {
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-            "resident": 0,
-            "capacity": 0,
-        }
+        return dict(_NO_POOL)
 
 
 class MemoryBackend(VectorBackend):
@@ -186,14 +165,7 @@ class MemoryBackend(VectorBackend):
     the whole matrix per append costs.  Removals compact the kept rows
     to the front in one pass and shrink the allocation when occupancy
     falls below a quarter, so capacity stays O(live rows).
-
-    :meth:`view` returns the live rows as a **read-only view** of the
-    backing array — zero-copy, safe to hand to query code.  Appends
-    only ever write *past* the live region and removals are the only
-    writes inside it, so a view taken before an append remains valid;
-    callers that compact (``take``) must refresh any view they hold,
-    which :class:`~repro.index.base.MetricIndex` does by reassigning
-    ``_vectors`` on every mutation.
+    :meth:`view` is a zero-copy read-only view of the backing array.
     """
 
     __slots__ = ("_rows", "_n")
@@ -202,12 +174,7 @@ class MemoryBackend(VectorBackend):
     bounded = False
 
     def __init__(self, rows: np.ndarray) -> None:
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2:
-            raise IndexingError(
-                f"{type(self).__name__} needs an (n, d) array; "
-                f"got shape {rows.shape}"
-            )
+        rows = _matrix(self, rows)
         self._n = int(rows.shape[0])
         capacity = max(self._n, _MIN_CAPACITY)
         self._rows = np.empty((capacity, rows.shape[1]), dtype=np.float64)
@@ -306,40 +273,27 @@ class MemoryBackend(VectorBackend):
         return self.view()
 
 
-class MmapBackend(VectorBackend):
+class MmapBackend(FeatureStore, VectorBackend):
     """Core rows in a paged :class:`~repro.db.store.FeatureStore` file,
     served with bounded resident memory.
 
-    :meth:`view` is a read-only array over the memory-mapped record region —
-    the OS pages rows in on demand and evicts them under pressure, so a
-    core larger than RAM is queryable.  :meth:`rows` gathers through
-    the store's LRU :class:`~repro.db.bufferpool.BufferPool` and
-    :meth:`iter_blocks` reads runs of ``cache_pages`` pages around it
-    (:meth:`~repro.db.store.FeatureStore.scan`); the
-    hit/miss/eviction counters make the resident bound *observable* —
-    every physical page read is a miss, whichever path made it, and
-    the pool never holds more than ``cache_pages`` pages by
-    construction, which ``tests/test_backend_conformance.py`` asserts
-    from the counters.
+    The backend *is* the store.  It adds the protocol's names —
+    :meth:`rows` is ``get_many`` (through the store's LRU
+    :class:`~repro.db.bufferpool.BufferPool`), :meth:`iter_blocks` is
+    ``scan`` (runs of ``cache_pages`` pages read around the pool), and
+    :meth:`append` is ``extend`` plus ``flush`` — and :meth:`take`,
+    :meth:`pool_stats` and delete-on-close.  :meth:`view` is the store's
+    memory map: the OS pages rows in on demand, so a core larger than
+    RAM is queryable.  Every physical page read counts as a miss,
+    whichever path made it, and the pool never holds more than
+    ``cache_pages`` pages, which ``tests/test_backend_conformance.py``
+    asserts from the counters.
 
-    Mutations keep the view contract of :class:`MemoryBackend`:
-    ``append`` rewrites the tail page with byte-identical data for live
-    rows and new bytes only past them, so held views stay valid;
-    ``take`` rewrites the survivors into a fresh file and atomically
-    replaces the old one (held memmaps keep the old inode — stale but
-    consistent — until the caller refreshes, which every consumer does
-    by reassigning its view on mutation).
-
-    The file is derived state, not a durability source — the journal
-    and snapshots own durability — so :meth:`close` deletes it.  All
-    writes route through the injectable
-    :class:`~repro.db.fsutil.FileSystem`, putting the page-write,
-    header-rewrite, and fsync boundaries under the crash sweep of
-    ``tests/test_crash_faults.py``.
+    A mutation that raises leaves the rows, the view and the counters
+    as they were.  The file is derived state, not a durability source —
+    the journal and snapshots own durability — so :meth:`close` deletes
+    it.
     """
-
-    __slots__ = ("_store", "_path", "_fs", "_cache_pages", "_page_records",
-                 "_mm", "_mm_rows", "_retired", "_on_close", "_closed")
 
     name = "mmap"
     bounded = True
@@ -354,141 +308,83 @@ class MmapBackend(VectorBackend):
         fs: FileSystem = REAL_FS,
         on_close: Callable[["MmapBackend"], None] | None = None,
     ) -> None:
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2:
-            raise IndexingError(
-                f"{type(self).__name__} needs an (n, d) array; "
-                f"got shape {rows.shape}"
-            )
-        self._path = Path(path)
-        self._fs = fs
-        self._cache_pages = int(cache_pages)
-        self._page_records = int(page_records)
-        self._mm: np.ndarray | None = None
-        self._mm_rows = -1
-        self._retired = {"hits": 0, "misses": 0, "evictions": 0}
+        rows = _matrix(self, rows)
+        dim = int(rows.shape[1])
+        file = self._new_file(path, dim, page_records, overwrite=True, fs=fs)
+        super().__init__(path, file, dim, 0, page_records, cache_pages, fs=fs)
+        self._staging = self._path.with_name(self._path.name + ".compact")
         self._on_close = on_close
-        self._closed = False
-        self._store = FeatureStore.create(
-            self._path,
-            dim=int(rows.shape[1]),
-            page_records=self._page_records,
-            buffer_pages=self._cache_pages,
-            overwrite=True,
-            fs=fs,
-        )
         self.append(rows)
 
-    @property
-    def n_rows(self) -> int:
-        return len(self._store)
-
-    @property
-    def dim(self) -> int:
-        return self._store.dim
-
-    @property
-    def cache_pages(self) -> int:
-        """Buffer-pool capacity in pages (the resident bound)."""
-        return self._cache_pages
-
-    @property
-    def path(self) -> Path:
-        """Location of the backing store file."""
-        return self._path
-
-    def view(self) -> np.ndarray:
-        n = len(self._store)
-        if self._mm is None or self._mm_rows != n:
-            if n == 0:
-                empty = np.empty((0, self._store.dim))
-                empty.setflags(write=False)
-                self._mm = empty
-            else:
-                # A plain-ndarray view of the mapping, taken once: tree
-                # traversals slice it per visited node, and slicing an
-                # ``np.memmap`` pays its subclass machinery every time.
-                self._mm = np.asarray(
-                    np.memmap(
-                        self._path,
-                        dtype="<f8",
-                        mode="r",
-                        offset=_HEADER_BYTES,
-                        shape=(n, self._store.dim),
-                    )
-                )
-            self._mm_rows = n
-        return self._mm
+    n_rows = property(FeatureStore.__len__)
 
     def rows(self, indices: Iterable[int]) -> np.ndarray:
-        if isinstance(indices, np.ndarray):
-            indices = indices.tolist()
-        return self._store.get_many([int(i) for i in indices])
+        array = isinstance(indices, np.ndarray)
+        return self.get_many(indices.tolist() if array else list(indices))
 
     @property
     def run_rows(self) -> int:
-        return self._cache_pages * self._page_records
+        return self._pool.capacity * self._page_records
 
     def iter_blocks(
         self, start: int = 0, stop: int | None = None
     ) -> Iterator[tuple[int, np.ndarray]]:
-        return self._store.scan(self._cache_pages, start, stop)
+        return self.scan(self._pool.capacity, start, stop)
 
     def append(self, rows: np.ndarray) -> np.ndarray:
-        self._store.extend(rows)
-        self._store.flush()
-        self._mm = None
+        before = self._count, self._tail_base, self._tail
+        try:
+            self.extend(rows)
+            self.flush()
+        except BaseException:
+            # ``extend`` never writes over the old tail's live rows, so
+            # restoring these three fields undoes it and the flush.
+            self._count, self._tail_base, self._tail = before
+            raise
         return self.view()
 
     def take(self, keep: np.ndarray) -> np.ndarray:
-        kept = np.asarray(self.view()[np.asarray(keep, dtype=np.intp)])
-        # The store is about to be replaced: carry its counters over.
-        totals = self.pool_stats()
-        self._retired = {key: totals[key] for key in self._retired}
-        self._store.close()
-        staging = self._path.with_name(self._path.name + ".compact")
-        store = FeatureStore.create(
-            staging,
-            dim=int(kept.shape[1]),
-            page_records=self._page_records,
-            buffer_pages=self._cache_pages,
-            overwrite=True,
-            fs=self._fs,
+        """Stage the kept rows in a fresh file, flushed; rename it over
+        the live one and sync the directory; only then re-point this
+        store at it.  An error at any boundary leaves the store on its
+        old file, rows and counters untouched."""
+        kept = self.view()[np.asarray(keep, dtype=np.intp)]
+        staged = FeatureStore.create(
+            self._staging, self._dim, page_records=self._page_records,
+            overwrite=True, fs=self._fs,
         )
-        store.extend(kept)
-        store.close()
-        self._fs.replace(staging, self._path)
-        self._fs.fsync_dir(self._path.parent)
-        self._store = FeatureStore.open(
-            self._path, buffer_pages=self._cache_pages, fs=self._fs
+        try:
+            staged.extend(kept)
+            staged.flush()
+            self._fs.replace(self._staging, self._path)
+            self._fs.fsync_dir(self._path.parent)
+        except BaseException:
+            staged._file.close()
+            raise
+        self._file.close()
+        self._file, self._tail_base, self._tail = (
+            staged._file, staged._tail_base, staged._tail
         )
+        self._count = self._flushed = len(kept)
+        self._pool.clear()  # pages of the old file; the counters go on
         self._mm = None
         return self.view()
 
-    def flush(self) -> None:
-        self._store.flush()
-
     def pool_stats(self) -> dict:
-        pool = self._store.pool
         return {
-            "hits": self._retired["hits"] + pool.hits,
-            "misses": self._retired["misses"] + self._store.page_reads,
-            "evictions": self._retired["evictions"] + pool.evictions,
-            "resident": 0 if self._closed else pool.resident,
-            "capacity": 0 if self._closed else self._cache_pages,
+            "hits": self._pool.hits,
+            "misses": self.page_reads,
+            "evictions": self._pool.evictions,
+            "resident": 0 if self._closed else self._pool.resident,
+            "capacity": 0 if self._closed else self._pool.capacity,
         }
 
     def close(self) -> None:
         if self._closed:
             return
-        self._store.close()  # its counters stay readable
-        self._closed = True
-        self._mm = None
-        for leftover in (self._path, self._path.with_name(self._path.name + ".compact")):
-            try:
-                os.unlink(leftover)
-            except FileNotFoundError:
-                pass
+        super().close()  # the counters stay readable
+        self._path.unlink(missing_ok=True)
+        self._staging.unlink(missing_ok=True)
         if self._on_close is not None:
             self._on_close(self)
 
@@ -595,13 +491,7 @@ class BackendFactory:
         return self(block)
 
     def pool_stats(self) -> dict:
-        return {
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-            "resident": 0,
-            "capacity": 0,
-        }
+        return dict(_NO_POOL)
 
     def describe(self) -> dict:
         """Snapshot for ``/stats``, ``/healthz``, and the CLI banner."""
@@ -711,12 +601,10 @@ class MmapBackendFactory(BackendFactory):
 
     def pool_stats(self) -> dict:
         with self._lock:
-            live = [backend.pool_stats() for backend in self._open]
-            stats = dict(self._retired)
-            for key in ("hits", "misses", "evictions"):
-                stats[key] += sum(entry[key] for entry in live)
-            stats["resident"] = sum(entry["resident"] for entry in live)
-            stats["capacity"] = sum(entry["capacity"] for entry in live)
+            stats = dict(self._retired, resident=0, capacity=0)
+            for backend in self._open:
+                for key, value in backend.pool_stats().items():
+                    stats[key] += value
             return stats
 
     def describe(self) -> dict:

@@ -6,10 +6,8 @@ This implementation is deliberately classical: fixed capacity in pages,
 least-recently-used eviction, and counters (:attr:`hits`, :attr:`misses`,
 :attr:`evictions`) that experiment F6 sweeps against capacity.  It is a
 read cache only: the feature store writes its tail page around it and
-never caches a page that can still change.
-
-The pool is generic: pages are opaque objects fetched by a callback, so
-the same class backs the feature store and any future page consumer.
+never caches a page that can still change.  Pages are opaque objects
+fetched by a callback.
 """
 
 from __future__ import annotations
@@ -83,6 +81,11 @@ class BufferPool:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
+
+    def clear(self) -> None:
+        """Drop every resident page (the counters are kept): the pages
+        belong to a file the owner no longer reads."""
+        self._pages.clear()
 
     # ------------------------------------------------------------------
     # Operations

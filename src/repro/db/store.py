@@ -15,6 +15,9 @@ File layout (little-endian)::
     offset 24  page_recs int64    records per page
     offset 32  pages...           count/page_recs pages, zero-padded tail
 
+This module is the one place that knows the layout; the
+:class:`~repro.db.backend.MmapBackend` core is a subclass.
+
 The header's ``count`` is rewritten on :meth:`flush`/:meth:`close`; a
 crash between appends loses at most the unflushed tail (append-only, no
 torn records within the acknowledged count).  :meth:`flush` orders its
@@ -83,6 +86,7 @@ class FeatureStore:
         self._page_records = page_records
         self._page_bytes = page_records * dim * _FLOAT_SIZE
         self._closed = False
+        self._mm: np.ndarray | None = None  # the cached :meth:`view`
         self._pool = BufferPool(buffer_pages, self._read_page)
         self._scanned_pages = 0
         self._scan_lock = threading.Lock()  # a sweep's parts count at once
@@ -117,6 +121,15 @@ class FeatureStore:
         StoreError
             If the file exists (unless ``overwrite``) or parameters are bad.
         """
+        file = cls._new_file(path, dim, page_records, overwrite=overwrite, fs=fs)
+        return cls(path, file, dim, 0, page_records, buffer_pages, fs=fs)
+
+    @staticmethod
+    def _new_file(
+        path: str | Path, dim: int, page_records: int, *, overwrite: bool,
+        fs: FileSystem,
+    ) -> io.BufferedRandom:
+        """A new file holding only the header of an empty store."""
         if dim < 1:
             raise StoreError(f"dim must be >= 1; got {dim}")
         if page_records < 1:
@@ -125,9 +138,13 @@ class FeatureStore:
         if path.exists() and not overwrite:
             raise StoreError(f"store file already exists: {path}")
         file = open(path, "w+b")
-        fs.write(file, _HEADER.pack(_MAGIC, dim, 0, page_records))
-        file.flush()
-        return cls(path, file, dim, 0, page_records, buffer_pages, fs=fs)
+        try:
+            fs.write(file, _HEADER.pack(_MAGIC, dim, 0, page_records))
+            file.flush()
+        except BaseException:
+            file.close()
+            raise
+        return file
 
     @classmethod
     def open(
@@ -138,24 +155,22 @@ class FeatureStore:
         if not path.exists():
             raise StoreError(f"store file does not exist: {path}")
         file = open(path, "r+b")
-        header = file.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            file.close()
-            raise StoreError(f"store file too short for header: {path}")
-        magic, dim, count, page_records = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            file.close()
-            raise StoreError(f"bad store magic in {path}: {magic!r}")
-        if dim < 1 or count < 0 or page_records < 1:
-            file.close()
-            raise StoreError(
-                f"corrupt store header in {path}: dim={dim}, count={count}, "
-                f"page_records={page_records}"
-            )
         try:
+            header = file.read(_HEADER.size)
+            if len(header) < _HEADER.size:
+                raise StoreError(f"store file too short for header: {path}")
+            magic, dim, count, page_records = _HEADER.unpack(header)
+            if magic != _MAGIC:
+                raise StoreError(f"bad store magic in {path}: {magic!r}")
+            if dim < 1 or count < 0 or page_records < 1:
+                raise StoreError(
+                    f"corrupt store header in {path}: dim={dim}, count={count}, "
+                    f"page_records={page_records}"
+                )
+            # Raises on a truncated partial tail page.
             return cls(path, file, dim, count, page_records, buffer_pages, fs=fs)
-        except StoreError:
-            file.close()  # a truncated partial tail page
+        except BaseException:
+            file.close()
             raise
 
     def close(self) -> None:
@@ -165,6 +180,7 @@ class FeatureStore:
         self.flush()
         self._file.close()
         self._closed = True
+        self._mm = None
 
     def __enter__(self) -> "FeatureStore":
         return self
@@ -184,11 +200,6 @@ class FeatureStore:
     def dim(self) -> int:
         """Vector dimensionality."""
         return self._dim
-
-    @property
-    def page_records(self) -> int:
-        """Records per page."""
-        return self._page_records
 
     @property
     def pool(self) -> BufferPool:
@@ -219,7 +230,9 @@ class FeatureStore:
         The bytes on disk are those of ``m`` :meth:`append` calls, but
         the rows are validated once and written in bulk: the started
         tail page is topped up, all further full pages go out in one
-        write, and the remainder becomes the new tail.
+        write, and the remainder becomes the new tail.  The count and
+        tail move only after the writes, and a completed tail page moves
+        to a fresh buffer, so an extend that raises changes nothing.
         """
         self._check_open()
         matrix = np.asarray(matrix, dtype=np.float64)
@@ -230,19 +243,22 @@ class FeatureStore:
         if not np.all(np.isfinite(matrix)):
             raise StoreError("cannot store non-finite vector")
         per_page = self._page_records
-        fill = self._count - self._tail_base
+        count, base, tail = self._count, self._tail_base, self._tail
+        fill = count - base
         if fill:
             top = matrix[: per_page - fill]
             matrix = matrix[len(top) :]
-            self._tail[fill : fill + len(top)] = top
-            self._count += len(top)
-            if fill + len(top) == per_page:
-                self._write_pages(self._tail)
+            tail[fill : fill + len(top)] = top  # past the live rows
+            count += len(top)
+            if count - base == per_page:
+                self._write_pages(tail, base)
+                base, tail = count, np.zeros_like(tail)
         whole = len(matrix) - len(matrix) % per_page
         if whole:
-            self._write_pages(matrix[:whole])
-        self._tail[: len(matrix) - whole] = matrix[whole:]
-        self._count += len(matrix)
+            self._write_pages(matrix[:whole], base)
+            base += whole
+        tail[: len(matrix) - whole] = matrix[whole:]
+        self._count, self._tail_base, self._tail = count + len(matrix), base, tail
 
     def get(self, slot: int) -> np.ndarray:
         """Read the vector at ``slot`` (through the buffer pool)."""
@@ -255,10 +271,8 @@ class FeatureStore:
         return self._pool.get(page_index)[offset].copy()
 
     def get_many(self, slots: list[int]) -> np.ndarray:
-        """Read several slots; shape ``(len(slots), dim)``.
-
-        Reads are issued in slot order to maximize page locality.
-        """
+        """Read several slots, in slot order for page locality; shape
+        ``(len(slots), dim)``."""
         result = np.empty((len(slots), self._dim))
         for position in np.argsort(slots, kind="stable"):
             result[position] = self.get(int(slots[position]))
@@ -308,38 +322,53 @@ class FeatureStore:
                 self._scanned_pages += pages
             yield first, block[:rows]
 
-    def read_all(self) -> np.ndarray:
-        """Materialize the whole store as an ``(n, dim)`` array.
-
-        Bypasses the pool (bulk sequential read), used for index builds.
+    def view(self) -> np.ndarray:
+        """The records as a read-only ``(n, dim)`` memory map of the
+        open file (flushed first), around the pool.  Appends never
+        change counted bytes, so an earlier view stays valid.  Cached
+        per record count as a plain ``ndarray``: traversals slice it per
+        node, and slicing an ``np.memmap`` pays its subclass machinery.
         """
         self._check_open()
+        if self._flushed != self._count:
+            self.flush()
+        if self._mm is None or len(self._mm) != self._count:
+            if self._count == 0:
+                self._mm = np.empty((0, self._dim))
+                self._mm.setflags(write=False)
+            else:
+                try:
+                    mapped = np.memmap(
+                        self._file,
+                        dtype="<f8",
+                        mode="r",
+                        offset=_HEADER.size,
+                        shape=(self._count, self._dim),
+                    )
+                except ValueError as exc:  # the file is shorter than the map
+                    raise StoreError(f"store truncated: {exc}") from None
+                self._mm = np.asarray(mapped)
+        return self._mm
+
+    def read_all(self) -> np.ndarray:
+        """Materialize the whole store as an ``(n, dim)`` array: a copy
+        of :meth:`view`, after a flush.  Used to load a snapshot."""
         self.flush()
-        if self._count == 0:
-            return np.empty((0, self._dim))
-        self._file.seek(_HEADER.size)
-        n_full_bytes = self._count * self._dim * _FLOAT_SIZE
-        raw = self._file.read(n_full_bytes)
-        if len(raw) < n_full_bytes:
-            raise StoreError(
-                f"store truncated: expected {n_full_bytes} bytes, got {len(raw)}"
-            )
-        return np.frombuffer(raw, dtype="<f8").reshape(self._count, self._dim).copy()
+        return np.array(self.view())
 
     def flush(self) -> None:
         """Write the tail page (padded) and a current header to disk.
 
         Two-phase, in the atomic-save discipline of ``docs/durability
         .md``: the data pages are fsync'd **before** the header that
-        names them is written and fsync'd in turn.  With a single sync
-        after both writes (the old behaviour) the OS was free to
-        persist the header first, and a crash in between left a
-        ``count`` pointing past durable data — a stale count the
-        reopen path would happily serve as garbage rows.
+        names them is written and fsync'd in turn, so a crash never
+        leaves a ``count`` pointing past durable data.
         """
         self._check_open()
         if self._count > self._tail_base:
-            self._write_pages(self._tail[: self._count - self._tail_base])
+            self._write_pages(
+                self._tail[: self._count - self._tail_base], self._tail_base
+            )
         self._fs.fsync(self._file)
         self._file.seek(0)
         self._fs.write(
@@ -365,23 +394,17 @@ class FeatureStore:
                 f"store truncated: {len(raw)} of {self._page_bytes} bytes "
                 f"in page {page_index}"
             )
-        return (
-            np.frombuffer(raw, dtype="<f8")
-            .reshape(self._page_records, self._dim)
-            .copy()
-        )
+        return np.frombuffer(raw, dtype="<f8").reshape(-1, self._dim).copy()
 
-    def _write_pages(self, rows: np.ndarray) -> None:
-        """Write ``rows`` at the tail position, in one write: whole pages
-        advance the tail, a started page goes out zero-padded and stays
-        it.  (No pool entry goes stale — :meth:`get` serves the tail
+    def _write_pages(self, rows: np.ndarray, first: int) -> None:
+        """Write ``rows`` from slot ``first`` (a page boundary) in one
+        write, a started last page zero-padded; the caller moves the
+        tail.  (No pool entry goes stale — :meth:`get` serves the tail
         from memory, so the pool only holds pages below it.)"""
-        self._file.seek(self._page_offset(self._tail_base // self._page_records))
+        self._file.seek(self._page_offset(first // self._page_records))
         pad = -len(rows) % self._page_records
         if pad:
             rows = np.concatenate([rows, np.zeros((pad, self._dim))])
-        else:
-            self._tail_base += len(rows)
         # The rows' own buffer, not ``tobytes()``: a bulk write must not
         # hold a second copy of the matrix.
         self._fs.write(
@@ -394,4 +417,6 @@ class FeatureStore:
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else f"count={self._count}"
-        return f"FeatureStore(path={str(self._path)!r}, dim={self._dim}, {state})"
+        return (
+            f"{type(self).__name__}(path={str(self._path)!r}, dim={self._dim}, {state})"
+        )

@@ -16,7 +16,9 @@ A *boundary* is one call into the injectable filesystem shim
 (atomic rename), or ``fsync_dir``.  Every durable byte the subsystem
 ever writes passes through one of those four methods, so sweeping the
 crash point across all of them covers torn journal appends, missed
-fsyncs, half-finished snapshot staging, and manifest flips.
+fsyncs, half-finished snapshot staging, and manifest flips.  The same
+shim in ``error`` mode fails one boundary with ``ENOSPC`` and lets the
+process live on, for the contract that a failed write changes nothing.
 
 ``python -m tests.faults`` (see ``main``) runs one *child workload* for
 the subprocess crash suite: open a durable root, apply a scripted
@@ -29,6 +31,7 @@ an oracle database that applied exactly the acknowledged prefix.
 
 from __future__ import annotations
 
+import errno
 import sys
 
 import numpy as np
@@ -83,7 +86,7 @@ class CountingFS(FileSystem):
 
 
 class FaultFS(CountingFS):
-    """Crash *before* the ``crash_at``-th boundary executes.
+    """Crash (or fail) *before* the ``crash_at``-th boundary executes.
 
     Crashing before (not after) the call models the strictest failure:
     the data the caller was about to make durable is not.  Everything
@@ -103,11 +106,14 @@ class FaultFS(CountingFS):
         sweep catches it and recovers from disk within the same test.
         ``'exit'`` calls ``os._exit(137)`` — no atexit handlers, no
         ``finally`` blocks, no flushing: the honest kill -9.
+        ``'error'`` raises ``OSError(ENOSPC)`` — an I/O error the
+        process survives; only that one boundary fails, so a retry
+        goes through.
     """
 
     def __init__(self, crash_at: int, mode: str = "raise") -> None:
         super().__init__()
-        if mode not in ("raise", "exit"):
+        if mode not in ("raise", "exit", "error"):
             raise ValueError(f"unknown fault mode {mode!r}")
         self.crash_at = int(crash_at)
         self.mode = mode
@@ -118,6 +124,11 @@ class FaultFS(CountingFS):
                 import os
 
                 os._exit(137)
+            if self.mode == "error":
+                self.calls.append(kind)  # counted, so the next call passes
+                raise OSError(
+                    errno.ENOSPC, f"injected ENOSPC at boundary #{self.crash_at} ({kind})"
+                )
             raise InjectedCrash(
                 f"injected crash at boundary #{self.crash_at} ({kind})"
             )

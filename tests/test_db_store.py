@@ -211,6 +211,33 @@ class TestExtendAndScan:
                 store.extend(np.array([[0.0, 0.0, 0.0], [0.0, np.inf, 0.0]]))
             assert len(store) == 0
 
+    @pytest.mark.parametrize("fail_at", [0, 1])  # the top-up, the full pages
+    def test_failed_extend_changes_nothing(self, tmp_path, rng, fail_at):
+        """An extend whose write raises leaves the count, the tail and
+        the bytes as they were, and the next extend lands where the
+        failed one would have."""
+        from tests.faults import FaultFS
+
+        head, rows = rng.random((3, 2)), rng.random((1 + 8 + 2, 2))
+        paths = tmp_path / "failed.feat", tmp_path / "clean.feat"
+        fs = FaultFS(10**9, mode="error")
+        store = FeatureStore.create(paths[0], dim=2, page_records=4, fs=fs)
+        store.extend(head)
+        fs.crash_at = fs.count + fail_at
+        with pytest.raises(OSError):
+            store.extend(rows)
+        assert len(store) == 3
+        assert np.array_equal(store.read_all(), head)
+        store.extend(rows)
+        assert np.array_equal(store.read_all(), np.vstack([head, rows]))
+        store.close()
+        with FeatureStore.create(paths[1], dim=2, page_records=4) as clean:
+            clean.extend(head)
+            clean.flush()
+            clean.extend(rows)
+            clean.flush()
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_scan_reads_runs_around_the_pool(self, store_path, rng):
         vectors = rng.random((23, 2))  # 5.75 pages
         with FeatureStore.create(
