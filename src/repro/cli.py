@@ -486,7 +486,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-wait-ms",
         type=float,
         default=2.0,
-        help="longest a request waits for batch company (default 2.0)",
+        help="longest a request waits for batch company, once the worker "
+        "has seen concurrent requests; a lone request never waits "
+        "(default 2.0)",
     )
     serve.add_argument(
         "--cache-size",

@@ -345,7 +345,7 @@ class AntipoleTree(MetricIndex):
         exact-distance variant.
         """
         query = self._check_query(query)
-        if radius < 0.0:
+        if not radius >= 0.0:  # NaN fails this too
             raise IndexingError(f"radius must be non-negative; got {radius}")
         self._search_stats = SearchStats()
         self._batch_stats = []

@@ -618,7 +618,7 @@ class MetricIndex(ABC):
     def range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
         """All live items with ``distance(item, query) <= radius``, nearest first."""
         query = self._check_query(query)
-        if radius < 0.0:
+        if not radius >= 0.0:  # NaN fails this too
             raise IndexingError(f"radius must be non-negative; got {radius}")
         self._search_stats = SearchStats()
         self._batch_stats = []
@@ -643,7 +643,7 @@ class MetricIndex(ABC):
         scalar body through :meth:`_run_batch`.
         """
         queries = self._check_query_batch(queries)
-        if radius < 0.0:
+        if not radius >= 0.0:  # NaN fails this too
             raise IndexingError(f"radius must be non-negative; got {radius}")
         return self._run_batch(
             queries, lambda query: self._range_one(query, float(radius))

@@ -9,7 +9,10 @@ let a worker collect them for up to ``max_wait_ms`` (or until
 by ``(kind, feature, parameter)``, and execute each group through one
 ``query_batch`` / ``range_query_batch`` call.  Callers get
 :class:`~concurrent.futures.Future` objects that resolve to
-:class:`ServedResult`.
+:class:`ServedResult`.  The worker holds a batch open only after it has
+seen company (more than one request admitted since its previous
+dequeue, or a previous batch of more than one); a lone client's request
+runs at once with whatever is already queued.
 
 **Parity is the contract.**  The scheduler only *regroups* work: a
 group's vectors go through the same batched entry points whose results
@@ -31,9 +34,11 @@ Request lifecycle::
       │  entry is re-stamped and served — a *revalidation*), otherwise
       │  evicted (counted) and the request proceeds
       └─ enqueue (bounded; QueueFullError if full) ► worker
-    submit_add/submit_remove                          ├─ collect ≤ max_batch
+    submit_add/submit_remove                          ├─ collect ≤ max_batch:
       └─ enqueue (same queue, same                    │  for ≤ max_wait_ms
-         bound) ─────────────────────────────────────►├─ replay arrival order:
+         bound) ─────────────────────────────────────►│  after company, else
+                                                      │  what is queued
+                                                      ├─ replay arrival order:
                                                       │  queries collect into
                                                       │  segments, each
                                                       │  mutation is one
@@ -106,6 +111,7 @@ or a mutation — the write barrier included — is
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
@@ -150,9 +156,12 @@ class QueryScheduler:
         one-request-at-a-time handling — the benchmark baseline.
     max_wait_ms:
         Longest a request waits for company before its batch executes
-        anyway (default 2.0).  The knob trades a little latency for
-        larger batches under light load; under heavy load batches fill
-        to ``max_batch`` without waiting.
+        anyway (default 2.0; must be finite and >= 0).  The worker waits
+        only after it has seen company — more than one request admitted
+        (cache hits included) since its previous dequeue, or a previous
+        batch of more than one — so a lone client's requests never wait;
+        otherwise it only drains what is already queued.  Under heavy
+        load batches fill to ``max_batch`` without waiting.
     max_queue:
         Admission-queue bound (default 1024).  Submissions beyond it
         fail fast with :class:`~repro.errors.ServeError` — backpressure
@@ -219,8 +228,11 @@ class QueryScheduler:
             raise ServeError(f"shards must be 1; got {shards}")
         if max_batch < 1:
             raise ServeError(f"max_batch must be >= 1; got {max_batch}")
-        if max_wait_ms < 0.0:
-            raise ServeError(f"max_wait_ms must be >= 0; got {max_wait_ms}")
+        if not math.isfinite(max_wait_ms) or max_wait_ms < 0.0:
+            # A NaN timeout would park the worker with no future resolved.
+            raise ServeError(
+                f"max_wait_ms must be finite and >= 0; got {max_wait_ms}"
+            )
         if max_queue < 1:
             raise ServeError(f"max_queue must be >= 1; got {max_queue}")
         if trace_depth < 0:
@@ -484,7 +496,7 @@ class QueryScheduler:
         trace: Trace | None = None,
     ) -> Future[ServedResult]:
         """Admit a range request; returns a future of :class:`ServedResult`."""
-        if radius < 0.0:
+        if not radius >= 0.0:  # NaN fails this too
             raise QueryError(f"radius must be non-negative; got {radius}")
         return self._admission.query("range", query, float(radius), feature, trace)
 
@@ -558,6 +570,9 @@ class QueryScheduler:
     # ------------------------------------------------------------------
     def _run(self) -> None:
         stop = False
+        # Requests admitted (cache hits included) as of the previous
+        # head dequeue, and how many requests the previous batch held.
+        admitted_before, previous_batch = 0, 1
         while not stop:
             item = self._queue.get()
             if item is _SHUTDOWN:
@@ -572,7 +587,14 @@ class QueryScheduler:
                 continue
             item.dequeued = time.monotonic()
             batch = [item]
-            deadline = time.monotonic() + self._max_wait_s
+            # Hold the batch open only after seeing company: another
+            # request admitted since the previous dequeue, or a previous
+            # batch of more than one.  A lone client's request never has
+            # any, so it only drains what is already queued.
+            admitted = self._ledger.requests.total()
+            waited = admitted - admitted_before > 1 or previous_batch > 1
+            admitted_before = admitted
+            deadline = item.dequeued + (self._max_wait_s if waited else 0.0)
             while len(batch) < self._max_batch:
                 timeout = deadline - time.monotonic()
                 try:
@@ -590,9 +612,10 @@ class QueryScheduler:
                     break
                 more.dequeued = time.monotonic()
                 batch.append(more)
-            self._execute(batch)
+            previous_batch = len(batch)
+            self._execute(batch, waited)
 
-    def _execute(self, batch: list[Ticket]) -> None:
+    def _execute(self, batch: list[Ticket], waited: bool) -> None:
         """Replay one formed batch in arrival order.
 
         Queries collect into segments; each mutation is a barrier
@@ -604,6 +627,8 @@ class QueryScheduler:
         them early: its snapshot already makes them durable).  One
         formed batch is one ``repro_batch_size`` sample (queries only),
         so the batching figures keep their meaning under mixed traffic.
+        ``waited`` (the batch was held open for company) annotates every
+        ticket's ``batch-form`` span.
         """
         worker = self._worker
         segment: list[Request] = []
@@ -614,10 +639,10 @@ class QueryScheduler:
                 n_queries += 1
                 continue
             assert isinstance(item, Mutation)
-            worker.run_queries(segment)
+            worker.run_queries(segment, waited=waited)
             segment = []
-            worker.apply(item)
-        worker.run_queries(segment)
+            worker.apply(item, waited=waited)
+        worker.run_queries(segment, waited=waited)
         worker.ack()
         if n_queries:
             self._ledger.batch_size.observe(n_queries)

@@ -65,8 +65,14 @@ class BatchWorker:
     # ------------------------------------------------------------------
     # Query segments
     # ------------------------------------------------------------------
-    def run_queries(self, segment: list[Request]) -> None:
-        """Answer one mutation-free query segment, one call per group."""
+    def run_queries(
+        self, segment: list[Request], *, waited: bool = False
+    ) -> None:
+        """Answer one mutation-free query segment, one call per group.
+
+        ``waited`` says whether the batch was held open for company; it
+        annotates each request's ``batch-form`` span.
+        """
         groups: dict[tuple[str, str, int | float], list[Request]] = {}
         for request in segment:
             groups.setdefault(
@@ -84,7 +90,7 @@ class BatchWorker:
             vectors = np.stack([request.vector for request in live])
             group_start = time.monotonic()
             for request in live:
-                request.dispatch(group_start, group_size=len(live))
+                request.dispatch(group_start, group_size=len(live), waited=waited)
             engine_start = time.monotonic()
             try:
                 if kind == "knn":
@@ -133,7 +139,7 @@ class BatchWorker:
     # ------------------------------------------------------------------
     # The write barrier: apply → group fsync → ack
     # ------------------------------------------------------------------
-    def apply(self, mutation: Mutation) -> None:
+    def apply(self, mutation: Mutation, *, waited: bool = False) -> None:
         """Journal + apply one mutation as its own barrier.
 
         One database call, one journal record, one generation bump; the
@@ -142,12 +148,13 @@ class BatchWorker:
         gets the database's own validation error and fails only this
         future — nothing was journaled or applied for it (the record is
         written only after validation, and an abort mark follows it if
-        the apply itself fails).
+        the apply itself fails).  ``waited`` annotates the mutation's
+        ``batch-form`` span as in :meth:`run_queries`.
         """
         if not mutation.future.set_running_or_notify_cancel():
             return
         apply_start = time.monotonic()
-        mutation.dispatch(apply_start)
+        mutation.dispatch(apply_start, waited=waited)
         if mutation.kind == "save":
             self._save(mutation)
             return

@@ -271,6 +271,19 @@ class TestIndexBatchParity:
         assert counter.count == scalar_count
         assert counter.count == index.last_stats.distance_computations
 
+    @pytest.mark.parametrize("name", list(INDEX_FACTORIES), ids=list(INDEX_FACTORIES))
+    def test_nan_radius_rejected_inf_accepted(self, name, rng):
+        # NaN fails every comparison: a `radius < 0` check passes it on
+        # to an empty answer with a kind-dependent distance count.
+        index, queries = _build(name, EuclideanDistance(), rng)
+        with pytest.raises(IndexingError, match="radius"):
+            index.range_search(queries[0], float("nan"))
+        with pytest.raises(IndexingError, match="radius"):
+            index.range_search_batch(queries, float("nan"))
+        everything = index.range_search(queries[0], float("inf"))
+        assert len(everything) == index.size
+        assert index.range_search_batch(queries[:2], float("inf"))[0] == everything
+
     def test_batch_validation(self, rng):
         index = LinearScanIndex(EuclideanDistance()).build(
             list(range(10)), rng.random((10, _DIM))

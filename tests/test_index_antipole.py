@@ -137,6 +137,8 @@ class TestIdsOnlyRangeSearch:
         _, tree, _ = _build_pair(rng)
         with pytest.raises(IndexingError):
             tree.range_search_ids(rng.random(3), -1.0)
+        with pytest.raises(IndexingError, match="radius"):
+            tree.range_search_ids(rng.random(3), float("nan"))
 
 
 class TestConfiguration:

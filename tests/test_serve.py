@@ -421,6 +421,51 @@ class TestSchedulerCache:
         assert scheduler.stats().cache_hits == 0
 
 
+class TestBatchWindow:
+    """The worker holds a batch open only after it has seen company."""
+
+    @staticmethod
+    def _batch_form(scheduler, served):
+        trace = scheduler.flight_recorder.find(served.trace_id)
+        (span,) = [span for span in trace.spans if span.stage == "batch-form"]
+        return span
+
+    def test_lone_request_does_not_wait_out_the_window(self, vector_db, rng):
+        # One client, one request at a time: there is nothing to
+        # coalesce with, so even a 500 ms window must cost nothing.
+        with QueryScheduler(
+            vector_db, max_wait_ms=500.0, cache_size=0
+        ) as scheduler:
+            for vector in rng.random((5, _DIM)):
+                start = time.monotonic()
+                served = scheduler.submit_query(vector, 3).result(timeout=10)
+                assert time.monotonic() - start < 0.1
+                span = self._batch_form(scheduler, served)
+                assert span.duration_s < 0.05
+                assert span.annotations["waited"] is False
+
+    def test_company_still_coalesces(self, vector_db, rng):
+        scheduler = QueryScheduler(
+            vector_db, max_wait_ms=500.0, cache_size=0, autostart=False
+        )
+        staged = [scheduler.submit_query(v, 3) for v in rng.random((2, _DIM))]
+        scheduler.start()
+        assert [future.result(timeout=10).batch_size for future in staged] == [2, 2]
+        # Having seen company, the worker holds client 0's request open
+        # for client 1's, which arrives 20 ms later.
+        vectors = rng.random((2, _DIM))
+        served = {}
+
+        def client(i: int) -> None:
+            time.sleep(0.02 * i)
+            served[i] = scheduler.submit_query(vectors[i], 3).result(timeout=10)
+
+        _run_threads(2, client)
+        scheduler.close()
+        assert [served[i].batch_size for i in (0, 1)] == [2, 2]
+        assert self._batch_form(scheduler, served[0]).annotations["waited"] is True
+
+
 class TestSchedulerLifecycle:
     def test_bounded_admission_rejects_when_full(self, vector_db, rng):
         # autostart=False keeps the worker parked, so the queue fills
@@ -471,6 +516,8 @@ class TestSchedulerLifecycle:
             scheduler.submit_query(rng.random(_DIM), 0)
         with pytest.raises(QueryError, match="radius"):
             scheduler.submit_range(rng.random(_DIM), -1.0)
+        with pytest.raises(QueryError, match="radius"):
+            scheduler.submit_range(rng.random(_DIM), float("nan"))
         with pytest.raises(QueryError, match="dim"):
             scheduler.submit_query(rng.random(_DIM + 1), 3)
         with pytest.raises(QueryError, match="unknown feature"):
@@ -491,6 +538,16 @@ class TestSchedulerLifecycle:
             QueryScheduler(vector_db, max_wait_ms=-1.0)
         with pytest.raises(ServeError, match="max_queue"):
             QueryScheduler(vector_db, max_queue=0)
+
+    @pytest.mark.parametrize("max_wait_ms", [float("nan"), float("inf")])
+    def test_non_finite_max_wait_rejected(self, vector_db, rng, max_wait_ms):
+        # A NaN timeout parks the worker with no future resolved; if
+        # construction accepts one, the bounded result() fails this
+        # test instead of hanging the suite.
+        vector = rng.random(_DIM)
+        with pytest.raises(ServeError, match="max_wait_ms"):
+            scheduler = QueryScheduler(vector_db, max_wait_ms=max_wait_ms)
+            scheduler.submit_query(vector, 3).result(timeout=5)
 
     def test_only_one_shard_accepted(self, vector_db):
         # ``shards`` survives as a keyword that accepts only 1.

@@ -202,6 +202,16 @@ class TestErrorHandling:
         with pytest.raises(ServeError, match="integer"):
             client._request("/query", {"vector": [0.0] * _DIM, "k": "five"})
 
+    def test_nan_radius_400(self, served):
+        # JSON admits NaN; it is a bad radius, not an empty 200 answer.
+        _, server, _ = served
+        body = json.dumps({"vector": [0.0] * _DIM, "radius": float("nan")})
+        status, reply = _raw_post(
+            server.address, "/range", body.encode(), str(len(body))
+        )
+        assert status == 400
+        assert "radius" in json.loads(reply)["error"]
+
     def test_unknown_feature_400(self, served):
         _, _, client = served
         with pytest.raises(ServeError, match="unknown feature"):
