@@ -61,7 +61,7 @@ Component                          Role
 :class:`StructuredLog`             sampled, rate-limited JSON-lines
                                    event sink behind
                                    ``serve --access-log``
-:class:`QueryServer`               stdlib ``http.server`` JSON front end
+:class:`QueryServer`               one-I/O-thread ``selectors`` JSON front end
                                    (``POST /query``, ``POST /range``,
                                    ``POST /add``, ``POST /remove``,
                                    ``POST /save``, ``GET /stats``,

@@ -20,8 +20,8 @@ pressure valves so logging can stay on in production:
 The HTTP layer (``repro serve --access-log``) feeds it one
 ``http_request`` event per handled request — method, path, status,
 latency, and the request's trace id, which is the join key into
-``GET /debug/trace?id=`` — plus ``http_error`` events for the
-handler-level notices ``log_message`` used to swallow.
+``GET /debug/trace?id=`` — plus one ``http_error`` event per request
+refused before routing (a malformed request line, an over-long head).
 
 Everything is stdlib, thread-safe, and O(1) per event; an event that
 loses the sample/rate race costs one lock acquisition and two integer

@@ -212,6 +212,29 @@ class TestErrorHandling:
         assert status == 400
         assert "radius" in json.loads(reply)["error"]
 
+    @pytest.mark.parametrize(
+        "path, payload, needle",
+        [
+            ("/query", {"vector": ["0.5"] * _DIM, "k": 3}, "only numbers"),
+            ("/query", {"vector": [True, False] * (_DIM // 2)}, "only numbers"),
+            ("/query", {"vector": [10**400] + [0] * (_DIM - 1)}, "only numbers"),
+            ("/range", {"vector": ["0.5"] * _DIM, "radius": 0.5}, "only numbers"),
+            ("/add", {"vectors": [[True, False] * (_DIM // 2)]}, "rows of numbers"),
+            ("/add", {"signatures": {"sig": [["0.5"] * _DIM]}}, "rows of numbers"),
+        ],
+        ids=["query-strings", "query-bools", "query-huge-int", "range-strings",
+             "add-vectors-bools", "add-signatures-strings"],
+    )
+    def test_entries_that_are_not_json_numbers_400(self, served, path, payload, needle):
+        # NumPy would read "0.5" as a number and true as 1.0.
+        db, server, _ = served
+        before = len(db)
+        body = json.dumps(payload).encode()
+        status, reply = _raw_post(server.address, path, body, str(len(body)))
+        assert status == 400
+        assert needle in json.loads(reply)["error"]
+        assert len(db) == before
+
     def test_unknown_feature_400(self, served):
         _, _, client = served
         with pytest.raises(ServeError, match="unknown feature"):
