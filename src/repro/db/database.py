@@ -353,6 +353,10 @@ class ImageDatabase:
             taken = [image_id for image_id in ids if image_id in self._catalog]
             if taken:
                 raise QueryError(f"image id {taken[0]} is already in use")
+            # A removed id may still be tombstoned in a built tree: ask
+            # every index before the catalog changes.
+            for index in self._indexes.values():
+                index.check_new_ids(ids)
 
         if ids is None:
             first = self._catalog.next_id
@@ -801,9 +805,9 @@ class ImageDatabase:
     ) -> np.ndarray:
         """The one query validator: a query is an Image (extracted
         here) or a vector of the feature's dimension; a batch is a
-        sequence of queries and comes back as an ``(m, d)`` matrix.
-        ``precomputed`` callers hand over the exact array the index
-        takes, so only its shape is checked."""
+        sequence of queries and comes back as an ``(m, d)`` matrix, every
+        entry finite.  ``precomputed`` callers hand over the exact array
+        the index takes, so only its shape is checked."""
         extractor = self._schema.get(feature)
         if precomputed:
             if isinstance(queries, Image):
@@ -835,6 +839,8 @@ class ImageDatabase:
                 f"query vector has dim {vector.size}, feature {feature!r} "
                 f"expects {extractor.dim}"
             )
+        if not np.all(np.isfinite(vector)):
+            raise QueryError("query vector contains non-finite values")
         return vector
 
     def __repr__(self) -> str:

@@ -55,18 +55,16 @@ later members entirely.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable
 
 import numpy as np
 
 from repro.errors import IndexingError
 from repro.index.base import MetricIndex, Neighbor, offer_candidates, reorder_rows
+from repro.index.pivot import DistanceBatchFn
 from repro.index.stats import SearchStats
 from repro.metrics.base import Metric
 
 __all__ = ["AntipoleTree"]
-
-DistanceBatchFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _exact_1_median_row(

@@ -420,30 +420,43 @@ class MetricIndex(ABC):
             raise IndexingError(
                 f"vectors must be a 2-D array of dim {dim}; got shape {vectors.shape}"
             )
-        ids = _as_ids(ids)
+        ids = self.check_new_ids(ids)
         if len(ids) != vectors.shape[0]:
             raise IndexingError(f"{len(ids)} ids but {vectors.shape[0]} vectors")
         if not len(ids):
             return
         if not np.all(np.isfinite(vectors)):
             raise IndexingError("vectors contain non-finite values")
-        if _repeats(ids):
-            raise IndexingError("duplicate ids in insert input")
-        if self._core is None and self._tombstones:
-            if not self._tombstones.isdisjoint(ids.tolist()):
-                self._drop_dead_pending()  # a deleted id is back before the build
-        clashes = (self._row_of.rows(ids) >= 0) | (self._pending.rows(ids) >= 0)
-        if clashes.any():
-            raise IndexingError(
-                f"id {ids[clashes].min()} is already indexed "
-                f"(tombstoned ids cannot be re-inserted before a rebuild)"
-            )
         self._metric._check_dim(vectors.shape[1])
         if self._core is None:
             self._pending.append(ids, vectors)
         else:
             self._insert_batch(ids, vectors)
             self._maybe_rebuild()
+
+    def check_new_ids(self, ids: Sequence[int]) -> np.ndarray:
+        """The id checks of :meth:`insert_batch`, without inserting:
+        ``ids`` as int64, or :class:`IndexingError` if one repeats or is
+        already present (live or tombstoned).
+
+        A database asks every index before its catalog takes explicit
+        ids, so a refused add leaves nothing half applied.  Before the first build
+        a deleted id may come back: its dead pending row is squeezed
+        out here.
+        """
+        ids = _as_ids(ids)
+        if _repeats(ids):
+            raise IndexingError("duplicate ids in insert input")
+        if self._core is None and self._tombstones:
+            if not self._tombstones.isdisjoint(ids.tolist()):
+                self._drop_dead_pending()
+        clashes = (self._row_of.rows(ids) >= 0) | (self._pending.rows(ids) >= 0)
+        if clashes.any():
+            raise IndexingError(
+                f"id {ids[clashes].min()} is already indexed "
+                f"(tombstoned ids cannot be re-inserted before a rebuild)"
+            )
+        return ids
 
     def delete(self, ids: Sequence[int]) -> None:
         """Delete items by id.
@@ -762,11 +775,6 @@ class MetricIndex(ABC):
         """One query vector, validated as a one-row batch."""
         return self._check_query_batch(np.reshape(query, (1, -1)))[0]
 
-    def _dist(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Metric evaluation, counted in the current query's stats."""
-        self._search_stats.distance_computations += 1
-        return self._metric.distance(a, b)
-
     def _dist_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         """Batched metric evaluation: one counted computation per row.
 
@@ -790,11 +798,6 @@ class MetricIndex(ABC):
         stats.nodes_visited += visited
         stats.nodes_pruned += pruned
         stats.leaves_visited += leaves
-
-    def _build_dist(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Metric evaluation, counted in the build stats."""
-        self._build_stats.distance_computations += 1
-        return self._metric.distance(a, b)
 
     def _build_dist_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         """Batched metric evaluation, counted in the build stats.

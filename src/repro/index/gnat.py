@@ -52,7 +52,7 @@ import numpy as np
 
 from repro.errors import IndexingError
 from repro.index.base import MetricIndex, Neighbor, offer_candidates, reorder_rows
-from repro.index.pivot import anchor_distances
+from repro.index.pivot import DistanceBatchFn
 from repro.metrics.base import Metric
 
 __all__ = ["GNAT", "greedy_maxmin_rows"]
@@ -61,24 +61,22 @@ __all__ = ["GNAT", "greedy_maxmin_rows"]
 def greedy_maxmin_rows(
     vectors: np.ndarray,
     count: int,
-    dist,
+    dist_batch: DistanceBatchFn,
     rng: np.random.Generator,
-    *,
-    dist_batch=None,
 ) -> list[int]:
     """Pick ``count`` well-spread row indices by greedy max-min selection.
 
     The first row is random; each subsequent row maximizes its minimum
     distance to the rows already picked.  Costs ``count * n`` distance
-    evaluations through ``dist`` — or one batched kernel pass per sweep
-    when the caller supplies its counted ``dist_batch``.
+    evaluations, one pass of the caller's counted ``dist_batch`` per
+    sweep.
     """
     n = vectors.shape[0]
     if count > n:
         raise IndexingError(f"cannot pick {count} split points from {n} items")
 
     def sweep(anchor_row: int) -> np.ndarray:
-        return anchor_distances(vectors[anchor_row], vectors, dist, dist_batch)
+        return dist_batch(vectors[anchor_row], vectors)
 
     first = int(rng.integers(n))
     chosen = [first]
@@ -181,9 +179,7 @@ class GNAT(MetricIndex):
             stats.n_nodes += 1
 
             block, block_ids = rows[start:stop], tree_ids[start:stop]
-            split_rows = greedy_maxmin_rows(
-                block, m, self._build_dist, rng, dist_batch=self._build_dist_batch
-            )
+            split_rows = greedy_maxmin_rows(block, m, self._build_dist_batch, rng)
             # Split points to the front in selection order; the rest keep
             # their order.
             order = np.concatenate(

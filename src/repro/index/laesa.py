@@ -243,7 +243,7 @@ class LAESAIndex(MetricIndex):
                 break  # everything later has an even larger lower bound
             d = known.get(row)
             if d is None:
-                d = self._dist(query, self._row(row))
+                d = float(self._dist_batch(query, self._row(row)[None, :])[0])
             examined += 1
             # (-d, -id): evict the larger id among equal-distance entries,
             # matching the documented tie-break.

@@ -330,7 +330,9 @@ class MTree(MetricIndex):
             for row, radius, child in routing:
                 d_parent = 0.0
                 if grandparent >= 0:
-                    d_parent = self._build_dist(block[row], up_vector)
+                    d_parent = float(
+                        self._build_dist_batch(block[row], up_vector[None, :])[0]
+                    )
                     # A promoted object may lie farther from the grandparent
                     # routing object than anything seen before.
                     self._radius[grandparent][up] = max(

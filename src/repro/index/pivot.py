@@ -17,11 +17,9 @@ strategies it sweeps:
 
 Strategies are deterministic given their ``numpy.random.Generator``.
 
-Candidate spreads are computed in batch: when the index supplies its
-counted ``dist_batch`` callable, each sweep is one vectorized kernel
-pass over the candidate block (same evaluation order, same count — a
-batch of n rows is n computations).  Callers that only pass the scalar
-``dist`` get a loop with identical results.
+Candidate spreads are computed in batch: the index supplies its counted
+``dist_batch`` callable, and each sweep is one vectorized kernel pass
+over the candidate block (a batch of n rows is n computations).
 """
 
 from __future__ import annotations
@@ -33,31 +31,11 @@ import numpy as np
 
 from repro.errors import IndexingError
 
-__all__ = [
-    "PivotStrategy",
-    "RandomPivot",
-    "MaxSpreadPivot",
-    "MaxVariancePivot",
-    "anchor_distances",
-]
+__all__ = ["PivotStrategy", "RandomPivot", "MaxSpreadPivot", "MaxVariancePivot"]
 
-#: A distance callable supplied by the index (so pivot work is counted).
-DistanceFn = Callable[[np.ndarray, np.ndarray], float]
-
-#: Its batched counterpart: distances from one anchor to a vector block.
+#: The index's counted distance callable, so pivot work is counted:
+#: distances from one anchor to every row of a vector block.
 DistanceBatchFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def anchor_distances(
-    anchor: np.ndarray,
-    vectors: np.ndarray,
-    dist: DistanceFn,
-    dist_batch: DistanceBatchFn | None,
-) -> np.ndarray:
-    """Distances from ``anchor`` to every row, batched when possible."""
-    if dist_batch is not None:
-        return np.asarray(dist_batch(anchor, vectors))
-    return np.array([dist(anchor, row) for row in vectors])
 
 
 class PivotStrategy(ABC):
@@ -72,16 +50,14 @@ class PivotStrategy(ABC):
     def select(
         self,
         vectors: np.ndarray,
-        dist: DistanceFn,
+        dist_batch: DistanceBatchFn,
         rng: np.random.Generator,
-        *,
-        dist_batch: DistanceBatchFn | None = None,
     ) -> int:
         """Return the row index of the chosen pivot.
 
         ``vectors`` is the ``(m, d)`` subset being split (``m >= 1``);
-        ``dist`` (and ``dist_batch``, when given) must be used for all
-        distance evaluations so the build cost accounting stays exact.
+        ``dist_batch`` must be used for all distance evaluations so the
+        build cost accounting stays exact.
         """
 
     def __repr__(self) -> str:
@@ -94,10 +70,8 @@ class RandomPivot(PivotStrategy):
     def select(
         self,
         vectors: np.ndarray,
-        dist: DistanceFn,
+        dist_batch: DistanceBatchFn,
         rng: np.random.Generator,
-        *,
-        dist_batch: DistanceBatchFn | None = None,
     ) -> int:
         return int(rng.integers(vectors.shape[0]))
 
@@ -108,17 +82,14 @@ class MaxSpreadPivot(PivotStrategy):
     def select(
         self,
         vectors: np.ndarray,
-        dist: DistanceFn,
+        dist_batch: DistanceBatchFn,
         rng: np.random.Generator,
-        *,
-        dist_batch: DistanceBatchFn | None = None,
     ) -> int:
         m = vectors.shape[0]
         if m == 1:
             return 0
         seed = int(rng.integers(m))
-        distances = anchor_distances(vectors[seed], vectors, dist, dist_batch)
-        return int(np.argmax(distances))
+        return int(np.argmax(dist_batch(vectors[seed], vectors)))
 
 
 class MaxVariancePivot(PivotStrategy):
@@ -144,10 +115,8 @@ class MaxVariancePivot(PivotStrategy):
     def select(
         self,
         vectors: np.ndarray,
-        dist: DistanceFn,
+        dist_batch: DistanceBatchFn,
         rng: np.random.Generator,
-        *,
-        dist_batch: DistanceBatchFn | None = None,
     ) -> int:
         m = vectors.shape[0]
         if m <= 2:
@@ -158,10 +127,7 @@ class MaxVariancePivot(PivotStrategy):
         best_index = int(candidates[0])
         best_variance = -1.0
         for candidate in candidates:
-            distances = anchor_distances(
-                vectors[candidate], sample_block, dist, dist_batch
-            )
-            variance = float(np.var(distances))
+            variance = float(np.var(dist_batch(vectors[candidate], sample_block)))
             if variance > best_variance:
                 best_variance = variance
                 best_index = int(candidate)

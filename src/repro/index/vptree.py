@@ -153,9 +153,7 @@ class VPTree(MetricIndex):
             stats.n_nodes += 1
 
             block = rows[start:stop]
-            pivot_row = self._pivot_strategy.select(
-                block, self._build_dist, rng, dist_batch=self._build_dist_batch
-            )
+            pivot_row = self._pivot_strategy.select(block, self._build_dist_batch, rng)
             # Slice copies, not a gather: the pivot moves to the front of
             # its range and the rest keep their order.
             block_ids = tree_ids[start:stop]

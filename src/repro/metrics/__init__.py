@@ -6,33 +6,30 @@ the **triangle inequality**.  Every class here declares via
 non-metrics, the linear scan accepts anything.
 
 Implemented measures (the paper's section 4 set plus the QBIC standards).
-"Batch?" marks measures with a vectorized ``_kernel`` behind
-``distance_batch``; the rest inherit the correct per-row loop fallback (see
-:mod:`repro.metrics.base` for the batch contract):
+Each is defined by a vectorized ``_kernel`` behind ``distance_batch``
+(see :mod:`repro.metrics.base` for the batch contract):
 
-=============================  ========  ======  =============================
-Measure                        Metric?   Batch?  Typical operand
-=============================  ========  ======  =============================
-L1 / L2 / L-infinity           yes       yes     any vector
-WeightedEuclidean              yes       yes     heterogeneous composites
-HistogramIntersection          yes*      yes     L1-normalized histograms
-ChiSquareDistance              no        yes     histograms
-BhattacharyyaDistance          yes**     yes     L1-normalized histograms
-QuadraticFormDistance          yes       yes     histograms + bin similarity
-MatchDistance (1-D EMD)        yes       yes     ordered histograms (CDF L1)
-CircularShiftDistance          no        yes***  orientation histograms
-HausdorffDistance              yes       yes     point sets
-CosineDistance                 no        yes     any vector (direction only)
-CanberraDistance               yes       yes     any vector (relative per-bin)
-JensenShannonDistance          yes       yes     histograms (sqrt JS div.)
-=============================  ========  ======  =============================
+=============================  ========  =============================
+Measure                        Metric?   Typical operand
+=============================  ========  =============================
+L1 / L2 / L-infinity           yes       any vector
+WeightedEuclidean              yes       heterogeneous composites
+HistogramIntersection          yes*      L1-normalized histograms
+ChiSquareDistance              no        histograms
+BhattacharyyaDistance          yes**     L1-normalized histograms
+QuadraticFormDistance          yes       histograms + bin similarity
+MatchDistance (1-D EMD)        yes       ordered histograms (CDF L1)
+CircularShiftDistance          no***     orientation histograms
+HausdorffDistance              yes       point sets
+CosineDistance                 no        any vector (direction only)
+CanberraDistance               yes       any vector (relative per-bin)
+JensenShannonDistance          yes       histograms (sqrt JS div.)
+=============================  ========  =============================
 
 ``*`` equal to half the L1 distance on L1-normalized inputs, hence metric.
 ``**`` the Bhattacharyya *angle* form used here is a metric on the simplex.
-``***`` the stacked-shift kernel rolls the whole vector block per shift
-and reduces with ``np.minimum``; it is vectorized whenever the base
-distance has a kernel — since the EMD kernel landed, every shipped base
-qualifies.
+``***`` a minimum over shifts; the stacked-shift kernel rolls the whole
+vector block per shift and reduces with ``np.minimum``.
 """
 
 from repro.metrics.base import (

@@ -11,15 +11,17 @@ around it.
 Batched evaluation goes through the same accounting.  ``distance_batch``
 evaluates one query against many vectors in a single call: it validates
 the operands once, then runs ``_kernel``, the metric's one unchecked
-batch entry.  Metrics with a vectorized kernel override ``_kernel`` (and
-set ``supports_batch``), everything else inherits a loop fallback.
-Indexes validate at ``build`` and at the query entry point and call
-``_kernel`` directly — a tree traversal is thousands of one-to-eight row
-calls.  The contract either way:
+batch entry and the one method a metric must define: the scalar
+``distance`` is the same kernel on a one-row block.  Indexes validate
+at ``build`` and at the query entry point and call ``_kernel``
+directly — a tree traversal is thousands of one-to-eight row calls.
+The contract either way:
 
 * ``distance_batch(q, V)[i]`` is **bit-identical** to ``distance(q, V[i])``
-  — a batch kernel may reorganize the arithmetic for SIMD, but not change
-  a single ulp, so scalar and batched query paths return the same floats;
+  — by construction for a metric that inherits ``distance``, and pinned
+  by the kernel-contract suite for the few (EMD, Hausdorff, circular
+  shift) whose own scalar ``distance`` is an independent reference the
+  kernel is checked against;
 * a batch over ``n`` vectors counts as exactly ``n`` distance
   computations on :class:`CountingMetric` and in index stats.  Batching
   saves interpreter overhead, never metric evaluations.
@@ -94,23 +96,21 @@ class Metric(ABC):
         True when the function satisfies the metric axioms (symmetry,
         identity, triangle inequality).  Tree indexes require it; scans
         do not.
-    supports_batch:
-        True when :meth:`_kernel` is a vectorized kernel rather than the
-        per-row loop fallback.  Purely informational — the
-        fallback is correct, just slower.
     """
 
     is_metric: bool = True
-    supports_batch: bool = False
 
     @property
     def name(self) -> str:
         """Human-readable identifier (defaults to the class name)."""
         return type(self).__name__
 
-    @abstractmethod
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Distance between two vectors (non-negative float)."""
+        """Distance between two vectors (non-negative float): the
+        checked kernel on a one-row block."""
+        a, b = validate_same_shape(a, b, self.name)
+        self._check_dim(a.size)
+        return float(self._kernel(a, b[None, :])[0])
 
     def distance_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         """Distances from ``query`` to every row of ``vectors``.
@@ -123,18 +123,15 @@ class Metric(ABC):
         self._check_dim(query.size)
         return self._kernel(query, vectors)
 
+    @abstractmethod
     def _kernel(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        """The unchecked batch entry, and the extension point for kernels.
+        """The unchecked batch entry: distances from ``query`` to every row.
 
         Operands are already a float64 ``(d,)`` query and ``(n, d)``
-        block, ``n >= 0``, of a dimension the metric accepts; overrides
-        keep ``result[i]`` bit-identical to ``distance(query, vectors[i])``
-        (the module docstring has the arithmetic rules).  This default
-        is the loop fallback: one interpreted call per row.
+        block, ``n >= 0``, of a dimension the metric accepts; the result
+        is a float64 ``(n,)`` array whose rows do not depend on each
+        other (the module docstring has the arithmetic rules).
         """
-        return np.array(
-            [self.distance(query, row) for row in vectors], dtype=np.float64
-        )
 
     def _check_dim(self, dim: int) -> None:
         """Raise if the metric's fixed parameters (weights, a similarity
@@ -172,7 +169,6 @@ class CountingMetric(Metric):
         self._count = 0
         self._lock = threading.Lock()
         self.is_metric = inner.is_metric
-        self.supports_batch = inner.supports_batch
 
     @property
     def inner(self) -> Metric:
@@ -204,9 +200,7 @@ class CountingMetric(Metric):
 
     def _kernel(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         # Delegate to the inner kernel so batching stays fast, then count
-        # one evaluation per row — a batch is n fetches, not one.  (The
-        # inner loop fallback calls the *unwrapped* scalar distance, so
-        # nothing is double-counted.)
+        # one evaluation per row — a batch is n fetches, not one.
         distances = self._inner._kernel(query, vectors)
         with self._lock:
             self._count += distances.shape[0]
@@ -217,7 +211,7 @@ class CountingMetric(Metric):
 
 
 def hide_batch_kernel(metric: Metric) -> Metric:
-    """A clone of ``metric`` whose ``_kernel`` is the loop fallback.
+    """A clone of ``metric`` whose ``_kernel`` loops over the rows.
 
     Parity tests use this to model the scalar-era cost:
     every batched call site degrades to one interpreted ``distance``
@@ -230,12 +224,12 @@ def hide_batch_kernel(metric: Metric) -> Metric:
     import copy
 
     def per_row(self: Metric, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        return Metric._kernel(metric, query, vectors)
+        return np.array(
+            [metric.distance(query, row) for row in vectors], dtype=np.float64
+        )
 
     cls = type(metric)
-    hidden = type(
-        f"Scalar{cls.__name__}", (cls,), {"_kernel": per_row, "supports_batch": False}
-    )
+    hidden = type(f"Scalar{cls.__name__}", (cls,), {"_kernel": per_row})
     clone = copy.copy(metric)
     clone.__class__ = hidden
     return clone

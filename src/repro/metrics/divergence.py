@@ -19,10 +19,11 @@ These three round out the section-4 similarity-measure inventory:
     metric, so the trees accept it; it is the information-theoretic
     alternative to the chi-square measure (which is not a metric).
 
-All three have vectorized batch kernels; the scalar ``distance`` runs
-the same kernel on a one-row matrix, keeping scalar and batched results
-bit-identical (the kernels use only elementwise ops and last-axis sums —
-no BLAS — per the contract in :mod:`repro.metrics.base`).
+All three are defined by vectorized batch kernels; the inherited scalar
+``distance`` runs the same kernel on a one-row matrix, keeping scalar
+and batched results bit-identical (the kernels use only elementwise ops
+and last-axis sums — no BLAS — per the contract in
+:mod:`repro.metrics.base`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MetricError
-from repro.metrics.base import Metric, validate_same_shape
+from repro.metrics.base import Metric
 
 __all__ = ["CosineDistance", "CanberraDistance", "JensenShannonDistance"]
 
@@ -43,7 +44,6 @@ class CosineDistance(Metric):
     """
 
     is_metric = False
-    supports_batch = True
 
     @staticmethod
     def _kernel(query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -55,10 +55,6 @@ class CosineDistance(Metric):
         cosines = np.clip(dots / safe, -1.0, 1.0)
         return np.where(scales > 0.0, 1.0 - cosines, 1.0)
 
-    def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        a, b = validate_same_shape(a, b, "CosineDistance")
-        return float(self._kernel(a, b[None, :])[0])
-
 
 class CanberraDistance(Metric):
     """Per-coordinate relative L1: ``sum |a-b| / (|a| + |b|)``.
@@ -68,7 +64,6 @@ class CanberraDistance(Metric):
     """
 
     is_metric = True
-    supports_batch = True
 
     @staticmethod
     def _kernel(query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -78,10 +73,6 @@ class CanberraDistance(Metric):
             denominators > 0.0, np.abs(query - vectors) / safe, 0.0
         )
         return contributions.sum(axis=1)
-
-    def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        a, b = validate_same_shape(a, b, "CanberraDistance")
-        return float(self._kernel(a, b[None, :])[0])
 
 
 class JensenShannonDistance(Metric):
@@ -93,7 +84,6 @@ class JensenShannonDistance(Metric):
     """
 
     is_metric = True
-    supports_batch = True
 
     @staticmethod
     def _kernel(query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -125,7 +115,3 @@ class JensenShannonDistance(Metric):
         # An empty histogram carries no distribution; it is identical to
         # another empty one and maximally far from any non-empty one.
         return np.where(valid, distances, np.where(masses == mass_q, 0.0, 1.0))
-
-    def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        a, b = validate_same_shape(a, b, "JensenShannonDistance")
-        return float(self._kernel(a, b[None, :])[0])

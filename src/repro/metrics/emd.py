@@ -126,8 +126,6 @@ class MatchDistance(Metric):
         (different image sizes) are comparable.  Default True.
     """
 
-    supports_batch = True
-
     def __init__(self, *, circular: bool = False, normalize: bool = True) -> None:
         self._circular = circular
         self._normalize = normalize

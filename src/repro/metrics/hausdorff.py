@@ -77,8 +77,6 @@ class HausdorffDistance(Metric):
         Dimensionality of each point (2 for pixel coordinates).
     """
 
-    supports_batch = True
-
     def __init__(self, point_dim: int = 2) -> None:
         if point_dim < 1:
             raise MetricError(f"point_dim must be >= 1; got {point_dim}")

@@ -13,10 +13,11 @@ These exploit the fact that histograms are probability mass functions:
   which is the geodesic distance on the probability simplex and hence a
   proper metric.
 
-All three carry vectorized batch kernels; the scalar ``distance`` runs
-the same kernel on a one-row matrix so scalar and batched results are
-bit-identical (degenerate empty-histogram cases included, handled with
-``np.where`` branches that mirror the scalar definitions).
+All three are defined by vectorized batch kernels; the inherited scalar
+``distance`` runs the same kernel on a one-row matrix so scalar and
+batched results are bit-identical (degenerate empty-histogram cases
+included, handled with ``np.where`` branches that mirror the scalar
+definitions).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MetricError
-from repro.metrics.base import Metric, validate_same_shape
+from repro.metrics.base import Metric
 
 __all__ = ["HistogramIntersection", "ChiSquareDistance", "BhattacharyyaDistance"]
 
@@ -45,8 +46,6 @@ class HistogramIntersection(Metric):
     samples".  Two empty histograms are defined to be identical.
     """
 
-    supports_batch = True
-
     @staticmethod
     def _kernel(query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         _check_nonnegative(query, vectors, "intersection")
@@ -64,10 +63,6 @@ class HistogramIntersection(Metric):
             np.where(larger <= 0.0, 0.0, 1.0),
         )
 
-    def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        a, b = validate_same_shape(a, b, "intersection")
-        return float(self._kernel(a, b[None, :])[0])
-
 
 class ChiSquareDistance(Metric):
     """Symmetric chi-square: ``0.5 * sum (h-g)^2 / (h+g)`` (empty bins skip).
@@ -76,7 +71,6 @@ class ChiSquareDistance(Metric):
     """
 
     is_metric = False
-    supports_batch = True
 
     @staticmethod
     def _kernel(query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -87,10 +81,6 @@ class ChiSquareDistance(Metric):
         contributions = np.where(total > 0.0, diff * diff / safe, 0.0)
         return 0.5 * contributions.sum(axis=1)
 
-    def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        a, b = validate_same_shape(a, b, "chi2")
-        return float(self._kernel(a, b[None, :])[0])
-
 
 class BhattacharyyaDistance(Metric):
     """Bhattacharyya angle: ``arccos( sum sqrt(h_i * g_i) )``.
@@ -99,8 +89,6 @@ class BhattacharyyaDistance(Metric):
     [0, 1]; the arccos form (Fisher-Rao geodesic up to scale) satisfies
     the triangle inequality, unlike the common ``-log`` form.
     """
-
-    supports_batch = True
 
     @staticmethod
     def _kernel(query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -115,7 +103,3 @@ class BhattacharyyaDistance(Metric):
         angles = np.arccos(np.clip(coefficients, -1.0, 1.0))
         # Empty vs. empty is identical; empty vs. non-empty is maximal.
         return np.where(valid, angles, np.where(masses == mass_q, 0.0, np.pi / 2.0))
-
-    def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        a, b = validate_same_shape(a, b, "bhattacharyya")
-        return float(self._kernel(a, b[None, :])[0])

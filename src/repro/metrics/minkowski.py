@@ -5,10 +5,10 @@ contributing equally — is the paper's primary similarity measure; the
 rest of the family costs nothing extra to provide and the evaluation's
 metric-comparison experiment (T7) sweeps them all.
 
-Every member has a vectorized batch kernel.  The scalar ``distance``
-evaluates the same kernel on a one-row matrix, so scalar and batched
-results are bit-identical by construction (see :mod:`repro.metrics.base`
-for why the kernels avoid BLAS).
+Every member is defined by its vectorized batch kernel.  The inherited
+scalar ``distance`` evaluates that kernel on a one-row matrix, so scalar
+and batched results are bit-identical by construction (see
+:mod:`repro.metrics.base` for why the kernels avoid BLAS).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MetricError
-from repro.metrics.base import Metric, validate_same_shape
+from repro.metrics.base import Metric
 
 __all__ = [
     "ManhattanDistance",
@@ -30,21 +30,13 @@ __all__ = [
 class ManhattanDistance(Metric):
     """L1 distance: sum of absolute coordinate differences."""
 
-    supports_batch = True
-
     @staticmethod
     def _kernel(query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         return np.abs(query - vectors).sum(axis=1)
 
-    def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        a, b = validate_same_shape(a, b, "L1")
-        return float(self._kernel(a, b[None, :])[0])
-
 
 class EuclideanDistance(Metric):
     """L2 distance — the paper's histogram comparison measure."""
-
-    supports_batch = True
 
     @staticmethod
     def _kernel(query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -53,30 +45,18 @@ class EuclideanDistance(Metric):
         distances = diff.sum(axis=1)
         return np.sqrt(distances, out=distances)
 
-    def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        a, b = validate_same_shape(a, b, "L2")
-        return float(self._kernel(a, b[None, :])[0])
-
 
 class ChebyshevDistance(Metric):
     """L-infinity distance: the largest single-coordinate difference."""
-
-    supports_batch = True
 
     @staticmethod
     def _kernel(query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         return np.abs(query - vectors).max(axis=1)
 
-    def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        a, b = validate_same_shape(a, b, "Linf")
-        return float(self._kernel(a, b[None, :])[0])
-
 
 class MinkowskiDistance(Metric):
     """General L_p distance for ``p >= 1`` (p < 1 violates the triangle
     inequality and is rejected)."""
-
-    supports_batch = True
 
     def __init__(self, p: float) -> None:
         if p < 1.0:
@@ -95,10 +75,6 @@ class MinkowskiDistance(Metric):
     def _kernel(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         return (np.abs(query - vectors) ** self._p).sum(axis=1) ** (1.0 / self._p)
 
-    def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        a, b = validate_same_shape(a, b, self.name)
-        return float(self._kernel(a, b[None, :])[0])
-
 
 class WeightedEuclideanDistance(Metric):
     """Euclidean distance with fixed non-negative per-dimension weights.
@@ -108,8 +84,6 @@ class WeightedEuclideanDistance(Metric):
     texture" while staying a true metric (it is the Euclidean distance
     after rescaling each axis by ``sqrt(w_i)``).
     """
-
-    supports_batch = True
 
     def __init__(self, weights: np.ndarray) -> None:
         weights = np.asarray(weights, dtype=np.float64).ravel()
@@ -133,8 +107,3 @@ class WeightedEuclideanDistance(Metric):
             raise MetricError(
                 f"weightedL2: operands have dim {dim}, weights have {self._weights.size}"
             )
-
-    def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        a, b = validate_same_shape(a, b, "weightedL2")
-        self._check_dim(a.size)
-        return float(self._kernel(a, b[None, :])[0])

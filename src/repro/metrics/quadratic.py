@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MetricError
-from repro.metrics.base import Metric, validate_same_shape
+from repro.metrics.base import Metric
 
 __all__ = ["QuadraticFormDistance", "color_similarity_matrix", "rgb_bin_centers"]
 
@@ -40,13 +40,11 @@ class QuadraticFormDistance(Metric):
         PSD-ness are verified at construction (eigenvalues down to a small
         negative tolerance are accepted and clipped).
 
-    Both evaluation paths expand ``diff^T A diff`` with broadcasting and
-    axis sums instead of BLAS matmul: BLAS accumulates differently for a
-    single vector than for a matrix of them, which would break the
-    bit-identity contract between ``distance`` and ``distance_batch``.
+    The kernel expands ``diff^T A diff`` with broadcasting and axis sums
+    instead of BLAS matmul: BLAS accumulates differently for a single
+    vector than for a matrix of them, so a row's distance would depend
+    on the size of the block it arrived in.
     """
-
-    supports_batch = True
 
     def __init__(self, matrix: np.ndarray) -> None:
         matrix = np.asarray(matrix, dtype=np.float64)
@@ -84,11 +82,6 @@ class QuadraticFormDistance(Metric):
             raise MetricError(
                 f"quadratic: operands have dim {dim}, matrix expects {self.dim}"
             )
-
-    def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        a, b = validate_same_shape(a, b, "quadratic")
-        self._check_dim(a.size)
-        return float(self._kernel(a, b[None, :])[0])
 
 
 def rgb_bin_centers(levels_per_channel: int) -> np.ndarray:

@@ -19,10 +19,7 @@ the per-row minimum accumulates through ``np.minimum``.  Row ``i`` of
 kernel is bit-identical to its scalar path by the batch contract, so
 the minimum over the same shift set reproduces the scalar result bit
 for bit — the scalar loop's early exit at an exact zero changes which
-shifts are *evaluated*, never the minimum.  Every shipped base metric
-now carries a kernel (EMD was the last holdout); a user-supplied base
-without one degrades gracefully to the same per-row cost as the scalar
-path.
+shifts are *evaluated*, never the minimum.
 """
 
 from __future__ import annotations
@@ -56,10 +53,6 @@ class CircularShiftDistance(Metric):
         if max_shift is not None and max_shift < 0:
             raise MetricError(f"max_shift must be non-negative; got {max_shift}")
         self._max_shift = max_shift
-        # The stacked-shift kernel is only a real vectorization when the
-        # base metric brings one; with a loop-fallback base each shift
-        # still costs one interpreted call per row.
-        self.supports_batch = bool(self._base.supports_batch)
 
     @property
     def name(self) -> str:

@@ -4,8 +4,8 @@ The contracts pinned here (see ``repro.metrics.base`` and
 ``repro.index.base``):
 
 * ``Metric.distance_batch(q, V)[i]`` is bit-identical to
-  ``Metric.distance(q, V[i])`` for every metric — vectorized kernel or
-  loop fallback, degenerate operands included;
+  ``Metric.distance(q, V[i])`` for every metric, degenerate operands
+  included;
 * a batch over n rows counts as exactly n evaluations on
   :class:`CountingMetric`;
 * ``knn_search_batch`` / ``range_search_batch`` return, per query,
@@ -34,7 +34,6 @@ from repro.metrics.divergence import (
     JensenShannonDistance,
 )
 from repro.metrics.emd import MatchDistance
-from repro.metrics.hausdorff import HausdorffDistance
 from repro.metrics.histogram import (
     BhattacharyyaDistance,
     ChiSquareDistance,
@@ -115,19 +114,6 @@ class TestMetricBatchParity:
         out = metric.distance_batch(rng.random(_DIM), np.empty((0, _DIM)))
         assert out.shape == (0,)
         assert out.dtype == np.float64
-
-    def test_supports_batch_flags(self):
-        assert EuclideanDistance().supports_batch
-        assert QuadraticFormDistance(_psd_matrix()).supports_batch
-        assert MatchDistance().supports_batch
-        assert HausdorffDistance(point_dim=2).supports_batch
-        assert CountingMetric(EuclideanDistance()).supports_batch
-        assert CountingMetric(MatchDistance()).supports_batch
-        # The stacked-shift kernel is vectorized iff its base metric is;
-        # since the EMD kernel landed, every shipped base qualifies.
-        assert CircularShiftDistance().supports_batch
-        assert CircularShiftDistance(ManhattanDistance()).supports_batch
-        assert CircularShiftDistance(MatchDistance()).supports_batch
 
     def test_shift_kernel_counts_rows_not_shifts(self, rng):
         # A batch over n rows is n distance computations regardless of

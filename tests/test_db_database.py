@@ -11,7 +11,7 @@ from repro.db.database import ImageDatabase
 from repro.db.idmap import IdMap
 from repro.db.store import FeatureStore
 from repro.db.feedback import FeedbackSession
-from repro.errors import QueryError
+from repro.errors import IndexingError, QueryError
 from repro.features.base import PresetSignature
 from repro.features.histogram import GrayHistogram, RGBJointHistogram
 from repro.features.pipeline import FeatureSchema
@@ -90,6 +90,26 @@ class TestInsertion:
         assert len(db) == 9
         ids, _ = db.feature_matrix("rgb_hist_2")
         assert red_ids[0] not in ids
+
+    def test_re_adding_a_removed_id_leaves_the_database_unchanged(self, rng, tmp_path):
+        # A built VP-tree keeps a removed id tombstoned until its next
+        # rebuild and refuses it back.  The refusal comes before the
+        # catalog changes, so nothing is half applied and save works.
+        db = ImageDatabase(FeatureSchema([PresetSignature(4, "sig")]))
+        rows = rng.random((64, 4))
+        db.add_vectors(rows)
+        db.build_indexes()
+        db.remove([5])
+        with pytest.raises(IndexingError, match="already indexed"):
+            db.add_vectors(rng.random((1, 4)), ids=[5])
+        live = [image_id for image_id in range(64) if image_id != 5]
+        assert len(db) == db.index_for("sig").size == 63
+        assert db.catalog.ids == live
+        db.save(tmp_path)
+        loaded = ImageDatabase.load(tmp_path, db.schema)
+        ids, matrix = loaded.feature_matrix("sig")
+        assert ids == live
+        assert matrix.tobytes() == rows[live].tobytes()
 
     def test_schema_must_be_nonempty(self):
         with pytest.raises(QueryError):

@@ -23,9 +23,7 @@ def _build_pair(rng, n=150, dim=3, metric=None, **kwargs):
 class TestGreedyMaxMin:
     def test_selects_requested_count(self, rng):
         vectors = rng.random((40, 2))
-        rows = greedy_maxmin_rows(
-            vectors, 5, EuclideanDistance().distance, rng
-        )
+        rows = greedy_maxmin_rows(vectors, 5, EuclideanDistance().distance_batch, rng)
         assert len(rows) == 5
         assert len(set(rows)) == 5
 
@@ -34,18 +32,20 @@ class TestGreedyMaxMin:
         cluster_a = rng.normal(0.0, 0.01, (20, 2))
         cluster_b = rng.normal(10.0, 0.01, (20, 2))
         vectors = np.vstack([cluster_a, cluster_b])
-        rows = greedy_maxmin_rows(vectors, 2, EuclideanDistance().distance, rng)
+        rows = greedy_maxmin_rows(vectors, 2, EuclideanDistance().distance_batch, rng)
         sides = {row < 20 for row in rows}
         assert sides == {True, False}
 
     def test_handles_duplicates(self, rng):
         vectors = np.zeros((10, 2))
-        rows = greedy_maxmin_rows(vectors, 3, EuclideanDistance().distance, rng)
+        rows = greedy_maxmin_rows(vectors, 3, EuclideanDistance().distance_batch, rng)
         assert len(set(rows)) == 3
 
     def test_rejects_oversized_request(self, rng):
         with pytest.raises(IndexingError):
-            greedy_maxmin_rows(rng.random((3, 2)), 5, EuclideanDistance().distance, rng)
+            greedy_maxmin_rows(
+                rng.random((3, 2)), 5, EuclideanDistance().distance_batch, rng
+            )
 
 
 class TestExactness:

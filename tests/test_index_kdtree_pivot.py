@@ -87,7 +87,7 @@ class TestPivotStrategies:
     def test_returns_valid_index(self, rng, strategy):
         vectors = rng.random((30, 4))
         metric = EuclideanDistance()
-        row = strategy.select(vectors, metric.distance, rng)
+        row = strategy.select(vectors, metric.distance_batch, rng)
         assert 0 <= row < 30
 
     @pytest.mark.parametrize(
@@ -97,7 +97,7 @@ class TestPivotStrategies:
     )
     def test_single_item(self, rng, strategy):
         vectors = rng.random((1, 4))
-        assert strategy.select(vectors, EuclideanDistance().distance, rng) == 0
+        assert strategy.select(vectors, EuclideanDistance().distance_batch, rng) == 0
 
     def test_max_spread_picks_periphery(self, rng):
         # A dense blob plus one far outlier: the outlier (or something
@@ -105,7 +105,7 @@ class TestPivotStrategies:
         blob = rng.normal(0.5, 0.01, (50, 2))
         outlier = np.array([[10.0, 10.0]])
         vectors = np.vstack([blob, outlier])
-        row = MaxSpreadPivot().select(vectors, EuclideanDistance().distance, rng)
+        row = MaxSpreadPivot().select(vectors, EuclideanDistance().distance_batch, rng)
         assert row == 50
 
     def test_max_variance_prefers_spread(self):
@@ -118,7 +118,7 @@ class TestPivotStrategies:
         center = np.zeros((1, 2))
         vectors = np.vstack([ring, center])
         strategy = MaxVariancePivot(n_candidates=41, sample_size=41)
-        row = strategy.select(vectors, EuclideanDistance().distance, rng)
+        row = strategy.select(vectors, EuclideanDistance().distance_batch, rng)
         assert row != 40  # the centre has (near-)zero variance: never chosen
 
     def test_max_variance_validates(self):
@@ -129,8 +129,8 @@ class TestPivotStrategies:
 
     def test_strategies_deterministic_given_rng(self):
         vectors = np.random.default_rng(8).random((40, 3))
-        metric = EuclideanDistance()
+        dist_batch = EuclideanDistance().distance_batch
         for strategy in (RandomPivot(), MaxSpreadPivot(), MaxVariancePivot()):
-            a = strategy.select(vectors, metric.distance, np.random.default_rng(1))
-            b = strategy.select(vectors, metric.distance, np.random.default_rng(1))
+            a = strategy.select(vectors, dist_batch, np.random.default_rng(1))
+            b = strategy.select(vectors, dist_batch, np.random.default_rng(1))
             assert a == b

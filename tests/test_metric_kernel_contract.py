@@ -10,7 +10,9 @@ is the extension point the indexes call directly.  Pinned here:
   ``[distance(q, v) for v in V]`` for 0, 1 and many rows and for
   non-contiguous row slices;
 * **one template** — no library class overrides ``distance_batch``
-  without supplying ``_kernel``;
+  without supplying ``_kernel``, and only the three reference metrics
+  (EMD, Hausdorff, circular shift) and the counting wrapper override
+  ``distance``: every other metric is its kernel;
 * **the checks stay on the checked path** — ``distance_batch`` raises
   :class:`MetricError` for a wrong dimension, a wrong rank and empty
   operands, the fixed-dimension metrics (weighted L2, quadratic form)
@@ -142,6 +144,24 @@ def _library_metric_classes() -> list[type]:
 def test_every_library_metric_is_covered():
     concrete = {c for c in _library_metric_classes() if not inspect.isabstract(c)}
     assert concrete == set(_INSTANCES)
+
+
+#: Besides the counting wrapper, the library metrics with a scalar
+#: ``distance`` of their own: independent references the bit-identity
+#: suite checks the kernels against.  Every other metric is its kernel.
+_OWN_DISTANCE = {MatchDistance, HausdorffDistance, CircularShiftDistance}
+
+
+def test_a_metric_is_its_kernel():
+    own = {c for c in _library_metric_classes() if "distance" in vars(c)}
+    assert own == _OWN_DISTANCE | {CountingMetric}
+    # ... and each reference still equals its kernel bit for bit.
+    rng = np.random.default_rng(13)
+    for cls in _OWN_DISTANCE:
+        for metric in _INSTANCES[cls]:
+            query, vectors = _operands(metric, rng.random((9, _DIM)) + 0.05)
+            scalar = [metric.distance(query, row) for row in vectors]
+            assert np.array_equal(metric._kernel(query, vectors), scalar)
 
 
 def test_distance_batch_is_the_one_template():

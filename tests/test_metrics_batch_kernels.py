@@ -157,15 +157,11 @@ class TestMatchDistanceKernel:
 
     def test_counting_metric_delegates_to_kernel(self, rng):
         counter = CountingMetric(MatchDistance())
-        assert counter.supports_batch
         counter.distance_batch(rng.random(6), rng.random((17, 6)))
         assert counter.count == 17
 
     def test_shift_kernel_over_emd_base_is_vectorized_and_exact(self, rng):
-        # CircularShiftDistance inherits supports_batch from its base;
-        # with the new EMD kernel the stacked-shift kernel is now real.
         metric = CircularShiftDistance(MatchDistance())
-        assert metric.supports_batch
         vectors = rng.random((10, 8))
         _assert_batch_parity(metric, rng.random(8), vectors)
 
@@ -245,7 +241,6 @@ class TestHausdorffKernel:
 
     def test_counting_metric_delegates_to_kernel(self, rng):
         counter = CountingMetric(HausdorffDistance(point_dim=2))
-        assert counter.supports_batch
         counter.distance_batch(rng.random(8), rng.random((11, 8)))
         assert counter.count == 11
 
@@ -264,17 +259,9 @@ class TestHausdorffKernel:
 )
 def test_kernel_equals_hidden_fallback(metric, rng):
     hidden = hide_batch_kernel(metric)
-    assert not hidden.supports_batch
     query = rng.random(12)
     vectors = rng.random((30, 12))
     assert np.array_equal(
         metric.distance_batch(query, vectors),
         hidden.distance_batch(query, vectors),
     )
-
-
-def test_supports_batch_flags_flipped():
-    # These three were the loop-fallback row in docs/metrics.md.
-    assert MatchDistance().supports_batch
-    assert MatchDistance(circular=True).supports_batch
-    assert HausdorffDistance(point_dim=2).supports_batch

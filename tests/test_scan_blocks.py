@@ -78,9 +78,6 @@ class _FirstCoordinate(Metric):
 
     is_metric = False
 
-    def distance(self, a, b):
-        return float(self._kernel(a, np.asarray(b)[None, :])[0])
-
     def _kernel(self, query, vectors):
         distances = np.array(vectors[:, 0], dtype=np.float64)
         distances[vectors[:, 0] == 7.0] = np.inf

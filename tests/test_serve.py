@@ -339,6 +339,27 @@ class TestSchedulerGroups:
             assert _results_equal(outcome.results, direct)
             assert outcome.stats == vector_db.index_for("sig").last_stats
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_vector_fails_alone_at_submission(self, vector_db, rng, bad):
+        # Staged into the same group as a good request, a non-finite
+        # vector must fail its own caller, not the whole engine group.
+        scheduler = QueryScheduler(
+            vector_db, max_batch=8, cache_size=0, autostart=False
+        )
+        good = rng.random(_DIM)
+        staged = scheduler.submit_query(good, 3)
+        poisoned = good.copy()
+        poisoned[0] = bad
+        with pytest.raises(QueryError, match="non-finite"):
+            scheduler.submit_query(poisoned, 3)
+        with pytest.raises(QueryError, match="non-finite"):
+            scheduler.submit_range(poisoned, 0.5)
+        scheduler.start()
+        served = staged.result(timeout=10)
+        scheduler.close()
+        assert served.batch_size == 1
+        assert _results_equal(served.results, vector_db.query(good, 3))
+
     def test_groups_never_merge_across_parameters(self, vector_db, rng):
         # The same vector under different k (or kind) is a different
         # request: groups never merge across parameters.

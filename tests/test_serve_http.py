@@ -212,6 +212,24 @@ class TestErrorHandling:
         assert status == 400
         assert "radius" in json.loads(reply)["error"]
 
+    @pytest.mark.parametrize("path", ["/query", "/range"])
+    def test_non_finite_vector_400(self, served, path):
+        # JSON admits NaN and Infinity; admission refuses the vector
+        # before it can join (and fail) an engine group.
+        _, server, client = served
+        parameter = '"k": 3' if path == "/query" else '"radius": 0.5'
+        before = client.stats()
+        for literal in ("NaN", "Infinity"):
+            body = (
+                f'{{"vector": [{literal}{", 0.0" * (_DIM - 1)}], {parameter}}}'
+            ).encode()
+            status, reply = _raw_post(server.address, path, body, str(len(body)))
+            assert status == 400
+            assert "non-finite" in json.loads(reply)["error"]
+        after = client.stats()
+        assert after["submitted"] == before["submitted"]
+        assert after["batches_formed"] == before["batches_formed"]
+
     @pytest.mark.parametrize(
         "path, payload, needle",
         [
