@@ -134,7 +134,7 @@ def main() -> None:
     after = client.stats()
     print(
         f"live mutation: added id {added['ids'][0]} (generation "
-        f"{added['generations']['signature']}), served it at distance 0.0, "
+        f"{added['generation']}), served it at distance 0.0, "
         f"removed {removed['removed']} — "
         f"{after['mutations']} mutations applied, "
         f"{after['cache_invalidations']} cache entries lazily invalidated, "

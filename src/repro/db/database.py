@@ -17,8 +17,8 @@ Ties every subsystem together into the system the paper describes:
   multi-feature rerank) goes through ``MetricIndex.vectors_of``.  The
   catalog alone says which ids are live (``docs/storage.md``,
   "Ownership").
-* **generations** — every mutation bumps a monotonic per-feature
-  :meth:`generation` counter.  The serving layer stamps cached results
+* **generation** — every mutation bumps one monotonic
+  :attr:`generation` counter.  The serving layer stamps cached results
   with the generation they were computed under and lazily invalidates
   on mismatch, which is what lets a *mutating* database serve without
   global cache flushes.
@@ -143,9 +143,7 @@ class ImageDatabase:
             index = self._index_factory(self._metrics[name])
             index.backend_factory = self._backend_factory
             self._indexes[name] = index
-        self._generations: dict[str, int] = {
-            name: 0 for name in self._schema.names
-        }
+        self._generation = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -198,23 +196,19 @@ class ImageDatabase:
         self._check_feature(feature)
         return self._metrics[feature]
 
-    def generation(self, feature: str | None = None) -> int:
-        """The monotonic data-version stamp of one feature.
+    @property
+    def generation(self) -> int:
+        """The monotonic data-version stamp.
 
         Every mutation (:meth:`add_image`, :meth:`add_vectors`,
-        :meth:`remove`, :meth:`delete_image`) increments each touched
-        feature's generation by one.  Two calls returning the same
-        number therefore saw the identical item set for that feature —
-        the invariant the serving layer's result cache keys its lazy
+        :meth:`remove`, :meth:`delete_image`) increments it by one,
+        after the catalog changes and before any index does — so a
+        mutation that fails half-way still advances it.  Two reads
+        returning the same number therefore saw the identical item set
+        — the invariant the serving layer's result cache keys its lazy
         invalidation on (see ``repro.serve.cache``).
         """
-        feature = feature or self.default_feature
-        self._check_feature(feature)
-        return self._generations[feature]
-
-    def generations(self) -> dict[str, int]:
-        """All per-feature generation stamps, as a fresh dict."""
-        return dict(self._generations)
+        return self._generation
 
     def index_for(self, feature: str) -> MetricIndex:
         """The (built) index for ``feature``, building it if needed."""
@@ -280,7 +274,7 @@ class ImageDatabase:
         signatures are inserted *incrementally* (each index's
         ``insert_batch`` path) instead of invalidating the indexes —
         the next query pays at most a bounded overlay scan, never a
-        from-scratch rebuild.  Bumps every feature's :meth:`generation`.
+        from-scratch rebuild.  Bumps :attr:`generation`.
 
         Returns the allocated image id.
         """
@@ -429,8 +423,7 @@ class ImageDatabase:
         raises and the database is unchanged).  Built indexes shed the
         items incrementally through ``MetricIndex.delete`` — dynamic
         structures drop the rows, static trees tombstone until their
-        threshold rebuild — and every feature's :meth:`generation` is
-        bumped.
+        threshold rebuild — and :attr:`generation` is bumped.
 
         Raises
         ------
@@ -447,8 +440,8 @@ class ImageDatabase:
         if len(set(image_ids)) != len(image_ids):
             raise QueryError(f"duplicate ids in remove input: {image_ids}")
         records = [self._catalog.delete(image_id) for image_id in image_ids]
+        self._generation += 1
         for feature in self._schema.names:
-            self._generations[feature] += 1
             self._indexes[feature].delete(image_ids)
         return records
 
@@ -763,10 +756,10 @@ class ImageDatabase:
         self, ids: list[int], matrices: Mapping[str, np.ndarray]
     ) -> None:
         """Hand freshly catalogued signatures to each feature's index
-        (built or not, ``insert_batch`` takes them) and advance the
-        feature's generation."""
+        (built or not, ``insert_batch`` takes them), advancing the
+        generation first."""
+        self._generation += 1
         for feature in self._schema.names:
-            self._generations[feature] += 1
             self._indexes[feature].insert_batch(ids, matrices[feature])
 
     def _search(

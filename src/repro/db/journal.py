@@ -274,7 +274,6 @@ class Journal:
         self._dirty = False
         self._closed = False
         self._n_syncs = 0
-        self._fsync_seconds = 0.0
         self._seq = 0
         self.on_fsync: Callable[[float], None] | None = None
         self.replayed_records = 0
@@ -433,11 +432,6 @@ class Journal:
         return self._n_syncs
 
     @property
-    def fsync_seconds(self) -> float:
-        """Cumulative wall time spent inside fsync."""
-        return self._fsync_seconds
-
-    @property
     def dirty(self) -> bool:
         """True when appends are buffered but not yet fsync'd."""
         return self._dirty
@@ -484,7 +478,6 @@ class Journal:
         elapsed = time.perf_counter() - started
         self._dirty = False
         self._n_syncs += 1
-        self._fsync_seconds += elapsed
         if self.on_fsync is not None:
             self.on_fsync(elapsed)
         return elapsed

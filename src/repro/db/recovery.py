@@ -50,7 +50,7 @@ from __future__ import annotations
 import json
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -126,7 +126,7 @@ class RecoveryReport:
     torn_bytes_truncated: int
     replay_s: float
     items: int  #: live items after replay
-    generations: dict = field(default_factory=dict)
+    generation: int  #: the replayed database's data version
 
     @property
     def records_applied(self) -> int:
@@ -279,7 +279,7 @@ def recover(
         torn_bytes_truncated=scan.torn_bytes if scan is not None else 0,
         replay_s=time.perf_counter() - started,
         items=len(db),
-        generations=db.generations(),
+        generation=db.generation,
     )
     return db, report
 

@@ -10,8 +10,8 @@ The database may mutate while it serves: ``submit_add`` /
 ``submit_remove`` (HTTP: ``POST /add`` / ``POST /remove``) ride the
 same admission queue as queries and apply on the worker thread as
 barriers between query segments, and cached results are stamped with
-per-feature generations so a mutation invalidates exactly the entries
-it staled — lazily, never a global flush (``docs/mutability.md``).
+the database's generation so a mutation invalidates the entries it
+staled — lazily, never a global flush (``docs/mutability.md``).
 One :class:`~repro.db.database.ImageDatabase` answers every request.
 
 ================================  =======================================
@@ -30,7 +30,7 @@ Component                          Role
                                    :class:`~repro.errors.RateLimitError`,
                                    HTTP 429)
 :class:`MutationResult`            what an add/remove future resolves to
-                                   (ids, post-mutation generations)
+                                   (ids, post-mutation generation)
 :class:`ResultCache`               LRU over finished result lists, keyed
                                    by a quantized signature digest and
                                    stamped with the generation each entry

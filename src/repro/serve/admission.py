@@ -16,6 +16,7 @@ can land on the queue behind the scheduler's shutdown sentinel.
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
@@ -51,11 +52,13 @@ class TokenBucket:
     """
 
     def __init__(self, rate: float, burst: float | None = None) -> None:
-        if rate <= 0.0:
-            raise ServeError(f"rate must be > 0 tokens/s; got {rate}")
+        # NaN or infinity would silently switch throttling off (or
+        # refuse everything), so both settings must be finite.
+        if not (math.isfinite(rate) and rate > 0.0):
+            raise ServeError(f"rate must be finite and > 0 tokens/s; got {rate}")
         burst = float(burst) if burst is not None else max(1.0, float(rate))
-        if burst < 1.0:
-            raise ServeError(f"burst must be >= 1 token; got {burst}")
+        if not (math.isfinite(burst) and burst >= 1.0):
+            raise ServeError(f"burst must be finite and >= 1 token; got {burst}")
         #: Sustained tokens per second.
         self.rate = float(rate)
         #: Bucket capacity (largest tolerated burst).
@@ -173,11 +176,12 @@ class Admission:
         """
         lookup_start = time.monotonic()
         kind, feature, parameter = request.kind, request.feature, request.parameter
-        generation = self._db.generation(feature)
+        generation = self._db.generation
 
         def revalidate(stored: int, results: list) -> bool:
             return entry_still_valid(
-                self._deltas.between(feature, stored, generation),
+                self._deltas.between(stored, generation),
+                feature,
                 self._db.metric_for(feature),
                 kind,
                 parameter,

@@ -19,14 +19,14 @@ Mutable databases: generation stamps
 ------------------------------------
 The database is allowed to mutate while the service runs (see
 ``docs/mutability.md``).  Instead of flushing the cache on every
-mutation, each entry is stamped with the **generation** the database's
-feature was at when the result was computed
-(:meth:`~repro.db.database.ImageDatabase.generation`).  A lookup passes
+mutation, each entry is stamped with the **generation** the database
+was at when the result was computed
+(:attr:`~repro.db.database.ImageDatabase.generation`).  A lookup passes
 the *current* generation; a stamped entry from an older generation is
 treated as a miss, evicted on the spot, and counted in
 :attr:`ResultCache.invalidations` — invalidation is lazy and per-entry,
 never a global flush, so untouched hot entries keep serving the moment
-their feature stops changing.
+the database stops changing.
 
 Check-on-hit revalidation
 -------------------------
@@ -60,7 +60,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,7 +73,7 @@ __all__ = ["CacheCounters", "MutationDeltaLog", "ResultCache", "entry_still_vali
 #: Decimals kept when digesting query vectors into cache keys.
 QUANTIZE_DECIMALS = 12
 
-#: Generations of mutation deltas retained per feature.
+#: Mutations whose deltas are retained.
 DELTA_WINDOW = 64
 
 #: Cache keys: (kind, feature, parameter, digest).
@@ -82,10 +82,9 @@ CacheKey = tuple[str, str, int | float, str]
 #: Revalidation callback: (stale entry's stamp, its results) -> still valid?
 Revalidator = Callable[[int, list[RetrievalResult]], bool]
 
-#: One mutation's effect on one feature:
-#: ``("add", inserted ids, (m, d) vectors)`` or
-#: ``("remove", removed ids, None)``.
-MutationDelta = tuple[str, tuple[int, ...], "np.ndarray | None"]
+#: One mutation's effect: ``(inserted ids, {feature: (m, d) rows})`` for
+#: an add, ``(removed ids, None)`` for a remove.
+MutationDelta = tuple[tuple[int, ...], "dict[str, np.ndarray] | None"]
 
 
 class CacheCounters(NamedTuple):
@@ -112,59 +111,48 @@ class CacheCounters(NamedTuple):
 class MutationDeltaLog:
     """Bounded per-generation record of what each mutation changed.
 
-    Keyed by feature, each key maps **generation after the mutation
-    applied** to the :data:`MutationDelta` that produced it.  Only the
-    newest :data:`DELTA_WINDOW` generations per feature are retained;
-    :meth:`between` returns ``None`` as soon as any generation in the
-    requested range has been dropped (or was never recorded), which
-    callers must treat as "cannot prove validity".
+    Maps the database **generation after the mutation applied** to the
+    :data:`MutationDelta` that produced it.  Only the newest
+    :data:`DELTA_WINDOW` mutations are retained; :meth:`between`
+    returns ``None`` as soon as any generation in the requested range
+    has been dropped (or was never recorded), which callers must treat
+    as "cannot prove validity".
 
     Thread-safe: the scheduler's worker records while caller threads
     read during cache lookups.
     """
 
     def __init__(self) -> None:
-        self._logs: dict[str, OrderedDict[int, MutationDelta]] = {}
+        self._log: OrderedDict[int, MutationDelta] = OrderedDict()
         self._lock = threading.Lock()
 
-    def record_add(
+    def record(
         self,
-        feature: str,
         generation: int,
         ids: Sequence[int],
-        vectors: np.ndarray,
+        matrices: Mapping[str, np.ndarray] | None = None,
     ) -> None:
-        """Record an insert that produced ``generation`` of ``feature``.
+        """Record the mutation that produced ``generation``: an insert
+        of ``matrices`` (``{feature: (m, d) rows}``) under ``ids``, or,
+        without ``matrices``, a removal of ``ids``.
 
-        ``vectors`` is copied: the log must outlive the caller's batch
+        The rows are copied: the log must outlive the caller's batch
         buffers, and revalidation reads it from other threads.
         """
-        rows = np.array(vectors, dtype=np.float64, copy=True)
-        self._record(
-            feature, int(generation), ("add", tuple(int(i) for i in ids), rows)
-        )
-
-    def record_remove(
-        self, feature: str, generation: int, ids: Sequence[int]
-    ) -> None:
-        """Record a removal that produced ``generation`` of ``feature``."""
-        self._record(
-            feature, int(generation), ("remove", tuple(int(i) for i in ids), None)
-        )
-
-    def _record(self, feature: str, generation: int, delta: MutationDelta) -> None:
+        if matrices is not None:
+            matrices = {
+                feature: np.array(rows, dtype=np.float64, copy=True)
+                for feature, rows in matrices.items()
+            }
+        generation = int(generation)
         with self._lock:
-            log = self._logs.setdefault(feature, OrderedDict())
-            log[generation] = delta
-            log.move_to_end(generation)
-            while len(log) > DELTA_WINDOW:
-                log.popitem(last=False)
+            self._log[generation] = (tuple(int(i) for i in ids), matrices)
+            self._log.move_to_end(generation)
+            while len(self._log) > DELTA_WINDOW:
+                self._log.popitem(last=False)
 
-    def between(
-        self, feature: str, old: int, new: int
-    ) -> list[MutationDelta] | None:
-        """Every delta of ``feature`` from ``old`` (exclusive) to ``new``
-        (inclusive).
+    def between(self, old: int, new: int) -> list[MutationDelta] | None:
+        """Every delta from ``old`` (exclusive) to ``new`` (inclusive).
 
         ``None`` when the range cannot be reconstructed — a
         non-advancing range, or any generation missing from the
@@ -174,12 +162,9 @@ class MutationDeltaLog:
         if old >= new:
             return None
         with self._lock:
-            log = self._logs.get(feature)
-            if log is None:
-                return None
             deltas: list[MutationDelta] = []
             for generation in range(old + 1, new + 1):
-                delta = log.get(generation)
+                delta = self._log.get(generation)
                 if delta is None:
                     return None
                 deltas.append(delta)
@@ -188,6 +173,7 @@ class MutationDeltaLog:
 
 def entry_still_valid(
     deltas: list[MutationDelta] | None,
+    feature: str,
     metric: Metric,
     kind: str,
     parameter: int | float,
@@ -212,8 +198,9 @@ def entry_still_valid(
     entry is invalidated; revalidation can only ever upgrade a miss to
     a hit that matches a fresh query bit for bit.
 
-    Distances are computed with the feature's own ``metric`` over the
-    same float64 rows the engine indexed, so the comparison floats are
+    Distances are computed with the ``feature``'s own ``metric`` over
+    that feature's inserted rows — the same float64 rows the engine
+    indexed, so the comparison floats are
     the ones a fresh query would rank by.  Runs on the caller's thread
     against the (locked) delta log; the engine itself is never touched.
     """
@@ -221,11 +208,11 @@ def entry_still_valid(
         return False
     removed: set[int] = set()
     inserted: list[tuple[tuple[int, ...], np.ndarray]] = []
-    for delta_kind, ids, vectors in deltas:
-        if delta_kind == "remove":
+    for ids, matrices in deltas:
+        if matrices is None:
             removed.update(ids)
-        elif vectors is not None and len(ids):
-            inserted.append((ids, vectors))
+        elif ids:
+            inserted.append((ids, matrices[feature]))
     if removed and any(result.image_id in removed for result in results):
         return False
     if not inserted:
@@ -367,8 +354,8 @@ class ResultCache:
     ) -> list[RetrievalResult] | None:
         """The cached results for ``key`` (a fresh list), or ``None``.
 
-        ``generation`` is the caller's *current* data version for the
-        key's feature (the database's generation).  An entry computed
+        ``generation`` is the caller's *current* data version (the
+        database's generation).  An entry computed
         under a different (``!=``) generation is stale.
 
         ``revalidator`` gets a chance to save a stale entry: it is

@@ -145,8 +145,9 @@ class ServiceClient:
         Pass ``vectors`` (an ``(n, d)`` matrix) for a single-feature
         schema, or ``signatures`` (``{feature: matrix}`` covering every
         schema feature).  Returns ``ids`` (allocated, in row order),
-        ``generations``, and ``latency_ms``.  The mutation serializes
-        with in-flight query batches on the server's worker.
+        ``generation`` (the database's data version after the add) and
+        ``latency_ms``.  The mutation serializes with in-flight query
+        batches on the server's worker.
         """
         payload: dict = {}
         if vectors is not None:
@@ -167,7 +168,7 @@ class ServiceClient:
     def remove(self, image_ids: Sequence[int]) -> dict:
         """``POST /remove``: delete images by id.
 
-        Returns ``removed`` (the ids, in call order), ``generations``,
+        Returns ``removed`` (the ids, in call order), ``generation``,
         and ``latency_ms``.
         """
         return self._request(
@@ -177,7 +178,7 @@ class ServiceClient:
     def save(self) -> dict:
         """``POST /save``: compact the journal into a fresh snapshot.
 
-        Returns ``saved``, ``generations``, and ``latency_ms``; fails
+        Returns ``saved``, ``generation``, and ``latency_ms``; fails
         with :class:`~repro.errors.ServeError` when the server runs
         without a journal.  The barrier serializes with in-flight query
         batches — the snapshot is a point-in-time image.

@@ -102,7 +102,7 @@ def _result_payload(served: ServedResult) -> dict:
 
 def _mutation_payload(applied: MutationResult) -> dict:
     """JSON form of one applied mutation (or save barrier)."""
-    payload: dict = {"generations": applied.generations}
+    payload: dict = {"generation": applied.generation}
     payload["latency_ms"] = applied.latency_s * 1e3
     if applied.kind == "add":
         payload["ids"] = applied.ids
@@ -592,7 +592,7 @@ class QueryServer:
             payload = {
                 "status": "ok", "images": scheduler.n_items,
                 "features": list(self._db.schema.names),
-                "generations": scheduler.generations(), "uptime_s": scheduler.uptime_s,
+                "generation": scheduler.generation, "uptime_s": scheduler.uptime_s,
                 "durable": info is not None, "journal": info,
                 "backend": self._db.backend_info()["name"],
             }

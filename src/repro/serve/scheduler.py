@@ -52,7 +52,7 @@ Request lifecycle::
                                                       │  index.last_batch_stats
                                                       └─ resolve futures; fill
                                                          cache stamped with the
-                                                         feature's generation
+                                                         database's generation
 
 **Mutations serialize with query batches.**  ``submit_add`` /
 ``submit_remove`` ride the same admission queue as queries and are
@@ -60,8 +60,8 @@ applied by the same single worker thread, in arrival order: every query
 admitted before a mutation is answered against the pre-mutation
 database, every query admitted after it against the post-mutation one —
 the service is linearizable without a single lock reaching the engine.
-Results are cached stamped with the feature's
-:meth:`~repro.db.database.ImageDatabase.generation` at execution time;
+Results are cached stamped with the database's
+:attr:`~repro.db.database.ImageDatabase.generation` at execution time;
 a later lookup under a newer generation lazily evicts the entry
 (``ServiceStats.cache_invalidations``) instead of flushing the cache.
 
@@ -226,20 +226,26 @@ class QueryScheduler:
     ) -> None:
         if shards != 1:
             raise ServeError(f"shards must be 1; got {shards}")
-        if max_batch < 1:
+        # Each check is written ``not x >= bound`` so NaN fails it too.
+        if not max_batch >= 1:
             raise ServeError(f"max_batch must be >= 1; got {max_batch}")
         if not math.isfinite(max_wait_ms) or max_wait_ms < 0.0:
             # A NaN timeout would park the worker with no future resolved.
             raise ServeError(
                 f"max_wait_ms must be finite and >= 0; got {max_wait_ms}"
             )
-        if max_queue < 1:
-            raise ServeError(f"max_queue must be >= 1; got {max_queue}")
-        if trace_depth < 0:
+        if not (math.isfinite(max_queue) and max_queue >= 1):
+            # A NaN or infinite bound would make the queue unbounded.
+            raise ServeError(f"max_queue must be finite and >= 1; got {max_queue}")
+        if not trace_depth >= 0:
             raise ServeError(f"trace_depth must be >= 0; got {trace_depth}")
-        if slow_query_ms is not None and slow_query_ms < 0.0:
+        if slow_query_ms is not None and not (
+            math.isfinite(slow_query_ms) and slow_query_ms >= 0.0
+        ):
+            # A NaN threshold would log every request as slow.
             raise ServeError(
-                f"slow_query_ms must be >= 0 or None; got {slow_query_ms}"
+                f"slow_query_ms must be finite and >= 0, or None; "
+                f"got {slow_query_ms}"
             )
         self._db = db
         self._journal = journal
@@ -247,8 +253,8 @@ class QueryScheduler:
         self._max_wait_s = float(max_wait_ms) / 1e3
         self._queue: queue.Queue[Ticket | None] = queue.Queue(maxsize=max_queue)
         self._cache = ResultCache(cache_size)
-        #: What each generation's mutation inserted/removed, per feature
-        #: — what cache revalidation reads (see ``repro.serve.cache``).
+        #: What each generation's mutation inserted/removed — what
+        #: cache revalidation reads (see ``repro.serve.cache``).
         self._deltas = MutationDeltaLog()
         self._ledger = ServiceLedger(trace_depth, slow_query_ms)
         if journal is not None:
@@ -336,11 +342,6 @@ class QueryScheduler:
         return self._cache
 
     @property
-    def delta_log(self) -> MutationDeltaLog:
-        """The bounded per-generation mutation record (revalidation feed)."""
-        return self._deltas
-
-    @property
     def metrics(self) -> MetricsRegistry:
         """The Prometheus metric families (see :meth:`render_metrics`)."""
         return self._ledger.registry
@@ -395,9 +396,10 @@ class QueryScheduler:
         """Live items served."""
         return len(self._db)
 
-    def generations(self) -> dict[str, int]:
-        """Current per-feature data-version stamps."""
-        return self._db.generations()
+    @property
+    def generation(self) -> int:
+        """The database's current data-version stamp."""
+        return self._db.generation
 
     @property
     def is_closed(self) -> bool:
@@ -408,11 +410,6 @@ class QueryScheduler:
     def uptime_s(self) -> float:
         """Seconds since construction (what ``GET /healthz`` reports)."""
         return self._ledger.uptime_s
-
-    @property
-    def journal(self) -> Journal | None:
-        """The write-ahead journal (``None`` when journaling is off)."""
-        return self._journal
 
     def journal_info(self) -> dict[str, int] | None:
         """Journal state for ``GET /healthz`` (``None`` when off).

@@ -82,9 +82,9 @@ class MutationResult:
     ids:
         The image ids allocated (add) or removed (remove), in order
         (empty for ``'save'``).
-    generations:
-        Every feature's generation stamp *after* the mutation applied —
-        what subsequent cached results will be validated against.
+    generation:
+        The database's generation *after* the mutation applied — what
+        subsequent cached results will be validated against.
     latency_s:
         Submit-to-application wall time.
     trace_id:
@@ -93,7 +93,7 @@ class MutationResult:
 
     kind: str
     ids: list[int]
-    generations: dict[str, int]
+    generation: int
     latency_s: float
     trace_id: str | None = None
 

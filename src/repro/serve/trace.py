@@ -341,7 +341,7 @@ class SlowQueryLog:
     """
 
     def __init__(self, threshold_s: float | None = 0.1, depth: int = 128) -> None:
-        if threshold_s is not None and threshold_s < 0.0:
+        if threshold_s is not None and not threshold_s >= 0.0:
             raise ValueError(f"slow threshold must be >= 0; got {threshold_s}")
         if depth < 1:
             raise ValueError(f"slow-log depth must be >= 1; got {depth}")

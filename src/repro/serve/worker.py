@@ -111,7 +111,7 @@ class BatchWorker:
             # Stamp cached entries with the generation the call ran
             # under — the worker serializes mutations, so this read
             # cannot race a concurrent add/remove.
-            generation = self._db.generation(feature)
+            generation = self._db.generation
             for request, results, stats in zip(live, result_lists, per_query_stats):
                 if request.trace is not None:
                     request.trace.add_span(
@@ -190,7 +190,7 @@ class BatchWorker:
         labels: Sequence[str | None] | None,
         names: Sequence[str] | None,
     ) -> list[int]:
-        """Validate → journal → apply one add; record its delta per feature.
+        """Validate → journal → apply one add; record its delta.
 
         The ids are allocated before the journal write, so the record
         names exactly the ids the apply then inserts.
@@ -211,10 +211,7 @@ class BatchWorker:
             raise
         # Record *after* applying: a lookup racing this window sees the
         # new generation without its delta and safely invalidates.
-        for feature, matrix in matrices.items():
-            self._deltas.record_add(
-                feature, self._db.generation(feature), ids, matrix
-            )
+        self._deltas.record(self._db.generation, ids, matrices)
         return ids
 
     def _remove(self, image_ids: list[int]) -> None:
@@ -232,10 +229,7 @@ class BatchWorker:
         except Exception:
             self._abort(seq)
             raise
-        for feature in self._db.schema.names:
-            self._deltas.record_remove(
-                feature, self._db.generation(feature), image_ids
-            )
+        self._deltas.record(self._db.generation, image_ids)
 
     def _log(self, record: JournalRecord) -> None:
         """Append ``record`` (buffered) and time the append."""
@@ -280,7 +274,7 @@ class BatchWorker:
                 self._fail((mutation for mutation, _ids in pending), error)
                 return
             fsync = (fsync_start, time.monotonic() - fsync_start)
-        generations = self._db.generations()
+        generation = self._db.generation
         for mutation, ids in pending:
             if mutation.trace is not None and fsync is not None:
                 # One group fsync covered every pending mutation; each
@@ -291,7 +285,7 @@ class BatchWorker:
                 self._ledger,
                 mutation.kind,
                 ids,
-                generations,
+                generation,
                 respond_start=time.monotonic(),
             )
 
@@ -325,6 +319,6 @@ class BatchWorker:
             self._ledger,
             "save",
             [],
-            self._db.generations(),
+            self._db.generation,
             respond_start=time.monotonic(),
         )

@@ -192,14 +192,13 @@ class TestDeltaLogBounds:
         monkeypatch.setattr(cache_module, "DELTA_WINDOW", 3)
         log = MutationDeltaLog()
         for generation in range(1, 8):
-            log.record_remove("key", generation, [generation])
+            log.record(generation, [generation])
         # Only generations 5..7 survive the window of 3.
-        assert log.between("key", 4, 7) is not None
-        assert log.between("key", 3, 7) is None  # gen 4 was dropped
-        assert log.between("key", 0, 2) is None
-        assert log.between("key", 7, 7) is None  # non-advancing
-        assert log.between("key", 7, 5) is None
-        assert log.between("missing", 4, 5) is None
+        assert log.between(4, 7) is not None
+        assert log.between(3, 7) is None  # gen 4 was dropped
+        assert log.between(0, 2) is None
+        assert log.between(7, 7) is None  # non-advancing
+        assert log.between(7, 5) is None
 
     def test_window_overflow_degrades_to_invalidation(self):
         db = _make_db([_axis_vector(0, float(i)) for i in range(1, 6)])
@@ -220,6 +219,69 @@ class TestDeltaLogBounds:
             assert _pairs(served.results) == _pairs(db.query(query, 3))
         finally:
             scheduler.close()
+
+
+@pytest.fixture
+def two_feature_scheduler():
+    """Features ``a`` and ``b`` over the same 1..5 distance ladder, so a
+    query answers identically under either until an insert splits them."""
+    ladder = np.stack([_axis_vector(0, float(i)) for i in range(1, 6)])
+    db = ImageDatabase(
+        FeatureSchema([PresetSignature(DIM, "a"), PresetSignature(DIM, "b")]),
+        index_factory=lambda metric: VPTree(metric, leaf_size=4),
+    )
+    db.add_vectors({"a": ladder, "b": ladder})
+    db.build_indexes()
+    scheduler = QueryScheduler(db, max_batch=4)
+    yield db, scheduler
+    scheduler.close()
+
+
+class TestTwoFeatures:
+    def test_each_mutation_bumps_the_generation_once(
+        self, two_feature_scheduler
+    ):
+        db, scheduler = two_feature_scheduler
+        start = db.generation
+        row = _axis_vector(1, 9.0)[None, :]
+        added = scheduler.submit_add({"a": row, "b": row}).result(timeout=10)
+        assert db.generation == start + 1 == added.generation
+        removed = scheduler.submit_remove(added.ids).result(timeout=10)
+        assert db.generation == start + 2 == removed.generation
+        db.add_vectors({"a": row, "b": row})
+        assert db.generation == start + 3
+
+    def test_remove_leaves_one_delta(self, two_feature_scheduler):
+        db, scheduler = two_feature_scheduler
+        before = db.generation
+        scheduler.submit_remove([3]).result(timeout=10)
+        assert scheduler._deltas.between(before, db.generation) == [((3,), None)]
+
+    def test_revalidation_reads_the_queried_features_rows(
+        self, two_feature_scheduler
+    ):
+        db, scheduler = two_feature_scheduler
+        query = np.zeros(DIM)
+        scheduler.submit_query(query, 3, feature="b").result(timeout=10)
+        # Inside the 3rd-nearest under b's rows, far away under a's: an
+        # entry checked against a's rows would wrongly revalidate.
+        added = scheduler.submit_add(
+            {"a": _axis_vector(1, 50.0)[None, :], "b": _axis_vector(1, 0.5)[None, :]}
+        ).result(timeout=10)
+        served = scheduler.submit_query(query, 3, feature="b").result(timeout=10)
+        assert not served.cache_hit
+        assert scheduler.cache.counters().invalidations == 1
+        assert _pairs(served.results)[0] == (added.ids[0], 0.5)
+        assert _pairs(served.results) == _pairs(db.query(query, 3, feature="b"))
+
+        # The mirror image: near under a only, so b's entry revalidates.
+        scheduler.submit_add(
+            {"a": _axis_vector(1, 0.5)[None, :], "b": _axis_vector(1, 50.0)[None, :]}
+        ).result(timeout=10)
+        again = scheduler.submit_query(query, 3, feature="b").result(timeout=10)
+        assert again.cache_hit
+        assert scheduler.cache.counters().revalidations == 1
+        assert _pairs(again.results) == _pairs(served.results)
 
 
 def _never(stamp, results):

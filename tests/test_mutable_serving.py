@@ -15,7 +15,7 @@ The acceptance bar (ISSUE 5 / ``docs/mutability.md``):
   recomputes, certified by ``ServiceStats.cache_invalidations``;
 * the database-level incremental paths (``add_image`` / ``add_vectors``
   / ``remove``) keep built indexes live instead of rebuilding, and bump
-  per-feature generations monotonically.
+  the database's generation monotonically.
 """
 
 from __future__ import annotations
@@ -108,14 +108,13 @@ class TestDatabaseIncrementalMutation:
 
     def test_generations_bump_monotonically(self, rng):
         db = _make_db(INDEX_KINDS["linear"], rng.random((10, DIM)))
-        g0 = db.generation("sig")
+        g0 = db.generation
         ids = db.add_vectors(rng.random((2, DIM)))
-        assert db.generation("sig") == g0 + 1
+        assert db.generation == g0 + 1
         db.remove([ids[0]])
-        assert db.generation("sig") == g0 + 2
+        assert db.generation == g0 + 2
         db.delete_image(ids[1])
-        assert db.generation("sig") == g0 + 3
-        assert db.generations() == {"sig": g0 + 3}
+        assert db.generation == g0 + 3
 
     def test_remove_validates_before_mutating(self, rng):
         db = _make_db(INDEX_KINDS["linear"], rng.random((10, DIM)))
@@ -296,7 +295,7 @@ class TestSchedulerMutations:
             ).result(timeout=10)
         assert isinstance(result, MutationResult)
         assert result.kind == "add" and len(result.ids) == 2
-        assert result.generations == db.generations()
+        assert result.generation == db.generation
         assert result.latency_s >= 0.0
         assert db.catalog.get(result.ids[0]).label == "a"
         assert db.catalog.get(result.ids[1]).name == "n1"
@@ -338,7 +337,7 @@ class TestHTTPMutations:
             target[None, :], labels=["fresh"], names=["the-new-one"]
         )
         assert len(response["ids"]) == 1
-        assert response["generations"]["sig"] == before["generations"]["sig"] + 1
+        assert response["generation"] == before["generation"] + 1
 
         hit = client.query(target, 1)
         assert hit["results"][0]["image_id"] == response["ids"][0]

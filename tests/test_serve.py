@@ -570,6 +570,29 @@ class TestSchedulerLifecycle:
             scheduler = QueryScheduler(vector_db, max_wait_ms=max_wait_ms)
             scheduler.submit_query(vector, 3).result(timeout=5)
 
+    @pytest.mark.parametrize(
+        ("setting", "match"),
+        [
+            ({"slow_query_ms": float("nan")}, "slow_query_ms"),
+            ({"rate_limit_qps": float("nan")}, "rate"),
+            ({"rate_limit_qps": float("inf")}, "rate"),
+            ({"rate_limit_qps": 10.0, "rate_limit_burst": float("nan")}, "burst"),
+            ({"rate_limit_qps": 10.0, "rate_limit_burst": float("inf")}, "burst"),
+            ({"max_queue": float("nan")}, "max_queue"),
+            ({"max_queue": float("inf")}, "max_queue"),
+        ],
+        ids=[
+            "slow-nan", "qps-nan", "qps-inf", "burst-nan", "burst-inf",
+            "queue-nan", "queue-inf",
+        ],
+    )
+    def test_non_finite_settings_rejected(self, vector_db, setting, match):
+        # Each value slips past a ``<`` bound check and silently changes
+        # behaviour: every request logged as slow, throttling off or
+        # refusing everything, an unbounded queue.
+        with pytest.raises(ServeError, match=match):
+            QueryScheduler(vector_db, autostart=False, **setting).close()
+
     def test_only_one_shard_accepted(self, vector_db):
         # ``shards`` survives as a keyword that accepts only 1.
         with QueryScheduler(vector_db, shards=1) as scheduler:

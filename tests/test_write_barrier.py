@@ -57,7 +57,7 @@ class TestSerialAdds:
         db = _make_db(rng)
         scheduler = _staged_scheduler(db)
         try:
-            before = scheduler.generations()["sig"]
+            before = scheduler.generation
             blocks = [rng.random((n, DIM)) for n in (1, 3, 2)]
             futures = [scheduler.submit_add(block) for block in blocks]
             scheduler.start()
@@ -65,7 +65,7 @@ class TestSerialAdds:
 
             # One barrier per mutation: three adds drained as one
             # formed batch still move the generation by three.
-            assert scheduler.generations()["sig"] == before + 3
+            assert scheduler.generation == before + 3
 
             all_ids = [i for r in results for i in r.ids]
             assert [len(r.ids) for r in results] == [1, 3, 2]
@@ -120,7 +120,7 @@ class TestSerialAdds:
         db = _make_db(rng)
         scheduler = _staged_scheduler(db)
         try:
-            before = scheduler.generations()["sig"]
+            before = scheduler.generation
             good = [scheduler.submit_add(rng.random((1, DIM))) for _ in range(2)]
             bad = scheduler.submit_add(rng.random((1, DIM + 1)))  # wrong dim
             tail = scheduler.submit_add(rng.random((1, DIM)))
@@ -131,7 +131,7 @@ class TestSerialAdds:
             tail_ids = tail.result(timeout=10).ids
             # The malformed add failed alone and touched nothing: three
             # bumps, three consecutive ids.
-            assert scheduler.generations()["sig"] == before + 3
+            assert scheduler.generation == before + 3
             assert scheduler.stats().mutations == 3  # failures not counted
             all_ids = [i for chunk in ids for i in chunk] + list(tail_ids)
             assert all_ids == list(range(all_ids[0], all_ids[0] + 3))
@@ -206,7 +206,7 @@ class TestBarriers:
         seed_ids, seed_rows = db.feature_matrix("sig")
         table = {i: seed_rows[pos] for pos, i in enumerate(seed_ids)}
         try:
-            before = scheduler.generations()["sig"]
+            before = scheduler.generation
             blocks = [rng.random((2, DIM)) for _ in range(3)]
             add_futures = [scheduler.submit_add(block) for block in blocks]
             remove_future = scheduler.submit_remove([0, 3])
@@ -216,7 +216,7 @@ class TestBarriers:
                     table[image_id] = row
             remove_future.result(timeout=10)
             del table[0], table[3]
-            assert scheduler.generations()["sig"] == before + 4
+            assert scheduler.generation == before + 4
             assert journal.n_records == 4
             assert journal.n_syncs == 1
 
