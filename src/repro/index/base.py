@@ -62,6 +62,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from heapq import heappush, heapreplace
+from numbers import Integral
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -77,7 +78,14 @@ from repro.errors import IndexingError
 from repro.index.stats import BuildStats, SearchStats
 from repro.metrics.base import Metric
 
-__all__ = ["Neighbor", "MetricIndex", "neighbors_at", "offer_candidates", "reorder_rows"]
+__all__ = [
+    "Neighbor",
+    "MetricIndex",
+    "check_count",
+    "neighbors_at",
+    "offer_candidates",
+    "reorder_rows",
+]
 
 
 class Neighbor(NamedTuple):
@@ -132,6 +140,16 @@ def reorder_rows(rows: np.ndarray, order: np.ndarray) -> None:
     for start in range(0, rows.shape[1], width):
         columns = slice(start, start + width)
         rows[:, columns] = rows[order, columns]
+
+
+def check_count(name: str, value: int, minimum: int) -> int:
+    """``value`` as an ``int``, or :class:`IndexingError` unless it is an
+    integer ``>= minimum`` — a tree's bucket size or fan-out.  NaN passes
+    every ``<`` bound check and ``2.5`` is no bucket size, so both are
+    refused here, at construction, rather than surfacing mid-build."""
+    if not isinstance(value, Integral) or value < minimum:
+        raise IndexingError(f"{name} must be an integer >= {minimum}; got {value!r}")
+    return int(value)
 
 
 #: The default storage for index cores; ``ImageDatabase`` overrides
@@ -226,8 +244,10 @@ class MetricIndex(ABC):
 
     Subclasses implement ``_build``, ``_range_search`` and ``_knn_search``;
     this class owns operand validation, result ordering, and the stats
-    lifecycle.  Distances must only be evaluated through :meth:`_dist`,
-    which keeps :attr:`last_stats` exact.
+    lifecycle.  Every row a query hands to the metric's ``_kernel`` must
+    be counted in :attr:`last_stats`: :meth:`_dist_batch` counts as it
+    evaluates, and the flat tree loops, which call the kernel directly,
+    count in locals and write them back once through :meth:`_record`.
     """
 
     #: Set False in subclasses that tolerate non-metric distances.

@@ -51,7 +51,13 @@ from heapq import heappop, heappush
 import numpy as np
 
 from repro.errors import IndexingError
-from repro.index.base import MetricIndex, Neighbor, offer_candidates, reorder_rows
+from repro.index.base import (
+    MetricIndex,
+    Neighbor,
+    check_count,
+    offer_candidates,
+    reorder_rows,
+)
 from repro.index.pivot import DistanceBatchFn
 from repro.metrics.base import Metric
 
@@ -117,15 +123,10 @@ class GNAT(MetricIndex):
         seed: int = 0,
     ) -> None:
         super().__init__(metric)
-        if degree < 2:
-            raise IndexingError(f"degree must be >= 2; got {degree}")
-        leaf_size = degree if leaf_size is None else leaf_size
-        if leaf_size < degree:
-            raise IndexingError(
-                f"leaf_size must be >= degree ({degree}); got {leaf_size}"
-            )
-        self._degree = degree
-        self._leaf_size = leaf_size
+        self._degree = check_count("degree", degree, 2)
+        self._leaf_size = check_count(
+            "leaf_size", self._degree if leaf_size is None else leaf_size, self._degree
+        )
         self._seed = seed
         # The flat tree (see the module docstring): one entry per node
         # in pre-order, over the base class's rows and ids in tree order.

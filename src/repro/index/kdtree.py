@@ -41,7 +41,13 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import IndexingError
-from repro.index.base import MetricIndex, Neighbor, offer_candidates, reorder_rows
+from repro.index.base import (
+    MetricIndex,
+    Neighbor,
+    check_count,
+    offer_candidates,
+    reorder_rows,
+)
 from repro.metrics.base import Metric
 from repro.metrics.minkowski import (
     ChebyshevDistance,
@@ -97,9 +103,7 @@ class KDTree(MetricIndex):
             raise IndexingError(
                 f"KDTree requires a Minkowski-family metric; got {metric.name}"
             )
-        if leaf_size < 1:
-            raise IndexingError(f"leaf_size must be >= 1; got {leaf_size}")
-        self._leaf_size = leaf_size
+        self._leaf_size = check_count("leaf_size", leaf_size, 1)
         self._box_norm = norm
         # The flat tree (see the module docstring): one entry per node,
         # over the base class's rows and ids in tree order.

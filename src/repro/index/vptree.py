@@ -60,7 +60,13 @@ import sys
 import numpy as np
 
 from repro.errors import IndexingError
-from repro.index.base import MetricIndex, Neighbor, offer_candidates, reorder_rows
+from repro.index.base import (
+    MetricIndex,
+    Neighbor,
+    check_count,
+    offer_candidates,
+    reorder_rows,
+)
 from repro.index.pivot import MaxSpreadPivot, PivotStrategy
 from repro.index.stats import SearchStats
 from repro.metrics.base import Metric
@@ -76,8 +82,13 @@ class VPTree(MetricIndex):
     metric:
         Any true metric (the triangle inequality is load-bearing).
     leaf_size:
-        Maximum items per leaf bucket (default 8).  Smaller leaves prune
-        more but cost more pivot evaluations per query.
+        Maximum items per leaf bucket (default 16).  Every visited node
+        and every leaf costs one kernel call, and the call, not the
+        distance, is most of a query's time: on the clustered
+        ``benchmarks/e2e`` data at n=200k, 16 instead of 8 halves the
+        calls per k-NN for 0.35 % more distances.  16 is the largest
+        power of two under which every paper figure's count claim at
+        N <= 4 096 still holds (``docs/indexes.md``).
     pivot_strategy:
         How vantage points are chosen (default :class:`MaxSpreadPivot`).
     seed:
@@ -89,14 +100,12 @@ class VPTree(MetricIndex):
         self,
         metric: Metric,
         *,
-        leaf_size: int = 8,
+        leaf_size: int = 16,
         pivot_strategy: PivotStrategy | None = None,
         seed: int = 0,
     ) -> None:
         super().__init__(metric)
-        if leaf_size < 1:
-            raise IndexingError(f"leaf_size must be >= 1; got {leaf_size}")
-        self._leaf_size = leaf_size
+        self._leaf_size = check_count("leaf_size", leaf_size, 1)
         self._pivot_strategy = pivot_strategy or MaxSpreadPivot()
         self._seed = seed
         # The flat tree (see the module docstring): one entry per node

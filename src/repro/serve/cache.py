@@ -60,6 +60,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
+from numbers import Integral
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -249,8 +250,8 @@ class ResultCache:
     """
 
     def __init__(self, capacity: int = 1024) -> None:
-        if capacity < 0:
-            raise ServeError(f"cache capacity must be >= 0; got {capacity}")
+        if not isinstance(capacity, Integral) or capacity < 0:
+            raise ServeError(f"cache capacity must be an integer >= 0; got {capacity}")
         self._capacity = int(capacity)
         self._entries: OrderedDict[
             CacheKey, tuple[int, list[RetrievalResult]]

@@ -117,6 +117,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import Future
+from numbers import Integral
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -180,7 +181,7 @@ class QueryScheduler:
         per second and bucket capacity (default burst = max(1, qps)).
         An empty bucket fails submissions fast with
         :class:`~repro.errors.RateLimitError` (HTTP 429); ``None``
-        disables throttling.
+        disables throttling, and a burst without a rate is refused.
     journal:
         Optional :class:`~repro.db.journal.Journal` for crash-safe
         durability (see ``docs/durability.md``).  Mutations are
@@ -226,19 +227,27 @@ class QueryScheduler:
     ) -> None:
         if shards != 1:
             raise ServeError(f"shards must be 1; got {shards}")
-        # Each check is written ``not x >= bound`` so NaN fails it too.
-        if not max_batch >= 1:
-            raise ServeError(f"max_batch must be >= 1; got {max_batch}")
+        # A count must be an integer: 2.5 would be truncated without a
+        # word (or reach queue.Queue), and NaN passes a ``<`` check.
+        for name, value, minimum in (
+            ("max_batch", max_batch, 1),
+            ("max_queue", max_queue, 1),
+            ("trace_depth", trace_depth, 0),
+        ):
+            if not isinstance(value, Integral) or value < minimum:
+                raise ServeError(f"{name} must be an integer >= {minimum}; got {value}")
         if not math.isfinite(max_wait_ms) or max_wait_ms < 0.0:
             # A NaN timeout would park the worker with no future resolved.
             raise ServeError(
                 f"max_wait_ms must be finite and >= 0; got {max_wait_ms}"
             )
-        if not (math.isfinite(max_queue) and max_queue >= 1):
-            # A NaN or infinite bound would make the queue unbounded.
-            raise ServeError(f"max_queue must be finite and >= 1; got {max_queue}")
-        if not trace_depth >= 0:
-            raise ServeError(f"trace_depth must be >= 0; got {trace_depth}")
+        if rate_limit_burst is not None and rate_limit_qps is None:
+            # The bucket is built only for a rate, so a lone burst —
+            # valid or not — would be ignored without a word.
+            raise ServeError(
+                f"rate_limit_burst needs rate_limit_qps; got burst "
+                f"{rate_limit_burst} and no rate"
+            )
         if slow_query_ms is not None and not (
             math.isfinite(slow_query_ms) and slow_query_ms >= 0.0
         ):

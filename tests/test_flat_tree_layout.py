@@ -194,7 +194,7 @@ def _check_layout(tree, ids, vectors):
 
 
 @each_tree
-@pytest.mark.parametrize("leaf_size", [1, 4, 8])
+@pytest.mark.parametrize("leaf_size", [1, 4, 8, 16])
 @pytest.mark.parametrize("metric", [EuclideanDistance(), ManhattanDistance()],
                          ids=lambda m: m.name)
 def test_layout_after_build_and_rebuild(rng, kind, leaf_size, metric):
@@ -383,7 +383,7 @@ def _cases(draw):
     return (
         vectors,
         queries,
-        draw(st.sampled_from([1, 2, 8])),  # leaf_size
+        draw(st.sampled_from([1, 2, 8, 16])),  # leaf_size
         draw(st.integers(1, n + 3)),  # k, past n included
         draw(st.sampled_from([0.0, 0.25, 0.5])),  # radius
         draw(st.sampled_from([0.0, 0.5, 2.0])),  # epsilon

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import IndexingError
+from repro.index.gnat import GNAT
+from repro.index.kdtree import KDTree
 from repro.index.linear import LinearScanIndex
 from repro.index.pivot import MaxVariancePivot, RandomPivot
 from repro.index.vptree import VPTree, _interval_gap
@@ -187,9 +189,14 @@ class TestConfiguration:
         with pytest.raises(IndexingError, match="triangle inequality"):
             VPTree(ChiSquareDistance())
 
-    def test_rejects_bad_leaf_size(self):
-        with pytest.raises(IndexingError):
-            VPTree(EuclideanDistance(), leaf_size=0)
+    @pytest.mark.parametrize("leaf_size", [float("nan"), 2.5, 0], ids=["nan", "2.5", "0"])
+    @pytest.mark.parametrize("tree", [VPTree, KDTree, GNAT], ids=["vptree", "kdtree", "gnat"])
+    def test_rejects_bad_leaf_size(self, tree, leaf_size):
+        # NaN passes a ``< 1`` check and then breaks or degrades the
+        # build (a bare IndexError, one leaf, a misleading split error);
+        # a fraction is no bucket size.  Both are refused at construction.
+        with pytest.raises(IndexingError, match="leaf_size must be an integer"):
+            tree(EuclideanDistance(), leaf_size=leaf_size)
 
     def test_leaf_size_one_still_exact(self, rng):
         vectors = rng.random((60, 3))

@@ -580,16 +580,27 @@ class TestSchedulerLifecycle:
             ({"rate_limit_qps": 10.0, "rate_limit_burst": float("inf")}, "burst"),
             ({"max_queue": float("nan")}, "max_queue"),
             ({"max_queue": float("inf")}, "max_queue"),
+            ({"max_queue": 2.5}, "max_queue"),
+            ({"max_batch": 2.5}, "max_batch"),
+            ({"trace_depth": 2.5}, "trace_depth"),
+            ({"cache_size": float("nan")}, "cache"),
+            ({"cache_size": 2.5}, "cache"),
+            ({"rate_limit_burst": float("nan")}, "burst"),
+            ({"rate_limit_burst": 0.0}, "burst"),
+            ({"rate_limit_burst": 4.0}, "burst"),
         ],
         ids=[
             "slow-nan", "qps-nan", "qps-inf", "burst-nan", "burst-inf",
-            "queue-nan", "queue-inf",
+            "queue-nan", "queue-inf", "queue-frac", "batch-frac",
+            "trace-frac", "cache-nan", "cache-frac", "lone-burst-nan",
+            "lone-burst-zero", "lone-burst",
         ],
     )
     def test_non_finite_settings_rejected(self, vector_db, setting, match):
         # Each value slips past a ``<`` bound check and silently changes
         # behaviour: every request logged as slow, throttling off or
-        # refusing everything, an unbounded queue.
+        # refusing everything, an unbounded queue, a count truncated
+        # without a word, a burst with no rate to apply it to.
         with pytest.raises(ServeError, match=match):
             QueryScheduler(vector_db, autostart=False, **setting).close()
 
