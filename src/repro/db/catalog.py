@@ -14,6 +14,8 @@ materialised when one is read.  A record therefore costs ~22 bytes, not
 the four Python objects (record, ``__dict__``, ``extra`` dict, name
 ``str``; ~330 bytes) it used to; ``catalog.json`` is byte for byte what
 it was.
+Which ids are live is :attr:`Catalog.live`, one flag per id, which the
+database hands to every index: the one live set.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.db.fsutil import REAL_FS, FileSystem, atomic_write_bytes
-from repro.db.idmap import IdMap, reserve
+from repro.db.idmap import IdMap, LiveMask, reserve
 from repro.errors import CatalogError
 
 __all__ = ["ImageRecord", "Catalog"]
@@ -94,7 +96,7 @@ class ImageRecord:
 #: this floor), so a delete is amortised O(1) and dead space stays O(live).
 _COMPACT_MIN = 32
 
-#: Fields stored as one array each; ``_mode`` holds ``-1`` for a deleted row.
+#: Fields stored as one array each.
 _COLUMNS = {
     "_width": np.int32,
     "_height": np.int32,
@@ -112,11 +114,12 @@ def _default_name(mode: str, image_id: int) -> str:
 class Catalog:
     """In-memory table of image metadata with id allocation.
 
-    Rows sit in insertion order; a delete marks its row dead and the
-    dead rows are squeezed out once they outnumber the live ones, so
-    insert and delete are amortised O(1) and :attr:`ids` is always the
-    live ids in insertion order.  Id lookups are binary searches
-    (:class:`~repro.db.idmap.IdMap`), not a dict of ``int`` objects.
+    Rows sit in insertion order; a delete clears the id's flag in
+    :attr:`live` and the dead rows are squeezed out once they outnumber
+    the live ones, so insert and delete are amortised O(1) and
+    :attr:`ids` is always the live ids in insertion order.  Id lookups
+    are binary searches (:class:`~repro.db.idmap.IdMap`), not a dict of
+    ``int`` objects.
     """
 
     def __init__(self) -> None:
@@ -132,8 +135,9 @@ class Catalog:
         #: only the non-empty ``extra`` dicts — keyed by id.
         self._names: dict[int, str] = {}
         self._extras: dict[int, dict[str, Any]] = {}
+        #: The one live set, shared with the database's indexes.
+        self.live = LiveMask()
         self._live = 0
-        self._next_id = 0
 
     def __len__(self) -> int:
         return self._live
@@ -156,17 +160,18 @@ class Catalog:
 
     @property
     def next_id(self) -> int:
-        """The id :meth:`allocate_id` would hand out next (no allocation).
+        """The id :meth:`allocate_id` would hand out next (no allocation):
+        one past every id ever inserted, or covered by :attr:`live`.
 
         The serving worker journals an add under the ids starting here
         before it applies the add.
         """
-        return self._next_id
+        return len(self.live)
 
     def allocate_id(self) -> int:
         """Reserve and return the next unused id."""
-        image_id = self._next_id
-        self._next_id += 1
+        image_id = len(self.live)
+        self.live.grow(image_id + 1)
         return image_id
 
     def insert(self, record: ImageRecord) -> None:
@@ -206,7 +211,7 @@ class Catalog:
         """Remove and return a record."""
         row = self._known_row(image_id)
         record = self._record(row, int(image_id))
-        self._mode[row] = -1
+        self.live.set(record.image_id, False)
         self._names.pop(record.image_id, None)
         self._extras.pop(record.image_id, None)
         self._live -= 1
@@ -220,7 +225,7 @@ class Catalog:
         if code is None:
             return []
         n = len(self._map)
-        rows = np.flatnonzero((self._label[:n] == code) & (self._mode[:n] >= 0))
+        rows = np.flatnonzero((self._label[:n] == code) & self.live.bits[self._map.ids])
         return list(self._records(rows))
 
     def labels(self) -> dict[str | None, int]:
@@ -236,13 +241,12 @@ class Catalog:
     # Columns
     # ------------------------------------------------------------------
     def _row(self, image_id: int) -> int:
-        """The live row holding ``image_id``, ``-1`` when there is none
-        (an id's latest row is the only one that can be live)."""
+        """The live row holding ``image_id``, ``-1`` when there is none."""
         try:
             row = self._map.row(image_id)
         except (TypeError, ValueError, OverflowError):
             return -1  # not an id this catalog could hold
-        return row if row >= 0 and self._mode[row] >= 0 else -1
+        return row if row >= 0 and self.live.bits[image_id] else -1
 
     def _known_row(self, image_id: int) -> int:
         row = self._row(image_id)
@@ -254,7 +258,7 @@ class Catalog:
         n = len(self._map)
         if self._live == n:
             return np.arange(n)
-        return np.flatnonzero(self._mode[:n] >= 0)
+        return np.flatnonzero(self.live.bits[self._map.ids])
 
     def _record(self, row: int, image_id: int) -> ImageRecord:
         return self._materialise(
@@ -300,14 +304,15 @@ class Catalog:
             raise CatalogError(f"image ids must be 64-bit integers; got {ids!r}") from None
         if not ids.shape[0]:
             return
-        held = self._map.rows(ids)
-        held = held[held >= 0]
-        taken = self._map.ids[held[self._mode[held] >= 0]]
+        taken = ids[self.live.of(ids)]
         if taken.size:
             raise CatalogError(f"duplicate image id {int(taken[0])}")
-        unique, counts = np.unique(ids, return_counts=True)
-        if unique.shape[0] != ids.shape[0]:
-            raise CatalogError(f"duplicate image id {int(unique[counts > 1][0])}")
+        if not (ids[1:] > ids[:-1]).all():  # ascending ids repeat none
+            unique, counts = np.unique(ids, return_counts=True)
+            if unique.shape[0] != ids.shape[0]:
+                raise CatalogError(f"duplicate image id {int(unique[counts > 1][0])}")
+        if len(self._map) and (self._map.rows(ids) >= 0).any():
+            self._compact()  # a deleted id comes back: its dead row goes first
 
         one_mode = isinstance(modes, str)
         values = {
@@ -326,17 +331,17 @@ class Catalog:
             column[n:total] = column_values
             setattr(self, column_name, column)
         self._map.extend(ids)
+        self.live.grow(int(ids.max()) + 1, int(ids.min()))
+        self.live.set(ids)
         self._live += ids.shape[0]
-        self._next_id = max(self._next_id, int(ids.max()) + 1)
 
-        id_list = ids.tolist()
-        if names is not None:
-            row_modes = [modes] * len(id_list) if one_mode else modes
-            for image_id, mode, name in zip(id_list, row_modes, names):
+        if names is not None:  # (an int object per id only when needed)
+            row_modes = [modes] * len(ids) if one_mode else modes
+            for image_id, mode, name in zip(ids.tolist(), row_modes, names):
                 if name != _default_name(mode, image_id):
                     self._names[image_id] = name
         if extras is not None:
-            for image_id, extra in zip(id_list, extras):
+            for image_id, extra in zip(ids.tolist(), extras):
                 if extra:
                     self._extras[image_id] = extra
 
@@ -358,7 +363,7 @@ class Catalog:
         half-written JSON document.
         """
         payload = {
-            "next_id": self._next_id,
+            "next_id": self.next_id,
             "records": [record.to_dict() for record in self],
         }
         atomic_write_bytes(
@@ -381,7 +386,7 @@ class Catalog:
         catalog.insert_many(
             ImageRecord.from_dict(raw) for raw in payload.get("records", [])
         )
-        catalog._next_id = max(int(payload.get("next_id", 0)), catalog._next_id)
+        catalog.live.grow(int(payload.get("next_id", 0)))
         return catalog
 
 

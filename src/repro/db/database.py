@@ -7,16 +7,14 @@ Ties every subsystem together into the system the paper describes:
   the catalog records its metadata.  The image itself plays no further
   part; only signatures are kept.
 * **index** — per feature, one metric index (VP-tree by default), its
-  structure built lazily.  Inserts ride
-  :meth:`~repro.index.base.MetricIndex.insert_batch` and :meth:`remove`
-  rides ``MetricIndex.delete``, built or not (``docs/mutability.md``),
-  so ingest never pays a from-scratch rebuild per mutation.
-* **one owner per row** — the database keeps no vector table of its
-  own.  Each feature's index holds its rows and every by-id read
-  (:meth:`ImageDatabase.vectors_of`, ``feature_matrix``, ``save``, the
-  multi-feature rerank) goes through ``MetricIndex.vectors_of``.  The
-  catalog alone says which ids are live (``docs/storage.md``,
-  "Ownership").
+  structure built lazily; a mutation never pays a from-scratch rebuild
+  (``docs/mutability.md``).
+* **one owner per row, one live set** — each feature's index holds its
+  rows, and every by-id read goes through ``MetricIndex.vectors_of``.
+  Which ids are live is the catalog's live mask alone, shared with every
+  index, so flipping flags is each mutation's commit point: a failed add
+  leaves only invisible rows and burnt ids behind, and ids are never
+  reused (``docs/storage.md``, "Ownership").
 * **generation** — every mutation bumps one monotonic
   :attr:`generation` counter.  The serving layer stamps cached results
   with the generation they were computed under and lazily invalidates
@@ -137,11 +135,13 @@ class ImageDatabase:
         )
         self._backend_factory: BackendFactory = resolve_backend_factory(backend)
         self._catalog = Catalog()
-        #: One index per feature, the holder of its rows, built or not.
+        #: One index per feature, the holder of its rows, built or not;
+        #: each reads liveness from the catalog's mask.
         self._indexes: dict[str, MetricIndex] = {}
         for name in self._schema.names:
             index = self._index_factory(self._metrics[name])
             index.backend_factory = self._backend_factory
+            index.live_mask = self._catalog.live
             self._indexes[name] = index
         self._generation = 0
 
@@ -201,9 +201,9 @@ class ImageDatabase:
         """The monotonic data-version stamp.
 
         Every mutation (:meth:`add_image`, :meth:`add_vectors`,
-        :meth:`remove`, :meth:`delete_image`) increments it by one,
-        after the catalog changes and before any index does — so a
-        mutation that fails half-way still advances it.  Two reads
+        :meth:`remove`, :meth:`delete_image`) increments it by one at
+        its commit point, with the live flags; a mutation that fails
+        before it changes no live item and leaves it.  Two reads
         returning the same number therefore saw the identical item set
         — the invariant the serving layer's result cache keys its lazy
         invalidation on (see ``repro.serve.cache``).
@@ -268,17 +268,10 @@ class ImageDatabase:
         name: str | None = None,
         **extra: object,
     ) -> int:
-        """Insert an image: extract all features, record metadata.
-
-        On a database whose indexes are already built, the new
-        signatures are inserted *incrementally* (each index's
-        ``insert_batch`` path) instead of invalidating the indexes —
-        the next query pays at most a bounded overlay scan, never a
-        from-scratch rebuild.  Bumps :attr:`generation`.
-
-        Returns the allocated image id.
-        """
-        image_id = self._catalog.allocate_id()
+        """Insert an image: extract all features, record metadata; the
+        indexes take the signatures incrementally, never rebuilding from
+        scratch.  Bumps :attr:`generation`; returns the new image id."""
+        image_id = self._catalog.next_id
         record = ImageRecord(
             image_id=image_id,
             name=name or f"image_{image_id}",
@@ -289,11 +282,9 @@ class ImageDatabase:
             extra=dict(extra),
         )
         signatures = self._schema.extract_all(image)
-        self._catalog.insert(record)
-        self._register_insert(
-            [image_id],
-            {feature: vector[None, :] for feature, vector in signatures.items()},
-        )
+        self._append([image_id], {f: row[None, :] for f, row in signatures.items()})
+        self._catalog.insert(record)  # sets the flag: the commit point
+        self._commit()
         return image_id
 
     def add_images(
@@ -326,9 +317,10 @@ class ImageDatabase:
         labels, names:
             Optional per-row metadata, each of length ``n``.
         ids:
-            Explicit image ids, one per row, each currently unused.  By
-            default ids are allocated sequentially; journal replay passes
-            the ids the journaled mutation was given.
+            Explicit image ids, one per row, none below
+            :meth:`next_image_id` (ids are never reused).  By default
+            ids are allocated sequentially; journal replay passes the ids
+            the journaled mutation was given.
 
         Returns
         -------
@@ -344,19 +336,17 @@ class ImageDatabase:
                 raise QueryError(f"{len(ids)} ids for {n_rows} vectors")
             if len(set(ids)) != len(ids):
                 raise QueryError(f"duplicate ids in add input: {ids}")
-            taken = [image_id for image_id in ids if image_id in self._catalog]
-            if taken:
-                raise QueryError(f"image id {taken[0]} is already in use")
-            # A removed id may still be tombstoned in a built tree: ask
-            # every index before the catalog changes.
-            for index in self._indexes.values():
-                index.check_new_ids(ids)
-
-        if ids is None:
+            if ids and min(ids) < self._catalog.next_id:
+                raise QueryError(
+                    f"image id {min(ids)} was handed out before (the next free "
+                    f"id is {self._catalog.next_id}); ids are never reused"
+                )
+        else:
             first = self._catalog.next_id
             ids = list(range(first, first + n_rows))
-        self._catalog.insert_rows(ids, labels=labels, names=names)
-        self._register_insert(ids, matrices)
+        self._append(ids, matrices)
+        self._catalog.insert_rows(ids, labels=labels, names=names)  # the commit point
+        self._commit()
         return ids
 
     def validate_signatures(
@@ -420,10 +410,10 @@ class ImageDatabase:
         """Remove images by id; returns their records, in call order.
 
         Validates every id before touching anything (an unknown id
-        raises and the database is unchanged).  Built indexes shed the
-        items incrementally through ``MetricIndex.delete`` — dynamic
-        structures drop the rows, static trees tombstone until their
-        threshold rebuild — and :attr:`generation` is bumped.
+        raises and the database is unchanged), then commits — the ids'
+        live flags clear and :attr:`generation` is bumped — and only then
+        lets each index drop the rows (``MetricIndex.reclaim``); should
+        that fail, the ids are gone all the same.
 
         Raises
         ------
@@ -440,9 +430,7 @@ class ImageDatabase:
         if len(set(image_ids)) != len(image_ids):
             raise QueryError(f"duplicate ids in remove input: {image_ids}")
         records = [self._catalog.delete(image_id) for image_id in image_ids]
-        self._generation += 1
-        for feature in self._schema.names:
-            self._indexes[feature].delete(image_ids)
+        self._commit()
         return records
 
     def delete_image(self, image_id: int) -> ImageRecord:
@@ -723,6 +711,8 @@ class ImageDatabase:
         )
         db._catalog = Catalog.load(directory / _CATALOG_FILE)
         ordered_ids = db._catalog.id_array
+        for index in db._indexes.values():
+            index.live_mask = db._catalog.live
         for feature in schema.names:
             path = directory / _FEATURE_DIR / f"{feature}.feat"
             with FeatureStore.open(path) as store:
@@ -732,7 +722,7 @@ class ImageDatabase:
                     f"feature store {feature!r} holds {matrix.shape[0]} records "
                     f"but catalog has {len(ordered_ids)}"
                 )
-            db._indexes[feature].insert_batch(ordered_ids, matrix)
+            db._indexes[feature].append_rows(ordered_ids, matrix)
         return db
 
     # ------------------------------------------------------------------
@@ -745,22 +735,27 @@ class ImageDatabase:
             )
 
     def _rows(self, feature: str, ids: Sequence[int]) -> np.ndarray:
-        """The feature's rows of live ``ids`` from its index; an empty
-        ask is answered here, where the width is known even before the
-        index holds a row."""
+        """The feature's rows of live ``ids`` from its index (an empty ask
+        here, where the width is known before the index holds a row)."""
         if not len(ids):
             return np.empty((0, self._schema.get(feature).dim))
         return self._indexes[feature].vectors_of(ids)
 
-    def _register_insert(
-        self, ids: list[int], matrices: Mapping[str, np.ndarray]
-    ) -> None:
-        """Hand freshly catalogued signatures to each feature's index
-        (built or not, ``insert_batch`` takes them), advancing the
-        generation first."""
-        self._generation += 1
+    def _append(self, ids: list[int], matrices: Mapping[str, np.ndarray]) -> None:
+        """Burn ``ids`` — cover them in the live mask, so ``next_id`` moves
+        past them even if an index refuses its rows — and let every index
+        append its rows, invisible until the catalog sets their flags."""
+        if ids:
+            self._catalog.live.grow(max(ids) + 1, min(ids))
         for feature in self._schema.names:
-            self._indexes[feature].insert_batch(ids, matrices[feature])
+            self._indexes[feature].append_rows(ids, matrices[feature])
+
+    def _commit(self) -> None:
+        """Finish a mutation whose flags just flipped: bump the
+        generation, then let every index drop its dead rows."""
+        self._generation += 1
+        for index in self._indexes.values():
+            index.reclaim()
 
     def _search(
         self,

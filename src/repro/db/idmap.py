@@ -8,16 +8,15 @@ searches (``np.searchsorted``), vectorised over the ids asked for.
 
 The row of an id is its position in the column — in an index's core,
 the structure's stored row; in its pending buffer (a subclass), the
-row of the buffer's block.  When an id occurs more than once the
-**latest** row wins, which the catalog's not-yet-compacted deletions
-need.
+row of the buffer's block.  :class:`LiveMask` is the other per-id
+array: one flag per id, indexed by the id itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["IdMap", "reserve"]
+__all__ = ["IdMap", "LiveMask", "reserve"]
 
 _MIN_CAPACITY = 8
 
@@ -107,6 +106,52 @@ class IdMap:
         if self._sorter is None:
             self._sorter = np.argsort(self._ids[: self._n], kind="stable")
         return self._sorter[: self._n]
+
+
+class LiveMask:
+    """One flag per id, set while the id is live: the one live set a
+    database's catalog hands to every index (``docs/mutability.md``).
+    One bool array indexed by the id itself, so a hot loop checks
+    ``bits[item_id]``: ids ``0 .. len - 1`` at the front, negative ids
+    (numpy indexes them from the end) at the back.  The length is the id
+    high-water mark: every id below it was handed out once."""
+
+    __slots__ = ("_bits", "_n", "_low")
+
+    def __init__(self) -> None:
+        self._bits = np.zeros(8, dtype=bool)  # only covered ids are ever set
+        self._n = self._low = 0  # the covered ids are _low .. _n - 1
+
+    def __len__(self) -> int:
+        return self._n
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The flags, indexed by id (valid until the mask next grows)."""
+        return self._bits
+
+    def grow(self, top: int, bottom: int = 0) -> None:
+        """Cover the ids from ``bottom`` up to ``top``; new ids start clear."""
+        top, bottom = max(top, self._n), min(bottom, self._low)
+        old, size = self._bits, self._bits.shape[0]
+        if top - bottom > size:  # doubling: O(1) copied per id covered
+            self._bits = np.zeros(max(top - bottom, 2 * size), dtype=bool)
+            self._bits[: self._n] = old[: self._n]
+            self._bits[self._bits.shape[0] + self._low :] = old[size + self._low :]
+        self._n, self._low = top, bottom
+
+    def set(self, ids, live: bool = True) -> None:
+        """Set (or with ``live=False`` clear) the flags of covered ``ids``."""
+        self._bits[ids] = live
+
+    def of(self, ids) -> np.ndarray:
+        """Each id's flag; ``False`` for ids the mask does not cover."""
+        ids = np.asarray(ids, dtype=np.int64)
+        covered = (ids >= self._low) & (ids < self._n)
+        if covered.all():
+            return self._bits[ids]
+        covered[covered] = self._bits[ids[covered]]
+        return covered
 
 
 def _is_ascending(ids: np.ndarray) -> bool:

@@ -258,7 +258,8 @@ class Journal:
     The handle is also the serving root's durability bookkeeping: the
     mutation sequence counter (:meth:`next_seq`), ``on_fsync`` (when
     set, observes each fsync's wall time — the scheduler wires it to
-    the ``repro_journal_fsync_seconds`` histogram) and
+    the ``repro_journal_fsync_seconds`` histogram, whose count is the
+    one tally of fsyncs) and
     ``replayed_records`` (what startup recovery applied).
     """
 
@@ -273,7 +274,6 @@ class Journal:
         self._n_records = 0
         self._dirty = False
         self._closed = False
-        self._n_syncs = 0
         self._seq = 0
         self.on_fsync: Callable[[float], None] | None = None
         self.replayed_records = 0
@@ -427,11 +427,6 @@ class Journal:
         return self._n_records
 
     @property
-    def n_syncs(self) -> int:
-        """Completed fsyncs."""
-        return self._n_syncs
-
-    @property
     def dirty(self) -> bool:
         """True when appends are buffered but not yet fsync'd."""
         return self._dirty
@@ -477,7 +472,6 @@ class Journal:
         self._fs.fsync(self._file)
         elapsed = time.perf_counter() - started
         self._dirty = False
-        self._n_syncs += 1
         if self.on_fsync is not None:
             self.on_fsync(elapsed)
         return elapsed

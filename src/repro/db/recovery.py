@@ -28,7 +28,8 @@ replays into a different state.
    between the manifest, the journal, and the serving schema.
 4. Collect abort marks, then replay the other records in file order
    (which is sequence order: one writer appends them).  Replay is
-   idempotent: an add whose ids already exist is skipped whole, a
+   idempotent: an add whose ids were handed out before (below the
+   catalog's ``next_id``; ids are never reused) is skipped whole, a
    remove is filtered to ids actually present — so a crash *between*
    the manifest flip and the journal reset (records already baked into
    the snapshot) replays to the same state, and replaying a journal
@@ -287,12 +288,12 @@ def recover(
 def _replay_add(db: ImageDatabase, record: JournalRecord) -> bool:
     """Apply one add; False (skipped) when it is already in the snapshot.
 
-    Idempotence rule: if *any* of the record's ids is already present,
-    the whole mutation is in the snapshot (mutations apply atomically)
-    and the record is skipped.
+    Idempotence rule: the worker journals an add under the next free
+    ids, never reused, so if *any* of the record's ids is below the
+    database's next free id, the add is in the snapshot: skipped.
     """
     ids = list(record.ids)
-    if not ids or any(image_id in db.catalog for image_id in ids):
+    if not ids or min(ids) < db.next_image_id():
         return False
     db.add_vectors(
         dict(record.matrices),

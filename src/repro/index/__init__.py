@@ -52,11 +52,11 @@ variants, which answer an ``(m, d)`` query matrix through the metrics'
 vectorized kernels with bit-identical results — and report per-query
 :class:`~repro.index.stats.SearchStats` whose distance counts the test
 suite verifies against wrapped-metric ground truth.  All of them also
-accept post-build mutations through ``insert_batch`` / ``delete``:
-dynamic structures (M-tree, linear scan, LAESA) grow and shrink in
-place, the static trees overlay a pending buffer and tombstones with a
-threshold-triggered rebuild, and either way query results stay exact
-over the live item set with fully counted costs (``docs/mutability.md``).
+accept post-build mutations.  An index holds rows, not liveness: one
+live mask over ids, shared by a database's indexes, says which rows
+answer, and dead rows leave later (the linear scan and LAESA compact,
+the trees rebuild past a threshold).  Query results stay exact over the
+live item set with fully counted costs (``docs/mutability.md``).
 """
 
 from repro.index.base import MetricIndex, Neighbor

@@ -59,7 +59,13 @@ from heapq import heappop, heappush
 import numpy as np
 
 from repro.errors import IndexingError
-from repro.index.base import MetricIndex, Neighbor, offer_candidates, reorder_rows
+from repro.index.base import (
+    MetricIndex,
+    Neighbor,
+    check_count,
+    offer_candidates,
+    reorder_rows,
+)
 from repro.index.pivot import DistanceBatchFn
 from repro.index.stats import SearchStats
 from repro.metrics.base import Metric
@@ -133,17 +139,10 @@ class AntipoleTree(MetricIndex):
             raise IndexingError(
                 f"diameter_fraction must lie in (0, 1); got {diameter_fraction}"
             )
-        if tournament_size < 2:
-            raise IndexingError(f"tournament_size must be >= 2; got {tournament_size}")
-        if final_round_size < tournament_size:
-            raise IndexingError(
-                "final_round_size must be at least tournament_size; got "
-                f"{final_round_size} < {tournament_size}"
-            )
         self._diameter_threshold = diameter_threshold
         self._diameter_fraction = diameter_fraction
-        self._tau = tournament_size
-        self._final_round = final_round_size
+        self._tau = check_count("tournament_size", tournament_size, 2)
+        self._final_round = check_count("final_round_size", final_round_size, self._tau)
         self._seed = seed
         self._effective_threshold: float | None = None
         # The flat tree (see the module docstring): cached centroid
@@ -348,8 +347,8 @@ class AntipoleTree(MetricIndex):
         self._search_stats = SearchStats()
         self._batch_stats = []
         result = self._range_impl(query, float(radius), ids_only=True)
-        # Mutation overlay: tombstoned ids drop out; pending items have
-        # no cached centroid distance, so they are evaluated (counted).
+        # Mutation overlay: dead hits drop out; pending items have no
+        # cached centroid distance, so they are evaluated (counted).
         result = self._overlay_range(query, float(radius), result)
         return [neighbor.id for neighbor in result]
 
@@ -436,6 +435,7 @@ class AntipoleTree(MetricIndex):
         a_radius, b_radius = self._a_radius, self._b_radius
         kernel = self._metric._kernel
         heap: list[tuple[float, int]] = []  # see offer_candidates
+        live = self.live_mask.bits  # only live items are offered
         tau = np.inf
         computed = visited = pruned = leaves = 0
 
@@ -455,7 +455,9 @@ class AntipoleTree(MetricIndex):
                 computed += 1
                 d_centroid = kernel(query, rows[start : start + 1]).item()
                 if d_centroid <= tau:
-                    tau = offer_candidates(heap, k, (int(ids[start]),), (d_centroid,))
+                    tau = offer_candidates(
+                        heap, k, (int(ids[start]),), (d_centroid,), live
+                    )
                 # Member by member on purpose: tau shrinks as members of
                 # this same cluster are offered, so the cached-distance
                 # exclusion can spare later members entirely — one call
@@ -468,7 +470,7 @@ class AntipoleTree(MetricIndex):
                     computed += 1
                     d = kernel(query, rows[row : row + 1]).item()
                     if d <= tau:
-                        tau = offer_candidates(heap, k, (int(ids[row]),), (d,))
+                        tau = offer_candidates(heap, k, (int(ids[row]),), (d,), live)
                 continue
 
             visited += 1
@@ -476,7 +478,7 @@ class AntipoleTree(MetricIndex):
             d_a, d_b = kernel(query, rows[start : start + 2]).tolist()
             if d_a <= tau or d_b <= tau:
                 tau = offer_candidates(
-                    heap, k, ids[start : start + 2].tolist(), (d_a, d_b)
+                    heap, k, ids[start : start + 2].tolist(), (d_a, d_b), live
                 )
             for d, reach, kid in (
                 (d_a, a_radius[node], a_child[node]),

@@ -23,24 +23,19 @@ the per-query counters and :attr:`MetricIndex.last_stats` their sum.
 
 Mutation protocol (see ``docs/mutability.md``)
 ----------------------------------------------
-Every index accepts :meth:`MetricIndex.insert_batch` and
-:meth:`MetricIndex.delete`, built or not.  Before the first build both
-go to the **pending buffer** — inserted items held outside the
-structure, one growable block in arrival order — and
-:meth:`MetricIndex.rebuild` is the first build, over that block.  Once
-built, structures with a genuinely dynamic shape override the
-``_insert_batch`` / ``_delete`` hooks (the M-tree grows by paper-style
-page splits, the linear scan and LAESA's pivot table extend their
-arrays row-wise); the static trees keep using the pending buffer
-(scanned per query) plus **tombstones** (deleted ids filtered out of
-structural results), with a threshold-triggered rebuild
-(:attr:`rebuild_threshold` / :attr:`rebuild_min`) that folds the
-overlay back into a fresh structure once it grows past a fraction of
-the core.  Every query entry point — scalar, batched, and the
-approximate variants — merges the overlay with the structural answer,
-so results over the *live* item set are exact and the per-query
-distance accounting stays measured (pending items cost one counted
-batched evaluation per query, tombstone filtering is free).
+An index holds rows, not liveness: one :class:`~repro.db.idmap.LiveMask`
+(:attr:`MetricIndex.live_mask` — a database's, shared by its indexes,
+or the index's own) says which rows answer.  The k-NN loops check it
+when they offer a candidate (:func:`offer_candidates`), the pending
+scan, the linear and LAESA selections and every range hit check it too;
+dead rows still route and serve as pivots, so a query asks for ``k``.
+A mutation appends rows with their flags clear
+(:meth:`MetricIndex.append_rows`), flips flags — its commit point — and
+then :meth:`MetricIndex.reclaim` drops dead rows: a compaction for the
+linear scan and LAESA, a threshold rebuild for the trees.  Rows the
+structure does not hold wait in the **pending buffer** — all of them
+before the first build, a static tree's inserts after it — scanned per
+query in one counted batched evaluation.
 
 Row ownership (see ``docs/storage.md``)
 ---------------------------------------
@@ -73,7 +68,7 @@ from repro.db.backend import (
     MemoryBackendFactory,
     VectorBackend,
 )
-from repro.db.idmap import IdMap
+from repro.db.idmap import IdMap, LiveMask
 from repro.errors import IndexingError
 from repro.index.stats import BuildStats, SearchStats
 from repro.metrics.base import Metric
@@ -96,21 +91,24 @@ class Neighbor(NamedTuple):
 
 
 def offer_candidates(
-    heap: list[tuple[float, int]], k: int, item_ids, distances
+    heap: list[tuple[float, int]], k: int, item_ids, distances, live: np.ndarray
 ) -> float:
     """Offer ``(id, distance)`` pairs to a k-NN loop's ``k``-best heap.
 
     The heap is a max-heap of ``(-distance, -id)``: among equal
     distances the larger id is evicted first, matching the documented
-    tie-break.  Returns tau, the k-th best distance — infinite until
-    ``k`` candidates are held.  An item farther than tau cannot enter,
-    so the flat tree loops only call this for distances ``<= tau``.
+    tie-break.  Only live items enter — ``live`` is the live mask's
+    flags, checked for an item that would enter — so tau, the returned
+    k-th best distance (infinite until ``k`` candidates are held), is
+    the k-th best *live* distance.  An item farther than tau cannot
+    enter, so the flat tree loops only call this for distances ``<= tau``.
     """
     for item_id, d in zip(item_ids, distances):
         entry = (-d, -item_id)
         if len(heap) < k:
-            heappush(heap, entry)
-        elif entry > heap[0]:
+            if live[item_id]:
+                heappush(heap, entry)
+        elif entry > heap[0] and live[item_id]:
             heapreplace(heap, entry)
     return -heap[0][0] if len(heap) == k else np.inf
 
@@ -144,9 +142,9 @@ def reorder_rows(rows: np.ndarray, order: np.ndarray) -> None:
 
 def check_count(name: str, value: int, minimum: int) -> int:
     """``value`` as an ``int``, or :class:`IndexingError` unless it is an
-    integer ``>= minimum`` — a tree's bucket size or fan-out.  NaN passes
-    every ``<`` bound check and ``2.5`` is no bucket size, so both are
-    refused here, at construction, rather than surfacing mid-build."""
+    integer ``>= minimum`` — a count parameter (bucket size, fan-out,
+    pivots).  NaN passes every ``<`` check and ``2.5`` counts nothing,
+    so both are refused at construction rather than mid-build."""
     if not isinstance(value, Integral) or value < minimum:
         raise IndexingError(f"{name} must be an integer >= {minimum}; got {value!r}")
     return int(value)
@@ -206,17 +204,12 @@ class _PendingRows(IdMap):
             self._rows.append(vectors)
         self.extend(ids)
 
-    def discard(self, ids: np.ndarray) -> np.ndarray:
-        """Drop the held ones among ``ids`` (one compacting copy of the
-        survivors) and return which were held."""
-        rows = self.rows(ids)
-        held = rows >= 0
-        if held.any():
-            assert self._rows is not None
-            keep = np.delete(np.arange(len(self)), rows[held])
-            self._rows.take(keep)
-            IdMap.__init__(self, self.ids[keep])
-        return held
+    def keep(self, keep: np.ndarray) -> None:
+        """Keep only the rows flagged in ``keep`` (one compacting copy)."""
+        assert self._rows is not None
+        rows = np.flatnonzero(keep)
+        self._rows.take(rows)
+        IdMap.__init__(self, self.ids[rows])
 
     def vectors_of(self, rows: np.ndarray) -> np.ndarray:
         """Held rows by row number; asked for every row in order (a
@@ -226,16 +219,15 @@ class _PendingRows(IdMap):
             return self.block
         return self._rows.rows(rows)
 
-    def hand_over(self, dead: set[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The ids and rows, less those of ``dead`` ids, as arrays the
-        caller now owns: the block itself when its allocation holds
-        exactly those rows, else one compacting copy.  The buffer must
-        not be used afterwards."""
+    def hand_over(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ids and rows flagged in ``keep``, as arrays the caller now
+        owns: the block itself when its allocation holds exactly those
+        rows, else one compacting copy.  The buffer must not be used
+        afterwards."""
         assert self._rows is not None
         block, n = self._rows.base, len(self)
-        if dead:
-            keep = np.delete(np.arange(n), self.rows(np.fromiter(dead, np.int64)))
-            return self.ids[keep], block[keep]
+        if not keep.all():
+            return self.ids[keep], block[:n][keep]
         return self.ids.copy(), block if block.shape[0] == n else block[:n].copy()
 
 
@@ -253,11 +245,11 @@ class MetricIndex(ABC):
     #: Set False in subclasses that tolerate non-metric distances.
     requires_metric: bool = True
 
-    #: Overlay (pending inserts + tombstones) fraction of the core that
-    #: triggers a structural rebuild; see :meth:`_maybe_rebuild`.
+    #: Fraction of the core that pending plus dead rows must reach to
+    #: trigger a structural rebuild; see :meth:`_reclaim_core`.
     rebuild_threshold: float = 0.25
-    #: Overlay size below which a rebuild never triggers (lets small
-    #: indexes absorb a few mutations without thrashing).
+    #: Pending plus dead rows below which a rebuild never triggers (lets
+    #: small indexes absorb a few mutations without thrashing).
     rebuild_min: int = 32
 
     #: Storage factory for the core rows (and any per-index side tables,
@@ -276,22 +268,22 @@ class MetricIndex(ABC):
                 f"{metric.name} is not a metric; use LinearScanIndex instead"
             )
         self._metric = metric
-        #: Core row of every id physically inside the structure
-        #: (tombstoned ones included) — the map every by-id read and
-        #: every mutation check goes through.  Its id column is
-        #: :attr:`_ids`.
+        #: The live flag of every id.  The index's own; a database
+        #: replaces it with its catalog's before the first row arrives
+        #: and is then the one that flips flags.
+        self.live_mask = LiveMask()
+        #: Core row of every id physically inside the structure, dead
+        #: ones included — the map every by-id read and every mutation
+        #: check goes through.  Its id column is :attr:`_ids`.
         self._row_of = IdMap()
         self._vectors: np.ndarray | None = None
         self._core: VectorBackend | None = None
         self._build_stats = BuildStats()
         self._search_stats = SearchStats()
         self._batch_stats: list[SearchStats] = []
-        # Mutation overlay: items the concrete structure does not hold
-        # (all of them before the first build; scanned per query after
-        # it), and ids deleted but still physically held — inside the
-        # structure, or in the pending buffer before the first build.
+        #: Rows the concrete structure does not hold: all of them before
+        #: the first build, pending inserts of a static tree after it.
         self._pending = _PendingRows()
-        self._tombstones: set[int] = set()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -309,19 +301,13 @@ class MetricIndex(ABC):
 
     @property
     def size(self) -> int:
-        """Number of *live* indexed items (pending inserts included,
-        tombstoned deletions excluded)."""
-        return len(self._row_of) + len(self._pending) - len(self._tombstones)
+        """Number of *live* held items (pending rows included)."""
+        return len(self._live_held())
 
     @property
     def n_pending(self) -> int:
-        """Inserted items the structure holds in its pending buffer."""
+        """Rows the structure holds in its pending buffer."""
         return len(self._pending)
-
-    @property
-    def n_tombstones(self) -> int:
-        """Deleted ids still physically inside the structure."""
-        return len(self._tombstones)
 
     @property
     def dim(self) -> int:
@@ -358,20 +344,9 @@ class MetricIndex(ABC):
     # Construction
     # ------------------------------------------------------------------
     def build(self, ids: Sequence[int], vectors: np.ndarray) -> "MetricIndex":
-        """Build the index over ``(ids[i], vectors[i])`` pairs.
-
-        Parameters
-        ----------
-        ids:
-            Integer identifiers, one per vector; duplicates are rejected.
-        vectors:
-            ``(n, d)`` float array, ``n >= 1``.
-
-        Returns
-        -------
-        MetricIndex
-            ``self``, for chaining.
-        """
+        """Build the index over ``(ids[i], vectors[i])`` pairs, all live:
+        distinct integer ids, one per row of an ``(n, d)`` float array
+        with ``n >= 1``.  Returns ``self``, for chaining."""
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[0] == 0:
             raise IndexingError(
@@ -387,18 +362,20 @@ class MetricIndex(ABC):
         if not np.all(np.isfinite(vectors)):
             raise IndexingError("vectors contain non-finite values")
         self._metric._check_dim(vectors.shape[1])  # kernels run unchecked
-        return self._build_owned(ids, np.array(vectors, dtype=np.float64, order="C"))
+        self.live_mask.grow(int(ids.max()) + 1, int(ids.min()))
+        self._build_owned(ids, np.array(vectors, dtype=np.float64, order="C"))
+        self.live_mask.set(ids)
+        return self
 
     def _build_owned(self, ids: np.ndarray, rows: np.ndarray) -> "MetricIndex":
         """Build over validated int64 ``ids`` and a C-contiguous float64
-        block the index owns, which the backend then takes (no copy).
-        The overlay is cleared only once the new core is in place."""
+        block the index owns, which the backend then takes (no copy); the
+        pending buffer is cleared only once the new core is in place."""
         self._build_stats = BuildStats()
         self._build(ids, rows)
         previous = self._core
         self._core = self.backend_factory.adopt(rows)
         self._pending = _PendingRows()
-        self._tombstones = set()
         if previous is not None:
             previous.close()
         self._vectors = self._core.view()
@@ -406,11 +383,8 @@ class MetricIndex(ABC):
         return self
 
     def close(self) -> None:
-        """Release the index's storage backend (idempotent).
-
-        Backend files are derived state, so a bounded backend may
-        delete them; the index must not be queried afterwards.
-        """
+        """Release the index's storage backend (idempotent; a bounded
+        backend may delete its files, so do not query afterwards)."""
         if self._core is not None:
             self._core.close()
 
@@ -418,21 +392,28 @@ class MetricIndex(ABC):
     # Mutation
     # ------------------------------------------------------------------
     def insert_batch(self, ids: Sequence[int], vectors: np.ndarray) -> None:
-        """Insert new ``(ids[i], vectors[i])`` items.
+        """Insert live ``(ids[i], vectors[i])`` items: :meth:`append_rows`,
+        set their flags, :meth:`reclaim`.  The next query sees them, with
+        exact results and distance accounting (``docs/mutability.md``)."""
+        ids = self.append_rows(ids, vectors)
+        if len(ids):
+            self.live_mask.set(ids)
+            self.reclaim()
+
+    def append_rows(self, ids: Sequence[int], vectors: np.ndarray) -> np.ndarray:
+        """Hold new rows, their live flags untouched (so invisible until
+        set); returns the ids as int64.
 
         An unbuilt index holds them in its pending buffer for the first
-        :meth:`rebuild`.  Once built, the M-tree, the linear scan and
-        LAESA grow in place; the static trees buffer the items in the
-        pending overlay, scanned per query until a threshold rebuild
-        folds them in (``docs/mutability.md``).  Either way the next
-        query sees them, with exact results and distance accounting.
+        :meth:`rebuild`; once built, the M-tree, the linear scan and
+        LAESA grow in place and the static trees buffer them.
 
         Raises
         ------
         IndexingError
-            If an id is already present (live or tombstoned), ids
-            repeat, or vectors have the wrong shape or non-finite
-            values.
+            If an id is already held (live or dead), ids repeat, or
+            vectors have the wrong shape or non-finite values; nothing
+            changes then.
         """
         vectors = np.asarray(vectors, dtype=np.float64)
         dim = self._core.dim if self._core is not None else self._pending.dim
@@ -440,104 +421,93 @@ class MetricIndex(ABC):
             raise IndexingError(
                 f"vectors must be a 2-D array of dim {dim}; got shape {vectors.shape}"
             )
-        ids = self.check_new_ids(ids)
+        ids = _as_ids(ids)
+        if _repeats(ids):
+            raise IndexingError("duplicate ids in insert input")
+        clashes = self._holds(ids)
+        if clashes.any():
+            raise IndexingError(f"id {ids[clashes].min()} is already indexed")
         if len(ids) != vectors.shape[0]:
             raise IndexingError(f"{len(ids)} ids but {vectors.shape[0]} vectors")
         if not len(ids):
-            return
+            return ids
         if not np.all(np.isfinite(vectors)):
             raise IndexingError("vectors contain non-finite values")
         self._metric._check_dim(vectors.shape[1])
+        self.live_mask.grow(int(ids.max()) + 1, int(ids.min()))
         if self._core is None:
             self._pending.append(ids, vectors)
         else:
             self._insert_batch(ids, vectors)
-            self._maybe_rebuild()
-
-    def check_new_ids(self, ids: Sequence[int]) -> np.ndarray:
-        """The id checks of :meth:`insert_batch`, without inserting:
-        ``ids`` as int64, or :class:`IndexingError` if one repeats or is
-        already present (live or tombstoned).
-
-        A database asks every index before its catalog takes explicit
-        ids, so a refused add leaves nothing half applied.  Before the first build
-        a deleted id may come back: its dead pending row is squeezed
-        out here.
-        """
-        ids = _as_ids(ids)
-        if _repeats(ids):
-            raise IndexingError("duplicate ids in insert input")
-        if self._core is None and self._tombstones:
-            if not self._tombstones.isdisjoint(ids.tolist()):
-                self._drop_dead_pending()
-        clashes = (self._row_of.rows(ids) >= 0) | (self._pending.rows(ids) >= 0)
-        if clashes.any():
-            raise IndexingError(
-                f"id {ids[clashes].min()} is already indexed "
-                f"(tombstoned ids cannot be re-inserted before a rebuild)"
-            )
         return ids
 
     def delete(self, ids: Sequence[int]) -> None:
-        """Delete items by id.
-
-        An unbuilt index tombstones them in its pending buffer and
-        squeezes the dead rows out once they outnumber the live ones
-        (or at the first build), so a delete is amortised O(1).  Once
-        built, the linear scan and LAESA drop the rows outright; tree
-        structures tombstone the ids (filtered from every result at no
-        distance cost) until a threshold rebuild reclaims the space.
+        """Delete live items: clear their flags, :meth:`reclaim`.  All or
+        nothing: should the reclaim fail, the flags are set again.
 
         Raises
         ------
         IndexingError
-            If an id is unknown or already deleted, or ids repeat.
+            If an id is not held, already deleted, or ids repeat.
         """
         ids = _as_ids(ids)
         if not len(ids):
             return
         if _repeats(ids):
             raise IndexingError("duplicate ids in delete input")
-        live = (self._row_of.rows(ids) >= 0) | (self._pending.rows(ids) >= 0)
-        if self._tombstones:
-            live &= [item_id not in self._tombstones for item_id in ids.tolist()]
+        live = self._holds(ids) & self.live_mask.of(ids)
         if not live.all():
             raise IndexingError(f"id {ids[~live].min()} is not indexed")
-        if self._core is None:
-            self._tombstones.update(ids.tolist())
-            if 2 * len(self._tombstones) > len(self._pending):
-                self._drop_dead_pending()
-        else:
-            self._delete(ids)
-            self._maybe_rebuild()
+        self.live_mask.set(ids, False)
+        try:
+            self.reclaim()
+        except BaseException:
+            self.live_mask.set(ids)
+            raise
+
+    def reclaim(self) -> None:
+        """Drop held rows whose flag is clear (after a commit, never before).
+
+        Core rows go as :meth:`_reclaim_core` says — the one step that
+        can fail, and it fails holding every row — then dead pending
+        rows; before the first build only once they outnumber the live
+        ones, so a delete stays amortised O(1).
+        """
+        if self._core is not None:
+            self._reclaim_core()
+        live = self.live_mask.of(self._pending.ids)
+        dead = len(live) - int(np.count_nonzero(live))
+        if dead and (self._core is not None or 2 * dead > len(live)):
+            self._pending.keep(live)
+
+    def _holds(self, ids: np.ndarray) -> np.ndarray:
+        """Which ``ids`` a row holds, live or dead."""
+        return (self._row_of.rows(ids) >= 0) | (self._pending.rows(ids) >= 0)
 
     # ------------------------------------------------------------------
     # Reading the rows back
     # ------------------------------------------------------------------
     def live_ids(self) -> list[int]:
-        """Ids of the live items: core rows in row order (tombstoned
-        ones skipped), then pending inserts in arrival order."""
-        dead = self._tombstones
-        held = [*self._ids.tolist(), *self._pending.ids.tolist()]
-        return [i for i in held if i not in dead] if dead else held
+        """Ids of the live items: core rows in row order, then pending
+        rows in arrival order."""
+        return self._live_held().tolist()
+
+    def _live_held(self) -> np.ndarray:
+        held = np.concatenate((self._ids, self._pending.ids))
+        return held[self.live_mask.of(held)]
 
     def vectors_of(self, ids: Sequence[int]) -> np.ndarray:
-        """The stored rows of live items, as a fresh ``(len(ids), d)`` array.
+        """The stored rows of live items, as a fresh ``(len(ids), d)``
+        array, or :class:`IndexingError` if an id is not live.
 
-        Core rows are gathered with one ``backend.rows()`` call — through
-        the buffer pool, counted and capped, on a bounded backend — and
-        pending rows from the pending buffer; asked for all of an unbuilt
-        index's rows in held order, the answer is its block, read-only.
-
-        Raises
-        ------
-        IndexingError
-            If an id is not live.
+        Core rows come from one ``backend.rows()`` call — through the
+        buffer pool on a bounded backend — and pending rows from the
+        pending buffer; asked for all of an unbuilt index's rows in held
+        order, the answer is its block, read-only.
         """
         rows, pending = self._row_of.rows(ids), self._pending.rows(ids)
-        if self._tombstones:  # physically held, but not live
-            dead = [item_id in self._tombstones for item_id in ids]
-            rows[dead] = pending[dead] = -1
+        dead = ~self.live_mask.of(ids)
+        rows[dead] = pending[dead] = -1
         core = rows >= 0
         if core.all() and self._core is not None:
             return self._core.rows(rows)
@@ -553,94 +523,74 @@ class MetricIndex(ABC):
         return out
 
     def rebuild(self) -> "MetricIndex":
-        """Fold the mutation overlay into a fresh structure now.
+        """Build a fresh structure over the live rows now.
 
         On an unbuilt index this is the first build, over the live
-        pending items in arrival order, taking the pending block as its
+        pending rows in arrival order, taking the pending block as its
         working block when it holds exactly those rows (else one
-        compacting copy, deleted rows left out); should the build fail,
-        the rows stay pending.  On a built index it rebuilds over the
-        live items in ascending-id order (the order a fresh build would
-        use), a no-op when the overlay is empty.  Resets
-        :attr:`build_stats`.  An unbuilt index holding no items raises
-        :class:`IndexingError`.
+        compacting copy); should the build fail, the live rows stay
+        pending.  On a built index it rebuilds over the live items in
+        ascending-id order (the order a fresh build would use), a no-op
+        without pending or dead rows.  Resets :attr:`build_stats`.  An
+        unbuilt index holding no live items raises :class:`IndexingError`.
         """
         if self._core is None:
-            if not self.size:
+            live = self.live_mask.of(self._pending.ids)
+            if not live.any():
                 raise IndexingError("nothing to build: the index holds no items")
-            ids, rows = self._pending.hand_over(self._tombstones)
+            ids, rows = self._pending.hand_over(live)
             try:
                 return self._build_owned(ids, rows)
             except BaseException:  # keep the rows; ``_build`` permutes both alike
-                self._pending, self._tombstones = _PendingRows(), set()
+                self._pending = _PendingRows()
                 self._pending.append(ids, rows)
                 raise
-        if not self._pending and not self._tombstones:
-            return self
-        ids = np.sort(np.array(self.live_ids(), dtype=np.int64))
+        if not self._pending and self.live_mask.of(self._ids).all():
+            return self  # nothing to fold in
+        ids = np.sort(self._live_held())
         if not len(ids):
-            # Nothing left to build over; keep the overlay (queries
-            # filter everything out) rather than produce an empty tree.
-            return self
+            return self  # nothing left to build over
         rows = self.vectors_of(ids)  # the pending block itself comes read-only
         return self._build_owned(ids, rows if rows.flags.writeable else rows.copy())
 
     def _insert_batch(self, ids: np.ndarray, vectors: np.ndarray) -> None:
-        """Structure hook for insertion; the default buffers the items.
-
+        """Structure hook for appending rows; the default buffers them.
         Overrides that grow the structure in place must also extend the
-        core arrays via :meth:`_append_core`.
-        """
+        core arrays via :meth:`_append_core`."""
         self._pending.append(ids, vectors)
 
-    def _delete(self, ids: np.ndarray) -> None:
-        """Structure hook for deletion; the default tombstones core ids
-        (pending ones are simply dropped from the buffer)."""
-        held = self._pending.discard(ids)
-        self._tombstones.update(ids[~held].tolist())
-
-    def _drop_dead_pending(self) -> None:
-        """Before the first build: squeeze the tombstoned rows out of
-        the pending buffer (one compacting copy of the survivors)."""
-        dead = self._tombstones
-        self._pending.discard(np.fromiter(dead, np.int64, len(dead)))
-        self._tombstones = set()
-
-    def _maybe_rebuild(self) -> None:
-        """Rebuild once the overlay outgrows its threshold.
-
-        The trigger is ``pending + tombstones >= max(rebuild_min,
-        rebuild_threshold * core_size)`` — rebuild cost is amortized
-        over at least that many mutations, and per-query overlay cost
-        (one batched scan of the pending buffer) stays bounded.
+    def _reclaim_core(self) -> None:
+        """Structure hook for dropping dead core rows; the default is a
+        rebuild once pending and dead rows outgrow their threshold:
+        ``live pending + dead core >= max(rebuild_min, rebuild_threshold
+        * core_size)``, so a rebuild's cost is amortized over at least
+        that many mutations and the per-query pending scan stays bounded.
         """
-        overlay = len(self._pending) + len(self._tombstones)
+        live = np.count_nonzero(self.live_mask.of(self._ids))
+        overlay = len(self._row_of) - live + np.count_nonzero(
+            self.live_mask.of(self._pending.ids)
+        )
         if overlay and overlay >= max(
             self.rebuild_min, self.rebuild_threshold * len(self._row_of)
         ):
             self.rebuild()
 
     def _append_core(self, ids: np.ndarray, vectors: np.ndarray) -> None:
-        """Extend the validated core arrays (for in-place growers).
-
-        Amortized O(rows appended): the rows land in the spare tail of
-        the backend's capacity-doubled buffer; ``_vectors`` is re-pointed
-        at the live rows.
-        """
+        """Extend the validated core arrays (for in-place growers):
+        amortized O(rows appended), into the backend's spare capacity."""
         assert self._core is not None
         self._vectors = self._core.append(vectors)
         self._row_of.extend(ids)
 
-    def _remove_core(self, ids: np.ndarray) -> np.ndarray:
-        """Drop rows by id from the core arrays.
-
-        Returns the kept row indices (relative to the old layout) so
-        subclasses can slice their own parallel arrays the same way.
-        Compacts survivors inside the growth buffer (one copy of the
-        kept rows, capacity retained for future appends).
-        """
+    def _compact_core(self) -> np.ndarray | None:
+        """Drop the dead core rows (the in-place growers' reclaim): one
+        copy of the kept rows inside the growth buffer.  Returns the kept
+        row indices, for parallel arrays, or ``None`` if all are live."""
         assert self._core is not None
-        keep = np.delete(np.arange(len(self._row_of)), self._row_of.rows(ids))
+        live = self.live_mask.of(self._ids)
+        if live.all():
+            return None
+        keep = np.flatnonzero(live)
         self._vectors = self._core.take(keep)
         self._row_of = IdMap(self._ids[keep])
         return keep
@@ -669,12 +619,8 @@ class MetricIndex(ABC):
     def range_search_batch(
         self, queries: np.ndarray, radius: float
     ) -> list[list[Neighbor]]:
-        """``range_search`` for every row of ``queries``; one list per row.
-
-        Equivalent to ``[range_search(q, radius) for q in queries]`` —
-        identical results and per-query counters: each query runs the
-        scalar body through :meth:`_run_batch`.
-        """
+        """``[range_search(q, radius) for q in queries]``, bit for bit,
+        per-query counters included (:meth:`_run_batch`)."""
         queries = self._check_query_batch(queries)
         if not radius >= 0.0:  # NaN fails this too
             raise IndexingError(f"radius must be non-negative; got {radius}")
@@ -697,74 +643,67 @@ class MetricIndex(ABC):
         result.sort(key=lambda nb: (nb.distance, nb.id))
         return result
 
-    def _knn_one(self, query: np.ndarray, k: int) -> list[Neighbor]:
-        """One k-NN query, counted in the current stats (see :meth:`_range_one`)."""
-        result = self._knn_search(query, self._structural_k(k))
-        result = self._overlay_knn(query, result, k)
+    def _knn_one(self, query: np.ndarray, k: int, search=None) -> list[Neighbor]:
+        """One k-NN query, counted in the current stats (see :meth:`_range_one`),
+        through the structure's ``search`` (default :meth:`_knn_search`)."""
+        result = self._overlay_knn(query, (search or self._knn_search)(query, k), k)
         result.sort(key=lambda nb: (nb.distance, nb.id))
         return result[:k]
 
     # ------------------------------------------------------------------
     # Mutation overlay applied to query results
     # ------------------------------------------------------------------
-    def _structural_k(self, k: int) -> int:
-        """k to request from the structure so ``k`` *live* answers survive.
-
-        Tombstoned items still occupy the structure; asking for
-        ``k + n_tombstones`` guarantees the structural result retains
-        the true top-``k`` live items after filtering (at most
-        ``n_tombstones`` of the returned entries can be dead).
-        """
-        return k + len(self._tombstones)
+    def _live_pending(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The live pending rows a query scans, ``(ids, rows)``, or
+        ``None`` (a failed add leaves dead ones until the next reclaim)."""
+        if not self._pending:
+            return None
+        ids, block = self._pending.ids, self._pending.block
+        live = self.live_mask.bits[ids]
+        if live.all():
+            return ids, block
+        return (ids[live], block[live]) if live.any() else None
 
     def _overlay_range(
         self, query: np.ndarray, radius: float, result: list[Neighbor]
     ) -> list[Neighbor]:
-        """Drop tombstoned hits; scan the pending buffer into ``result``.
-
-        The pending scan goes through :meth:`_dist_batch`, so its
-        ``len(pending)`` evaluations are counted in the current query's
-        stats — the overlay is measured cost, not hidden cost.
-        """
-        if self._tombstones:
-            result = [nb for nb in result if nb.id not in self._tombstones]
-        if self._pending:
-            distances = self._dist_batch(query, self._pending.block)
+        """Drop dead hits; scan the live pending rows into ``result``
+        (through :meth:`_dist_batch`: measured cost, not hidden cost)."""
+        if result:
+            found = np.fromiter((nb.id for nb in result), np.int64, len(result))
+            live = self.live_mask.bits[found]
+            if not live.all():
+                result = [nb for nb, keep in zip(result, live.tolist()) if keep]
+        pending = self._live_pending()
+        if pending is not None:
+            ids, block = pending
+            distances = self._dist_batch(query, block)
             rows = np.flatnonzero(distances <= radius)
-            result.extend(neighbors_at(self._pending.ids, rows, distances))
+            result.extend(neighbors_at(ids, rows, distances))
         return result
 
     def _overlay_knn(
         self, query: np.ndarray, result: list[Neighbor], k: int
     ) -> list[Neighbor]:
-        """Drop tombstoned hits; merge the pending rows that can still
-        be among the ``k`` nearest.
-
-        Every pending row is scanned (and counted), but only those not
-        beyond the k-th smallest pending distance become result objects
-        — every tie at that place included, so callers sorting the
-        merged candidates by ``(distance, id)`` and truncating to ``k``
-        get the same tie-break a fresh build over the live set produces.
-        """
-        if self._tombstones:
-            result = [nb for nb in result if nb.id not in self._tombstones]
-        if self._pending:
-            distances = self._dist_batch(query, self._pending.block)
+        """Merge the live pending rows that can still be among the ``k``
+        nearest into the structure's (live) answer: all are scanned and
+        counted, but only those not beyond the k-th smallest pending
+        distance — every tie there included, so sorting by ``(distance,
+        id)`` and truncating gives a fresh build's tie-break — are kept."""
+        pending = self._live_pending()
+        if pending is not None:
+            ids, block = pending
+            distances = self._dist_batch(query, block)
             kth = np.partition(distances, k - 1)[k - 1] if k < len(distances) else np.inf
             rows = np.flatnonzero(~(distances > kth))  # keeps ties (and nan)
-            result.extend(neighbors_at(self._pending.ids, rows, distances))
+            result.extend(neighbors_at(ids, rows, distances))
         return result
 
     def _run_batch(self, queries, run_one) -> list[list[Neighbor]]:
         """Run one search per query row, each on fresh stats; publish
         them as :attr:`last_batch_stats` and their sum as :attr:`last_stats`.
-
-        Subclasses get their batch speedups by vectorizing the per-query
-        hooks themselves (``_range_search`` / ``_knn_search`` built on
-        :meth:`_dist_batch`), which keeps the scalar and batched entry
-        points one code path and the per-query counters identical by
-        construction.
-        """
+        Scalar and batched entry points are one code path, so their
+        results and counters agree by construction."""
         results, per_query, total = [], [], SearchStats()
         for query in queries:
             self._search_stats = SearchStats()
@@ -796,23 +735,16 @@ class MetricIndex(ABC):
         return self._check_query_batch(np.reshape(query, (1, -1)))[0]
 
     def _dist_batch(self, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        """Batched metric evaluation: one counted computation per row.
-
-        Calls the metric's unchecked ``_kernel`` (query and rows were
-        validated on their way into the index), which is also where an
-        externally wrapped :class:`~repro.metrics.base.CountingMetric`
-        counts — batching is never a way around the accounting.
-        """
+        """Batched metric evaluation, one counted computation per row, on
+        the metric's unchecked ``_kernel`` (operands were validated on
+        their way in; a wrapping ``CountingMetric`` counts there too)."""
         distances = self._metric._kernel(query, vectors)
         self._search_stats.distance_computations += distances.shape[0]
         return distances
 
     def _record(self, computed: int, visited: int, pruned: int, leaves: int) -> None:
-        """Add one traversal's locally kept counters to the current stats.
-
-        The flat tree loops call the metric's ``_kernel`` directly and
-        count in locals; this is their single write-back per query.
-        """
+        """Add one traversal's locally kept counters to the current stats
+        (the flat tree loops' single write-back per query)."""
         stats = self._search_stats
         stats.distance_computations += computed
         stats.nodes_visited += visited

@@ -18,7 +18,7 @@ order, exactly ``knn_search(query, size)``.
 the VP-tree is browsed lazily over its flat node arrays; anything else
 falls back to a fully-sorted scan (correct, not lazy — the docstring of
 the fallback says so loudly).  Either way the mutation overlay applies:
-tombstoned ids never surface and pending inserts do.
+dead rows never surface and live pending rows do.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def _browse_vptree(tree: VPTree, query: np.ndarray) -> Iterator[Neighbor]:
     tree._search_stats = stats = SearchStats()
     tree._batch_stats = []
     rows, ids = tree._vectors, tree._ids
-    dead = tree._tombstones
+    live = tree.live_mask.bits
 
     # Queue entries: (bound, kind, tiebreak, payload).  Kind 0 is a
     # subtree not yet opened (payload: node number, tiebreak: a counter),
@@ -88,16 +88,17 @@ def _browse_vptree(tree: VPTree, query: np.ndarray) -> Iterator[Neighbor]:
     queue: list[tuple[float, int, int, object]] = [(0.0, 0, next(tiebreak), 0)]
 
     def measure(block_ids, block: np.ndarray) -> list[float]:
-        # One counted kernel call; tombstoned rows are measured (they
-        # are inside the structure) but never surface.
+        # One counted kernel call; dead rows are measured (they are
+        # inside the structure) but never surface.
         distances = tree._dist_batch(query, block).tolist()
         for item_id, d in zip(block_ids, distances):
-            if item_id not in dead:
+            if live[item_id]:
                 heapq.heappush(queue, (d, 1, item_id, Neighbor(item_id, d)))
         return distances
 
-    if tree._pending:
-        measure(tree._pending.ids.tolist(), tree._pending.block)
+    pending = tree._live_pending()
+    if pending is not None:
+        measure(pending[0].tolist(), pending[1])
 
     while queue:
         bound, kind, _, payload = heapq.heappop(queue)

@@ -186,6 +186,8 @@ class FilterRefineIndex(MetricIndex):
             )
         reduced = self._reducer.transform(vectors)
         self._inner = self._inner_factory(EuclideanDistance())
+        # One live set: the filter's candidates are live, never refined dead.
+        self._inner.live_mask = self.live_mask
         self._inner.build(ids, reduced)
         self._build_stats.n_nodes = self._inner.build_stats.n_nodes
         self._build_stats.n_leaves = self._inner.build_stats.n_leaves
@@ -268,6 +270,9 @@ class FilterRefineIndex(MetricIndex):
         # k-th distance.
         seeds = self._inner.knn_search(reduced_query, k)
         self._filter_stats = self._inner.last_stats
+        if not seeds:  # no live row in the structure
+            self._candidate_count = 0
+            return []
         true_distance: dict[int, float] = {
             nb.id: float(d)
             for nb, d in zip(seeds, self._refine(query, [nb.id for nb in seeds]))

@@ -291,6 +291,7 @@ class GNAT(MetricIndex):
         low_of, high_of = self._low, self._high
         kernel = self._metric._kernel
         heap: list[tuple[float, int]] = []  # see offer_candidates
+        live = self.live_mask.bits  # only live items are offered
         tau = np.inf
         computed = visited = pruned = leaves = 0
 
@@ -313,13 +314,15 @@ class GNAT(MetricIndex):
                 leaves += 1
                 distances = distances.tolist()
                 if min(distances) <= tau:  # most buckets offer nothing
-                    tau = offer_candidates(heap, k, ids[start:stop].tolist(), distances)
+                    tau = offer_candidates(
+                        heap, k, ids[start:stop].tolist(), distances, live
+                    )
                 continue
 
             visited += 1
             if distances.min() <= tau:
                 tau = offer_candidates(
-                    heap, k, ids[start:stop].tolist(), distances.tolist()
+                    heap, k, ids[start:stop].tolist(), distances.tolist(), live
                 )
             # Child j lies no closer than any split point's interval
             # allows: max over i of (low[i, j] - d_i, d_i - high[i, j], 0).

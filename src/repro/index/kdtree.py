@@ -224,6 +224,7 @@ class KDTree(MetricIndex):
         start_of, stop_of, child = self._start, self._stop, self._child
         kernel, bounds_of = self._metric._kernel, self._child_bounds
         heap: list[tuple[float, int]] = []  # see offer_candidates
+        live = self.live_mask.bits  # only live items are offered
         tau = np.inf
         computed = visited = pruned = leaves = 0
 
@@ -244,7 +245,9 @@ class KDTree(MetricIndex):
                 computed += stop - start
                 distances = kernel(query, rows[start:stop]).tolist()
                 if min(distances) <= tau:  # most buckets offer nothing
-                    tau = offer_candidates(heap, k, ids[start:stop].tolist(), distances)
+                    tau = offer_candidates(
+                        heap, k, ids[start:stop].tolist(), distances, live
+                    )
                 continue
             visited += 1
             for kid, kid_bound in zip((first, first + 1), bounds_of(query, first)):

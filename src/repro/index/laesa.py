@@ -37,8 +37,7 @@ import heapq
 import numpy as np
 
 from repro.db.backend import VectorBackend, sweep
-from repro.errors import IndexingError
-from repro.index.base import MetricIndex, Neighbor
+from repro.index.base import MetricIndex, Neighbor, check_count
 from repro.metrics.base import Metric
 
 __all__ = ["LAESAIndex"]
@@ -63,9 +62,7 @@ class LAESAIndex(MetricIndex):
 
     def __init__(self, metric: Metric, *, n_pivots: int = 8, seed: int = 0) -> None:
         super().__init__(metric)
-        if n_pivots < 1:
-            raise IndexingError(f"n_pivots must be >= 1; got {n_pivots}")
-        self._n_pivots = n_pivots
+        self._n_pivots = check_count("n_pivots", n_pivots, 1)
         self._seed = seed
         #: Table row of each pivot object, -1 once the object was deleted
         #: (its column survives — a pivot is just a reference anchor).
@@ -150,19 +147,21 @@ class LAESAIndex(MetricIndex):
                 self._pivot_vectors[column], block
             )
         self._table_store.append(new_rows)
-        self._append_core(ids, vectors)
+        try:
+            self._append_core(ids, vectors)
+        except BaseException:  # the table must not outgrow the core
+            self._table_store.take(np.arange(len(self._row_of)))
+            raise
 
-    def _delete(self, ids: np.ndarray) -> None:
-        """True deletion: the rows leave the table and the scan.
-
-        A deleted pivot *object* stays a reference anchor (its column and
-        stored vector survive); only its free exact distance at query
-        time is lost, marked by a -1 row index.
-        """
+    def _reclaim_core(self) -> None:
+        """True deletion: dead rows leave the table and the scan.  A dead
+        pivot *object* stays a reference anchor (its column and vector
+        survive), its lost table row marked by a -1 row index."""
         assert self._table_store is not None
-        keep = self._remove_core(ids)
-        self._table_store.take(keep)
-        self._pivot_rows = self._row_of.rows(self._pivot_ids).tolist()
+        keep = self._compact_core()
+        if keep is not None:
+            self._table_store.take(keep)
+            self._pivot_rows = self._row_of.rows(self._pivot_ids).tolist()
 
     # ------------------------------------------------------------------
     # Shared query machinery
@@ -203,7 +202,8 @@ class LAESAIndex(MetricIndex):
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
         assert self._vectors is not None
         bounds, known = self._lower_bounds(query)
-        candidates = [int(row) for row in np.flatnonzero(bounds <= radius)]
+        candidates = np.flatnonzero(bounds <= radius)
+        candidates = candidates[self.live_mask.bits[self._ids[candidates]]].tolist()
         # Pivots already have exact distances; refine the rest in one
         # batched evaluation (order is irrelevant for a range query).
         unknown = [row for row in candidates if row not in known]
@@ -229,7 +229,7 @@ class LAESAIndex(MetricIndex):
         assert self._vectors is not None
         bounds, known = self._lower_bounds(query)
         order = np.argsort(bounds, kind="stable")
-        ids = self._ids
+        ids, live = self._ids, self.live_mask.bits
 
         best: list[tuple[float, int]] = []
 
@@ -241,13 +241,16 @@ class LAESAIndex(MetricIndex):
             row = int(row)
             if bounds[row] > tau():
                 break  # everything later has an even larger lower bound
+            item_id = int(ids[row])
+            if not live[item_id]:
+                continue  # a dead row awaiting compaction
             d = known.get(row)
             if d is None:
                 d = float(self._dist_batch(query, self._row(row)[None, :])[0])
             examined += 1
             # (-d, -id): evict the larger id among equal-distance entries,
             # matching the documented tie-break.
-            entry = (-d, -int(ids[row]))
+            entry = (-d, -item_id)
             if len(best) < k:
                 heapq.heappush(best, entry)
             elif entry > best[0]:

@@ -42,9 +42,9 @@ class LinearScanIndex(MetricIndex):
         # no pending buffer, no extra query cost.
         self._append_core(ids, vectors)
 
-    def _delete(self, ids: np.ndarray) -> None:
-        # True deletion: the rows leave the scan entirely.
-        self._remove_core(ids)
+    def _reclaim_core(self) -> None:
+        # True deletion: dead rows leave the scan entirely.
+        self._compact_core()
 
     def _scan(self, query: np.ndarray) -> np.ndarray:
         """All N distances, counted exactly once per item.
@@ -69,7 +69,13 @@ class LinearScanIndex(MetricIndex):
 
     def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
         distances = self._scan(query)
-        return neighbors_at(self._ids, _k_smallest(distances, k), distances)
+        rows = _k_smallest(distances, k)
+        live = self.live_mask.bits
+        if not live[self._ids[rows]].all():  # only after a failed compaction
+            # Dropping rows after the k-th keeps the stable order's prefix.
+            kept = np.flatnonzero(live[self._ids])
+            rows = kept[_k_smallest(distances[kept], k)]
+        return neighbors_at(self._ids, rows, distances)
 
 
 def _k_smallest(distances: np.ndarray, k: int) -> np.ndarray:

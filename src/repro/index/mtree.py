@@ -70,7 +70,7 @@ import itertools
 import numpy as np
 
 from repro.errors import IndexingError
-from repro.index.base import MetricIndex, Neighbor, offer_candidates
+from repro.index.base import MetricIndex, Neighbor, check_count, offer_candidates
 from repro.metrics.base import Metric
 
 __all__ = ["MTree", "PROMOTION_POLICIES"]
@@ -111,9 +111,9 @@ class MTree(MetricIndex):
     ``build(ids, vectors)`` performs sequential insertions, so build cost
     is directly comparable with the static trees' bulk construction, and
     :meth:`insert` / :meth:`MetricIndex.insert_batch` keep working after
-    the initial build — the property the static indexes lack.  Deletion
-    tombstones through the base class's overlay (exactly how the era's
-    implementations handled it, at the catalog layer) until the
+    the initial build — the property the static indexes lack.  A deleted
+    entry stays in its page, its live flag clear (exactly how the era's
+    implementations handled it, at the catalog layer), until the
     threshold rebuild reclaims the pages; see ``docs/mutability.md``.
     """
 
@@ -126,13 +126,11 @@ class MTree(MetricIndex):
         seed: int = 0,
     ) -> None:
         super().__init__(metric)
-        if capacity < 4:
-            raise IndexingError(f"capacity must be >= 4; got {capacity}")
         if promotion not in PROMOTION_POLICIES:
             raise IndexingError(
                 f"promotion must be one of {PROMOTION_POLICIES}; got {promotion!r}"
             )
-        self._capacity = capacity
+        self._capacity = check_count("capacity", capacity, 4)
         self._promotion = promotion
         self._seed = seed
         self._clear()
@@ -461,6 +459,7 @@ class MTree(MetricIndex):
         # against tau, which shrinks as entries of the same page are
         # offered, so later entries can be skipped entirely.
         heap: list[tuple[float, int]] = []
+        live = self.live_mask.bits  # only live items are offered
         tau = np.inf
         computed = visited = pruned = leaves = 0
         tiebreak = itertools.count()
@@ -489,7 +488,7 @@ class MTree(MetricIndex):
                 d = kernel(query, vectors[row : row + 1]).item()
                 if is_leaf:
                     if d <= tau:
-                        tau = offer_candidates(heap, k, (ids.item(row),), (d,))
+                        tau = offer_candidates(heap, k, (ids.item(row),), (d,), live)
                 else:
                     child_bound = max(d - radii[i], 0.0)
                     if child_bound <= tau:

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import IndexingError
+from repro.index.base import check_count
 
 __all__ = ["PivotStrategy", "RandomPivot", "MaxSpreadPivot", "MaxVariancePivot"]
 
@@ -104,13 +104,8 @@ class MaxVariancePivot(PivotStrategy):
     """
 
     def __init__(self, n_candidates: int = 8, sample_size: int = 16) -> None:
-        if n_candidates < 1 or sample_size < 2:
-            raise IndexingError(
-                f"need n_candidates >= 1 and sample_size >= 2; "
-                f"got {n_candidates}, {sample_size}"
-            )
-        self._n_candidates = n_candidates
-        self._sample_size = sample_size
+        self._n_candidates = check_count("n_candidates", n_candidates, 1)
+        self._sample_size = check_count("sample_size", sample_size, 2)
 
     def select(
         self,

@@ -288,16 +288,10 @@ class VPTree(MetricIndex):
             raise IndexingError("max_distance_computations must be >= 1")
         self._search_stats = SearchStats()
         self._batch_stats = []
-        result = self._knn_impl(
-            query, self._structural_k(int(k)), epsilon, max_distance_computations
+        budget = max_distance_computations  # the pending scan stays unbudgeted
+        return self._knn_one(
+            query, int(k), lambda query, k: self._knn_impl(query, k, epsilon, budget)
         )
-        # The mutation overlay stays exact even in approximate mode:
-        # tombstoned hits drop out and the pending buffer is always
-        # scanned in full (its evaluations are counted but not charged
-        # against the traversal budget, which bounds tree work only).
-        result = self._overlay_knn(query, result, int(k))
-        result.sort(key=lambda nb: (nb.distance, nb.id))
-        return result[: int(k)]
 
     def _knn_impl(
         self, query: np.ndarray, k: int, epsilon: float, budget: int | None
@@ -314,6 +308,7 @@ class VPTree(MetricIndex):
         # k-th best distance and an item farther than tau cannot enter
         # the heap, so it is not offered.  reach is tau * shrink.
         heap: list[tuple[float, int]] = []
+        live = self.live_mask.bits  # only live items are offered
         tau = reach = np.inf
         computed = visited = pruned = leaves = 0
 
@@ -340,7 +335,9 @@ class VPTree(MetricIndex):
                 computed += stop - start
                 distances = kernel(query, rows[start:stop]).tolist()
                 if min(distances) <= tau:  # most buckets offer nothing
-                    tau = offer_candidates(heap, k, ids[start:stop].tolist(), distances)
+                    tau = offer_candidates(
+                        heap, k, ids[start:stop].tolist(), distances, live
+                    )
                     reach = tau * shrink
                 continue
 
@@ -348,7 +345,7 @@ class VPTree(MetricIndex):
             computed += 1
             d = kernel(query, rows[start : start + 1]).item()
             if d <= tau:
-                tau = offer_candidates(heap, k, (int(ids[start]),), (d,))
+                tau = offer_candidates(heap, k, (int(ids[start]),), (d,), live)
                 reach = tau * shrink
             # _interval_gap inline: low <= high, so only one side can be > 0.
             gap_in = in_low[node] - d

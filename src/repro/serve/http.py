@@ -30,6 +30,7 @@ Queries take *signature vectors*, not image files.
 
 from __future__ import annotations
 
+import errno
 import json
 import selectors
 import socket
@@ -65,6 +66,9 @@ _MAX_HEAD_BYTES = 1 << 16
 _IDLE_TIMEOUT_S = 30.0
 #: How long ``stop()`` lets clients take their last responses.
 _FLUSH_TIMEOUT_S = 2.0
+#: Out of file descriptors, the listener stays readable with nothing
+#: to accept: it is unwatched until a connection closes or this passes.
+_FD_PAUSE_S = 0.1
 
 #: Refusals: exception type → (HTTP status, body flags beside ``error``,
 #: trace status).  Any other :class:`~repro.errors.ReproError` is the
@@ -287,6 +291,9 @@ class QueryServer:
         #: appended by whichever thread resolved it.
         self._completions: deque = deque()
         self._next_expiry = time.monotonic() + _IDLE_TIMEOUT_S
+        #: When the listener, unwatched for want of descriptors, is
+        #: watched again (``None`` while it is watched).
+        self._resume_at: float | None = None
         self._thread: threading.Thread | None = None
         self._loop_owner: int | None = None  # ident of the thread in the loop
         self._loop_exited = threading.Event()
@@ -347,7 +354,8 @@ class QueryServer:
 
     def _shutdown(self, drain: bool) -> None:
         self._closing = True  # from here every response closes its connection
-        self._selector.unregister(self._listener)
+        if self._resume_at is None:
+            self._selector.unregister(self._listener)
         self._listener.close()
         self._scheduler.close(drain=drain)
         for conn in self._conns:
@@ -397,6 +405,8 @@ class QueryServer:
                 traceback.print_exc()
                 self._close(conn)
         now = time.monotonic()
+        if self._resume_at is not None and now >= self._resume_at:
+            self._resume()
         if now >= self._next_expiry:
             self._next_expiry = now + _IDLE_TIMEOUT_S
             for conn in [c for c in self._conns if not c.busy]:
@@ -404,6 +414,8 @@ class QueryServer:
                     self._close(conn)
                 else:
                     self._next_expiry = min(self._next_expiry, conn.deadline)
+            if self._resume_at is not None:
+                self._next_expiry = min(self._next_expiry, self._resume_at)
 
     def _wake(self) -> None:
         with suppress(OSError):  # full (a wake-up is pending anyway) or closed
@@ -412,8 +424,14 @@ class QueryServer:
     def _accept(self) -> None:
         try:
             sock, _ = self._listener.accept()
-        except OSError:  # BlockingIOError: the client gave up already
-            return
+        except OSError as error:
+            if error.errno in (errno.EMFILE, errno.ENFILE):
+                # The pending connection stays queued and the listener
+                # readable: watching it now would spin the loop.
+                self._selector.unregister(self._listener)
+                self._resume_at = time.monotonic() + _FD_PAUSE_S
+                self._next_expiry = min(self._next_expiry, self._resume_at)
+            return  # else BlockingIOError: the client gave up already
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn = _Connection(sock)
@@ -444,6 +462,13 @@ class QueryServer:
         with suppress(OSError):  # the peer may be gone already
             conn.sock.shutdown(socket.SHUT_WR)
         conn.sock.close()
+        self._resume()  # a descriptor is free again
+
+    def _resume(self) -> None:
+        """Watch the listener again after an fd-exhaustion pause."""
+        if self._resume_at is not None and not self._closing:
+            self._resume_at = None
+            self._selector.register(self._listener, selectors.EVENT_READ, None)
 
     def _read(self, conn: _Connection) -> None:
         try:

@@ -424,7 +424,9 @@ class QueryScheduler:
         """Journal state for ``GET /healthz`` (``None`` when off).
 
         ``records``/``bytes`` count since the last compaction, ``syncs``
-        the group fsyncs performed, ``replayed`` the records applied by
+        the group fsyncs performed (the count of the ledger's
+        ``repro_journal_fsync_seconds`` histogram, which ``on_fsync``
+        feeds once per fsync), ``replayed`` the records applied by
         startup recovery.
         """
         if self._journal is None:
@@ -432,7 +434,7 @@ class QueryScheduler:
         return {
             "records": self._journal.n_records,
             "bytes": self._journal.size_bytes,
-            "syncs": self._journal.n_syncs,
+            "syncs": self._ledger.journal_fsync.totals()[0],
             "replayed": self._journal.replayed_records,
         }
 

@@ -11,7 +11,7 @@ from repro.db.database import ImageDatabase
 from repro.db.idmap import IdMap
 from repro.db.store import FeatureStore
 from repro.db.feedback import FeedbackSession
-from repro.errors import IndexingError, QueryError
+from repro.errors import QueryError
 from repro.features.base import PresetSignature
 from repro.features.histogram import GrayHistogram, RGBJointHistogram
 from repro.features.pipeline import FeatureSchema
@@ -92,16 +92,19 @@ class TestInsertion:
         assert red_ids[0] not in ids
 
     def test_re_adding_a_removed_id_leaves_the_database_unchanged(self, rng, tmp_path):
-        # A built VP-tree keeps a removed id tombstoned until its next
-        # rebuild and refuses it back.  The refusal comes before the
-        # catalog changes, so nothing is half applied and save works.
+        # Ids are never reused: a built VP-tree still holds the removed
+        # row, its live flag clear, until its next rebuild.  The refusal
+        # comes before anything changes, so nothing is half applied and
+        # save works.
         db = ImageDatabase(FeatureSchema([PresetSignature(4, "sig")]))
         rows = rng.random((64, 4))
         db.add_vectors(rows)
         db.build_indexes()
         db.remove([5])
-        with pytest.raises(IndexingError, match="already indexed"):
+        generation = db.generation
+        with pytest.raises(QueryError, match="never reused"):
             db.add_vectors(rng.random((1, 4)), ids=[5])
+        assert (db.generation, db.next_image_id()) == (generation, 64)
         live = [image_id for image_id in range(64) if image_id != 5]
         assert len(db) == db.index_for("sig").size == 63
         assert db.catalog.ids == live
@@ -424,9 +427,9 @@ class TestRowOwnership:
         remove([7])
         index = db.index_for(db.default_feature)
         if kind == "vptree":
-            assert index.n_pending and index.n_tombstones
-        if kind == "mtree":
-            assert index.n_tombstones
+            assert index.n_pending
+        if kind != "linear":  # the trees hold dead rows until a rebuild
+            assert len(index._ids) + index.n_pending > index.size
         assert all(index.is_built for index in db._indexes.values())
         _assert_reads_match(db, truth, tmp_path / "mutated")
         _assert_queries_match(db, truth, query)
@@ -440,14 +443,18 @@ class TestRowOwnership:
         db.add_vectors(rows[:20])
         db.remove([2, 5, 11, 19])
         db.add_vectors(rows[20:29])
-        db.add_vectors(rows[29:], ids=[5])  # a reused id: the latest row wins
+        generation = db.generation
+        with pytest.raises(QueryError, match="never reused"):
+            db.add_vectors(rows[29:], ids=[5])  # refused before anything changes
+        assert (db.generation, db.next_image_id()) == (generation, 29)
+        db.add_vectors(rows[29:])
         survivors = db.catalog.ids
-        assert survivors[-1] == 5 and len(survivors) == 26
+        assert survivors[-1] == 29 and len(survivors) == 26
 
         fresh = ImageDatabase(
             schema, index_factory=_INDEX_KINDS[kind], backend="memory"
         )
-        by_id = {**dict(enumerate(rows[:29])), 5: rows[29]}
+        by_id = dict(enumerate(rows))
         fresh.add_vectors(
             np.stack([by_id[image_id] for image_id in survivors]), ids=survivors
         )

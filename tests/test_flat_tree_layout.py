@@ -209,7 +209,7 @@ def test_layout_after_build_and_rebuild(rng, kind, leaf_size, metric):
     tree.delete(ids[:15])
     tree.insert_batch(list(range(900, 910)), extra)
     tree.rebuild()
-    assert tree.n_pending == tree.n_tombstones == 0
+    assert tree.n_pending == 0 and len(tree._ids) == tree.size  # no dead row held
     live_ids = ids[15:] + list(range(900, 910))
     _check_layout(tree, live_ids, np.vstack([vectors[15:], extra]))
 

@@ -12,7 +12,7 @@ The pinned contract (``docs/mutability.md``):
   the index's own ``SearchStats`` agree exactly, mutations or not, and
   batched per-query counters equal their scalar counterparts;
 * **threshold rebuild** — the overlay folds back into the structure
-  once ``pending + tombstones`` passes the configured threshold;
+  once ``pending + dead`` rows pass the configured threshold;
 * **validation** — duplicate/unknown ids, wrong dimensionality, and
   non-finite vectors are rejected loudly, before any state changes.
 """
@@ -55,7 +55,7 @@ INDEX_FACTORIES = {
 
 #: Structures that absorb inserts in place (no pending buffer).
 DYNAMIC_INSERT = {"linear", "laesa", "mtree"}
-#: Structures that delete rows outright (no tombstones).
+#: Structures that drop dead rows at once (compaction, not a rebuild).
 DYNAMIC_DELETE = {"linear", "laesa"}
 
 
@@ -201,11 +201,11 @@ class TestMutationParity:
 
     def test_unbuilt_index_buffers_then_first_rebuild_equals_fresh(self, name, rng):
         """Before the first build, inserts and deletes go to the pending
-        buffer (deleted rows stay, tombstoned, until they outnumber the
-        live ones or their id comes back); ``rebuild()`` is then the
-        first build, over the survivors in arrival order — the same
-        index a fresh ``build`` over them gives: ids, distances and
-        counts."""
+        buffer (deleted rows stay, their flags clear, until they
+        outnumber the live ones, and their ids cannot come back while
+        held); ``rebuild()`` is then the first build, over the survivors
+        in arrival order — the same index a fresh ``build`` over them
+        gives: ids, distances and counts."""
         rows = rng.random((40, DIM))
         unbuilt = INDEX_FACTORIES[name](EuclideanDistance())
         unbuilt.insert_batch(list(range(30)), rows[:30])
@@ -218,17 +218,19 @@ class TestMutationParity:
             unbuilt.delete([17])  # already deleted
         with pytest.raises(IndexingError, match="not been built"):
             unbuilt.knn_search(rows[0], 3)
-        assert (unbuilt.n_pending, unbuilt.n_tombstones) == (33, 4)
-        unbuilt.insert_batch([3], rows[33:34])  # a deleted id comes back
-        assert (unbuilt.n_pending, unbuilt.n_tombstones) == (30, 0)
+        assert unbuilt.n_pending == 33
+        with pytest.raises(IndexingError, match="already indexed"):
+            unbuilt.insert_batch([3], rows[33:34])  # its dead row is still held
+        unbuilt.insert_batch([46], rows[33:34])
+        assert unbuilt.n_pending == 34
         by_id = {
-            **dict(enumerate(rows[:30])), 45: rows[30], 40: rows[31], 41: rows[32], 3: rows[33]
+            **dict(enumerate(rows[:30])), 45: rows[30], 40: rows[31], 41: rows[32], 46: rows[33]
         }
-        survivors = [i for i in [*range(30), 45, 40, 41] if i not in (3, 17, 29, 40)] + [3]
+        survivors = [i for i in [*range(30), 45, 40, 41] if i not in (3, 17, 29, 40)] + [46]
         assert unbuilt.size == len(survivors)
         assert unbuilt.live_ids() == survivors
-        assert unbuilt.vectors_of([45, 3, 0]).tobytes() == np.stack(
-            [by_id[45], by_id[3], by_id[0]]
+        assert unbuilt.vectors_of([45, 46, 0]).tobytes() == np.stack(
+            [by_id[45], by_id[46], by_id[0]]
         ).tobytes()
         with pytest.raises(IndexingError, match="not indexed"):
             unbuilt.vectors_of([17])
@@ -249,7 +251,7 @@ class TestMutationParity:
             assert unbuilt.last_stats == fresh.last_stats
 
     def test_first_build_drops_rows_deleted_before_it(self, name, rng):
-        """Deletes before the first build only tombstone — the block is
+        """Deletes before the first build only clear flags — the block is
         not copied per delete — and the first build leaves the dead rows
         out: it equals a fresh build over the survivors."""
         rows = rng.random((20, DIM))
@@ -257,11 +259,11 @@ class TestMutationParity:
         unbuilt.insert_batch(list(range(20)), rows)
         for item_id in (2, 7, 11):
             unbuilt.delete([item_id])
-        assert (unbuilt.n_pending, unbuilt.n_tombstones) == (20, 3)  # not compacted
+        assert unbuilt.n_pending == 20  # not compacted
         unbuilt.rebuild()
         survivors = [i for i in range(20) if i not in (2, 7, 11)]
         fresh = INDEX_FACTORIES[name](EuclideanDistance()).build(survivors, rows[survivors])
-        assert (unbuilt.n_tombstones, unbuilt.size) == (0, len(survivors))
+        assert (unbuilt.n_pending, unbuilt.size) == (0, len(survivors))
         assert unbuilt.build_stats == fresh.build_stats
         for query in rng.random((3, DIM)):
             assert _pairs(unbuilt.knn_search(query, 5)) == _pairs(fresh.knn_search(query, 5))
@@ -338,10 +340,10 @@ class TestMutationParity:
 
 
 class TestOverlayMechanics:
-    """The pending buffer / tombstone fallback, on a static tree."""
+    """The pending buffer and dead rows, on a static tree."""
 
     def test_static_tree_buffers_then_rebuilds_at_threshold(self, rng):
-        # Trigger: pending + tombstones >= max(rebuild_min,
+        # Trigger: pending + dead >= max(rebuild_min,
         # rebuild_threshold * core).  With 20 core items and
         # rebuild_min=8, the threshold sits at 8 overlay entries.
         index = VPTree(EuclideanDistance()).build(
@@ -349,14 +351,13 @@ class TestOverlayMechanics:
         )
         index.rebuild_min = 8  # shrink the floor for the test
         index.insert_batch(list(range(100, 105)), rng.random((5, DIM)))
-        assert index.n_pending == 5 and index.n_tombstones == 0
+        assert index.n_pending == 5
         index.delete([0, 1])
-        assert index.n_tombstones == 2
-        # 5 pending + 2 tombstones = 7 < 8: still buffered.  One more
-        # insert crosses the threshold and folds the overlay in.
+        # 5 pending + 2 dead = 7 < 8: still buffered.  One more insert
+        # crosses the threshold and folds the overlay in.
+        assert len(index._ids) == 20
         index.insert_batch([105], rng.random((1, DIM)))
-        assert index.n_pending == 0 and index.n_tombstones == 0
-        assert index.size == 24
+        assert index.n_pending == 0 and len(index._ids) == index.size == 24
 
     def test_dynamic_structures_never_buffer(self, rng):
         for name in sorted(DYNAMIC_INSERT):
@@ -370,7 +371,7 @@ class TestOverlayMechanics:
                 list(range(20)), rng.random((20, DIM))
             )
             index.delete([0, 19])
-            assert index.n_tombstones == 0, name
+            assert len(index._ids) == index.size == 18, name
 
     def test_explicit_rebuild_folds_overlay(self, rng):
         index = VPTree(EuclideanDistance()).build(
@@ -382,7 +383,7 @@ class TestOverlayMechanics:
             nb.id: None for nb in index.range_search(np.zeros(DIM), np.inf)
         }
         index.rebuild()
-        assert index.n_pending == 0 and index.n_tombstones == 0
+        assert index.n_pending == 0 and len(index._ids) == index.size
         assert set(
             nb.id for nb in index.range_search(np.zeros(DIM), np.inf)
         ) == set(table)
@@ -430,25 +431,25 @@ class _EveryPendingRow(VPTree):
     pending row, then the caller's sort — the reference expression."""
 
     def _overlay_range(self, query, radius, result):
-        if self._tombstones:
-            result = [nb for nb in result if nb.id not in self._tombstones]
+        live = self.live_mask.bits
+        result = [nb for nb in result if live[nb.id]]
         if self._pending:
             distances = self._dist_batch(query, self._pending.block)
             result.extend(
                 Neighbor(item_id, float(d))
                 for item_id, d in zip(self._pending.ids.tolist(), distances.tolist())
-                if d <= radius
+                if d <= radius and live[item_id]
             )
         return result
 
     def _overlay_knn(self, query, result, k):
-        if self._tombstones:
-            result = [nb for nb in result if nb.id not in self._tombstones]
+        live = self.live_mask.bits
         if self._pending:
             distances = self._dist_batch(query, self._pending.block)
             result.extend(
                 Neighbor(item_id, float(d))
                 for item_id, d in zip(self._pending.ids.tolist(), distances.tolist())
+                if live[item_id]
             )
         return result
 
@@ -479,7 +480,7 @@ def test_selecting_overlay_equals_every_pending_row(case):
         index = cls(EuclideanDistance(), leaf_size=2).build(ids[:n_core], rows[:n_core])
         index.rebuild_min = 10**9  # keep the overlay: no threshold rebuild
         index.insert_batch(ids[n_core:], rows[n_core:])
-        index.delete(dead)  # core ids become tombstones, pending ones leave
+        index.delete(dead)  # core rows stay dead, pending ones leave
         seen = []
         for query in queries:
             seen.append((index.knn_search(query, k), index.last_stats))

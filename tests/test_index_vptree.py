@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import IndexingError
+from repro.index.antipole import AntipoleTree
 from repro.index.gnat import GNAT
 from repro.index.kdtree import KDTree
+from repro.index.laesa import LAESAIndex
 from repro.index.linear import LinearScanIndex
+from repro.index.mtree import MTree
 from repro.index.pivot import MaxVariancePivot, RandomPivot
 from repro.index.vptree import VPTree, _interval_gap
 from repro.metrics.base import CountingMetric
@@ -197,6 +200,30 @@ class TestConfiguration:
         # a fraction is no bucket size.  Both are refused at construction.
         with pytest.raises(IndexingError, match="leaf_size must be an integer"):
             tree(EuclideanDistance(), leaf_size=leaf_size)
+
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, 0], ids=["nan", "2.5", "0"])
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda v: MTree(EuclideanDistance(), capacity=v), "capacity"),
+            (lambda v: LAESAIndex(EuclideanDistance(), n_pivots=v), "n_pivots"),
+            (lambda v: AntipoleTree(EuclideanDistance(), tournament_size=v),
+             "tournament_size"),
+            (lambda v: AntipoleTree(EuclideanDistance(), final_round_size=v),
+             "final_round_size"),
+            (lambda v: MaxVariancePivot(n_candidates=v), "n_candidates"),
+            (lambda v: MaxVariancePivot(sample_size=v), "sample_size"),
+        ],
+        ids=["mtree-capacity", "laesa-n_pivots", "antipole-tournament_size",
+             "antipole-final_round_size", "variance-n_candidates",
+             "variance-sample_size"],
+    )
+    def test_rejects_bad_count_parameter(self, make, name, value):
+        # The other count parameters of the index layer, checked the same
+        # way: NaN built an M-tree that scans every row per k-NN, a LAESA
+        # index and an Antipole tree whose build later died on it.
+        with pytest.raises(IndexingError, match=f"{name} must be an integer"):
+            make(value)
 
     def test_leaf_size_one_still_exact(self, rng):
         vectors = rng.random((60, 3))

@@ -172,12 +172,14 @@ class TestJournalFile:
 class TestGroupCommit:
     def test_sync_without_appends_does_not_fsync(self, tmp_path):
         journal = Journal.create(tmp_path / "wal.log", FP)
+        observed: list[float] = []
+        journal.on_fsync = observed.append
         assert journal.sync() == 0.0
-        assert journal.n_syncs == 0
+        assert len(observed) == 0
         journal.append(JournalRecord.remove(0, [1]))
         journal.sync()
         journal.sync()
-        assert journal.n_syncs == 1
+        assert len(observed) == 1
         journal.close()
 
     def test_on_fsync_observer_fires_per_group_commit(self, tmp_path):

@@ -7,6 +7,7 @@ every completed response, close every connection.
 """
 
 import json
+import os
 import socket
 import struct
 import sys
@@ -256,6 +257,56 @@ class TestFrontDoorRobustness:
         assert len(json.loads(first[2])["results"]) == 5
         assert json.loads(second[2])["cache_hit"]
         assert json.loads(third[2])["status"] == "ok"
+
+    def test_fd_exhaustion_pauses_the_listener_instead_of_spinning(self):
+        """Out of descriptors, ``accept`` fails with EMFILE while the
+        waiting connection keeps the listener readable.  The loop stops
+        watching it instead of spinning, keeps answering the open
+        connections, and serves the waiting client once a descriptor
+        frees.  Only this process's own RLIMIT_NOFILE is lowered, to
+        one past a single placeholder descriptor, and restored."""
+        resource = pytest.importorskip("resource")
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        server = QueryServer(_db(), port=0, max_wait_ms=0.5).start()
+        query = _request("POST", "/query", _query(np.full(_DIM, 0.25)))
+        held, waiting = _connect(server), socket.socket()
+        stat = os.open(f"/proc/self/task/{server._thread.native_id}/stat", os.O_RDONLY)
+        placeholder = None
+        try:
+            held.sendall(query)
+            assert _response(held)[0] == 200
+            # The lowest free descriptor: every one below it is taken.
+            placeholder = os.open(os.devnull, os.O_RDONLY)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (placeholder + 1, hard))
+            waiting.settimeout(5)
+            waiting.connect(server.address)  # the server cannot accept it
+            time.sleep(0.2)
+
+            def cpu_s() -> float:
+                fields = os.pread(stat, 4096, 0).rsplit(b")", 1)[1].split()
+                return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+            start, used = time.monotonic(), cpu_s()
+            while time.monotonic() - start < 2.0:
+                held.sendall(query)  # open connections are still answered
+                assert _response(held)[0] == 200
+                time.sleep(0.25)
+            used = cpu_s() - used
+            assert used < 0.05 * (time.monotonic() - start), used
+
+            os.close(placeholder)
+            placeholder, freed = None, time.monotonic()
+            waiting.sendall(query)
+            assert _response(waiting)[0] == 200
+            assert time.monotonic() - freed < 1.0
+        finally:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+            for fd in (placeholder, stat):
+                if fd is not None:
+                    os.close(fd)
+            held.close()
+            waiting.close()
+            server.stop()
 
 
 class TestShutdownOverTheSocket:

@@ -7,12 +7,15 @@ recorded at the commit *before* the traversal loops were tightened and
 the indexes started calling ``Metric._kernel`` directly
 (``python tests/test_vptree_traversal_parity.py --write`` on that
 checkout).  The loops may be rewritten freely; what they evaluate, in
-which order, and what they report may not move by a bit.
+which order, and what they report may not move by a bit.  The one
+re-recording: ``mutated-L2``'s counters, when dead rows stopped
+inflating k (a query asks the tree for k, not k plus the dead rows) —
+every answer stayed bit for bit, and no count rose.
 
 The datasets are chosen for the places a rewritten loop goes wrong:
 duplicate-heavy integer rows (ties at every prune test and at the k-th
 place), ``k`` larger than the collection, a mutated tree (pending
-overlay + tombstones), and the approximate modes at budgets that cut a
+overlay + dead rows), and the approximate modes at budgets that cut a
 leaf bucket short.
 
 The build's partition-based median is pinned here too: it must return
@@ -80,14 +83,14 @@ def _cases():
         (0.5, 10.0),
     )
 
-    # Below the rebuild threshold: 12 pending rows and 9 tombstones stay
-    # in the overlay, so queries scan the buffer and over-fetch k.
+    # Below the rebuild threshold: 12 pending rows and 9 dead rows stay,
+    # so queries scan the buffer and the tree skips the dead rows.
     mutated = VPTree(EuclideanDistance(), leaf_size=4, seed=2).build(
         list(range(300)), rng.random((300, 6))
     )
     mutated.insert_batch(list(range(500, 512)), rng.random((12, 6)))
     mutated.delete(list(range(40, 49)))
-    assert mutated.n_pending == 12 and mutated.n_tombstones == 9
+    assert mutated.n_pending == 12 and (len(mutated._ids), mutated.size) == (300, 303)
     cases["mutated-L2"] = (mutated, rng.random((3, 6)), (1, 6), (0.4,))
     return cases
 

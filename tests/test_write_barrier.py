@@ -98,7 +98,7 @@ class TestSerialAdds:
             # Three mutations → three records; the formed batch
             # acknowledged all of them behind one group fsync.
             assert journal.n_records == 3
-            assert journal.n_syncs == 1
+            assert scheduler.journal_info()["syncs"] == 1
         finally:
             scheduler.close()
 
@@ -112,7 +112,7 @@ class TestSerialAdds:
             for _ in range(3):
                 scheduler.submit_add(rng.random((2, DIM))).result(timeout=10)
             assert journal.n_records == 3
-            assert journal.n_syncs == 3
+            assert scheduler.journal_info()["syncs"] == 3
         finally:
             scheduler.close()
 
@@ -218,7 +218,7 @@ class TestBarriers:
             del table[0], table[3]
             assert scheduler.generation == before + 4
             assert journal.n_records == 4
-            assert journal.n_syncs == 1
+            assert scheduler.journal_info()["syncs"] == 1
 
             ids = sorted(table)
             oracle = LinearScanIndex(EuclideanDistance()).build(
