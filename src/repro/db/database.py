@@ -59,7 +59,7 @@ from repro.db.store import FeatureStore
 from repro.errors import QueryError
 from repro.features.pipeline import FeatureSchema, default_schema
 from repro.image.core import Image
-from repro.index.base import MetricIndex
+from repro.index.base import MetricIndex, check_count
 from repro.index.vptree import VPTree
 from repro.metrics.base import Metric
 from repro.metrics.minkowski import EuclideanDistance
@@ -544,8 +544,7 @@ class ImageDatabase:
             raise QueryError("query_multi requires an Image (it uses several features)")
         if len(self._catalog) == 0:
             raise QueryError("database is empty")
-        if k < 1:
-            raise QueryError(f"k must be >= 1; got {k}")
+        k = check_count("k", k, 1, QueryError)
         if pool_factor < 1:
             raise QueryError(f"pool_factor must be >= 1; got {pool_factor}")
         weights = dict(
@@ -612,6 +611,7 @@ class ImageDatabase:
             raise QueryError(f"method must be 'borda' or 'rrf'; got {method!r}")
         if len(self._catalog) == 0:
             raise QueryError("database is empty")
+        k = check_count("k", k, 1, QueryError)
         features = list(features) if features is not None else list(self._schema.names)
         pool_size = min(max(k * pool_factor, k), len(self._catalog))
         rankings = []
@@ -774,6 +774,8 @@ class ImageDatabase:
         self._check_feature(feature)
         if len(self._catalog) == 0:
             raise QueryError("database is empty")
+        if kind == "knn":
+            parameter = check_count("k", parameter, 1, QueryError)
         signatures = self._signatures(
             queries, feature, precomputed=precomputed, batch=batch
         )

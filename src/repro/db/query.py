@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.errors import QueryError
 from repro.db.catalog import ImageRecord
+from repro.index.base import check_count
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.db.catalog import Catalog
@@ -146,8 +147,7 @@ def borda_fuse(rankings: Sequence[Sequence[int]], k: int) -> list[int]:
     ids missing from a ranking get 0 from it.  Returns the top ``k`` ids by
     total points (ties broken by id for determinism).
     """
-    if k < 1:
-        raise QueryError(f"k must be >= 1; got {k}")
+    k = check_count("k", k, 1, QueryError)
     if not rankings:
         raise QueryError("at least one ranking is required")
     points: dict[int, float] = {}
@@ -167,8 +167,7 @@ def reciprocal_rank_fuse(
     The classic RRF rule; ``smoothing`` dampens the dominance of rank-1
     hits.  Returns the top ``k`` ids.
     """
-    if k < 1:
-        raise QueryError(f"k must be >= 1; got {k}")
+    k = check_count("k", k, 1, QueryError)
     if smoothing <= 0.0:
         raise QueryError(f"smoothing must be positive; got {smoothing}")
     if not rankings:

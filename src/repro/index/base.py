@@ -140,13 +140,16 @@ def reorder_rows(rows: np.ndarray, order: np.ndarray) -> None:
         rows[:, columns] = rows[order, columns]
 
 
-def check_count(name: str, value: int, minimum: int) -> int:
-    """``value`` as an ``int``, or :class:`IndexingError` unless it is an
-    integer ``>= minimum`` — a count parameter (bucket size, fan-out,
-    pivots).  NaN passes every ``<`` check and ``2.5`` counts nothing,
-    so both are refused at construction rather than mid-build."""
+def check_count(
+    name: str, value: int, minimum: int, error: type[Exception] = IndexingError
+) -> int:
+    """``value`` as an ``int``, or ``error`` unless it is an integer
+    ``>= minimum`` — a count parameter (bucket size, fan-out, pivots,
+    ``k``, a distance budget).  NaN passes every ``<`` check and ``2.5``
+    counts nothing, so both are refused where they enter rather than
+    truncated or failing mid-search."""
     if not isinstance(value, Integral) or value < minimum:
-        raise IndexingError(f"{name} must be an integer >= {minimum}; got {value!r}")
+        raise error(f"{name} must be an integer >= {minimum}; got {value!r}")
     return int(value)
 
 
@@ -610,11 +613,10 @@ class MetricIndex(ABC):
     def knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
         """The ``k`` nearest live items (or all of them when ``k >= size``)."""
         query = self._check_query(query)
-        if k < 1:
-            raise IndexingError(f"k must be >= 1; got {k}")
+        k = check_count("k", k, 1)
         self._search_stats = SearchStats()
         self._batch_stats = []
-        return self._knn_one(query, int(k))
+        return self._knn_one(query, k)
 
     def range_search_batch(
         self, queries: np.ndarray, radius: float
@@ -632,9 +634,8 @@ class MetricIndex(ABC):
         """``knn_search`` for every row of ``queries``; one list per row,
         equivalent as for :meth:`range_search_batch`."""
         queries = self._check_query_batch(queries)
-        if k < 1:
-            raise IndexingError(f"k must be >= 1; got {k}")
-        return self._run_batch(queries, lambda query: self._knn_one(query, int(k)))
+        k = check_count("k", k, 1)
+        return self._run_batch(queries, lambda query: self._knn_one(query, k))
 
     def _range_one(self, query: np.ndarray, radius: float) -> list[Neighbor]:
         """One range query, counted in the current stats: the structure's

@@ -90,7 +90,7 @@ families plus a bounded latency window.
 **Tracing.**  With ``trace_depth > 0`` (the default) every request also
 carries a :class:`~repro.serve.trace.Trace`: one span per pipeline
 stage (``admit``, ``cache-lookup``, ``queue-wait``, ``batch-form``,
-``engine`` with the request's exact ``distance_computations``,
+``engine`` with the request's exact ``SearchStats`` counters,
 ``journal-append`` / ``journal-fsync`` on the write path, ``respond``).
 Completed traces land in a bounded flight recorder and — past
 ``slow_query_ms`` — a slow-query log, both served by the HTTP
@@ -117,7 +117,6 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import Future
-from numbers import Integral
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -126,6 +125,7 @@ from repro.db.database import ImageDatabase
 from repro.db.journal import Journal
 from repro.errors import QueryError, ServeError, ShuttingDownError
 from repro.image.core import Image
+from repro.index.base import check_count
 from repro.serve.admission import Admission, TokenBucket
 from repro.serve.cache import MutationDeltaLog, ResultCache
 from repro.serve.ledger import LiveState, ServiceLedger
@@ -234,8 +234,7 @@ class QueryScheduler:
             ("max_queue", max_queue, 1),
             ("trace_depth", trace_depth, 0),
         ):
-            if not isinstance(value, Integral) or value < minimum:
-                raise ServeError(f"{name} must be an integer >= {minimum}; got {value}")
+            check_count(name, value, minimum, ServeError)
         if not math.isfinite(max_wait_ms) or max_wait_ms < 0.0:
             # A NaN timeout would park the worker with no future resolved.
             raise ServeError(
@@ -491,9 +490,8 @@ class QueryScheduler:
         end's); left ``None``, the scheduler opens — and finishes — its
         own when tracing is on.
         """
-        if k < 1:
-            raise QueryError(f"k must be >= 1; got {k}")
-        return self._admission.query("knn", query, int(k), feature, trace)
+        k = check_count("k", k, 1, QueryError)
+        return self._admission.query("knn", query, k, feature, trace)
 
     def submit_range(
         self,

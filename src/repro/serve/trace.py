@@ -7,8 +7,9 @@ module gives every request a **trace**: an id (accepted from an inbound
 W3C ``traceparent`` header or generated fresh, echoed back as
 ``X-Repro-Trace-Id``) plus one :class:`Span` per pipeline stage —
 ``admit``, ``cache-lookup``, ``queue-wait``, ``batch-form``, ``engine``
-(carrying the exact ``SearchStats.distance_computations`` for this
-query), ``journal-append`` / ``journal-fsync`` on the write path, and
+(carrying this query's exact :class:`~repro.index.stats.SearchStats`:
+distance computations, nodes visited and pruned, leaves scanned),
+``journal-append`` / ``journal-fsync`` on the write path, and
 ``respond``.
 
 Hot-path cost is O(1) per stage: a span is one ``time.monotonic()``
@@ -93,8 +94,8 @@ class Span:
     ``start`` is an absolute ``time.monotonic()`` timestamp — the trace
     knows its own start, so offsets fall out at render time, and spans
     recorded on different threads stay on one clock.  ``annotations``
-    carries stage-specific facts: the engine span carries
-    ``distance_computations``.
+    carries stage-specific facts: the engine span carries every
+    :class:`~repro.index.stats.SearchStats` field of its query.
     """
 
     __slots__ = ("stage", "start", "duration_s", "annotations")

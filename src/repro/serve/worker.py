@@ -24,6 +24,7 @@ for the three things a batch is made of:
 from __future__ import annotations
 
 import time
+from dataclasses import asdict
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -114,12 +115,7 @@ class BatchWorker:
             generation = self._db.generation
             for request, results, stats in zip(live, result_lists, per_query_stats):
                 if request.trace is not None:
-                    request.trace.add_span(
-                        "engine",
-                        engine_start,
-                        engine_s,
-                        distance_computations=stats.distance_computations,
-                    )
+                    request.trace.add_span("engine", engine_start, engine_s, **asdict(stats))
                 respond_start = time.monotonic()
                 if request.key is not None:
                     self._cache.put(request.key, results, generation)

@@ -18,7 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.errors import IndexingError, MetricError
+from repro.db.database import ImageDatabase
+from repro.errors import IndexingError, MetricError, QueryError
+from repro.features.base import PresetSignature
+from repro.features.pipeline import FeatureSchema
 from repro.index.antipole import AntipoleTree
 from repro.index.filter_refine import FilterRefineIndex
 from repro.index.gnat import GNAT
@@ -49,6 +52,7 @@ from repro.metrics.minkowski import (
 from repro.metrics.quadratic import QuadraticFormDistance
 from repro.metrics.shifted import CircularShiftDistance
 from repro.reduce import KLTransform
+from repro.serve.scheduler import QueryScheduler
 
 _DIM = 6
 
@@ -342,6 +346,39 @@ class TestIndexBatchParity:
 # ---------------------------------------------------------------------------
 # Property-based parity (hypothesis): arbitrary data, exact equality
 # ---------------------------------------------------------------------------
+@pytest.mark.parametrize("bad", [2.5, float("nan"), 0], ids=["fraction", "nan", "zero"])
+def test_k_and_the_budget_are_counts(bad, rng):
+    """``k`` and a distance budget count things: 2.5 is not truncated to
+    2 neighbours, NaN is not a bare ValueError from ``int()`` (nor, as a
+    budget, no budget at all), and 0 is refused — by every index kind's
+    k-NN entry points, the VP-tree's approximate search, the database
+    (QueryError) and the scheduler (QueryError)."""
+    for name in INDEX_FACTORIES:
+        index, queries = _build(name, EuclideanDistance(), rng)
+        with pytest.raises(IndexingError, match="k must be an integer"):
+            index.knn_search(queries[0], bad)
+        with pytest.raises(IndexingError, match="k must be an integer"):
+            index.knn_search_batch(queries, bad)
+    tree, queries = _build("vptree", EuclideanDistance(), rng)
+    with pytest.raises(IndexingError, match="k must be an integer"):
+        tree.knn_search_approximate(queries[0], bad, epsilon=0.5)
+    with pytest.raises(IndexingError, match="max_distance_computations must be an integer"):
+        tree.knn_search_approximate(queries[0], 5, max_distance_computations=bad)
+
+    db = ImageDatabase(FeatureSchema([PresetSignature(_DIM, "sig")]))
+    db.add_vectors(rng.random((30, _DIM)))
+    with pytest.raises(QueryError, match="k must be an integer"):
+        db.query(queries[0], bad, precomputed=True)
+    with pytest.raises(QueryError, match="k must be an integer"):
+        db.query_batch(queries, bad, precomputed=True)
+    scheduler = QueryScheduler(db, autostart=False)
+    try:
+        with pytest.raises(QueryError, match="k must be an integer"):
+            scheduler.submit_query(queries[0], bad)
+    finally:
+        scheduler.close()
+
+
 def _dataset_queries(max_n=40, dim=4, max_m=5):
     return st.tuples(
         hnp.arrays(

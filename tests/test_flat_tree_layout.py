@@ -14,20 +14,22 @@ per query type — and one module checks it for all of them:
   centroid distances, boxes) is the recomputed value bit for bit;
 * **call pattern** — a wrapper that counts metric *calls* and the rows
   each hands over proves one kernel call per visited node, evaluated
-  split point, leaf or cluster on every entry point, so per-item scalar
-  calls cannot creep back unnoticed, and rows handed over ==
-  ``distance_computations``;
+  split point, leaf or cluster on every entry point of GNAT, Antipole
+  and the k-d tree, and at most one per round on the VP-tree (its
+  frontier rounds gather every node they evaluate into one call), so
+  per-item scalar calls cannot creep back unnoticed, and rows handed
+  over == ``distance_computations``;
 * **entry-point parity** — on generated data full of ties and
   duplicates, the scalar entry, a one-row batch and a row of an m-row
   batch agree on ids, distance floats and the whole ``SearchStats``, and
-  with the linear scan; the VP-tree's approximate modes also agree with
-  the recursive reference kept below;
+  with the linear scan; the VP-tree's exact k-NN also agrees with the
+  recursive depth-first reference kept below, and its approximate modes
+  keep their guarantees;
 * **depth** — a collection of identical rows builds a chain (one node
   per item in the VP-tree, per ``degree`` items in the GNAT); nothing
   may recurse.
 """
 
-import dataclasses
 import heapq
 
 import numpy as np
@@ -35,14 +37,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.eval.datasets import gaussian_clusters
 from repro.index.antipole import AntipoleTree
 from repro.index.browse import browse
 from repro.index.gnat import GNAT
 from repro.index.kdtree import KDTree
 from repro.index.linear import LinearScanIndex
-from repro.index.stats import SearchStats
+from repro.index.pivot import MaxSpreadPivot, MaxVariancePivot, RandomPivot
 from repro.index.vptree import VPTree, _interval_gap
-from repro.metrics.minkowski import EuclideanDistance, ManhattanDistance
+from repro.metrics.emd import MatchDistance
+from repro.metrics.minkowski import ChebyshevDistance, EuclideanDistance, ManhattanDistance
 
 _GNAT_DEGREE = 3
 
@@ -244,7 +248,8 @@ def test_big_nodes_are_built_piecewise_to_the_same_tree(rng, kind, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# (b) One kernel call per visited node, split point, leaf or cluster
+# (b) One kernel call per visited node, split point, leaf or cluster —
+#     or, on the VP-tree, per round
 # ----------------------------------------------------------------------
 class _CallCounter(EuclideanDistance):
     """Records the row count of every metric call — a batch is one call,
@@ -259,10 +264,17 @@ class _CallCounter(EuclideanDistance):
         return EuclideanDistance._kernel(query, vectors)
 
 
-def _expected_calls(kind, mode, stats, calls):
-    """Bounds ``(fewest, most)`` on the kernel calls of one traversal."""
+def _expected_calls(kind, mode, stats, calls, tree, n_queries):
+    """Bounds ``(fewest, most)`` on the kernel calls of one traversal
+    (``stats`` summed over ``n_queries`` queries)."""
     nodes, leaves = stats.nodes_visited, stats.leaves_visited
     assert nodes and leaves
+    if kind == "vptree":
+        # One call per round, each evaluating at least one node; a range
+        # round is a level of the tree.
+        if mode == "range":
+            return n_queries, n_queries * (tree.build_stats.depth + 1)
+        return n_queries, nodes + leaves
     if kind == "kdtree":  # box bounds are not metric calls
         return leaves, leaves
     if kind == "gnat" and mode == "range":
@@ -305,7 +317,10 @@ def test_one_kernel_call_per_visit(rng, kind):
     for mode, search in searches:
         counter.calls = []
         search()
-        fewest, most = _expected_calls(kind, mode, tree.last_stats, counter.calls)
+        n_queries = len(tree.last_batch_stats) or 1
+        fewest, most = _expected_calls(
+            kind, mode, tree.last_stats, counter.calls, tree, n_queries
+        )
         assert fewest <= len(counter.calls) <= most
         assert 0 not in counter.calls
         assert sum(counter.calls) == tree.last_stats.distance_computations
@@ -314,15 +329,14 @@ def test_one_kernel_call_per_visit(rng, kind):
 # ----------------------------------------------------------------------
 # (c) Entry-point parity; the VP-tree also against a recursive reference
 # ----------------------------------------------------------------------
-def _reference_knn(tree, query, k, epsilon=0.0, budget=None):
-    """The recursive, one-distance-at-a-time VP-tree branch-and-bound."""
+def _reference_knn(tree, query, k):
+    """The recursive, one-distance-at-a-time VP-tree branch-and-bound:
+    the exact answer, by the depth-first walk the frontier rounds
+    replaced."""
     metric = tree.metric
-    stats = SearchStats()
     heap = []
-    shrink = 1.0 / (1.0 + epsilon)
 
     def offer(row):
-        stats.distance_computations += 1
         d = metric.distance(query, tree._vectors[row])
         entry = (-d, -int(tree._ids[row]))
         if len(heap) < k:
@@ -331,21 +345,12 @@ def _reference_knn(tree, query, k, epsilon=0.0, budget=None):
             heapq.heapreplace(heap, entry)
         return d
 
-    def spent():
-        return budget is not None and stats.distance_computations >= budget
-
     def visit(node):
-        if spent():
-            return
         start, stop = tree._start[node], tree._stop[node]
         if _is_leaf(tree, node):
-            stats.leaves_visited += 1
             for row in range(start, stop):
-                if spent():
-                    return
                 offer(row)
             return
-        stats.nodes_visited += 1
         d = offer(start)
         children = [
             (tree._inside[node], tree._in_low[node], tree._in_high[node]),
@@ -353,17 +358,29 @@ def _reference_knn(tree, query, k, epsilon=0.0, budget=None):
         ]
         children.sort(key=lambda c: _interval_gap(d, c[1], c[2]))
         for child, low, high in children:
-            if child < 0:
-                continue
             tau = -heap[0][0] if len(heap) == k else np.inf
-            if _interval_gap(d, low, high) <= tau * shrink:
+            if child >= 0 and _interval_gap(d, low, high) <= tau:
                 visit(child)
-            else:
-                stats.nodes_pruned += 1
 
     visit(0)
     result = sorted((-neg_d, -neg_id) for neg_d, neg_id in heap)
-    return [(item_id, d) for d, item_id in result], stats
+    return [(item_id, d) for d, item_id in result]
+
+
+def _assert_approximate(result, truth, k, epsilon=None):
+    """An approximate k-NN answers with distinct live items and their
+    true distances (``truth`` is the exact ranking of every live item);
+    with ``epsilon`` and no budget to stop it short, with ``min(k,
+    size)`` of them, each within ``(1 + epsilon)`` of the true k-th
+    distance."""
+    distance_of = {nb.id: nb.distance for nb in truth}
+    assert len(result) <= min(k, len(truth))
+    assert len({nb.id for nb in result}) == len(result)
+    assert all(distance_of[nb.id] == nb.distance for nb in result)
+    if epsilon is not None:
+        assert len(result) == min(k, len(truth))
+        kth = truth[len(result) - 1].distance
+        assert all(nb.distance <= (1.0 + epsilon) * kth * (1 + 1e-12) for nb in result)
 
 
 def _pairs(result):
@@ -428,16 +445,138 @@ def test_every_entry_point_agrees(kind, case):
             )
         if kind != "vptree":
             continue
-        reference, reference_stats = _reference_knn(tree, query, k)
-        assert _pairs(scalar) == reference and scalar_stats == reference_stats
+        assert _pairs(scalar) == _reference_knn(tree, query, k)
         approximate = tree.knn_search_approximate(
             query, k, epsilon=epsilon, max_distance_computations=budget
         )
-        reference, reference_stats = _reference_knn(tree, query, k, epsilon, budget)
-        assert _pairs(approximate) == reference
-        assert dataclasses.asdict(tree.last_stats) == dataclasses.asdict(
-            reference_stats
+        truth = oracle.knn_search(query, len(ids))
+        if budget is None:
+            _assert_approximate(approximate, truth, k, epsilon)
+        else:  # a budget may stop the search short of the epsilon guarantee
+            _assert_approximate(approximate, truth, k)
+            assert tree.last_stats.distance_computations <= budget
+
+
+#: The VP-tree's knobs that change which nodes a round holds.
+_PIVOTS = {
+    "max_spread": MaxSpreadPivot, "max_variance": MaxVariancePivot, "random": RandomPivot,
+}
+_METRICS = {
+    "L1": ManhattanDistance(), "L2": EuclideanDistance(),
+    "Linf": ChebyshevDistance(), "EMD": MatchDistance(),
+}
+#: Positive grid coordinates (ties everywhere, no empty histogram), or
+#: any value in (0, 1].
+_coordinate = st.one_of(
+    st.integers(1, 4).map(lambda v: v / 4.0),
+    st.floats(0.01, 1.0, allow_nan=False),
+)
+
+
+@st.composite
+def _vp_cases(draw):
+    n = draw(st.integers(2, 90))
+    dim = draw(st.integers(1, 4))
+    mutated = draw(st.booleans())
+    return dict(
+        vectors=draw(hnp.arrays(np.float64, (n, dim), elements=_coordinate)),
+        extra=draw(hnp.arrays(np.float64, (12, dim), elements=_coordinate)),
+        queries=draw(hnp.arrays(np.float64, (3, dim), elements=_coordinate)),
+        pivot=draw(st.sampled_from(sorted(_PIVOTS))),
+        leaf_size=draw(st.sampled_from([1, 2, 4, 16])),
+        metric=draw(st.sampled_from(sorted(_METRICS))),
+        # Mutated: rows pending, core and pending rows dead, no rebuild.
+        dead=draw(st.sets(st.integers(0, n + 11), max_size=n // 2)) if mutated else None,
+        k=draw(st.integers(1, n + 2)),
+        epsilon=draw(st.sampled_from([0.1, 0.5, 2.0])),
+        budget=draw(st.sampled_from([1, 5, 17, 60])),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_vp_cases())
+def test_vptree_rounds_keep_every_guarantee(case):
+    """Over pivot strategy x leaf size x metric x {static, mutated}: exact
+    k-NN and range answers are the linear scan's bit for bit (ties at the
+    k-th distance and hits exactly at the radius included), epsilon
+    answers are within (1 + epsilon) of the true k-th distance, and a
+    budget caps the tree's distances."""
+    vectors, metric, k = case["vectors"], _METRICS[case["metric"]], case["k"]
+    tree = VPTree(
+        metric, leaf_size=case["leaf_size"], pivot_strategy=_PIVOTS[case["pivot"]](), seed=4
+    ).build(list(range(len(vectors))), vectors)
+    rows = np.vstack([vectors, case["extra"]])
+    live = np.ones(len(rows), dtype=bool)
+    if case["dead"] is None:
+        live[len(vectors):] = False
+    else:
+        tree.rebuild_min = 10**9  # keep the pending and dead rows in place
+        tree.insert_batch(range(len(vectors), len(rows)), case["extra"])
+        live[sorted(case["dead"])] = False
+        tree.delete(sorted(case["dead"]))
+    oracle = LinearScanIndex(metric).build(np.flatnonzero(live), rows[live])
+
+    for query in case["queries"]:
+        truth = oracle.knn_search(query, oracle.size)
+        assert tree.knn_search(query, k) == oracle.knn_search(query, k)
+        radius = truth[min(k, len(truth)) - 1].distance  # a hit exactly at the radius
+        assert tree.range_search(query, radius) == oracle.range_search(query, radius)
+
+        epsilon = case["epsilon"]
+        _assert_approximate(
+            tree.knn_search_approximate(query, k, epsilon=epsilon), truth, k, epsilon
         )
+        budget = case["budget"]
+        answer = tree.knn_search_approximate(query, k, max_distance_computations=budget)
+        _assert_approximate(answer, truth, k)
+        assert tree.last_stats.distance_computations <= budget + tree.n_pending
+
+
+def test_a_bound_off_by_an_ulp_prunes_nothing():
+    """Every prune test compares a difference of rounded distances.  Here
+    the pivot 0.77436238 is 0.71436238000000001 from the query and
+    0.52436238 from the two rows at 0.25, so ``d - radius`` rounds to
+    0.5243623800000001 > 0.52436238 at a radius equal to those rows'
+    distance; the rows must still be found, and so must a k-th place
+    tie that the same rounding would hide."""
+    vectors = np.array([[0.25], [1.0], [1.0], [1.0], [0.77436238], [0.25], [1.0], [1.0]])
+    ids = list(range(len(vectors)))
+    metric = ManhattanDistance()
+    tree = VPTree(metric, leaf_size=1, seed=4).build(ids, vectors)
+    oracle = LinearScanIndex(metric).build(ids, vectors)
+    query = np.array([0.06])
+    radius = oracle.knn_search(query, 1)[0].distance
+    assert [nb.id for nb in tree.range_search(query, radius)] == [0, 5]
+    for k in range(1, len(ids) + 1):
+        assert tree.knn_search(query, k) == oracle.knn_search(query, k)
+
+    vectors = np.array(
+        [[0.5]] * 7 + [[0.75]] + [[0.25]] * 6 + [[1.0], [0.01730015]] + [[0.25]] * 3 + [[0.5]]
+    )
+    ids = list(range(len(vectors)))
+    tree = VPTree(metric, leaf_size=1, seed=4).build(ids, vectors)
+    oracle = LinearScanIndex(metric).build(ids, vectors)
+    assert tree.knn_search(np.array([0.5]), 10) == oracle.knn_search(np.array([0.5]), 10)
+
+
+def test_vptree_answers_in_tens_of_calls_not_hundreds():
+    """On the served data (n=20k, d=16, leaf 16, k=10) the depth-first
+    walk made ~310 kernel calls per k-NN and ~300 per range query; the
+    frontier rounds make at most 100 per k-NN and at most one per tree
+    level per range query, for no more distances on average."""
+    n, k = 20_000, 10
+    rows, _ = gaussian_clusters(n + 50, 16, n_clusters=16, cluster_std=0.05, seed=1)
+    counter = _CallCounter()
+    tree = VPTree(counter, leaf_size=16).build(np.arange(n), rows[:n])
+    queries = rows[n:]
+    radius = float(np.median([r[-1].distance for r in tree.knn_search_batch(queries, k)]))
+    for query in queries:
+        counter.calls = []
+        tree.knn_search(query, k)
+        assert len(counter.calls) <= 100
+        counter.calls = []
+        tree.range_search(query, radius)
+        assert len(counter.calls) <= tree.build_stats.depth + 1
 
 
 # ----------------------------------------------------------------------

@@ -274,21 +274,25 @@ class TestIntervalGap:
 
 class TestTreeMemory:
     def test_built_tree_owns_one_copy_of_the_rows(self, rng):
-        """The tree is the index core's row block plus per-node scalars.
+        """The tree is the index core's row block plus eight per-node
+        columns.
 
         The object-graph tree once kept a full copy of the data alive
         per level (``pivot_vector`` viewed its level's temporary) and
         the first flat tree a tree-ordered block *beside* the id-ordered
         core; now the core itself is in tree order and the tree owns no
-        array of its own, nor an id list.
+        row array of its own, nor an id list — only 1-D node columns of
+        8 bytes an entry.
         """
         n, dim = 4000, 16
         tree = VPTree(EuclideanDistance()).build(list(range(n)), rng.random((n, dim)))
+        columns = ("_start", "_stop", "_inside", "_outside",
+                   "_in_low", "_in_high", "_out_low", "_out_high")
         arrays = {
             name for name, value in vars(tree).items() if isinstance(value, np.ndarray)
         }
         # `_vectors` is the base class's read-only view of the index core.
-        assert arrays == {"_vectors"}
+        assert arrays == {"_vectors", *columns}
         assert np.shares_memory(tree._vectors, tree._core.view())
         assert tree._core.capacity == n  # the adopted block, not a grown copy
         n_entries = tree.build_stats.n_nodes + tree.build_stats.n_leaves
@@ -296,6 +300,6 @@ class TestTreeMemory:
         assert not any(
             isinstance(value, list) and len(value) == n for value in vars(tree).values()
         )
-        for name in ("_start", "_stop", "_inside", "_outside",
-                     "_in_low", "_in_high", "_out_low", "_out_high"):
-            assert len(getattr(tree, name)) == n_entries
+        for name in columns:
+            column = getattr(tree, name)
+            assert column.shape == (n_entries,) and column.itemsize == 8

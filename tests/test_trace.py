@@ -6,15 +6,16 @@ trace plumbing):
 * **traceparent handling** — a valid W3C header donates its trace id;
   anything malformed yields a fresh id (a bad header never fails a
   request);
-* **exact cost attribution** — the engine span's
-  ``distance_computations`` is precisely the request's reported
-  ``SearchStats``;
+* **exact cost attribution** — the engine span's counters are
+  precisely the request's reported ``SearchStats``, every field of it;
 * **span-sum sanity** — the span durations sum to within the trace's end-to-end latency (stages are recorded
   back-to-back on one worker);
 * **bounded sinks** — the flight recorder is a true ring (old traces
   fall off), the slow log captures by threshold and survives fast
   churn, and ``trace_depth=0`` disables everything.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -177,6 +178,22 @@ class TestSchedulerTracing:
             assert sum(
                 s.annotations["distance_computations"] for s in engine_spans
             ) == served.stats.distance_computations
+
+    def test_engine_span_carries_the_whole_search_stats(self, vector_db, rng):
+        # Nodes visited and pruned and leaves scanned, not only the
+        # distance count: each equals what the index reports for the
+        # same vector queried directly.
+        vector = rng.random(_DIM)
+        with QueryScheduler(vector_db, max_wait_ms=0.5) as scheduler:
+            served = scheduler.submit_query(vector, 5).result(5)
+            trace = scheduler.flight_recorder.find(served.trace_id)
+        (engine,) = [s for s in trace.spans if s.stage == "engine"]
+        index = vector_db.index_for("sig")
+        index.knn_search(vector, 5)
+        assert engine.annotations == dataclasses.asdict(index.last_stats)
+        assert all(type(value) is int for value in engine.annotations.values())  # JSON
+        assert engine.annotations["nodes_visited"] > 0
+        assert engine.annotations["leaves_visited"] > 0
 
     def test_span_durations_sum_within_latency(self, vector_db, rng):
         # Every stage runs back-to-back on one worker, so the spans

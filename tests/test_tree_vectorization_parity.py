@@ -11,7 +11,11 @@ evaluations, and changes nothing observable —
   implementation.  The goldens in ``tests/data/golden_tree_parity.json``
   were captured by running this module's profiler against the pre-change
   code (``python tests/test_tree_vectorization_parity.py --write``);
-  the current code must reproduce them exactly.
+  the current code must reproduce them exactly.  The VP-tree sections
+  were re-recorded once, when its traversals became frontier rounds:
+  structure, build stats, every exact answer and every range counter
+  stayed bit for bit; its k-NN counters and approximate answers moved
+  (k-NN distances did not rise on any query).
 * **kernel/fallback parity** — hiding a metric's vectorized kernel (so
   ``distance_batch`` degrades to the per-row loop) must not change one
   bit of any build or query, including the approximate modes.

@@ -7,10 +7,14 @@ recorded at the commit *before* the traversal loops were tightened and
 the indexes started calling ``Metric._kernel`` directly
 (``python tests/test_vptree_traversal_parity.py --write`` on that
 checkout).  The loops may be rewritten freely; what they evaluate, in
-which order, and what they report may not move by a bit.  The one
-re-recording: ``mutated-L2``'s counters, when dead rows stopped
+which order, and what they report may not move by a bit.  Two
+re-recordings: ``mutated-L2``'s counters, when dead rows stopped
 inflating k (a query asks the tree for k, not k plus the dead rows) —
-every answer stayed bit for bit, and no count rose.
+every answer stayed bit for bit, and no count rose; and the k-NN
+counters and approximate answers when the traversals became frontier
+rounds — every exact answer (k-NN and range, scalar and batch) and
+every range counter stayed bit for bit, k-NN counts fell in total, and
+the queries whose counts rose are listed in ``CHANGES.md``.
 
 The datasets are chosen for the places a rewritten loop goes wrong:
 duplicate-heavy integer rows (ties at every prune test and at the k-th
