@@ -8,8 +8,8 @@ Runs entirely on synthetic images (no downloads):
 3. run a query-by-example k-NN search,
 4. show that the VP-tree answered it with far fewer distance
    computations than a linear scan would need,
-5. answer a whole batch of queries in one engine pass and check it
-   agrees with the scalar path.
+5. answer a whole batch of queries with one call and check it agrees
+   with the scalar path.
 
 Run with::
 
@@ -73,8 +73,8 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------
-    # 5. Batched queries: several examples answered in one engine pass,
-    #    with results identical to querying one at a time.
+    # 5. Batched queries: several examples answered by one call, with
+    #    results identical to querying one at a time.
     # ------------------------------------------------------------------
     batch = [synth.compose_scene(48, 48, rng, n_shapes=3) for _ in range(4)]
     batched = db.query_batch(batch, k=3, feature="hsv_hist_18x3x3")
@@ -84,7 +84,7 @@ def main() -> None:
         for b, s in zip(batched, scalar)
     )
     print(
-        f"\nbatched 4 queries in one pass: top labels "
+        f"\nbatched 4 queries in one call: top labels "
         f"{[results[0].record.label for results in batched]}; "
         f"identical to scalar queries: {agree}"
     )

@@ -24,8 +24,7 @@ Ties every subsystem together into the system the paper describes:
   run a k-NN or range search; multi-feature queries combine evidence
   across features by weighted scores or rank fusion.  Batches of
   queries go through ``query_batch`` / ``range_query_batch``, which
-  ride the index's vectorized batch path (identical results, one
-  engine pass instead of per-query calls).
+  run the index's scalar body once per row (identical results).
 * **persist** — catalog to JSON, one paged
   :class:`~repro.db.store.FeatureStore` per feature.
 
@@ -498,16 +497,14 @@ class ImageDatabase:
         """k-NN query-by-example for a batch of queries on one feature.
 
         Equivalent to ``[self.query(q, k, feature=feature) for q in
-        queries]`` but answered through the index's batched engine:
-        signatures are stacked into one ``(m, d)`` matrix and the
-        vectorized metric kernel evaluates each query against the whole
-        table in a single pass.  Results (ids, distances, per-query cost
-        counters) are identical to the scalar path.
+        queries]``: signatures are stacked into one ``(m, d)`` matrix and
+        the index runs its scalar body once per row, so results (ids,
+        distances) are identical to the scalar path and the index's
+        ``last_stats`` holds the batch's summed counters.
 
         With ``precomputed=True``, ``queries`` must already be an
         ``(m, d)`` signature matrix; the per-row extraction/stacking pass
-        is skipped (the micro-batching scheduler stacks vectors it
-        validated at admission).
+        is skipped.
         """
         return self._search("knn", queries, k, feature, precomputed, batch=True)
 

@@ -48,8 +48,8 @@ triangle inequality, and every structure here is built on it:
 
 All indexes share the :class:`~repro.index.base.MetricIndex` interface —
 scalar ``range_search`` / ``knn_search`` plus their batched ``_batch``
-variants, which answer an ``(m, d)`` query matrix through the metrics'
-vectorized kernels with bit-identical results — and report per-query
+variants, which run the scalar body once per row of an ``(m, d)`` query
+matrix, so their results are bit-identical — and report per-query
 :class:`~repro.index.stats.SearchStats` whose distance counts the test
 suite verifies against wrapped-metric ground truth.  All of them also
 accept post-build mutations.  An index holds rows, not liveness: one

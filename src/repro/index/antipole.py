@@ -67,7 +67,6 @@ from repro.index.base import (
     reorder_rows,
 )
 from repro.index.pivot import DistanceBatchFn
-from repro.index.stats import SearchStats
 from repro.metrics.base import Metric
 
 __all__ = ["AntipoleTree"]
@@ -344,8 +343,7 @@ class AntipoleTree(MetricIndex):
         query = self._check_query(query)
         if not radius >= 0.0:  # NaN fails this too
             raise IndexingError(f"radius must be non-negative; got {radius}")
-        self._search_stats = SearchStats()
-        self._batch_stats = []
+        self._reset_stats()
         result = self._range_impl(query, float(radius), ids_only=True)
         # Mutation overlay: dead hits drop out; pending items have no
         # cached centroid distance, so they are evaluated (counted).

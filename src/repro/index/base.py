@@ -14,12 +14,9 @@ query, :attr:`MetricIndex.last_stats` holds the cost counters.
 
 Both also exist in batched form — ``range_search_batch(queries, radius)``
 and ``knn_search_batch(queries, k)`` take an ``(m, d)`` query matrix and
-return one result list per query.  The contract is strict equivalence:
-result ``i`` of a batch is identical (ids, distances, and per-query cost
-counters, bit for bit) to running query ``i`` alone; batching saves
-interpreter overhead via the metrics' vectorized kernels, never metric
-evaluations.  After a batch, :attr:`MetricIndex.last_batch_stats` holds
-the per-query counters and :attr:`MetricIndex.last_stats` their sum.
+return one result list per query.  A batch runs the scalar body once per
+row, so result ``i`` is query ``i``'s scalar answer, bit for bit, and
+after a batch :attr:`MetricIndex.last_stats` holds the counters' sum.
 
 Mutation protocol (see ``docs/mutability.md``)
 ----------------------------------------------
@@ -119,6 +116,16 @@ def neighbors_at(
     """A :class:`Neighbor` for each selected row only — the scans and
     the pending overlay select with array operations first."""
     return [Neighbor(i, d) for i, d in zip(ids[rows].tolist(), distances[rows].tolist())]
+
+
+#: Relative allowance for rounding in every prune test of the VP-tree,
+#: the GNAT and LAESA.  A bound is a difference of rounded distances, so
+#: an exact bound can come out a few ulps above the computed distance of
+#: an item it bounds — enough to prune a tie at the k-th distance or an
+#: item exactly at the radius.  A test prunes only by more than
+#: ``_ROUNDING_SLACK`` times the distances it combines: far above any
+#: kernel's rounding error, far below a gap that prunes anything.
+_ROUNDING_SLACK = 1e-9
 
 
 #: Largest temporary a build step allocates over a node's rows: the
@@ -282,8 +289,7 @@ class MetricIndex(ABC):
         self._vectors: np.ndarray | None = None
         self._core: VectorBackend | None = None
         self._build_stats = BuildStats()
-        self._search_stats = SearchStats()
-        self._batch_stats: list[SearchStats] = []
+        self._reset_stats()
         #: Rows the concrete structure does not hold: all of them before
         #: the first build, pending inserts of a static tree after it.
         self._pending = _PendingRows()
@@ -334,14 +340,6 @@ class MetricIndex(ABC):
     def last_stats(self) -> SearchStats:
         """Cost counters of the most recent query (sum over a batch)."""
         return self._search_stats
-
-    @property
-    def last_batch_stats(self) -> list[SearchStats]:
-        """Per-query cost counters of the most recent batched query.
-
-        Empty when the most recent query was a scalar call.
-        """
-        return list(self._batch_stats)
 
     # ------------------------------------------------------------------
     # Construction
@@ -606,16 +604,14 @@ class MetricIndex(ABC):
         query = self._check_query(query)
         if not radius >= 0.0:  # NaN fails this too
             raise IndexingError(f"radius must be non-negative; got {radius}")
-        self._search_stats = SearchStats()
-        self._batch_stats = []
+        self._reset_stats()
         return self._range_one(query, float(radius))
 
     def knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
         """The ``k`` nearest live items (or all of them when ``k >= size``)."""
         query = self._check_query(query)
         k = check_count("k", k, 1)
-        self._search_stats = SearchStats()
-        self._batch_stats = []
+        self._reset_stats()
         return self._knn_one(query, k)
 
     def range_search_batch(
@@ -700,19 +696,16 @@ class MetricIndex(ABC):
             result.extend(neighbors_at(ids, rows, distances))
         return result
 
+    def _reset_stats(self, n_queries: int = 1) -> None:
+        """Fresh counters for a call that answers ``n_queries`` queries;
+        every search adds to them, so after a batch they hold its sum."""
+        self._search_stats = SearchStats()
+
     def _run_batch(self, queries, run_one) -> list[list[Neighbor]]:
-        """Run one search per query row, each on fresh stats; publish
-        them as :attr:`last_batch_stats` and their sum as :attr:`last_stats`.
-        Scalar and batched entry points are one code path, so their
-        results and counters agree by construction."""
-        results, per_query, total = [], [], SearchStats()
-        for query in queries:
-            self._search_stats = SearchStats()
-            results.append(run_one(query))
-            per_query.append(self._search_stats)
-            total.merge(self._search_stats)
-        self._batch_stats, self._search_stats = per_query, total
-        return results
+        """One search per query row: scalar and batched entry points are
+        one code path, so their results and counters agree by construction."""
+        self._reset_stats(len(queries))
+        return [run_one(query) for query in queries]
 
     def _check_query_batch(self, queries: np.ndarray) -> np.ndarray:
         if self._core is None:

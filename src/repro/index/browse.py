@@ -74,7 +74,6 @@ def _browse_sorted(index: MetricIndex, query: np.ndarray) -> Iterator[Neighbor]:
 def _browse_vptree(tree: VPTree, query: np.ndarray) -> Iterator[Neighbor]:
     query = tree._check_query(query)
     tree._search_stats = stats = SearchStats()
-    tree._batch_stats = []
     rows, ids = tree._vectors, tree._ids
     live = tree.live_mask.bits
 

@@ -107,11 +107,6 @@ class FilterRefineIndex(MetricIndex):
             lambda inner_metric: KDTree(inner_metric)
         )
         self._inner: MetricIndex | None = None
-        self._filter_stats = SearchStats()
-        self._candidate_count = 0
-        self._batch_filter_stats: list[SearchStats] = []
-        self._batch_candidate_counts: list[int] = []
-        self._last_query_count = 1
 
     # ------------------------------------------------------------------
     # Introspection
@@ -135,43 +130,23 @@ class FilterRefineIndex(MetricIndex):
 
     @property
     def last_filter_stats(self) -> SearchStats:
-        """Reduced-space cost of the most recent query (both passes).
-
-        After a batched query: the sum over the batch, mirroring
-        ``last_stats``; per-query counters are in
-        :attr:`last_batch_filter_stats`.
-        """
+        """Reduced-space cost of the most recent query (both passes);
+        after a batch, the sum over it, like ``last_stats``."""
         return self._filter_stats
 
     @property
-    def last_batch_filter_stats(self) -> list[SearchStats]:
-        """Per-query reduced-space cost of the most recent batched query."""
-        return list(self._batch_filter_stats)
-
-    @property
     def last_candidate_count(self) -> int:
-        """Items that survived the filter in the most recent query.
-
-        After a batched query: the total over the batch (per-query
-        counts in :attr:`last_batch_candidate_counts`).
-        """
+        """Items that survived the filter in the most recent query (the
+        total after a batch)."""
         return self._candidate_count
 
     @property
-    def last_batch_candidate_counts(self) -> list[int]:
-        """Per-query filter survivors of the most recent batched query."""
-        return list(self._batch_candidate_counts)
-
-    @property
     def last_candidate_ratio(self) -> float:
-        """Survivors as a fraction of the database (filter selectivity).
-
-        Averaged per query after a batch, so the ratio stays in [0, 1]
-        and comparable between scalar and batched workloads.
-        """
+        """Survivors as a fraction of the database (filter selectivity),
+        averaged per query after a batch, so it stays in [0, 1]."""
         if not self.size:
             return 0.0
-        return self._candidate_count / (self.size * self._last_query_count)
+        return self._candidate_count / (self.size * max(self._query_count, 1))
 
     # ------------------------------------------------------------------
     # Construction
@@ -197,45 +172,10 @@ class FilterRefineIndex(MetricIndex):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
-        result = super().range_search(query, radius)
-        self._reset_batch_views()
-        return result
-
-    def knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
-        result = super().knn_search(query, k)
-        self._reset_batch_views()
-        return result
-
-    def _reset_batch_views(self) -> None:
-        # A scalar query supersedes any earlier batch: the per-query
-        # lists empty out (mirroring last_batch_stats in the base class)
-        # and the aggregate views describe this single query again.
-        self._batch_filter_stats = []
-        self._batch_candidate_counts = []
-        self._last_query_count = 1
-
-    def _run_batch(self, queries, run_one):
-        # Collect the two extra per-query currencies alongside the base
-        # class's SearchStats, then aggregate them the same way so the
-        # ``last_*`` views stay mutually consistent after a batch.
-        self._batch_filter_stats = []
-        self._batch_candidate_counts = []
-
-        def tracked(query):
-            result = run_one(query)
-            self._batch_filter_stats.append(self._filter_stats)
-            self._batch_candidate_counts.append(self._candidate_count)
-            return result
-
-        results = super()._run_batch(queries, tracked)
-        total = SearchStats()
-        for stats in self._batch_filter_stats:
-            total.merge(stats)
-        self._filter_stats = total
-        self._candidate_count = sum(self._batch_candidate_counts)
-        self._last_query_count = max(len(queries), 1)
-        return results
+    def _reset_stats(self, n_queries: int = 1) -> None:
+        super()._reset_stats(n_queries)
+        self._filter_stats, self._candidate_count = SearchStats(), 0
+        self._query_count = n_queries
 
     def _refine(self, query: np.ndarray, ids: Sequence[int]) -> np.ndarray:
         """True distances for the given candidate ids, one batched call.
@@ -252,8 +192,8 @@ class FilterRefineIndex(MetricIndex):
         reduced_query = self._reducer.transform(query)
         filter_radius = radius + _FILTER_SLACK * (1.0 + radius)
         candidates = self._inner.range_search(reduced_query, filter_radius)
-        self._filter_stats = self._inner.last_stats
-        self._candidate_count = len(candidates)
+        self._filter_stats.merge(self._inner.last_stats)
+        self._candidate_count += len(candidates)
 
         distances = self._refine(query, [candidate.id for candidate in candidates])
         return [
@@ -269,9 +209,8 @@ class FilterRefineIndex(MetricIndex):
         # Pass 1: reduced-space k-NN seeds an upper bound on the true
         # k-th distance.
         seeds = self._inner.knn_search(reduced_query, k)
-        self._filter_stats = self._inner.last_stats
+        self._filter_stats.merge(self._inner.last_stats)
         if not seeds:  # no live row in the structure
-            self._candidate_count = 0
             return []
         true_distance: dict[int, float] = {
             nb.id: float(d)
@@ -284,8 +223,8 @@ class FilterRefineIndex(MetricIndex):
         # reducer is contractive).
         filter_bound = bound + _FILTER_SLACK * (1.0 + bound)
         candidates = self._inner.range_search(reduced_query, filter_bound)
-        self._filter_stats = self._filter_stats + self._inner.last_stats
-        self._candidate_count = len(candidates)
+        self._filter_stats.merge(self._inner.last_stats)
+        self._candidate_count += len(candidates)
 
         fresh = [nb.id for nb in candidates if nb.id not in true_distance]
         true_distance.update(

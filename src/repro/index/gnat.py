@@ -52,6 +52,7 @@ import numpy as np
 
 from repro.errors import IndexingError
 from repro.index.base import (
+    _ROUNDING_SLACK,
     MetricIndex,
     Neighbor,
     check_count,
@@ -265,8 +266,10 @@ class GNAT(MetricIndex):
                 if d <= radius:
                     result.append(Neighbor(int(ids[row]), d))
                 # One computed distance kills every child whose interval
-                # from split point i misses the query annulus.
-                inner, outer = d - radius, d + radius
+                # from split point i misses the query annulus (widened
+                # for rounding, so an item at the radius survives).
+                slack = _ROUNDING_SLACK * (d + radius)
+                inner, outer = d - radius - slack, d + radius + slack
                 for j, (live, lo, hi) in enumerate(
                     zip(alive, low[i].tolist(), high[i].tolist())
                 ):
@@ -325,10 +328,12 @@ class GNAT(MetricIndex):
                     heap, k, ids[start:stop].tolist(), distances.tolist(), live
                 )
             # Child j lies no closer than any split point's interval
-            # allows: max over i of (low[i, j] - d_i, d_i - high[i, j], 0).
-            d = distances[:, None]
+            # allows: max over i of (low[i, j] - d_i, d_i - high[i, j], 0),
+            # each less its rounding allowance (a tie at tau survives).
+            d, high = distances[:, None], high_of[node]
+            gaps = np.maximum(low_of[node] - d, d - high)
             bounds = np.maximum(
-                np.maximum(low_of[node] - d, d - high_of[node]).max(axis=0), 0.0
+                (gaps - _ROUNDING_SLACK * (d + high)).max(axis=0), 0.0
             )
             for kid, kid_bound in zip(kids, bounds.tolist()):
                 if kid < 0:

@@ -32,12 +32,16 @@ identical to the scalar path throughout.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.db.backend import VectorBackend, sweep
-from repro.index.base import MetricIndex, Neighbor, check_count
+from repro.index.base import (
+    _ROUNDING_SLACK,
+    MetricIndex,
+    Neighbor,
+    check_count,
+    offer_candidates,
+)
 from repro.metrics.base import Metric
 
 __all__ = ["LAESAIndex"]
@@ -173,14 +177,18 @@ class LAESAIndex(MetricIndex):
             return self._core.rows([row])[0]
         return self._vectors[row]
 
-    def _lower_bounds(self, query: np.ndarray) -> tuple[np.ndarray, dict[int, float]]:
+    def _lower_bounds(
+        self, query: np.ndarray
+    ) -> tuple[np.ndarray, dict[int, float], float]:
         """``L(x) = max_p |d(q,p) - d(x,p)|`` for every object x.
 
         The batch prefilter: all m query-to-pivot distances in one
         batched evaluation, then bounds for every object with cheap
         arithmetic.  Also returns the exact query-to-pivot distances
         (keyed by row), which the searches re-use so pivots never cost a
-        second evaluation.
+        second evaluation, and the largest of them: a bound's rounding
+        error scales with it, so a bound test allows
+        ``_ROUNDING_SLACK * (t + far)`` over its threshold ``t``.
         """
         assert self._table_store is not None and self._pivot_vectors is not None
         pivot_distances = self._dist_batch(query, self._pivot_vectors)
@@ -197,12 +205,16 @@ class LAESAIndex(MetricIndex):
             for row, d in zip(self._pivot_rows, pivot_distances)
             if row >= 0  # a deleted pivot object has no table row
         }
-        return bounds, known
+        return bounds, known, float(pivot_distances.max())
 
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
         assert self._vectors is not None
-        bounds, known = self._lower_bounds(query)
-        candidates = np.flatnonzero(bounds <= radius)
+        bounds, known, far = self._lower_bounds(query)
+        candidates = np.flatnonzero(
+            bounds <= radius + _ROUNDING_SLACK * (radius + far)
+        )
+        self._search_stats.leaves_visited += 1
+        self._search_stats.nodes_pruned += len(bounds) - len(candidates)
         candidates = candidates[self.live_mask.bits[self._ids[candidates]]].tolist()
         # Pivots already have exact distances; refine the rest in one
         # batched evaluation (order is irrelevant for a range query).
@@ -221,25 +233,18 @@ class LAESAIndex(MetricIndex):
                 d = float(refined[row])
             if d <= radius:
                 result.append(Neighbor(item_id, d))
-        self._search_stats.leaves_visited = 1
-        self._search_stats.nodes_pruned = int(np.sum(bounds > radius))
         return result
 
     def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
         assert self._vectors is not None
-        bounds, known = self._lower_bounds(query)
+        bounds, known, far = self._lower_bounds(query)
         order = np.argsort(bounds, kind="stable")
         ids, live = self._ids, self.live_mask.bits
-
-        best: list[tuple[float, int]] = []
-
-        def tau() -> float:
-            return -best[0][0] if len(best) == k else np.inf
-
+        best: list[tuple[float, int]] = []  # see offer_candidates
+        tau = np.inf
         examined = 0
-        for row in order:
-            row = int(row)
-            if bounds[row] > tau():
+        for row in order.tolist():
+            if bounds[row] > tau + _ROUNDING_SLACK * (tau + far):
                 break  # everything later has an even larger lower bound
             item_id = int(ids[row])
             if not live[item_id]:
@@ -248,13 +253,7 @@ class LAESAIndex(MetricIndex):
             if d is None:
                 d = float(self._dist_batch(query, self._row(row)[None, :])[0])
             examined += 1
-            # (-d, -id): evict the larger id among equal-distance entries,
-            # matching the documented tie-break.
-            entry = (-d, -item_id)
-            if len(best) < k:
-                heapq.heappush(best, entry)
-            elif entry > best[0]:
-                heapq.heapreplace(best, entry)
-        self._search_stats.leaves_visited = 1
-        self._search_stats.nodes_pruned = len(order) - examined
+            tau = offer_candidates(best, k, (item_id,), (d,), live)
+        self._search_stats.leaves_visited += 1
+        self._search_stats.nodes_pruned += len(order) - examined
         return [Neighbor(-neg_id, -neg_d) for neg_d, neg_id in best]

@@ -60,7 +60,7 @@ class LinearScanIndex(MetricIndex):
         kernel = self._metric._kernel
         sweep(self._core, lambda block: kernel(query, block), distances)
         self._search_stats.distance_computations += distances.shape[0]
-        self._search_stats.leaves_visited = 1
+        self._search_stats.leaves_visited += 1
         return distances
 
     def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:

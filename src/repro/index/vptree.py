@@ -65,7 +65,7 @@ its call, and every row handed to the metric is a counted distance.
   round's rows are cut to the remaining budget in bound order, a leaf
   keeping its affordable prefix.
 
-Every prune test allows for rounding (:data:`_ROUNDING_SLACK`): the
+Every prune test allows for rounding (``base._ROUNDING_SLACK``): the
 bounds are differences of rounded distances, and without the allowance
 an item exactly at the radius, or tied at the k-th distance, could be
 pruned by an ulp.
@@ -87,6 +87,7 @@ import numpy as np
 from repro.errors import IndexingError
 from repro.index.base import (
     _BUILD_TEMP_BYTES,
+    _ROUNDING_SLACK,
     MetricIndex,
     Neighbor,
     check_count,
@@ -94,7 +95,6 @@ from repro.index.base import (
     reorder_rows,
 )
 from repro.index.pivot import MaxSpreadPivot, PivotStrategy
-from repro.index.stats import SearchStats
 from repro.metrics.base import Metric
 
 __all__ = ["VPTree"]
@@ -109,15 +109,6 @@ __all__ = ["VPTree"]
 #: (1 341.4 at n=20k); 0.5 gives the same counts in 83.8 calls.  The
 #: curve is in ``docs/indexes.md``.
 _BATCH_FRACTION = 0.8
-
-#: Relative allowance for rounding in every prune test.  The interval
-#: ends, the pivot distance and the items' distances are each rounded,
-#: so an exact bound such as ``low - d`` can come out a few ulps above
-#: the computed distance of an item it bounds — enough to prune a tie at
-#: the k-th distance or an item exactly at the radius.  A child is
-#: pruned only by more than ``_ROUNDING_SLACK * (d + high)``: far above
-#: any kernel's rounding error, far below a gap that prunes anything.
-_ROUNDING_SLACK = 1e-9
 
 
 class VPTree(MetricIndex):
@@ -346,8 +337,7 @@ class VPTree(MetricIndex):
         budget = max_distance_computations  # the pending scan stays unbudgeted
         if budget is not None:
             budget = check_count("max_distance_computations", budget, 1)
-        self._search_stats = SearchStats()
-        self._batch_stats = []
+        self._reset_stats()
         return self._knn_one(
             query, k, lambda query, k: self._knn_impl(query, k, epsilon, budget)
         )

@@ -1,26 +1,25 @@
-"""Concurrent query serving with micro-batch coalescing.
+"""Concurrent query serving with micro-batching.
 
 The paper's system is an *online* image database — many users querying
-at interactive rates — while the library's batched engine (PR 1/2) only
-shines when a single caller hands it a pre-assembled query matrix.
-This package is the bridge: a serving layer that turns concurrent
-independent requests into the large batches the kernels are fast at.
+at interactive rates.  This package is its serving layer: concurrent
+independent requests are collected into formed batches, and each query
+is answered by its own engine call.
 
 The database may mutate while it serves: ``submit_add`` /
 ``submit_remove`` (HTTP: ``POST /add`` / ``POST /remove``) ride the
 same admission queue as queries and apply on the worker thread as
-barriers between query segments, and cached results are stamped with
-the database's generation so a mutation invalidates the entries it
-staled — lazily, never a global flush (``docs/mutability.md``).
+barriers between the queries around them, and cached results are
+stamped with the database's generation so a mutation invalidates the
+entries it staled — lazily, never a global flush
+(``docs/mutability.md``).
 One :class:`~repro.db.database.ImageDatabase` answers every request.
 
 ================================  =======================================
 Component                          Role
 ================================  =======================================
 :class:`QueryScheduler`            bounded admission queue + batch-forming
-                                   worker; groups requests by (kind,
-                                   feature, parameter) and answers each
-                                   group with one batched engine call;
+                                   worker; answers each query with one
+                                   scalar engine call, in arrival order;
                                    results are bit-identical to direct
                                    ``ImageDatabase`` queries; mutations
                                    serialize with query batches; optional

@@ -89,12 +89,6 @@ class ServiceLedger:
             "Requests per formed micro-batch (queries only).",
             buckets=DEFAULT_SIZE_BUCKETS,
         )
-        self.group_size = registry.histogram(
-            "repro_group_size",
-            "Requests per (kind, feature, parameter) group of a formed "
-            "batch — one engine call each.",
-            buckets=DEFAULT_SIZE_BUCKETS,
-        )
         self._g_queue_depth = registry.gauge(
             "repro_queue_depth", "Requests waiting in the admission queue."
         )
@@ -189,7 +183,6 @@ class ServiceLedger:
         uptime = self.uptime_s
         completed = self._finished(QUERY_ROUTES)
         batches, batched = self.batch_size.totals()
-        groups, grouped = self.group_size.totals()
         window = self.window.figures()
         journal = live.journal or {}
         return ServiceStats(
@@ -200,7 +193,6 @@ class ServiceLedger:
             queue_depth=live.queue_depth,
             batches_formed=batches,
             mean_batch_size=batched / batches if batches else 0.0,
-            mean_group_size=grouped / groups if groups else 0.0,
             mutations=self._finished(MUTATION_ROUTES),
             cache_hits=live.cache.hits,
             cache_misses=live.cache.misses,

@@ -58,7 +58,7 @@ DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = tuple(
     1e-4 * (2.0**i) for i in range(16)
 )
 
-#: Log-spaced size bounds (requests per formed batch / group).
+#: Log-spaced size bounds (requests per formed batch).
 DEFAULT_SIZE_BUCKETS: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 

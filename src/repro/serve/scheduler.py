@@ -1,26 +1,23 @@
-"""Micro-batch coalescing scheduler: concurrent requests → large batches.
+"""Micro-batch scheduler: concurrent requests → formed batches.
 
-The batched engine (PR 1/2) is fast when someone hands it a big query
-matrix — but an online service receives *independent* single queries
-from many clients.  This module closes that gap with the standard
-serving trick (micro-batching): admit requests into a bounded queue,
-let a worker collect them for up to ``max_wait_ms`` (or until
-``max_batch`` arrive — whichever happens first), group the formed batch
-by ``(kind, feature, parameter)``, and execute each group through one
-``query_batch`` / ``range_query_batch`` call.  Callers get
+An online service receives *independent* single queries from many
+clients.  This module admits them into a bounded queue and lets one
+worker collect them for up to ``max_wait_ms`` (or until ``max_batch``
+arrive — whichever happens first) and walk the formed batch in arrival
+order, answering each query with its own scalar ``ImageDatabase.query``
+/ ``range_query`` call.  Callers get
 :class:`~concurrent.futures.Future` objects that resolve to
 :class:`ServedResult`.  The worker holds a batch open only after it has
 seen company (more than one request admitted since its previous
 dequeue, or a previous batch of more than one); a lone client's request
-runs at once with whatever is already queued.
+runs at once with whatever is already queued.  What a formed batch
+shares is its mutations' group fsync, not engine work.
 
-**Parity is the contract.**  The scheduler only *regroups* work: a
-group's vectors go through the same batched entry points whose results
-are bit-identical to per-query ``ImageDatabase.query`` /
-``range_query`` calls (ids, distance floats, tie-breaks, and per-query
-cost counters — see ``repro.index.base``).  Coalescing therefore never
-changes an answer, only when it is computed; the concurrency parity
-suite (``tests/test_serve.py``) replays every served request directly
+**Parity is the contract.**  Every query goes through the same
+``ImageDatabase.query`` / ``range_query`` call a direct caller makes
+(ids, distance floats, tie-breaks, and cost counters); batching changes
+only when an answer is computed.  The concurrency parity suite
+(``tests/test_serve.py``) replays every served request directly
 against the database and demands equality.
 
 Request lifecycle::
@@ -38,21 +35,18 @@ Request lifecycle::
       └─ enqueue (same queue, same                    │  for ≤ max_wait_ms
          bound) ─────────────────────────────────────►│  after company, else
                                                       │  what is queued
-                                                      ├─ replay arrival order:
-                                                      │  queries collect into
-                                                      │  segments, each
-                                                      │  mutation is one
+                                                      ├─ walk arrival order:
+                                                      │  each query one
+                                                      │  scalar engine call,
+                                                      │  stats from
+                                                      │  index.last_stats;
+                                                      │  each mutation one
                                                       │  barrier between them
-                                                      ├─ per segment: group by
-                                                      │  (kind, feature,
-                                                      │  parameter)
-                                                      ├─ one engine call per
-                                                      │  group; per-request
-                                                      │  stats attributed from
-                                                      │  index.last_batch_stats
                                                       └─ resolve futures; fill
                                                          cache stamped with the
-                                                         database's generation
+                                                         database's generation;
+                                                         one group fsync acks
+                                                         the batch's mutations
 
 **Mutations serialize with query batches.**  ``submit_add`` /
 ``submit_remove`` ride the same admission queue as queries and are
@@ -67,7 +61,8 @@ a later lookup under a newer generation lazily evicts the entry
 
 The worker is a single thread, so the underlying ``ImageDatabase`` and
 its indexes are only ever touched serially — no locks reach the engine,
-and ``last_batch_stats`` attribution is race-free by construction.
+and reading a query's counters from ``last_stats`` is race-free by
+construction.
 
 **Admission control.**  Beyond the bounded queue
 (:class:`~repro.errors.QueueFullError`, HTTP 503, when full), an
@@ -80,7 +75,7 @@ between backoff and failover.
 **Observability.**  Every event is counted once, in the
 :class:`~repro.serve.ledger.ServiceLedger`'s metric families:
 per-route latency histograms (fixed log-spaced buckets), admission
-counters by outcome, formed-batch- and group-size histograms.
+counters by outcome, a formed-batch-size histogram.
 :meth:`QueryScheduler.render_metrics` (the HTTP ``GET /metrics`` body)
 renders them with scrape-time gauges for queue depth, item count,
 cache, journal and buffer pool;
@@ -103,8 +98,8 @@ machinery off (no per-request allocation).  See
 lifecycle and the worker thread's two loops (``_run`` forms a batch,
 ``_execute`` replays it in arrival order).  The caller-thread half —
 validate, rate-limit, cache lookup, enqueue — is
-``repro.serve.admission``; what the worker does with a query segment
-or a mutation — the write barrier included — is
+``repro.serve.admission``; what the worker does with a query or a
+mutation — the write barrier included — is
 ``repro.serve.worker``; the tickets that travel between them are
 ``repro.serve.ticket``.
 """
@@ -142,7 +137,7 @@ _SHUTDOWN = None
 
 
 class QueryScheduler:
-    """Coalesces concurrent k-NN/range requests into engine batches.
+    """Collects concurrent k-NN/range requests into formed batches.
 
     Parameters
     ----------
@@ -563,10 +558,11 @@ class QueryScheduler:
         Requires a configured journal.  The save rides the queue like a
         mutation: the worker folds everything applied so far into a
         fresh snapshot, flips the manifest, and resets the journal
-        (``repro.db.recovery.compact``) — strictly ordered between query
-        segments, so the snapshot is a point-in-time image.  Resolves to
-        a :class:`MutationResult` with ``kind='save'``; without a
-        journal the future fails with :class:`~repro.errors.ServeError`.
+        (``repro.db.recovery.compact``) — strictly ordered between the
+        queries around it, so the snapshot is a point-in-time image.
+        Resolves to a :class:`MutationResult` with ``kind='save'``;
+        without a journal the future fails with
+        :class:`~repro.errors.ServeError`.
         Not rate-limited: compaction is an operator action, not traffic.
         """
         return self._admission.mutation(Mutation("save", None, trace=trace))
@@ -622,9 +618,9 @@ class QueryScheduler:
             self._execute(batch, waited)
 
     def _execute(self, batch: list[Ticket], waited: bool) -> None:
-        """Replay one formed batch in arrival order.
+        """Walk one formed batch in arrival order.
 
-        Queries collect into segments; each mutation is a barrier
+        Each query is one scalar engine call; each mutation is a barrier
         between them — queries admitted before it are answered against
         the pre-mutation database, queries after it against the
         post-mutation one.  Every mutation is its own database call,
@@ -632,23 +628,17 @@ class QueryScheduler:
         after one *group fsync* at the end of the batch (a save flushes
         them early: its snapshot already makes them durable).  One
         formed batch is one ``repro_batch_size`` sample (queries only),
-        so the batching figures keep their meaning under mixed traffic.
+        which every query's ``ServedResult.batch_size`` reports.
         ``waited`` (the batch was held open for company) annotates every
         ticket's ``batch-form`` span.
         """
         worker = self._worker
-        segment: list[Request] = []
-        n_queries = 0
+        n_queries = sum(isinstance(item, Request) for item in batch)
         for item in batch:
             if isinstance(item, Request):
-                segment.append(item)
-                n_queries += 1
-                continue
-            assert isinstance(item, Mutation)
-            worker.run_queries(segment, waited=waited)
-            segment = []
-            worker.apply(item, waited=waited)
-        worker.run_queries(segment, waited=waited)
+                worker.answer(item, n_queries, waited=waited)
+            else:
+                worker.apply(item, waited=waited)
         worker.ack()
         if n_queries:
             self._ledger.batch_size.observe(n_queries)

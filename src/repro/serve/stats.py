@@ -56,12 +56,6 @@ class ServiceStats:
     mean_batch_size:
         Mean size of formed batches (requests per worker wake-up) — the
         coalescing figure of merit.
-    mean_group_size:
-        Mean request count of the per-(kind, feature, parameter)
-        groups a formed batch splits into.  Each group is one
-        ``query_batch`` / ``range_query_batch`` call carrying one row
-        per request (``ServedResult.batch_size`` reports the same
-        figure per request).
     mutations:
         Add/remove requests the worker has applied (failed mutations —
         e.g. removing an unknown id — are not counted; their futures
@@ -129,7 +123,6 @@ class ServiceStats:
     queue_depth: int
     batches_formed: int
     mean_batch_size: float
-    mean_group_size: float
     mutations: int
     cache_hits: int
     cache_misses: int

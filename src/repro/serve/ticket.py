@@ -46,13 +46,12 @@ class ServedResult:
         The ranked answers — identical to the matching direct
         ``ImageDatabase.query`` / ``range_query`` call.
     stats:
-        This request's exact engine cost counters, attributed from the
-        executing group's ``last_batch_stats`` (``None`` on a cache hit:
-        no engine work happened).
+        This request's exact engine cost counters, the index's
+        ``last_stats`` after its own engine call (``None`` on a cache
+        hit: no engine work happened).
     batch_size:
-        Live requests in the engine group that answered the request —
-        how much company the query had in its kernel call (1 on a cache
-        hit).
+        Queries in the formed batch that answered the request — the
+        ``repro_batch_size`` sample it was part of (1 on a cache hit).
     cache_hit:
         True when the result came from the LRU cache.
     latency_s:
@@ -207,7 +206,7 @@ class Mutation(Ticket):
     """One admitted add/remove/save riding the same queue as the queries.
 
     Its position in the queue *is* its serialization point: the worker
-    applies it between the query segments that arrived around it.
+    applies it between the queries that arrived around it.
     """
 
     __slots__ = ("payload", "labels", "names")

@@ -1,16 +1,14 @@
 """The worker's half: what the single batch thread does with its tickets.
 
 :class:`BatchWorker` is only ever touched by the scheduler's one worker
-thread, so nothing here takes a lock and ``last_batch_stats``
-attribution is race-free by construction.  The scheduler's
-``_execute`` replays a formed batch in arrival order and calls in here
+thread, so nothing here takes a lock and reading a query's counters from
+``index.last_stats`` is race-free by construction.  The scheduler's
+``_execute`` walks a formed batch in arrival order and calls in here
 for the three things a batch is made of:
 
-* **query segments** (:meth:`BatchWorker.run_queries`): group by
-  ``(kind, feature, parameter)``, one batched database call per group
-  over every live request's vector, per-request stats attributed from
-  the index's ``last_batch_stats``, cache filled stamped with the
-  generation the call ran under;
+* **a query** (:meth:`BatchWorker.answer`): one scalar database call,
+  its counters from the index's ``last_stats``, the cache filled
+  stamped with the generation the call ran under;
 * **the write barrier** (:meth:`apply` → :meth:`ack`): each mutation
   on its own — validate, journal one record, apply one database call
   (an abort mark follows when the apply fails), one generation bump,
@@ -25,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,13 +33,13 @@ from repro.db.recovery import compact
 from repro.errors import ServeError
 from repro.serve.cache import MutationDeltaLog, ResultCache
 from repro.serve.ledger import ServiceLedger
-from repro.serve.ticket import Mutation, Request, Ticket
+from repro.serve.ticket import Mutation, Request
 
 __all__ = ["BatchWorker"]
 
 
 class BatchWorker:
-    """Executes query segments and mutations for one scheduler."""
+    """Executes the queries and mutations of one scheduler's batches."""
 
     def __init__(
         self,
@@ -64,73 +62,53 @@ class BatchWorker:
         self._append_span: tuple[float, float] | None = None
 
     # ------------------------------------------------------------------
-    # Query segments
+    # Queries
     # ------------------------------------------------------------------
-    def run_queries(
-        self, segment: list[Request], *, waited: bool = False
+    def answer(
+        self, request: Request, batch_size: int, *, waited: bool = False
     ) -> None:
-        """Answer one mutation-free query segment, one call per group.
+        """Answer one query with one scalar database call.
 
-        ``waited`` says whether the batch was held open for company; it
-        annotates each request's ``batch-form`` span.
+        ``batch_size`` (the formed batch's query count) is what its
+        :class:`~repro.serve.ticket.ServedResult` reports; ``waited``
+        (the batch was held open for company) annotates its
+        ``batch-form`` span.
         """
-        groups: dict[tuple[str, str, int | float], list[Request]] = {}
-        for request in segment:
-            groups.setdefault(
-                (request.kind, request.feature, request.parameter), []
-            ).append(request)
-        for (kind, feature, parameter), members in groups.items():
-            self._ledger.group_size.observe(len(members))
-            live = [
-                request
-                for request in members
-                if request.future.set_running_or_notify_cancel()
-            ]
-            if not live:
-                continue
-            vectors = np.stack([request.vector for request in live])
-            group_start = time.monotonic()
-            for request in live:
-                request.dispatch(group_start, group_size=len(live), waited=waited)
-            engine_start = time.monotonic()
-            try:
-                if kind == "knn":
-                    result_lists = self._db.query_batch(
-                        vectors, int(parameter), feature=feature, precomputed=True
-                    )
-                else:
-                    result_lists = self._db.range_query_batch(
-                        vectors, float(parameter), feature=feature, precomputed=True
-                    )
-            except Exception as error:  # pragma: no cover - defensive
-                self._fail(live, error)
-                continue
-            engine_s = time.monotonic() - engine_start
-            # Per-row cost of *this* call: the worker is the only thread
-            # that queries the database, so nothing overwrote it.
-            per_query_stats = self._db.index_for(feature).last_batch_stats
-            # Stamp cached entries with the generation the call ran
-            # under — the worker serializes mutations, so this read
-            # cannot race a concurrent add/remove.
-            generation = self._db.generation
-            for request, results, stats in zip(live, result_lists, per_query_stats):
-                if request.trace is not None:
-                    request.trace.add_span("engine", engine_start, engine_s, **asdict(stats))
-                respond_start = time.monotonic()
-                if request.key is not None:
-                    self._cache.put(request.key, results, generation)
-                request.complete(
-                    self._ledger,
-                    list(results),
-                    stats,
-                    len(live),
-                    False,
-                    respond_start=respond_start,
-                )
-
-    def _fail(self, tickets: Iterable[Ticket], error: BaseException) -> None:
-        for ticket in tickets:
-            ticket.fail(self._ledger, error)
+        if not request.future.set_running_or_notify_cancel():
+            return
+        request.dispatch(time.monotonic(), waited=waited)
+        engine_start = time.monotonic()
+        search = self._db.query if request.kind == "knn" else self._db.range_query
+        try:
+            results = search(
+                request.vector,
+                request.parameter,
+                feature=request.feature,
+                precomputed=True,
+            )
+        except Exception as error:  # pragma: no cover - defensive
+            request.fail(self._ledger, error)
+            return
+        respond_start = time.monotonic()
+        # This call's cost: the worker is the only thread that queries
+        # the database, so nothing overwrote it.
+        stats = self._db.index_for(request.feature).last_stats
+        if request.trace is not None:
+            request.trace.add_span(
+                "engine", engine_start, respond_start - engine_start, **asdict(stats)
+            )
+        if request.key is not None:
+            # Stamped with the generation the call ran under — the
+            # worker serializes mutations, so this read cannot race one.
+            self._cache.put(request.key, results, self._db.generation)
+        request.complete(
+            self._ledger,
+            list(results),
+            stats,
+            batch_size,
+            False,
+            respond_start=respond_start,
+        )
 
     # ------------------------------------------------------------------
     # The write barrier: apply → group fsync → ack
@@ -145,7 +123,7 @@ class BatchWorker:
         future — nothing was journaled or applied for it (the record is
         written only after validation, and an abort mark follows it if
         the apply itself fails).  ``waited`` annotates the mutation's
-        ``batch-form`` span as in :meth:`run_queries`.
+        ``batch-form`` span as in :meth:`answer`.
         """
         if not mutation.future.set_running_or_notify_cancel():
             return
@@ -267,7 +245,8 @@ class BatchWorker:
             try:
                 self._journal.sync()
             except Exception as error:
-                self._fail((mutation for mutation, _ids in pending), error)
+                for mutation, _ids in pending:
+                    mutation.fail(self._ledger, error)
                 return
             fsync = (fsync_start, time.monotonic() - fsync_start)
         generation = self._db.generation

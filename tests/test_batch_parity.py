@@ -9,8 +9,9 @@ The contracts pinned here (see ``repro.metrics.base`` and
 * a batch over n rows counts as exactly n evaluations on
   :class:`CountingMetric`;
 * ``knn_search_batch`` / ``range_search_batch`` return, per query,
-  exactly the ids, distances, and :class:`SearchStats` counters of the
-  scalar calls, on **every** index class.
+  exactly the ids and distances of the scalar calls, and leave the sum
+  of their :class:`SearchStats` counters in ``last_stats``, on
+  **every** index class.
 """
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.index.kdtree import KDTree
 from repro.index.laesa import LAESAIndex
 from repro.index.linear import LinearScanIndex
 from repro.index.mtree import MTree
+from repro.index.stats import SearchStats
 from repro.index.vptree import VPTree
 from repro.metrics.base import CountingMetric, validate_batch_operands
 from repro.metrics.divergence import (
@@ -226,11 +228,7 @@ class TestIndexBatchParity:
             scalar_stats.append(index.last_stats)
         batch_results = index.knn_search_batch(queries, 5)
         assert batch_results == scalar_results  # ids AND distances, bitwise
-        assert index.last_batch_stats == scalar_stats
-        merged = index.last_stats
-        assert merged.distance_computations == sum(
-            stats.distance_computations for stats in scalar_stats
-        )
+        assert index.last_stats == sum(scalar_stats, SearchStats())
 
     @pytest.mark.parametrize("name,metric", _INDEX_CASES, ids=_INDEX_CASE_IDS)
     def test_range_batch_identical_to_scalar(self, name, metric, rng):
@@ -242,7 +240,7 @@ class TestIndexBatchParity:
             scalar_stats.append(index.last_stats)
         batch_results = index.range_search_batch(queries, radius)
         assert batch_results == scalar_results
-        assert index.last_batch_stats == scalar_stats
+        assert index.last_stats == sum(scalar_stats, SearchStats())
 
     @pytest.mark.parametrize("name", list(INDEX_FACTORIES), ids=list(INDEX_FACTORIES))
     def test_external_counter_agrees_across_paths(self, name, rng):
@@ -297,18 +295,18 @@ class TestIndexBatchParity:
             list(range(10)), rng.random((10, _DIM))
         )
         assert index.knn_search_batch(np.empty((0, _DIM)), 3) == []
-        assert index.last_batch_stats == []
-        assert index.last_stats.distance_computations == 0
+        assert index.last_stats == SearchStats()
 
     def test_scalar_query_clears_batch_stats(self, rng):
+        # After a batch, last_stats is the batch's sum; the next scalar
+        # query starts afresh and reports only its own counters.
         index = LinearScanIndex(EuclideanDistance()).build(
             list(range(10)), rng.random((10, _DIM))
         )
         index.knn_search_batch(rng.random((4, _DIM)), 2)
-        assert len(index.last_batch_stats) == 4
+        assert index.last_stats == SearchStats(40, leaves_visited=4)
         index.knn_search(rng.random(_DIM), 2)
-        assert index.last_batch_stats == []
-        assert index.last_stats.distance_computations == 10
+        assert index.last_stats == SearchStats(10, leaves_visited=1)
 
     def test_filter_refine_batch_aggregates_filter_views(self, rng):
         index = FilterRefineIndex(EuclideanDistance(), KLTransform(3)).build(
@@ -322,24 +320,25 @@ class TestIndexBatchParity:
             per_query_filter.append(index.last_filter_stats)
             assert 0.0 <= index.last_candidate_ratio <= 1.0
         index.knn_search_batch(queries, 3)
-        assert index.last_batch_candidate_counts == per_query_counts
-        assert index.last_batch_filter_stats == per_query_filter
         assert index.last_candidate_count == sum(per_query_counts)
-        assert index.last_filter_stats.distance_computations == sum(
-            stats.distance_computations for stats in per_query_filter
+        assert index.last_filter_stats == sum(per_query_filter, SearchStats())
+        assert index.last_candidate_ratio == pytest.approx(
+            sum(per_query_counts) / (5 * index.size)
         )
-        assert 0.0 <= index.last_candidate_ratio <= 1.0
         # A scalar query supersedes the batch views.
         index.knn_search(queries[0], 3)
-        assert index.last_batch_candidate_counts == []
         assert index.last_candidate_count == per_query_counts[0]
+        assert index.last_filter_stats == per_query_filter[0]
 
     def test_linear_scan_cost_still_exactly_n(self, rng):
         index = LinearScanIndex(EuclideanDistance()).build(
             list(range(25)), rng.random((25, _DIM))
         )
-        index.knn_search_batch(rng.random((3, _DIM)), 2)
-        assert [s.distance_computations for s in index.last_batch_stats] == [25, 25, 25]
+        queries = rng.random((3, _DIM))
+        for query in queries:
+            index.knn_search(query, 2)
+            assert index.last_stats.distance_computations == 25
+        index.knn_search_batch(queries, 2)
         assert index.last_stats.distance_computations == 75
 
 
@@ -417,7 +416,7 @@ class TestBatchParityProperties:
             scalar_results.append(index.range_search(query, radius))
             scalar_stats.append(index.last_stats)
         assert index.range_search_batch(queries, radius) == scalar_results
-        assert index.last_batch_stats == scalar_stats
+        assert index.last_stats == sum(scalar_stats, SearchStats())
 
     @given(data=_dataset_queries(max_n=30), k=st.integers(1, 5))
     @settings(max_examples=25, deadline=None)

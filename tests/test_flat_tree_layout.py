@@ -44,6 +44,7 @@ from repro.index.gnat import GNAT
 from repro.index.kdtree import KDTree
 from repro.index.linear import LinearScanIndex
 from repro.index.pivot import MaxSpreadPivot, MaxVariancePivot, RandomPivot
+from repro.index.stats import SearchStats
 from repro.index.vptree import VPTree, _interval_gap
 from repro.metrics.emd import MatchDistance
 from repro.metrics.minkowski import ChebyshevDistance, EuclideanDistance, ManhattanDistance
@@ -176,7 +177,7 @@ def _check_layout(tree, ids, vectors):
     # Every list is a per-node array, one entry per node.
     n_nodes = len(tree._start)
     for name, value in state.items():
-        if isinstance(value, list) and name != "_batch_stats":
+        if isinstance(value, list):
             assert len(value) == n_nodes, name
     assert (tree._start[0], tree._stop[0]) == (0, n)
     held = 0
@@ -240,7 +241,7 @@ def test_big_nodes_are_built_piecewise_to_the_same_tree(rng, kind, monkeypatch):
         other = getattr(pieces, name)
         if isinstance(value, np.ndarray):
             assert np.array_equal(value, other), name
-        elif isinstance(value, list) and name != "_batch_stats":
+        elif isinstance(value, list):
             assert len(value) == len(other), name
             for mine, theirs in zip(value, other):
                 assert np.array_equal(mine, theirs), name  # scalars, lists or tables
@@ -301,23 +302,22 @@ def test_one_kernel_call_per_visit(rng, kind):
     queries = rng.random((5, 4))
 
     searches = [
-        ("knn", lambda: tree.knn_search(queries[0], 7)),
-        ("range", lambda: tree.range_search(queries[1], 0.25)),
-        ("knn", lambda: tree.knn_search_batch(queries, 7)),
-        ("range", lambda: tree.range_search_batch(queries, 0.25)),
+        ("knn", 1, lambda: tree.knn_search(queries[0], 7)),
+        ("range", 1, lambda: tree.range_search(queries[1], 0.25)),
+        ("knn", 5, lambda: tree.knn_search_batch(queries, 7)),
+        ("range", 5, lambda: tree.range_search_batch(queries, 0.25)),
     ]
     if kind == "vptree":
         searches += [
-            ("knn", lambda: tree.knn_search_approximate(queries[2], 7, epsilon=0.5)),
-            ("knn", lambda: tree.knn_search_approximate(
+            ("knn", 1, lambda: tree.knn_search_approximate(queries[2], 7, epsilon=0.5)),
+            ("knn", 1, lambda: tree.knn_search_approximate(
                 queries[3], 7, max_distance_computations=45)),
         ]
     if kind == "antipole":
-        searches.append(("range", lambda: tree.range_search_ids(queries[4], 0.25)))
-    for mode, search in searches:
+        searches.append(("range", 1, lambda: tree.range_search_ids(queries[4], 0.25)))
+    for mode, n_queries, search in searches:
         counter.calls = []
         search()
-        n_queries = len(tree.last_batch_stats) or 1
         fewest, most = _expected_calls(
             kind, mode, tree.last_stats, counter.calls, tree, n_queries
         )
@@ -418,22 +418,25 @@ def test_every_entry_point_agrees(kind, case):
     oracle = LinearScanIndex(EuclideanDistance()).build(ids, vectors)
 
     knn_rows = tree.knn_search_batch(queries, k)
-    knn_row_stats = tree.last_batch_stats
+    knn_total = tree.last_stats
     range_rows = tree.range_search_batch(queries, radius)
-    range_row_stats = tree.last_batch_stats
+    range_total = tree.last_stats
+    knn_sum, range_sum = SearchStats(), SearchStats()
     for i, query in enumerate(queries):
         scalar = tree.knn_search(query, k)
         scalar_stats = tree.last_stats
+        knn_sum.merge(scalar_stats)
         one_row = tree.knn_search_batch(query[None, :], k)
         assert scalar == one_row[0] == knn_rows[i] == oracle.knn_search(query, k)
-        assert scalar_stats == tree.last_batch_stats[0] == knn_row_stats[i]
+        assert scalar_stats == tree.last_stats
 
         hits = tree.range_search(query, radius)
         hits_stats = tree.last_stats
+        range_sum.merge(hits_stats)
         one_row = tree.range_search_batch(query[None, :], radius)
         assert hits == one_row[0] == range_rows[i]
         assert hits == oracle.range_search(query, radius)
-        assert hits_stats == tree.last_batch_stats[0] == range_row_stats[i]
+        assert hits_stats == tree.last_stats
 
         if kind == "antipole":
             assert sorted(tree.range_search_ids(query, radius)) == sorted(
@@ -455,6 +458,7 @@ def test_every_entry_point_agrees(kind, case):
         else:  # a budget may stop the search short of the epsilon guarantee
             _assert_approximate(approximate, truth, k)
             assert tree.last_stats.distance_computations <= budget
+    assert (knn_total, range_total) == (knn_sum, range_sum)
 
 
 #: The VP-tree's knobs that change which nodes a round holds.

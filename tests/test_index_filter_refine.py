@@ -6,6 +6,7 @@ import pytest
 from repro.errors import IndexingError
 from repro.index.filter_refine import FilterRefineIndex
 from repro.index.linear import LinearScanIndex
+from repro.index.stats import SearchStats
 from repro.index.vptree import VPTree
 from repro.metrics.base import CountingMetric
 from repro.metrics.minkowski import EuclideanDistance
@@ -179,10 +180,10 @@ class TestBatchedFilterStage:
         queries = rng.random((6, vectors.shape[1]))
         index.range_search_batch(queries, 0.5)
         # A batch is the scalar path once per query: the inner index saw
-        # scalar calls only, and the outer views hold one entry per query.
-        assert index.inner.last_batch_stats == []
-        assert len(index.last_batch_filter_stats) == 6
-        assert len(index.last_batch_candidate_counts) == 6
+        # one scalar filter call per query, the last one left in place.
+        last_inner = index.inner.last_stats
+        index.range_search(queries[-1], 0.5)
+        assert last_inner == index.last_filter_stats
 
     def test_range_batch_matches_scalar_views(self, rng):
         _, index, vectors = _build_pair(rng)
@@ -194,12 +195,12 @@ class TestBatchedFilterStage:
             scalar_counts.append(index.last_candidate_count)
         batch_results = index.range_search_batch(queries, 0.55)
         assert batch_results == scalar_results
-        assert index.last_batch_filter_stats == scalar_filter
-        assert index.last_batch_candidate_counts == scalar_counts
+        assert index.last_filter_stats == sum(scalar_filter, SearchStats())
         assert index.last_candidate_count == sum(scalar_counts)
 
     def test_range_batch_empty_queries(self, rng):
         _, index, vectors = _build_pair(rng)
         assert index.range_search_batch(np.empty((0, vectors.shape[1])), 0.5) == []
-        assert index.last_batch_stats == []
+        assert index.last_stats == index.last_filter_stats == SearchStats()
         assert index.last_candidate_count == 0
+        assert index.last_candidate_ratio == 0.0

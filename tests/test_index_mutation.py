@@ -36,6 +36,7 @@ from repro.index import (
     VPTree,
 )
 from repro.index.base import Neighbor
+from repro.index.stats import SearchStats
 from repro.metrics.base import CountingMetric
 from repro.metrics.minkowski import EuclideanDistance, ManhattanDistance
 from repro.reduce import KLTransform
@@ -146,11 +147,13 @@ class TestMutationParity:
         index.insert_batch([900, 901, 902, 903, 904], extra)
 
         queries = rng.random((3, DIM))
-        index.knn_search_batch(queries, 5)
-        per_query = index.last_batch_stats
-        for query, batched in zip(queries, per_query):
-            index.knn_search(query, 5)
-            assert index.last_stats == batched
+        batched = index.knn_search_batch(queries, 5)
+        total = index.last_stats
+        scalar = SearchStats()
+        for query, answer in zip(queries, batched):
+            assert index.knn_search(query, 5) == answer
+            scalar.merge(index.last_stats)
+        assert total == scalar
 
     def test_counting_metric_agrees_with_stats(self, name, rng):
         if name == "kdtree":
@@ -486,8 +489,8 @@ def test_selecting_overlay_equals_every_pending_row(case):
             seen.append((index.knn_search(query, k), index.last_stats))
             seen.append((index.knn_search_approximate(query, k), index.last_stats))
             seen.append((index.range_search(query, radius), index.last_stats))
-        seen.append((index.knn_search_batch(queries, k), index.last_batch_stats))
-        seen.append((index.range_search_batch(queries, radius), index.last_batch_stats))
+        seen.append((index.knn_search_batch(queries, k), index.last_stats))
+        seen.append((index.range_search_batch(queries, radius), index.last_stats))
         answers.append(seen)
     assert answers[0] == answers[1]
 

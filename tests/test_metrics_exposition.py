@@ -128,7 +128,6 @@ class TestOneLedger:
             "queue_depth": flat["repro_queue_depth{}"],
             "batches_formed": flat.get("repro_batch_size_count{}", 0.0),
             "mean_batch_size": mean("repro_batch_size"),
-            "mean_group_size": mean("repro_group_size"),
         }
         for field, outcome in [
             ("cache_hits", "hit"),

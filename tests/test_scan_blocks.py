@@ -116,8 +116,8 @@ def _answers(index, queries, k, radius):
     for query in queries:
         out.append((index.knn_search(query, k), index.last_stats))
         out.append((index.range_search(query, radius), index.last_stats))
-    out.append((index.knn_search_batch(queries, k), index.last_batch_stats))
-    out.append((index.range_search_batch(queries, radius), index.last_batch_stats))
+    out.append((index.knn_search_batch(queries, k), index.last_stats))
+    out.append((index.range_search_batch(queries, radius), index.last_stats))
     return out
 
 

@@ -294,8 +294,8 @@ class TestSchedulerParityUnderLoad:
 
     def test_per_request_stats_attribution_within_a_group(self, vector_db, rng):
         # Stage four requests before the worker starts: they form one
-        # batch and one engine group, yet each future carries exactly the
-        # counters its query costs when run alone.
+        # batch, and each future carries exactly the counters its query
+        # costs when run alone.
         scheduler = QueryScheduler(
             vector_db, max_batch=4, cache_size=0, autostart=False
         )
@@ -314,12 +314,14 @@ class TestSchedulerParityUnderLoad:
 
 
 class TestSchedulerGroups:
+    """Requests that share one formed batch."""
+
     def test_duplicates_in_one_group_each_get_the_direct_answer(
         self, vector_db, rng
     ):
         # Stage a formed batch by hand (worker parked, cache off so every
-        # duplicate actually reaches the engine group): 6 requests over 2
-        # distinct vectors execute as one engine call of 6 rows.
+        # duplicate actually reaches the engine): 6 requests over 2
+        # distinct vectors, each answered by its own engine call.
         scheduler = QueryScheduler(
             vector_db, max_batch=8, cache_size=0, autostart=False
         )
@@ -341,8 +343,8 @@ class TestSchedulerGroups:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_vector_fails_alone_at_submission(self, vector_db, rng, bad):
-        # Staged into the same group as a good request, a non-finite
-        # vector must fail its own caller, not the whole engine group.
+        # Staged beside a good request, a non-finite vector must fail
+        # its own caller, not the batch.
         scheduler = QueryScheduler(
             vector_db, max_batch=8, cache_size=0, autostart=False
         )
@@ -360,9 +362,11 @@ class TestSchedulerGroups:
         assert served.batch_size == 1
         assert _results_equal(served.results, vector_db.query(good, 3))
 
-    def test_groups_never_merge_across_parameters(self, vector_db, rng):
+    def test_mixed_parameters_in_one_batch_each_get_their_own_answer(
+        self, vector_db, rng
+    ):
         # The same vector under different k (or kind) is a different
-        # request: groups never merge across parameters.
+        # request: one formed batch answers each under its own parameter.
         scheduler = QueryScheduler(
             vector_db, max_batch=8, cache_size=0, autostart=False
         )
@@ -373,9 +377,12 @@ class TestSchedulerGroups:
         scheduler.start()
         outcomes = [f.result(timeout=10) for f in (k5, k6, ranged)]
         scheduler.close()
-        assert [outcome.batch_size for outcome in outcomes] == [1, 1, 1]
-        assert len(outcomes[0].results) == 5
-        assert len(outcomes[1].results) == 6
+        assert [outcome.batch_size for outcome in outcomes] == [3, 3, 3]
+        assert _results_equal(outcomes[0].results, vector_db.query(vector, 5))
+        assert _results_equal(outcomes[1].results, vector_db.query(vector, 6))
+        assert _results_equal(
+            outcomes[2].results, vector_db.range_query(vector, 0.8)
+        )
 
     def test_concurrent_duplicate_storm_matches_direct_calls(self, vector_db, rng):
         # Many threads hammer a tiny query pool with the cache disabled;
@@ -641,7 +648,6 @@ class TestServiceStats:
         assert stats.completed == 5
         assert stats.batches_formed >= 1
         assert stats.mean_batch_size >= 1.0
-        assert stats.mean_group_size >= 1.0
         assert 0.0 <= stats.cache_hit_rate <= 1.0
         assert stats.latency_p50_ms <= stats.latency_p95_ms or (
             stats.latency_p50_ms >= 0.0
@@ -745,13 +751,13 @@ class TestStressAndAdmission:
         db = _make_db(base)
         # Make every engine call pathologically slow: the queue fills
         # behind it, which is exactly where a deadlock would surface.
-        original = db.query_batch
+        original = db.query
 
         def dawdle(*args, **kwargs):
             time.sleep(0.01)
             return original(*args, **kwargs)
 
-        db.query_batch = dawdle  # instance attribute shadows the method
+        db.query = dawdle  # instance attribute shadows the method
         scheduler = QueryScheduler(db, cache_size=0, max_queue=64, max_wait_ms=0.5)
         pool = rng.random((6, _DIM))
         errors, resolved, depths = [], [], []  # list.append is atomic

@@ -35,16 +35,16 @@ def _db() -> ImageDatabase:
 
 
 def _gate(db: ImageDatabase) -> tuple[threading.Event, threading.Event]:
-    """Hold every k-NN batch inside the worker until ``release`` is set."""
+    """Hold every k-NN query inside the worker until ``release`` is set."""
     entered, release = threading.Event(), threading.Event()
-    inner = db.query_batch
+    inner = db.query
 
     def gated(*args, **kwargs):
         entered.set()
         release.wait(10)
         return inner(*args, **kwargs)
 
-    db.query_batch = gated
+    db.query = gated
     return entered, release
 
 

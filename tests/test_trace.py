@@ -195,6 +195,33 @@ class TestSchedulerTracing:
         assert engine.annotations["nodes_visited"] > 0
         assert engine.annotations["leaves_visited"] > 0
 
+    def test_each_query_in_a_batch_times_only_its_own_engine_call(
+        self, vector_db, rng
+    ):
+        # Four k-NN requests staged into one formed batch: each is its
+        # own engine call, so each future carries its own query's
+        # counters, each engine span times only that call (the four are
+        # disjoint, in arrival order), and each reports the batch's size.
+        scheduler = QueryScheduler(
+            vector_db, max_batch=4, cache_size=0, autostart=False
+        )
+        vectors = rng.random((4, _DIM))
+        futures = [scheduler.submit_query(vector, 5) for vector in vectors]
+        scheduler.start()
+        served = [future.result(timeout=10) for future in futures]
+        scheduler.close()
+        assert [outcome.batch_size for outcome in served] == [4, 4, 4, 4]
+        engines = []
+        for vector, outcome in zip(vectors, served):
+            vector_db.query(vector, 5)
+            assert outcome.stats == vector_db.index_for("sig").last_stats
+            trace = scheduler.flight_recorder.find(outcome.trace_id)
+            (engine,) = [s for s in trace.spans if s.stage == "engine"]
+            assert engine.annotations == dataclasses.asdict(outcome.stats)
+            engines.append(engine)
+        for earlier, later in zip(engines, engines[1:]):
+            assert earlier.start + earlier.duration_s <= later.start
+
     def test_span_durations_sum_within_latency(self, vector_db, rng):
         # Every stage runs back-to-back on one worker, so the spans
         # partition (a subset of) the request's wall time.
@@ -265,7 +292,7 @@ class TestSchedulerTracing:
         with QueryScheduler(
             vector_db, max_wait_ms=0.5, slow_query_ms=5.0
         ) as scheduler:
-            original = vector_db.query_batch
+            original = vector_db.query
 
             def stalled(*args, **kwargs):
                 import time as _time
@@ -273,11 +300,11 @@ class TestSchedulerTracing:
                 _time.sleep(0.02)
                 return original(*args, **kwargs)
 
-            vector_db.query_batch = stalled
+            vector_db.query = stalled
             try:
                 served = scheduler.submit_query(rng.random(_DIM), 5).result(5)
             finally:
-                del vector_db.query_batch
+                del vector_db.query
             slow = scheduler.slow_log.traces()
             assert any(t.trace_id == served.trace_id for t in slow)
             assert scheduler.slow_log.captured >= 1

@@ -21,8 +21,9 @@ evaluations, and changes nothing observable —
   bit of any build or query, including the approximate modes.
 * **batch entry-point parity** — ``knn_search_batch`` /
   ``range_search_batch`` equal the scalar entry points
-  result-for-result and counter-for-counter.  The goldens also pin the
-  batched entry points whole, including over the formerly loop-fallback
+  result-for-result, and a batch's ``last_stats`` is the sum of the
+  scalar counters.  The goldens also pin the batched entry points'
+  answers whole, including over the formerly loop-fallback
   metrics (EMD, circular EMD, Hausdorff); they were captured when the
   VP-tree, the GNAT and the kd-tree walked a batch with separate shared
   traversals, so the one loop per tree that replaced those can never
@@ -50,6 +51,7 @@ from repro.index.gnat import GNAT
 from repro.index.kdtree import KDTree
 from repro.index.mtree import MTree
 from repro.index.pivot import MaxVariancePivot, RandomPivot
+from repro.index.stats import SearchStats
 from repro.index.vptree import VPTree
 from repro.metrics.base import CountingMetric, Metric, hide_batch_kernel
 from repro.metrics.quadratic import QuadraticFormDistance
@@ -273,12 +275,15 @@ def _capture(index_name: str, metric_name: str, metric: Metric | None = None) ->
         "queries": [],
     }
     radius = _RADIUS[metric_name]
+    knn_total, range_total = SearchStats(), SearchStats()
     for query in queries:
         record = {}
         record["knn"] = _neighbors(index.knn_search(query, _K))
         record["knn_stats"] = _stats(index.last_stats)
+        knn_total.merge(index.last_stats)
         record["range"] = _neighbors(index.range_search(query, radius))
         record["range_stats"] = _stats(index.last_stats)
+        range_total.merge(index.last_stats)
         if isinstance(index, VPTree):
             record["knn_eps"] = _neighbors(
                 index.knn_search_approximate(query, _K, epsilon=0.5)
@@ -292,15 +297,14 @@ def _capture(index_name: str, metric_name: str, metric: Metric | None = None) ->
             record["range_ids"] = index.range_search_ids(query, radius)
             record["range_ids_stats"] = _stats(index.last_stats)
         profile["queries"].append(record)
-    # The batched entry points, captured whole: indexes that grow a shared
-    # traversal must keep reproducing the per-query-era results, visit
-    # order (observable through the counters), and per-query stats.
+    # The batched entry points, captured whole; a batch's counters are
+    # the sum of the per-query ones recorded above.
     profile["knn_batch"] = [_neighbors(r) for r in index.knn_search_batch(queries, _K)]
-    profile["knn_batch_stats"] = [_stats(s) for s in index.last_batch_stats]
+    assert index.last_stats == knn_total
     profile["range_batch"] = [
         _neighbors(r) for r in index.range_search_batch(queries, radius)
     ]
-    profile["range_batch_stats"] = [_stats(s) for s in index.last_batch_stats]
+    assert index.last_stats == range_total
     return profile
 
 
@@ -412,7 +416,7 @@ def test_batch_entry_points_match_scalar(key):
         scalar_knn_stats.append(index.last_stats)
     batch_knn = index.knn_search_batch(queries, _K)
     assert batch_knn == scalar_knn
-    assert index.last_batch_stats == scalar_knn_stats
+    assert index.last_stats == sum(scalar_knn_stats, SearchStats())
 
     radius = _RADIUS[metric_name]
     scalar_range, scalar_range_stats = [], []
@@ -421,7 +425,7 @@ def test_batch_entry_points_match_scalar(key):
         scalar_range_stats.append(index.last_stats)
     batch_range = index.range_search_batch(queries, radius)
     assert batch_range == scalar_range
-    assert index.last_batch_stats == scalar_range_stats
+    assert index.last_stats == sum(scalar_range_stats, SearchStats())
 
 
 # ----------------------------------------------------------------------
@@ -450,9 +454,6 @@ def test_counting_metric_agrees_with_stats(index_name):
     counter.reset()
     index.knn_search_batch(queries, _K)
     assert counter.count == index.last_stats.distance_computations
-    assert counter.count == sum(
-        stats.distance_computations for stats in index.last_batch_stats
-    )
 
 
 def test_vptree_approximate_counting():

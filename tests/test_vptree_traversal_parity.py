@@ -38,6 +38,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.index.stats import SearchStats
 from repro.index.vptree import VPTree
 from repro.metrics.minkowski import EuclideanDistance, ManhattanDistance
 
@@ -99,24 +100,36 @@ def _cases():
     return cases
 
 
-def _answer(tree, result, stats=None):
-    stats = tree.last_stats if stats is None else stats
+def _answer(tree, result):
     return {
         "ids": [nb.id for nb in result],
         "distances": [nb.distance for nb in result],
-        "stats": dataclasses.asdict(stats),
+        "stats": dataclasses.asdict(tree.last_stats),
     }
+
+
+def _batch_answers(tree, search, queries, parameter) -> list[dict]:
+    """Each row's answer through the batched entry point, its stats from
+    a one-row batch; the whole batch must give the same rows and leave
+    their summed stats in ``last_stats``."""
+    results, rows, total = [], [], SearchStats()
+    for query in queries:
+        (result,) = search(query[None, :], parameter)
+        results.append(result)
+        rows.append(_answer(tree, result))
+        total.merge(tree.last_stats)
+    assert search(queries, parameter) == results
+    assert tree.last_stats == total
+    return rows
 
 
 def _capture(tree, queries, ks, radii) -> dict:
     out = {"build": dataclasses.asdict(tree.build_stats)}
     for k in ks:
         out[f"knn/k={k}"] = [_answer(tree, tree.knn_search(q, k)) for q in queries]
-        batch = tree.knn_search_batch(queries, k)
-        out[f"knn_batch/k={k}"] = [
-            _answer(tree, result, stats)
-            for result, stats in zip(batch, tree.last_batch_stats)
-        ]
+        out[f"knn_batch/k={k}"] = _batch_answers(
+            tree, tree.knn_search_batch, queries, k
+        )
     k = ks[-1]
     for epsilon in _EPSILONS:
         for budget in _BUDGETS:
@@ -133,11 +146,9 @@ def _capture(tree, queries, ks, radii) -> dict:
         out[f"range/r={radius}"] = [
             _answer(tree, tree.range_search(q, radius)) for q in queries
         ]
-        batch = tree.range_search_batch(queries, radius)
-        out[f"range_batch/r={radius}"] = [
-            _answer(tree, result, stats)
-            for result, stats in zip(batch, tree.last_batch_stats)
-        ]
+        out[f"range_batch/r={radius}"] = _batch_answers(
+            tree, tree.range_search_batch, queries, radius
+        )
     return out
 
 
