@@ -64,7 +64,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 2. The service: HTTP front end + coalescing scheduler + LRU cache.
     # ------------------------------------------------------------------
-    server = QueryServer(db, port=0, max_batch=16, max_wait_ms=2.0).start()
+    server = QueryServer(db, port=0, max_batch=16).start()
     host, port = server.address
     print(f"serving on http://{host}:{port}\n")
 

@@ -239,7 +239,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         access_log=access_log,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         cache_size=args.cache_size,
         rate_limit_qps=args.rate_limit,
         journal=journal,
@@ -250,8 +249,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"serving {len(db)} images on http://{host}:{port} "
         f"(features: {', '.join(db.schema.names)}; "
-        f"max_batch={args.max_batch}, max_wait_ms={args.max_wait_ms:g}, "
-        f"cache_size={args.cache_size}, "
+        f"max_batch={args.max_batch}, cache_size={args.cache_size}, "
         f"backend={db.backend_info()['name']}"
         + (f", rate_limit={args.rate_limit:g}/s" if args.rate_limit else "")
         + (f", journal={args.journal}" if args.journal else "")
@@ -480,15 +478,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-batch",
         type=int,
         default=32,
-        help="largest coalesced batch per engine call (default 32)",
-    )
-    serve.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="longest a request waits for batch company, once the worker "
-        "has seen concurrent requests; a lone request never waits "
-        "(default 2.0)",
+        help="most queued requests the worker drains into one batch "
+        "(default 32)",
     )
     serve.add_argument(
         "--cache-size",

@@ -117,21 +117,26 @@ class LAESAIndex(MetricIndex):
             distances = self._build_dist_batch(vectors[candidate], vectors)
             min_dist = np.minimum(min_dist, distances)
 
-        # The pivot table re-uses no build distances (they were consumed
-        # by the max-min sweep), so fill it explicitly.
-        table = np.empty((n, len(pivot_rows)))
-        for column, row in enumerate(pivot_rows):
-            table[:, column] = self._build_dist_batch(vectors[row], vectors)
-
         self._pivot_rows = pivot_rows
         self._pivot_ids = ids[pivot_rows].tolist()
+        self._pivot_vectors = vectors[pivot_rows].copy()
+        # The pivot table re-uses no build distances (they were consumed
+        # by the max-min sweep), so fill it explicitly.
+        self._fill_table(vectors)
+        self._build_stats.n_leaves = 1
+        self._build_stats.extra["n_pivots"] = len(pivot_rows)
+
+    def _fill_table(self, vectors: np.ndarray) -> None:
+        """Adopt a fresh pivot table over ``vectors``: one counted
+        evaluation per row and pivot, in :attr:`build_stats`."""
+        assert self._pivot_vectors is not None
+        table = np.empty((vectors.shape[0], len(self._pivot_vectors)))
+        for column, pivot in enumerate(self._pivot_vectors):
+            table[:, column] = self._build_dist_batch(pivot, vectors)
         previous = self._table_store
         self._table_store = self.backend_factory.adopt(table)
         if previous is not None:
             previous.close()
-        self._pivot_vectors = vectors[pivot_rows].copy()
-        self._build_stats.n_leaves = 1
-        self._build_stats.extra["n_pivots"] = len(pivot_rows)
 
     def _insert_batch(self, ids: np.ndarray, vectors: np.ndarray) -> None:
         """True dynamic insertion: one new table row per object.
@@ -160,12 +165,23 @@ class LAESAIndex(MetricIndex):
     def _reclaim_core(self) -> None:
         """True deletion: dead rows leave the table and the scan.  A dead
         pivot *object* stays a reference anchor (its column and vector
-        survive), its lost table row marked by a -1 row index."""
-        assert self._table_store is not None
-        keep = self._compact_core()
-        if keep is not None:
-            self._table_store.take(keep)
-            self._pivot_rows = self._row_of.rows(self._pivot_ids).tolist()
+        survive), its lost table row marked by a -1 row index.
+
+        Fails holding every row: the table is compacted first, and should
+        the core's compaction then fail, the table (derived state) is
+        refilled from the unchanged core.
+        """
+        assert self._table_store is not None and self._vectors is not None
+        live = self.live_mask.of(self._ids)
+        if live.all():
+            return
+        self._table_store.take(np.flatnonzero(live))
+        try:
+            self._compact_core()
+        except BaseException:
+            self._fill_table(self._vectors)
+            raise
+        self._pivot_rows = self._row_of.rows(self._pivot_ids).tolist()
 
     # ------------------------------------------------------------------
     # Shared query machinery

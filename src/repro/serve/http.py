@@ -240,8 +240,8 @@ class QueryServer:
     scheduler:
         A preconfigured :class:`QueryScheduler`; when omitted one is
         built from the remaining keyword arguments (``max_batch``,
-        ``max_wait_ms``, ``max_queue``, ``cache_size``,
-        ``rate_limit_qps``, ``trace_depth``, ``slow_query_ms``, ...).
+        ``max_queue``, ``cache_size``, ``rate_limit_qps``,
+        ``trace_depth``, ``slow_query_ms``, ...).
     access_log:
         Optional :class:`~repro.serve.logsys.StructuredLog`: one
         ``http_request`` JSON line per handled request (method, path,
@@ -428,6 +428,7 @@ class QueryServer:
             if error.errno in (errno.EMFILE, errno.ENFILE):
                 # The pending connection stays queued and the listener
                 # readable: watching it now would spin the loop.
+                self._scheduler.count_refused("fds")
                 self._selector.unregister(self._listener)
                 self._resume_at = time.monotonic() + _FD_PAUSE_S
                 self._next_expiry = min(self._next_expiry, self._resume_at)

@@ -75,8 +75,9 @@ class ServiceLedger:
         )
         self.refused = registry.counter(
             "repro_refused_total",
-            "Submissions refused at admission, by reason "
-            "(queue_full/rate_limited).",
+            "Requests refused, by reason (queue_full/rate_limited at "
+            "admission; fds: a connection left unaccepted for want of a "
+            "file descriptor).",
             ("reason",),
         )
         self.latency = registry.histogram(

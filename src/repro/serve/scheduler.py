@@ -2,16 +2,16 @@
 
 An online service receives *independent* single queries from many
 clients.  This module admits them into a bounded queue and lets one
-worker collect them for up to ``max_wait_ms`` (or until ``max_batch``
-arrive — whichever happens first) and walk the formed batch in arrival
-order, answering each query with its own scalar ``ImageDatabase.query``
-/ ``range_query`` call.  Callers get
+worker take the head plus whatever is already queued behind it (at
+most ``max_batch``) and walk that formed batch in arrival order,
+answering each query with its own scalar ``ImageDatabase.query`` /
+``range_query`` call.  Callers get
 :class:`~concurrent.futures.Future` objects that resolve to
-:class:`ServedResult`.  The worker holds a batch open only after it has
-seen company (more than one request admitted since its previous
-dequeue, or a previous batch of more than one); a lone client's request
-runs at once with whatever is already queued.  What a formed batch
-shares is its mutations' group fsync, not engine work.
+:class:`ServedResult`.  The worker never holds a batch open waiting for
+company: what a formed batch shares is its mutations' group fsync, not
+engine work, so a wait would only add latency.  It yields the GIL once
+per batch instead, so the HTTP thread's cache hits and replies do not
+queue behind the engine.
 
 **Parity is the contract.**  Every query goes through the same
 ``ImageDatabase.query`` / ``range_query`` call a direct caller makes
@@ -31,10 +31,9 @@ Request lifecycle::
       │  entry is re-stamped and served — a *revalidation*), otherwise
       │  evicted (counted) and the request proceeds
       └─ enqueue (bounded; QueueFullError if full) ► worker
-    submit_add/submit_remove                          ├─ collect ≤ max_batch:
-      └─ enqueue (same queue, same                    │  for ≤ max_wait_ms
-         bound) ─────────────────────────────────────►│  after company, else
-                                                      │  what is queued
+    submit_add/submit_remove                          ├─ drain ≤ max_batch:
+      └─ enqueue (same queue, same                    │  the head plus what
+         bound) ─────────────────────────────────────►│  is already queued
                                                       ├─ walk arrival order:
                                                       │  each query one
                                                       │  scalar engine call,
@@ -95,7 +94,7 @@ machinery off (no per-request allocation).  See
 ``docs/observability.md``.
 
 **Where the code lives.**  This module is the constructor, the
-lifecycle and the worker thread's two loops (``_run`` forms a batch,
+lifecycle and the worker thread's two loops (``_run`` drains a batch,
 ``_execute`` replays it in arrival order).  The caller-thread half —
 validate, rate-limit, cache lookup, enqueue — is
 ``repro.serve.admission``; what the worker does with a query or a
@@ -151,13 +150,11 @@ class QueryScheduler:
         Largest formed batch (default 32).  ``1`` degenerates to
         one-request-at-a-time handling — the benchmark baseline.
     max_wait_ms:
-        Longest a request waits for company before its batch executes
-        anyway (default 2.0; must be finite and >= 0).  The worker waits
-        only after it has seen company — more than one request admitted
-        (cache hits included) since its previous dequeue, or a previous
-        batch of more than one — so a lone client's requests never wait;
-        otherwise it only drains what is already queued.  Under heavy
-        load batches fill to ``max_batch`` without waiting.
+        Has no effect (must be finite and >= 0): the worker never waits
+        for company, a formed batch is what is already queued.  Kept
+        only because the end-to-end benchmark harness still passes
+        ``max_wait_ms=2.0``; it is removed once the harness stops
+        passing it.
     max_queue:
         Admission-queue bound (default 1024).  Submissions beyond it
         fail fast with :class:`~repro.errors.ServeError` — backpressure
@@ -231,7 +228,7 @@ class QueryScheduler:
         ):
             check_count(name, value, minimum, ServeError)
         if not math.isfinite(max_wait_ms) or max_wait_ms < 0.0:
-            # A NaN timeout would park the worker with no future resolved.
+            # Unused, but a bad value is still a caller's mistake.
             raise ServeError(
                 f"max_wait_ms must be finite and >= 0; got {max_wait_ms}"
             )
@@ -253,7 +250,6 @@ class QueryScheduler:
         self._db = db
         self._journal = journal
         self._max_batch = int(max_batch)
-        self._max_wait_s = float(max_wait_ms) / 1e3
         self._queue: queue.Queue[Ticket | None] = queue.Queue(maxsize=max_queue)
         self._cache = ResultCache(cache_size)
         #: What each generation's mutation inserted/removed — what
@@ -432,6 +428,11 @@ class QueryScheduler:
             "replayed": self._journal.replayed_records,
         }
 
+    def count_refused(self, reason: str) -> None:
+        """Count one refusal made outside admission (the HTTP front
+        door's) in ``repro_refused_total``."""
+        self._ledger.refused.inc(reason=reason)
+
     def _live_state(self) -> LiveState:
         """What ``/stats`` and ``/metrics`` read from other components.
 
@@ -572,9 +573,6 @@ class QueryScheduler:
     # ------------------------------------------------------------------
     def _run(self) -> None:
         stop = False
-        # Requests admitted (cache hits included) as of the previous
-        # head dequeue, and how many requests the previous batch held.
-        admitted_before, previous_batch = 0, 1
         while not stop:
             item = self._queue.get()
             if item is _SHUTDOWN:
@@ -587,26 +585,16 @@ class QueryScheduler:
                     item, "scheduler is shutting down; request abandoned"
                 )
                 continue
+            # Yield the GIL once per batch instead of waiting: the HTTP
+            # thread answers cache hits and sends finished replies
+            # itself, and would otherwise queue behind the engine.
+            time.sleep(0)
             item.dequeued = time.monotonic()
             batch = [item]
-            # Hold the batch open only after seeing company: another
-            # request admitted since the previous dequeue, or a previous
-            # batch of more than one.  A lone client's request never has
-            # any, so it only drains what is already queued.
-            admitted = self._ledger.requests.total()
-            waited = admitted - admitted_before > 1 or previous_batch > 1
-            admitted_before = admitted
-            deadline = item.dequeued + (self._max_wait_s if waited else 0.0)
+            # A batch is what is already queued: nobody waits for company.
             while len(batch) < self._max_batch:
-                timeout = deadline - time.monotonic()
                 try:
-                    # Past the deadline, still drain whatever already
-                    # queued up — waiting is over, coalescing is free.
-                    more = (
-                        self._queue.get_nowait()
-                        if timeout <= 0.0
-                        else self._queue.get(timeout=timeout)
-                    )
+                    more = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if more is _SHUTDOWN:
@@ -614,10 +602,9 @@ class QueryScheduler:
                     break
                 more.dequeued = time.monotonic()
                 batch.append(more)
-            previous_batch = len(batch)
-            self._execute(batch, waited)
+            self._execute(batch)
 
-    def _execute(self, batch: list[Ticket], waited: bool) -> None:
+    def _execute(self, batch: list[Ticket]) -> None:
         """Walk one formed batch in arrival order.
 
         Each query is one scalar engine call; each mutation is a barrier
@@ -629,16 +616,14 @@ class QueryScheduler:
         them early: its snapshot already makes them durable).  One
         formed batch is one ``repro_batch_size`` sample (queries only),
         which every query's ``ServedResult.batch_size`` reports.
-        ``waited`` (the batch was held open for company) annotates every
-        ticket's ``batch-form`` span.
         """
         worker = self._worker
         n_queries = sum(isinstance(item, Request) for item in batch)
         for item in batch:
             if isinstance(item, Request):
-                worker.answer(item, n_queries, waited=waited)
+                worker.answer(item, n_queries)
             else:
-                worker.apply(item, waited=waited)
+                worker.apply(item)
         worker.ack()
         if n_queries:
             self._ledger.batch_size.observe(n_queries)
@@ -651,6 +636,5 @@ class QueryScheduler:
         )
         return (
             f"QueryScheduler({state}, max_batch={self._max_batch}, "
-            f"max_wait_ms={self._max_wait_s * 1e3:g}, "
             f"items={len(self._db)})"
         )

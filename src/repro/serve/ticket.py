@@ -121,20 +121,18 @@ class Ticket:
         self.submitted = time.monotonic() if submitted is None else submitted
         self.enqueued = self.dequeued = self.submitted
 
-    def dispatch(self, now: float, **annotations: object) -> None:
+    def dispatch(self, now: float) -> None:
         """The worker starts executing this ticket at ``now``.
 
         Emits the two waiting spans: ``queue-wait`` (enqueue → picked
         off the queue) and ``batch-form`` (picked off → execution
-        starts: the batch window plus whatever ran ahead in the batch).
+        starts: whatever ran ahead of it in the batch).
         """
         if self.trace is not None:
             self.trace.add_span(
                 "queue-wait", self.enqueued, self.dequeued - self.enqueued
             )
-            self.trace.add_span(
-                "batch-form", self.dequeued, now - self.dequeued, **annotations
-            )
+            self.trace.add_span("batch-form", self.dequeued, now - self.dequeued)
 
     def fail(self, ledger: "ServiceLedger", error: BaseException) -> None:
         """Resolve the future exceptionally; only this ticket fails.

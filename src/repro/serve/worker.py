@@ -64,19 +64,15 @@ class BatchWorker:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def answer(
-        self, request: Request, batch_size: int, *, waited: bool = False
-    ) -> None:
+    def answer(self, request: Request, batch_size: int) -> None:
         """Answer one query with one scalar database call.
 
         ``batch_size`` (the formed batch's query count) is what its
-        :class:`~repro.serve.ticket.ServedResult` reports; ``waited``
-        (the batch was held open for company) annotates its
-        ``batch-form`` span.
+        :class:`~repro.serve.ticket.ServedResult` reports.
         """
         if not request.future.set_running_or_notify_cancel():
             return
-        request.dispatch(time.monotonic(), waited=waited)
+        request.dispatch(time.monotonic())
         engine_start = time.monotonic()
         search = self._db.query if request.kind == "knn" else self._db.range_query
         try:
@@ -113,7 +109,7 @@ class BatchWorker:
     # ------------------------------------------------------------------
     # The write barrier: apply → group fsync → ack
     # ------------------------------------------------------------------
-    def apply(self, mutation: Mutation, *, waited: bool = False) -> None:
+    def apply(self, mutation: Mutation) -> None:
         """Journal + apply one mutation as its own barrier.
 
         One database call, one journal record, one generation bump; the
@@ -122,13 +118,12 @@ class BatchWorker:
         gets the database's own validation error and fails only this
         future — nothing was journaled or applied for it (the record is
         written only after validation, and an abort mark follows it if
-        the apply itself fails).  ``waited`` annotates the mutation's
-        ``batch-form`` span as in :meth:`answer`.
+        the apply itself fails).
         """
         if not mutation.future.set_running_or_notify_cancel():
             return
         apply_start = time.monotonic()
-        mutation.dispatch(apply_start, waited=waited)
+        mutation.dispatch(apply_start)
         if mutation.kind == "save":
             self._save(mutation)
             return

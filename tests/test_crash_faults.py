@@ -487,9 +487,10 @@ class TestGracefulShutdown:
             tmp_path / "root", faults.seed_database()
         )
         scheduler = QueryScheduler(
-            db, journal=journal_set, max_wait_ms=50.0, max_batch=2
+            db, journal=journal_set, max_batch=2, autostart=False
         )
         futures = [scheduler.submit_add(rng.random((1, 6))) for _ in range(8)]
+        scheduler.start()
         scheduler.close(drain=False)
         acked_ids = []
         abandoned = 0
@@ -508,9 +509,10 @@ class TestGracefulShutdown:
             tmp_path / "root", faults.seed_database()
         )
         scheduler = QueryScheduler(
-            db, journal=journal_set, max_wait_ms=5.0, max_batch=4
+            db, journal=journal_set, max_batch=4, autostart=False
         )
         futures = [scheduler.submit_add(rng.random((1, 6))) for _ in range(6)]
+        scheduler.start()
         scheduler.close()  # drain=True
         ids = [future.result(timeout=10).ids[0] for future in futures]
         recovered, _ = recover(tmp_path / "root", faults.make_schema())

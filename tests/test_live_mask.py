@@ -9,7 +9,8 @@ Pinned here:
   burnt;
 * **failed reclaim** — a remove whose index compaction fails after the
   commit still leaves the id gone everywhere, and the answers those of a
-  fresh build over the live set;
+  fresh build over the live set, and a LAESA index keeps its pivot
+  table and core the same length whichever compaction fails;
 * **dead rows cost nothing extra** — a static tree asks its structure
   for ``k``, not ``k`` plus the dead rows: the pruning radius is the
   k-th *live* distance;
@@ -134,6 +135,44 @@ def test_failed_reclaim_after_a_remove_leaves_the_id_gone_everywhere(
         got = db.range_query_batch(probes, 0.5, feature=feature, precomputed=True)
         want = fresh.range_query_batch(probes, 0.5, feature=feature, precomputed=True)
         assert [_hits(r) for r in got] == [_hits(r) for r in want]
+
+
+@pytest.mark.parametrize("store", ["_table_store", "_core"])
+def test_failed_laesa_reclaim_keeps_table_and_core_in_step(rng, store, monkeypatch):
+    """A LAESA delete whose pivot table or core compaction fails raises,
+    sets the id live again, and leaves table and core the same length:
+    the index answers as a fresh build, and a later delete succeeds."""
+    rows = rng.random((200, 8))
+    laesa = LAESAIndex(EuclideanDistance()).build(np.arange(200), rows)
+    failing = getattr(laesa, store)
+    real_take = MemoryBackend.take
+
+    def take(self, keep):
+        if self is failing:
+            monkeypatch.undo()
+            raise OSError(errno.ENOSPC, "no space left on device")
+        return real_take(self, keep)
+
+    monkeypatch.setattr(MemoryBackend, "take", take)
+    with pytest.raises(OSError):
+        laesa.delete([5])
+    assert laesa.live_mask.of([5])[0]
+    assert len(laesa._table_store.view()) == len(laesa._core.view()) == 200
+
+    probes = rng.random((8, 8))
+
+    def answers(index):
+        return [
+            (_pairs(index.knn_search(p, 10)), _pairs(index.range_search(p, 0.6)))
+            for p in probes
+        ]
+
+    fresh = LAESAIndex(EuclideanDistance()).build(np.arange(200), rows)
+    assert answers(laesa) == answers(fresh)
+    laesa.delete([5])
+    live = np.delete(np.arange(200), 5)
+    fresh = LAESAIndex(EuclideanDistance()).build(live, rows[live])
+    assert answers(laesa) == answers(fresh)
 
 
 def test_dead_rows_do_not_inflate_a_vptree_knn():

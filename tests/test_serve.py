@@ -29,6 +29,8 @@ import pytest
 
 from repro.db.backend import MmapBackendFactory
 from repro.db.database import ImageDatabase
+from repro.db.journal import JOURNAL_FILE, Journal
+from repro.db.recovery import database_fingerprint
 from repro.errors import QueryError, RateLimitError, ServeError
 from repro.features.base import PresetSignature
 from repro.features.moments import ColorMoments
@@ -38,6 +40,7 @@ from repro.index.linear import LinearScanIndex
 from repro.serve.cache import ResultCache
 from repro.serve.client import ServiceClient
 from repro.serve.http import QueryServer
+from repro.serve.metrics import validate_exposition
 from repro.serve.scheduler import QueryScheduler, ServedResult, TokenBucket
 from repro.serve.stats import LatencyWindow, ServiceStats
 
@@ -450,13 +453,20 @@ class TestSchedulerCache:
 
 
 class TestBatchWindow:
-    """The worker holds a batch open only after it has seen company."""
+    """A batch is what is already queued; nobody waits for company."""
 
     @staticmethod
     def _batch_form(scheduler, served):
         trace = scheduler.flight_recorder.find(served.trace_id)
         (span,) = [span for span in trace.spans if span.stage == "batch-form"]
         return span
+
+    @staticmethod
+    def _fsyncs(scheduler):
+        families = validate_exposition(scheduler.render_metrics())
+        samples = families["repro_journal_fsync_seconds"]["samples"]
+        counts = [value for name, _, value in samples if name.endswith("_count")]
+        return sum(counts)  # no sample until the first fsync
 
     def test_lone_request_does_not_wait_out_the_window(self, vector_db, rng):
         # One client, one request at a time: there is nothing to
@@ -468,30 +478,48 @@ class TestBatchWindow:
                 start = time.monotonic()
                 served = scheduler.submit_query(vector, 3).result(timeout=10)
                 assert time.monotonic() - start < 0.1
-                span = self._batch_form(scheduler, served)
-                assert span.duration_s < 0.05
-                assert span.annotations["waited"] is False
+                assert self._batch_form(scheduler, served).duration_s < 0.05
 
-    def test_company_still_coalesces(self, vector_db, rng):
+    def test_staged_requests_drain_as_one_batch_but_nobody_waits(
+        self, vector_db, rng
+    ):
         scheduler = QueryScheduler(
             vector_db, max_wait_ms=500.0, cache_size=0, autostart=False
         )
         staged = [scheduler.submit_query(v, 3) for v in rng.random((2, _DIM))]
         scheduler.start()
         assert [future.result(timeout=10).batch_size for future in staged] == [2, 2]
-        # Having seen company, the worker holds client 0's request open
-        # for client 1's, which arrives 20 ms later.
+        # Even after company, client 0's request runs at once instead of
+        # waiting out the window for client 1's, which arrives 20 ms later.
         vectors = rng.random((2, _DIM))
-        served = {}
+        elapsed = {}
 
         def client(i: int) -> None:
             time.sleep(0.02 * i)
-            served[i] = scheduler.submit_query(vectors[i], 3).result(timeout=10)
+            start = time.monotonic()
+            scheduler.submit_query(vectors[i], 3).result(timeout=10)
+            elapsed[i] = time.monotonic() - start
 
         _run_threads(2, client)
         scheduler.close()
-        assert [served[i].batch_size for i in (0, 1)] == [2, 2]
-        assert self._batch_form(scheduler, served[0]).annotations["waited"] is True
+        assert elapsed[0] < 0.1 and elapsed[1] < 0.1
+
+    def test_staged_mutations_drain_as_one_batch_with_one_fsync(
+        self, vector_db, rng, tmp_path
+    ):
+        journal = Journal.create(
+            tmp_path / JOURNAL_FILE, database_fingerprint(vector_db)
+        )
+        scheduler = QueryScheduler(
+            vector_db, journal=journal, max_wait_ms=500.0, autostart=False
+        )
+        before = self._fsyncs(scheduler)
+        staged = [scheduler.submit_add(rng.random((1, _DIM))) for _ in range(3)]
+        scheduler.start()
+        for future in staged:
+            future.result(timeout=10)
+        assert self._fsyncs(scheduler) == before + 1
+        scheduler.close()
 
 
 class TestSchedulerLifecycle:

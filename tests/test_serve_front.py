@@ -23,6 +23,7 @@ from repro.features.pipeline import FeatureSchema
 from repro.serve import http as front
 from repro.serve.client import ServiceClient
 from repro.serve.http import QueryServer
+from repro.serve.metrics import validate_exposition
 
 _DIM = 4
 
@@ -262,8 +263,9 @@ class TestFrontDoorRobustness:
         """Out of descriptors, ``accept`` fails with EMFILE while the
         waiting connection keeps the listener readable.  The loop stops
         watching it instead of spinning, keeps answering the open
-        connections, and serves the waiting client once a descriptor
-        frees.  Only this process's own RLIMIT_NOFILE is lowered, to
+        connections, serves the waiting client once a descriptor frees,
+        and counts the refused accepts as ``repro_refused_total{reason=
+        "fds"}``.  Only this process's own RLIMIT_NOFILE is lowered, to
         one past a single placeholder descriptor, and restored."""
         resource = pytest.importorskip("resource")
         soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
@@ -307,6 +309,13 @@ class TestFrontDoorRobustness:
             held.close()
             waiting.close()
             server.stop()
+        # The accepts refused for want of a descriptor were counted.
+        families = validate_exposition(server.scheduler.render_metrics())
+        refused = {
+            labels["reason"]: value
+            for _, labels, value in families["repro_refused_total"]["samples"]
+        }
+        assert refused.get("fds", 0) >= 1
 
 
 class TestShutdownOverTheSocket:
