@@ -172,31 +172,35 @@ class Admission:
         an invalidation) instead of being served.  Before evicting, the
         revalidator gets a chance to prove the entry unchanged from the
         mutation delta log — a confirmed entry is re-stamped and served
-        (counted as a revalidation, never as a stale serve).
+        (counted as a revalidation, never as a stale serve).  The span
+        records the ``outcome`` and the ``proof_rows`` a proof covered.
         """
         lookup_start = time.monotonic()
         kind, feature, parameter = request.kind, request.feature, request.parameter
         generation = self._db.generation
+        proof: list[tuple[int, bool]] = []  # (rows, verdict), if one ran
 
         def revalidate(stored: int, results: list) -> bool:
-            return entry_still_valid(
-                self._deltas.between(stored, generation),
-                feature,
-                self._db.metric_for(feature),
-                kind,
-                parameter,
-                request.vector,
-                results,
+            metric = self._db.metric_for(feature)
+            delta = self._deltas.between(stored, generation)
+            valid = entry_still_valid(
+                delta, feature, metric, kind, parameter, request.vector, results
             )
+            rows = 0 if delta is None else len(delta.removed) + len(delta.inserted_ids)
+            proof.append((rows, valid))
+            return valid
 
         cached = self._cache.get(request.key, generation, revalidator=revalidate)
         trace = request.trace
         if trace is not None:
+            rows, valid = proof[0] if proof else (0, None)
+            outcome = {None: "hit", True: "revalidated", False: "invalidated"}[valid]
             trace.add_span(
                 "cache-lookup",
                 lookup_start,
                 time.monotonic() - lookup_start,
-                hit=cached is not None,
+                outcome="miss" if cached is None and valid is not False else outcome,
+                proof_rows=rows,
             )
         if cached is None:
             return False

@@ -26,7 +26,8 @@ the *current* generation; a stamped entry from an older generation is
 treated as a miss, evicted on the spot, and counted in
 :attr:`ResultCache.invalidations` — invalidation is lazy and per-entry,
 never a global flush, so untouched hot entries keep serving the moment
-the database stops changing.
+the database stops changing (one stamped *newer* than the lookup is a
+plain miss, and stays).
 
 Check-on-hit revalidation
 -------------------------
@@ -41,12 +42,11 @@ inspection instead of evicting it, and a confirmed entry is re-stamped
 at the current generation and served as a hit — counted in
 :attr:`ResultCache.revalidations`, separately from
 :attr:`ResultCache.invalidations` (entries that genuinely changed).
-The proof is :func:`entry_still_valid`, which admission feeds from
-:class:`MutationDeltaLog`, a bounded per-generation record of exactly
-which vectors each mutation inserted and which ids it removed.  A
-delta outside the retained window (or recorded before the log was
-attached) makes it return False — revalidation degrades to plain
-invalidation, never to a stale answer.
+The proof is :func:`entry_still_valid` — one id comparison and one
+kernel call — fed from :class:`MutationDeltaLog`, columns of the rows
+each mutation inserted and the ids it removed, bounded in rows.  A
+range the log does not cover makes it return False — revalidation
+degrades to plain invalidation, never to a stale answer.
 
 Hit/miss/invalidation/revalidation counters are monotonic and
 thread-safe; read them together via :meth:`ResultCache.counters` (one
@@ -74,8 +74,9 @@ __all__ = ["CacheCounters", "MutationDeltaLog", "ResultCache", "entry_still_vali
 #: Decimals kept when digesting query vectors into cache keys.
 QUANTIZE_DECIMALS = 12
 
-#: Mutations whose deltas are retained.
-DELTA_WINDOW = 64
+#: Inserted rows plus removed ids the delta log keeps (the newest whole
+#: mutations): a proof is one kernel call over at most this many rows.
+DELTA_ROWS = 4096
 
 #: Cache keys: (kind, feature, parameter, digest).
 CacheKey = tuple[str, str, int | float, str]
@@ -83,9 +84,13 @@ CacheKey = tuple[str, str, int | float, str]
 #: Revalidation callback: (stale entry's stamp, its results) -> still valid?
 Revalidator = Callable[[int, list[RetrievalResult]], bool]
 
-#: One mutation's effect: ``(inserted ids, {feature: (m, d) rows})`` for
-#: an add, ``(removed ids, None)`` for a remove.
-MutationDelta = tuple[tuple[int, ...], "dict[str, np.ndarray] | None"]
+
+class MutationDelta(NamedTuple):
+    """What the mutations between two generations changed."""
+
+    removed: np.ndarray  # ids
+    inserted_ids: np.ndarray
+    inserted: dict[str, np.ndarray]  # {feature: the inserted ids' rows}
 
 
 class CacheCounters(NamedTuple):
@@ -109,22 +114,60 @@ class CacheCounters(NamedTuple):
         return self.hits / total if total else 0.0
 
 
+class _Rows:
+    """Parallel columns, ``gen`` ascending.  Appends write past the live
+    rows (a full store moves them to fresh arrays) and trimming only
+    moves ``start``, so a slice once read is never written again."""
+
+    def __init__(self) -> None:
+        self.columns = {"gen": np.empty(0, np.int64), "id": np.empty(0, np.int64)}
+        self.start = self.end = 0
+
+    def __len__(self) -> int:
+        return self.end - self.start
+
+    def append(self, rows: Mapping[str, np.ndarray]) -> None:
+        m = len(rows["gen"])
+        if self.end + m > len(self.columns["gen"]) or rows.keys() - self.columns:
+            # The log trims before it appends: live + m <= DELTA_ROWS.
+            fresh, live = {}, len(self)
+            for name, values in rows.items():
+                shape = (2 * DELTA_ROWS, *values.shape[1:])
+                fresh[name] = np.empty(shape, values.dtype)
+                if name in self.columns:
+                    fresh[name][:live] = self.columns[name][self.start : self.end]
+            self.columns, self.start, self.end = fresh, 0, live
+        for name, values in rows.items():
+            self.columns[name][self.end : self.end + m] = values
+        self.end += m
+
+    def gens(self) -> np.ndarray:
+        return self.columns["gen"][self.start : self.end]
+
+    def between(self, old: int, new: int) -> dict[str, np.ndarray]:
+        """Every column's rows with ``old < gen <= new``."""
+        gens = self.gens()
+        lo = self.start + gens.searchsorted(old, side="right")
+        hi = self.start + gens.searchsorted(new, side="right")
+        return {name: column[lo:hi] for name, column in self.columns.items()}
+
+
 class MutationDeltaLog:
-    """Bounded per-generation record of what each mutation changed.
+    """Bounded record of what each mutation changed, as columns.
 
-    Maps the database **generation after the mutation applied** to the
-    :data:`MutationDelta` that produced it.  Only the newest
-    :data:`DELTA_WINDOW` mutations are retained; :meth:`between`
-    returns ``None`` as soon as any generation in the requested range
-    has been dropped (or was never recorded), which callers must treat
-    as "cannot prove validity".
-
-    Thread-safe: the scheduler's worker records while caller threads
-    read during cache lookups.
+    Inserts are one row per item (``gen``, ``id``, a column per
+    feature), removes one row per id (``gen``, ``id``); ``gen`` is the
+    database **generation after the mutation applied**.  The log covers
+    every mutation in generations ``(since, last]``: a generation
+    recorded out of turn (a failed apply bumps it without a record; a
+    mutation over the bound is not kept) restarts it, and only the
+    newest whole mutations with at most :data:`DELTA_ROWS` rows stay.
+    Thread-safe: the worker records while lookups read.
     """
 
     def __init__(self) -> None:
-        self._log: OrderedDict[int, MutationDelta] = OrderedDict()
+        self._inserts, self._removes = _Rows(), _Rows()
+        self._since = self._last = 0
         self._lock = threading.Lock()
 
     def record(
@@ -135,45 +178,44 @@ class MutationDeltaLog:
     ) -> None:
         """Record the mutation that produced ``generation``: an insert
         of ``matrices`` (``{feature: (m, d) rows}``) under ``ids``, or,
-        without ``matrices``, a removal of ``ids``.
-
-        The rows are copied: the log must outlive the caller's batch
-        buffers, and revalidation reads it from other threads.
+        without ``matrices``, a removal of ``ids``.  The rows are copied.
         """
-        if matrices is not None:
-            matrices = {
-                feature: np.array(rows, dtype=np.float64, copy=True)
-                for feature, rows in matrices.items()
-            }
-        generation = int(generation)
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        if len(ids) > DELTA_ROWS:
+            return  # not kept: the next record finds the gap and restarts
+        rows = {"gen": np.full(len(ids), generation, dtype=np.int64), "id": ids}
+        rows.update((f, np.asarray(r, np.float64)) for f, r in (matrices or {}).items())
+        tables = (self._inserts, self._removes)
         with self._lock:
-            self._log[generation] = (tuple(int(i) for i in ids), matrices)
-            self._log.move_to_end(generation)
-            while len(self._log) > DELTA_WINDOW:
-                self._log.popitem(last=False)
+            if generation != self._last + 1:
+                # Nothing older can bridge the gap.
+                self._since = generation - 1
+                for table in tables:
+                    table.start = table.end
+            self._last = generation
+            while len(self._inserts) + len(self._removes) + len(ids) > DELTA_ROWS:
+                # Drop the oldest whole mutation.
+                self._since = min(int(t.gens()[0]) for t in tables if len(t))
+                for table in tables:
+                    table.start += int(table.gens().searchsorted(self._since, "right"))
+            (self._removes if matrices is None else self._inserts).append(rows)
 
-    def between(self, old: int, new: int) -> list[MutationDelta] | None:
-        """Every delta from ``old`` (exclusive) to ``new`` (inclusive).
-
-        ``None`` when the range cannot be reconstructed — a
-        non-advancing range, or any generation missing from the
-        retained window.  The caller must then fall back to
-        invalidation.
+    def between(self, old: int, new: int) -> MutationDelta | None:
+        """Everything the mutations from ``old`` (exclusive) to ``new``
+        (inclusive) changed; ``None`` when the range does not advance
+        or the log does not cover it (the caller must then invalidate).
         """
-        if old >= new:
-            return None
         with self._lock:
-            deltas: list[MutationDelta] = []
-            for generation in range(old + 1, new + 1):
-                delta = self._log.get(generation)
-                if delta is None:
-                    return None
-                deltas.append(delta)
-            return deltas
+            if not self._since <= old < new <= self._last:
+                return None
+            inserted = self._inserts.between(old, new)
+            removed = self._removes.between(old, new)["id"]
+        del inserted["gen"]
+        return MutationDelta(removed, inserted.pop("id"), inserted)
 
 
 def entry_still_valid(
-    deltas: list[MutationDelta] | None,
+    delta: MutationDelta | None,
     feature: str,
     metric: Metric,
     kind: str,
@@ -183,60 +225,46 @@ def entry_still_valid(
 ) -> bool:
     """Prove a stale-stamped cache entry still equals a fresh query.
 
-    ``deltas`` is the mutation delta log from the entry's stamp to the
-    current one (``None``: part of the range left the
-    bounded window).  A k-NN entry survives iff no cached result id was
-    removed and every inserted item orders *strictly after* the kth
-    result under the engine's total ``(distance, id)`` ranking — an
-    insert tying the kth distance with a larger id stays outside the
-    top-k, exactly as a fresh query would place it.  A range entry
-    survives iff no result id was removed and no insert landed inside
-    the closed ball (``distance <= radius`` would be reported).
-    Removals of items *outside* the cached result never matter: they
-    ranked after the kth (or outside the ball), so dropping them cannot
-    change it.  Anything unprovable — deltas past the bounded window, a
-    short k-NN list that an insert could extend — returns False and the
-    entry is invalidated; revalidation can only ever upgrade a miss to
-    a hit that matches a fresh query bit for bit.
-
-    Distances are computed with the ``feature``'s own ``metric`` over
-    that feature's inserted rows — the same float64 rows the engine
-    indexed, so the comparison floats are
-    the ones a fresh query would rank by.  Runs on the caller's thread
-    against the (locked) delta log; the engine itself is never touched.
+    ``delta`` is what changed from the entry's stamp to the current
+    generation (``None``: the log cannot reconstruct the range).  A
+    k-NN entry survives iff no cached result id was removed and every
+    inserted item orders *strictly after* the kth result under the
+    engine's total ``(distance, id)`` ranking — an insert tying the
+    kth distance with a larger id stays outside the top-k, exactly as
+    a fresh query would place it.  A range entry survives iff no
+    result id was removed and no insert landed inside the closed ball
+    (``distance <= radius`` would be reported).  Removals of items
+    *outside* the cached result never matter: they ranked after the
+    kth (or outside the ball), so dropping them cannot change it.
+    Anything unprovable — a range past the log, a short k-NN list that
+    an insert could extend — returns False and the entry is
+    invalidated; revalidation can only ever upgrade a miss to a hit
+    that matches a fresh query bit for bit.  One broadcast comparison
+    of ids and one ``metric.distance_batch`` call over the ``feature``'s
+    inserted rows — the float64 rows the engine indexed, so the floats
+    are the ones a fresh query ranks by — on the caller's thread.
     """
-    if deltas is None:
+    if delta is None:
         return False
-    removed: set[int] = set()
-    inserted: list[tuple[tuple[int, ...], np.ndarray]] = []
-    for ids, matrices in deltas:
-        if matrices is None:
-            removed.update(ids)
-        elif ids:
-            inserted.append((ids, matrices[feature]))
-    if removed and any(result.image_id in removed for result in results):
+    if (delta.removed[:, None] == [result.image_id for result in results]).any():
         return False
-    if not inserted:
+    if not len(delta.inserted_ids):
         return True
+    if kind == "knn" and len(results) < int(parameter):
+        # Fewer hits than k means the corpus was smaller than k: any
+        # insert could extend the list.  (An empty corpus cannot be
+        # queried, so results is never empty here.)
+        return False
+    distances = metric.distance_batch(vector, delta.inserted[feature])
     if kind == "knn":
-        if len(results) < int(parameter):
-            # Fewer hits than k means the corpus was smaller than k:
-            # any insert could extend the list.  (An empty corpus
-            # cannot be queried, so results is never empty here.)
-            return False
         kth = results[-1]
-        kth_key = (kth.distance, kth.image_id)
-        for ids, vectors in inserted:
-            distances = metric.distance_batch(vector, vectors)
-            for image_id, distance in zip(ids, distances):
-                if (float(distance), image_id) < kth_key:
-                    return False
-        return True
-    radius = float(parameter)
-    for _ids, vectors in inserted:
-        if np.any(metric.distance_batch(vector, vectors) <= radius):
-            return False
-    return True
+        near = distances <= kth.distance
+        if not near.any():
+            return True
+        # At or inside the kth distance, and ahead of it: a tie goes by id.
+        ahead = (distances < kth.distance) | (delta.inserted_ids < kth.image_id)
+        return not (near & ahead).any()
+    return not (distances <= float(parameter)).any()
 
 
 class ResultCache:
@@ -356,8 +384,8 @@ class ResultCache:
         """The cached results for ``key`` (a fresh list), or ``None``.
 
         ``generation`` is the caller's *current* data version (the
-        database's generation).  An entry computed
-        under a different (``!=``) generation is stale.
+        database's generation).  An entry computed under an older
+        generation is stale; one stamped newer is a plain miss.
 
         ``revalidator`` gets a chance to save a stale entry: it is
         called — outside the cache lock, so it may compute distances —
@@ -372,7 +400,9 @@ class ResultCache:
         """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
+            if entry is None or entry[0] > generation:
+                # Absent, or filled after the caller read its generation:
+                # a plain miss, and the newer entry stays.
                 self._misses += 1
                 return None
             stored_generation, results = entry

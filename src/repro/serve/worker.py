@@ -7,8 +7,8 @@ thread, so nothing here takes a lock and reading a query's counters from
 for the three things a batch is made of:
 
 * **a query** (:meth:`BatchWorker.answer`): one scalar database call,
-  its counters from the index's ``last_stats``, the cache filled
-  stamped with the generation the call ran under;
+  its counters (``last_stats``) and CPU time (``thread_time``), the
+  cache filled stamped with the generation the call ran under;
 * **the write barrier** (:meth:`apply` → :meth:`ack`): each mutation
   on its own — validate, journal one record, apply one database call
   (an abort mark follows when the apply fails), one generation bump,
@@ -74,6 +74,7 @@ class BatchWorker:
             return
         request.dispatch(time.monotonic())
         engine_start = time.monotonic()
+        cpu_start = time.thread_time()
         search = self._db.query if request.kind == "knn" else self._db.range_query
         try:
             results = search(
@@ -85,13 +86,18 @@ class BatchWorker:
         except Exception as error:  # pragma: no cover - defensive
             request.fail(self._ledger, error)
             return
+        cpu_ms = (time.thread_time() - cpu_start) * 1e3
         respond_start = time.monotonic()
         # This call's cost: the worker is the only thread that queries
         # the database, so nothing overwrote it.
         stats = self._db.index_for(request.feature).last_stats
         if request.trace is not None:
             request.trace.add_span(
-                "engine", engine_start, respond_start - engine_start, **asdict(stats)
+                "engine",
+                engine_start,
+                respond_start - engine_start,
+                cpu_ms=cpu_ms,  # this thread's CPU; wall minus it is waiting
+                **asdict(stats),
             )
         if request.key is not None:
             # Stamped with the generation the call ran under — the

@@ -190,10 +190,13 @@ class TestSchedulerTracing:
         (engine,) = [s for s in trace.spans if s.stage == "engine"]
         index = vector_db.index_for("sig")
         index.knn_search(vector, 5)
-        assert engine.annotations == dataclasses.asdict(index.last_stats)
-        assert all(type(value) is int for value in engine.annotations.values())  # JSON
-        assert engine.annotations["nodes_visited"] > 0
-        assert engine.annotations["leaves_visited"] > 0
+        counters = dict(engine.annotations)
+        # The worker thread's CPU time inside the span's wall time.
+        assert 0.0 <= counters.pop("cpu_ms") <= engine.duration_s * 1e3
+        assert counters == dataclasses.asdict(index.last_stats)
+        assert all(type(value) is int for value in counters.values())  # JSON
+        assert counters["nodes_visited"] > 0
+        assert counters["leaves_visited"] > 0
 
     def test_each_query_in_a_batch_times_only_its_own_engine_call(
         self, vector_db, rng
@@ -217,7 +220,9 @@ class TestSchedulerTracing:
             assert outcome.stats == vector_db.index_for("sig").last_stats
             trace = scheduler.flight_recorder.find(outcome.trace_id)
             (engine,) = [s for s in trace.spans if s.stage == "engine"]
-            assert engine.annotations == dataclasses.asdict(outcome.stats)
+            counters = dict(engine.annotations)
+            counters.pop("cpu_ms")
+            assert counters == dataclasses.asdict(outcome.stats)
             engines.append(engine)
         for earlier, later in zip(engines, engines[1:]):
             assert earlier.start + earlier.duration_s <= later.start
@@ -240,8 +245,33 @@ class TestSchedulerTracing:
             trace = scheduler.flight_recorder.find(hit.trace_id)
             assert trace.stage_names() == ["admit", "cache-lookup"]
             lookup = trace.spans[-1]
-            assert lookup.annotations["hit"] is True
+            assert lookup.annotations == {"outcome": "hit", "proof_rows": 0}
             assert trace.annotations.get("cache_hit") is True
+
+    def test_cache_lookup_span_reports_the_proof(self, vector_db, rng):
+        # A revalidation says how much it checked: a far insert of 3
+        # rows proves the entry over those 3 rows; a remove of one of
+        # its results (1 id) refuses it.
+        with QueryScheduler(vector_db, max_wait_ms=0.5) as scheduler:
+            vector = rng.random(_DIM)
+            first = scheduler.submit_query(vector, 5).result(5)
+            scheduler.submit_add(np.full((3, _DIM), 50.0)).result(5)
+            proved = scheduler.submit_query(vector, 5).result(5)
+            scheduler.submit_remove([first.results[0].image_id]).result(5)
+            refused = scheduler.submit_query(vector, 5).result(5)
+            lookups = [
+                next(
+                    span.annotations
+                    for span in scheduler.flight_recorder.find(served.trace_id).spans
+                    if span.stage == "cache-lookup"
+                )
+                for served in (first, proved, refused)
+            ]
+        assert lookups == [
+            {"outcome": "miss", "proof_rows": 0},
+            {"outcome": "revalidated", "proof_rows": 3},
+            {"outcome": "invalidated", "proof_rows": 1},
+        ]
 
     def test_mutation_trace_includes_journal_spans(self, vector_db, rng, tmp_path):
         from repro.db.journal import JOURNAL_FILE, Journal
