@@ -52,6 +52,7 @@ rows back.
 
 from __future__ import annotations
 
+import sys
 from abc import ABC, abstractmethod
 from heapq import heappush, heapreplace
 from numbers import Integral
@@ -132,7 +133,33 @@ _ROUNDING_SLACK = 1e-9
 #: partition gather (:func:`reorder_rows`) and the distance sweeps
 #: (:meth:`MetricIndex._build_dist_batch`) work through bigger nodes in
 #: pieces, so a build's peak is its working block, not a multiple of it.
+#: A traversal round's gather (:meth:`MetricIndex._evaluate`) too.
 _BUILD_TEMP_BYTES = 1 << 23
+
+
+#: Share of the k-NN frontier, nearest bound first, that one round of
+#: :meth:`MetricIndex._knn_search` evaluates (at least one entry); the
+#: rest is re-tested against the tau the round leaves.  Measured on the
+#: VP-tree over the ``benchmarks/e2e`` data (d=16, leaf 16, k=10, 100
+#: queries): 1.0 (every surviving entry, level-synchronous) makes 27.9
+#: calls per k-NN at n=200k but costs more distances than the
+#: depth-first walk (12 437.9 against 12 403.9; 1 351.7 against 1 349.9
+#: at n=20k); 0.8 makes 51.0 calls for 12 378.6 (1 341.4 at n=20k); 0.5
+#: gives the same counts in 83.8 calls.  The GNAT and the k-d tree keep
+#: it: their mean k-NN distances move by at most +1.5 %
+#: (``docs/indexes.md``, which also has the curve).
+_BATCH_FRACTION = 0.8
+
+
+def _row_ranges(start: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, first)``: rows ``[start[i], start[i] + width[i])`` of
+    every node in order, concatenated, and where each node's first row
+    sits among them."""
+    first = width.cumsum() - width
+    total = int(first[-1] + width[-1]) if width.size else 0
+    if total == width.size and (width == 1).all():  # pivots only (or one-row buckets)
+        return start, first
+    return np.arange(total) + (start - first).repeat(width), first
 
 
 def reorder_rows(rows: np.ndarray, order: np.ndarray) -> None:
@@ -244,12 +271,15 @@ class _PendingRows(IdMap):
 class MetricIndex(ABC):
     """Base class: validation, bookkeeping, and the query protocol.
 
-    Subclasses implement ``_build``, ``_range_search`` and ``_knn_search``;
-    this class owns operand validation, result ordering, and the stats
-    lifecycle.  Every row a query hands to the metric's ``_kernel`` must
-    be counted in :attr:`last_stats`: :meth:`_dist_batch` counts as it
-    evaluates, and the flat tree loops, which call the kernel directly,
-    count in locals and write them back once through :meth:`_record`.
+    Subclasses implement ``_build`` and either ``_range_search`` and
+    ``_knn_search`` or the two round hooks, :meth:`_node_rows` and
+    :meth:`_child_bounds`, that this class's frontier traversals (the
+    static trees' one range loop and one k-NN loop) walk; this class
+    owns operand validation, result ordering, and the stats lifecycle.
+    Every row a query hands to the metric's ``_kernel`` must be counted
+    in :attr:`last_stats`: :meth:`_dist_batch` counts as it evaluates,
+    and the traversal loops, which call the kernel directly, count in
+    locals and write them back once through :meth:`_record`.
     """
 
     #: Set False in subclasses that tolerate non-metric distances.
@@ -764,6 +794,227 @@ class MetricIndex(ABC):
         )
 
     # ------------------------------------------------------------------
+    # The round engine: the static trees' range and k-NN traversals
+    # ------------------------------------------------------------------
+    def _node_rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Round hook: ``(start, width, inner)`` of each of ``nodes`` (node
+        numbers; the root is 0) — evaluating a node costs the block rows
+        ``[start, start + width)`` (a pivot, a node's split points, a
+        leaf's bucket, or none), and ``inner`` says which nodes have
+        children, read from the tree's child column.  Every inner node of
+        a tree has the same width."""
+        raise NotImplementedError
+
+    def _child_bounds(
+        self, query: np.ndarray, parents: np.ndarray, d: np.ndarray, column: int | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Round hook: ``(kids, bounds)``, two ``(len(parents), c)`` arrays
+        — each inner node's child numbers (``-1`` for an absent child)
+        and a lower bound on the distance from ``query`` to anything
+        stored under each child, less the rounding allowance (so it may
+        be negative).  ``d`` holds the parents' distances to their rows:
+        all of them (``column`` is ``None``) or, in a range query's stage
+        ``column``, that row's only."""
+        raise NotImplementedError
+
+    def _evaluate(self, query: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The query's distance to each of the block's ``rows``: one
+        kernel call, unless the gathered rows would pass
+        :data:`_BUILD_TEMP_BYTES` (a range ball holding most of the
+        collection), then a call per piece; no call for no rows."""
+        kernel, block = self._metric._kernel, self._vectors
+        step = max(1, _BUILD_TEMP_BYTES // (8 * block.shape[1]))
+        if not rows.size:
+            return np.empty(0)
+        if rows.size <= step:
+            return kernel(query, block[rows])
+        return np.concatenate(
+            [kernel(query, block[rows[at : at + step]]) for at in range(0, rows.size, step)]
+        )
+
+    def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
+        """Unsorted range result; base class sorts.
+
+        The round engine's range body is level-synchronous: the radius is
+        fixed, so every node of the frontier is evaluated each level —
+        every leaf's bucket in one call with the first split row of every
+        inner node — and its children are tested at once.  An inner node
+        of width *w* takes *w* stages: stage *s* evaluates row *s* of
+        every node whose child *s* is still in range (Brin's order for
+        the GNAT's split points, which a pruned child's split point
+        skips), and each stage's distances raise the children's bounds.
+        Prune decisions, answers and counters are those of a depth-first
+        walk; a query costs at most width × (depth + 1) calls.
+        """
+        ids = self._ids
+        result: list[Neighbor] = []
+        computed = visited = pruned = leaves = 0
+
+        frontier = np.zeros(1, dtype=np.int64)  # the root
+        while frontier.size:
+            start, width, inner = self._node_rows(frontier)
+            parents, first = frontier[inner], start[inner]
+            visited += parents.size
+            leaves += frontier.size - parents.size
+            stages = int(width[inner].max(initial=0))  # an inner node's rows
+            rows, _ = _row_ranges(start[~inner], width[~inner])
+            if stages:
+                rows = np.concatenate((first, rows))
+            chosen = np.arange(parents.size)
+            for stage in range(max(stages, 1)):
+                if stage:
+                    chosen = np.flatnonzero(bounds[:, stage] <= radius)
+                    rows = first[chosen] + stage
+                distances = self._evaluate(query, rows)
+                computed += rows.size
+                hits = (distances <= radius).nonzero()[0]
+                if hits.size:
+                    result += map(Neighbor, ids[rows[hits]].tolist(), distances[hits].tolist())
+                if not chosen.size:
+                    continue
+                d = distances[: chosen.size, None] if stages else np.empty((chosen.size, 0))
+                kids, raised = self._child_bounds(query, parents[chosen], d, stage)
+                if stage:
+                    bounds[chosen] = np.maximum(bounds[chosen], raised)
+                else:
+                    every_kid, bounds = kids, raised
+            if not parents.size:
+                break
+            # The radius never changes, so nothing a later level learns
+            # could move a decision taken here.
+            exists = every_kid >= 0
+            frontier = every_kid[exists & (bounds <= radius)]
+            pruned += int(np.count_nonzero(exists)) - frontier.size
+
+        self._record(computed, visited, pruned, leaves)
+        return result
+
+    def _knn_search(
+        self, query: np.ndarray, k: int, epsilon: float = 0.0, budget: int | None = None
+    ) -> list[Neighbor]:
+        """Unsorted k-NN result; base class sorts.
+
+        The round engine's k-NN body first *descends*, one node per call
+        on a row slice, nearer child first (the first child on ties),
+        until a leaf leaves ``k`` live candidates held — the depth-first
+        walk's first path, so ``tau`` starts as tight as the walk's.  Then
+        each round drops the frontier entries whose bound exceeds ``reach
+        = tau / (1 + epsilon)`` (a child's bound is the larger of its
+        parent's and its own), evaluates the nearest
+        :data:`_BATCH_FRACTION` of the rest by bound in one call, offers
+        the rows within ``tau``, and leaves the farthest entries for the
+        next round's test against the tightened ``tau``.  A node without
+        rows (a k-d tree's) is an ordinary entry whose round makes no
+        call for it.  Under a ``budget`` (the VP-tree's approximate mode,
+        whose inner nodes are one row) a round's rows are cut to the
+        remaining budget in bound order, a leaf keeping its affordable
+        prefix.
+        """
+        block, ids = self._vectors, self._ids
+        kernel = self._metric._kernel
+        shrink = 1.0 / (1.0 + epsilon)
+        limit = sys.maxsize if budget is None else budget
+        # The k best candidates so far (see offer_candidates); tau is the
+        # k-th best distance and an item farther than tau cannot enter
+        # the heap, so it is not offered.  reach is tau * shrink.
+        heap: list[tuple[float, int]] = []
+        live = self.live_mask.bits  # only live items are offered
+        tau = reach = np.inf
+        computed = visited = pruned = leaves = 0
+
+        # The descent.  The stack holds (node, lower bound on the
+        # distance to anything below it); what is left on it when the
+        # descent ends is the rounds' frontier.
+        stack: list[tuple[int, float]] = [(0, 0.0)]
+        split = np.arange(0)
+        while stack:
+            node, bound = stack.pop()
+            if bound > reach:
+                pruned += 1
+                continue
+            if computed >= limit:
+                stack.clear()
+                break
+            nodes = np.array((node,))
+            start, width, inner = self._node_rows(nodes)
+            start = int(start[0])
+            # Only the affordable prefix of a bucket is evaluated.
+            stop = start + min(int(width[0]), limit - computed)
+            computed += stop - start
+            distances = kernel(query, block[start:stop]) if stop > start else np.empty(0)
+            listed = distances.tolist()
+            if listed and min(listed) <= tau:
+                tau = offer_candidates(heap, k, ids[start:stop].tolist(), listed, live)
+                reach = tau * shrink
+            if not inner[0]:
+                leaves += 1
+                if len(heap) == k:
+                    break
+                continue
+            visited += 1
+            split = np.arange(stop - start)  # every inner node's row offsets
+            kids, kid_bounds = self._child_bounds(query, nodes, distances[None, :], None)
+            kids, kid_bounds = kids[0].tolist(), kid_bounds[0].tolist()
+            # The nearest child on top of the stack, the first on ties.
+            for j in reversed(sorted(range(len(kids)), key=kid_bounds.__getitem__)):
+                if kids[j] >= 0:
+                    stack.append((kids[j], max(bound, kid_bounds[j])))
+
+        # The rounds: one call each over the frontier's nearest entries.
+        nodes = np.array([node for node, _ in stack], dtype=np.int64)
+        bounds = np.array([bound for _, bound in stack])
+        while nodes.size:
+            near = bounds <= reach
+            n_near = int(np.count_nonzero(near))
+            if n_near < nodes.size:
+                pruned += nodes.size - n_near
+                nodes, bounds = nodes[near], bounds[near]
+                if not n_near:
+                    break
+            if computed >= limit:
+                break
+            order = bounds.argsort(kind="stable")
+            cut = max(1, int(_BATCH_FRACTION * order.size))
+            take, take_bounds = nodes[order[:cut]], bounds[order[:cut]]
+            nodes, bounds = nodes[order[cut:]], bounds[order[cut:]]
+
+            start, width, inner = self._node_rows(take)
+            rows, first = _row_ranges(start, width)
+            if rows.size > limit - computed:
+                # Only the affordable prefix, in bound order; a node is
+                # evaluated if its first row is.
+                rows = rows[: limit - computed]
+                kept = int(np.searchsorted(first, rows.size))
+                take, take_bounds = take[:kept], take_bounds[:kept]
+                first, width, inner = first[:kept], width[:kept], inner[:kept]
+            distances = self._evaluate(query, rows)
+            computed += rows.size
+            offered = (distances <= tau).nonzero()[0]
+            if offered.size:
+                tau = offer_candidates(
+                    heap, k, ids[rows[offered]].tolist(), distances[offered].tolist(), live
+                )
+                reach = tau * shrink
+
+            parents = take[inner]
+            visited += parents.size
+            leaves += take.size - parents.size
+            if not parents.size:
+                continue
+            d = distances[first[inner][:, None] + split]
+            kids, kid_bounds = self._child_bounds(query, parents, d, None)
+            np.maximum(kid_bounds, take_bounds[inner][:, None], out=kid_bounds)
+            # Child-major, so the frontier lists every first child, then
+            # every second ...; absent children are dropped.
+            kids, kid_bounds = kids.T.ravel(), kid_bounds.T.ravel()
+            exists = kids >= 0
+            nodes = np.concatenate((nodes, kids[exists]))
+            bounds = np.concatenate((bounds, kid_bounds[exists]))
+
+        self._record(computed, visited, pruned, leaves)
+        return [Neighbor(-neg_id, -neg_d) for neg_d, neg_id in heap]
+
+    # ------------------------------------------------------------------
     # Subclass hooks
     # ------------------------------------------------------------------
     @abstractmethod
@@ -778,14 +1029,6 @@ class MetricIndex(ABC):
         row *numbers*, and read rows through ``self._vectors`` at query
         time; ``self._ids`` / ``self._row_of`` are set from ``ids``.
         """
-
-    @abstractmethod
-    def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
-        """Unsorted range result; base class sorts."""
-
-    @abstractmethod
-    def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
-        """Unsorted k-NN result; base class sorts."""
 
     def __repr__(self) -> str:
         state = f"size={self.size}" if self.is_built else "unbuilt"

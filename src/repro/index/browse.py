@@ -15,9 +15,11 @@ it is safe to yield immediately: the stream is in ``(distance, id)``
 order, exactly ``knn_search(query, size)``.
 
 :func:`browse` works against any :class:`~repro.index.base.MetricIndex`:
-the VP-tree is browsed lazily over its flat node arrays; anything else
-falls back to a fully-sorted scan (correct, not lazy — the docstring of
-the fallback says so loudly).  Either way the mutation overlay applies:
+the VP-tree, the GNAT and the k-d tree are browsed lazily through the
+round hooks their traversals run on (:meth:`MetricIndex._node_rows`,
+:meth:`MetricIndex._child_bounds`); anything else falls back to a
+fully-sorted scan (correct, not lazy — the docstring of the fallback
+says so loudly).  Either way the mutation overlay applies:
 dead rows never surface and live pending rows do.
 """
 
@@ -32,7 +34,6 @@ import numpy as np
 from repro.errors import IndexingError
 from repro.index.base import MetricIndex, Neighbor
 from repro.index.stats import SearchStats
-from repro.index.vptree import VPTree, _interval_gap
 
 __all__ = ["browse"]
 
@@ -40,8 +41,8 @@ __all__ = ["browse"]
 def browse(index: MetricIndex, query: np.ndarray) -> Iterator[Neighbor]:
     """Yield the index's items nearest-first, lazily where supported.
 
-    For a :class:`~repro.index.vptree.VPTree` this is true incremental
-    browsing: consuming the first few results costs only the distance
+    For a tree with round hooks (the VP-tree, the GNAT, the k-d tree)
+    this is true incremental browsing: consuming the first few results costs only the distance
     computations their proof of rank requires.  For other indexes the
     fallback computes every distance up front and yields from a sorted
     list — same output contract, linear cost.
@@ -61,9 +62,9 @@ def browse(index: MetricIndex, query: np.ndarray) -> Iterator[Neighbor]:
     """
     if not index.is_built:
         raise IndexingError("index has not been built yet")
-    if isinstance(index, VPTree):
-        return _browse_vptree(index, query)
-    return _browse_sorted(index, query)
+    if type(index)._child_bounds is MetricIndex._child_bounds:
+        return _browse_sorted(index, query)
+    return _browse_tree(index, query)
 
 
 def _browse_sorted(index: MetricIndex, query: np.ndarray) -> Iterator[Neighbor]:
@@ -71,7 +72,7 @@ def _browse_sorted(index: MetricIndex, query: np.ndarray) -> Iterator[Neighbor]:
     return iter(index.knn_search(query, index.size))
 
 
-def _browse_vptree(tree: VPTree, query: np.ndarray) -> Iterator[Neighbor]:
+def _browse_tree(tree: MetricIndex, query: np.ndarray) -> Iterator[Neighbor]:
     query = tree._check_query(query)
     tree._search_stats = stats = SearchStats()
     rows, ids = tree._vectors, tree._ids
@@ -86,11 +87,11 @@ def _browse_vptree(tree: VPTree, query: np.ndarray) -> Iterator[Neighbor]:
     tiebreak = itertools.count()
     queue: list[tuple[float, int, int, object]] = [(0.0, 0, next(tiebreak), 0)]
 
-    def measure(block_ids, block: np.ndarray) -> list[float]:
+    def measure(block_ids, block: np.ndarray) -> np.ndarray:
         # One counted kernel call; dead rows are measured (they are
         # inside the structure) but never surface.
-        distances = tree._dist_batch(query, block).tolist()
-        for item_id, d in zip(block_ids, distances):
+        distances = tree._dist_batch(query, block)
+        for item_id, d in zip(block_ids, distances.tolist()):
             if live[item_id]:
                 heapq.heappush(queue, (d, 1, item_id, Neighbor(item_id, d)))
         return distances
@@ -105,21 +106,17 @@ def _browse_vptree(tree: VPTree, query: np.ndarray) -> Iterator[Neighbor]:
             yield payload  # type: ignore[misc]
             continue
 
-        node: int = payload  # type: ignore[assignment]
-        start = tree._start[node]
-        inside, outside = tree._inside[node], tree._outside[node]
-        if inside < 0 and outside < 0:
+        node = np.array((payload,))
+        start, width, inner = tree._node_rows(node)
+        start, stop = int(start[0]), int(start[0] + width[0])
+        distances = np.empty(0)  # a k-d tree's inner node has no rows
+        if stop > start:
+            distances = measure(ids[start:stop].tolist(), rows[start:stop])
+        if not inner[0]:
             stats.leaves_visited += 1
-            stop = tree._stop[node]
-            measure(ids[start:stop].tolist(), rows[start:stop])
             continue
-
         stats.nodes_visited += 1
-        (d,) = measure(ids[start : start + 1].tolist(), rows[start : start + 1])
-        for child, low, high in (
-            (inside, tree._in_low[node], tree._in_high[node]),
-            (outside, tree._out_low[node], tree._out_high[node]),
-        ):
+        kids, bounds = tree._child_bounds(query, node, distances[None, :], None)
+        for child, child_bound in zip(kids[0].tolist(), bounds[0].tolist()):
             if child >= 0:
-                child_bound = max(bound, _interval_gap(d, low, high))
-                heapq.heappush(queue, (child_bound, 0, next(tiebreak), child))
+                heapq.heappush(queue, (max(bound, child_bound), 0, next(tiebreak), child))

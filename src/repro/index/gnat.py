@@ -17,36 +17,36 @@ chosen — the same heuristic Brin used, which tends to pick points near
 mutually distant cluster centers.
 
 Range search follows the paper; k-NN search (which the paper left open)
-is the natural best-first extension: children are visited in order of
-the strongest available lower bound, with the bound re-checked against
-the shrinking candidate radius before each expansion.
+is the natural branch-and-bound extension: a child's bound is the
+strongest any split point's interval gives, ``max over i of
+(low[i, j] - d_i, d_i - high[i, j], 0)``.
 
 Layout.  A struct of arrays, as in :mod:`repro.index.vptree`.  One
 contiguous ``(n, d)`` block holds every row in depth-first pre-order: a
 node's *m* split points (in selection order), then child subtree 0,
 child subtree 1, ... — so every node, and every leaf bucket, is a
 ``[start, stop)`` row range of that block and a node's split points are
-its first *m* rows.  Per-node lists indexed by the node's pre-order
-number hold the range, the child numbers (``-1`` = empty bucket; a leaf
-has ``None``) and the two ``(m, m)`` range tables.  The build partitions
-the block in place with an explicit stack, so a collection of identical
-rows — every item in split point 0's bucket, depth n/m — is an ordinary
-input.
+its first *m* rows.  Per-node arrays indexed by the node's pre-order
+number hold the range and the node's row in the inner-node tables
+(``_inner_of``; ``-1`` = a leaf); those tables stack every inner node's
+child numbers (``_children``, ``(n_inner, m)``, ``-1`` = empty bucket)
+and its two range tables (``_low`` / ``_high``, ``(n_inner, m, m)``).
+The build partitions the block in place with an explicit stack, so a
+collection of identical rows — every item in split point 0's bucket,
+depth n/m — is an ordinary input.
 
-Traversal.  One iterative best-first k-NN loop and one iterative range
-loop serve every entry point (the batched ones through
-:meth:`MetricIndex._run_batch`).  Every distance is a call of the
-metric's unchecked ``_kernel`` on a row slice of the block and is
-counted: a leaf is one call; a k-NN node visit is one call for all *m*
-split points (all are needed — each seeds candidates and sharpens every
-child's bound); a range node visit evaluates its split points one call
-at a time in index order, because an early distance can kill a later
-split point before it is evaluated.
+Traversal.  Range and k-NN search are :class:`MetricIndex`'s round
+engine (``index/base.py``); the tree supplies its two hooks.  A node's
+rows are its *m* split points or its leaf bucket.  A k-NN round
+evaluates all *m* split points of every node it takes in its one call
+(each seeds candidates and sharpens every child's bound); a range
+level evaluates split point *j* of every live node in stage *j*,
+because an earlier split point's distance can kill a later one's child
+— and with it the split point — before it is evaluated, so a range
+query costs at most degree × (depth + 1) calls.
 """
 
 from __future__ import annotations
-
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -54,9 +54,7 @@ from repro.errors import IndexingError
 from repro.index.base import (
     _ROUNDING_SLACK,
     MetricIndex,
-    Neighbor,
     check_count,
-    offer_candidates,
     reorder_rows,
 )
 from repro.index.pivot import DistanceBatchFn
@@ -131,14 +129,12 @@ class GNAT(MetricIndex):
         self._seed = seed
         # The flat tree (see the module docstring): one entry per node
         # in pre-order, over the base class's rows and ids in tree order.
-        self._start: list[int] = []
-        self._stop: list[int] = []
-        self._children: list[list[int] | None] = []
-        #: ``low[i, j]`` / ``high[i, j]``: distance interval from split
-        #: point i to everything stored under child j (split point j
-        #: included); ``None`` for a leaf.
-        self._low: list[np.ndarray | None] = []
-        self._high: list[np.ndarray | None] = []
+        self._start = self._stop = self._inner_of = np.empty(0, dtype=np.int64)
+        self._children = np.empty((0, self._degree), dtype=np.int64)
+        #: ``_low[t, i, j]`` / ``_high[t, i, j]``: distance interval from
+        #: split point i of inner node t to everything stored under its
+        #: child j (split point j included).
+        self._low = self._high = np.empty((0, self._degree, self._degree))
 
     @property
     def degree(self) -> int:
@@ -156,9 +152,10 @@ class GNAT(MetricIndex):
         rows, tree_ids = vectors, ids
         start_of: list[int] = []
         stop_of: list[int] = []
-        children: list[list[int] | None] = []
-        low_of: list[np.ndarray | None] = []
-        high_of: list[np.ndarray | None] = []
+        inner_of: list[int] = []
+        children: list[list[int]] = []
+        low_of: list[np.ndarray] = []
+        high_of: list[np.ndarray] = []
 
         # (start, stop, depth, parent, slot in the parent's child list);
         # child 0 is pushed last so nodes are numbered — and the rng is
@@ -168,12 +165,10 @@ class GNAT(MetricIndex):
             start, stop, depth, parent, slot = stack.pop()
             node = len(start_of)
             if parent >= 0:
-                children[parent][slot] = node
+                children[inner_of[parent]][slot] = node
             start_of.append(start)
             stop_of.append(stop)
-            children.append(None)
-            low_of.append(None)
-            high_of.append(None)
+            inner_of.append(-1)
             stats.depth = max(stats.depth, depth)
             if stop - start <= self._leaf_size:
                 stats.n_leaves += 1
@@ -209,7 +204,10 @@ class GNAT(MetricIndex):
                 pair_distances = self._build_dist_batch(splits[i], splits)
                 low[i] = np.minimum(low[i], pair_distances)
                 high[i] = np.maximum(high[i], pair_distances)
-            low_of[node], high_of[node] = low, high
+            inner_of[node] = len(children)
+            children.append([-1] * m)
+            low_of.append(low)
+            high_of.append(high)
 
             # Stable partition of the rest into the m buckets.
             by_owner = np.argsort(owners, kind="stable")
@@ -218,131 +216,45 @@ class GNAT(MetricIndex):
             edges = start + m + np.concatenate(
                 ([0], np.cumsum(np.bincount(owners, minlength=m)))
             )
-            children[node] = [-1] * m
             for owner in reversed(range(m)):
                 lo, hi = int(edges[owner]), int(edges[owner + 1])
                 if hi > lo:
                     stack.append((lo, hi, depth + 1, node, owner))
 
-        self._start, self._stop, self._children = start_of, stop_of, children
-        self._low, self._high = low_of, high_of
+        self._start, self._stop, self._inner_of = (
+            np.array(column, dtype=np.int64) for column in (start_of, stop_of, inner_of)
+        )
+        self._children = np.array(children, dtype=np.int64).reshape(-1, m)
+        self._low = np.array(low_of).reshape(-1, m, m)
+        self._high = np.array(high_of).reshape(-1, m, m)
 
     # ------------------------------------------------------------------
-    # Range search
+    # The round hooks (the traversals are MetricIndex's)
     # ------------------------------------------------------------------
-    def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
-        rows, ids = self._vectors, self._ids
-        start_of, stop_of, children = self._start, self._stop, self._children
-        low_of, high_of = self._low, self._high
-        kernel = self._metric._kernel
-        result: list[Neighbor] = []
-        computed = visited = pruned = leaves = 0
+    def _node_rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A node's *m* split points, or a leaf's bucket."""
+        start = self._start[nodes]
+        inner = self._inner_of[nodes] >= 0
+        return start, np.where(inner, self._degree, self._stop[nodes] - start), inner
 
-        stack = [0]
-        pop, push = stack.pop, stack.append
-        while stack:
-            node = pop()
-            start = start_of[node]
-            kids = children[node]
-            if kids is None:
-                leaves += 1
-                stop = stop_of[node]
-                computed += stop - start
-                distances = kernel(query, rows[start:stop]).tolist()
-                if min(distances) <= radius:  # most buckets hold no hit
-                    for item_id, d in zip(ids[start:stop].tolist(), distances):
-                        if d <= radius:
-                            result.append(Neighbor(item_id, d))
-                continue
-
-            visited += 1
-            low, high = low_of[node], high_of[node]
-            alive = [True] * len(kids)
-            for i, row in enumerate(range(start, start + len(kids))):
-                if not alive[i]:
-                    continue
-                computed += 1
-                d = kernel(query, rows[row : row + 1]).item()
-                if d <= radius:
-                    result.append(Neighbor(int(ids[row]), d))
-                # One computed distance kills every child whose interval
-                # from split point i misses the query annulus (widened
-                # for rounding, so an item at the radius survives).
-                slack = _ROUNDING_SLACK * (d + radius)
-                inner, outer = d - radius - slack, d + radius + slack
-                for j, (live, lo, hi) in enumerate(
-                    zip(alive, low[i].tolist(), high[i].tolist())
-                ):
-                    if live and j != i and (inner > hi or outer < lo):
-                        alive[j] = False
-                        if kids[j] >= 0:
-                            pruned += 1
-            # Child 0 is pushed last so children are walked in order.
-            for kid, live in zip(reversed(kids), reversed(alive)):
-                if live and kid >= 0:
-                    push(kid)
-
-        self._record(computed, visited, pruned, leaves)
-        return result
-
-    # ------------------------------------------------------------------
-    # k-NN search
-    # ------------------------------------------------------------------
-    def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
-        rows, ids = self._vectors, self._ids
-        start_of, stop_of, children = self._start, self._stop, self._children
-        low_of, high_of = self._low, self._high
-        kernel = self._metric._kernel
-        heap: list[tuple[float, int]] = []  # see offer_candidates
-        live = self.live_mask.bits  # only live items are offered
-        tau = np.inf
-        computed = visited = pruned = leaves = 0
-
-        # Best-first frontier of (lower bound, push number, node): equal
-        # bounds pop in push order.  A bound is tested against tau when
-        # pushed and again, after tau has shrunk, when popped.
-        frontier = [(0.0, 0, 0)]
-        pushed = 1
-        while frontier:
-            bound, _, node = heappop(frontier)
-            if bound > tau:
-                pruned += 1
-                continue
-            start = start_of[node]
-            kids = children[node]
-            stop = stop_of[node] if kids is None else start + len(kids)
-            computed += stop - start
-            distances = kernel(query, rows[start:stop])
-            if kids is None:
-                leaves += 1
-                distances = distances.tolist()
-                if min(distances) <= tau:  # most buckets offer nothing
-                    tau = offer_candidates(
-                        heap, k, ids[start:stop].tolist(), distances, live
-                    )
-                continue
-
-            visited += 1
-            if distances.min() <= tau:
-                tau = offer_candidates(
-                    heap, k, ids[start:stop].tolist(), distances.tolist(), live
-                )
-            # Child j lies no closer than any split point's interval
-            # allows: max over i of (low[i, j] - d_i, d_i - high[i, j], 0),
-            # each less its rounding allowance (a tie at tau survives).
-            d, high = distances[:, None], high_of[node]
-            gaps = np.maximum(low_of[node] - d, d - high)
-            bounds = np.maximum(
-                (gaps - _ROUNDING_SLACK * (d + high)).max(axis=0), 0.0
-            )
-            for kid, kid_bound in zip(kids, bounds.tolist()):
-                if kid < 0:
-                    continue
-                if kid_bound <= tau:
-                    heappush(frontier, (kid_bound, pushed, kid))
-                    pushed += 1
-                else:
-                    pruned += 1
-
-        self._record(computed, visited, pruned, leaves)
-        return [Neighbor(-neg_id, -neg_d) for neg_d, neg_id in heap]
+    def _child_bounds(
+        self, query: np.ndarray, parents: np.ndarray, d: np.ndarray, column: int | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Child j lies no closer than a split point i's interval allows,
+        ``max(low[i, j] - d_i, d_i - high[i, j])`` less its rounding
+        allowance: the strongest over every split point (floored at 0),
+        or in a range stage split point ``column``'s alone, which does
+        not test its own child."""
+        tables = self._inner_of[parents]
+        if column is None:
+            d = d[:, :, None]  # (node, split point i, child j)
+            low, high = self._low[tables], self._high[tables]
+            gaps = np.maximum(low - d, d - high)
+            gaps -= _ROUNDING_SLACK * (d + high)
+            bounds = gaps.max(axis=1)
+        else:
+            low, high = self._low[tables, column], self._high[tables, column]
+            bounds = np.maximum(low - d, d - high)
+            bounds -= _ROUNDING_SLACK * (d + high)
+            bounds[:, column] = -np.inf
+        return self._children[tables], bounds

@@ -21,21 +21,21 @@ numbered so that siblings are adjacent: ``_child[node]`` is the left
 child, the right child is the next number, and a leaf has ``-1``.  The
 per-node arrays hold the range, the split dimension and value, and the
 bounding box of *every* node, leaves included, as two ``(n_nodes, d)``
-arrays — both children's boxes are one two-row slice.  The build
-partitions the block in place with an explicit stack.
+arrays.  The build partitions the block in place with an explicit
+stack.
 
-Traversal.  One iterative best-first k-NN loop and one iterative range
-loop serve every entry point (the batched ones through
-:meth:`MetricIndex._run_batch`).  A visited node evaluates both
-children's box bounds in one vectorized computation — elementwise
-arithmetic plus a last-axis reduction, so the two-row result equals two
-one-row evaluations to the last ulp — and a visited leaf is exactly one
-call of the metric's unchecked ``_kernel`` on its row range.
+Traversal.  Range and k-NN search are :class:`MetricIndex`'s round
+engine (``index/base.py``); the tree supplies its two hooks.  An inner
+node has no rows — it is an ordinary frontier entry whose evaluation
+makes no kernel call — and a leaf's rows are its bucket; a child's
+bound is the norm of the query's excess over its box, elementwise
+arithmetic plus a last-axis reduction, so a box's bound is the same bits
+whichever boxes share the computation.  A range query costs at most
+depth + 1 calls.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from typing import Callable
 
 import numpy as np
@@ -43,9 +43,7 @@ import numpy as np
 from repro.errors import IndexingError
 from repro.index.base import (
     MetricIndex,
-    Neighbor,
     check_count,
-    offer_candidates,
     reorder_rows,
 )
 from repro.metrics.base import Metric
@@ -107,11 +105,9 @@ class KDTree(MetricIndex):
         self._box_norm = norm
         # The flat tree (see the module docstring): one entry per node,
         # over the base class's rows and ids in tree order.
-        self._start: list[int] = []
-        self._stop: list[int] = []
-        self._child: list[int] = []
-        self._split_dim: list[int] = []
-        self._split_value: list[float] = []
+        self._start = self._stop = self._child = np.empty(0, dtype=np.int64)
+        self._split_dim = np.empty(0, dtype=np.int64)
+        self._split_value = np.empty(0)
         self._box_low = np.empty((0, 0))
         self._box_high = np.empty((0, 0))
 
@@ -167,95 +163,26 @@ class KDTree(MetricIndex):
             stack.append((first + 1, depth + 1))
             stack.append((first, depth + 1))
 
-        self._start, self._stop, self._child = start_of, stop_of, child
-        self._split_dim, self._split_value = split_dim, split_value
+        self._start, self._stop, self._child, self._split_dim = (
+            np.array(column, dtype=np.int64)
+            for column in (start_of, stop_of, child, split_dim)
+        )
+        self._split_value = np.array(split_value, dtype=np.float64)
         self._box_low, self._box_high = np.array(box_low), np.array(box_high)
 
-    def _child_bounds(self, query: np.ndarray, first: int) -> list[float]:
-        """Box lower bounds of nodes ``first`` and ``first + 1`` (siblings)."""
-        pair = slice(first, first + 2)
-        excess = np.maximum(
-            np.maximum(self._box_low[pair] - query, query - self._box_high[pair]), 0.0
-        )
-        return self._box_norm(excess).tolist()
-
     # ------------------------------------------------------------------
-    # Queries
+    # The round hooks (the traversals are MetricIndex's)
     # ------------------------------------------------------------------
-    def _range_search(self, query: np.ndarray, radius: float) -> list[Neighbor]:
-        rows, ids = self._vectors, self._ids
-        start_of, stop_of, child = self._start, self._stop, self._child
-        kernel, bounds_of = self._metric._kernel, self._child_bounds
-        result: list[Neighbor] = []
-        computed = visited = pruned = leaves = 0
+    def _node_rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """No rows for an inner node, a leaf's bucket."""
+        start = self._start[nodes]
+        inner = self._child[nodes] >= 0
+        return start, np.where(inner, 0, self._stop[nodes] - start), inner
 
-        stack = [0]
-        pop, push = stack.pop, stack.append
-        while stack:
-            node = pop()
-            first = child[node]
-            if first < 0:
-                leaves += 1
-                start, stop = start_of[node], stop_of[node]
-                computed += stop - start
-                distances = kernel(query, rows[start:stop]).tolist()
-                if min(distances) <= radius:  # most buckets hold no hit
-                    for item_id, d in zip(ids[start:stop].tolist(), distances):
-                        if d <= radius:
-                            result.append(Neighbor(item_id, d))
-                continue
-            visited += 1
-            bound_left, bound_right = bounds_of(query, first)
-            # Right is pushed first so left is walked first.
-            if bound_right <= radius:
-                push(first + 1)
-            else:
-                pruned += 1
-            if bound_left <= radius:
-                push(first)
-            else:
-                pruned += 1
-
-        self._record(computed, visited, pruned, leaves)
-        return result
-
-    def _knn_search(self, query: np.ndarray, k: int) -> list[Neighbor]:
-        rows, ids = self._vectors, self._ids
-        start_of, stop_of, child = self._start, self._stop, self._child
-        kernel, bounds_of = self._metric._kernel, self._child_bounds
-        heap: list[tuple[float, int]] = []  # see offer_candidates
-        live = self.live_mask.bits  # only live items are offered
-        tau = np.inf
-        computed = visited = pruned = leaves = 0
-
-        # Best-first frontier of (box bound, push number, node): equal
-        # bounds pop in push order.  A bound is tested against tau when
-        # pushed and again, after tau has shrunk, when popped.
-        frontier = [(0.0, 0, 0)]
-        pushed = 1
-        while frontier:
-            bound, _, node = heappop(frontier)
-            if bound > tau:
-                pruned += 1
-                continue
-            first = child[node]
-            if first < 0:
-                leaves += 1
-                start, stop = start_of[node], stop_of[node]
-                computed += stop - start
-                distances = kernel(query, rows[start:stop]).tolist()
-                if min(distances) <= tau:  # most buckets offer nothing
-                    tau = offer_candidates(
-                        heap, k, ids[start:stop].tolist(), distances, live
-                    )
-                continue
-            visited += 1
-            for kid, kid_bound in zip((first, first + 1), bounds_of(query, first)):
-                if kid_bound <= tau:
-                    heappush(frontier, (kid_bound, pushed, kid))
-                    pushed += 1
-                else:
-                    pruned += 1
-
-        self._record(computed, visited, pruned, leaves)
-        return [Neighbor(-neg_id, -neg_d) for neg_d, neg_id in heap]
+    def _child_bounds(
+        self, query: np.ndarray, parents: np.ndarray, d: np.ndarray, column: int | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Left, then right: the box lower bound of each child."""
+        kids = self._child[parents][:, None] + np.arange(2)
+        excess = np.maximum(self._box_low[kids] - query, query - self._box_high[kids])
+        return kids, self._box_norm(np.maximum(excess, 0.0))

@@ -55,13 +55,17 @@ class ChebyshevDistance(Metric):
 
 
 class MinkowskiDistance(Metric):
-    """General L_p distance for ``p >= 1`` (p < 1 violates the triangle
-    inequality and is rejected)."""
+    """General L_p distance for finite ``p >= 1`` (p < 1 violates the
+    triangle inequality and is rejected; so is a NaN or infinite p —
+    the L-infinity distance is :class:`ChebyshevDistance`)."""
 
     def __init__(self, p: float) -> None:
-        if p < 1.0:
-            raise MetricError(f"Minkowski requires p >= 1 to be a metric; got {p}")
-        self._p = float(p)
+        p = float(p)
+        if p == np.inf:
+            raise MetricError("Minkowski p must be finite; for p = inf use ChebyshevDistance")
+        if not p >= 1.0:  # NaN fails this too
+            raise MetricError(f"Minkowski requires a finite p >= 1 to be a metric; got {p}")
+        self._p = p
 
     @property
     def p(self) -> float:

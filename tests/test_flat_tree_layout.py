@@ -13,12 +13,13 @@ per query type — and one module checks it for all of them:
   and the stored payload (intervals, range tables, radii, cached
   centroid distances, boxes) is the recomputed value bit for bit;
 * **call pattern** — a wrapper that counts metric *calls* and the rows
-  each hands over proves one kernel call per visited node, evaluated
-  split point, leaf or cluster on every entry point of GNAT, Antipole
-  and the k-d tree, and at most one per round on the VP-tree (its
-  frontier rounds gather every node they evaluate into one call), so
-  per-item scalar calls cannot creep back unnoticed, and rows handed
-  over == ``distance_computations``;
+  each hands over proves one kernel call per visited node or cluster on
+  every entry point of the Antipole tree, and on the VP-tree, the GNAT
+  and the k-d tree — which run the base class's one round engine — at
+  most one per round: a k-NN descent step or round, or a range level
+  (a GNAT range level in one stage per split point), so per-node calls
+  cannot creep back unnoticed, and rows handed over ==
+  ``distance_computations``;
 * **entry-point parity** — on generated data full of ties and
   duplicates, the scalar entry, a one-row batch and a row of an m-row
   batch agree on ids, distance floats and the whole ``SearchStats``, and
@@ -45,7 +46,7 @@ from repro.index.kdtree import KDTree
 from repro.index.linear import LinearScanIndex
 from repro.index.pivot import MaxSpreadPivot, MaxVariancePivot, RandomPivot
 from repro.index.stats import SearchStats
-from repro.index.vptree import VPTree, _interval_gap
+from repro.index.vptree import VPTree
 from repro.metrics.emd import MatchDistance
 from repro.metrics.minkowski import ChebyshevDistance, EuclideanDistance, ManhattanDistance
 
@@ -65,18 +66,19 @@ each_tree = pytest.mark.parametrize("kind", list(TREES))
 
 
 def _is_leaf(tree, node):
-    return tree._inside[node] < 0 and tree._outside[node] < 0
+    return bool((tree._child[node] < 0).all())
 
 
 def _shape(tree, node):
     """``(rows held at the node itself, child node numbers in row order)``."""
     size = tree._stop[node] - tree._start[node]
     if isinstance(tree, VPTree):
-        kids = [tree._inside[node], tree._outside[node]]
+        kids = tree._child[node].tolist()
         own = size if _is_leaf(tree, node) else 1
     elif isinstance(tree, GNAT):
-        kids = tree._children[node] or []
-        own = size if tree._children[node] is None else len(kids)
+        table = tree._inner_of[node]
+        kids = [] if table < 0 else tree._children[table].tolist()
+        own = size if table < 0 else len(kids)
     elif isinstance(tree, AntipoleTree):
         kids = [tree._a_child[node], tree._b_child[node]]
         own = size if tree._is_cluster[node] else 2
@@ -99,21 +101,19 @@ def _check_payload(tree, node, kids):
         if _is_leaf(tree, node):
             assert 0 < stop - start <= tree._leaf_size
             return
-        assert stop - start > tree._leaf_size
-        for child, low, high in (
-            (tree._inside[node], tree._in_low[node], tree._in_high[node]),
-            (tree._outside[node], tree._out_low[node], tree._out_high[node]),
-        ):
+        assert stop - start > tree._leaf_size and tree._child[node, 0] >= 0
+        for child, low, high in zip(tree._child[node], tree._low[node], tree._high[node]):
             if child < 0:
                 assert (low, high) == (0.0, 0.0)
                 continue
             distances = kernel(tree._vectors[start], span(child))
             assert low == float(distances.min()) and high == float(distances.max())
     elif isinstance(tree, GNAT):
-        children = tree._children[node]
-        if children is None:
-            assert tree._low[node] is None and 0 < stop - start <= tree._leaf_size
+        table = tree._inner_of[node]
+        if table < 0:
+            assert 0 < stop - start <= tree._leaf_size
             return
+        children = tree._children[table]
         splits = tree._vectors[start : start + len(children)]
         for j, child in enumerate(children):
             under = splits[j : j + 1]
@@ -121,8 +121,8 @@ def _check_payload(tree, node, kids):
                 under = np.vstack([under, span(child)])
             for i, split in enumerate(splits):
                 distances = kernel(split, under)
-                assert tree._low[node][i, j] == distances.min()
-                assert tree._high[node][i, j] == distances.max()
+                assert tree._low[table, i, j] == distances.min()
+                assert tree._high[table, i, j] == distances.max()
     elif isinstance(tree, AntipoleTree):
         if tree._is_cluster[node]:
             cached = kernel(tree._vectors[start], tree._vectors[start + 1 : stop])
@@ -249,8 +249,8 @@ def test_big_nodes_are_built_piecewise_to_the_same_tree(rng, kind, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# (b) One kernel call per visited node, split point, leaf or cluster —
-#     or, on the VP-tree, per round
+# (b) One kernel call per visited node or cluster on the Antipole tree,
+#     per round on the three trees of the round engine
 # ----------------------------------------------------------------------
 class _CallCounter(EuclideanDistance):
     """Records the row count of every metric call — a batch is one call,
@@ -270,28 +270,24 @@ def _expected_calls(kind, mode, stats, calls, tree, n_queries):
     (``stats`` summed over ``n_queries`` queries)."""
     nodes, leaves = stats.nodes_visited, stats.leaves_visited
     assert nodes and leaves
-    if kind == "vptree":
-        # One call per round, each evaluating at least one node; a range
-        # round is a level of the tree.
+    depth = tree.build_stats.depth
+    if kind in ("vptree", "gnat", "kdtree"):
+        # The round engine: at least one call per query, at most one per
+        # step or round, each evaluating at least one node; a k-d inner
+        # node costs no call.  A range level is one call per stage — one
+        # stage per split point of a GNAT node, one elsewhere.
+        evaluated = leaves if kind == "kdtree" else nodes + leaves
         if mode == "range":
-            return n_queries, n_queries * (tree.build_stats.depth + 1)
-        return n_queries, nodes + leaves
-    if kind == "kdtree":  # box bounds are not metric calls
-        return leaves, leaves
-    if kind == "gnat" and mode == "range":
-        # Split points are evaluated one call each, in index order, until
-        # killed; every call beyond the leaves' is therefore one row.
-        assert calls.count(1) >= len(calls) - leaves
-        return nodes + leaves, _GNAT_DEGREE * nodes + leaves
-    if kind == "antipole" and mode == "range":
+            stages = _GNAT_DEGREE if kind == "gnat" else 1
+            return n_queries, min(evaluated, n_queries * stages * (depth + 1))
+        return n_queries, evaluated
+    if mode == "range":
         # A and B are one call; a cluster is its centroid plus at most
         # one call for the members that survive the cached bounds.
         return nodes + leaves, nodes + 2 * leaves
-    if kind == "antipole":
-        # k-NN evaluates cluster members one at a time (tau-dependent).
-        members = stats.distance_computations - 2 * nodes - leaves
-        return (nodes + leaves + members,) * 2
-    return nodes + leaves, nodes + leaves
+    # k-NN evaluates cluster members one at a time (tau-dependent).
+    members = stats.distance_computations - 2 * nodes - leaves
+    return (nodes + leaves + members,) * 2
 
 
 @each_tree
@@ -329,6 +325,10 @@ def test_one_kernel_call_per_visit(rng, kind):
 # ----------------------------------------------------------------------
 # (c) Entry-point parity; the VP-tree also against a recursive reference
 # ----------------------------------------------------------------------
+def _interval_gap(d, low, high):
+    return max(low - d, d - high, 0.0)
+
+
 def _reference_knn(tree, query, k):
     """The recursive, one-distance-at-a-time VP-tree branch-and-bound:
     the exact answer, by the depth-first walk the frontier rounds
@@ -352,10 +352,7 @@ def _reference_knn(tree, query, k):
                 offer(row)
             return
         d = offer(start)
-        children = [
-            (tree._inside[node], tree._in_low[node], tree._in_high[node]),
-            (tree._outside[node], tree._out_low[node], tree._out_high[node]),
-        ]
+        children = list(zip(tree._child[node], tree._low[node], tree._high[node]))
         children.sort(key=lambda c: _interval_gap(d, c[1], c[2]))
         for child, low, high in children:
             tau = -heap[0][0] if len(heap) == k else np.inf
@@ -563,24 +560,39 @@ def test_a_bound_off_by_an_ulp_prunes_nothing():
     assert tree.knn_search(np.array([0.5]), 10) == oracle.knn_search(np.array([0.5]), 10)
 
 
-def test_vptree_answers_in_tens_of_calls_not_hundreds():
-    """On the served data (n=20k, d=16, leaf 16, k=10) the depth-first
-    walk made ~310 kernel calls per k-NN and ~300 per range query; the
-    frontier rounds make at most 100 per k-NN and at most one per tree
-    level per range query, for no more distances on average."""
+#: Per-query call ceilings at n=20k: ``(k-NN, range)``, the range one a
+#: function of the built tree.
+_CALL_CEILINGS = {
+    "vptree": (100, lambda tree: tree.build_stats.depth + 1),
+    "gnat": (30, lambda tree: tree.degree * (tree.build_stats.depth + 1)),
+    "kdtree": (30, lambda tree: tree.build_stats.depth + 1),
+}
+
+
+@pytest.mark.parametrize("kind", list(_CALL_CEILINGS))
+def test_trees_answer_in_tens_of_calls_not_hundreds(kind):
+    """On the served data (n=20k, d=16, k=10) the node-at-a-time walks
+    made ~310 (VP-tree leaf 16), 331 (GNAT) and 228 (k-d tree) kernel
+    calls per k-NN and ~300, 755 and 90 per range query; the round
+    engine stays under a per-query ceiling for both."""
     n, k = 20_000, 10
     rows, _ = gaussian_clusters(n + 50, 16, n_clusters=16, cluster_std=0.05, seed=1)
     counter = _CallCounter()
-    tree = VPTree(counter, leaf_size=16).build(np.arange(n), rows[:n])
+    if kind == "vptree":
+        tree = VPTree(counter, leaf_size=16)
+    else:
+        tree = GNAT(counter) if kind == "gnat" else KDTree(counter)
+    tree.build(np.arange(n), rows[:n])
     queries = rows[n:]
     radius = float(np.median([r[-1].distance for r in tree.knn_search_batch(queries, k)]))
+    knn_ceiling, range_ceiling = _CALL_CEILINGS[kind]
     for query in queries:
         counter.calls = []
         tree.knn_search(query, k)
-        assert len(counter.calls) <= 100
+        assert len(counter.calls) <= knn_ceiling
         counter.calls = []
         tree.range_search(query, radius)
-        assert len(counter.calls) <= tree.build_stats.depth + 1
+        assert len(counter.calls) <= range_ceiling(tree)
 
 
 # ----------------------------------------------------------------------

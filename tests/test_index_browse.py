@@ -5,12 +5,25 @@ import pytest
 
 from repro.errors import IndexingError
 from repro.index.browse import browse
+from repro.index.antipole import AntipoleTree
 from repro.index.linear import LinearScanIndex
 from repro.index.gnat import GNAT
+from repro.index.kdtree import KDTree
 from repro.index.mtree import MTree
 from repro.index.vptree import VPTree
 from repro.metrics.base import CountingMetric
 from repro.metrics.minkowski import EuclideanDistance
+
+
+class _Counting(EuclideanDistance):
+    """Counts kernel rows; a subclass, as the k-d tree only accepts
+    Minkowski metrics."""
+
+    count = 0
+
+    def _kernel(self, query, vectors):
+        self.count += vectors.shape[0]
+        return EuclideanDistance._kernel(query, vectors)
 
 
 def _tree(rng, n=200, dim=3, metric=None):
@@ -60,7 +73,9 @@ class TestOrderingContract:
 class TestMutationOverlay:
     """Browsing a mutated index: dead rows never surface, pending do."""
 
-    @pytest.mark.parametrize("factory", [VPTree, GNAT], ids=["vptree", "sorted"])
+    @pytest.mark.parametrize(
+        "factory", [VPTree, AntipoleTree, GNAT], ids=["vptree", "sorted", "gnat"]
+    )
     def test_browse_equals_full_knn_on_mutated_index(self, rng, factory):
         counter = CountingMetric(EuclideanDistance())
         vectors = rng.random((120, 3))
@@ -79,16 +94,22 @@ class TestMutationOverlay:
 
 
 class TestLaziness:
-    def test_few_results_cost_few_distances(self, rng):
-        """Taking 5 of 800 neighbors must not pay anything near 800."""
-        counter = CountingMetric(EuclideanDistance())
+    @pytest.mark.parametrize(
+        "factory", [VPTree, GNAT, KDTree], ids=["vptree", "gnat", "kdtree"]
+    )
+    def test_few_results_cost_few_distances(self, rng, factory):
+        """Taking 5 of 800 neighbors must not pay anything near 800:
+        every tree of the round hooks browses lazily."""
+        counter = _Counting()
         vectors = rng.random((800, 2))
-        tree = VPTree(counter).build(list(range(800)), vectors)
-        counter.reset()
-        stream = browse(tree, rng.random(2))
-        for _ in range(5):
-            next(stream)
+        tree = factory(counter).build(list(range(800)), vectors)
+        query = rng.random(2)
+        counter.count = 0
+        stream = browse(tree, query)
+        first = [next(stream) for _ in range(5)]
         assert counter.count < 400
+        assert counter.count == tree.last_stats.distance_computations
+        assert first == tree.knn_search(query, 5)
 
     def test_exhausting_costs_all_distances(self, rng):
         counter = CountingMetric(EuclideanDistance())

@@ -125,10 +125,10 @@ class TestRangeTables:
 
         # A child's subtree is a contiguous row range of the tree-ordered
         # block, so "everything under child j" is one slice.
-        for node, children in enumerate(tree._children):
-            if children is None:
+        for node, table in enumerate(tree._inner_of):
+            if table < 0:
                 continue
-            start = tree._start[node]
+            start, children = tree._start[node], tree._children[table]
             splits = tree._vectors[start : start + len(children)]
             for j, child in enumerate(children):
                 members = [splits[j]]
@@ -137,7 +137,7 @@ class TestRangeTables:
                 for i, split in enumerate(splits):
                     for vector in members:
                         d = metric.distance(split, vector)
-                        low, high = tree._low[node][i, j], tree._high[node][i, j]
+                        low, high = tree._low[table, i, j], tree._high[table, i, j]
                         assert low - 1e-9 <= d <= high + 1e-9
 
     def test_prunes_on_clustered_data(self, rng):

@@ -11,7 +11,8 @@ from repro.index.laesa import LAESAIndex
 from repro.index.linear import LinearScanIndex
 from repro.index.mtree import MTree
 from repro.index.pivot import MaxVariancePivot, RandomPivot
-from repro.index.vptree import VPTree, _interval_gap
+from repro.index.base import _ROUNDING_SLACK
+from repro.index.vptree import VPTree
 from repro.metrics.base import CountingMetric
 from repro.metrics.histogram import ChiSquareDistance, HistogramIntersection
 from repro.metrics.minkowski import EuclideanDistance, ManhattanDistance
@@ -262,32 +263,45 @@ class TestConfiguration:
 
 
 class TestIntervalGap:
+    """A child's bound (the tree's ``_child_bounds`` round hook) is its
+    interval gap from the pivot distance ``d``, ``max(low - d, d - high,
+    0)``, less the rounding allowance."""
+
+    @staticmethod
+    def _bound(d, low, high):
+        tree = VPTree(EuclideanDistance(), leaf_size=1).build(
+            [0, 1, 2], np.array([[0.0], [1.0], [2.0]])
+        )
+        tree._low[0], tree._high[0] = low, high  # both children's interval
+        _, bounds = tree._child_bounds(None, np.array([0]), np.array([[d]]), None)
+        assert bounds[0, 0] == bounds[0, 1]
+        return bounds[0, 0] + _ROUNDING_SLACK * (d + high)
+
     def test_inside_interval_is_zero(self):
-        assert _interval_gap(0.5, 0.2, 0.8) == 0.0
+        assert self._bound(0.5, 0.2, 0.8) == 0.0
 
     def test_below_interval(self):
-        assert _interval_gap(0.1, 0.4, 0.8) == pytest.approx(0.3)
+        assert self._bound(0.1, 0.4, 0.8) == pytest.approx(0.3)
 
     def test_above_interval(self):
-        assert _interval_gap(1.0, 0.4, 0.8) == pytest.approx(0.2)
+        assert self._bound(1.0, 0.4, 0.8) == pytest.approx(0.2)
 
 
 class TestTreeMemory:
     def test_built_tree_owns_one_copy_of_the_rows(self, rng):
-        """The tree is the index core's row block plus eight per-node
+        """The tree is the index core's row block plus five per-node
         columns.
 
         The object-graph tree once kept a full copy of the data alive
         per level (``pivot_vector`` viewed its level's temporary) and
         the first flat tree a tree-ordered block *beside* the id-ordered
         core; now the core itself is in tree order and the tree owns no
-        row array of its own, nor an id list — only 1-D node columns of
-        8 bytes an entry.
+        row array of its own, nor an id list — only node columns of 8
+        bytes an entry, one per node or one per node and child.
         """
         n, dim = 4000, 16
         tree = VPTree(EuclideanDistance()).build(list(range(n)), rng.random((n, dim)))
-        columns = ("_start", "_stop", "_inside", "_outside",
-                   "_in_low", "_in_high", "_out_low", "_out_high")
+        columns = ("_start", "_stop", "_child", "_low", "_high")
         arrays = {
             name for name, value in vars(tree).items() if isinstance(value, np.ndarray)
         }
@@ -302,4 +316,5 @@ class TestTreeMemory:
         )
         for name in columns:
             column = getattr(tree, name)
-            assert column.shape == (n_entries,) and column.itemsize == 8
+            assert column.shape[0] == n_entries and column.itemsize == 8
+            assert column.shape[1:] in ((), (2,))

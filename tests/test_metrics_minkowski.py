@@ -86,6 +86,15 @@ class TestValidation:
         with pytest.raises(MetricError, match="p >= 1"):
             MinkowskiDistance(0.5)
 
+    def test_minkowski_rejects_a_non_finite_p(self):
+        # NaN once made every distance NaN (name "Lnan"), and p = inf
+        # gave d(0, 0) = 1.0; both reached the k-d tree's box norm.
+        with pytest.raises(MetricError, match="ChebyshevDistance"):
+            MinkowskiDistance(float("inf"))
+        for p in (float("nan"), float("-inf")):
+            with pytest.raises(MetricError, match="finite p >= 1"):
+                MinkowskiDistance(p)
+
     def test_weighted_rejects_negative_weights(self):
         with pytest.raises(MetricError):
             WeightedEuclideanDistance([-1.0, 2.0])

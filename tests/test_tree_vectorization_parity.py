@@ -15,7 +15,10 @@ evaluations, and changes nothing observable —
   were re-recorded once, when its traversals became frontier rounds:
   structure, build stats, every exact answer and every range counter
   stayed bit for bit; its k-NN counters and approximate answers moved
-  (k-NN distances did not rise on any query).
+  (k-NN distances did not rise on any query).  The GNAT and kd-tree
+  ``knn_stats`` were re-recorded once, when their traversals moved onto
+  the base class's round engine: every answer, every other section and
+  every range counter stayed bit for bit.
 * **kernel/fallback parity** — hiding a metric's vectorized kernel (so
   ``distance_batch`` degrades to the per-row loop) must not change one
   bit of any build or query, including the approximate modes.
@@ -168,14 +171,14 @@ def _vp_structure(tree, node=0):
     if node < 0:
         return None
     start, stop = tree._start[node], tree._stop[node]
-    inside, outside = tree._inside[node], tree._outside[node]
+    inside, outside = tree._child[node].tolist()
     if inside < 0 and outside < 0:
         return {"leaf": tree._ids[start:stop].tolist()}
     return {
         "pivot": int(tree._ids[start]),
         "bounds": [
-            tree._in_low[node], tree._in_high[node],
-            tree._out_low[node], tree._out_high[node],
+            tree._low[node, 0], tree._high[node, 0],
+            tree._low[node, 1], tree._high[node, 1],
         ],
         "inside": _vp_structure(tree, inside),
         "outside": _vp_structure(tree, outside),
@@ -186,13 +189,14 @@ def _gnat_structure(tree, node=0):
     if node < 0:
         return None
     start, stop = tree._start[node], tree._stop[node]
-    children = tree._children[node]
-    if children is None:
+    table = tree._inner_of[node]
+    if table < 0:
         return {"leaf": tree._ids[start:stop].tolist()}
+    children = tree._children[table].tolist()
     return {
         "splits": tree._ids[start : start + len(children)].tolist(),
-        "low": tree._low[node].tolist(),
-        "high": tree._high[node].tolist(),
+        "low": tree._low[table].tolist(),
+        "high": tree._high[table].tolist(),
         "children": [_gnat_structure(tree, child) for child in children],
     }
 
@@ -241,12 +245,12 @@ def _antipole_structure(tree, node=0):
 
 def _kd_structure(tree, node=0):
     start, stop = tree._start[node], tree._stop[node]
-    left = tree._child[node]
+    left = int(tree._child[node])
     if left < 0:
         return {"leaf": tree._ids[start:stop].tolist()}
     return {
-        "dim": tree._split_dim[node],
-        "value": tree._split_value[node],
+        "dim": int(tree._split_dim[node]),
+        "value": float(tree._split_value[node]),
         "left": _kd_structure(tree, left),
         "right": _kd_structure(tree, left + 1),
     }
