@@ -150,6 +150,9 @@ _BUILD_TEMP_BYTES = 1 << 23
 #: (``docs/indexes.md``, which also has the curve).
 _BATCH_FRACTION = 0.8
 
+#: The distances of a node without rows (a k-d tree's inner node).
+_NO_ROWS = np.empty(0)
+
 
 def _row_ranges(start: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, first)``: rows ``[start[i], start[i] + width[i])`` of
@@ -160,6 +163,16 @@ def _row_ranges(start: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.nd
     if total == width.size and (width == 1).all():  # pivots only (or one-row buckets)
         return start, first
     return np.arange(total) + (start - first).repeat(width), first
+
+
+def node_table(
+    start: Sequence[int], stop: Sequence[int], inner: np.ndarray, width: int
+) -> np.ndarray:
+    """A flat tree's :attr:`MetricIndex._node_rows` table: an inner node
+    evaluates ``width`` rows from its ``start``, a leaf its whole
+    ``[start, stop)`` bucket."""
+    start, stop = np.asarray(start, dtype=np.int64), np.asarray(stop, dtype=np.int64)
+    return np.column_stack((start, np.where(inner, width, stop - start), inner))
 
 
 def reorder_rows(rows: np.ndarray, order: np.ndarray) -> None:
@@ -272,8 +285,8 @@ class MetricIndex(ABC):
     """Base class: validation, bookkeeping, and the query protocol.
 
     Subclasses implement ``_build`` and either ``_range_search`` and
-    ``_knn_search`` or the two round hooks, :meth:`_node_rows` and
-    :meth:`_child_bounds`, that this class's frontier traversals (the
+    ``_knn_search`` or the two round hooks, the :attr:`_node_rows` table
+    and :meth:`_child_bounds`, that this class's frontier traversals (the
     static trees' one range loop and one k-NN loop) walk; this class
     owns operand validation, result ordering, and the stats lifecycle.
     Every row a query hands to the metric's ``_kernel`` must be counted
@@ -796,24 +809,26 @@ class MetricIndex(ABC):
     # ------------------------------------------------------------------
     # The round engine: the static trees' range and k-NN traversals
     # ------------------------------------------------------------------
-    def _node_rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Round hook: ``(start, width, inner)`` of each of ``nodes`` (node
-        numbers; the root is 0) — evaluating a node costs the block rows
-        ``[start, start + width)`` (a pivot, a node's split points, a
-        leaf's bucket, or none), and ``inner`` says which nodes have
-        children, read from the tree's child column.  Every inner node of
-        a tree has the same width."""
-        raise NotImplementedError
+    #: Round hook, a table the tree's build fills: one ``(start, width,
+    #: inner)`` int64 row per node (node numbers; the root is 0) —
+    #: evaluating a node costs the block rows ``[start, start + width)``
+    #: (a pivot, a node's split points, a leaf's bucket, or none), and
+    #: ``inner`` is 1 for a node with children, read from the tree's
+    #: child column.  Every inner node of a tree has the same width.  A
+    #: table, not a method, so the descent reads a node in one lookup.
+    _node_rows: np.ndarray
 
     def _child_bounds(
         self, query: np.ndarray, parents: np.ndarray, d: np.ndarray, column: int | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Round hook: ``(kids, bounds)``, two ``(len(parents), c)`` arrays
-        — each inner node's child numbers (``-1`` for an absent child)
-        and a lower bound on the distance from ``query`` to anything
-        stored under each child, less the rounding allowance (so it may
-        be negative).  ``d`` holds the parents' distances to their rows:
-        all of them (``column`` is ``None``) or, in a range query's stage
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Round hook: ``(kids, bounds, keys)``, three ``(len(parents),
+        c)`` arrays — each inner node's child numbers (``-1`` for an
+        absent child), a lower bound on the distance from ``query`` to
+        anything stored under each child, less the rounding allowance (so
+        it may be negative), and the key the descent orders siblings by,
+        nearest first: the bound before its allowance (or the bound
+        itself).  ``d`` holds the parents' distances to their rows: all
+        of them (``column`` is ``None``) or, in a range query's stage
         ``column``, that row's only."""
         raise NotImplementedError
 
@@ -852,7 +867,8 @@ class MetricIndex(ABC):
 
         frontier = np.zeros(1, dtype=np.int64)  # the root
         while frontier.size:
-            start, width, inner = self._node_rows(frontier)
+            start, width, inner = self._node_rows.take(frontier, 0).T
+            inner = inner > 0
             parents, first = frontier[inner], start[inner]
             visited += parents.size
             leaves += frontier.size - parents.size
@@ -873,7 +889,7 @@ class MetricIndex(ABC):
                 if not chosen.size:
                     continue
                 d = distances[: chosen.size, None] if stages else np.empty((chosen.size, 0))
-                kids, raised = self._child_bounds(query, parents[chosen], d, stage)
+                kids, raised, _ = self._child_bounds(query, parents[chosen], d, stage)
                 if stage:
                     bounds[chosen] = np.maximum(bounds[chosen], raised)
                 else:
@@ -895,18 +911,18 @@ class MetricIndex(ABC):
         """Unsorted k-NN result; base class sorts.
 
         The round engine's k-NN body first *descends*, one node per call
-        on a row slice, nearer child first (the first child on ties),
-        until a leaf leaves ``k`` live candidates held — the depth-first
-        walk's first path, so ``tau`` starts as tight as the walk's.  Then
-        each round drops the frontier entries whose bound exceeds ``reach
-        = tau / (1 + epsilon)`` (a child's bound is the larger of its
-        parent's and its own), evaluates the nearest
-        :data:`_BATCH_FRACTION` of the rest by bound in one call, offers
-        the rows within ``tau``, and leaves the farthest entries for the
-        next round's test against the tightened ``tau``.  A node without
-        rows (a k-d tree's) is an ordinary entry whose round makes no
-        call for it.  Under a ``budget`` (the VP-tree's approximate mode,
-        whose inner nodes are one row) a round's rows are cut to the
+        on a row slice, nearer child first by the hook's ``keys`` (the
+        first child on ties), until a leaf leaves ``k`` live candidates
+        held — the depth-first walk's first path, so ``tau`` starts as
+        tight as the walk's.  Then each round drops the frontier entries
+        whose bound exceeds ``reach = tau / (1 + epsilon)`` (a child's
+        bound is the larger of its parent's and its own), evaluates the
+        nearest :data:`_BATCH_FRACTION` of the rest by bound in one call,
+        offers the rows within ``tau``, and leaves the farthest entries
+        for the next round's test against the tightened ``tau``.  A node
+        without rows (a k-d tree's) is an ordinary entry whose round makes
+        no call for it.  Under a ``budget`` (the VP-tree's approximate
+        mode, whose inner nodes are one row) a round's rows are cut to the
         remaining budget in bound order, a leaf keeping its affordable
         prefix.
         """
@@ -926,7 +942,8 @@ class MetricIndex(ABC):
         # distance to anything below it); what is left on it when the
         # descent ends is the rounds' frontier.
         stack: list[tuple[int, float]] = [(0, 0.0)]
-        split = np.arange(0)
+        table = self._node_rows
+        split = 0  # an inner node's width, once the descent meets one
         while stack:
             node, bound = stack.pop()
             if bound > reach:
@@ -935,50 +952,49 @@ class MetricIndex(ABC):
             if computed >= limit:
                 stack.clear()
                 break
-            nodes = np.array((node,))
-            start, width, inner = self._node_rows(nodes)
-            start = int(start[0])
+            start, width, inner = table[node].tolist()
             # Only the affordable prefix of a bucket is evaluated.
-            stop = start + min(int(width[0]), limit - computed)
+            stop = start + min(width, limit - computed)
             computed += stop - start
-            distances = kernel(query, block[start:stop]) if stop > start else np.empty(0)
+            distances = kernel(query, block[start:stop]) if stop > start else _NO_ROWS
             listed = distances.tolist()
             if listed and min(listed) <= tau:
                 tau = offer_candidates(heap, k, ids[start:stop].tolist(), listed, live)
                 reach = tau * shrink
-            if not inner[0]:
+            if not inner:
                 leaves += 1
                 if len(heap) == k:
                     break
                 continue
             visited += 1
-            split = np.arange(stop - start)  # every inner node's row offsets
-            kids, kid_bounds = self._child_bounds(query, nodes, distances[None, :], None)
-            kids, kid_bounds = kids[0].tolist(), kid_bounds[0].tolist()
+            split = width
+            kids, kid_bounds, keys = self._child_bounds(
+                query, np.array((node,)), distances[None, :], None
+            )
+            kids, kid_bounds, keys = kids[0].tolist(), kid_bounds[0].tolist(), keys[0].tolist()
             # The nearest child on top of the stack, the first on ties.
-            for j in reversed(sorted(range(len(kids)), key=kid_bounds.__getitem__)):
+            for j in reversed(sorted(range(len(kids)), key=keys.__getitem__)):
                 if kids[j] >= 0:
                     stack.append((kids[j], max(bound, kid_bounds[j])))
+        split = np.arange(split)  # every inner node's row offsets
 
         # The rounds: one call each over the frontier's nearest entries.
         nodes = np.array([node for node, _ in stack], dtype=np.int64)
         bounds = np.array([bound for _, bound in stack])
         while nodes.size:
-            near = bounds <= reach
-            n_near = int(np.count_nonzero(near))
-            if n_near < nodes.size:
-                pruned += nodes.size - n_near
-                nodes, bounds = nodes[near], bounds[near]
-                if not n_near:
-                    break
-            if computed >= limit:
-                break
+            # Nearest bound first; the entries past reach are pruned.
             order = bounds.argsort(kind="stable")
-            cut = max(1, int(_BATCH_FRACTION * order.size))
-            take, take_bounds = nodes[order[:cut]], bounds[order[:cut]]
-            nodes, bounds = nodes[order[cut:]], bounds[order[cut:]]
+            nodes, bounds = nodes.take(order), bounds.take(order)
+            n_near = int(bounds.searchsorted(reach, "right"))
+            pruned += nodes.size - n_near
+            if not n_near or computed >= limit:
+                break
+            cut = max(1, int(_BATCH_FRACTION * n_near))
+            take, take_bounds = nodes[:cut], bounds[:cut]
+            nodes, bounds = nodes[cut:n_near], bounds[cut:n_near]
 
-            start, width, inner = self._node_rows(take)
+            start, width, inner = self._node_rows.take(take, 0).T
+            inner = inner > 0
             rows, first = _row_ranges(start, width)
             if rows.size > limit - computed:
                 # Only the affordable prefix, in bound order; a node is
@@ -1002,11 +1018,11 @@ class MetricIndex(ABC):
             if not parents.size:
                 continue
             d = distances[first[inner][:, None] + split]
-            kids, kid_bounds = self._child_bounds(query, parents, d, None)
+            kids, kid_bounds, _ = self._child_bounds(query, parents, d, None)
             np.maximum(kid_bounds, take_bounds[inner][:, None], out=kid_bounds)
             # Child-major, so the frontier lists every first child, then
             # every second ...; absent children are dropped.
-            kids, kid_bounds = kids.T.ravel(), kid_bounds.T.ravel()
+            kids, kid_bounds = kids.ravel("F"), kid_bounds.ravel("F")
             exists = kids >= 0
             nodes = np.concatenate((nodes, kids[exists]))
             bounds = np.concatenate((bounds, kid_bounds[exists]))

@@ -16,7 +16,7 @@ order, exactly ``knn_search(query, size)``.
 
 :func:`browse` works against any :class:`~repro.index.base.MetricIndex`:
 the VP-tree, the GNAT and the k-d tree are browsed lazily through the
-round hooks their traversals run on (:meth:`MetricIndex._node_rows`,
+round hooks their traversals run on (:attr:`MetricIndex._node_rows`,
 :meth:`MetricIndex._child_bounds`); anything else falls back to a
 fully-sorted scan (correct, not lazy — the docstring of the fallback
 says so loudly).  Either way the mutation overlay applies:
@@ -106,17 +106,17 @@ def _browse_tree(tree: MetricIndex, query: np.ndarray) -> Iterator[Neighbor]:
             yield payload  # type: ignore[misc]
             continue
 
-        node = np.array((payload,))
-        start, width, inner = tree._node_rows(node)
-        start, stop = int(start[0]), int(start[0] + width[0])
+        start, width, inner = tree._node_rows[payload].tolist()
         distances = np.empty(0)  # a k-d tree's inner node has no rows
-        if stop > start:
-            distances = measure(ids[start:stop].tolist(), rows[start:stop])
-        if not inner[0]:
+        if width:
+            distances = measure(ids[start : start + width].tolist(), rows[start : start + width])
+        if not inner:
             stats.leaves_visited += 1
             continue
         stats.nodes_visited += 1
-        kids, bounds = tree._child_bounds(query, node, distances[None, :], None)
+        kids, bounds, _ = tree._child_bounds(
+            query, np.array((payload,)), distances[None, :], None
+        )
         for child, child_bound in zip(kids[0].tolist(), bounds[0].tolist()):
             if child >= 0:
                 heapq.heappush(queue, (max(bound, child_bound), 0, next(tiebreak), child))

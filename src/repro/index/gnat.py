@@ -19,7 +19,8 @@ mutually distant cluster centers.
 Range search follows the paper; k-NN search (which the paper left open)
 is the natural branch-and-bound extension: a child's bound is the
 strongest any split point's interval gives, ``max over i of
-(low[i, j] - d_i, d_i - high[i, j], 0)``.
+(low[i, j] - d_i, d_i - high[i, j])`` (negative for a child whose every
+interval holds the query).
 
 Layout.  A struct of arrays, as in :mod:`repro.index.vptree`.  One
 contiguous ``(n, d)`` block holds every row in depth-first pre-order: a
@@ -55,6 +56,7 @@ from repro.index.base import (
     _ROUNDING_SLACK,
     MetricIndex,
     check_count,
+    node_table,
     reorder_rows,
 )
 from repro.index.pivot import DistanceBatchFn
@@ -130,6 +132,7 @@ class GNAT(MetricIndex):
         # The flat tree (see the module docstring): one entry per node
         # in pre-order, over the base class's rows and ids in tree order.
         self._start = self._stop = self._inner_of = np.empty(0, dtype=np.int64)
+        self._node_rows = np.empty((0, 3), dtype=np.int64)
         self._children = np.empty((0, self._degree), dtype=np.int64)
         #: ``_low[t, i, j]`` / ``_high[t, i, j]``: distance interval from
         #: split point i of inner node t to everything stored under its
@@ -221,9 +224,9 @@ class GNAT(MetricIndex):
                 if hi > lo:
                     stack.append((lo, hi, depth + 1, node, owner))
 
-        self._start, self._stop, self._inner_of = (
-            np.array(column, dtype=np.int64) for column in (start_of, stop_of, inner_of)
-        )
+        self._inner_of = np.array(inner_of, dtype=np.int64)
+        self._node_rows = node_table(start_of, stop_of, self._inner_of >= 0, m)
+        self._start, self._stop = self._node_rows[:, 0], np.array(stop_of, dtype=np.int64)
         self._children = np.array(children, dtype=np.int64).reshape(-1, m)
         self._low = np.array(low_of).reshape(-1, m, m)
         self._high = np.array(high_of).reshape(-1, m, m)
@@ -231,20 +234,16 @@ class GNAT(MetricIndex):
     # ------------------------------------------------------------------
     # The round hooks (the traversals are MetricIndex's)
     # ------------------------------------------------------------------
-    def _node_rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A node's *m* split points, or a leaf's bucket."""
-        start = self._start[nodes]
-        inner = self._inner_of[nodes] >= 0
-        return start, np.where(inner, self._degree, self._stop[nodes] - start), inner
-
     def _child_bounds(
         self, query: np.ndarray, parents: np.ndarray, d: np.ndarray, column: int | None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Child j lies no closer than a split point i's interval allows,
         ``max(low[i, j] - d_i, d_i - high[i, j])`` less its rounding
-        allowance: the strongest over every split point (floored at 0),
-        or in a range stage split point ``column``'s alone, which does
-        not test its own child."""
+        allowance: the strongest over every split point, or in a range
+        stage split point ``column``'s alone, which does not test its own
+        child.  Not floored at 0, so the bound is negative for a child
+        whose every interval holds the query, and the descent prefers
+        the child it lies deepest inside."""
         tables = self._inner_of[parents]
         if column is None:
             d = d[:, :, None]  # (node, split point i, child j)
@@ -257,4 +256,4 @@ class GNAT(MetricIndex):
             bounds = np.maximum(low - d, d - high)
             bounds -= _ROUNDING_SLACK * (d + high)
             bounds[:, column] = -np.inf
-        return self._children[tables], bounds
+        return self._children[tables], bounds, bounds

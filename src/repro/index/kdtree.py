@@ -44,6 +44,7 @@ from repro.errors import IndexingError
 from repro.index.base import (
     MetricIndex,
     check_count,
+    node_table,
     reorder_rows,
 )
 from repro.metrics.base import Metric
@@ -106,6 +107,7 @@ class KDTree(MetricIndex):
         # The flat tree (see the module docstring): one entry per node,
         # over the base class's rows and ids in tree order.
         self._start = self._stop = self._child = np.empty(0, dtype=np.int64)
+        self._node_rows = np.empty((0, 3), dtype=np.int64)
         self._split_dim = np.empty(0, dtype=np.int64)
         self._split_value = np.empty(0)
         self._box_low = np.empty((0, 0))
@@ -163,26 +165,23 @@ class KDTree(MetricIndex):
             stack.append((first + 1, depth + 1))
             stack.append((first, depth + 1))
 
-        self._start, self._stop, self._child, self._split_dim = (
-            np.array(column, dtype=np.int64)
-            for column in (start_of, stop_of, child, split_dim)
+        self._child, self._split_dim = (
+            np.array(column, dtype=np.int64) for column in (child, split_dim)
         )
+        # An inner node has no rows.
+        self._node_rows = node_table(start_of, stop_of, self._child >= 0, 0)
+        self._start, self._stop = self._node_rows[:, 0], np.array(stop_of, dtype=np.int64)
         self._split_value = np.array(split_value, dtype=np.float64)
         self._box_low, self._box_high = np.array(box_low), np.array(box_high)
 
     # ------------------------------------------------------------------
     # The round hooks (the traversals are MetricIndex's)
     # ------------------------------------------------------------------
-    def _node_rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """No rows for an inner node, a leaf's bucket."""
-        start = self._start[nodes]
-        inner = self._child[nodes] >= 0
-        return start, np.where(inner, 0, self._stop[nodes] - start), inner
-
     def _child_bounds(
         self, query: np.ndarray, parents: np.ndarray, d: np.ndarray, column: int | None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Left, then right: the box lower bound of each child."""
         kids = self._child[parents][:, None] + np.arange(2)
         excess = np.maximum(self._box_low[kids] - query, query - self._box_high[kids])
-        return kids, self._box_norm(np.maximum(excess, 0.0))
+        bounds = self._box_norm(np.maximum(excess, 0.0))
+        return kids, bounds, bounds

@@ -71,6 +71,7 @@ from repro.index.base import (
     MetricIndex,
     Neighbor,
     check_count,
+    node_table,
     reorder_rows,
 )
 from repro.index.pivot import MaxSpreadPivot, PivotStrategy
@@ -112,6 +113,7 @@ class VPTree(MetricIndex):
         # The flat tree (see the module docstring): one entry per node
         # in pre-order, over the base class's rows and ids in tree order.
         self._start = self._stop = np.empty(0, dtype=np.int64)
+        self._node_rows = np.empty((0, 3), dtype=np.int64)
         self._child = np.empty((0, 2), dtype=np.int64)
         self._low = self._high = np.empty((0, 2))
 
@@ -180,33 +182,27 @@ class VPTree(MetricIndex):
                 in_high[node] = float(inside_d.max())
                 stack.append((start + 1, split, depth + 1, node, inside))
 
-        self._start, self._stop = (
-            np.array(column, dtype=np.int64) for column in (start_of, stop_of)
-        )
         self._child = np.column_stack((inside, outside)).astype(np.int64)
         self._low = np.column_stack((in_low, out_low)).astype(np.float64)
         self._high = np.column_stack((in_high, out_high)).astype(np.float64)
+        # A split has an inside child, and evaluates its pivot's one row.
+        self._node_rows = node_table(start_of, stop_of, self._child[:, 0] >= 0, 1)
+        self._start, self._stop = self._node_rows[:, 0], np.array(stop_of, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # The round hooks (the traversals are MetricIndex's)
     # ------------------------------------------------------------------
-    def _node_rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A pivot's one row, or a leaf's bucket."""
-        start = self._start[nodes]
-        inner = self._child[:, 0][nodes] >= 0  # a split has an inside child
-        return start, np.where(inner, 1, self._stop[nodes] - start), inner
-
     def _child_bounds(
         self, query: np.ndarray, parents: np.ndarray, d: np.ndarray, column: int | None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Inside, then outside: each child's interval gap from the pivot
         distance ``d``, ``max(low - d, d - high, 0)``, less its rounding
-        allowance."""
+        allowance; the descent orders the two by the gap itself, so an
+        equal gap sends it inside first."""
         low, high = self._low.take(parents, 0), self._high.take(parents, 0)
         gap = np.maximum(low - d, d - high)
         np.maximum(gap, 0.0, out=gap)
-        gap -= _ROUNDING_SLACK * (d + high)
-        return self._child.take(parents, 0), gap
+        return self._child.take(parents, 0), gap - _ROUNDING_SLACK * (d + high), gap
 
     def knn_search_approximate(
         self,

@@ -265,7 +265,7 @@ class TestConfiguration:
 class TestIntervalGap:
     """A child's bound (the tree's ``_child_bounds`` round hook) is its
     interval gap from the pivot distance ``d``, ``max(low - d, d - high,
-    0)``, less the rounding allowance."""
+    0)``, less the rounding allowance; the descent's key is the gap."""
 
     @staticmethod
     def _bound(d, low, high):
@@ -273,9 +273,10 @@ class TestIntervalGap:
             [0, 1, 2], np.array([[0.0], [1.0], [2.0]])
         )
         tree._low[0], tree._high[0] = low, high  # both children's interval
-        _, bounds = tree._child_bounds(None, np.array([0]), np.array([[d]]), None)
+        _, bounds, gaps = tree._child_bounds(None, np.array([0]), np.array([[d]]), None)
         assert bounds[0, 0] == bounds[0, 1]
-        return bounds[0, 0] + _ROUNDING_SLACK * (d + high)
+        assert bounds[0, 0] == gaps[0, 0] - _ROUNDING_SLACK * (d + high)
+        return gaps[0, 0]
 
     def test_inside_interval_is_zero(self):
         assert self._bound(0.5, 0.2, 0.8) == 0.0
@@ -286,11 +287,30 @@ class TestIntervalGap:
     def test_above_interval(self):
         assert self._bound(1.0, 0.4, 0.8) == pytest.approx(0.2)
 
+    def test_descent_goes_inside_on_an_equal_gap(self):
+        """Pivot 0.0, inside child 1.0, outside child 2.0: the query 1.5
+        lies 0.5 from both intervals.  The outside child's bound is the
+        smaller (its allowance is larger), but the descent orders by the
+        gap, so it evaluates the inside child first."""
+        seen = []
+
+        class Spy(EuclideanDistance):
+            def _kernel(self, query, vectors):
+                seen.extend(vectors[:, 0].tolist())
+                return EuclideanDistance._kernel(query, vectors)
+
+        tree = VPTree(Spy(), leaf_size=1).build([0, 1, 2], np.array([[0.0], [1.0], [2.0]]))
+        assert tree._child[0].tolist() == [1, 2]
+        seen.clear()
+        assert [n.id for n in tree.knn_search(np.array([1.5]), 1)] == [1]
+        assert seen[:2] == [0.0, 1.0]
+
 
 class TestTreeMemory:
     def test_built_tree_owns_one_copy_of_the_rows(self, rng):
         """The tree is the index core's row block plus five per-node
-        columns.
+        columns and the round engine's node table (``_start`` is a view
+        of its first column).
 
         The object-graph tree once kept a full copy of the data alive
         per level (``pivot_vector`` viewed its level's temporary) and
@@ -301,7 +321,7 @@ class TestTreeMemory:
         """
         n, dim = 4000, 16
         tree = VPTree(EuclideanDistance()).build(list(range(n)), rng.random((n, dim)))
-        columns = ("_start", "_stop", "_child", "_low", "_high")
+        columns = ("_start", "_stop", "_node_rows", "_child", "_low", "_high")
         arrays = {
             name for name, value in vars(tree).items() if isinstance(value, np.ndarray)
         }
@@ -317,4 +337,5 @@ class TestTreeMemory:
         for name in columns:
             column = getattr(tree, name)
             assert column.shape[0] == n_entries and column.itemsize == 8
-            assert column.shape[1:] in ((), (2,))
+            assert column.shape[1:] in ((), (2,), (3,))
+        assert np.shares_memory(tree._start, tree._node_rows)
